@@ -274,7 +274,9 @@ def run_sweep(
     one regardless of scheduling.
 
     With ``cache`` (and matching per-unit ``keys`` hashes), cached cells
-    are served without recomputation and fresh results are written back.
+    are served without recomputation and each fresh result is written
+    back as soon as it is produced (a sweep that raises part-way resumes
+    from the cells it finished).
     Hit/miss counts are reported to ``metrics`` (a
     :class:`~repro.obs.metrics.MetricsRegistry`) when provided.
     """
@@ -300,6 +302,14 @@ def run_sweep(
         pending = list(range(len(units)))
 
     stats.computed = len(pending)
+
+    def record(index: int, value: Any) -> None:
+        # written back as each cell finishes, so a raising or interrupted
+        # sweep keeps every cell it already paid for
+        results[index] = value
+        if cache is not None:
+            cache.put(keys[index], units[index], value)
+
     if pending:
         workers = min(jobs, len(pending))
         if multiprocessing.current_process().daemon:
@@ -309,7 +319,7 @@ def run_sweep(
             workers = 1
         if workers <= 1:
             for i in pending:
-                results[i] = worker(context, units[i])
+                record(i, worker(context, units[i]))
         else:
             ctx = multiprocessing.get_context("spawn")
             chunksize = max(1, len(pending) // (workers * 4))
@@ -322,10 +332,7 @@ def run_sweep(
                 for index, value in pool.imap_unordered(
                     _pool_call, indexed, chunksize
                 ):
-                    results[index] = value
-        if cache is not None:
-            for i in pending:
-                cache.put(keys[i], units[i], results[i])
+                    record(index, value)
 
     _observe_cache_counts(metrics, stats.cache_hits, stats.cache_misses)
     return SweepOutcome(results=results, stats=stats)

@@ -9,7 +9,18 @@ Two measurement modes:
 
 * ``simulated`` — actually runs the discrete-event simulator with an
   MCR-DL communicator issuing the operation in a timed loop (this is
-  what the paper's suite does with OMB-style scripts);
+  what the paper's suite does with OMB-style scripts).  Cells are
+  **timing-only**: the benchmark buffers are virtual tensors (declared
+  size, one element of storage), so every op takes the runtime's
+  ``timing_only`` path — same dispatch, rendezvous, stream placement,
+  wire-lane contention and cost-model call, keyed on the declared byte
+  count — and the data plane never runs.  A cell's latency is a pure
+  function of sizes, never of buffer contents, so the values are
+  bit-identical to measuring with real buffers (pinned by
+  ``tests/test_tuner_simulated.py``) while a cell costs
+  O(ranks x iterations) instead of O(world size x bytes): the full
+  256 B .. 64 MiB :data:`DEFAULT_MESSAGE_SIZES` range is practical in
+  this mode;
 * ``analytic`` — prices the operation directly from the backend cost
   model plus per-call overheads.  Orders of magnitude faster for wide
   sweeps; the test suite verifies both modes agree on rankings.
@@ -83,7 +94,12 @@ class TuningReport:
 
 
 class _BenchBuffers:
-    """Lazily allocated tensors shared by the simulated op runners."""
+    """Lazily built timing-only tensors shared by the simulated op runners.
+
+    Every buffer is a :meth:`~repro.sim.process.RankContext.virtual_tensor`
+    — declared size, one element of storage — so the runtime prices each
+    op from its declared bytes and never runs the data plane.
+    """
 
     __slots__ = ("ctx", "numel", "_cache")
 
@@ -95,7 +111,7 @@ class _BenchBuffers:
     def get(self, name: str, numel: int):
         buf = self._cache.get(name)
         if buf is None:
-            buf = self._cache[name] = self.ctx.zeros(numel)
+            buf = self._cache[name] = self.ctx.virtual_tensor(numel)
         return buf
 
     @property

@@ -9,6 +9,7 @@ communication layer uses for rendezvous.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Any, Optional, Sequence
 
 import numpy as np
@@ -16,7 +17,7 @@ import numpy as np
 from repro.sim.engine import Engine, Flag
 from repro.sim.streams import GPU, CudaEvent, Stream
 from repro.tensor import SimTensor, DType, float32
-from repro.tensor.tensor import Device, from_numpy
+from repro.tensor.tensor import Device, from_numpy, virtual
 
 
 class RankContext:
@@ -41,13 +42,23 @@ class RankContext:
         #: shared mutable state visible to every rank (rendezvous tables,
         #: p2p match queues). Safe because only one rank runs at a time.
         self.shared = shared
-        self.rng = np.random.default_rng((seed, rank))
+        self._seed = seed
         self.device = Device("cuda", rank)
         if compute_scale <= 0:
             raise ValueError(f"compute_scale must be positive, got {compute_scale}")
         #: straggler modeling: every launched kernel's duration is
         #: multiplied by this factor (>1 = a slow GPU / noisy neighbour)
         self.compute_scale = compute_scale
+
+    @cached_property
+    def rng(self) -> np.random.Generator:
+        """This rank's deterministic generator, seeded ``(seed, rank)``.
+
+        Built on first use: constructing one costs a sixth of a rank's
+        start-up and timing-only programs (the tuner's cells, every
+        benchmark workload) never draw from it.
+        """
+        return np.random.default_rng((self._seed, self.rank))
 
     # -- time ----------------------------------------------------------
 
@@ -141,8 +152,6 @@ class RankContext:
     def virtual_tensor(self, numel: int, dtype: DType = float32) -> SimTensor:
         """A timing-only tensor (declared size, no real storage) for
         workload modeling; see :class:`repro.tensor.SimTensor`."""
-        from repro.tensor.tensor import virtual
-
         return virtual(numel, dtype, self.device)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

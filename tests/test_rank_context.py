@@ -59,6 +59,29 @@ class TestTensorFactories:
         assert res.rank_results == ["cuda:0", "cuda:1", "cuda:2"]
 
 
+class TestLazyRng:
+    def test_stream_matches_eager_generator(self):
+        def main(ctx):
+            return ctx.rng.random(8), ctx.rng.integers(0, 1 << 30, 8)
+
+        res = Simulator(3, seed=11).run(main)
+        for rank, (floats, ints) in enumerate(res.rank_results):
+            ref = np.random.default_rng((11, rank))
+            assert np.array_equal(floats, ref.random(8))
+            assert np.array_equal(ints, ref.integers(0, 1 << 30, 8))
+
+    def test_unused_rng_is_never_constructed(self, monkeypatch):
+        built = []
+        real = np.random.default_rng
+        monkeypatch.setattr(
+            np.random, "default_rng", lambda *a: built.append(a) or real(*a)
+        )
+        Simulator(4).run(lambda ctx: None)
+        assert built == []
+        Simulator(4, seed=3).run(lambda ctx: ctx.rng if ctx.rank == 2 else None)
+        assert built == [((3, 2),)]
+
+
 class TestTimePrimitives:
     def test_now_advances_with_sleep(self):
         def main(ctx):

@@ -36,6 +36,12 @@ def _returns_none(context, unit):
     return None
 
 
+def _raises_on(context, unit):
+    if unit == context:
+        raise RuntimeError(f"unit {unit} failed")
+    return unit * 2
+
+
 def _keys_for(units):
     return [stable_hash(("toy", u)) for u in units]
 
@@ -86,6 +92,23 @@ class TestRunSweep:
         warm = run_sweep(_returns_none, units, cache=cache, keys=keys)
         assert warm.results == [None]
         assert warm.stats.cache_hits == 1 and warm.stats.computed == 0
+
+    def test_failed_sweep_keeps_finished_cells(self, tmp_path):
+        # results are written back as they are produced: a worker that
+        # raises on unit k leaves the k earlier cells cached, and the
+        # rerun only computes what is left
+        units = list(range(6))
+        keys = _keys_for(units)
+        cache = SweepCache(tmp_path)
+        k = 4
+        with pytest.raises(RuntimeError):
+            run_sweep(_raises_on, units, context=k, cache=cache, keys=keys)
+        assert len(cache) == k
+        rerun = run_sweep(_raises_on, units, context=None, cache=cache, keys=keys)
+        assert rerun.stats.cache_hits == k
+        assert rerun.stats.computed == len(units) - k
+        assert rerun.results == [u * 2 for u in units]
+        assert len(cache) == len(units)  # still one put per computed cell
 
     def test_metrics_receive_cache_counts(self, tmp_path):
         units = [1, 2]
