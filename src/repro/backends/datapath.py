@@ -48,8 +48,8 @@ def all_reduce(
     inputs: Sequence[np.ndarray], outputs: Sequence[np.ndarray], op: ReduceOp
 ) -> None:
     _check_equal_sizes(inputs, "all_reduce inputs")
-    # ReduceOp.apply materializes into a fresh array (np.stack copies)
-    # before any output is written, so aliased outputs need no staging.
+    # ReduceOp.apply materializes into a fresh accumulator before any
+    # output is written, so aliased outputs need no staging.
     reduced = op.apply(list(inputs))
     for out in outputs:
         if out.size != reduced.size:

@@ -17,23 +17,33 @@ class ReduceOp(enum.Enum):
     AVG = "avg"
 
     def apply(self, arrays: list[np.ndarray]) -> np.ndarray:
-        """Reduce a list of equally-shaped arrays element-wise."""
+        """Reduce a list of equally-shaped arrays element-wise.
+
+        Accumulates rank by rank into one fresh array (never an alias of
+        an input) — the same additions in the same order as reducing a
+        ``np.stack`` over axis 0, without the p x n copy.
+        """
         if not arrays:
             raise ValueError("reduce of empty list")
-        stack = np.stack(arrays)
-        if self is ReduceOp.SUM:
-            return stack.sum(axis=0, dtype=stack.dtype)
-        if self is ReduceOp.PROD:
-            return stack.prod(axis=0, dtype=stack.dtype)
-        if self is ReduceOp.MIN:
-            return stack.min(axis=0)
-        if self is ReduceOp.MAX:
-            return stack.max(axis=0)
+        first = arrays[0]
         if self is ReduceOp.AVG:
-            return (stack.sum(axis=0, dtype=np.float64) / len(arrays)).astype(
-                stack.dtype
-            )
-        raise AssertionError(f"unhandled ReduceOp {self}")  # pragma: no cover
+            acc = first.astype(np.float64)
+            for a in arrays[1:]:
+                np.add(acc, a, out=acc)
+            return (acc / len(arrays)).astype(first.dtype)
+        accumulate = _ACCUMULATE[self]
+        acc = first.copy()
+        for a in arrays[1:]:
+            accumulate(acc, a, out=acc)
+        return acc
+
+
+_ACCUMULATE = {
+    ReduceOp.SUM: np.add,
+    ReduceOp.PROD: np.multiply,
+    ReduceOp.MIN: np.minimum,
+    ReduceOp.MAX: np.maximum,
+}
 
 
 class OpFamily(enum.Enum):

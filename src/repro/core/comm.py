@@ -66,6 +66,27 @@ from repro.tensor import SimTensor
 __all__ = ["CollectiveSpec", "CommPlan", "MCRCommunicator"]
 
 
+def _shared_group(state: dict, world_size: int, ranks: Optional[Sequence[int]]) -> tuple:
+    """The job-wide record of one process group: ``(group_ranks, {global
+    rank: group rank}, {comm_id: rendezvous state})``, validated and built
+    by the first rank that names the group (``None`` = the world)."""
+    groups = state.setdefault("__groups__", {})
+    named = None if ranks is None else tuple(ranks)
+    record = groups.get(named)
+    if record is None:
+        spelled = range(world_size) if named is None else named
+        group = list(dict.fromkeys(int(r) for r in spelled))
+        if len(group) != len(spelled):
+            raise BackendError(f"duplicate ranks in group {list(spelled)}")
+        for r in group:
+            if not 0 <= r < world_size:
+                raise BackendError(f"group rank {r} out of range")
+        record = (group, {r: i for i, r in enumerate(group)}, {})
+        # one record per rank set, however it was spelled
+        record = groups[named] = groups.setdefault(tuple(group), record)
+    return record
+
+
 class MCRCommunicator(DispatchLayer, ExecutionLayer):
     """Per-rank MCR-DL instance over a set of backends.
 
@@ -87,8 +108,16 @@ class MCRCommunicator(DispatchLayer, ExecutionLayer):
         if not backends:
             raise BackendError("MCR-DL needs at least one backend")
         self.ctx = ctx
-        self.config = config or MCRConfig()
-        self.config.validate()
+        # job-wide comm state: what construction derives independently of
+        # the rank (validated configs and groups) is built by the first
+        # rank that needs it and shared by the rest
+        state = ctx.shared.setdefault("mcr_dl", {})
+        if config is None:
+            config = MCRConfig()  # the defaults are valid
+        elif state.setdefault("__configs__", {}).get(id(config)) is not config:
+            config.validate()
+            state["__configs__"][id(config)] = config
+        self.config = config
         self.comm_id = comm_id
 
         # dispatch plan cache: compiled plans keyed by call signature,
@@ -105,19 +134,14 @@ class MCRCommunicator(DispatchLayer, ExecutionLayer):
 
         # process group: the rank subset this communicator spans (like an
         # MPI sub-communicator / torch.distributed process group)
-        if ranks is None:
-            ranks = range(ctx.world_size)
-        self.group_ranks = list(dict.fromkeys(int(r) for r in ranks))
-        if len(self.group_ranks) != len(list(ranks)):
-            raise BackendError(f"duplicate ranks in group {list(ranks)}")
-        for r in self.group_ranks:
-            if not 0 <= r < ctx.world_size:
-                raise BackendError(f"group rank {r} out of range")
-        if ctx.rank not in self.group_ranks:
+        self.group_ranks, index, comm_states = _shared_group(state, ctx.world_size, ranks)
+        if ctx.rank not in index:
             raise BackendError(
                 f"rank {ctx.rank} constructing a communicator for group "
                 f"{self.group_ranks} it does not belong to"
             )
+        #: group-local rank (MPI communicator semantics)
+        self.rank = self.group_rank = index[ctx.rank]
         #: group size, cached — group_ranks is immutable after init and
         #: the property is read several times per operation
         self._ws = len(self.group_ranks)
@@ -202,14 +226,12 @@ class MCRCommunicator(DispatchLayer, ExecutionLayer):
 
             self._codec = FixedRateCodec(self.config.compression.rate_bits)
 
-        state = ctx.shared.setdefault("mcr_dl", {})
-        self._shared = state.setdefault(
-            (comm_id, tuple(self.group_ranks)),
-            {
+        self._shared = comm_states.get(comm_id)
+        if self._shared is None:
+            self._shared = comm_states[comm_id] = {
                 "rdv": {},
                 "p2p": defaultdict(lambda: {"sends": deque(), "recvs": deque()}),
-            },
-        )
+            }
         # wire lanes are a property of the *fabric*, shared by every
         # communicator/process group in the job
         self._channel = state.setdefault("__channel__", defaultdict(float))
@@ -258,15 +280,6 @@ class MCRCommunicator(DispatchLayer, ExecutionLayer):
         """This process's rank *within the communicator's group*."""
         self._backend(backend or next(iter(self.backends)))
         return self.group_rank
-
-    @property
-    def rank(self) -> int:
-        """Group-local rank (MPI communicator semantics)."""
-        return self.group_rank
-
-    @property
-    def group_rank(self) -> int:
-        return self.group_ranks.index(self.ctx.rank)
 
     @property
     def world_size(self) -> int:

@@ -83,7 +83,7 @@ class WorkHandle:
             # fine-grained CUDA-event sync: the default stream waits on
             # the event recorded after the comm kernel (Fig. 4b step 4);
             # the host continues immediately.
-            self.ctx.gpu.default_stream._gates.append(self.member_node)
+            self.ctx.gpu.default_stream.gate_on(self.member_node)
             return
         # host-synchronized (MPI_Wait); the decorated reason is only worth
         # building when the flag is still pending (it can actually park)

@@ -67,13 +67,10 @@ class CommCore(Protocol):
     comm_id: str
     backends: dict[str, "Backend"]
     group_ranks: list[int]
+    #: group-local rank (``rank`` is the MPI-style alias)
+    group_rank: int
+    rank: int
     sync: "SyncManager"
-
-    @property
-    def rank(self) -> int: ...
-
-    @property
-    def group_rank(self) -> int: ...
 
     @property
     def world_size(self) -> int: ...

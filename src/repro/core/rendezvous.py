@@ -20,8 +20,9 @@ call graph crosses layers per operation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
+from types import MappingProxyType
+from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -34,17 +35,23 @@ from repro.tensor import SimTensor
 
 #: stand-in data-plane buffer for virtual (timing-only) tensors
 _VIRTUAL_BUF = np.empty(0, dtype=np.float32)
+#: the ``extras`` of every arrival that has none (extras are only read)
+_NO_EXTRAS = MappingProxyType({})
 
 
 @dataclass(slots=True)
 class Arrival:
-    """One rank's registration at a collective rendezvous."""
+    """One rank's registration at a collective rendezvous.
+
+    ``inputs``/``outputs`` are dropped once the data has moved; ``rank``
+    and ``host_time`` stay for timeout diagnostics.
+    """
 
     rank: int
     host_time: float
-    inputs: list[np.ndarray]
-    outputs: list[np.ndarray]
-    extras: dict = field(default_factory=dict)
+    inputs: Sequence[np.ndarray]
+    outputs: Sequence[np.ndarray]
+    extras: Mapping
 
 
 class Rendezvous:
@@ -259,7 +266,7 @@ class ExecutionLayer:
             host_time=ctx.now,
             inputs=inputs,
             outputs=outputs,
-            extras=extras or {},
+            extras=extras or _NO_EXTRAS,
         )
         rdv.arrivals[ctx.rank] = arrival
 
@@ -276,7 +283,7 @@ class ExecutionLayer:
             producer = ctx.gpu.default_stream.last
             member_node = stream.enqueue_collective_member(
                 rdv.group,
-                deps=[producer] if producer is not None else [],
+                deps=(producer,) if producer is not None else (),
                 label=label,
                 category="comm",
             )
@@ -322,6 +329,8 @@ class ExecutionLayer:
                             for buf in a.inputs:
                                 codec.apply_quantization_error(buf)
                     move(ordered)
+                for a in ordered:
+                    a.inputs = a.outputs = ()
                 rdv.resolved = True
 
             del rdv_table[key]
@@ -402,7 +411,7 @@ class ExecutionLayer:
             return handle
         # synchronous op: apply wait() semantics inline, no handle object
         if stream_semantics and member_node is not None:
-            ctx.gpu.default_stream._gates.append(member_node)
+            ctx.gpu.default_stream.gate_on(member_node)
         else:
             self._await_flag(rdv.flag, label, rdv, deadline_us)
         if self.config.synchronization == "naive":

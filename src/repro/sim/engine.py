@@ -94,12 +94,15 @@ class Flag:
 
 
 class _Proc:
-    """One simulated process (rank or helper) backed by an OS thread.
+    """One simulated process (rank or helper) backed by a raw OS thread.
 
     ``wake`` is a raw lock used as a binary semaphore: it is held (locked)
     from construction onward, both while the process runs and while it is
     parked; waking the process is exactly one ``release()``, and parking
-    is exactly one blocking ``acquire()``.
+    is exactly one blocking ``acquire()``.  The thread itself is started
+    with ``_thread.start_new_thread`` by :meth:`Engine.run`: the baton is
+    the only handshake a rank needs, so it does not pay for a ``Thread``
+    object, its started-event and its join lock.
     """
 
     __slots__ = (
@@ -107,7 +110,6 @@ class _Proc:
         "name",
         "fn",
         "wake",
-        "thread",
         "finished",
         "blocked_on",
         "result",
@@ -130,22 +132,27 @@ class _Proc:
         self.epoch = 0
         #: teardown wake already delivered (guards double-release in _fail)
         self._kill_sent = False
-        self.thread = threading.Thread(target=self._body, name=f"sim-{name}", daemon=True)
 
     def _body(self) -> None:
-        self.wake.acquire()
-        if self.engine._failure is not None:
-            return
         try:
-            self.result = self.fn()
-        except _Kill:
-            return
-        except BaseException as exc:  # propagate user errors to run()
+            self.wake.acquire()
+            if self.engine._failure is not None:
+                return
+            try:
+                self.result = self.fn()
+            except _Kill:
+                return
+            except BaseException as exc:  # propagate user errors to run()
+                self.finished = True
+                self.engine._fail(exc)
+                return
             self.finished = True
-            self.engine._fail(exc)
-            return
-        self.finished = True
-        self.engine._proc_exited(self)
+            self.engine._proc_exited(self)
+        finally:
+            # let go of the rank's closure (its context, GPU, streams)
+            # and tell run() when the last thread has left
+            self.fn = None
+            self.engine._thread_left()
 
     def park(self, reason: str) -> None:
         """Hand the baton off and sleep until re-scheduled.
@@ -175,6 +182,11 @@ class Engine:
         self._procs: list[_Proc] = []
         self._failure: Optional[BaseException] = None
         self._main_baton = threading.Event()
+        #: rank threads still alive, and the raw lock the last one to
+        #: leave releases (run() holds it while any is alive)
+        self._threads_alive = 0
+        self._count_lock = _thread.allocate_lock()
+        self._all_left = _thread.allocate_lock()
         self._started = False
         self._events_dispatched = 0
         self._max_events = max_events
@@ -202,18 +214,28 @@ class Engine:
         self._started = True
         if not self._procs:
             return self.now
+        self._all_left.acquire()
+        self._threads_alive = len(self._procs)
         for proc in self._procs:
-            proc.thread.start()
+            _thread.start_new_thread(proc._body, ())
             self._schedule(0.0, proc)
         self._dispatch_next()
         self._main_baton.wait()
-        for proc in self._procs:
-            proc.thread.join(timeout=30.0)
-            if proc.thread.is_alive():  # pragma: no cover - defensive
-                raise SimError(f"simulation thread {proc.name} failed to exit")
+        if not self._all_left.acquire(timeout=30.0):  # pragma: no cover - defensive
+            raise SimError(
+                f"{self._threads_alive} simulation thread(s) failed to exit"
+            )
         if self._failure is not None:
             raise self._failure
         return self.now
+
+    def _thread_left(self) -> None:
+        """Called by every rank thread as its last act."""
+        with self._count_lock:
+            self._threads_alive -= 1
+            last = self._threads_alive == 0
+        if last:
+            self._all_left.release()
 
     # -- scheduling core (only ever touched by the single running
     #    thread, or by main before dispatch starts) --------------------

@@ -31,11 +31,18 @@ class GpuOp:
 
     Timing fields:
 
-    * ``host_ready`` — host time of the launch (enqueue point);
+    * ``host_ready`` — earliest start the enqueue point allows: the host
+      time of the launch, raised to the stream's folded gate floor;
     * ``end`` — completion time; ``None`` until resolved.
 
     Start time is ``max(host_ready, prev.end, dep ends)`` where ``prev``
     is the previous op on the same stream (FIFO order).
+
+    Lifetime: the links (``prev``, ``deps``, ``group``, ``succs``) exist
+    to compute ``start``/``end`` and are dropped the moment those are
+    known, so a resolved node pins nothing but its stream and a finished
+    run is not one reference chain.  Only ``start``/``end``/``label`` and
+    the completion flag are meaningful afterwards.
     """
 
     __slots__ = (
@@ -76,7 +83,9 @@ class GpuOp:
         self.end: Optional[float] = None
         self.start: Optional[float] = None
         self._flag: Optional[Flag] = None
-        self.succs: list[object] = []  # GpuOp | CollectiveGroup
+        #: GpuOp | CollectiveGroup waiting on this node; None until the
+        #: first one registers (most nodes never get a successor)
+        self.succs: Optional[list[object]] = None
 
     # -- flags ----------------------------------------------------------
 
@@ -103,6 +112,14 @@ class GpuOp:
                 out.append(d)
         return out
 
+    def _block(self, waiter: object) -> None:
+        """Register ``waiter`` for another resolution attempt when this
+        node resolves."""
+        if self.succs is None:
+            self.succs = [waiter]
+        elif waiter not in self.succs:
+            self.succs.append(waiter)
+
     def _ready_time(self) -> float:
         t = self.host_ready
         if self.prev is not None:
@@ -123,6 +140,10 @@ class CollectiveGroup:
     (NCCL semantics: the kernel spins until every peer has arrived) and
     finish together ``duration`` later.  ``on_resolve`` performs the data
     movement exactly once.
+
+    Lifetime: resolution drops ``members``, ``on_resolve`` (and with it
+    every rank's buffers) and the wire-lane store; a resolved group is
+    its ``flag`` and ``duration``, and ``complete`` reads False.
     """
 
     __slots__ = (
@@ -140,7 +161,7 @@ class CollectiveGroup:
 
     def __init__(self, expected: int, flag: Flag, label: str = "collective"):
         self.expected = expected
-        self.members: list[GpuOp] = []
+        self.members: Sequence[GpuOp] = []
         self.duration: Optional[float] = None
         self.on_resolve: Optional[Callable[[], None]] = None
         self.flag = flag
@@ -162,7 +183,7 @@ class CollectiveGroup:
         return len(self.members) == self.expected and self.duration is not None
 
     def add_member(self, member: GpuOp) -> None:
-        if len(self.members) >= self.expected:
+        if self._resolved or len(self.members) >= self.expected:
             raise SimError(f"collective {self.label!r}: too many members")
         self.members.append(member)
 
@@ -185,16 +206,14 @@ def resolve(seed: "GpuOp | CollectiveGroup", engine: Engine) -> None:
             blockers = item._blockers()
             if blockers:
                 for b in blockers:
-                    if item not in b.succs:
-                        b.succs.append(item)
+                    b._block(item)
                 continue
             start = item._ready_time()
             if item.duration is None:  # pragma: no cover - defensive
                 raise SimError(f"plain op {item.label!r} has no duration")
             item.start = start
             item.end = start + item.duration
-            _finish_node(item, engine)
-            work.extend(item.succs)
+            _finish_node(item, work)
         else:  # CollectiveGroup
             group = item
             if group._resolved or not group.complete:
@@ -204,8 +223,7 @@ def resolve(seed: "GpuOp | CollectiveGroup", engine: Engine) -> None:
                 blockers.extend(m._blockers())
             if blockers:
                 for b in blockers:
-                    if group not in b.succs:
-                        b.succs.append(group)
+                    b._block(group)
                 continue
             start = max(m._ready_time() for m in group.members)
             if group.channel_store is not None:
@@ -218,15 +236,16 @@ def resolve(seed: "GpuOp | CollectiveGroup", engine: Engine) -> None:
                 )
             end = start + group.duration
             group._resolved = True
-            for m in group.members:
+            members, on_resolve = group.members, group.on_resolve
+            group.members = ()
+            group.on_resolve = group.channel_store = None
+            for m in members:
                 m.start = start
                 m.end = end
-                _finish_node(m, engine)
-            if group.on_resolve is not None:
-                group.on_resolve()
+                _finish_node(m, work)
+            if on_resolve is not None:
+                on_resolve()
             group.flag.fire(end)
-            for m in group.members:
-                work.extend(m.succs)
 
 
 def apply_wire_lane(
@@ -248,8 +267,9 @@ def apply_wire_lane(
     return start
 
 
-def _finish_node(node: GpuOp, engine: Engine) -> None:
-    """Trace the interval and fire any host waiters."""
+def _finish_node(node: GpuOp, work: list) -> None:
+    """Trace the interval, fire any host waiters, queue what the node
+    unblocks onto ``work``, and retire its links (GpuOp "Lifetime")."""
     stream = node.stream
     tracer = stream.gpu.tracer
     if tracer is not None:
@@ -263,3 +283,7 @@ def _finish_node(node: GpuOp, engine: Engine) -> None:
         )
     if node._flag is not None and not node._flag.is_set:
         node._flag.fire(node.end)
+    if node.succs is not None:
+        work.extend(node.succs)
+    node.prev = node.group = node.succs = None
+    node.deps = ()

@@ -65,17 +65,47 @@ class CudaEvent:
 class Stream:
     """An in-order execution queue on one simulated GPU."""
 
-    __slots__ = ("gpu", "name", "last", "_gates")
+    __slots__ = ("gpu", "name", "last", "_gates", "_gate_floor")
 
     def __init__(self, gpu: "GPU", name: str):
         self.gpu = gpu
         self.name = name
         #: the most recently enqueued op (FIFO predecessor of the next)
         self.last: Optional[GpuOp] = None
-        #: events the next enqueued op must wait on (cudaStreamWaitEvent)
+        #: still-unresolved ops the next enqueued op must wait on
+        #: (cudaStreamWaitEvent); see :meth:`gate_on`
         self._gates: list[GpuOp] = []
+        #: latest completion time of every gate that had already resolved
+        self._gate_floor = 0.0
 
     # -- enqueue ----------------------------------------------------------
+
+    def gate_on(self, node: GpuOp) -> None:
+        """Make the next enqueued op wait for ``node`` (the host does not).
+
+        Resolved gates fold into one float floor — ``max`` is exact and
+        order-free, so start times are the same as keeping the nodes —
+        and only unresolved nodes are kept, so a stream that is gated
+        often but enqueued on rarely holds work in flight, not history.
+        """
+        pending = []
+        for gate in (*self._gates, node):
+            if gate.end is None:
+                pending.append(gate)
+            elif gate.end > self._gate_floor:
+                self._gate_floor = gate.end
+        self._gates = pending
+
+    def _launch_point(self, deps: Sequence[GpuOp]) -> tuple[float, Sequence[GpuOp]]:
+        """``(host_ready, deps)`` of the op being enqueued: host time
+        raised to the gate floor, and the explicit ``deps`` (None-free)
+        plus the pending gates, which this consumes."""
+        if None in deps:
+            deps = [d for d in deps if d is not None]
+        if self._gates:
+            deps = (*deps, *self._gates)
+            self._gates = []
+        return max(self.gpu.engine.now, self._gate_floor), deps
 
     def enqueue(
         self,
@@ -92,39 +122,35 @@ class Stream:
         """
         if duration < 0:
             raise SimError(f"negative kernel duration {duration}")
-        engine = self.gpu.engine
-        if self._gates:
-            deps = [d for d in deps if d is not None] + self._gates
-            self._gates = []
-        elif deps:
-            deps = [d for d in deps if d is not None]
+        host_ready, deps = self._launch_point(deps)
         prev = self.last
-        node = GpuOp(
-            stream=self,
-            duration=duration,
-            host_ready=engine.now,
-            deps=deps,
-            label=label,
-            category=category,
-            prev=prev,
-        )
-        self.last = node
-        # fast path: everything the node waits on is already resolved, so
-        # its timing is final right here — equivalent to resolve() for a
-        # brand-new node (no flag, no successors) minus the worklist
         blocked = prev is not None and prev.end is None
         if not blocked:
-            for d in node.deps:
+            for d in deps:
                 if d.end is None:
                     blocked = True
                     break
+        # an unblocked node is born retired: it never needs its links
+        # (GpuOp "Lifetime"), so it is not given any
+        node = self.last = GpuOp(
+            stream=self,
+            duration=duration,
+            host_ready=host_ready,
+            deps=deps if blocked else (),
+            label=label,
+            category=category,
+            prev=prev if blocked else None,
+        )
         if blocked:
-            resolve(node, engine)
+            resolve(node, self.gpu.engine)
             return node
-        start = node.host_ready
+        # fast path: everything the node waits on is already resolved, so
+        # its timing is final right here — equivalent to resolve() for a
+        # brand-new node (no flag, no successors) minus the worklist
+        start = host_ready
         if prev is not None and prev.end > start:
             start = prev.end
-        for d in node.deps:
+        for d in deps:
             if d.end > start:
                 start = d.end
         node.start = start
@@ -146,16 +172,11 @@ class Stream:
         category: str = "comm",
     ) -> GpuOp:
         """Enqueue this rank's member of a collective ``group``."""
-        engine = self.gpu.engine
-        if self._gates:
-            deps = [d for d in deps if d is not None] + self._gates
-            self._gates = []
-        elif deps:
-            deps = [d for d in deps if d is not None]
+        host_ready, deps = self._launch_point(deps)
         node = GpuOp(
             stream=self,
             duration=None,  # owned by the group
-            host_ready=engine.now,
+            host_ready=host_ready,
             deps=deps,
             label=label,
             category=category,
@@ -184,7 +205,7 @@ class Stream:
         has not resolved yet.
         """
         if event._node is not None:
-            self._gates.append(event._node)
+            self.gate_on(event._node)
         elif event._time is None:
             raise SimError(f"wait_event on unrecorded event {event.label!r}")
         # resolved-time-only events gate nothing in the future: any op

@@ -50,6 +50,41 @@ class TestAllReduce:
             )
 
 
+def _stacked(op: ReduceOp, arrays):
+    """The p x n reference formulation ``ReduceOp.apply`` replaced."""
+    stack = np.stack(arrays)
+    if op is ReduceOp.AVG:
+        return (stack.sum(axis=0, dtype=np.float64) / len(arrays)).astype(stack.dtype)
+    reduce = {ReduceOp.SUM: np.add, ReduceOp.PROD: np.multiply,
+              ReduceOp.MIN: np.minimum, ReduceOp.MAX: np.maximum}[op]
+    return reduce.reduce(stack, axis=0, dtype=stack.dtype)
+
+
+class TestReduceOpApply:
+    @pytest.mark.parametrize("p", [1, 2, 3, 8])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64, np.int32])
+    @pytest.mark.parametrize("op", list(ReduceOp))
+    def test_bit_equal_to_the_stacked_reduction(self, op, dtype, p):
+        rng = np.random.default_rng([p, list(ReduceOp).index(op)])
+        if np.issubdtype(dtype, np.integer):
+            # wide enough that 8-way SUM and PROD wrap around
+            arrays = [rng.integers(-(2**30), 2**30, size=1001).astype(dtype) for _ in range(p)]
+        else:
+            arrays = [(rng.standard_normal(1001) * 1e3).astype(dtype) for _ in range(p)]
+        before = [a.copy() for a in arrays]
+        got = op.apply(arrays)
+        want = _stacked(op, arrays)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        # a fresh array: no input was written, none is aliased
+        assert all(np.array_equal(a, b) for a, b in zip(arrays, before))
+        assert not any(np.shares_memory(got, a) for a in arrays)
+
+    def test_empty_list_rejected(self):
+        with pytest.raises(ValueError, match="empty"):
+            ReduceOp.SUM.apply([])
+
+
 class TestReduceBroadcast:
     def test_reduce_to_root(self):
         ins = [np.full(3, float(r + 1), dtype=np.float32) for r in range(3)]

@@ -236,19 +236,21 @@ class TestEngineScalability:
     def test_256_rank_job_completes_quickly(self):
         """Guard against scheduler regressions: a 256-rank job with a few
         collectives per rank must stay interactive (the Fig-8 sweeps run
-        thousands of these)."""
-        import time
-
+        thousands of these).  Asserted on the deterministic proxy — the
+        scheduler events the job costs — not on this host's clock
+        (``scripts/check_tests_hostfree.py``)."""
         from repro.cluster import lassen
         from repro.core import MCRCommunicator
 
+        world, ops = 256, 4
+
         def main(ctx):
             comm = MCRCommunicator(ctx, ["nccl"])
-            for _ in range(4):
+            for _ in range(ops):
                 h = comm.all_reduce("nccl", ctx.virtual_tensor(1 << 20), async_op=True)
                 h.wait()
             comm.finalize()
 
-        start = time.perf_counter()
-        Simulator(256, system=lassen()).run(main)
-        assert time.perf_counter() - start < 30.0
+        result = Simulator(world, system=lassen(), observe=True).run(main)
+        # 7 per rank today: start, one park per rendezvous, the final joins
+        assert result.metrics.gauges["engine.events_dispatched"] <= 3 * world * ops
