@@ -1,6 +1,7 @@
 #!/usr/bin/env python
-"""Tier-1 must be host-independent: nothing under ``tests/`` may read the
-wall clock or the CPU count (ROADMAP item 1(c)).
+"""Tier-1 must be host-independent: nothing under ``tests/``, and neither
+half of the fingerprint gate tier-1 runs (:data:`LEDGER_FILES`), may read
+the wall clock or the CPU count (ROADMAP item 1(c)).
 
 A test that reaches ``time.perf_counter`` / ``time.time`` /
 ``time.monotonic`` (or their ``_ns`` forms), ``os.cpu_count``,
@@ -14,8 +15,9 @@ The check is an AST walk, so it sees the name however it is reached:
 ``from time import perf_counter``, ``os.sched_getaffinity(0)``.
 
 A use that feeds no assertion (say, a progress message) can be allowed
-by ``"<file relative to the tests root>::<enclosing function>"`` in
-:data:`ALLOWED`, with the reason as the value.  An entry that no longer
+by ``"<file relative to the tests root>::<enclosing function>"`` (for a
+ledger file, its bare name) in :data:`ALLOWED`, with the reason as the
+value.  An entry that no longer
 matches anything is itself a violation, so the list cannot rot.
 
 Usage::
@@ -23,7 +25,7 @@ Usage::
     python scripts/check_tests_hostfree.py [--tests tests]
 
 Exit status 0 = clean, 1 = violations (one per line on stderr).  The
-checker is importable (``check(tests_root, allowed) -> list[str]``) so
+checker is importable (``check(tests_root, allowed, also) -> list[str]``) so
 ``tests/test_hostfree_lint.py`` can point it at an injected violation.
 """
 
@@ -45,6 +47,15 @@ BANNED: dict[str, frozenset] = {
 
 #: ``file::function`` -> why this use cannot make a test host-dependent
 ALLOWED: dict[str, str] = {}
+
+REPO = Path(__file__).resolve().parent.parent
+
+#: the fingerprint ledger's two halves: what they record is only
+#: deterministic while neither reads a clock
+LEDGER_FILES = (
+    REPO / "src" / "repro" / "bench" / "perfregress.py",
+    REPO / "scripts" / "perfgate.py",
+)
 
 
 class _Scan(ast.NodeVisitor):
@@ -89,14 +100,22 @@ class _Scan(ast.NodeVisitor):
         self.generic_visit(node)
 
 
-def check(tests_root: Path, allowed: "dict[str, str] | None" = None) -> list[str]:
-    """Violations under ``tests_root`` (empty list = clean)."""
+def check(
+    tests_root: Path,
+    allowed: "dict[str, str] | None" = None,
+    also: "tuple[Path, ...]" = (),
+) -> list[str]:
+    """Violations under ``tests_root`` and in the ``also`` files (empty
+    list = clean)."""
     allowed = ALLOWED if allowed is None else allowed
     tests_root = Path(tests_root)
     violations: list[str] = []
     used: set[str] = set()
-    for py in sorted(tests_root.rglob("*.py")):
-        rel = py.relative_to(tests_root).as_posix()
+    files = [
+        (py.relative_to(tests_root).as_posix(), py)
+        for py in sorted(tests_root.rglob("*.py"))
+    ]
+    for rel, py in files + [(py.name, py) for py in also]:
         scan = _Scan(ast.parse(py.read_text(), filename=str(py)))
         for function, lineno, name in scan.hits:
             key = f"{rel}::{function}"
@@ -104,7 +123,7 @@ def check(tests_root: Path, allowed: "dict[str, str] | None" = None) -> list[str
                 used.add(key)
                 continue
             violations.append(
-                f"{rel}:{lineno}: {function} reaches {name} — tests must not "
+                f"{rel}:{lineno}: {function} reaches {name} — tier-1 must not "
                 "depend on the host's clock or CPU count"
             )
     for key in sorted(set(allowed) - used):
@@ -114,15 +133,15 @@ def check(tests_root: Path, allowed: "dict[str, str] | None" = None) -> list[str
 
 def main(argv: "list[str] | None" = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    default = Path(__file__).resolve().parent.parent / "tests"
-    parser.add_argument("--tests", type=Path, default=default)
+    parser.add_argument("--tests", type=Path, default=REPO / "tests")
     args = parser.parse_args(argv)
-    violations = check(args.tests)
+    violations = check(args.tests, also=LEDGER_FILES)
     for line in violations:
         print(line, file=sys.stderr)
     if violations:
         return 1
-    print(f"check_tests_hostfree: {args.tests} clean")
+    ledger = ", ".join(py.name for py in LEDGER_FILES)
+    print(f"check_tests_hostfree: {args.tests}, {ledger} clean")
     return 0
 
 

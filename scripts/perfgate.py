@@ -1,68 +1,39 @@
 #!/usr/bin/env python
-"""Perf gate: fail when the simulator drifts from the committed baseline.
+"""Perf gate: fail when the simulator drifts from the committed ledger.
 
-Runs the canonical :mod:`repro.bench.perfregress` scenarios fresh and
-compares them against the ``after`` side of the committed
-``BENCH_simulator.json``.
+Runs every :mod:`repro.bench.perfregress` scenario fresh and compares it
+against the committed ``BENCH_simulator.json``.  Only deterministic
+facts are checked — the same verdict on any host, at any load, under
+any hash seed — and no clock is read; speed is ``perfbench/``'s job.
+Tier-1 runs this gate through ``tests/test_perfgate.py``.
 
-By default the gate checks **deterministic facts only** — the same
-verdict on any host, at any load — which is what tier-1
-(``tests/test_perfgate.py``) and CI run:
-
-* **simulated fingerprints** (``sim_*`` metrics): any difference fails
-  unconditionally — timing-semantics drift is never expected.
-* **observability budget**: the ``obs_overhead`` scenario reports the
-  simulated step-time delta between an uninstrumented and a fully
-  instrumented (trace + metrics) run; more than ``--obs-budget-pct``
-  (default 5%, the paper's C3 overhead budget) fails the gate.  It is
-  run even when absent from the baseline so older baselines still gate
-  the budget.
-* **dispatch plan cache**: the ``dispatch_cache`` scenario runs a
-  steady-state loop with the plan cache on and force-disabled.  The two
-  runs must agree on simulated time, and the steady-state plan hit rate
-  must meet ``--plan-hit-floor`` (default 0.95).  Like ``obs_overhead``,
-  it runs even when absent from the baseline.
-* **hierarchical composite**: the ``hier_allreduce`` scenario times a
-  4 MiB all-reduce on each constituent backend and on the
-  ``hier:nccl+mvapich2-gdr`` composite; the composite must beat the
-  best flat backend by ``--hier-speedup-floor`` (default 1.05x) and the
-  tuned large-message pick must be a ``hier:*`` entry.  Like
-  ``obs_overhead``, it runs even when absent from the baseline.
-* **adaptive retuning**: the ``adaptive_degraded_link`` scenario runs a
-  steady all-reduce loop whose tuned backend hits a mid-run 4x link
-  slowdown, once with the static table and once with online adaptation
-  on.  The adaptive run's tail must recover at least ``--adapt-floor``
-  (default 1.2x) over the static one and must have committed at least
-  one retune.  Like ``obs_overhead``, it runs even when absent from the
-  baseline.
-* **sweep engine**: the ``tune_sweep`` scenario runs the same
-  simulated-mode tuning sweep serial, parallel (4 workers), and warm
-  from the on-disk sweep cache.  All three sweeps must agree
-  byte-for-byte (part of the scenario's simulated fingerprint) and the
-  warm run must recompute **zero** cells.  Like ``obs_overhead``, it
-  runs even when absent from the baseline.
-
-``--timed`` opts in to every check that reads the wall clock or the CPU
-count, for a quiet host whose ``BENCH_simulator.json`` was recorded on
-the same machine:
-
-* **wall-clock**: any scenario more than ``--tolerance`` (default 20%)
-  slower than its baseline fails the gate.  Scenarios faster than the
-  baseline are reported (consider refreshing the baseline).  Tiny
-  scenarios (baseline wall below ``--min-wall-s``) are exempt — at
-  millisecond scale the 20% band is dominated by scheduler noise.
-* **sweep engine walls**: the warm run must finish under
-  ``--sweep-warm-pct`` (default 25%) of the serial wall, and on hosts
-  with >= 2 CPUs the parallel run must beat serial by ``--sweep-floor``
-  (default 1.3x).  Simulated cells are timing-only and cost
-  milliseconds, so the committed 24-cell grid cannot amortise a spawn
-  pool; the floor is meaningful only on a grid that can.
+* **simulated fingerprints** (``sim_*`` metrics): any difference from
+  the ledger fails — timing-semantics drift is never expected.  A
+  scenario with no row in the ledger fails too: record it with
+  ``python -m repro perf``.
+* **observability budget** (``obs_overhead``): the simulated step-time
+  delta between an uninstrumented and a fully instrumented (trace +
+  metrics) run may not exceed :data:`OBS_BUDGET_PCT`, the paper's C3
+  overhead budget.
+* **dispatch plan cache** (``dispatch_cache``): a steady-state loop with
+  the plan cache on and force-disabled must agree on simulated time,
+  and the plan hit rate must meet :data:`PLAN_HIT_FLOOR`.
+* **hierarchical composite** (``hier_allreduce``): at 4 MiB the
+  ``hier:nccl+mvapich2-gdr`` composite must beat the best flat backend
+  by :data:`HIER_SPEEDUP_FLOOR` and the tuned large-message pick must
+  be a ``hier:*`` entry.
+* **adaptive retuning** (``adaptive_degraded_link``): under a mid-run
+  4x link slowdown the adaptive run's tail must recover at least
+  :data:`ADAPT_FLOOR` over the static table's and must have committed
+  at least one retune.
+* **sweep engine** (``tune_sweep``): the same simulated-mode tuning
+  sweep run serial, on a 4-worker pool and warm from the on-disk sweep
+  cache must agree byte-for-byte, and the warm run must recompute
+  **zero** cells.
 
 Usage::
 
     PYTHONPATH=src python scripts/perfgate.py [--baseline BENCH_simulator.json]
-        [--repeats 3] [--timed [--tolerance 0.20] [--min-wall-s 0.02]
-        [--sweep-floor 1.3] [--sweep-warm-pct 25]]
 
 Exit status 0 = pass, 1 = regression, 2 = unusable baseline.
 """
@@ -77,20 +48,87 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from repro.bench import perfregress  # noqa: E402
 
-#: scenario whose fingerprint carries the instrumented-path overhead
-OBS_SCENARIO = "obs_overhead"
+#: max simulated step-time cost of tracing + metrics, percent (paper C3)
+OBS_BUDGET_PCT = 5.0
+#: min steady-state dispatch plan hit rate
+PLAN_HIT_FLOOR = 0.95
+#: min simulated speedup of the hier composite over the best flat backend
+HIER_SPEEDUP_FLOOR = 1.05
+#: min static-tail / adaptive-tail ratio under the degraded link
+ADAPT_FLOOR = 1.2
 
-#: scenario carrying the sweep engine's parallel / warm-cache contract
-TUNE_SCENARIO = "tune_sweep"
 
-#: scenario carrying the dispatch plan cache's steady-state contract
-PLAN_SCENARIO = "dispatch_cache"
+def failures_of(baseline: dict, fresh: dict) -> list[str]:
+    """Every way ``fresh`` (a full ``run_scenarios()``) misses the gate."""
+    failures = []
+    for name, cur in sorted(fresh.items()):
+        base = baseline.get(name)
+        if base is None:
+            failures.append(
+                f"{name}: no row in the baseline — record it with `repro perf`"
+            )
+            continue
+        was, now = perfregress.fingerprint(base), perfregress.fingerprint(cur)
+        moved = sorted(k for k in was.keys() | now.keys() if was.get(k) != now.get(k))
+        if moved:
+            failures.append(
+                f"{name}: simulated fingerprint changed ({', '.join(moved)})"
+            )
 
-#: scenario carrying the hierarchical-composite crossover contract
-HIER_SCENARIO = "hier_allreduce"
-
-#: scenario carrying the adaptive-retuning recovery contract
-ADAPT_SCENARIO = "adaptive_degraded_link"
+    obs, plan = fresh["obs_overhead"], fresh["dispatch_cache"]
+    tune, hier = fresh["tune_sweep"], fresh["hier_allreduce"]
+    adapt = fresh["adaptive_degraded_link"]
+    contracts = [
+        (
+            obs["sim_overhead_pct"] <= OBS_BUDGET_PCT,
+            f"obs_overhead: instrumented simulated step time "
+            f"+{obs['sim_overhead_pct']:.2f}% exceeds the {OBS_BUDGET_PCT:.1f}% budget",
+        ),
+        (
+            tune["sim_tables_identical"],
+            "tune_sweep: parallel/warm tuning tables differ from serial",
+        ),
+        (
+            tune["sim_samples_identical"],
+            "tune_sweep: parallel/warm sample streams differ from serial",
+        ),
+        (
+            tune["warm_recomputed"] == 0,
+            f"tune_sweep: warm-cache run recomputed {tune['warm_recomputed']} "
+            "cell(s); expected 0",
+        ),
+        (
+            plan["sim_cached_equals_uncached"],
+            "dispatch_cache: cached and uncached dispatch produced different "
+            "simulated times",
+        ),
+        (
+            plan["plan_hit_rate"] >= PLAN_HIT_FLOOR,
+            f"dispatch_cache: steady-state plan hit rate {plan['plan_hit_rate']:.3f} "
+            f"below the {PLAN_HIT_FLOOR:.2f} floor",
+        ),
+        (
+            hier["sim_pick_large"].startswith("hier:"),
+            f"hier_allreduce: tuned large-message pick is {hier['sim_pick_large']!r}, "
+            "expected a hier:* composite",
+        ),
+        (
+            hier["hier_speedup"] >= HIER_SPEEDUP_FLOOR,
+            f"hier_allreduce: composite only {hier['hier_speedup']:.3f}x the best "
+            f"flat backend (floor {HIER_SPEEDUP_FLOOR:.2f}x)",
+        ),
+        (
+            adapt["sim_retunes"] >= 1,
+            "adaptive_degraded_link: retuner never committed a new pick under "
+            "the degraded link",
+        ),
+        (
+            adapt["adapt_recovery"] >= ADAPT_FLOOR,
+            f"adaptive_degraded_link: adaptive tail only {adapt['adapt_recovery']:.3f}x "
+            f"the static table (floor {ADAPT_FLOOR:.2f}x)",
+        ),
+    ]
+    return failures + [message for ok, message in contracts if not ok]
 
 
 def main(argv=None) -> int:
@@ -99,205 +137,28 @@ def main(argv=None) -> int:
         "--baseline",
         default=str(pathlib.Path(__file__).resolve().parent.parent / "BENCH_simulator.json"),
     )
-    parser.add_argument("--repeats", type=int, default=3)
-    parser.add_argument(
-        "--timed", action="store_true",
-        help="also apply the wall-clock / CPU-count checks below",
-    )
-    timed = parser.add_argument_group("consulted only with --timed")
-    timed.add_argument("--tolerance", type=float, default=0.20)
-    timed.add_argument("--min-wall-s", type=float, default=0.02)
-    timed.add_argument("--sweep-floor", type=float, default=1.3)
-    timed.add_argument("--sweep-warm-pct", type=float, default=25.0)
-    parser.add_argument("--obs-budget-pct", type=float, default=5.0)
-    parser.add_argument("--plan-hit-floor", type=float, default=0.95)
-    parser.add_argument("--hier-speedup-floor", type=float, default=1.05)
-    parser.add_argument("--adapt-floor", type=float, default=1.2)
     args = parser.parse_args(argv)
 
-    data = perfregress.load(args.baseline)
-    baseline = data.get("after", {}).get("scenarios")
-    if not baseline:
-        print(f"perfgate: no 'after' baseline in {args.baseline}", file=sys.stderr)
+    try:
+        baseline = perfregress.load(args.baseline)
+    except (OSError, ValueError) as exc:
+        print(f"perfgate: unusable baseline: {exc}", file=sys.stderr)
         return 2
 
-    chosen = set(baseline) & set(perfregress.SCENARIOS)
-    if OBS_SCENARIO in perfregress.SCENARIOS:
-        chosen.add(OBS_SCENARIO)  # budget-gated even without a baseline
-    if TUNE_SCENARIO in perfregress.SCENARIOS:
-        chosen.add(TUNE_SCENARIO)  # sweep-gated even without a baseline
-    if PLAN_SCENARIO in perfregress.SCENARIOS:
-        chosen.add(PLAN_SCENARIO)  # plan-gated even without a baseline
-    if HIER_SCENARIO in perfregress.SCENARIOS:
-        chosen.add(HIER_SCENARIO)  # crossover-gated even without a baseline
-    if ADAPT_SCENARIO in perfregress.SCENARIOS:
-        chosen.add(ADAPT_SCENARIO)  # recovery-gated even without a baseline
-    fresh = perfregress.run_scenarios(sorted(chosen), repeats=args.repeats, progress=print)
-
-    failures = []
-    print(f"\n{'scenario':<18} {'baseline':>10} {'now':>10} {'ratio':>7}  verdict")
-    print("-" * 60)
-    for name in sorted(fresh):
-        cur = fresh[name]
-        base = baseline.get(name)
-        if base is None:
-            print(
-                f"{name:<18} {'-':>10} {cur['wall_s']*1e3:9.1f}ms {'-':>7}  "
-                "ok (not in baseline)"
-            )
-            continue
-        ratio = cur["wall_s"] / base["wall_s"] if base["wall_s"] > 0 else float("inf")
-        verdict = "ok"
-        if perfregress.fingerprint(base) != perfregress.fingerprint(cur):
-            verdict = "SIM-DIFFERS"
-            failures.append(f"{name}: simulated fingerprint changed")
-        elif not args.timed:
-            verdict = "ok (untimed)"
-        elif name == TUNE_SCENARIO:
-            # composite wall (serial + spawn pool + warm) with huge pool
-            # variance on small hosts; gated by its own criteria below
-            verdict = "ok (sweep-gated, wall exempt)"
-        elif base["wall_s"] < args.min_wall_s:
-            verdict = "ok (tiny, wall exempt)"
-        elif ratio > 1.0 + args.tolerance:
-            verdict = f"REGRESSED >{args.tolerance:.0%}"
-            failures.append(f"{name}: {ratio:.2f}x baseline wall-clock")
-        elif ratio < 1.0 - args.tolerance:
-            verdict = "faster (refresh baseline?)"
-        print(
-            f"{name:<18} {base['wall_s']*1e3:9.1f}ms {cur['wall_s']*1e3:9.1f}ms "
-            f"{ratio:6.2f}x  {verdict}"
-        )
-
-    obs = fresh.get(OBS_SCENARIO)
-    if obs is not None and "sim_overhead_pct" in obs:
-        pct = obs["sim_overhead_pct"]
-        if pct > args.obs_budget_pct:
-            failures.append(
-                f"{OBS_SCENARIO}: instrumented simulated step time "
-                f"+{pct:.2f}% exceeds the {args.obs_budget_pct:.1f}% budget"
-            )
-        else:
-            print(
-                f"\nobservability: instrumented simulated overhead {pct:+.3f}% "
-                f"(budget {args.obs_budget_pct:.1f}%, "
-                f"{obs.get('events_recorded', 0)} events recorded)"
-            )
-
-    tune = fresh.get(TUNE_SCENARIO)
-    if tune is not None and "parallel_speedup" in tune:
-        if not tune.get("sim_tables_identical", False):
-            failures.append(
-                f"{TUNE_SCENARIO}: parallel/warm tuning tables differ from serial"
-            )
-        if not tune.get("sim_samples_identical", False):
-            failures.append(
-                f"{TUNE_SCENARIO}: parallel/warm sample streams differ from serial"
-            )
-        recomputed = tune.get("warm_recomputed", 0)
-        if recomputed != 0:
-            failures.append(
-                f"{TUNE_SCENARIO}: warm-cache run recomputed {recomputed} "
-                "cell(s); expected 0"
-            )
-        serial_s = tune.get("serial_wall_s", 0.0)
-        warm_pct = (
-            tune["warm_wall_s"] / serial_s * 100.0 if serial_s > 0 else 0.0
-        )
-        speedup = tune["parallel_speedup"]
-        host_cpus = tune.get("host_cpus", 1)
-        parallel_note = "walls not gated without --timed"
-        if args.timed:
-            if warm_pct > args.sweep_warm_pct:
-                failures.append(
-                    f"{TUNE_SCENARIO}: warm-cache sweep took {warm_pct:.1f}% of "
-                    f"the serial wall (budget {args.sweep_warm_pct:.1f}%)"
-                )
-            if host_cpus < 2:
-                parallel_note = f"floor waived: {host_cpus} CPU host"
-            else:
-                parallel_note = f"floor {args.sweep_floor:.2f}x"
-                if speedup < args.sweep_floor:
-                    failures.append(
-                        f"{TUNE_SCENARIO}: parallel sweep only {speedup:.2f}x "
-                        f"serial on {host_cpus} CPUs "
-                        f"(floor {args.sweep_floor:.2f}x)"
-                    )
-        print(
-            f"\nsweep engine: {speedup:.2f}x parallel ({parallel_note}), "
-            f"warm cache {tune.get('warm_speedup', 0.0):.0f}x "
-            f"({warm_pct:.1f}% of serial, {recomputed} cell(s) recomputed)"
-        )
-
-    plan = fresh.get(PLAN_SCENARIO)
-    if plan is not None and "plan_hit_rate" in plan:
-        if not plan.get("sim_cached_equals_uncached", False):
-            failures.append(
-                f"{PLAN_SCENARIO}: cached and uncached dispatch produced "
-                "different simulated times"
-            )
-        rate = plan["plan_hit_rate"]
-        if rate < args.plan_hit_floor:
-            failures.append(
-                f"{PLAN_SCENARIO}: steady-state plan hit rate {rate:.3f} "
-                f"below the {args.plan_hit_floor:.2f} floor"
-            )
-        else:
-            print(
-                f"\nplan cache: hit rate {rate:.3f} "
-                f"({plan.get('plan_hits', 0)} hits / "
-                f"{plan.get('plan_misses', 0)} misses, "
-                "cached == uncached simulated time)"
-            )
-
-    hier = fresh.get(HIER_SCENARIO)
-    if hier is not None and "hier_speedup" in hier:
-        speedup = hier["hier_speedup"]
-        pick = hier.get("sim_pick_large", "")
-        if not str(pick).startswith("hier:"):
-            failures.append(
-                f"{HIER_SCENARIO}: tuned large-message pick is {pick!r}, "
-                "expected a hier:* composite"
-            )
-        if speedup < args.hier_speedup_floor:
-            failures.append(
-                f"{HIER_SCENARIO}: composite only {speedup:.3f}x the best "
-                f"flat backend (floor {args.hier_speedup_floor:.2f}x)"
-            )
-        else:
-            print(
-                f"\nhierarchical: composite {speedup:.2f}x best flat backend "
-                f"at 4 MiB (floor {args.hier_speedup_floor:.2f}x; tuned picks "
-                f"{hier.get('sim_pick_small')!r} @4KiB, {pick!r} @4MiB)"
-            )
-
-    adapt = fresh.get(ADAPT_SCENARIO)
-    if adapt is not None and "adapt_recovery" in adapt:
-        recovery = adapt["adapt_recovery"]
-        if adapt.get("sim_retunes", 0) < 1:
-            failures.append(
-                f"{ADAPT_SCENARIO}: retuner never committed a new pick "
-                "under the degraded link"
-            )
-        if recovery < args.adapt_floor:
-            failures.append(
-                f"{ADAPT_SCENARIO}: adaptive tail only {recovery:.3f}x the "
-                f"static table (floor {args.adapt_floor:.2f}x)"
-            )
-        else:
-            print(
-                f"\nadaptive: degraded-link recovery {recovery:.2f}x over the "
-                f"static table (floor {args.adapt_floor:.2f}x; final pick "
-                f"{adapt.get('sim_final_pick')!r}, "
-                f"{adapt.get('sim_retunes', 0)} retune(s))"
-            )
-
+    fresh = perfregress.run_scenarios(progress=print)
+    failures = failures_of(baseline, fresh)
     if failures:
         print("\nperfgate FAILED:", file=sys.stderr)
         for f in failures:
             print(f"  - {f}", file=sys.stderr)
         return 1
-    print("\nperfgate passed.")
+    print(
+        f"\nperfgate passed: {len(fresh)} scenario(s) match {args.baseline}; "
+        f"obs overhead {fresh['obs_overhead']['sim_overhead_pct']:+.3f}%, "
+        f"plan hit rate {fresh['dispatch_cache']['plan_hit_rate']:.3f}, "
+        f"hier {fresh['hier_allreduce']['hier_speedup']:.2f}x, "
+        f"adaptive recovery {fresh['adaptive_degraded_link']['adapt_recovery']:.2f}x"
+    )
     return 0
 
 

@@ -12,8 +12,6 @@ from repro.bench.microbench import (
     overhead_pct,
     MICRO_MESSAGE_SIZES,
 )
-from repro.bench.perfregress import SCENARIOS as PERF_SCENARIOS
-from repro.bench.perfregress import run_scenarios
 from repro.bench.reporting import Report, format_table, save_report
 from repro.bench.sweep import (
     SWEEP_SCHEMA_VERSION,
@@ -24,8 +22,6 @@ from repro.bench.sweep import (
 )
 
 __all__ = [
-    "PERF_SCENARIOS",
-    "run_scenarios",
     "run_sweep",
     "SweepCache",
     "SweepOutcome",

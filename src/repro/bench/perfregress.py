@@ -1,99 +1,56 @@
-"""Perf-regression harness for the simulator's hot paths.
+"""Fingerprint ledger for the simulator's canonical scenarios.
 
 The simulator is the instrument every figure in this reproduction is
-measured with, so its *wall-clock* throughput is a first-class concern:
-a 2x slower engine doubles the cost of every tuning sweep and benchmark
-run.  This module pins down a small set of canonical scenarios that
-exercise each hot path and times them for real (wall-clock), while also
-recording the *simulated* result of each scenario so that a speedup can
-be shown to leave virtual timestamps byte-identical.
+measured with, so a change that is supposed to leave timing semantics
+alone has to be *shown* to.  This module pins down a small set of
+scenarios that exercise each hot path and records what each one
+simulates: virtual timestamps, tuned picks, identity verdicts and
+dispatch counts.  Every recorded value is deterministic — the same on
+any host, at any load, under any hash seed — because no scenario reads
+the host clock or the CPU count (``scripts/check_tests_hostfree.py``
+enforces it).  How *fast* the simulator runs is ``perfbench/``'s
+question, not this module's.
 
 Scenarios
 ---------
 
-``engine_events``
-    Raw discrete-event throughput: a handful of processes ping-pong
-    through ``sleep``/``wait_flag`` with interleaved wake times, plus a
-    run-ahead phase that hits the direct-handoff fast path.  Measures
-    events dispatched per second with no communicator on top.
+Each scenario's docstring says what it pins and what
+``scripts/perfgate.py`` holds it to.
 
-``allreduce_ws{16,64,128}``
-    A tight all-reduce loop through the full runtime (communicator,
-    rendezvous, streams, cost model) on virtual tensors at three scales.
-
-``dispatch_cache``
-    The same steady-state loop with the dispatch plan cache on and
-    force-disabled: ops/s, plan hit rate, and cached-vs-uncached
-    simulated-time identity (part of the fingerprint).
-
-``tuner_sweep``
-    Three consecutive analytic ``Tuner.build_table`` sweeps — dominated
-    by the collective cost model.  Repetition is the point: benchmark
-    fixtures and examples rebuild tables and probe the same costs many
-    times per process, which is the path the cost-cache memoization
-    accelerates.
-
-``hier_allreduce``
-    The hierarchical-composite crossover (Fig. 2-style): a 4 MiB
-    all-reduce at 16 ranks on each constituent backend and on the
-    ``hier:nccl+mvapich2-gdr`` composite, plus an analytic tuner sweep.
-    The fingerprint pins the per-target simulated times and the tuned
-    picks (flat at 4 KiB, composite at 4 MiB); ``scripts/perfgate.py``
-    gates the composite's speedup over the best flat backend against
-    ``--hier-speedup-floor``.
-
-``adaptive_degraded_link``
-    Online adaptive dispatch under a mid-run degraded link (§ adaptive
-    retuning): a steady all-reduce loop at 16 ranks whose tuned backend
-    (NCCL) hits a 4x inter-node link slowdown partway through.  Runs the
-    loop twice — static table vs ``AdaptiveConfig(enabled=True)`` — and
-    fingerprints both tail latencies plus the retuner's final pick and
-    action counters.  ``scripts/perfgate.py`` gates ``adapt_recovery``
-    (static tail / adaptive tail) against ``--adapt-floor``.
-
-``dsmoe_step``
-    One measured DS-MoE training step at 64 ranks under a mixed plan:
-    the end-to-end composition (model, plan dispatch, rendezvous,
-    wire-lane contention) that Figure 8 runs dozens of times.
-
-``obs_overhead``
-    The same training measurement with observability off and on
-    (tracing + metrics).  Its fingerprint includes the simulated
-    step-time delta between the two, which must stay at zero —
-    observers record, they never sleep.
+``engine_events``             raw discrete-event dispatch, no communicator
+``allreduce_ws{16,64,128}``   an all-reduce loop through the full runtime
+``dispatch_cache``            the same loop, plan cache on and force-disabled
+``tuner_sweep``               an analytic ``Tuner.build_table`` sweep's picks
+``tune_sweep``                a simulated sweep: serial == pool == warm cache
+``hier_allreduce``            the ``hier:*`` composite crossover (Fig. 2-style)
+``adaptive_degraded_link``    online retuning under a mid-run slow link
+``dsmoe_step``                one DS-MoE training step, mixed plan, 64 ranks
+``tuned_step``                a 16-rank step on the ``"auto"`` (tuned) path
+``obs_overhead``              a 16-rank step with tracing + metrics off and on
 
 Usage
 -----
 
-``python -m repro perf --out BENCH_simulator.json`` runs every scenario
-and merges the results into the output JSON under ``--label`` (default
-``after``).  Running once from the pre-optimization tree with
-``--label before`` and once from the current tree yields a single file
-with both sides and a computed ``speedup`` section; the harness refuses
-to report a speedup when the simulated fingerprints differ.
-
-``scripts/perfgate.py`` consumes the same JSON as a committed baseline
-and fails CI-style when a fresh run changes any simulated fingerprint
-or, with ``--timed``, regresses wall-clock by more than 20%.
+``python -m repro perf --out BENCH_simulator.json`` runs the scenarios
+and records them in the ledger.  ``scripts/perfgate.py`` (and through
+it tier-1) runs them fresh and fails when any ``sim_*`` value differs
+from the committed ledger or a scenario's contract floor is missed.
 """
 
 from __future__ import annotations
 
 import json
-import platform
-import sys
-import time
-from typing import Any, Callable, Optional
+from typing import Callable, Optional
 
 from repro.core import MCRCommunicator
 
-SCHEMA_VERSION = 1
+#: 2 = ``{"schema", "scenarios"}``; 1 was the before/after timing file
+SCHEMA_VERSION = 2
 
-#: scenario registry: name -> zero-arg callable returning a metrics dict.
-#: Every metrics dict carries ``wall_s`` plus any scenario-specific
-#: numbers; keys starting with ``sim_`` are *simulated* results and form
-#: the determinism fingerprint (they must not move when only wall-clock
-#: performance changes).
+#: scenario registry: name -> zero-arg callable returning a metrics dict
+#: of deterministic facts.  Keys starting with ``sim_`` are *simulated*
+#: results and form the fingerprint the gate compares against the
+#: ledger; the rest are counts and ratios the gate holds to floors.
 SCENARIOS: dict[str, Callable[[], dict]] = {}
 
 
@@ -112,7 +69,10 @@ def scenario(name: str) -> Callable:
 
 @scenario("engine_events")
 def engine_events() -> dict:
-    """Raw engine dispatch: cross-thread handoffs + run-ahead sleeps."""
+    """Raw engine dispatch: processes ping-pong through ``sleep`` /
+    ``wait_flag`` with interleaved wake times (cross-thread handoffs),
+    then a run-ahead phase hits the direct-handoff fast path.  Pins the
+    final virtual time and the number of events dispatched."""
     from repro.sim.engine import Engine
 
     procs = 4
@@ -138,19 +98,16 @@ def engine_events() -> dict:
 
     for idx in range(procs):
         engine.add_process(f"p{idx}", body(idx))
-    wall = time.perf_counter()
     final = engine.run()
-    wall = time.perf_counter() - wall
-    events = engine._events_dispatched
     return {
-        "wall_s": wall,
-        "events": events,
-        "events_per_s": events / wall if wall > 0 else 0.0,
+        "events": engine.stats()["events_dispatched"],
         "sim_final_us": final,
     }
 
 
 def _allreduce_loop(world_size: int, iters: int) -> dict:
+    """A tight all-reduce loop through communicator, rendezvous, streams
+    and cost model on virtual tensors."""
     from repro.cluster import lassen
     from repro.sim import Simulator
 
@@ -163,15 +120,9 @@ def _allreduce_loop(world_size: int, iters: int) -> dict:
         comm.finalize()
         return ctx.now
 
-    sim = Simulator(world_size, system=lassen())
-    wall = time.perf_counter()
-    result = sim.run(main)
-    wall = time.perf_counter() - wall
-    ops = world_size * iters
+    result = Simulator(world_size, system=lassen()).run(main)
     return {
-        "wall_s": wall,
-        "ops": ops,
-        "ops_per_s": ops / wall if wall > 0 else 0.0,
+        "ops": world_size * iters,
         "sim_final_us": result.rank_results[0],
     }
 
@@ -196,12 +147,12 @@ def dispatch_cache() -> dict:
     """Steady-state dispatch through the plan cache (paper §V-E).
 
     Runs the same alternating-backend allreduce loop twice — plans
-    cached (the default) and force-disabled — and reports the cached
-    ops/s, the plan hit rate, and whether the two runs produced the same
-    simulated completion time.  The identity is part of the simulated
-    fingerprint: the cache may only skip re-derivation, never change a
-    timing.  ``scripts/perfgate.py`` gates the hit rate against
-    ``--plan-hit-floor`` (steady state must be >= 0.95).
+    cached (the default) and force-disabled — and reports the plan hit
+    rate and whether the two runs produced the same simulated completion
+    time.  The identity is part of the simulated fingerprint: the cache
+    may only skip re-derivation, never change a timing.
+    ``scripts/perfgate.py`` gates the hit rate (steady state must be
+    >= 0.95).
     """
     from repro.cluster import lassen
     from repro.core.config import MCRConfig
@@ -210,7 +161,7 @@ def dispatch_cache() -> dict:
     world_size, iters = 16, 80
     stats: dict = {}
 
-    def loop(plan_cache: bool) -> tuple[float, float]:
+    def loop(plan_cache: bool) -> float:
         def main(ctx):
             comm = MCRCommunicator(
                 ctx,
@@ -226,20 +177,13 @@ def dispatch_cache() -> dict:
             comm.finalize()
             return ctx.now
 
-        sim = Simulator(world_size, system=lassen())
-        start = time.perf_counter()
-        result = sim.run(main)
-        return result.rank_results[0], time.perf_counter() - start
+        return Simulator(world_size, system=lassen()).run(main).rank_results[0]
 
-    cached_us, cached_s = loop(True)
-    uncached_us, uncached_s = loop(False)
-    ops = world_size * iters
+    cached_us = loop(True)
+    uncached_us = loop(False)
     total = stats.get("hits", 0) + stats.get("misses", 0)
     return {
-        "wall_s": cached_s,
-        "uncached_wall_s": uncached_s,
-        "ops": ops,
-        "ops_per_s": ops / cached_s if cached_s > 0 else 0.0,
+        "ops": world_size * iters,
         "plan_hits": stats.get("hits", 0),
         "plan_misses": stats.get("misses", 0),
         "plan_hit_rate": round(stats.get("hits", 0) / total, 6) if total else 0.0,
@@ -250,42 +194,23 @@ def dispatch_cache() -> dict:
 
 @scenario("tuner_sweep")
 def tuner_sweep() -> dict:
+    """One analytic sweep over three backends, collectives and scales."""
     from repro.backends.ops import OpFamily
     from repro.cluster import lassen
     from repro.core import Tuner
 
-    # start cold so the scenario measures the memoized sweep itself, not
-    # a cache warmed by an earlier scenario or caller.  Tolerate trees
-    # without the cache (the harness also runs against the ``before``
-    # side of a comparison, which may predate the memoization).
-    try:
-        from repro.backends.base import clear_cost_caches
-    except ImportError:
-        pass
-    else:
-        clear_cost_caches()
-    system = lassen()
-    sweeps = 3
-    wall = time.perf_counter()
-    for _ in range(sweeps):
-        tuner = Tuner(system, ["nccl", "mvapich2-gdr", "msccl"], mode="analytic")
-        report = tuner.build_table(
-            world_sizes=[16, 64, 256],
-            ops=[OpFamily.ALLREDUCE, OpFamily.ALLTOALL, OpFamily.ALLGATHER],
-        )
-    wall = time.perf_counter() - wall
-    cells = sweeps * report.table.num_entries()
-    # fingerprint: the winning backend per (op, ws) at one probe size
-    picks = {
-        f"{op.value}@{ws}": report.table.lookup(op.value, ws, 1 << 20)
-        for op in (OpFamily.ALLREDUCE, OpFamily.ALLTOALL, OpFamily.ALLGATHER)
-        for ws in (16, 64, 256)
-    }
+    ops = [OpFamily.ALLREDUCE, OpFamily.ALLTOALL, OpFamily.ALLGATHER]
+    world_sizes = [16, 64, 256]
+    tuner = Tuner(lassen(), ["nccl", "mvapich2-gdr", "msccl"], mode="analytic")
+    table = tuner.build_table(world_sizes=world_sizes, ops=ops).table
     return {
-        "wall_s": wall,
-        "cells": cells,
-        "cells_per_s": cells / wall if wall > 0 else 0.0,
-        "sim_table_picks": picks,
+        "cells": table.num_entries(),
+        # fingerprint: the winning backend per (op, ws) at one probe size
+        "sim_table_picks": {
+            f"{op.value}@{ws}": table.lookup(op.value, ws, 1 << 20)
+            for op in ops
+            for ws in world_sizes
+        },
     }
 
 
@@ -294,16 +219,12 @@ def tune_sweep() -> dict:
     """The sweep engine on a simulated-mode tuning sweep (paper C5).
 
     Runs the same sweep three ways — serial cold, 4-worker-pool cold,
-    and warm from the on-disk sweep cache — and reports the wall-clock
-    of each plus the derived speedups.  The simulated fingerprint pins
-    the table picks and the byte-identity of all three runs: the engine
-    may only reschedule and cache work, never change a measurement.
-    ``scripts/perfgate.py`` requires the identity and a warm run that
-    recomputes zero cells; with ``--timed`` it also gates
-    ``parallel_speedup`` against a floor (on multi-core hosts) and the
-    warm run's wall against a share of the serial one.
+    and warm from the on-disk sweep cache.  The simulated fingerprint
+    pins the table picks and the byte-identity of all three runs: the
+    engine may only reschedule and cache work, never change a
+    measurement.  ``scripts/perfgate.py`` requires the identity and a
+    warm run that recomputes zero cells.
     """
-    import os
     import shutil
     import tempfile
 
@@ -323,19 +244,15 @@ def tune_sweep() -> dict:
 
     def sweep(**kwargs):
         tuner = Tuner(system, backends, mode="simulated", iterations=3, warmup=1)
-        start = time.perf_counter()
-        report = tuner.build_table(**grid, **kwargs)
-        return report, time.perf_counter() - start
+        return tuner.build_table(**grid, **kwargs)
 
-    wall = time.perf_counter()
     cache_dir = tempfile.mkdtemp(prefix="tune_sweep_cache_")
     try:
-        serial, serial_s = sweep()
-        parallel, parallel_s = sweep(jobs=jobs, cache=SweepCache(cache_dir))
-        warm, warm_s = sweep(jobs=jobs, cache=SweepCache(cache_dir))
+        serial = sweep()
+        parallel = sweep(jobs=jobs, cache=SweepCache(cache_dir))
+        warm = sweep(jobs=jobs, cache=SweepCache(cache_dir))
     finally:
         shutil.rmtree(cache_dir, ignore_errors=True)
-    wall = time.perf_counter() - wall
 
     tables_identical = (
         json.dumps(serial.table.entries, sort_keys=True)
@@ -348,14 +265,7 @@ def tune_sweep() -> dict:
         for op in grid["ops"]
     }
     return {
-        "wall_s": wall,
-        "serial_wall_s": serial_s,
-        "parallel_wall_s": parallel_s,
-        "warm_wall_s": warm_s,
-        "parallel_speedup": serial_s / parallel_s if parallel_s > 0 else 0.0,
-        "warm_speedup": serial_s / warm_s if warm_s > 0 else 0.0,
         "jobs": jobs,
-        "host_cpus": os.cpu_count() or 1,
         "cells": serial.sweep_stats.units,
         "cold_misses": parallel.sweep_stats.cache_misses,
         "warm_hits": warm.sweep_stats.cache_hits,
@@ -370,14 +280,13 @@ def tune_sweep() -> dict:
 def hier_allreduce() -> dict:
     """Hierarchical mixed-backend crossover (Fig. 2-style sweep).
 
-    Times a steady-state 4 MiB all-reduce at 16 ranks (4 lassen nodes)
+    Simulates a steady-state 4 MiB all-reduce at 16 ranks (4 lassen nodes)
     on NCCL, on MVAPICH2-GDR, and on the two-level
     ``hier:nccl+mvapich2-gdr`` composite, then runs an analytic tuner
     sweep over all three.  Past the crossover the composite must beat
     both constituents (its inter-node phase moves 1/ppn of the vector
     with the full NIC per node leader); below it the flat backends win
-    on latency.  ``scripts/perfgate.py`` gates ``hier_speedup`` against
-    ``--hier-speedup-floor``.
+    on latency.  ``scripts/perfgate.py`` gates ``hier_speedup``.
     """
     from repro.backends.ops import OpFamily
     from repro.cluster import lassen
@@ -392,7 +301,7 @@ def hier_allreduce() -> dict:
     numel = 1_048_576
     targets = ("nccl", "mvapich2-gdr", "hier:nccl+mvapich2-gdr")
 
-    def timed(target: str) -> float:
+    def per_op_us(target: str) -> float:
         def main(ctx):
             comm = MCRCommunicator(ctx, ["nccl", "mvapich2-gdr"])
             x = ctx.virtual_tensor(numel)
@@ -408,18 +317,15 @@ def hier_allreduce() -> dict:
 
         return max(Simulator(world_size, system=system).run(main).rank_results)
 
-    wall = time.perf_counter()
-    per_op = {t: timed(t) for t in targets}
+    per_op = {t: per_op_us(t) for t in targets}
     table = Tuner(system, list(targets), mode="analytic").build_table(
         world_sizes=[world_size],
         message_sizes=[4096, numel * 4],
         ops=[OpFamily.ALLREDUCE],
     ).table
-    wall = time.perf_counter() - wall
     flat_best = min(per_op["nccl"], per_op["mvapich2-gdr"])
     hier_us = per_op["hier:nccl+mvapich2-gdr"]
     return {
-        "wall_s": wall,
         "hier_speedup": round(flat_best / hier_us, 6) if hier_us > 0 else 0.0,
         "sim_nccl_us": per_op["nccl"],
         "sim_mvapich_us": per_op["mvapich2-gdr"],
@@ -441,7 +347,7 @@ def adaptive_degraded_link() -> dict:
     recovers.  The loop blocks on each op (``async_op=True`` +
     ``synchronize``) so the host clock tracks completions — a free-run
     post loop would outrun the fault window.  ``scripts/perfgate.py``
-    gates ``adapt_recovery`` against ``--adapt-floor``.
+    gates ``adapt_recovery``.
     """
     from repro.cluster import lassen
     from repro.core import MCRConfig, TuningTable
@@ -453,7 +359,7 @@ def adaptive_degraded_link() -> dict:
     world_size, ops, tail_ops = 16, 150, 40
     nbytes = 1 << 20
 
-    def timed(adaptive: bool):
+    def tail_us(adaptive: bool):
         table = TuningTable(system=system.name)
         table.add("allreduce", world_size, nbytes, "nccl")
         faults = FaultSpec.parse("link=20000:inf:4.0:backend=nccl")
@@ -488,13 +394,10 @@ def adaptive_degraded_link() -> dict:
             result.rank_results[0][1],
         )
 
-    wall = time.perf_counter()
-    static_us, _ = timed(adaptive=False)
-    adaptive_us, snap = timed(adaptive=True)
-    wall = time.perf_counter() - wall
+    static_us, _ = tail_us(adaptive=False)
+    adaptive_us, snap = tail_us(adaptive=True)
     cell = snap["cells"]["allreduce/%d" % nbytes]
     return {
-        "wall_s": wall,
         "adapt_recovery": (
             round(static_us / adaptive_us, 6) if adaptive_us > 0 else 0.0
         ),
@@ -508,22 +411,39 @@ def adaptive_degraded_link() -> dict:
 
 @scenario("dsmoe_step")
 def dsmoe_step() -> dict:
+    """One measured DS-MoE step at 64 ranks under a mixed plan: the
+    end-to-end composition (model, plan dispatch, rendezvous, wire-lane
+    contention) that Figure 8 runs dozens of times."""
     from repro.cluster import lassen
     from repro.models import BackendPlan, DSMoEModel, Trainer
 
     trainer = Trainer(lassen(), steps=2, warmup=1)
-    wall = time.perf_counter()
     result = trainer.run(DSMoEModel(), 64, BackendPlan.mixed(label="MCR-DL"))
-    wall = time.perf_counter() - wall
     return {
-        "wall_s": wall,
-        "samples_per_wall_s": (
-            result.samples_per_sec * result.step_time_us / 1e6 / wall
-            if wall > 0
-            else 0.0
-        ),
         "sim_step_us": result.step_time_us,
         "sim_samples_per_sec": result.samples_per_sec,
+    }
+
+
+@scenario("tuned_step")
+def tuned_step() -> dict:
+    """One DS-MoE step on the ``"auto"`` path (Fig. 8/9's MCR-DL-T).
+
+    ``sim_backends`` is the order the plan hands the communicator, which
+    default-backend ops follow: building it from a set once made the
+    step time depend on ``PYTHONHASHSEED``.
+    """
+    from repro.cluster import lassen
+    from repro.core import Tuner
+    from repro.models import BackendPlan, DSMoEModel, Trainer
+
+    system = lassen()
+    tuner = Tuner(system, ["nccl", "mvapich2-gdr", "msccl"], mode="analytic")
+    plan = BackendPlan.tuned(tuner.build_table(world_sizes=[16]).table)
+    result = Trainer(system, steps=2, warmup=1).run(DSMoEModel(), 16, plan)
+    return {
+        "sim_step_us": result.step_time_us,
+        "sim_backends": plan.backends(),
     }
 
 
@@ -539,14 +459,12 @@ def obs_overhead() -> dict:
     from repro.cluster import lassen
     from repro.models import BackendPlan, DSMoEModel, Trainer
 
-    wall = time.perf_counter()
     plain = Trainer(lassen(), steps=2, warmup=1).run(
         DSMoEModel(), 16, BackendPlan.mixed(label="MCR-DL")
     )
     instrumented = Trainer(lassen(), steps=2, warmup=1, trace=True, metrics=True).run(
         DSMoEModel(), 16, BackendPlan.mixed(label="MCR-DL")
     )
-    wall = time.perf_counter() - wall
     overhead_pct = (
         (instrumented.step_time_us - plain.step_time_us) / plain.step_time_us * 100.0
         if plain.step_time_us > 0
@@ -554,7 +472,6 @@ def obs_overhead() -> dict:
     )
     recorded = len(instrumented.metrics.events) if instrumented.metrics else 0
     return {
-        "wall_s": wall,
         "events_recorded": recorded,
         "sim_step_us": plain.step_time_us,
         "sim_instrumented_step_us": instrumented.step_time_us,
@@ -563,189 +480,58 @@ def obs_overhead() -> dict:
 
 
 # ----------------------------------------------------------------------
-# running and reporting
+# running and recording
 # ----------------------------------------------------------------------
-
-
-def _scenario_unit(repeats: int, name: str) -> dict:
-    """Sweep-engine worker: one scenario, measured in its own process.
-    Top-level so the spawn pool can pickle it by reference."""
-    return run_scenarios([name], repeats=repeats)[name]
 
 
 def run_scenarios(
     names: Optional[list[str]] = None,
-    repeats: int = 3,
     progress: Optional[Callable[[str], None]] = None,
-    jobs: int = 1,
 ) -> dict:
-    """Run the requested scenarios ``repeats`` times each.
+    """Run the requested scenarios (default: all) once each, in process.
 
-    Returns ``{name: metrics}`` where ``wall_s`` is the best (minimum)
-    wall time across repeats — the standard noise-resistant estimator —
-    and ``wall_runs_s`` keeps every sample.  Simulated ``sim_*`` values
-    are asserted identical across repeats (the engine is deterministic;
-    a mismatch means a real bug, so it raises immediately).
-
-    ``jobs > 1`` fans scenarios out over the sweep engine's spawn pool,
-    one scenario per work unit, merged back in request order.  Parallel
-    scenarios contend for the machine, so wall numbers are for quick
-    smoke runs, not for committing as a baseline.
+    Returns ``{name: metrics}``.  Once is enough: every value is
+    deterministic, and the gate compares against the committed ledger.
     """
-    if repeats < 1:
-        raise ValueError(f"repeats must be >= 1, got {repeats}")
     chosen = list(SCENARIOS) if names is None else list(names)
     unknown = [n for n in chosen if n not in SCENARIOS]
     if unknown:
         raise KeyError(f"unknown scenario(s) {unknown}; have {sorted(SCENARIOS)}")
-    if jobs > 1 and len(chosen) > 1:
-        from repro.bench.sweep import run_sweep
-
-        outcome = run_sweep(_scenario_unit, chosen, context=repeats, jobs=jobs)
-        out = dict(zip(chosen, outcome.results))
-        if progress is not None:
-            for name, metrics in out.items():
-                progress(
-                    f"{name:<18} {metrics['wall_s']*1e3:9.1f} ms  "
-                    f"(best of {repeats}, parallel x{jobs})"
-                )
-        return out
     out: dict[str, dict] = {}
     for name in chosen:
-        fn = SCENARIOS[name]
-        best: Optional[dict] = None
-        walls = []
-        for _ in range(repeats):
-            metrics = fn()
-            walls.append(metrics["wall_s"])
-            if best is None or metrics["wall_s"] < best["wall_s"]:
-                if best is not None:
-                    _check_fingerprint(name, best, metrics)
-                best = metrics
-            else:
-                _check_fingerprint(name, best, metrics)
-        assert best is not None
-        best["wall_runs_s"] = walls
-        out[name] = best
+        out[name] = SCENARIOS[name]()
         if progress is not None:
-            progress(f"{name:<18} {best['wall_s']*1e3:9.1f} ms  (best of {repeats})")
+            sims = json.dumps(fingerprint(out[name]), sort_keys=True)
+            progress(f"{name:<24} {sims}")
     return out
 
 
 def fingerprint(metrics: dict) -> dict:
-    """The simulated (wall-clock-independent) part of a metrics dict."""
+    """The simulated part of a metrics dict: what must never move."""
     return {k: v for k, v in metrics.items() if k.startswith("sim_")}
 
 
-def _check_fingerprint(name: str, a: dict, b: dict) -> None:
-    fa, fb = fingerprint(a), fingerprint(b)
-    if fa != fb:
-        raise AssertionError(
-            f"scenario {name!r} is non-deterministic across repeats: {fa} != {fb}"
-        )
-
-
-def environment() -> dict:
-    return {
-        "python": sys.version.split()[0],
-        "platform": platform.platform(),
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
-    }
-
-
-def compare(before: dict, after: dict) -> dict:
-    """Per-scenario wall-clock speedups (before/after), fingerprint-gated.
-
-    Returns ``{name: {"speedup": x, "sim_identical": bool}}`` for every
-    scenario present on both sides.  A speedup is only meaningful when
-    the simulated fingerprints agree, so it is reported alongside the
-    equality verdict rather than silently.
-    """
-    out: dict[str, dict] = {}
-    for name, b in before.items():
-        a = after.get(name)
-        if a is None:
-            continue
-        out[name] = {
-            "speedup": round(b["wall_s"] / a["wall_s"], 3) if a["wall_s"] > 0 else None,
-            "sim_identical": fingerprint(b) == fingerprint(a),
-        }
-    return out
-
-
 def load(path: str) -> dict:
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except FileNotFoundError:
-        return {"schema": SCHEMA_VERSION}
+    """The ``{name: metrics}`` rows of the ledger at ``path``."""
+    with open(path) as fh:
+        data = json.load(fh)
     if data.get("schema") != SCHEMA_VERSION:
         raise ValueError(
             f"{path}: unsupported schema {data.get('schema')!r} "
             f"(expected {SCHEMA_VERSION})"
         )
-    return data
+    return data["scenarios"]
 
 
-def merge_results(path: str, label: str, scenarios: dict) -> dict:
-    """Merge one run under ``label`` into the JSON at ``path``.
-
-    Recomputes the ``speedup`` section whenever both ``before`` and
-    ``after`` are present.  Returns the merged document (also written
-    back to ``path``).
-    """
-    data = load(path)
-    data["schema"] = SCHEMA_VERSION
-    merged = dict(data.get(label, {}).get("scenarios", {}))
-    merged.update(scenarios)
-    data[label] = {"env": environment(), "scenarios": merged}
-    if "before" in data and "after" in data:
-        data["speedup"] = compare(
-            data["before"]["scenarios"], data["after"]["scenarios"]
-        )
+def save(path: str, scenarios: dict) -> None:
+    """Record ``scenarios`` in the ledger at ``path``, keeping the rows
+    of scenarios that were not re-run."""
+    try:
+        rows = load(path)
+    except FileNotFoundError:
+        rows = {}
+    rows.update(scenarios)
+    data = {"schema": SCHEMA_VERSION, "scenarios": rows}
     with open(path, "w") as fh:
         json.dump(data, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    return data
-
-
-def render_comparison(data: dict) -> str:
-    """Human-readable before/after table for a merged document."""
-    if "speedup" not in data:
-        return "(no before/after pair to compare)"
-    lines = [
-        f"{'scenario':<18} {'before':>10} {'after':>10} {'speedup':>8}  sim",
-        "-" * 56,
-    ]
-    before = data["before"]["scenarios"]
-    after = data["after"]["scenarios"]
-    for name, cmp in sorted(data["speedup"].items()):
-        b, a = before[name]["wall_s"], after[name]["wall_s"]
-        sim = "identical" if cmp["sim_identical"] else "DIFFERS!"
-        lines.append(
-            f"{name:<18} {b*1e3:9.1f}ms {a*1e3:9.1f}ms {cmp['speedup']:>7.2f}x  {sim}"
-        )
-    return "\n".join(lines)
-
-
-def main(argv: Optional[list[str]] = None) -> int:  # pragma: no cover - thin CLI
-    import argparse
-
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--out", default="BENCH_simulator.json")
-    parser.add_argument("--label", choices=["before", "after"], default="after")
-    parser.add_argument("--repeats", type=int, default=3)
-    parser.add_argument("--jobs", type=int, default=1)
-    parser.add_argument("--scenario", nargs="+", dest="names", default=None)
-    args = parser.parse_args(argv)
-    results = run_scenarios(
-        args.names, repeats=args.repeats, progress=print, jobs=args.jobs
-    )
-    data = merge_results(args.out, args.label, results)
-    print(f"[{args.label}] {len(results)} scenario(s) -> {args.out}")
-    print(render_comparison(data))
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

@@ -1,8 +1,8 @@
 """Parallel, incremental sweep execution engine.
 
-Every expensive offline surface of this reproduction — the tuning suite
-(paper §V-F, C5), the Fig. 2/7 micro-benchmark sweeps, and the
-perf-regression scenario runs — has the same shape: a grid of
+Both expensive offline surfaces of this reproduction — the tuning suite
+(paper §V-F, C5) and the Fig. 2/7 micro-benchmark sweeps — have the same
+shape: a grid of
 independent cells, each a pure function of picklable coordinates, whose
 results must be merged back *in the exact serial order* so tables,
 reports, and baselines stay byte-identical no matter how the work was

@@ -9,8 +9,8 @@ A downstream user's entry points without writing a script::
     python -m repro micro --system lassen --op alltoall --world 64
     python -m repro train --model ds-moe --system lassen --world 16 \
         --plan mixed                         # one training measurement
-    python -m repro perf --out BENCH_simulator.json \
-        --label after                        # wall-clock perf harness
+    python -m repro perf                     # record simulated fingerprints
+                                             # in BENCH_simulator.json
 """
 
 from __future__ import annotations
@@ -261,12 +261,9 @@ def cmd_trace(args: argparse.Namespace) -> int:
 def cmd_perf(args: argparse.Namespace) -> int:
     from repro.bench import perfregress
 
-    results = perfregress.run_scenarios(
-        args.scenarios, repeats=args.repeats, progress=print, jobs=args.jobs
-    )
-    data = perfregress.merge_results(args.out, args.label, results)
-    print(f"[{args.label}] {len(results)} scenario(s) -> {args.out}")
-    print(perfregress.render_comparison(data))
+    results = perfregress.run_scenarios(args.scenarios, progress=print)
+    perfregress.save(args.out, results)
+    print(f"{len(results)} scenario(s) -> {args.out}")
     return 0
 
 
@@ -360,19 +357,11 @@ def build_parser() -> argparse.ArgumentParser:
     trace.set_defaults(func=cmd_trace)
 
     perf = sub.add_parser(
-        "perf", help="wall-clock perf-regression harness for the simulator"
+        "perf",
+        help="record the canonical scenarios' simulated fingerprints "
+        "(the ledger scripts/perfgate.py checks; speed is perfbench/'s job)",
     )
     perf.add_argument("--out", default="BENCH_simulator.json")
-    perf.add_argument(
-        "--label", choices=["before", "after"], default="after",
-        help="which side of the comparison this run records",
-    )
-    perf.add_argument("--repeats", type=int, default=3)
-    perf.add_argument(
-        "--jobs", type=int, default=1,
-        help="run scenarios in parallel worker processes (quick smoke "
-        "runs only — parallel wall numbers are contended)",
-    )
     perf.add_argument(
         "--scenarios", nargs="+", default=None,
         help="subset of scenarios to run (default: all)",

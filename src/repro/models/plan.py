@@ -65,13 +65,15 @@ class BackendPlan:
         """Every concrete backend the plan can dispatch to."""
         names = [self.default, *self.per_op.values()]
         if self.default == "auto":
-            # a tuned plan may route to anything in its table
-            tuned = {
+            # a tuned plan may route to anything in its table; table
+            # order, not a set: this becomes the communicator's backend
+            # insertion order, which default-backend ops follow
+            tuned = [
                 b
                 for scales in (self.tuning_table.entries if self.tuning_table else {}).values()
                 for buckets in scales.values()
                 for b in buckets.values()
-            }
+            ]
             names = [*tuned, *self.per_op.values()]
             if not names:
                 raise ValueError("tuned plan has an empty tuning table")

@@ -1,7 +1,8 @@
 """Tier-1 stays host-independent (ROADMAP item 1(c)).
 
 Two halves, like ``tests/test_layering.py``: the real ``tests/`` tree
-reaches no wall clock and no CPU count, and the lint itself works —
+and the fingerprint ledger's two files reach no wall clock and no CPU
+count, and the lint itself works —
 ``scripts/check_tests_hostfree.py`` pointed at an injected violation
 actually fails, so a green CI step means something.
 """
@@ -18,12 +19,12 @@ REPO = Path(__file__).resolve().parent.parent
 SCRIPT = REPO / "scripts" / "check_tests_hostfree.py"
 
 sys.path.insert(0, str(REPO / "scripts"))
-from check_tests_hostfree import ALLOWED, check  # noqa: E402
+from check_tests_hostfree import ALLOWED, LEDGER_FILES, check  # noqa: E402
 
 
 class TestRealTree:
     def test_clean(self):
-        assert check(REPO / "tests") == []
+        assert check(REPO / "tests", also=LEDGER_FILES) == []
 
     def test_every_allowed_use_has_a_reason(self):
         assert all(reason.strip() for reason in ALLOWED.values())
@@ -59,6 +60,16 @@ class TestInjectedViolations:
         violations = check(tmp_path, allowed={})
         assert len(violations) == 1, violations
         assert "test_injected.py" in violations[0] and "test_x" in violations[0]
+
+    def test_injected_violation_in_a_ledger_file_fails(self, tmp_path):
+        ledger = tmp_path / "perfregress.py"
+        ledger.write_text(
+            "import time\n\ndef scenario():\n    return {'wall_s': time.perf_counter()}\n"
+        )
+        (tmp_path / "tests").mkdir()
+        violations = check(tmp_path / "tests", allowed={}, also=(ledger,))
+        assert len(violations) == 1, violations
+        assert "perfregress.py" in violations[0] and "scenario" in violations[0]
 
     def test_harmless_uses_pass(self, tmp_path):
         (tmp_path / "test_fine.py").write_text(
