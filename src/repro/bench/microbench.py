@@ -206,7 +206,7 @@ def _omb_cache_keys(
     }
     backend_ctx = {
         name: stable_hash({**base, "calibration": calibration_fingerprint(name)})
-        for name in {backend for backend, _ in cells}
+        for name in dict.fromkeys(backend for backend, _ in cells)
     }
     return [
         stable_hash({"ctx": backend_ctx[backend], "backend": backend, "msg": msg})

@@ -72,7 +72,8 @@ def engine_events() -> dict:
     """Raw engine dispatch: processes ping-pong through ``sleep`` /
     ``wait_flag`` with interleaved wake times (cross-thread handoffs),
     then a run-ahead phase hits the direct-handoff fast path.  Pins the
-    final virtual time and the number of events dispatched."""
+    final virtual time and the number of events dispatched, split into
+    baton handoffs and inline fast-path advances."""
     from repro.sim.engine import Engine
 
     procs = 4
@@ -99,8 +100,11 @@ def engine_events() -> dict:
     for idx in range(procs):
         engine.add_process(f"p{idx}", body(idx))
     final = engine.run()
+    stats = engine.stats()
     return {
-        "events": engine.stats()["events_dispatched"],
+        "events": stats["events_dispatched"],
+        "handoffs": stats["handoffs"],
+        "inline": stats["inline"],
         "sim_final_us": final,
     }
 

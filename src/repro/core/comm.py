@@ -343,9 +343,9 @@ class MCRCommunicator(DispatchLayer, ExecutionLayer):
             ranks=ranks,
         )
         sub._phase_tag = phase
-        for name in self._quarantined:
-            backend = sub.backends.get(name)
-            if backend is not None and name not in sub._quarantined:
+        # construction order: each is logged, and a set walk is hash order
+        for name, backend in sub.backends.items():
+            if name in self._quarantined:
                 sub._quarantine(backend, "inherited from parent communicator")
         self._hier_children.append(sub)
         return sub

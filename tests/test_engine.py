@@ -1,5 +1,8 @@
 """Discrete-event engine: clock, scheduling, flags, deadlocks, errors."""
 
+import _thread
+import os
+
 import pytest
 
 from repro.sim import DeadlockError, Engine, Flag, Simulator
@@ -252,5 +255,94 @@ class TestEngineScalability:
             comm.finalize()
 
         result = Simulator(world, system=lassen(), observe=True).run(main)
+        gauges = result.metrics.gauges
         # 7 per rank today: start, one park per rendezvous, the final joins
-        assert result.metrics.gauges["engine.events_dispatched"] <= 3 * world * ops
+        assert gauges["engine.events_dispatched"] <= 3 * world * ops
+        # every event but the final one is a handoff or an inline advance
+        assert (
+            gauges["engine.handoffs"] + gauges["engine.inline"] + 1
+            == gauges["engine.events_dispatched"]
+        )
+
+
+def interleaved_then_solo(e: Engine) -> Engine:
+    """Two processes whose sleeps interleave, then run solo.
+
+    Hand trace (h = baton handoff, i = inline):
+    main -> p0@0 (h1); p0 sleeps to 1 -> p1@0 (h2); p1 to 1.5 -> p0@1
+    (h3); p0 to 2 -> p1@1.5 (h4); p1 to 11.5 -> p0@2 (h5); p0 to 7 with
+    nothing scheduled before it (i1, ``wait_until`` fast path); p0 exits
+    -> p1@11.5 (h6); p1 waits on a flag that never fires until 14.5, its
+    own deadline entry is the next pop (i2, ``_dispatch_next`` of the
+    parker); p1 exits -> heap empty, the run ends.  Nine events.
+    """
+    e.add_process("p0", lambda: (e.sleep(1), e.sleep(1), e.sleep(5)))
+    e.add_process(
+        "p1",
+        lambda: (
+            e.sleep(1.5),
+            e.sleep(10),
+            e.wait_flag_deadline(e.new_flag("never"), e.now + 3),
+        ),
+    )
+    return e
+
+
+class TestHandoffCounters:
+    def test_counts_match_hand_trace(self):
+        engine = interleaved_then_solo(Engine())
+        assert engine.run() == 14.5
+        stats = engine.stats()
+        assert (stats["events_dispatched"], stats["handoffs"], stats["inline"]) == (9, 6, 2)
+
+
+class TestThreadPolicy:
+    """Each process thread asks for ``SCHED_BATCH`` once, as its first
+    act; the calling thread's policy is never touched; a platform or
+    sandbox that refuses changes nothing simulated."""
+
+    def test_each_process_thread_requests_batch_once(self, monkeypatch):
+        batch = object()
+        calls = []
+
+        def record(pid, policy, param):
+            calls.append((_thread.get_ident(), pid, policy, param))
+
+        monkeypatch.setattr(os, "sched_setscheduler", record, raising=False)
+        monkeypatch.setattr(os, "SCHED_BATCH", batch, raising=False)
+        monkeypatch.setattr(os, "sched_param", lambda priority: ("param", priority), raising=False)
+        interleaved_then_solo(Engine()).run()
+        threads = {ident for ident, *_ in calls}
+        assert len(calls) == len(threads) == 2
+        assert _thread.get_ident() not in threads
+        assert [call[1:] for call in calls] == [(0, batch, ("param", 0))] * 2
+
+    @pytest.mark.skipif(
+        not hasattr(os, "sched_getscheduler"), reason="no scheduling policies here"
+    )
+    def test_calling_thread_policy_unchanged(self):
+        before = os.sched_getscheduler(0)
+        interleaved_then_solo(Engine()).run()
+        assert os.sched_getscheduler(0) == before
+
+        def bad(e):
+            e.sleep(1)
+            raise ValueError("boom")
+
+        with pytest.raises(ValueError, match="boom"):
+            run_procs(bad, lambda e: e.wait_flag(e.new_flag("never")))
+        assert os.sched_getscheduler(0) == before
+
+    @pytest.mark.parametrize("refusal", ["raises", "missing"])
+    def test_refused_policy_runs_the_same(self, monkeypatch, refusal):
+        expected = interleaved_then_solo(Engine()).run()
+        if refusal == "raises":
+            def refuse(*args):
+                raise OSError(1, "Operation not permitted")
+
+            monkeypatch.setattr(os, "sched_setscheduler", refuse, raising=False)
+        else:
+            monkeypatch.delattr(os, "sched_setscheduler", raising=False)
+        engine = interleaved_then_solo(Engine())
+        assert repr(engine.run()) == repr(expected)
+        assert engine.stats()["handoffs"] == 6

@@ -9,6 +9,12 @@ exploit through ``"auto"``, and the surrounding machinery — plan cache,
 fault failover, phase-tagged observability — keeps working per phase.
 """
 
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -27,6 +33,7 @@ from repro.core.tuning import TuningTable
 from repro.sim import Simulator
 from repro.sim.faults import BackendFault, FaultSpec
 
+REPO = Path(__file__).resolve().parent.parent
 BACKENDS = ["nccl", "mvapich2-gdr"]
 HIER = "hier:nccl+mvapich2-gdr"
 
@@ -324,6 +331,50 @@ class TestResilience:
 
         results = spmd(8, fn, faults=faults)
         assert len(set(results)) == 1  # phases failed over symmetrically
+
+    def test_inherited_quarantines_logged_in_construction_order(self):
+        """Phase children inherit the parent's quarantines; walking the
+        parent's quarantine *set* logged them in string-hash order."""
+        script = """
+from repro.cluster import lassen
+from repro.core import MCRCommunicator
+from repro.ext.logging_ext import CommLogger
+from repro.sim import Simulator
+from repro.sim.faults import BackendFault, FaultSpec
+
+DEAD = ("msccl", "ucc", "openmpi")
+
+def main(ctx):
+    comm = MCRCommunicator(ctx, ["nccl", "mvapich2-gdr", *DEAD])
+    x = ctx.virtual_tensor(1024)
+    for name in DEAD:
+        comm.all_reduce(name, x)
+    comm.all_reduce("hier:nccl+mvapich2-gdr", x)
+    comm.finalize()
+    events = CommLogger.shared(ctx).events
+    inherited = [e.backend for e in events if e.rank == 0 and e.detail.startswith("inherited")]
+    return [(e.kind, e.backend) for e in events], inherited
+
+faults = FaultSpec(backend_faults=tuple(
+    BackendFault(backend=name, kind="permanent", at_op=1) for name in DEAD))
+print(repr(Simulator(8, system=lassen(), faults=faults).run(main).rank_results[0]))
+"""
+
+        def run(hash_seed: str) -> str:
+            env = dict(
+                os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=str(REPO / "src")
+            )
+            return subprocess.run(
+                [sys.executable, "-c", script],
+                env=env, capture_output=True, text=True, check=True,
+            ).stdout
+
+        # seeds 0 and 3 logged ucc, openmpi, msccl and msccl, openmpi, ucc
+        out = run("0")
+        assert out == run("3")
+        _, inherited = ast.literal_eval(out)
+        # rank 0's two phase children (intra, inter), each in init order
+        assert inherited == ["msccl", "ucc", "openmpi"] * 2
 
     def test_plan_cache_byte_identity(self):
         def job(plan_cache):
