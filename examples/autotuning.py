@@ -55,7 +55,7 @@ def main():
     sim = Simulator(WORLD, system=system, trace=True)
     result = sim.run(workload)
     chosen = sorted(
-        {r.label for r in result.tracer.filter(rank=0, category="comm")}
+        {r.detail for r in result.tracer.filter(rank=0, category="comm")}
     )
     print("\noperations issued with backend='auto' actually ran on:")
     for label in chosen:

@@ -72,50 +72,6 @@ def results_dir(base: "str | Path | None" = None) -> Path:
     return path
 
 
-def step_breakdown_report(registry, title: str = "per-step breakdown") -> Report:
-    """Human-readable per-step communication table from a
-    :class:`repro.obs.MetricsRegistry` (ISSUE 4 tentpole, exporter 3).
-
-    One row per training step: how long the step's window was (max over
-    ranks), how many comm ops it posted, the bytes moved, the summed
-    comm time, and the dominant op family.
-    """
-    report = Report(
-        experiment="step_breakdown",
-        title=title,
-        header=(
-            "step", "window_us", "comm_ops", "comm_bytes",
-            "comm_time_us", "top_family",
-        ),
-    )
-    windows: dict[int, float] = {}
-    for marker in registry.steps:
-        if marker.end is None:
-            continue
-        dur = marker.end - marker.start
-        windows[marker.step] = max(windows.get(marker.step, 0.0), dur)
-    per_step = registry.per_step_comm()
-    for step in sorted(windows.keys() | per_step.keys()):
-        cell = per_step.get(step, {"ops": 0, "bytes": 0, "time_us": 0.0, "families": {}})
-        families = cell["families"]
-        top = max(families, key=families.get) if families else "-"
-        report.add_row(
-            step if step >= 0 else "(unattributed)",
-            windows.get(step, 0.0),
-            cell["ops"],
-            cell["bytes"],
-            cell["time_us"],
-            top,
-        )
-    first_measured = registry.gauges.get("train.first_measured_step")
-    if first_measured is not None:
-        report.add_note(
-            f"steps below {int(first_measured)} are warmup (their comm "
-            "records are cleared at the warmup/measure boundary)"
-        )
-    return report
-
-
 def save_report(report: Report, base: "str | Path | None" = None) -> Path:
     """Write <results>/<experiment>.txt and .json; return the txt path."""
     out = results_dir(base)

@@ -260,7 +260,7 @@ class AdaptiveRetuner:
             comm._fault_counters[scope] = idx
             fault = inj.backend_fault(
                 comm.comm_id, backend_name, idx,
-                rank=self.ctx.rank, now=self.ctx.now,
+                rank=self.ctx.rank, now=self.ctx.now, obs=comm._obs,
             )
             healthy = fault is None
         if not healthy:

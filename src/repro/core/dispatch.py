@@ -29,6 +29,7 @@ from repro.backends.ops import OpFamily
 from repro.core.config import CompressionConfig
 from repro.core.exceptions import BackendError
 from repro.core.tuning import TuningTable
+from repro.obs.metrics import ObsEvent
 
 
 @dataclass(slots=True)
@@ -426,7 +427,7 @@ class DispatchLayer:
             self._fault_counters[scope] = idx
             fault = inj.backend_fault(
                 self.comm_id, backend.name, idx, p2p=p2p_channel is not None,
-                rank=ctx.rank, now=ctx.now,
+                rank=ctx.rank, now=ctx.now, obs=self._obs,
             )
             if fault is None:
                 return backend
@@ -613,8 +614,6 @@ class DispatchLayer:
         obs = self._obs
         if obs is None:
             return
-        from repro.obs.metrics import ObsEvent
-
         now = self.ctx.now
         for detail, count in (
             ("hit", self._plan_hits),

@@ -30,7 +30,7 @@ from repro.backends.ops import OpFamily
 from repro.core.exceptions import CommTimeoutError, MCRError, ValidationError
 from repro.core.handles import CompletedHandle, WorkHandle
 from repro.sim.engine import Flag
-from repro.sim.graph import CollectiveGroup, resolve
+from repro.sim.graph import CollectiveGroup, apply_wire_lane, resolve
 from repro.tensor import SimTensor
 
 #: stand-in data-plane buffer for virtual (timing-only) tensors
@@ -356,8 +356,6 @@ class ExecutionLayer:
                     rdv.group.interference = interference
                 resolve(rdv.group, ctx.engine)
             else:
-                from repro.sim.graph import apply_wire_lane
-
                 channel = self._channel
                 start = max(a.host_time for a in ordered)
                 if is_large:
@@ -562,7 +560,7 @@ class ExecutionLayer:
                         start=end - cost,
                         end=end,
                         async_op=async_op,
-                        step=self._current_step(endpoint),
+                        step=self.logger.event_log.step(endpoint),
                         dispatch=dispatch,
                         stream="p2p",
                     )
@@ -600,10 +598,6 @@ class ExecutionLayer:
             return "reroute"  # fault gate failed over / rerouted
         return "auto" if requested == "auto" else "explicit"
 
-    def _current_step(self, rank: int) -> int:
-        obs = self._obs
-        return obs.current_step(rank) if obs is not None else -1
-
     def _log(
         self,
         family: OpFamily,
@@ -624,7 +618,7 @@ class ExecutionLayer:
                 start=start,
                 end=end,
                 async_op=async_op,
-                step=self._current_step(self.ctx.rank),
+                step=self.logger.event_log.step(self.ctx.rank),
                 dispatch=dispatch,
                 stream=stream,
                 phase=self._phase_tag,
@@ -655,7 +649,7 @@ class ExecutionLayer:
         logger = self.logger
         rank = self.ctx.rank
         post_time = self.ctx.now
-        step = self._current_step(rank)
+        step = logger.event_log.step(rank)
         phase = self._phase_tag
 
         def emit() -> None:

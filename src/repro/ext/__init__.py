@@ -13,7 +13,7 @@ backends:
   optimization.
 """
 
-from repro.ext.logging_ext import CommLogger, CommRecord
+from repro.ext.logging_ext import CommLogger
 from repro.ext.compression import FixedRateCodec
 from repro.ext.fusion import TensorFusion, FusionConfig
 from repro.ext.persistent import PersistentCollective
@@ -21,7 +21,6 @@ from repro.ext.ddp import DistributedDataParallel
 
 __all__ = [
     "CommLogger",
-    "CommRecord",
     "FixedRateCodec",
     "TensorFusion",
     "FusionConfig",

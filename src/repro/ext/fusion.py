@@ -21,6 +21,7 @@ from typing import TYPE_CHECKING, Optional
 from repro.backends.ops import ReduceOp
 from repro.core.exceptions import MCRError
 from repro.core.protocols import CommCore
+from repro.obs.metrics import ObsEvent
 from repro.tensor import SimTensor
 from repro.tensor.tensor import cat
 
@@ -202,8 +203,6 @@ class TensorFusion:
 
         obs = self.comm._obs
         if obs is not None:
-            from repro.obs.metrics import ObsEvent
-
             rank = self.comm.ctx.rank
             now = self.comm.ctx.now
             obs.observe(

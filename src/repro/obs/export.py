@@ -1,16 +1,15 @@
 """Exporters for the unified observability pipeline.
 
-Three output surfaces (ISSUE 4 tentpole, part 3):
+Three output surfaces:
 
 * **Chrome/Perfetto trace** — the Tracer's per-stream intervals plus, when
   a :class:`~repro.obs.metrics.MetricsRegistry` is supplied, training-step
   markers (one dedicated "steps" thread per rank) and cumulative
-  per-family byte counter tracks (``"C"`` events).  The output stays the
-  plain JSON array the existing ``Tracer.save_chrome_trace`` emitted, so
-  anything that loaded old traces still loads new ones.
+  per-family byte counter tracks (``"C"`` events), as a plain JSON
+  array.
 * **metrics JSON** — the registry snapshot plus per-family and per-step
-  communication totals, with an optional reconciliation block computed
-  from the :class:`~repro.ext.logging_ext.CommLogger` on the same run.
+  communication totals, with an optional block of the
+  :class:`~repro.ext.logging_ext.CommLogger`'s per-rank aggregates.
 * **loaders/breakdowns** — the reverse direction for the ``repro trace``
   subcommand: load a saved trace (array or ``{"traceEvents": ...}``
   envelope) back into records and aggregate per-rank / per-category /
@@ -24,7 +23,7 @@ from collections import defaultdict
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional
 
-from repro.obs.metrics import MetricsRegistry, UNATTRIBUTED_STEP
+from repro.obs.metrics import MetricsRegistry, UNATTRIBUTED_STEP, union_us
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.trace import Tracer
@@ -105,11 +104,10 @@ def chrome_trace_events(
 ) -> list[dict]:
     """The full exported event list: tracer intervals + step markers +
     counter tracks (the latter two only when a registry is given)."""
-    steps = step_marker_events(registry) if registry is not None else None
-    counters = counter_track_events(registry) if registry is not None else None
-    if tracer is not None:
-        return tracer.to_chrome_trace(steps=steps, counters=counters)
-    return (steps or []) + (counters or [])
+    events = tracer.to_chrome_trace() if tracer is not None else []
+    if registry is not None:
+        events += step_marker_events(registry) + counter_track_events(registry)
+    return events
 
 
 def save_chrome_trace(
@@ -144,8 +142,7 @@ def metrics_to_json(
     """The metrics-dump payload for ``repro train --metrics``.
 
     When the run's :class:`CommLogger` is supplied, a ``comm_log`` block
-    with its independently-accumulated totals is included so consumers
-    (and the acceptance test) can reconcile the two pipelines.
+    adds its per-rank views (the §V-E breakdowns) of the same rows.
     """
     payload = {
         "schema": "repro.obs.metrics/v1",
@@ -192,22 +189,6 @@ def save_metrics(
 # ----------------------------------------------------------------------
 
 
-def _union_us(spans: list[tuple[float, float]]) -> float:
-    spans.sort()
-    total, cur_end = 0.0, None
-    cur_start = 0.0
-    for start, end in spans:
-        if cur_end is None or start > cur_end:
-            if cur_end is not None:
-                total += cur_end - cur_start
-            cur_start, cur_end = start, end
-        elif end > cur_end:
-            cur_end = end
-    if cur_end is not None:
-        total += cur_end - cur_start
-    return total
-
-
 def trace_breakdown(events: list[dict]) -> dict:
     """Aggregate a loaded chrome trace into renderable tables.
 
@@ -218,7 +199,7 @@ def trace_breakdown(events: list[dict]) -> dict:
           "categories": {category: {"events": n, "sum_us": s, "busy_us": u}},
           "per_rank": {rank: {category: sum_us}},
           "steps": [{"rank", "step", "start", "dur"}...],
-          "per_step": {step: {"dur_us": max window, "comm_us": ..}},
+          "per_step": {step: {"dur_us": max window, "ranks": n}},
           "span_us": trace end - trace start,
         }
     """
@@ -253,7 +234,7 @@ def trace_breakdown(events: list[dict]) -> dict:
         cat_spans[cat].append((ts, ts + dur))
         per_rank[pid][cat] += dur
     for cat, cell in categories.items():
-        cell["busy_us"] = _union_us(cat_spans[cat])
+        cell["busy_us"] = union_us(cat_spans[cat])
 
     per_step: dict[int, dict] = {}
     for marker in steps:

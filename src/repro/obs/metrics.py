@@ -2,19 +2,23 @@
 
 The paper's communication-logging extension (§V-E) and its
 compute-vs-communication breakdowns (Figures 1 and 12) presuppose one
-coherent view of what every rank, stream, and backend did.  Before this
-module the reproduction had three disjoint recorders — the
-:class:`~repro.sim.trace.Tracer`, the
-:class:`~repro.ext.logging_ext.CommLogger`, and the fault-event trail —
-with no shared schema and no per-step attribution.  Everything now
-funnels through one :class:`ObsEvent` shape into one
-:class:`MetricsRegistry` per job.
+coherent view of what every rank, stream, and backend did.  Every fact
+is therefore one :class:`ObsEvent` row, built once by its producer:
+
+* trace intervals and comm/fault rows go into the job's one
+  :class:`EventLog`, which the :class:`~repro.sim.trace.Tracer` and the
+  :class:`~repro.ext.logging_ext.CommLogger` read as views;
+* the log forwards each row to the job's :class:`MetricsRegistry` when
+  one is installed, so the registry holds the same object, not a copy;
+* registry-only rows (plan, fusion, adapt, tuning, injected faults) go
+  to the registry directly.
 
 Design constraints (enforced by ``scripts/perfgate.py``):
 
 * **zero cost when off** — no registry is installed unless the caller
-  opts in (``Simulator(observe=...)`` / ``Trainer(metrics=True)``), and
-  every producer guards its emission behind a single ``is None`` check;
+  opts in (``Simulator(observe=...)`` / ``Trainer(metrics=True)``), no
+  log exists unless tracing or logging is on, and every producer guards
+  its emission behind a single ``is None`` check;
 * **zero simulated-time cost when on** — observers only *record*; they
   never sleep, never advance the virtual clock, and never change a
   dispatch decision.  Instrumented runs produce byte-identical simulated
@@ -26,8 +30,8 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
+from typing import Iterable, Optional
 
 #: ``step`` value for events recorded outside any marked training step
 UNATTRIBUTED_STEP = -1
@@ -46,9 +50,11 @@ class ObsEvent:
     * ``"comm"``   — one completed communication op (family = op family,
       ``detail`` = dispatch decision: ``explicit``/``auto``/``reroute``);
     * ``"trace"``  — one kernel/comm interval from the tracer
-      (family = tracer category, ``detail`` = label);
-    * ``"fault"``  — one fault-handling action (family = kind:
-      retry/failover/quarantine/injected);
+      (family = category: ``compute``/``comm``/``host``/...,
+      ``detail`` = label);
+    * ``"fault"``  — one fault-handling action at ``start == end``
+      (family = retry/failover/quarantine/unquarantine, or
+      ``injected.<kind>`` for the injector's registry-only rows);
     * ``"fusion"`` — one fusion-buffer flush (family = trigger:
       full/timeout/boundary);
     * ``"tuning"`` — one tuning-suite sample (start..end = latency);
@@ -69,10 +75,76 @@ class ObsEvent:
     #: hierarchical decomposition phase for ``kind="comm"`` events:
     #: ``"intra"`` / ``"inter"`` / ``""`` (flat dispatch)
     phase: str = ""
+    #: ``kind="comm"``: the op was posted non-blocking
+    async_op: bool = False
 
     @property
     def duration(self) -> float:
         return self.end - self.start
+
+
+def union_us(spans: Iterable[tuple[float, float]]) -> float:
+    """Total length of the union of ``(start, end)`` intervals."""
+    total, cur_start, cur_end = 0.0, 0.0, None
+    for start, end in sorted(spans):
+        if cur_end is None or start > cur_end:
+            if cur_end is not None:
+                total += cur_end - cur_start
+            cur_start, cur_end = start, end
+        elif end > cur_end:
+            cur_end = end
+    if cur_end is not None:
+        total += cur_end - cur_start
+    return total
+
+
+class EventLog:
+    """One job's rows, keyed by ``kind``: the store behind the Tracer
+    and CommLogger views.
+
+    :meth:`append` is the one place a row reaches the job's
+    :class:`MetricsRegistry`.  :meth:`shared` creates the log on first
+    use, so a run with tracing and logging off never builds one.
+    """
+
+    __slots__ = ("rows", "registry")
+
+    def __init__(self, registry: "Optional[MetricsRegistry]" = None) -> None:
+        #: kind -> rows in append order
+        self.rows: defaultdict[str, list[ObsEvent]] = defaultdict(list)
+        self.registry = registry
+
+    @classmethod
+    def shared(cls, shared: dict) -> "EventLog":
+        """The log in a job's shared state, bound to its registry."""
+        log = shared.get("event_log")
+        if log is None:
+            log = shared["event_log"] = cls(shared.get("obs"))
+        return log
+
+    def append(self, row: ObsEvent) -> None:
+        self.rows[row.kind].append(row)
+        if self.registry is not None:
+            self.registry.observe(row)
+
+    def step(self, rank: int) -> int:
+        """The training step a row ``rank`` posts now belongs to."""
+        registry = self.registry
+        return UNATTRIBUTED_STEP if registry is None else registry.current_step(rank)
+
+    def clear(self, *kinds: str) -> None:
+        """Drop the rows of ``kinds`` together with everything the
+        registry derived from them (its rows and ``<kind>.*`` metrics)."""
+        for kind in kinds:
+            self.rows[kind].clear()
+        registry = self.registry
+        if registry is None:
+            return
+        registry.events = [e for e in registry.events if e.kind not in kinds]
+        prefixes = tuple(f"{kind}." for kind in kinds)
+        for store in (registry.counters, registry.histograms):
+            for key in [k for k in store if k.startswith(prefixes)]:
+                del store[key]
 
 
 @dataclass(slots=True)
@@ -167,9 +239,9 @@ class MetricsRegistry:
         self.counters: dict[str, float] = defaultdict(float)
         self.gauges: dict[str, float] = {}
         self.histograms: dict[str, LogHistogram] = {}
-        #: the raw unified event stream (``"trace"`` events update
-        #: counters but are not retained here — the Tracer already holds
-        #: every interval, and duplicating them would double memory)
+        #: the raw unified event stream: every non-``"trace"`` row, the
+        #: same objects the job's EventLog holds (trace rows only update
+        #: counters; the log keeps them)
         self.events: list[ObsEvent] = []
         #: completed (and in-flight) training-step windows
         self.steps: list[StepMarker] = []
@@ -220,7 +292,7 @@ class MetricsRegistry:
         """Ingest one event: append it and update derived metrics."""
         kind = event.kind
         if kind == "trace":
-            # counters only; the Tracer retains the raw intervals.  The
+            # counters only; the event log retains the rows.  The
             # sum double-counts overlapping intervals by design (it is a
             # work total, not a union busy time).
             self.inc(f"trace.sum_us.{event.family}", event.duration)
@@ -262,18 +334,6 @@ class MetricsRegistry:
             self.histogram(f"tuning.latency_us.{event.family}").record(
                 event.duration
             )
-
-    def clear_comm(self) -> None:
-        """Drop comm and fault events plus their derived metrics.
-
-        Mirrors :meth:`repro.ext.logging_ext.CommLogger.clear` (called
-        at the warmup/measure boundary) so the registry's communication
-        totals keep reconciling with the comm log's.
-        """
-        self.events = [e for e in self.events if e.kind not in ("comm", "fault")]
-        for store in (self.counters, self.histograms):
-            for key in [k for k in store if k.startswith(("comm.", "fault."))]:
-                del store[key]
 
     # -- aggregation ------------------------------------------------------
 

@@ -23,7 +23,7 @@ from repro.sim.errors import SimError, DeadlockError, SimAborted
 from repro.sim.engine import Engine, Flag
 from repro.sim.streams import GPU, Stream, CudaEvent
 from repro.sim.process import RankContext
-from repro.sim.trace import Tracer, TraceRecord
+from repro.sim.trace import Tracer
 from repro.sim.simulator import Simulator, SimResult
 from repro.sim.faults import (
     BackendFault,
@@ -49,7 +49,6 @@ __all__ = [
     "CudaEvent",
     "RankContext",
     "Tracer",
-    "TraceRecord",
     "Simulator",
     "SimResult",
 ]

@@ -40,6 +40,8 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
+from repro.obs.metrics import MetricsRegistry, ObsEvent
+
 #: domain-separation constants for the seeded decision streams
 _BACKEND_STREAM = 0xFA01
 _STRAGGLER_STREAM = 0x57A6
@@ -364,10 +366,6 @@ class FaultInjector:
             if spec.link_faults
             else None
         )
-        #: optional :class:`repro.obs.MetricsRegistry` (installed by the
-        #: Simulator); injected decisions are reported into the unified
-        #: event schema.  Recording never changes a decision.
-        self.observer = None
 
     def backend_fault(
         self,
@@ -377,31 +375,24 @@ class FaultInjector:
         p2p: bool = False,
         rank: int = -1,
         now: float = 0.0,
+        obs: Optional[MetricsRegistry] = None,
     ) -> Optional[FaultDecision]:
         """The fault (if any) injected into one dispatch.
 
         ``op_index`` is the caller's per-(communicator, backend) counter:
         the collective index for collectives, the per-directed-channel
         index for point-to-point — both symmetric across the ranks that
-        must agree (see module docstring).  ``rank`` and ``now`` are
-        observability tags only (who asked, at what simulated time).
+        must agree (see module docstring).  ``rank``, ``now`` and the
+        caller's registry ``obs`` are observability tags only: a decision
+        is reported to ``obs`` as a registry-only ``injected.<kind>``
+        fault row, and recording never changes a decision.
         """
         decision = self._decide(comm_id, backend, op_index, p2p)
-        if decision is not None and self.observer is not None:
-            from repro.obs.metrics import ObsEvent
-
-            self.observer.observe(
+        if decision is not None and obs is not None:
+            obs.observe(
                 ObsEvent(
-                    kind="fault",
-                    rank=rank,
-                    stream="",
-                    backend=backend,
-                    family=f"injected.{decision.kind}",
-                    nbytes=0,
-                    step=self.observer.current_step(rank),
-                    start=now,
-                    end=now,
-                    detail=f"{comm_id}#{op_index}",
+                    "fault", rank, "", backend, f"injected.{decision.kind}", 0,
+                    obs.current_step(rank), now, now, f"{comm_id}#{op_index}",
                 )
             )
         return decision

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
+from repro.obs.metrics import EventLog, MetricsRegistry
 from repro.sim.engine import Engine
 from repro.sim.process import RankContext
 from repro.sim.streams import GPU
@@ -70,9 +71,9 @@ class Simulator:
             creates a fresh :class:`repro.obs.MetricsRegistry`; a
             registry instance can also be passed directly (to accumulate
             across runs).  The registry is installed into the job's
-            shared state under ``"obs"`` where the comm logger, tracer,
-            fault injector, and fusion engine find it.  Observers never
-            sleep or alter dispatch, so simulated timings are
+            shared state under ``"obs"``, where the job's event log,
+            the communicators and the fusion engine find it.  Observers
+            never sleep or alter dispatch, so simulated timings are
             bit-identical with and without this flag (perfgate-enforced).
     """
 
@@ -100,12 +101,9 @@ class Simulator:
         self.kernel_launch_overhead_us = kernel_launch_overhead_us
         self.max_events = max_events
         self.faults = faults
+        self.metrics: Optional[MetricsRegistry] = None
         if observe:
-            from repro.obs.metrics import MetricsRegistry
-
-            self.observer = observe if isinstance(observe, MetricsRegistry) else MetricsRegistry()
-        else:
-            self.observer = None
+            self.metrics = observe if isinstance(observe, MetricsRegistry) else MetricsRegistry()
         #: {rank: compute slowdown factor}; ranks not listed run at 1.0
         self.stragglers = dict(stragglers or {})
         if faults is not None:
@@ -125,12 +123,10 @@ class Simulator:
         or :class:`repro.sim.DeadlockError` if all ranks block forever.
         """
         engine = Engine(max_events=self.max_events)
-        tracer = Tracer() if self.trace else None
         shared: dict = {"stats": {}}
-        if self.observer is not None:
-            shared["obs"] = self.observer
-            if tracer is not None:
-                tracer.observer = self.observer
+        if self.metrics is not None:
+            shared["obs"] = self.metrics
+        tracer = Tracer(EventLog.shared(shared)) if self.trace else None
         injector = None
         if self.faults is not None and (
             self.faults.backend_faults or self.faults.link_faults
@@ -138,7 +134,6 @@ class Simulator:
             from repro.sim.faults import FaultInjector
 
             injector = FaultInjector(self.faults)
-            injector.observer = self.observer
             shared["fault_injector"] = injector
         contexts = []
         for rank in range(self.world_size):
@@ -193,16 +188,16 @@ class Simulator:
                 self.system.link_degradation = prior
         else:
             elapsed = engine.run()
-        if self.observer is not None:
+        if self.metrics is not None:
             for name, value in engine.stats().items():
-                self.observer.set_gauge(f"engine.{name}", value)
-            self.observer.set_gauge("sim.elapsed_us", elapsed)
-            self.observer.set_gauge("sim.world_size", self.world_size)
+                self.metrics.set_gauge(f"engine.{name}", value)
+            self.metrics.set_gauge("sim.elapsed_us", elapsed)
+            self.metrics.set_gauge("sim.world_size", self.world_size)
         return SimResult(
             elapsed_us=elapsed,
             rank_results=results,
             tracer=tracer,
             stats=shared["stats"],
             shared=shared,
-            metrics=self.observer,
+            metrics=self.metrics,
         )

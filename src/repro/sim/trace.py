@@ -5,64 +5,36 @@ It backs three things: the overlap assertions in the synchronization
 tests (Fig. 4's naive-vs-MCR-DL comparison), the communication-logging
 extension (paper §V-E), and the compute-vs-communication breakdowns of
 Figures 1 and 12.
+
+Each interval is one ``kind="trace"`` :class:`~repro.obs.metrics.ObsEvent`
+row in the job's :class:`~repro.obs.metrics.EventLog` (``family`` is the
+category, ``detail`` the label); the :class:`Tracer` is a view over them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
-
-@dataclass(frozen=True)
-class TraceRecord:
-    """One interval of work on one rank's stream."""
-
-    rank: int
-    stream: str
-    label: str
-    category: str  # "compute" | "comm" | "host" | ...
-    start: float
-    end: float
-
-    @property
-    def duration(self) -> float:
-        return self.end - self.start
+from repro.obs.metrics import EventLog, ObsEvent, union_us
 
 
 class Tracer:
-    """Collects :class:`TraceRecord` entries during a simulation."""
+    """Records intervals into an :class:`EventLog` and queries them."""
 
-    def __init__(self) -> None:
-        self.records: list[TraceRecord] = []
-        self.enabled = True
-        #: optional :class:`repro.obs.MetricsRegistry`; when set, every
-        #: recorded interval is forwarded as a ``kind="trace"`` event in
-        #: the unified schema (duck-typed — this module stays free of an
-        #: obs import so the simulator core has no upward dependency)
-        self.observer = None
+    def __init__(self, event_log: Optional[EventLog] = None) -> None:
+        self.event_log = event_log if event_log is not None else EventLog()
+
+    @property
+    def records(self) -> list[ObsEvent]:
+        return self.event_log.rows["trace"]
 
     def record(
         self, rank: int, stream: str, label: str, category: str, start: float, end: float
     ) -> None:
-        if self.enabled:
-            self.records.append(TraceRecord(rank, stream, label, category, start, end))
-            if self.observer is not None:
-                from repro.obs.metrics import ObsEvent
-
-                self.observer.observe(
-                    ObsEvent(
-                        kind="trace",
-                        rank=rank,
-                        stream=stream,
-                        backend="",
-                        family=category,
-                        nbytes=0,
-                        step=self.observer.current_step(rank),
-                        start=start,
-                        end=end,
-                        detail=label,
-                    )
-                )
+        log = self.event_log
+        log.append(
+            ObsEvent("trace", rank, stream, "", category, 0, log.step(rank), start, end, label)
+        )
 
     # -- queries -------------------------------------------------------
 
@@ -71,39 +43,27 @@ class Tracer:
         rank: Optional[int] = None,
         category: Optional[str] = None,
         label_contains: Optional[str] = None,
-        predicate: Optional[Callable[[TraceRecord], bool]] = None,
-    ) -> list[TraceRecord]:
+        predicate: Optional[Callable[[ObsEvent], bool]] = None,
+    ) -> list[ObsEvent]:
         out = []
         for r in self.records:
             if rank is not None and r.rank != rank:
                 continue
-            if category is not None and r.category != category:
+            if category is not None and r.family != category:
                 continue
-            if label_contains is not None and label_contains not in r.label:
+            if label_contains is not None and label_contains not in r.detail:
                 continue
             if predicate is not None and not predicate(r):
                 continue
             out.append(r)
         return out
 
-    def busy_time(self, records: Iterable[TraceRecord]) -> float:
+    def busy_time(self, records: Iterable[ObsEvent]) -> float:
         """Total *union* busy time of the given intervals (overlaps merged)."""
-        spans = sorted((r.start, r.end) for r in records)
-        total = 0.0
-        cur_start, cur_end = None, None
-        for start, end in spans:
-            if cur_end is None or start > cur_end:
-                if cur_end is not None:
-                    total += cur_end - cur_start
-                cur_start, cur_end = start, end
-            else:
-                cur_end = max(cur_end, end)
-        if cur_end is not None:
-            total += cur_end - cur_start
-        return total
+        return union_us((r.start, r.end) for r in records)
 
     def overlap_time(
-        self, a: Iterable[TraceRecord], b: Iterable[TraceRecord]
+        self, a: Iterable[ObsEvent], b: Iterable[ObsEvent]
     ) -> float:
         """Total time during which intervals from both sets are active."""
         a_spans = sorted((r.start, r.end) for r in a)
@@ -122,26 +82,17 @@ class Tracer:
 
     def category_totals(self, rank: Optional[int] = None) -> dict[str, float]:
         """Union busy time per category (per rank if given)."""
-        cats = {r.category for r in self.records if rank is None or r.rank == rank}
+        cats = {r.family for r in self.records if rank is None or r.rank == rank}
         return {
             c: self.busy_time(self.filter(rank=rank, category=c)) for c in sorted(cats)
         }
 
     # -- export ----------------------------------------------------------
 
-    def to_chrome_trace(
-        self,
-        steps: Optional[list[dict]] = None,
-        counters: Optional[list[dict]] = None,
-    ) -> list[dict]:
+    def to_chrome_trace(self) -> list[dict]:
         """Export as Chrome trace-event JSON (load in chrome://tracing or
         Perfetto): one process per rank, one thread per stream, complete
-        ("X") events in microseconds.
-
-        ``steps`` and ``counters`` are pre-built event lists (training
-        step markers and counter-track samples, see
-        :mod:`repro.obs.export`) appended verbatim after the interval
-        events."""
+        ("X") events in microseconds."""
         events: list[dict] = []
         thread_ids: dict[tuple[int, str], int] = {}
         for record in self.records:
@@ -162,23 +113,12 @@ class Tracer:
             events.append(
                 {
                     "ph": "X",
-                    "name": record.label,
-                    "cat": record.category,
+                    "name": record.detail,
+                    "cat": record.family,
                     "pid": record.rank,
                     "tid": thread_ids[key],
                     "ts": record.start,
                     "dur": record.duration,
                 }
             )
-        if steps:
-            events.extend(steps)
-        if counters:
-            events.extend(counters)
         return events
-
-    def save_chrome_trace(self, path) -> None:
-        """Write :meth:`to_chrome_trace` output as a JSON file."""
-        import json
-        from pathlib import Path
-
-        Path(path).write_text(json.dumps(self.to_chrome_trace()))

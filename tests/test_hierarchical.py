@@ -353,7 +353,7 @@ def main(ctx):
     comm.finalize()
     events = CommLogger.shared(ctx).events
     inherited = [e.backend for e in events if e.rank == 0 and e.detail.startswith("inherited")]
-    return [(e.kind, e.backend) for e in events], inherited
+    return [(e.family, e.backend) for e in events], inherited
 
 faults = FaultSpec(backend_faults=tuple(
     BackendFault(backend=name, kind="permanent", at_op=1) for name in DEAD))

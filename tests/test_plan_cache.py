@@ -377,7 +377,7 @@ class TestObservability:
         world = 2
         sim = Simulator(world, observe=True)
         sim.run(main)
-        counters = sim.observer.counters
+        counters = sim.metrics.counters
         assert counters["comm.plan.hit"] == 4 * world
         assert counters["comm.plan.miss"] == 2 * world
         assert counters["comm.plan.invalidate"] == 1 * world

@@ -200,7 +200,7 @@ class TestStreamGates:
             assert longest <= 2
             # the kernel waits for every all-reduce it was gated on
             comm_ends = [r.end for r in result.tracer.records
-                         if r.rank == rank and r.category == "comm"]
+                         if r.rank == rank and r.family == "comm"]
             assert len(comm_ends) == n_ops
             assert start == max(max(comm_ends), launched_at)
 

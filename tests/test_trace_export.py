@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.core import MCRCommunicator
+from repro.obs import save_chrome_trace
 from repro.sim import Simulator
 
 
@@ -57,7 +58,7 @@ class TestChromeTrace:
 
     def test_save_writes_valid_json(self, traced_result, tmp_path):
         path = tmp_path / "trace.json"
-        traced_result.tracer.save_chrome_trace(path)
+        save_chrome_trace(path, traced_result.tracer)
         payload = json.loads(path.read_text())
         assert isinstance(payload, list) and payload
 
