@@ -8,7 +8,7 @@ backend wins everywhere.
 import pytest
 
 from repro.backends.ops import OpFamily
-from repro.bench.microbench import omb_latency_us
+from repro.bench.microbench import sweep_backends
 from repro.bench.reporting import Report
 
 BACKENDS = ["mvapich2-gdr", "nccl", "msccl", "openmpi"]
@@ -17,13 +17,10 @@ WORLD = 64  # 16 nodes x 4 ppn
 
 
 def run_series(system, family, nonblocking):
-    series = {}
-    for backend in BACKENDS:
-        series[backend] = [
-            omb_latency_us(system, backend, family, size, WORLD, nonblocking)
-            for size in SIZES
-        ]
-    return series
+    series = sweep_backends(
+        system, BACKENDS, family, WORLD, message_sizes=SIZES, nonblocking=nonblocking
+    )
+    return {backend: [latency for _, latency in series[backend]] for backend in BACKENDS}
 
 
 @pytest.mark.benchmark(group="fig2")

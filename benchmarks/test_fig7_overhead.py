@@ -10,9 +10,8 @@ import pytest
 from repro.backends.ops import OpFamily
 from repro.bench.microbench import (
     effective_nbytes,
-    framework_latency_us,
+    framework_overhead_pct,
     omb_latency_us,
-    overhead_pct,
 )
 from repro.bench.reporting import Report
 from repro.core import MCRConfig
@@ -37,19 +36,20 @@ def torch_config() -> MCRConfig:
 def run_sweep(system):
     rows = []
     for pair_size in PAIR_SIZES:
-        # one effective payload feeds both sides of the comparison (the
-        # framework rounds element counts to a multiple of world size)
-        total = effective_nbytes(pair_size * WORLD, WORLD)
-        omb = omb_latency_us(system, BACKEND, OpFamily.ALLTOALL, total, WORLD)
-        mcr = framework_latency_us(
+        # framework_overhead_pct prices both sides at one effective
+        # payload (the framework rounds element counts to a multiple of
+        # world size); the OMB column is priced at that payload too
+        total = pair_size * WORLD
+        omb = omb_latency_us(
+            system, BACKEND, OpFamily.ALLTOALL, effective_nbytes(total, WORLD), WORLD
+        )
+        mcr = framework_overhead_pct(
             system, BACKEND, OpFamily.ALLTOALL, total, WORLD, config=MCRConfig()
         )
-        torch = framework_latency_us(
+        torch = framework_overhead_pct(
             system, BACKEND, OpFamily.ALLTOALL, total, WORLD, config=torch_config()
         )
-        rows.append(
-            (pair_size, omb, overhead_pct(mcr, omb), overhead_pct(torch, omb))
-        )
+        rows.append((pair_size, omb, mcr, torch))
     return rows
 
 

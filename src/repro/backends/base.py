@@ -88,8 +88,6 @@ class Backend(abc.ABC):
         self.world_size = world_size
         self.system = system
         self.initialized = False
-        #: monotonically increasing op counter (rendezvous keys)
-        self.op_sequence = 0
         #: failure latch: set via fail() when the library suffers a
         #: permanent fault; a failed backend stays usable for draining
         #: already-posted work but must not accept new dispatches

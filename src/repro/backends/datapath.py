@@ -23,7 +23,7 @@ def _check_equal_sizes(buffers: Sequence[np.ndarray], what: str) -> int:
     sizes = {b.size for b in buffers}
     if len(sizes) != 1:
         raise ValueError(f"{what}: mismatched sizes across ranks: {sorted(sizes)}")
-    return sizes.pop()
+    return buffers[0].size
 
 
 def _stage_if_aliased(

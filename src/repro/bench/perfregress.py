@@ -7,7 +7,7 @@ scenarios that exercise each hot path and records what each one
 simulates: virtual timestamps, tuned picks, identity verdicts and
 dispatch counts.  Every recorded value is deterministic — the same on
 any host, at any load, under any hash seed — because no scenario reads
-the host clock or the CPU count (``scripts/check_tests_hostfree.py``
+the host clock or the CPU count (``scripts/lint.py``
 enforces it).  How *fast* the simulator runs is ``perfbench/``'s
 question, not this module's.
 

@@ -50,9 +50,6 @@ SWEEP_SCHEMA_VERSION = 1
 #: sentinel distinguishing "cache miss" from a legitimately-None result
 _MISS = object()
 
-#: conventional cache location (used by the CLI and gitignored)
-DEFAULT_CACHE_DIR = ".sweep_cache"
-
 
 # ----------------------------------------------------------------------
 # stable hashing / fingerprints
@@ -206,9 +203,6 @@ class SweepStats:
     cache_misses: int = 0
     computed: int = 0
     jobs: int = 1
-
-    def as_dict(self) -> dict:
-        return dataclasses.asdict(self)
 
 
 @dataclass

@@ -59,6 +59,20 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: action names mirrored into ``tuning.adapt.{name}`` counters
 ACTIONS = ("drift", "explore", "retune", "probation")
 
+#: EMA smoothing for observed per-cell latencies (weight of the newest
+#: sample)
+EMA_ALPHA = 0.25
+#: cap on candidates per exploration sweep (flat backends first, then
+#: ``hier:*`` composites)
+MAX_CANDIDATES = 6
+#: completed ops a cell waits after a retune commit before the drift
+#: detector re-arms
+COOLDOWN_OPS = 12
+#: payload of the timing-only canary posted after an un-quarantine, bytes
+CANARY_BYTES = 4096
+#: seed for the deterministic epsilon-exploration hash
+EXPLORE_SEED = 0
+
 
 @dataclass
 class _Cell:
@@ -186,7 +200,7 @@ class AdaptiveRetuner:
 
     def _hash(self, *parts) -> int:
         key = "|".join(
-            str(p) for p in (self.cfg.seed, self.comm.comm_id, *parts)
+            str(p) for p in (EXPLORE_SEED, self.comm.comm_id, *parts)
         )
         return zlib.crc32(key.encode("utf-8"))
 
@@ -286,7 +300,7 @@ class AdaptiveRetuner:
         posts it at the same op index (we are inside before_op), so the
         rendezvous matches; ``quiet`` keeps it from counting as a new
         adaptive op while its completion still feeds the EMA."""
-        tensor = self.ctx.virtual_tensor(max(1, self.cfg.canary_bytes // 4))
+        tensor = self.ctx.virtual_tensor(max(1, CANARY_BYTES // 4))
         self.quiet = True
         try:
             self.comm.all_reduce(backend_name, tensor)
@@ -332,7 +346,7 @@ class AdaptiveRetuner:
         if cell is None:
             cell = self._cells[cell_key] = _Cell(family=family, bucket=cell_key[1])
         cell.completions += 1
-        alpha = self.cfg.ema_alpha
+        alpha = EMA_ALPHA
         prev = cell.ema.get(backend_name)
         cell.ema[backend_name] = (
             duration if prev is None else alpha * duration + (1.0 - alpha) * prev
@@ -398,17 +412,13 @@ class AdaptiveRetuner:
     def _candidates(self, cell: _Cell) -> list[str]:
         """Exploration candidates: live flat backends first, then
         ``hier:*`` composites of live constituents, capped at
-        ``max_candidates``.  Quarantine state comes from the shared
+        :data:`MAX_CANDIDATES`.  Quarantine state comes from the shared
         mirror — this runs in the completion domain."""
         quarantined = self._sh["quarantined"]
         cur = cell.current
         live = [n for n in self.comm.backends if n not in quarantined]
         out = [n for n in live if n != cur]
-        if (
-            self.cfg.include_hier
-            and self._multinode
-            and cell.family in _hier_families()
-        ):
+        if self._multinode and cell.family in _hier_families():
             for intra in live:
                 for inter in live:
                     if intra == inter:
@@ -416,7 +426,7 @@ class AdaptiveRetuner:
                     name = f"hier:{intra}+{inter}"
                     if name != cur:
                         out.append(name)
-        return out[: self.cfg.max_candidates]
+        return out[:MAX_CANDIDATES]
 
     def _start_explore(self, cell: _Cell, cell_key: tuple[str, int]) -> None:
         cfg = self.cfg
@@ -433,7 +443,7 @@ class AdaptiveRetuner:
             # lags the very drift that triggered this sweep (a stale,
             # too-flattering score), so it gets a fresh window like
             # every other candidate
-            flats = [cell.current, *flats][: cfg.max_candidates]
+            flats = [cell.current, *flats][:MAX_CANDIDATES]
         cell.mode = "explore"
         for name in flats:
             cell.ema.pop(name, None)
@@ -477,7 +487,6 @@ class AdaptiveRetuner:
         phase costs scaled with their constituents' observed drift
         (composite parents are never measured directly — phase timings
         land on the child communicators)."""
-        cfg = self.cfg
         scores: dict[str, float] = {}
         for name, ema in cell.ema.items():
             if name == cell.current or name in cell.explore_remaining:
@@ -500,7 +509,7 @@ class AdaptiveRetuner:
         cell.current = winner
         cell.baseline[winner] = scores[winner]
         cell.mode = "cooldown"
-        cell.cooldown_until = cell.completions + cfg.cooldown_ops
+        cell.cooldown_until = cell.completions + COOLDOWN_OPS
         self.stats["retune"] += 1
         self._emit("retune", winner, detail=f"{previous}->{winner}")
 

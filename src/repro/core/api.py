@@ -93,7 +93,7 @@ def create_communicator(
     benchmarks: they hold a :class:`~repro.core.protocols.CommCore`
     and never import the concrete
     :class:`~repro.core.comm.MCRCommunicator` class (enforced by
-    ``scripts/check_imports.py``).
+    ``scripts/lint.py``).
     """
     return MCRCommunicator(
         ctx,

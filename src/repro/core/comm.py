@@ -24,7 +24,7 @@ dependencies (``docs/INTERNALS.md`` §15):
 
 Code outside ``repro.core`` programs against the narrow
 :class:`~repro.core.protocols.CommCore` protocol instead of this
-concrete class (enforced by ``scripts/check_imports.py``).
+concrete class (enforced by ``scripts/lint.py``).
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ import numpy as np
 
 from repro.backends.base import Backend, canonical_name, create_backend
 from repro.backends.ops import ReduceOp
-from repro.core.config import MCRConfig
+from repro.core.config import BACKEND_INIT_US, MCRConfig
 from repro.core.dispatch import CommPlan, DispatchLayer
 from repro.core.exceptions import BackendError, ValidationError
 from repro.core.handles import WorkHandle
@@ -153,7 +153,7 @@ class MCRCommunicator(DispatchLayer, ExecutionLayer):
         for name in names:
             backend = create_backend(name, ctx.rank, len(self.group_ranks), ctx.system)
             backend.init()
-            self.ctx.sleep(self.config.backend_init_us, reason=f"init({name})")
+            self.ctx.sleep(BACKEND_INIT_US, reason=f"init({name})")
             self.backends[name] = backend
 
         non_stream = [n for n, b in self.backends.items() if not b.properties.stream_aware]

@@ -5,6 +5,20 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
+#: messages at or above this size are pinned to stream 0, bytes
+LARGE_MESSAGE_THRESHOLD = 64 * 1024
+#: point-to-point eager protocol threshold, bytes: a blocking send at or
+#: below this completes locally (buffered) without waiting for the
+#: matching receive, as in real MPI
+EAGER_THRESHOLD = 64 * 1024
+#: per-backend library initialization cost, µs (paper §V-D notes the
+#: multi-library init overhead amortizes within <10 training steps)
+BACKEND_INIT_US = 25.0
+#: base backoff between retry attempts, µs (doubles per attempt)
+RETRY_BACKOFF_US = 50.0
+#: ops eligible for compression (gradients tolerate loss; indices do not)
+COMPRESSIBLE_FAMILIES = ("allreduce", "reduce_scatter", "allgather")
+
 
 @dataclass
 class CompressionConfig:
@@ -17,8 +31,6 @@ class CompressionConfig:
 
     enabled: bool = False
     rate_bits: int = 8
-    #: ops eligible for compression (gradients tolerate loss; indices do not)
-    families: tuple[str, ...] = ("allreduce", "reduce_scatter", "allgather")
 
 
 @dataclass
@@ -35,9 +47,6 @@ class AdaptiveConfig:
     """
 
     enabled: bool = False
-    #: EMA smoothing for observed per-cell latencies (weight of the
-    #: newest sample)
-    ema_alpha: float = 0.25
     #: drift trigger: re-tune when observed EMA exceeds ``drift_ratio``
     #: times the expected cost (or an alternate's fresh EMA beats the
     #: serving choice by the same ratio)
@@ -51,26 +60,11 @@ class AdaptiveConfig:
     #: serving one op on the round-robin next alternate backend to keep
     #: its EMA fresh; 0 disables
     epsilon: float = 0.0
-    #: cap on candidates per exploration sweep (flat backends first,
-    #: then ``hier:*`` composites)
-    max_candidates: int = 6
-    #: score ``hier:<intra>+<inter>`` composites as sweep candidates
-    #: (analytic phase costs scaled by the constituents' observed drift)
-    include_hier: bool = True
-    #: completed ops a cell waits after a retune commit before the drift
-    #: detector re-arms
-    cooldown_ops: int = 12
     #: posted collectives between probation probes of a quarantined
     #: backend; 0 disables probation (quarantine stays a one-way door)
     probation_interval: int = 25
-    #: payload of the timing-only canary posted after an un-quarantine
-    canary_bytes: int = 4096
-    #: seed for the deterministic epsilon-exploration hash
-    seed: int = 0
 
     def validate(self) -> None:
-        if not 0.0 < self.ema_alpha <= 1.0:
-            raise ValueError("adaptive.ema_alpha must be in (0, 1]")
         if self.drift_ratio <= 1.0:
             raise ValueError("adaptive.drift_ratio must be > 1")
         if self.min_samples < 1:
@@ -79,14 +73,8 @@ class AdaptiveConfig:
             raise ValueError("adaptive.explore_ops must be >= 1")
         if not 0.0 <= self.epsilon < 1.0:
             raise ValueError("adaptive.epsilon must be in [0, 1)")
-        if self.max_candidates < 1:
-            raise ValueError("adaptive.max_candidates must be >= 1")
-        if self.cooldown_ops < 0:
-            raise ValueError("adaptive.cooldown_ops must be >= 0")
         if self.probation_interval < 0:
             raise ValueError("adaptive.probation_interval must be >= 0")
-        if self.canary_bytes < 1:
-            raise ValueError("adaptive.canary_bytes must be >= 1")
 
 
 @dataclass
@@ -110,12 +98,6 @@ class MCRConfig:
     #: enable concurrent small-message operations; large messages are
     #: bandwidth-bound and always use stream 0 (§V-C).
     streams_per_backend: int = 4
-    #: messages at or above this size are pinned to stream 0, bytes
-    large_message_threshold: int = 64 * 1024
-    #: point-to-point eager protocol threshold, bytes: a blocking send at
-    #: or below this completes locally (buffered) without waiting for the
-    #: matching receive, as in real MPI
-    eager_threshold: int = 64 * 1024
 
     #: "mpi-managed": let the MPI library handle streams — the host
     #: synchronizes the default stream before posting, preserving any
@@ -132,10 +114,6 @@ class MCRConfig:
     #: "naive": every op posts to the default stream and host-blocks
     #: (Fig. 4a) — kept for the serialization/deadlock comparisons.
     synchronization: str = "fine-grained"
-
-    #: per-backend library initialization cost, µs (paper §V-D notes the
-    #: multi-library init overhead amortizes within <10 training steps)
-    backend_init_us: float = 25.0
 
     #: record every communication op (drives Figures 1 and 12)
     enable_logging: bool = False
@@ -154,10 +132,6 @@ class MCRConfig:
     #: probation); off by default — see :class:`AdaptiveConfig`
     adaptive: AdaptiveConfig = field(default_factory=AdaptiveConfig)
 
-    #: backend used when "auto" is requested but no tuning table entry
-    #: matches; None = first initialized backend
-    fallback_backend: Optional[str] = None
-
     #: per-operation deadline, µs: a host-blocking wait (sync op, handle
     #: wait/synchronize) that exceeds it raises CommTimeoutError with
     #: per-rank rendezvous diagnostics instead of hanging; None disables
@@ -165,8 +139,6 @@ class MCRConfig:
     #: dispatch attempts after the first for a transiently failing
     #: backend before the op fails over to a survivor
     comm_max_retries: int = 3
-    #: base backoff between retry attempts, µs (doubles per attempt)
-    retry_backoff_us: float = 50.0
 
     #: stage every tensor through host memory around each operation —
     #: the pre-CUDA-aware mpi4py pattern of the paper's Listing 2
@@ -187,6 +159,4 @@ class MCRConfig:
             raise ValueError("op_deadline_us must be positive (or None)")
         if self.comm_max_retries < 0:
             raise ValueError("comm_max_retries must be >= 0")
-        if self.retry_backoff_us < 0:
-            raise ValueError("retry_backoff_us must be >= 0")
         self.adaptive.validate()

@@ -26,7 +26,7 @@ from typing import Optional
 
 from repro.backends.base import Backend, canonical_name
 from repro.backends.ops import OpFamily
-from repro.core.config import CompressionConfig
+from repro.core.config import COMPRESSIBLE_FAMILIES, RETRY_BACKOFF_US, CompressionConfig
 from repro.core.exceptions import BackendError
 from repro.core.tuning import TuningTable
 from repro.obs.metrics import ObsEvent
@@ -211,7 +211,7 @@ class DispatchLayer:
                     choice = None  # tuned for a backend we did not init
                     # (or one quarantined by a permanent fault)
         if choice is None:
-            choice = self.config.fallback_backend or next(iter(self.backends))
+            choice = next(iter(self.backends))
         return self._backend(choice)
 
     # -- hierarchical composite dispatch (hier:<intra>+<inter>) -----------
@@ -365,9 +365,8 @@ class DispatchLayer:
     def _failover_target(
         self, family: OpFamily, nbytes: int, exclude: frozenset = frozenset()
     ) -> Backend:
-        """Deterministic survivor choice: tuning table, then the
-        configured fallback, then init order (§V-F dispatch, restricted
-        to live backends)."""
+        """Deterministic survivor choice: tuning table, then init order
+        (§V-F dispatch, restricted to live backends)."""
         survivors = [
             n
             for n in self.backends
@@ -383,10 +382,6 @@ class DispatchLayer:
             tuned = self.tuning_table.lookup(family.value, self.world_size, nbytes)
             if tuned is not None and canonical_name(tuned) in survivors:
                 choice = canonical_name(tuned)
-        if choice is None:
-            fb = self.config.fallback_backend
-            if fb is not None and canonical_name(fb) in survivors:
-                choice = canonical_name(fb)
         if choice is None:
             choice = survivors[0]
         return self.backends[choice]
@@ -440,7 +435,7 @@ class DispatchLayer:
                         f"op {idx} attempt {attempt + 1}/{cfg.comm_max_retries}",
                     )
                     ctx.sleep(
-                        cfg.retry_backoff_us * (2.0 ** attempt),
+                        RETRY_BACKOFF_US * (2.0 ** attempt),
                         reason=f"retry({backend.name})",
                     )
                 if fault.fail_attempts <= cfg.comm_max_retries:
@@ -521,7 +516,7 @@ class DispatchLayer:
         if (
             self._codec is not None
             and compressible
-            and family.value in self.config.compression.families
+            and family.value in COMPRESSIBLE_FAMILIES
         ):
             codec = self._codec
             wire_bytes = codec.compressed_nbytes(nbytes)

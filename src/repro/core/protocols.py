@@ -17,7 +17,7 @@ retuner — consumes this :class:`CommCore` protocol instead of importing
 the concrete :class:`~repro.core.comm.MCRCommunicator`, which removes
 the historical import cycle (six-plus deferred ``if TYPE_CHECKING`` /
 function-local imports) and is enforced by
-``scripts/check_imports.py``.
+``scripts/lint.py``.
 
 The protocol has two sections:
 

@@ -27,6 +27,7 @@ from typing import Callable, Mapping, Optional, Sequence
 import numpy as np
 
 from repro.backends.ops import OpFamily
+from repro.core.config import EAGER_THRESHOLD, LARGE_MESSAGE_THRESHOLD
 from repro.core.exceptions import CommTimeoutError, MCRError, ValidationError
 from repro.core.handles import CompletedHandle, WorkHandle
 from repro.sim.engine import Flag
@@ -341,7 +342,7 @@ class ExecutionLayer:
             # GPU-initiated (NCCL-family) and host-initiated RDMA (MPI) —
             # which is also why mixing more than one backend of the same
             # kind buys nothing (paper §V-D footnote 4).
-            is_large = wire_bytes >= self.config.large_message_threshold
+            is_large = wire_bytes >= LARGE_MESSAGE_THRESHOLD
             lane = (
                 "wire:stream" if backend.properties.stream_aware else "wire:host"
             )
@@ -570,7 +571,7 @@ class ExecutionLayer:
             )
         else:
             flag = ctx.new_flag(label)
-            if is_send and tensor.nbytes() <= self.config.eager_threshold:
+            if is_send and tensor.nbytes() <= EAGER_THRESHOLD:
                 # eager protocol: buffer the payload so the sender can
                 # return (and reuse its tensor) before the match
                 if not tensor.is_virtual:

@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Optional
 
 from repro.backends.base import Backend
-from repro.core.config import MCRConfig
+from repro.core.config import LARGE_MESSAGE_THRESHOLD, MCRConfig
 from repro.core.exceptions import ConfigurationError
 from repro.sim.streams import Stream
 
@@ -29,19 +29,18 @@ if TYPE_CHECKING:  # pragma: no cover
 class StreamPool:
     """Round-robin pool of communication streams for one backend."""
 
-    def __init__(self, ctx: "RankContext", backend_name: str, size: int, large_threshold: int):
+    def __init__(self, ctx: "RankContext", backend_name: str, size: int):
         self.ctx = ctx
         self.backend_name = backend_name
         self.streams = [
             ctx.stream(f"{backend_name}:comm{i}") for i in range(size)
         ]
-        self.large_threshold = large_threshold
         self._next = 0
 
     def pick(self, nbytes: int) -> Stream:
         """Stream selection policy from §V-C: concurrent streams for
         small messages, a single stream for bandwidth-bound large ones."""
-        if nbytes >= self.large_threshold:
+        if nbytes >= LARGE_MESSAGE_THRESHOLD:
             return self.streams[0]
         stream = self.streams[self._next % len(self.streams)]
         self._next += 1
@@ -61,9 +60,7 @@ class SyncManager:
         self.pools: dict[str, StreamPool] = {}
         for name, backend in backends.items():
             if self._uses_mcr_streams(backend):
-                self.pools[name] = StreamPool(
-                    ctx, name, config.streams_per_backend, config.large_message_threshold
-                )
+                self.pools[name] = StreamPool(ctx, name, config.streams_per_backend)
         if (
             config.mpi_stream_mode == "mcr-managed"
             and config.mpi_internal_multistream

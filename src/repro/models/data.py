@@ -2,17 +2,12 @@
 
 The paper trains DS-MoE on the Pile and DLRM on "synthetic data batches"
 (§VI-4).  Neither dataset is needed for communication fidelity — only
-the *distributional* properties that shape communication volumes are:
-
-* DLRM's categorical features follow heavy-tailed (Zipf-like)
-  popularity, which determines how many unique embedding rows a batch
-  touches (lookup volume) and how lookups spread across table shards
-  (alltoallv imbalance);
-* MoE gating follows a peaked softmax, which determines per-expert
-  token counts (alltoallv imbalance and capacity overflow).
-
-These generators produce real index/probability arrays with those
-properties, deterministic under a seed.
+the *distributional* properties that shape communication volumes are.
+DLRM's categorical features follow heavy-tailed (Zipf-like) popularity,
+which determines how lookups spread across table shards (alltoallv
+imbalance); these generators produce real index arrays with that
+property, deterministic under a seed.  (MoE gating imbalance is a
+configurable skew, :func:`repro.models.common.skewed_counts`.)
 """
 
 from __future__ import annotations
@@ -44,14 +39,6 @@ def zipfian_indices(
     return np.searchsorted(cdf, draws).astype(np.int64)
 
 
-def unique_row_fraction(indices: np.ndarray, n_rows: int) -> float:
-    """Fraction of the table a batch actually touches (drives the
-    memory-bound lookup volume)."""
-    if indices.size == 0:
-        return 0.0
-    return float(np.unique(indices).size) / n_rows
-
-
 def shard_counts(indices: np.ndarray, n_shards: int) -> np.ndarray:
     """How many lookups land on each of ``n_shards`` row-range shards —
     the per-destination counts of DLRM's embedding alltoallv."""
@@ -63,43 +50,3 @@ def shard_counts(indices: np.ndarray, n_shards: int) -> np.ndarray:
     rows_per_shard = max(1, -(-hi // n_shards))
     shard = np.minimum(indices // rows_per_shard, n_shards - 1)
     return np.bincount(shard, minlength=n_shards).astype(np.int64)
-
-
-def gating_token_counts(
-    rng: np.random.Generator,
-    n_tokens: int,
-    n_experts: int,
-    temperature: float = 1.0,
-) -> np.ndarray:
-    """Token count per expert from a softmax gate over random logits.
-
-    Lower ``temperature`` = peakier gate = more imbalance (the effect
-    MoE capacity factors exist to absorb).  Counts sum to ``n_tokens``.
-    """
-    if n_tokens < 0 or n_experts < 1:
-        raise ValueError("need n_tokens >= 0 and n_experts >= 1")
-    if temperature <= 0:
-        raise ValueError(f"temperature must be positive, got {temperature}")
-    logits = rng.normal(size=n_experts) / temperature
-    probs = np.exp(logits - logits.max())
-    probs /= probs.sum()
-    counts = rng.multinomial(n_tokens, probs)
-    return counts.astype(np.int64)
-
-
-def imbalance_factor(counts: np.ndarray) -> float:
-    """max/mean load — 1.0 is perfectly balanced."""
-    counts = np.asarray(counts, dtype=np.float64)
-    if counts.size == 0 or counts.sum() == 0:
-        return 1.0
-    return float(counts.max() / counts.mean())
-
-
-def synthetic_token_batch(
-    rng: np.random.Generator, batch: int, seq_len: int, vocab: int = 50_257
-) -> np.ndarray:
-    """A Pile-like token-id batch (uniform ids; content is irrelevant to
-    communication, only the shape matters)."""
-    if batch < 1 or seq_len < 1:
-        raise ValueError("batch and seq_len must be >= 1")
-    return rng.integers(0, vocab, size=(batch, seq_len), dtype=np.int64)

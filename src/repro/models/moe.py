@@ -69,10 +69,6 @@ class MoEConfig:
     def moe_layers(self) -> int:
         return self.layers // self.moe_every
 
-    @property
-    def dense_layers(self) -> int:
-        return self.layers - self.moe_layers
-
     def dense_param_bytes(self) -> int:
         """Gradient bytes that cross the data-parallel allreduce."""
         return transformer_layer_params(self.hidden) * self.layers * self.dtype_bytes

@@ -35,16 +35,6 @@ class CudaEvent:
         self._node: Optional[GpuOp] = None
         self._time: Optional[float] = None
 
-    @property
-    def is_recorded(self) -> bool:
-        return self._node is not None or self._time is not None
-
-    @property
-    def is_resolved(self) -> bool:
-        if self._node is not None:
-            return self._node.resolved
-        return self._time is not None
-
     def completion_time(self) -> float:
         """The event's timestamp; requires the underlying op resolved."""
         if self._node is not None:

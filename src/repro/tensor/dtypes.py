@@ -39,16 +39,7 @@ int32 = DType("int32", np.dtype(np.int32), 4, False)
 int64 = DType("int64", np.dtype(np.int64), 8, False)
 uint8 = DType("uint8", np.dtype(np.uint8), 1, False)
 
-_ALL = {d.name: d for d in (float16, float32, float64, int32, int64, uint8)}
-_BY_NUMPY = {d.numpy: d for d in _ALL.values()}
-
-
-def dtype_from_name(name: str) -> DType:
-    """Look up a :class:`DType` by its canonical name."""
-    try:
-        return _ALL[name]
-    except KeyError:
-        raise ValueError(f"unknown dtype {name!r}; known: {sorted(_ALL)}") from None
+_BY_NUMPY = {d.numpy: d for d in (float16, float32, float64, int32, int64, uint8)}
 
 
 def dtype_from_numpy(np_dtype: np.dtype) -> DType:

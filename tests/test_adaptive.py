@@ -93,17 +93,12 @@ class TestAdaptiveConfig:
     @pytest.mark.parametrize(
         "bad",
         [
-            dict(ema_alpha=0.0),
-            dict(ema_alpha=1.5),
             dict(drift_ratio=1.0),
             dict(min_samples=0),
             dict(explore_ops=0),
             dict(epsilon=1.0),
             dict(epsilon=-0.1),
-            dict(max_candidates=0),
-            dict(cooldown_ops=-1),
             dict(probation_interval=-1),
-            dict(canary_bytes=0),
         ],
     )
     def test_bad_values_rejected(self, bad):

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.core import CompressionConfig, MCRCommunicator, MCRConfig
+from repro.core import MCRCommunicator, MCRConfig
+from repro.core.config import COMPRESSIBLE_FAMILIES
 from repro.core.handles import CompletedHandle
 from repro.models import PROFILES
 from repro.sim import Simulator
@@ -32,9 +33,8 @@ class TestMCRConfigValidation:
         assert not MCRConfig().compression.enabled
 
     def test_compression_families(self):
-        cfg = CompressionConfig(enabled=True)
-        assert "allreduce" in cfg.families
-        assert "alltoall" not in cfg.families  # indices must stay exact
+        assert "allreduce" in COMPRESSIBLE_FAMILIES
+        assert "alltoall" not in COMPRESSIBLE_FAMILIES  # indices must stay exact
 
     def test_invalid_config_rejected_at_communicator(self):
         def main(ctx):

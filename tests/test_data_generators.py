@@ -2,16 +2,8 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from repro.models.data import (
-    gating_token_counts,
-    imbalance_factor,
-    shard_counts,
-    synthetic_token_batch,
-    unique_row_fraction,
-    zipfian_indices,
-)
+from repro.models.data import shard_counts, zipfian_indices
 from repro.sim import Simulator
 
 
@@ -45,13 +37,6 @@ class TestZipfian:
         with pytest.raises(ValueError):
             zipfian_indices(rng, 10, 10, exponent=0)
 
-    def test_unique_fraction_bounds(self):
-        rng = np.random.default_rng(0)
-        idx = zipfian_indices(rng, 1000, 500)
-        frac = unique_row_fraction(idx, 1000)
-        assert 0 < frac <= 0.5
-        assert unique_row_fraction(np.array([], dtype=np.int64), 10) == 0.0
-
 
 class TestShardCounts:
     def test_counts_conserve_total(self):
@@ -65,47 +50,11 @@ class TestShardCounts:
         rng = np.random.default_rng(0)
         idx = zipfian_indices(rng, 100_000, 10_000, exponent=1.2)
         counts = shard_counts(idx, 16)
-        assert imbalance_factor(counts) > 2.0  # shard 0 holds the head
+        assert counts.max() / counts.mean() > 2.0  # shard 0 holds the head
 
     def test_empty(self):
         counts = shard_counts(np.array([], dtype=np.int64), 4)
         assert counts.tolist() == [0, 0, 0, 0]
-
-
-class TestGating:
-    def test_counts_conserve_tokens(self):
-        rng = np.random.default_rng(0)
-        counts = gating_token_counts(rng, 8192, 32)
-        assert counts.sum() == 8192
-
-    def test_lower_temperature_more_imbalance(self):
-        hot = gating_token_counts(np.random.default_rng(3), 8192, 32, temperature=0.25)
-        cool = gating_token_counts(np.random.default_rng(3), 8192, 32, temperature=4.0)
-        assert imbalance_factor(hot) > imbalance_factor(cool)
-
-    def test_imbalance_factor_balanced(self):
-        assert imbalance_factor(np.array([5, 5, 5, 5])) == 1.0
-
-    @given(
-        tokens=st.integers(0, 4096),
-        experts=st.integers(1, 64),
-        seed=st.integers(0, 2**16),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_gating_properties(self, tokens, experts, seed):
-        rng = np.random.default_rng(seed)
-        counts = gating_token_counts(rng, tokens, experts)
-        assert counts.sum() == tokens
-        assert (counts >= 0).all()
-        assert len(counts) == experts
-
-
-class TestTokenBatch:
-    def test_shape_and_range(self):
-        rng = np.random.default_rng(0)
-        batch = synthetic_token_batch(rng, 4, 128, vocab=1000)
-        assert batch.shape == (4, 128)
-        assert batch.min() >= 0 and batch.max() < 1000
 
 
 class TestStragglers:

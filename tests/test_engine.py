@@ -241,7 +241,7 @@ class TestEngineScalability:
         collectives per rank must stay interactive (the Fig-8 sweeps run
         thousands of these).  Asserted on the deterministic proxy — the
         scheduler events the job costs — not on this host's clock
-        (``scripts/check_tests_hostfree.py``)."""
+        (``scripts/lint.py``)."""
         from repro.cluster import lassen
         from repro.core import MCRCommunicator
 

@@ -138,6 +138,33 @@ class TestMpi4py:
         results = Simulator(2).run(main).rank_results
         assert np.array_equal(results[0], [0, 0, 1, 1])
 
+    def test_nonblocking_rooted_and_vectored_spellings(self):
+        # the surface Table I's mpi4py row credits (vectored and
+        # non-blocking ops), through the facade's MPI names
+        def main(ctx):
+            mpi = Mpi4pyLike(ctx)
+            r = ctx.rank
+            summed = ctx.full(2, float(r + 1))
+            mpi.Iallreduce(summed).wait()
+            swapped = ctx.zeros(2)
+            mpi.Alltoallv(swapped, ctx.arange(2) + 10.0 * r, [1, 1], [0, 1], [1, 1], [0, 1])
+            scattered_sum = ctx.zeros(1)
+            mpi.Reduce_scatter(scattered_sum, ctx.full(2, float(r + 1)))
+            bcast = ctx.full(2, float(r))
+            mpi.Bcast(bcast, root=1)
+            gathered = ctx.zeros(2) if r == 0 else None
+            mpi.Gatherv(ctx.full(1, float(r)), gathered, [1, 1], [0, 1], root=0)
+            scattered = ctx.zeros(1)
+            mpi.Scatterv(scattered, ctx.arange(2) if r == 0 else None, [1, 1], [0, 1], root=0)
+            out = [t.data.tolist() for t in (summed, swapped, scattered_sum, bcast, scattered)]
+            out.append(None if gathered is None else gathered.data.tolist())
+            mpi.finalize()
+            return out
+
+        rank0, rank1 = Simulator(2).run(main).rank_results
+        assert rank0 == [[3, 3], [0, 10], [3], [1, 1], [0], [0, 1]]
+        assert rank1 == [[3, 3], [1, 11], [3], [1, 1], [1], None]
+
     def test_rank_size(self):
         def main(ctx):
             mpi = Mpi4pyLike(ctx)

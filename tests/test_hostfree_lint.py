@@ -2,43 +2,23 @@
 
 Two halves, like ``tests/test_layering.py``: the real ``tests/`` tree
 and the fingerprint ledger's two files reach no wall clock and no CPU
-count, and the lint itself works —
-``scripts/check_tests_hostfree.py`` pointed at an injected violation
-actually fails, so a green CI step means something.
+count, and the ``hostfree`` rule of ``scripts/lint.py`` pointed at an
+injected violation actually fails.
 """
 
 from __future__ import annotations
 
-import subprocess
-import sys
-from pathlib import Path
-
 import pytest
 
-REPO = Path(__file__).resolve().parent.parent
-SCRIPT = REPO / "scripts" / "check_tests_hostfree.py"
-
-sys.path.insert(0, str(REPO / "scripts"))
-from check_tests_hostfree import ALLOWED, LEDGER_FILES, check  # noqa: E402
+from .lint_harness import ALLOWED, check, real_tree, run_cli, write_tree
 
 
 class TestRealTree:
     def test_clean(self):
-        assert check(REPO / "tests", also=LEDGER_FILES) == []
+        assert real_tree("hostfree") == []
 
     def test_every_allowed_use_has_a_reason(self):
-        assert all(reason.strip() for reason in ALLOWED.values())
-
-    def test_cli_exit_status(self):
-        proc = subprocess.run(
-            [sys.executable, str(SCRIPT)], capture_output=True, text=True
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert "clean" in proc.stdout
-
-    def test_ci_runs_the_lint(self):
-        ci = (REPO / ".github" / "workflows" / "ci.yml").read_text()
-        assert "scripts/check_tests_hostfree.py" in ci
+        assert all(reason.strip() for reason in ALLOWED["hostfree"].values())
 
 
 _VIOLATIONS = {
@@ -56,45 +36,40 @@ _VIOLATIONS = {
 class TestInjectedViolations:
     @pytest.mark.parametrize("kind", sorted(_VIOLATIONS))
     def test_injected_violation_fails(self, tmp_path, kind):
-        (tmp_path / "test_injected.py").write_text(_VIOLATIONS[kind])
-        violations = check(tmp_path, allowed={})
+        root = write_tree(tmp_path, {"tests/test_injected.py": _VIOLATIONS[kind]})
+        violations = check(root, allowed={})
         assert len(violations) == 1, violations
-        assert "test_injected.py" in violations[0] and "test_x" in violations[0]
+        assert "tests/test_injected.py" in violations[0] and "test_x" in violations[0]
 
     def test_injected_violation_in_a_ledger_file_fails(self, tmp_path):
-        ledger = tmp_path / "perfregress.py"
-        ledger.write_text(
-            "import time\n\ndef scenario():\n    return {'wall_s': time.perf_counter()}\n"
-        )
-        (tmp_path / "tests").mkdir()
-        violations = check(tmp_path / "tests", allowed={}, also=(ledger,))
+        root = write_tree(tmp_path, {
+            "src/repro/bench/perfregress.py":
+                "import time\n\ndef scenario():\n    return {'wall_s': time.perf_counter()}\n",
+        })
+        violations = check(root, allowed={})
         assert len(violations) == 1, violations
         assert "perfregress.py" in violations[0] and "scenario" in violations[0]
 
     def test_harmless_uses_pass(self, tmp_path):
-        (tmp_path / "test_fine.py").write_text(
-            "import os, time\n\ndef test_x(monotonic=1):\n"
-            "    time.sleep(0)\n    os.getpid()\n    cpu_count = 2\n"
-        )
-        assert check(tmp_path, allowed={}) == []
+        root = write_tree(tmp_path, {
+            "tests/test_fine.py": "import os, time\n\ndef test_x(monotonic=1):\n"
+                                  "    time.sleep(0)\n    os.getpid()\n    cpu_count = 2\n",
+        })
+        assert check(root, allowed={}) == []
 
     def test_allow_list_is_per_function_and_cannot_rot(self, tmp_path):
-        (tmp_path / "test_injected.py").write_text(
-            "import time\n\ndef test_noted():\n    print(time.time())\n"
-            "\ndef test_asserting():\n    assert time.time() > 0\n"
-        )
-        allowed = {"test_injected.py::test_noted": "prints a progress note only"}
-        violations = check(tmp_path, allowed=allowed)
+        root = write_tree(tmp_path, {
+            "tests/test_injected.py": "import time\n\ndef test_noted():\n    print(time.time())\n"
+                                      "\ndef test_asserting():\n    assert time.time() > 0\n",
+        })
+        allowed = {"hostfree": {"tests/test_injected.py::test_noted": "prints a progress note only"}}
+        violations = check(root, allowed=allowed)
         assert len(violations) == 1 and "test_asserting" in violations[0]
-        stale = dict(allowed, **{"test_gone.py::test_old": "was a progress note"})
-        assert any("stale allow-list entry" in v for v in check(tmp_path, allowed=stale))
+        allowed["hostfree"]["tests/test_gone.py::test_old"] = "was a progress note"
+        assert any("stale allow-list entry" in v for v in check(root, allowed=allowed))
 
     def test_cli_fails_on_dirty_tree(self, tmp_path):
-        (tmp_path / "test_injected.py").write_text(_VIOLATIONS["attribute"])
-        proc = subprocess.run(
-            [sys.executable, str(SCRIPT), "--tests", str(tmp_path)],
-            capture_output=True,
-            text=True,
-        )
+        root = write_tree(tmp_path, {"tests/test_injected.py": _VIOLATIONS["attribute"]})
+        proc = run_cli(root)
         assert proc.returncode == 1
         assert "time.perf_counter" in proc.stderr

@@ -2,7 +2,7 @@
 
 Host-independent by construction: object counts, ``weakref`` liveness
 and ``tracemalloc`` ratios only — no clock, no CPU count
-(``scripts/check_tests_hostfree.py``).
+(``scripts/lint.py``).
 
 * a finished op lets go of everything it allocated (graph links, the
   rendezvous, every rank's buffers) by reference count, so neither live
