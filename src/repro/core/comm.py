@@ -121,11 +121,8 @@ class MCRCommunicator(DispatchLayer, ExecutionLayer):
         self.comm_id = comm_id
 
         # dispatch plan cache: compiled plans keyed by call signature,
-        # invalidated as one epoch (see CommPlan).  Initialized before
-        # the tuning table so the table property's epoch bump has state
-        # to act on.
+        # cleared as a whole on invalidation (see CommPlan)
         self._plans: dict[tuple, CommPlan] = {}
-        self._plan_epoch = 0
         self._plan_hits = 0
         self._plan_misses = 0
         self._plan_invalidations = 0
@@ -366,14 +363,17 @@ class MCRCommunicator(DispatchLayer, ExecutionLayer):
            table edits apply to the op being posted; ``_adapt_primed``
            keeps the ``_collective`` fallback from counting it twice);
         2. ``_hier_target`` — hierarchical composite routing for the
-           families that decompose (``spec.hier_op``).
+           families that decompose (``spec.hier_op``), when the name can
+           route there (``"auto"`` or ``hier:*``).
         """
         prep = spec.prepare(self, *args)
         retuner = self._retuner
         if retuner is not None and not retuner.quiet:
             retuner.before_op(spec.family, prep.nbytes)
             self._adapt_primed = True
-        if spec.hier_op is not None:
+        if spec.hier_op is not None and (
+            backend_name == "auto" or backend_name[:5].lower() == "hier:"
+        ):
             hspec = self._hier_target(backend_name, spec.family, prep.nbytes)
             if hspec is not None:
                 self._adapt_primed = False

@@ -6,10 +6,10 @@ Steady-state dispatch runs through a compile-once plan cache
 — resolved backend, interned labels, dispatch cost, codec arithmetic,
 stream placement, tagged rendezvous meta — is snapshotted on first post
 and re-used per call, the way MPI-4 persistent operations and pre-built
-communication plans amortize per-call setup (paper §V-E).  A single
-plan epoch, bumped on tuning-table installs, quarantines, and
-codec/synchronization changes, keeps degraded-mode behavior and
-simulated timings bit-identical to the uncached path.
+communication plans amortize per-call setup (paper §V-E).  Clearing the
+cache on tuning-table installs, quarantines, and codec/synchronization
+changes keeps degraded-mode behavior and simulated timings
+bit-identical to the uncached path.
 
 Layering (``docs/INTERNALS.md`` §15): this module sits between the op
 surface (:mod:`repro.core.comm`) and the execution spine
@@ -28,8 +28,10 @@ from repro.backends.base import Backend, canonical_name
 from repro.backends.ops import OpFamily
 from repro.core.config import COMPRESSIBLE_FAMILIES, RETRY_BACKOFF_US, CompressionConfig
 from repro.core.exceptions import BackendError
+from repro.core.sync import StreamPool
 from repro.core.tuning import TuningTable
 from repro.obs.metrics import ObsEvent
+from repro.sim.streams import Stream
 
 
 @dataclass(slots=True)
@@ -37,22 +39,19 @@ class CommPlan:
     """One compiled dispatch plan (paper §V-E persistent-op amortization).
 
     Snapshots everything the ``_collective`` spine can derive from the
-    call signature alone, keyed per (requested backend, op family,
-    rendezvous meta, nbytes, vector/force_host/compressible,
-    timing-only) so a steady-state training step pays one dict lookup
-    instead of re-deriving tuning choice, labels, codec arithmetic, and
-    stream placement on every post.
+    call signature alone, keyed per (requested backend, rendezvous meta,
+    nbytes, timing-only) so a steady-state training step pays one dict
+    lookup instead of re-deriving tuning choice, labels, codec
+    arithmetic, and stream placement on every post.
 
-    Validity is epoch-based: ``epoch`` must match the communicator's
-    plan epoch (bumped on tuning-table installs, quarantines, and
-    codec/synchronization changes), and plans compiled through the
-    ``"auto"`` path additionally pin the tuning table's generation so
-    in-place table edits (``add``/``merge``) recompile without an
-    explicit reinstall.  Compilation itself never advances the virtual
-    clock, so cached and uncached dispatch are byte-identical.
+    Tuning-table installs, quarantines, and codec/synchronization
+    changes clear the cache; plans compiled through the ``"auto"`` path
+    also pin the tuning table's generation so in-place table edits
+    (``add``/``merge``) recompile without an explicit reinstall.
+    Compilation never advances the virtual clock, so cached and
+    uncached dispatch are byte-identical.
     """
 
-    epoch: int
     #: tuning-table generation consulted at compile time; -1 when the
     #: plan did not go through the table (explicit backend, or no table)
     table_generation: int
@@ -68,7 +67,12 @@ class CommPlan:
     codec: object
     wire_bytes: int
     codec_us: float
-    stream_kind: bool
+    #: stream placement, see :meth:`~repro.core.sync.SyncManager.placement`
+    #: (``stream`` and ``pool`` both None: the op completes on the host)
+    stream: Optional[Stream]
+    pool: Optional[StreamPool]
+    host_sync: bool
+    stream_semantics: bool
     #: rendezvous meta with the virtual/real data-plane tag appended
     meta_tagged: tuple
 
@@ -101,7 +105,7 @@ class DispatchLayer:
         self.invalidate_plans("tuning-table install/swap")
 
     def invalidate_plans(self, reason: str = "") -> None:
-        """Bump the plan epoch: every compiled plan recompiles on next use.
+        """Clear the plan cache: every plan recompiles on next use.
 
         Called automatically on tuning-table install/swap, backend
         quarantine, and codec/synchronization changes.  Call it manually
@@ -110,7 +114,6 @@ class DispatchLayer:
         the SystemSpec mid-run — so the refreshed gates below take
         effect with the same invalidation discipline as the plans.
         """
-        self._plan_epoch += 1
         self._plan_invalidations += 1
         self._plans.clear()
         self._link_faults = (
@@ -124,7 +127,7 @@ class DispatchLayer:
 
             self._fault_log = CommLogger.shared(self.ctx)
         # hierarchical phase communicators snapshot the same state
-        # (plans, fault gates); one epoch covers the whole family
+        # (plans, fault gates); one invalidation covers the whole family
         for child in self._hier_children:
             child.invalidate_plans(reason)
 
@@ -245,15 +248,17 @@ class DispatchLayer:
     def _hier_target(self, name: str, family: OpFamily, nbytes: int):
         """Resolve one dispatch to a hierarchical spec, or None for flat.
 
-        Explicit ``hier:*`` spellings must parse and have both
-        constituents initialized (errors otherwise, mirroring unknown
-        backend names).  ``"auto"`` consults the tuned table; a hier
-        entry that cannot run here — malformed, missing constituent, or
-        a constituent quarantined by a permanent fault — silently falls
-        back to flat resolution, matching ``_resolve_backend``'s
-        treatment of unavailable tuned choices.
+        ``name`` is ``"auto"`` or a ``hier:*`` spelling: ``_post`` only
+        routes names that can go hierarchical here.  Explicit ``hier:*``
+        spellings must parse and have both constituents initialized
+        (errors otherwise, mirroring unknown backend names).  ``"auto"``
+        consults the tuned table; a hier entry that cannot run here —
+        malformed, missing constituent, or a constituent quarantined by
+        a permanent fault — silently falls back to flat resolution,
+        matching ``_resolve_backend``'s treatment of unavailable tuned
+        choices.
         """
-        if name[:5].lower() == "hier:":
+        if name != "auto":
             from repro.backends.hierarchical import parse_hier
 
             spec = parse_hier(name)
@@ -265,8 +270,6 @@ class DispatchLayer:
                         f"communicator; have {list(self.backends)}"
                     )
             return spec
-        if name != "auto":
-            return None
         table = self._tuning_table
         if table is None or not self._table_has_hier(table):
             return None
@@ -478,14 +481,39 @@ class DispatchLayer:
     def _dispatch_cost(self, backend: Backend) -> float:
         return self.config.dispatch_overhead_us + backend.call_overhead_us()
 
+    def _plan(
+        self, backend_name: str, family: OpFamily, nbytes: int, meta: tuple,
+        vector: bool, force_host: bool, compressible: bool, timing_only: bool,
+        count: bool = True,
+    ) -> CommPlan:
+        """The plan for one call signature: a cache hit, or a compile
+        cached for the next call.  Only posts ``count`` towards
+        :attr:`plan_stats`, persistent pins do not."""
+        if not self._plan_cache_on:
+            return self._compile_plan(
+                backend_name, family, nbytes, meta,
+                vector, force_host, compressible, timing_only,
+            )
+        # meta[0] names the op-table row, which fixes family and flags
+        key = (backend_name, meta, nbytes, timing_only)
+        plan = self._plans.get(key)
+        if plan is not None and (plan.table_generation < 0 or self._plan_valid(plan)):
+            self._plan_hits += count
+            return plan
+        plan = self._plans[key] = self._compile_plan(
+            backend_name, family, nbytes, meta,
+            vector, force_host, compressible, timing_only,
+        )
+        self._plan_misses += count
+        return plan
+
     def _plan_valid(self, plan: CommPlan) -> bool:
-        if plan.epoch != self._plan_epoch:
-            return False  # pragma: no cover - epoch bumps clear the dict
-        if plan.table_generation >= 0:
-            table = self._tuning_table
-            if table is None or table.generation != plan.table_generation:
-                self._plan_invalidations += 1
-                return False
+        """Whether the tuning table a generation-pinned plan consulted is
+        still installed and unedited."""
+        table = self._tuning_table
+        if table is None or table.generation != plan.table_generation:
+            self._plan_invalidations += 1
+            return False
         return True
 
     def _compile_plan(
@@ -521,14 +549,13 @@ class DispatchLayer:
             codec = self._codec
             wire_bytes = codec.compressed_nbytes(nbytes)
             codec_us = codec.codec_time_us(nbytes)
-        stream_kind = self.sync.uses_streams(backend) and not force_host
-        if self.config.synchronization == "naive":
-            stream_kind = not force_host  # posted to the default stream
+        stream, pool, host_sync, stream_semantics = self.sync.placement(
+            backend, force_host, wire_bytes
+        )
         table_generation = -1
         if backend_name == "auto" and self._tuning_table is not None:
             table_generation = self._tuning_table.generation
         return CommPlan(
-            epoch=self._plan_epoch,
             table_generation=table_generation,
             backend=backend,
             resolved_name=backend.name,
@@ -539,7 +566,10 @@ class DispatchLayer:
             codec=codec,
             wire_bytes=wire_bytes,
             codec_us=codec_us,
-            stream_kind=stream_kind,
+            stream=stream,
+            pool=pool,
+            host_sync=host_sync,
+            stream_semantics=stream_semantics,
             meta_tagged=(*meta, "virtual" if timing_only else "real"),
         )
 
@@ -575,31 +605,14 @@ class DispatchLayer:
         """Compile (or fetch) the plan for a captured ``_collective``
         invocation — the pin a :class:`~repro.ext.persistent.
         PersistentCollective` holds."""
-        backend_name, family, nbytes = args[0], args[1], args[2]
-        meta = kwargs["meta"]
-        vector = kwargs.get("vector", False)
-        force_host = kwargs.get("force_host", False)
-        compressible = kwargs.get("compressible", True)
-        timing_only = any(
-            t is not None and t.is_virtual for t in kwargs.get("tensors", ())
+        return self._plan(
+            args[0], args[1], args[2], kwargs["meta"],
+            kwargs.get("vector", False),
+            kwargs.get("force_host", False),
+            kwargs.get("compressible", True),
+            any(t is not None and t.is_virtual for t in kwargs.get("tensors", ())),
+            count=False,
         )
-        if not self._plan_cache_on:
-            return self._compile_plan(
-                backend_name, family, nbytes, meta,
-                vector, force_host, compressible, timing_only,
-            )
-        pkey = (
-            backend_name, family, meta, nbytes,
-            vector, force_host, compressible, timing_only,
-        )
-        plan = self._plans.get(pkey)
-        if plan is None or not self._plan_valid(plan):
-            plan = self._compile_plan(
-                backend_name, family, nbytes, meta,
-                vector, force_host, compressible, timing_only,
-            )
-            self._plans[pkey] = plan
-        return plan
 
     def _flush_plan_stats(self) -> None:
         """Report plan-cache effectiveness to the observability registry

@@ -30,7 +30,7 @@ from repro.backends.ops import OpFamily
 from repro.core.config import EAGER_THRESHOLD, LARGE_MESSAGE_THRESHOLD
 from repro.core.exceptions import CommTimeoutError, MCRError, ValidationError
 from repro.core.handles import CompletedHandle, WorkHandle
-from repro.sim.engine import Flag
+from repro.sim.engine import Flag, SimError
 from repro.sim.graph import CollectiveGroup, apply_wire_lane, resolve
 from repro.tensor import SimTensor
 
@@ -64,7 +64,6 @@ class Rendezvous:
         "family",
         "meta",
         "flag",
-        "stream_kind",
         "group",
         "arrivals",
         "resolved",
@@ -86,7 +85,6 @@ class Rendezvous:
         self.family = family
         self.meta = meta
         self.flag = flag
-        self.stream_kind = stream_kind
         self.group: Optional[CollectiveGroup] = (
             CollectiveGroup(expected, flag, label=str(key)) if stream_kind else None
         )
@@ -171,35 +169,22 @@ class ExecutionLayer:
                 retuner.before_op(family, nbytes)
 
         # plan lookup: steady state pays one dict probe; first post (or
-        # first post after an epoch bump) compiles.  The cache-off path
+        # first post after an invalidation) compiles.  The cache-off path
         # compiles a throwaway plan through the same code, which is what
         # keeps cached and uncached dispatch identical by construction.
-        if self._plan_cache_on:
-            pkey = (
-                backend_name, family, meta, nbytes,
-                vector, force_host, compressible, timing_only,
-            )
-            plan = self._plans.get(pkey)
-            if plan is not None and self._plan_valid(plan):
-                self._plan_hits += 1
-            else:
-                plan = self._compile_plan(
-                    backend_name, family, nbytes, meta,
-                    vector, force_host, compressible, timing_only,
-                )
-                self._plans[pkey] = plan
-                self._plan_misses += 1
-        else:
-            plan = self._compile_plan(
-                backend_name, family, nbytes, meta,
-                vector, force_host, compressible, timing_only,
-            )
+        plan = self._plan(
+            backend_name, family, nbytes, meta,
+            vector, force_host, compressible, timing_only,
+        )
 
         backend = plan.backend
         label = plan.label
         dispatch_reason = plan.dispatch_reason
         dispatch_cost = plan.dispatch_cost_us
-        stream_kind = plan.stream_kind
+        stream = plan.stream
+        pool = plan.pool
+        host_sync = plan.host_sync
+        stream_semantics = plan.stream_semantics
         if self._fault_gate or self._quarantined:
             # the fault gate runs per call even on a plan hit: injector
             # op counters must advance exactly as in the uncached path,
@@ -209,9 +194,10 @@ class ExecutionLayer:
                 backend = admitted
                 label, dispatch_reason = self._op_label(family, backend.name)
                 dispatch_cost = self._dispatch_cost(backend)
-                stream_kind = self.sync.uses_streams(backend) and not force_host
-                if self.config.synchronization == "naive":
-                    stream_kind = not force_host
+                stream, pool, host_sync, stream_semantics = self.sync.placement(
+                    backend, force_host, plan.wire_bytes
+                )
+        stream_kind = stream is not None or pool is not None
         dispatch = (
             self._dispatch_kind(backend_name, plan.resolved_name, backend.name)
             if self.logger is not None
@@ -219,16 +205,22 @@ class ExecutionLayer:
         )
 
         # host dispatch: thin Python layer + backend call overhead (C3);
-        # persistent collectives replay at a discounted scale (§V-E)
+        # persistent collectives replay at a discounted scale (§V-E).
+        # ``wait_until`` directly: every post pays this, so it skips
+        # ``Engine.sleep``'s extra frame
         if dispatch_scale != 1.0:
             dispatch_cost *= dispatch_scale
-        ctx.engine.sleep(dispatch_cost, dispatch_reason)
+        if dispatch_cost < 0:
+            raise SimError(f"negative sleep {dispatch_cost}")
+        engine = ctx.engine
+        engine.wait_until(engine.now + dispatch_cost, dispatch_reason)
 
         codec = plan.codec
         wire_bytes = plan.wire_bytes
         codec_us = plan.codec_us
+        ws = self._ws
 
-        if self.world_size == 1:
+        if ws == 1:
             if not timing_only:
                 for a_in, a_out in zip(inputs, outputs):
                     if a_in is not a_out:
@@ -249,37 +241,34 @@ class ExecutionLayer:
         rdv_table = self._shared["rdv"]
         meta = plan.meta_tagged
         rdv = rdv_table.get(key)
+        rank = ctx.rank
         if rdv is None:
             rdv = Rendezvous(
-                key, self.world_size, family, meta, ctx.new_flag(label), stream_kind
+                key, ws, family, meta, engine.new_flag(label), stream_kind
             )
             rdv_table[key] = rdv
         if rdv.meta != meta or rdv.family is not family:
             raise ValidationError(
-                f"collective mismatch at {key}: rank {ctx.rank} posted "
+                f"collective mismatch at {key}: rank {rank} posted "
                 f"{family}/{meta}, expected {rdv.family}/{rdv.meta}"
             )
-        if ctx.rank in rdv.arrivals:
-            raise ValidationError(f"rank {ctx.rank} arrived twice at {key}")
+        if rank in rdv.arrivals:
+            raise ValidationError(f"rank {rank} arrived twice at {key}")
 
-        arrival = Arrival(
-            rank=ctx.rank,
-            host_time=ctx.now,
-            inputs=inputs,
-            outputs=outputs,
-            extras=extras or _NO_EXTRAS,
-        )
-        rdv.arrivals[ctx.rank] = arrival
+        arrival = Arrival(rank, engine.now, inputs, outputs, extras or _NO_EXTRAS)
+        rdv.arrivals[rank] = arrival
+        if host_sync:
+            ctx.gpu.default_stream.synchronize()
+            # the sync may advance the host clock; the arrival timestamp
+            # must reflect when the op was actually posted or
+            # flapping-link windows skew
+            arrival.host_time = engine.now
 
         member_node = None
         stream_label = "host"
         if stream_kind:
-            self.sync.pre_post(backend)
-            # pre_post may advance the host clock (naive-mode default
-            # stream sync); the arrival timestamp must reflect when the
-            # op was actually posted or flapping-link windows skew
-            arrival.host_time = ctx.now
-            stream = self.sync.pick_stream(backend, wire_bytes)
+            if stream is None:
+                stream = pool.pick()
             stream_label = stream.name
             producer = ctx.gpu.default_stream.last
             member_node = stream.enqueue_collective_member(
@@ -288,11 +277,8 @@ class ExecutionLayer:
                 label=label,
                 category="comm",
             )
-        else:
-            self.sync.pre_post(backend)
-            arrival.host_time = ctx.now  # pre_post may have advanced time
 
-        last = len(rdv.arrivals) == self.world_size and not rdv.claimed
+        last = len(rdv.arrivals) == ws and not rdv.claimed
         if last:
             rdv.claimed = True
             if vector and family is OpFamily.ALLTOALL:
@@ -303,7 +289,7 @@ class ExecutionLayer:
             duration = backend.collective_cost_us(
                 family,
                 wire_bytes,
-                self.world_size,
+                ws,
                 self._comm_path,
                 vector=vector,
                 nonblocking=async_op,
@@ -377,20 +363,11 @@ class ExecutionLayer:
             if group is not None and group.complete and not group._resolved:
                 resolve(group, ctx.engine)
 
-        # wait() semantics: stream-aware libraries synchronize through
-        # CUDA events (host never blocks); MPI libraries complete through
-        # MPI_Wait on the host even when their traffic rides MCR-managed
-        # streams (mcr-managed mode only changes *where* the transfer
-        # overlaps, not how completion is observed).
-        stream_semantics = (
-            stream_kind
-            and backend.properties.stream_aware
-            and self.config.synchronization != "naive"
-        )
-        self._log_on_flag(
-            family, backend, nbytes, rdv.flag, async_op, rdv,
-            dispatch=dispatch, stream=stream_label,
-        )
+        if self.logger is not None:
+            self._log_on_flag(
+                family, backend, nbytes, rdv.flag, async_op, rdv,
+                dispatch=dispatch, stream=stream_label,
+            )
         if retuner is not None:
             # observation rides the rendezvous flag: fire() runs every
             # rank's callback at one instant with one shared duration,
@@ -399,14 +376,17 @@ class ExecutionLayer:
         deadline_us = self.config.op_deadline_us
         if async_op:
             handle = WorkHandle(
-                ctx, backend.name, rdv.flag, member_node,
-                stream_semantics=stream_semantics, label=label,
+                ctx, backend.name, rdv.flag, member_node, stream_semantics, label,
                 deadline_us=deadline_us,
                 timeout_info=(
                     self._timeout_info(label, rdv) if deadline_us is not None else None
                 ),
             )
-            self._outstanding[backend.name].append(handle)
+            if pool is None:
+                # a pool-stream op ends by its stream's tail, which
+                # synchronize() drains first; only host-path and
+                # default-stream ops need their handle kept for it
+                self._outstanding[backend.name].append(handle)
             return handle
         # synchronous op: apply wait() semantics inline, no handle object
         if stream_semantics and member_node is not None:
@@ -643,10 +623,8 @@ class ExecutionLayer:
         communication time (it would double-count in the breakdowns).
         The training step is captured at *post* time: a non-blocking op
         completing during step N+1 still belongs to the step that issued
-        it.
+        it.  Callers check that a logger exists.
         """
-        if self.logger is None:
-            return
         logger = self.logger
         rank = self.ctx.rank
         post_time = self.ctx.now

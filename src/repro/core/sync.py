@@ -37,11 +37,10 @@ class StreamPool:
         ]
         self._next = 0
 
-    def pick(self, nbytes: int) -> Stream:
-        """Stream selection policy from §V-C: concurrent streams for
-        small messages, a single stream for bandwidth-bound large ones."""
-        if nbytes >= LARGE_MESSAGE_THRESHOLD:
-            return self.streams[0]
+    def pick(self) -> Stream:
+        """The next stream round-robin: small messages run concurrently
+        (§V-C).  Bandwidth-bound ones are pinned to stream 0 at plan
+        compile time instead (:meth:`SyncManager.placement`)."""
         stream = self.streams[self._next % len(self.streams)]
         self._next += 1
         return stream
@@ -81,36 +80,38 @@ class SyncManager:
             and backend.properties.cuda_aware
         )
 
-    def uses_streams(self, backend: Backend) -> bool:
-        return backend.name in self.pools
+    def placement(
+        self, backend: Backend, force_host: bool, wire_bytes: int
+    ) -> tuple[Optional[Stream], Optional[StreamPool], bool, bool]:
+        """Where one op runs and how its completion is observed, compiled
+        once per plan: ``(stream, pool, host_sync, stream_semantics)``.
 
-    def pool(self, backend_name: str) -> StreamPool:
-        return self.pools[backend_name]
-
-    def pick_stream(self, backend: Backend, nbytes: int) -> Stream:
-        if self.config.synchronization == "naive":
-            # naive scheme (Fig. 4a): everything on the default stream
-            return self.ctx.gpu.default_stream
-        return self.pools[backend.name].pick(nbytes)
-
-    def pre_post(self, backend: Backend) -> None:
-        """Host-side synchronization required *before* posting an op.
-
-        For non-stream-aware MPI under ``mpi-managed``, CUDA-aware MPI
-        gives no stream-ordering guarantees, so MCR-DL synchronizes the
-        default stream first — the safety/overlap trade-off of §V-D
-        option 1.
+        * ``stream`` — the fixed stream: the default stream in naive mode
+          (Fig. 4a), pool stream 0 for bandwidth-bound messages (§V-C);
+          None to round-robin over ``pool``, or on the host path;
+        * ``pool`` — the backend's stream pool when the op rides it;
+        * ``host_sync`` — synchronize the default stream before posting:
+          naive mode, and MPI under ``mpi-managed`` (CUDA-aware MPI gives
+          no stream-ordering guarantees; §V-D option 1);
+        * ``stream_semantics`` — ``wait()`` gates the default stream on a
+          CUDA event.  MPI completes through ``MPI_Wait`` on the host even
+          on MCR-managed streams, which only move where it overlaps.
         """
         if self.config.synchronization == "naive":
-            self.ctx.gpu.default_stream.synchronize()
-            return
-        if not backend.properties.stream_aware and backend.name not in self.pools:
-            self.ctx.gpu.default_stream.synchronize()
+            stream = None if force_host else self.ctx.gpu.default_stream
+            return stream, None, True, False
+        pool = self.pools.get(backend.name)
+        if force_host or pool is None:
+            return None, None, pool is None, False
+        stream = pool.streams[0] if wire_bytes >= LARGE_MESSAGE_THRESHOLD else None
+        return stream, pool, False, backend.properties.stream_aware
 
     def synchronize_backend(self, backend: Backend) -> None:
         """The per-backend piece of ``mcr_dl.synchronize()`` (§V-D): loop
         over each backend and apply its native synchronization."""
         if backend.name in self.pools:
+            # every op posted on the pool ends at or before its stream's
+            # tail, which is why the communicator keeps no handle for them
             self.pools[backend.name].synchronize()
         # host-synchronized backends complete at their wait()s; any
         # outstanding requests are tracked and drained by the communicator.

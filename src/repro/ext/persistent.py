@@ -91,8 +91,9 @@ class PersistentCollective:
 
     @property
     def plan(self) -> "CommPlan":
-        """The currently pinned dispatch plan (recompiled transparently
-        after an invalidation epoch)."""
+        """The currently pinned dispatch plan — the one the next
+        :meth:`start` posts with (recompiled transparently after an
+        invalidation)."""
         return self.comm._plan_for_call(*self._call)
 
     def start(self) -> WorkHandle:

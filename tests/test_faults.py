@@ -168,9 +168,9 @@ class TestLinkFaults:
             assert np.allclose(h, d)
 
     def test_stream_path_arrival_time_reflects_pre_post_sync(self):
-        """Regression: on the stream path, ``sync.pre_post`` can advance
-        the host clock (naive mode synchronizes the default stream
-        before posting).  The arrival timestamp must be taken *after*
+        """Regression: on the stream path, the pre-post host sync
+        (``CommPlan.host_sync``) can advance the host clock (naive mode
+        synchronizes the default stream before posting).  The arrival timestamp must be taken *after*
         that sync, or a fault window opening during the sync is missed
         and the transfer runs at healthy speed inside a degraded window.
         """
@@ -178,7 +178,7 @@ class TestLinkFaults:
 
         def main(ctx):
             comm = MCRCommunicator(ctx, ["nccl"], config=config)
-            # a long default-stream kernel: pre_post must drain it, which
+            # a long default-stream kernel: the host sync drains it, which
             # advances the host well past the fault window's opening edge
             ctx.launch(1000.0, label="compute")
             comm.all_reduce("nccl", ctx.virtual_tensor(262_144))

@@ -120,6 +120,38 @@ class TestPlanPinning:
         assert after == "mvapich2-gdr"
         assert seqs == {"nccl": 1, "mvapich2-gdr": 1}
 
+    def test_plan_is_the_one_the_next_start_posts_with(self):
+        """``op.plan`` and ``start()`` share one key and one lookup: the
+        pinned plan is the posted plan, before and after an invalidation."""
+
+        def main(ctx):
+            comm = MCRCommunicator(ctx, ["nccl"])
+            op = PersistentCollective(comm, "all_reduce", "nccl", ctx.zeros(4))
+            plan_of, posted = comm._plan, []
+
+            def spy(*args, **kwargs):
+                plan = plan_of(*args, **kwargs)
+                if kwargs.get("count", True):  # a post, not a pin
+                    posted.append(plan)
+                return plan
+
+            comm._plan = spy
+            pinned = [op.plan]
+            op.start().synchronize()
+            comm.invalidate_plans("test")
+            pinned.append(op.plan)
+            op.start().synchronize()
+            del comm._plan
+            stats = comm.plan_stats
+            comm.finalize()
+            return [p is q for p, q in zip(pinned, posted)], pinned, stats
+
+        same, pinned, stats = Simulator(2).run(main).rank_results[0]
+        assert same == [True, True]
+        assert pinned[0] is not pinned[1]  # the invalidation recompiled
+        # pins compile without counting; both starts are hits
+        assert (stats["hits"], stats["misses"], stats["invalidations"]) == (2, 0, 1)
+
     def test_failed_start_does_not_discount_subsequent_ops(self):
         """A start() that raises must not leak its dispatch discount
         into later non-persistent operations (the old global

@@ -7,6 +7,8 @@ and ``tracemalloc`` ratios only — no clock, no CPU count
 * a finished op lets go of everything it allocated (graph links, the
   rendezvous, every rank's buffers) by reference count, so neither live
   objects, peak heap nor cyclic garbage grow with the number of ops;
+* an async op on a pool stream leaves no handle behind: ``synchronize()``
+  drains the stream instead;
 * ``Stream`` gates fold into a float once they resolve;
 * one validated group record per job, shared by every member rank;
 * rank threads are raw threads and every one of them leaves, however
@@ -24,6 +26,7 @@ import weakref
 import pytest
 
 from repro.core import BackendError, CommTimeoutError, MCRCommunicator, MCRConfig
+from repro.core.handles import WorkHandle
 from repro.core.rendezvous import Arrival, Rendezvous
 from repro.sim import DeadlockError, Simulator
 from repro.sim.graph import CollectiveGroup, GpuOp
@@ -142,6 +145,31 @@ class TestFinishedOpsAreReleased:
 
         garbage(200)
         assert garbage(2000) == garbage(200)
+
+
+@pytest.mark.parametrize(
+    "backend, mode, held",
+    [
+        ("nccl", "mcr-managed", 0),  # pool stream: synchronize() drains it
+        ("mvapich2-gdr", "mpi-managed", 200),  # host path: MPI_Wait needs the handle
+    ],
+)
+def test_dropped_handles_kept_only_where_synchronize_needs_them(
+    backend, mode, held, no_auto_gc
+):
+    def main(ctx):
+        comm = MCRCommunicator(ctx, [backend], config=MCRConfig(mpi_stream_mode=mode))
+        x = ctx.virtual_tensor(1024)
+        for _ in range(200):
+            comm.all_reduce(backend, x, async_op=True)  # handle dropped
+        live = sum(
+            type(obj) is WorkHandle and obj.ctx is ctx for obj in gc.get_objects()
+        )
+        kept = sum(len(handles) for handles in comm._outstanding.values())
+        comm.synchronize()
+        return live, kept
+
+    assert Simulator(WORLD).run(main).rank_results == [(held, held)] * WORLD
 
 
 def test_containers_per_collective_in_flight(no_auto_gc):

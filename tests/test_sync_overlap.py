@@ -1,6 +1,7 @@
 """Synchronization semantics (paper §V-C, Fig. 4): naive serialization vs
 MCR-DL's fine-grained CUDA-event scheme; stream pools; overlap."""
 
+import numpy as np
 import pytest
 
 from repro.core import MCRCommunicator, MCRConfig
@@ -188,6 +189,71 @@ class TestSynchronizeAPI:
             return ok
 
         assert all(Simulator(2).run(main).rank_results)
+
+    @pytest.mark.parametrize("deadline_us", [None, 1e9])
+    @pytest.mark.parametrize(
+        "mode, kept",
+        [
+            # pool-stream ops are drained through their streams; only p2p
+            # handles are kept
+            ({}, {"mvapich2-gdr": ["isend", "irecv"]}),
+            # MPI on the host path
+            (
+                {"mpi_stream_mode": "mpi-managed"},
+                {"mvapich2-gdr": ["mpi", "isend", "irecv"]},
+            ),
+            # everything on the default stream
+            (
+                {"synchronization": "naive"},
+                {"mvapich2-gdr": ["mpi", "isend", "irecv"], "nccl": ["small", "large"]},
+            ),
+        ],
+        ids=["mcr-managed", "mpi-managed", "naive"],
+    )
+    def test_synchronize_drains_what_outstanding_does_not_hold(
+        self, mode, kept, deadline_us
+    ):
+        """No handle is ever waited: ``synchronize`` alone completes every
+        op, whether or not ``_outstanding`` holds its handle."""
+        world = 4
+        config = MCRConfig(op_deadline_us=deadline_us, **mode)
+
+        def main(ctx):
+            comm = MCRCommunicator(ctx, ["nccl", "mvapich2-gdr"], config=config)
+            mine = ctx.rank + 1.0
+            small, large = ctx.full(1024, mine), ctx.full(1 << 18, mine)
+            mpi, sent, got = ctx.full(1024, mine), ctx.full(1024, mine), ctx.zeros(1024)
+            handles = {
+                # MPI first: naive mode's pre-post sync would otherwise
+                # wait out the nccl ops before synchronize("nccl") could
+                "mpi": comm.all_reduce("mvapich2-gdr", mpi, async_op=True),
+                "small": comm.all_reduce("nccl", small, async_op=True),  # round-robin
+                "large": comm.all_reduce("nccl", large, async_op=True),  # stream 0
+                "isend": comm.isend("mvapich2-gdr", sent, (ctx.rank + 1) % world),
+                "irecv": comm.irecv("mvapich2-gdr", got, (ctx.rank - 1) % world),
+            }
+            tag = {id(h): name for name, h in handles.items()}
+            outstanding = {
+                name: [tag[id(h)] for h in held] for name, held in comm._outstanding.items()
+            }
+            comm.synchronize("nccl")
+            after_nccl = ctx.now
+            comm.synchronize()
+            completion = {name: h.completion_time for name, h in handles.items()}
+            data = [t.data.copy() for t in (small, large, mpi, got)]
+            comm.finalize()
+            return outstanding, after_nccl, ctx.now, completion, data
+
+        for rank, (outstanding, after_nccl, now, completion, data) in enumerate(
+            Simulator(world).run(main).rank_results
+        ):
+            assert outstanding == kept
+            assert after_nccl == max(completion["small"], completion["large"])
+            assert now == max(completion.values())
+            total = sum(range(1, world + 1))
+            for array in data[:3]:
+                assert np.array_equal(array, np.full(array.size, total, np.float32))
+            assert np.array_equal(data[3], np.full(1024, (rank - 1) % world + 1.0, np.float32))
 
     def test_synchronize_single_backend(self):
         def main(ctx):
