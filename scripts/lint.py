@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Static lints CI runs next to the tests: one tree walk, three rules.
+"""Static lints CI runs next to the tests: one tree walk, four rules.
 
 Every file is parsed once; each rule is a small AST visitor over the
 files it covers (docs/INTERNALS.md §7, §10, §15 give the why):
@@ -14,6 +14,10 @@ files it covers (docs/INTERNALS.md §7, §10, §15 give the why):
   no ``s.pop()``, no ``sorted``/``min``/``max`` of one with ``key=``.
 * ``hostfree`` (``tests/`` and :data:`LEDGER_FILES`) — no wall clock and
   no CPU count, however the name is reached.
+* ``hooks`` (``src/repro`` outside :data:`COMM_FILES`) — no
+  ``<receiver>._name`` on anything but ``self`` when ``_name`` is a
+  private communicator member the ``CommCore`` protocol does not
+  declare.
 
 A flagged use that cannot reach a result is allowed by
 ``ALLOWED[rule]["<path from the root>::<enclosing function>"] = reason``;
@@ -41,7 +45,7 @@ from typing import Callable, Iterable
 REPO = Path(__file__).resolve().parent.parent
 
 #: rule -> ``file::function`` -> why the flagged use cannot reach a result
-ALLOWED: dict[str, dict[str, str]] = {"imports": {}, "set-order": {}, "hostfree": {}}
+ALLOWED: dict[str, dict[str, str]] = {"imports": {}, "set-order": {}, "hostfree": {}, "hooks": {}}
 
 #: the fingerprint ledger's two halves: what they record is only
 #: deterministic while neither reads a clock
@@ -93,6 +97,7 @@ CONCRETE_NAME = "MCRCommunicator"
 LAYERS = (
     ("repro.core.comm",),
     ("repro.core.dispatch", "repro.core.op_table"),
+    ("repro.core.health",),
     ("repro.core.rendezvous",),
     ("repro.core.protocols",),
 )
@@ -271,7 +276,7 @@ class _Scopes:
     """Which names and attributes hold sets.
 
     ``attrs`` is global across the tree: attributes are reached from
-    other modules (``comm._quarantined`` in ``core/dispatch.py``).
+    other modules (``health.quarantined`` in ``core/dispatch.py``).
     Names are looked up through a stack of per-scope binding tables,
     innermost first; a name bound to a set anywhere in its scope counts
     as a set throughout it.
@@ -528,6 +533,77 @@ def hostfree_rule(trees: dict[str, ast.Module]) -> Iterable[tuple[str, Hit]]:
 
 
 # ----------------------------------------------------------------------
+# hooks: no undeclared reach into the communicator (INTERNALS §15)
+# ----------------------------------------------------------------------
+
+#: the modules that build the communicator object: its private members
+#: are theirs, and theirs alone, to touch
+COMM_FILES = tuple(
+    f"src/repro/core/{name}.py" for name in ("comm", "dispatch", "rendezvous", "op_table", "health")
+)
+COMM_CLASSES = ("MCRCommunicator", "DispatchLayer", "ExecutionLayer")
+PROTOCOL = ("src/repro/core/protocols.py", "CommCore")
+
+
+def _comm_members(tree: ast.Module) -> set[str]:
+    """Underscored methods of the communicator's classes and the
+    underscored attributes they assign on ``self``."""
+    names: set[str] = set()
+    for cls in ast.walk(tree):
+        if not (isinstance(cls, ast.ClassDef) and cls.name in COMM_CLASSES):
+            continue
+        for node in ast.walk(cls):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                names.add(node.name)
+            elif (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.ctx, ast.Store)
+                and getattr(node.value, "id", None) == "self"
+            ):
+                names.add(node.attr)
+    return {name for name in names if name.startswith("_") and not name.startswith("__")}
+
+
+def _declared(tree: ast.Module) -> set[str]:
+    """Every member the ``CommCore`` protocol class declares."""
+    return {
+        getattr(stmt, "name", None) or getattr(getattr(stmt, "target", None), "id", None)
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef) and cls.name == PROTOCOL[1]
+        for stmt in cls.body
+    }
+
+
+class _Hooks(_Scoped):
+    """Every ``<receiver>._name`` with a receiver other than ``self`` and
+    a ``_name`` from ``undeclared``."""
+
+    def __init__(self, tree: ast.Module, undeclared: "set[str]") -> None:
+        super().__init__()
+        self.undeclared = undeclared
+        self.visit(tree)
+
+    def visit_Attribute(self, node: ast.Attribute) -> None:
+        if node.attr in self.undeclared and getattr(node.value, "id", None) != "self":
+            self.hit(node, f"reaches the communicator's {node.attr}, which CommCore does not "
+                     "declare — use the public surface or declare an extension hook")
+        self.generic_visit(node)
+
+
+def hooks_rule(trees: dict[str, ast.Module]) -> Iterable[tuple[str, Hit]]:
+    members: set[str] = set()
+    for path in COMM_FILES:
+        if path in trees:
+            members |= _comm_members(trees[path])
+    protocol = trees.get(PROTOCOL[0])
+    undeclared = members - (_declared(protocol) if protocol is not None else set())
+    for path, tree in trees.items():
+        if path not in COMM_FILES:
+            for hit in _Hooks(tree, undeclared).hits:
+                yield path, hit
+
+
+# ----------------------------------------------------------------------
 # one walk, every rule
 # ----------------------------------------------------------------------
 
@@ -536,6 +612,7 @@ RULES: dict[str, tuple[Callable[[str], bool], Callable]] = {
     "imports": (lambda path: path.startswith("src/repro/"), imports_rule),
     "set-order": (lambda path: path.startswith("src/"), set_order_rule),
     "hostfree": (lambda path: path.startswith("tests/") or path in LEDGER_FILES, hostfree_rule),
+    "hooks": (lambda path: path.startswith("src/repro/"), hooks_rule),
 }
 
 

@@ -37,7 +37,7 @@ job deadlocks.  Two execution domains keep that invariant:
   before posting that op.
 
 Completion-domain code must never read per-rank post-domain state (op
-counters, the live table, ``_quarantined``) — only shared single-copy
+counters, the live table, ``health.quarantined``) — only shared single-copy
 values (``max_posted``, the shared quarantine mirror) are safe, because
 all callbacks at one fire instant read the same object.
 """
@@ -127,7 +127,7 @@ class AdaptiveRetuner:
         self.comm = comm
         self.ctx = comm.ctx
         self.cfg = comm.config.adaptive
-        self.table = comm._tuning_table
+        self.table = comm.tuning_table
         self._cells: dict[tuple[str, int], _Cell] = {}
         #: posted-collective index on this communicator (post domain)
         self._op_index = 0
@@ -151,7 +151,7 @@ class AdaptiveRetuner:
                 # copy, so all callbacks at one fire instant agree)
                 "max_posted": 0,
                 # shared mirror of the quarantine set, readable at fire
-                # instants (per-rank _quarantined is post-domain state)
+                # instants (per-rank health is post-domain state)
                 "quarantined": set(),
                 # epsilon trials posted per cell (marked once per
                 # logical trial, not once per rank)
@@ -242,8 +242,8 @@ class AdaptiveRetuner:
     # -- probation (quarantine recovery) -----------------------------------
 
     def on_quarantine(self, backend_name: str) -> None:
-        """Called by the dispatch layer's ``_quarantine`` — post domain,
-        at the same op index on every rank."""
+        """Called by ``Health.quarantine`` — post domain, at the same op
+        index on every rank."""
         self._sh["quarantined"].add(backend_name)
         interval = self.cfg.probation_interval
         if interval > 0:
@@ -258,26 +258,16 @@ class AdaptiveRetuner:
 
     def _probe(self, backend_name: str) -> None:
         """One probation probe (runs in before_op at a matched op index):
-        consult the fault injector under the backend's own op counter;
-        on a healthy verdict un-quarantine and post a timing-only canary
-        that re-seeds the backend's observed latency."""
-        comm = self.comm
-        if backend_name not in comm._quarantined:
+        ``health.probe`` consults the fault injector under the backend's
+        own op counter; on a healthy verdict un-quarantine and post a
+        timing-only canary that re-seeds the backend's observed latency."""
+        health = self.comm.health
+        if backend_name not in health.quarantined:
             self._sh["quarantined"].discard(backend_name)
             return
         self.stats["probation"] += 1
-        inj = comm._injector
-        healthy = True
-        if inj is not None:
-            scope = ("coll", backend_name)
-            idx = comm._fault_counters.get(scope, 0) + 1
-            comm._fault_counters[scope] = idx
-            fault = inj.backend_fault(
-                comm.comm_id, backend_name, idx,
-                rank=self.ctx.rank, now=self.ctx.now, obs=comm._obs,
-            )
-            healthy = fault is None
-        if not healthy:
+        fault, _ = health.probe(backend_name)
+        if fault is not None:
             self._emit(
                 "probation", backend_name, detail=f"probe-failed@{self._op_index}"
             )
@@ -288,9 +278,8 @@ class AdaptiveRetuner:
                 )
             return
         self._sh["quarantined"].discard(backend_name)
-        comm._unquarantine(
-            comm.backends[backend_name],
-            f"probation probe cleared at op {self._op_index}",
+        health.unquarantine(
+            backend_name, f"probation probe cleared at op {self._op_index}"
         )
         self._emit("probation", backend_name, detail="recovered")
         self._canary(backend_name)

@@ -14,11 +14,12 @@ dependencies (``docs/INTERNALS.md`` §15):
   validation/meta builder (``prepare``), datapath mover, hierarchical
   capability, and the ``force_host``/``compressible``/``vector``
   flags.  The shared pre-dispatch hook chain (``retuner.before_op`` →
-  ``_adapt_primed`` → ``_hier_target``) runs uniformly for every
-  family from :meth:`MCRCommunicator._post`;
-* **dispatch** (:mod:`repro.core.dispatch`) — backend resolution,
-  fault quarantine/failover, and the compiled
-  :class:`~repro.core.dispatch.CommPlan` cache;
+  ``_hier_target``) runs uniformly for every family from
+  :meth:`MCRCommunicator._post`;
+* **dispatch** (:mod:`repro.core.dispatch`) — backend resolution and
+  the compiled :class:`~repro.core.dispatch.CommPlan` cache, with
+  backend health (quarantine, failover) owned by ``comm.health``
+  (:mod:`repro.core.health`);
 * **execution** (:mod:`repro.core.rendezvous`) — rendezvous matching
   and the collective/p2p spines over the simulation engine.
 
@@ -40,6 +41,7 @@ from repro.core.config import BACKEND_INIT_US, MCRConfig
 from repro.core.dispatch import CommPlan, DispatchLayer
 from repro.core.exceptions import BackendError, ValidationError
 from repro.core.handles import WorkHandle
+from repro.core.health import Health
 from repro.core.op_table import (
     _ALL_GATHER,
     _ALL_GATHERV,
@@ -56,6 +58,7 @@ from repro.core.op_table import (
     _SCATTER,
     _SCATTERV,
     CollectiveSpec,
+    _Prepared,
 )
 from repro.core.rendezvous import ExecutionLayer
 from repro.core.sync import SyncManager
@@ -185,32 +188,15 @@ class MCRCommunicator(DispatchLayer, ExecutionLayer):
         #: at one dict hit per dispatch
         self._hier_table_probe: Optional[tuple[int, int, bool]] = None
 
-        # fault injection / graceful degradation (repro.sim.faults): the
-        # injector is installed into shared state by the Simulator; with
-        # no injector and no degradation hook the per-op gates below are
-        # two False boolean checks.
-        self._injector = ctx.shared.get("fault_injector")
-        self._fault_gate = self._injector is not None
-        #: permanently failed backends; decisions adding to this set are
-        #: deterministic per (comm, backend, collective index) so every
-        #: rank quarantines at the same op and the set stays symmetric
-        self._quarantined: set = set()
-        #: per-scope op counters driving injector decisions (see
-        #: _admit_backend for the symmetry argument)
-        self._fault_counters: dict = {}
+        #: fault injection / graceful degradation (repro.sim.faults): the
+        #: quarantine set, fault counters, retry and failover
+        self.health = Health(self)
 
         self.logger = None
         if self.config.enable_logging:
             from repro.ext.logging_ext import CommLogger
 
             self.logger = CommLogger.shared(ctx)
-        #: retry/failover events always go to the shared comm log, even
-        #: when per-op logging is off
-        self._fault_log = None
-        if self._fault_gate:
-            from repro.ext.logging_ext import CommLogger
-
-            self._fault_log = CommLogger.shared(ctx)
         #: unified observability registry (repro.obs), installed into the
         #: job's shared state by the Simulator; None = observability off,
         #: and every use below is guarded so the healthy path pays one
@@ -247,7 +233,6 @@ class MCRCommunicator(DispatchLayer, ExecutionLayer):
         # table that routed the composite.  None keeps every adaptive
         # hook below at a single is-None check (zero cost when off).
         self._retuner = None
-        self._adapt_primed = False
         if self.config.adaptive.enabled and "|hier-" not in comm_id:
             from repro.core.adaptive import AdaptiveRetuner
 
@@ -327,10 +312,10 @@ class MCRCommunicator(DispatchLayer, ExecutionLayer):
         intra-node and shard groups: the child shares this
         communicator's backends and config, carries ``phase`` in its op
         labels and comm records, inherits the parent's quarantines
-        (a backend the parent declared dead must not serve a phase), and
-        registers in ``_hier_children`` so quarantine/unquarantine
-        cascades, plan invalidation, synchronize, and finalize all reach
-        it.
+        (a backend the parent declared dead must not serve a phase) and
+        follows its quarantine/unquarantine cascades, and registers in
+        ``_hier_children`` so plan invalidation, synchronize, and
+        finalize all reach it.
         """
         sub = MCRCommunicator(
             self.ctx,
@@ -340,10 +325,7 @@ class MCRCommunicator(DispatchLayer, ExecutionLayer):
             ranks=ranks,
         )
         sub._phase_tag = phase
-        # construction order: each is logged, and a set walk is hash order
-        for name, backend in sub.backends.items():
-            if name in self._quarantined:
-                sub._quarantine(backend, "inherited from parent communicator")
+        self.health.adopt(sub.health)
         self._hier_children.append(sub)
         return sub
 
@@ -352,37 +334,38 @@ class MCRCommunicator(DispatchLayer, ExecutionLayer):
     # ------------------------------------------------------------------
 
     def _post(
-        self, spec: CollectiveSpec, backend_name: str, args: tuple, async_op: bool
+        self, spec: CollectiveSpec, backend_name: str, args: tuple, async_op: bool,
+        prep: Optional[_Prepared] = None, dispatch_scale: float = 1.0,
     ) -> Optional[WorkHandle]:
-        """Run one table row: validate/prepare, then the uniform
-        pre-dispatch hook chain, then hand off to the dispatch layer.
+        """Run one table row: validate/prepare (a persistent start hands
+        in its call, prepared once), then the uniform pre-dispatch hook
+        chain, then hand off to the dispatch layer.
 
-        The hook chain runs identically for *every* family:
+        The hook chain runs identically for *every* family and start:
 
         1. ``retuner.before_op`` — adaptive pre-op accounting (pending
-           table edits apply to the op being posted; ``_adapt_primed``
-           keeps the ``_collective`` fallback from counting it twice);
+           table edits apply to the op being posted);
         2. ``_hier_target`` — hierarchical composite routing for the
            families that decompose (``spec.hier_op``), when the name can
-           route there (``"auto"`` or ``hier:*``).
+           route there (``"auto"`` or ``hier:*``); ``dispatch_scale``
+           discounts only a flat post.
         """
-        prep = spec.prepare(self, *args)
+        if prep is None:
+            prep = spec.prepare(self, *args)
         retuner = self._retuner
         if retuner is not None and not retuner.quiet:
             retuner.before_op(spec.family, prep.nbytes)
-            self._adapt_primed = True
         if spec.hier_op is not None and (
             backend_name == "auto" or backend_name[:5].lower() == "hier:"
         ):
             hspec = self._hier_target(backend_name, spec.family, prep.nbytes)
             if hspec is not None:
-                self._adapt_primed = False
                 return getattr(self._hier(), spec.hier_op)(hspec, *args, async_op)
         return self._collective(
             backend_name, spec.family, prep.nbytes, prep.inputs, prep.outputs,
             prep.move, meta=prep.meta, async_op=async_op, vector=spec.vector,
             force_host=spec.force_host, compressible=spec.compressible,
-            extras=prep.extras, tensors=prep.tensors,
+            extras=prep.extras, tensors=prep.tensors, dispatch_scale=dispatch_scale,
         )
 
     # ------------------------------------------------------------------

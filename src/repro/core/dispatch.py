@@ -1,5 +1,5 @@
-"""Dispatch layer of the comm core: backend resolution, fault
-quarantine/failover, and the compiled :class:`CommPlan` cache.
+"""Dispatch layer of the comm core: backend resolution and the compiled
+:class:`CommPlan` cache.
 
 Steady-state dispatch runs through a compile-once plan cache
 (:class:`CommPlan`): everything derivable from a call's signature alone
@@ -26,7 +26,7 @@ from typing import Optional
 
 from repro.backends.base import Backend, canonical_name
 from repro.backends.ops import OpFamily
-from repro.core.config import COMPRESSIBLE_FAMILIES, RETRY_BACKOFF_US, CompressionConfig
+from repro.core.config import COMPRESSIBLE_FAMILIES, CompressionConfig
 from repro.core.exceptions import BackendError
 from repro.core.sync import StreamPool
 from repro.core.tuning import TuningTable
@@ -81,8 +81,8 @@ class DispatchLayer:
     """Mixin: decides *where* an operation runs and at what plan.
 
     Stateless by itself — every attribute it reads (``_plans``,
-    ``_tuning_table``, ``_quarantined``, fault gates, ...) is
-    initialized by :class:`~repro.core.comm.MCRCommunicator`.
+    ``_tuning_table``, ``health``, ...) is initialized by
+    :class:`~repro.core.comm.MCRCommunicator`.
     """
 
     # ------------------------------------------------------------------
@@ -111,7 +111,7 @@ class DispatchLayer:
         quarantine, and codec/synchronization changes.  Call it manually
         after mutating state the communicator snapshots at construction
         or compile time — e.g. installing a link-degradation schedule on
-        the SystemSpec mid-run — so the refreshed gates below take
+        the SystemSpec mid-run — so the refreshed link gate below takes
         effect with the same invalidation discipline as the plans.
         """
         self._plan_invalidations += 1
@@ -119,15 +119,8 @@ class DispatchLayer:
         self._link_faults = (
             getattr(self.ctx.system, "link_degradation", None) is not None
         )
-        injector = self.ctx.shared.get("fault_injector")
-        if injector is not None and not self._fault_gate:
-            self._injector = injector
-            self._fault_gate = True
-            from repro.ext.logging_ext import CommLogger
-
-            self._fault_log = CommLogger.shared(self.ctx)
-        # hierarchical phase communicators snapshot the same state
-        # (plans, fault gates); one invalidation covers the whole family
+        # hierarchical phase communicators snapshot the same state (plans,
+        # the link gate); one invalidation covers the whole family
         for child in self._hier_children:
             child.invalidate_plans(reason)
 
@@ -210,7 +203,7 @@ class DispatchLayer:
             choice = self.tuning_table.lookup(family.value, self.world_size, nbytes)
             if choice is not None:
                 canon = canonical_name(choice)
-                if canon not in self.backends or canon in self._quarantined:
+                if canon not in self.backends or canon in self.health.quarantined:
                     choice = None  # tuned for a backend we did not init
                     # (or one quarantined by a permanent fault)
         if choice is None:
@@ -283,185 +276,9 @@ class DispatchLayer:
         except BackendError:
             return None
         for part in (spec.intra, spec.inter):
-            if part not in self.backends or part in self._quarantined:
+            if part not in self.backends or part in self.health.quarantined:
                 return None
         return spec
-
-    # -- fault handling (retry / quarantine / failover) -------------------
-    #
-    # Every decision below is a deterministic function of per-scope op
-    # counters, so in an SPMD program all ranks of a group make identical
-    # choices and rendezvous keys stay matched even in degraded mode —
-    # the deadlock-freedom claim of §V-D extended to failures:
-    #
-    # * collectives count per (communicator, backend); every group rank
-    #   posts the same Nth collective, so transient retries and permanent
-    #   quarantines happen at the same logical op everywhere;
-    # * p2p counts per directed channel (backend, src, dst, tag); the
-    #   matched sender and receiver observe equal indices.  p2p never
-    #   triggers quarantine — third-party ranks could not observe it
-    #   symmetrically — it reroutes the single op instead.
-
-    def _record_fault(self, kind: str, backend_name: str, detail: str = "") -> None:
-        if self._fault_log is not None:
-            self._fault_log.log_event(
-                kind, self.ctx.rank, backend_name, self.ctx.now, detail
-            )
-
-    def _quarantine(self, backend: Backend, reason: str) -> None:
-        if backend.name in self._quarantined:
-            return
-        self._quarantined.add(backend.name)
-        backend.fail(reason)
-        # a quarantine changes dispatch for every subsequent op (auto
-        # resolution skips the backend, explicit dispatch reroutes), so
-        # compiled plans must recompute from the degraded state
-        self.invalidate_plans(f"quarantine({backend.name})")
-        self._record_fault("quarantine", backend.name, reason)
-        if self._retuner is not None:
-            # probation: the retuner re-probes the backend at matched op
-            # indexes and un-quarantines symmetrically on success
-            self._retuner.on_quarantine(backend.name)
-        # a backend the parent declares dead must not keep serving
-        # hierarchical phases; each phase communicator degrades (and
-        # fails over) independently.  Child-local quarantines do NOT
-        # propagate upward — a fault observed only inside one phase
-        # group is handled by that group's own failover.
-        for child in self._hier_children:
-            child_backend = child.backends.get(backend.name)
-            if child_backend is not None and backend.name not in child._quarantined:
-                child._quarantine(child_backend, f"parent: {reason}")
-        if len(self._quarantined) == len(self.backends):
-            raise BackendError(
-                f"all backends permanently failed: {sorted(self._quarantined)}"
-            )
-
-    def _unquarantine(self, backend: Backend, reason: str) -> None:
-        """Symmetric inverse of :meth:`_quarantine` (probation path).
-
-        Only the adaptive probation protocol calls this, at matched op
-        indexes on every rank (same agree-at-op discipline as the
-        quarantine itself), so the quarantine set stays symmetric.
-        Hierarchical phase children whose quarantine was inherited from
-        the parent recover with it; a child-local quarantine — a fault
-        observed only inside one phase group — stays put, mirroring the
-        asymmetry of the quarantine cascade.
-        """
-        if backend.name not in self._quarantined:
-            return
-        self._quarantined.discard(backend.name)
-        backend.recover(reason)
-        # recovery changes dispatch exactly like quarantine did: auto
-        # resolution may pick the backend again, explicit dispatch stops
-        # rerouting — compiled plans must recompute
-        self.invalidate_plans(f"unquarantine({backend.name})")
-        self._record_fault("unquarantine", backend.name, reason)
-        for child in self._hier_children:
-            child_backend = child.backends.get(backend.name)
-            if (
-                child_backend is not None
-                and backend.name in child._quarantined
-                and (child_backend.failure_reason or "").startswith("parent: ")
-            ):
-                child._unquarantine(child_backend, f"parent: {reason}")
-
-    def _failover_target(
-        self, family: OpFamily, nbytes: int, exclude: frozenset = frozenset()
-    ) -> Backend:
-        """Deterministic survivor choice: tuning table, then init order
-        (§V-F dispatch, restricted to live backends)."""
-        survivors = [
-            n
-            for n in self.backends
-            if n not in self._quarantined and n not in exclude
-        ]
-        if not survivors:
-            raise BackendError(
-                f"no surviving backend for {family.value}: "
-                f"quarantined {sorted(self._quarantined)}"
-            )
-        choice = None
-        if self.tuning_table is not None:
-            tuned = self.tuning_table.lookup(family.value, self.world_size, nbytes)
-            if tuned is not None and canonical_name(tuned) in survivors:
-                choice = canonical_name(tuned)
-        if choice is None:
-            choice = survivors[0]
-        return self.backends[choice]
-
-    def _admit_backend(
-        self,
-        backend: Backend,
-        family: OpFamily,
-        nbytes: int,
-        p2p_channel: Optional[tuple] = None,
-    ) -> Backend:
-        """Fault gate for one dispatch: consult the injector, retry
-        transient faults with exponential backoff, quarantine and fail
-        over on permanent ones.  Returns the backend that actually runs
-        the operation."""
-        inj = self._injector
-        ctx = self.ctx
-        cfg = self.config
-        hops = 0
-        while True:
-            if backend.name in self._quarantined:
-                old = backend.name
-                backend = self._failover_target(family, nbytes)
-                self._record_fault("failover", old, f"-> {backend.name}")
-                continue
-            if inj is None:
-                return backend
-            if hops > 3 * len(self.backends):  # pragma: no cover - safety valve
-                raise BackendError(
-                    f"fault failover did not converge for {family.value}"
-                )
-            scope = (
-                ("p2p", backend.name, *p2p_channel)
-                if p2p_channel is not None
-                else ("coll", backend.name)
-            )
-            idx = self._fault_counters.get(scope, 0) + 1
-            self._fault_counters[scope] = idx
-            fault = inj.backend_fault(
-                self.comm_id, backend.name, idx, p2p=p2p_channel is not None,
-                rank=ctx.rank, now=ctx.now, obs=self._obs,
-            )
-            if fault is None:
-                return backend
-            if fault.kind == "transient":
-                attempts = min(fault.fail_attempts, cfg.comm_max_retries)
-                for attempt in range(attempts):
-                    self._record_fault(
-                        "retry",
-                        backend.name,
-                        f"op {idx} attempt {attempt + 1}/{cfg.comm_max_retries}",
-                    )
-                    ctx.sleep(
-                        RETRY_BACKOFF_US * (2.0 ** attempt),
-                        reason=f"retry({backend.name})",
-                    )
-                if fault.fail_attempts <= cfg.comm_max_retries:
-                    return backend  # cleared within the retry budget
-                if p2p_channel is None:
-                    # a collective that cannot clear its transient fault
-                    # within the retry budget is treated as a permanent
-                    # library failure (symmetric: same decision everywhere)
-                    self._quarantine(
-                        backend, f"transient fault persisted past {attempts} retries"
-                    )
-                    continue
-                # p2p: reroute this one op, no global quarantine
-                old = backend.name
-                backend = self._failover_target(
-                    family, nbytes, exclude=frozenset((backend.name,))
-                )
-                self._record_fault("failover", old, f"-> {backend.name} (p2p reroute)")
-                hops += 1
-                continue
-            # permanent
-            self._quarantine(backend, f"permanent fault at op {idx}")
-            # loop re-enters the quarantined branch and fails over
 
     # -- plan compilation --------------------------------------------------
 
@@ -577,40 +394,35 @@ class DispatchLayer:
 
     def _capture_collective(self, post, backend_name: str, *args, **kwargs) -> tuple:
         """Init-time negotiation for a persistent collective: run the
-        public op with ``_collective`` intercepted so argument validation
-        happens once and the exact dispatch invocation is captured for
-        replay.  Nothing is posted and the clock does not move."""
-        captured: dict = {}
-
-        def recorder(*a, **kw):
-            captured["args"] = a
-            captured["kwargs"] = kw
-            return None
-
-        self._collective = recorder  # shadow the bound method
-        retuner = self._retuner
-        was_quiet = retuner.quiet if retuner is not None else False
-        if retuner is not None:
-            # capture posts nothing and must not count as an adaptive op
-            retuner.quiet = True
+        public op with ``_post`` intercepted to capture its table row and
+        arguments, then prepare the call once — argument validation
+        happens here, ahead of any routing.  Returns ``(spec, args,
+        prepared call)`` for ``_post`` to replay; nothing is posted, no
+        adaptive op is counted and the clock does not move."""
+        captured = []
+        # shadow the bound method
+        self._post = lambda spec, name, a, async_op: captured.append((spec, a))
         try:
             post(backend_name, *args, async_op=True, **kwargs)
         finally:
-            del self._collective
-            if retuner is not None:
-                retuner.quiet = was_quiet
-        return captured["args"], captured["kwargs"]
+            del self._post
+        spec, call_args = captured[0]
+        return spec, call_args, spec.prepare(self, *call_args)
 
-    def _plan_for_call(self, args: tuple, kwargs: dict) -> CommPlan:
-        """Compile (or fetch) the plan for a captured ``_collective``
-        invocation — the pin a :class:`~repro.ext.persistent.
-        PersistentCollective` holds."""
+    def _plan_for_call(self, spec, backend_name: str, prep) -> Optional[CommPlan]:
+        """The plan a captured call posts with — the pin a
+        :class:`~repro.ext.persistent.PersistentCollective` holds — or
+        None when hierarchical routing takes the call instead."""
+        if (
+            spec.hier_op is not None
+            and (backend_name == "auto" or backend_name[:5].lower() == "hier:")
+            and self._hier_target(backend_name, spec.family, prep.nbytes) is not None
+        ):
+            return None
         return self._plan(
-            args[0], args[1], args[2], kwargs["meta"],
-            kwargs.get("vector", False),
-            kwargs.get("force_host", False),
-            kwargs.get("compressible", True),
-            any(t is not None and t.is_virtual for t in kwargs.get("tensors", ())),
+            backend_name, spec.family, prep.nbytes, prep.meta,
+            spec.vector, spec.force_host, spec.compressible,
+            any(t is not None and t.is_virtual for t in prep.tensors),
             count=False,
         )
 

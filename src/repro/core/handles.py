@@ -27,6 +27,39 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.process import RankContext
 
 
+def host_block(
+    ctx: "RankContext", flag: Flag, label: str, verb: str,
+    deadline_us: Optional[float] = None, timeout_info=None,
+) -> None:
+    """Block the host until ``flag`` fires — the one rule behind
+    :meth:`WorkHandle.wait`/:meth:`~WorkHandle.synchronize` and
+    synchronous host-path ops.
+
+    A wait that can park is tagged ``"<verb>(<label>)"``; with no
+    deadline, an already-fired flag is a bare-label time advance.  A wait
+    past the per-op deadline raises :class:`CommTimeoutError`, detailed
+    by ``timeout_info()`` (rendezvous diagnostics) when given.
+    """
+    engine = ctx.engine
+    if deadline_us is None:
+        if flag.ready_time is None:
+            engine.wait_flag(flag, reason=f"{verb}({label})")
+        else:
+            engine.wait_flag(flag, reason=label)
+    elif not engine.wait_flag_deadline(
+        flag, ctx.now + deadline_us, reason=f"{verb}({label})"
+    ):
+        detail = timeout_info() if timeout_info is not None else "operation still pending"
+        raise CommTimeoutError(
+            f"{label} exceeded the {deadline_us:.0f}us deadline on rank "
+            f"{ctx.rank}: {detail}",
+            label=label,
+            rank=ctx.rank,
+            deadline_us=deadline_us,
+            detail=detail,
+        )
+
+
 class WorkHandle:
     """Completion handle for one posted communication operation."""
 
@@ -39,7 +72,6 @@ class WorkHandle:
         "label",
         "deadline_us",
         "timeout_info",
-        "_waited",
     )
 
     def __init__(
@@ -65,7 +97,6 @@ class WorkHandle:
         self.deadline_us = deadline_us
         #: zero-arg callable producing rendezvous diagnostics at timeout
         self.timeout_info = timeout_info
-        self._waited = False
 
     def wait(self, backend: Optional[str] = None) -> None:
         """Order the caller's subsequent work after this operation.
@@ -78,48 +109,20 @@ class WorkHandle:
                 f"handle belongs to backend {self.backend_name!r}, "
                 f"wait called with {backend!r}"
             )
-        self._waited = True
         if self.stream_semantics and self.member_node is not None:
             # fine-grained CUDA-event sync: the default stream waits on
             # the event recorded after the comm kernel (Fig. 4b step 4);
             # the host continues immediately.
             self.ctx.gpu.default_stream.gate_on(self.member_node)
             return
-        # host-synchronized (MPI_Wait); the decorated reason is only worth
-        # building when the flag is still pending (it can actually park)
-        self._host_block("wait")
+        # host-synchronized (MPI_Wait)
+        host_block(self.ctx, self.flag, self.label, "wait", self.deadline_us, self.timeout_info)
 
     def synchronize(self) -> None:
         """Block the *host* until the operation completes."""
-        self._waited = True
-        self._host_block("synchronize")
-
-    def _host_block(self, verb: str) -> None:
-        flag = self.flag
-        if flag.ready_time is None:
-            if self.deadline_us is not None:
-                ctx = self.ctx
-                if not ctx.engine.wait_flag_deadline(
-                    flag, ctx.now + self.deadline_us, reason=f"{verb}({self.label})"
-                ):
-                    detail = (
-                        self.timeout_info()
-                        if self.timeout_info is not None
-                        else "operation still pending"
-                    )
-                    raise CommTimeoutError(
-                        f"{self.label} on {self.backend_name} exceeded the "
-                        f"{self.deadline_us:.0f}us deadline on rank {ctx.rank}: "
-                        f"{detail}",
-                        label=self.label,
-                        rank=ctx.rank,
-                        deadline_us=self.deadline_us,
-                        detail=detail,
-                    )
-                return
-            self.ctx.engine.wait_flag(flag, reason=f"{verb}({self.label})")
-        else:
-            self.ctx.engine.wait_flag(flag, reason=self.label)
+        host_block(
+            self.ctx, self.flag, self.label, "synchronize", self.deadline_us, self.timeout_info
+        )
 
     def is_completed(self) -> bool:
         """Non-blocking completion test (MPI_Test analogue)."""

@@ -5,9 +5,9 @@
 * **op surface** (`repro.core.comm`) — the 16 public collectives as
   declarative :class:`~repro.core.comm.CollectiveSpec` table rows plus
   the shared pre-dispatch hook chain;
-* **dispatch** (`repro.core.dispatch`) — backend resolution, fault
-  quarantine/failover, and the compiled :class:`~repro.core.dispatch.
-  CommPlan` cache;
+* **dispatch** (`repro.core.dispatch`) — backend resolution and the
+  compiled :class:`~repro.core.dispatch.CommPlan` cache, with backend
+  health (`repro.core.health`) beneath it;
 * **execution** (`repro.core.rendezvous`) — rendezvous matching and the
   collective/p2p spines over the simulation engine.
 
@@ -26,10 +26,11 @@ The protocol has two sections:
 * the **extension hooks** — a small, explicitly documented set of
   internal attributes that in-tree extensions legitimately reach into
   (the fusion route table, the persistent-collective capture/replay
-  pair, adaptive's fault-counter discipline).  They are underscored
-  because user code must not touch them, but they are part of the
-  stable contract for extension authors; anything not listed here is
-  private to one layer and may change without notice.
+  hooks, the communicator's ``health``).  They are underscored because
+  user code must not touch them, but they are part of the stable
+  contract for extension authors; anything not listed here is private
+  to one layer and may change without notice (``scripts/lint.py``'s
+  ``hooks`` rule fails CI on an undeclared one).
 """
 
 from __future__ import annotations
@@ -258,30 +259,21 @@ class CommCore(Protocol):
 
     # -- extension hooks (stable contract for in-tree extensions) ----------
     #
-    # ext/persistent: init-time capture + steady-state replay
-    def _backend(self, name: str) -> "Backend": ...
-
+    # ext/persistent: init-time capture, then replay through the op
+    # surface's hook chain
     def _capture_collective(
         self, post: Callable, backend_name: str, *args, **kwargs
     ) -> tuple: ...
 
-    def _plan_for_call(self, args: tuple, kwargs: dict) -> Any: ...
+    def _plan_for_call(self, spec: Any, backend_name: str, prep: Any) -> Any: ...
 
-    def _collective(self, *args, **kwargs) -> Optional["WorkHandle"]: ...
+    def _post(self, *args, **kwargs) -> Optional["WorkHandle"]: ...
 
     # ext/fusion (shared route table, stream-pressure probe, obs events),
     # backends/hierarchical (phase drain), adaptive (probation + symmetry)
     _shared: dict
     _outstanding: dict
     _obs: Any
-    _quarantined: set
-    _injector: Any
-    _fault_counters: dict
-    _tuning_table: Optional["TuningTable"]
     _comm_path: Any
-    _phase_tag: str
-    _hier_children: list
-
-    def _quarantine(self, backend: "Backend", reason: str) -> None: ...
-
-    def _unquarantine(self, backend: "Backend", reason: str) -> None: ...
+    #: a repro.core.health.Health: quarantine, fault counters, failover
+    health: Any

@@ -12,7 +12,7 @@ This module is the bottom of the comm-core layering (op surface →
 dispatch → execution; see ``docs/INTERNALS.md`` §15): it must not
 import :mod:`repro.core.dispatch` or :mod:`repro.core.comm`.  The
 :class:`ExecutionLayer` mixin reaches dispatch-layer methods
-(``_compile_plan``, ``_admit_backend``, ...) through ``self`` — the
+(``_plan``, ``_op_label``, ...) and ``self.health`` through ``self`` — the
 concrete :class:`~repro.core.comm.MCRCommunicator` composes both
 layers — so the *code* dependency stays one-directional even though the
 call graph crosses layers per operation.
@@ -28,8 +28,8 @@ import numpy as np
 
 from repro.backends.ops import OpFamily
 from repro.core.config import EAGER_THRESHOLD, LARGE_MESSAGE_THRESHOLD
-from repro.core.exceptions import CommTimeoutError, MCRError, ValidationError
-from repro.core.handles import CompletedHandle, WorkHandle
+from repro.core.exceptions import MCRError, ValidationError
+from repro.core.handles import CompletedHandle, WorkHandle, host_block
 from repro.sim.engine import Flag, SimError
 from repro.sim.graph import CollectiveGroup, apply_wire_lane, resolve
 from repro.tensor import SimTensor
@@ -101,10 +101,9 @@ class ExecutionLayer:
     """Mixin: posts operations into the engine and observes completion.
 
     Stateless by itself — every attribute it reads (``ctx``, ``_shared``,
-    ``_seq``, plan-cache state, fault gates, ...) is initialized by
+    ``_seq``, plan-cache state, ``health``, ...) is initialized by
     :class:`~repro.core.comm.MCRCommunicator`, and every dispatch-layer
-    method it calls (``_compile_plan``, ``_admit_backend``,
-    ``_op_label``, ...) is provided by
+    method it calls (``_plan``, ``_op_label``, ...) is provided by
     :class:`~repro.core.dispatch.DispatchLayer`.
     """
 
@@ -155,19 +154,6 @@ class ExecutionLayer:
             raise MCRError("communicator already finalized")
         ctx = self.ctx
 
-        # pre-dispatch hook fallback for direct ``_collective`` callers
-        # (persistent-collective replay): the public op surface primes
-        # ``_adapt_primed`` before hier/flat resolution, so this only
-        # fires when the op surface was bypassed.  A probation canary
-        # (retuner.quiet) posts from inside before_op and must not count
-        # as a new adaptive op.
-        retuner = self._retuner
-        if retuner is not None:
-            if self._adapt_primed:
-                self._adapt_primed = False
-            elif not retuner.quiet:
-                retuner.before_op(family, nbytes)
-
         # plan lookup: steady state pays one dict probe; first post (or
         # first post after an invalidation) compiles.  The cache-off path
         # compiles a throwaway plan through the same code, which is what
@@ -185,11 +171,11 @@ class ExecutionLayer:
         pool = plan.pool
         host_sync = plan.host_sync
         stream_semantics = plan.stream_semantics
-        if self._fault_gate or self._quarantined:
+        if self.health.gate:
             # the fault gate runs per call even on a plan hit: injector
             # op counters must advance exactly as in the uncached path,
             # and its retries/reroutes are call-local, never plan state
-            admitted = self._admit_backend(backend, family, nbytes)
+            admitted = self.health.admit(backend, family, nbytes)
             if admitted is not backend:
                 backend = admitted
                 label, dispatch_reason = self._op_label(family, backend.name)
@@ -368,11 +354,11 @@ class ExecutionLayer:
                 family, backend, nbytes, rdv.flag, async_op, rdv,
                 dispatch=dispatch, stream=stream_label,
             )
-        if retuner is not None:
+        if self._retuner is not None:
             # observation rides the rendezvous flag: fire() runs every
             # rank's callback at one instant with one shared duration,
             # keeping the per-rank observation streams identical
-            retuner.attach(family, backend.name, nbytes, rdv, backend_name == "auto")
+            self._retuner.attach(family, backend.name, nbytes, rdv, backend_name == "auto")
         deadline_us = self.config.op_deadline_us
         if async_op:
             handle = WorkHandle(
@@ -392,39 +378,14 @@ class ExecutionLayer:
         if stream_semantics and member_node is not None:
             ctx.gpu.default_stream.gate_on(member_node)
         else:
-            self._await_flag(rdv.flag, label, rdv, deadline_us)
+            host_block(
+                ctx, rdv.flag, label, "wait", deadline_us,
+                self._timeout_info(label, rdv) if deadline_us is not None else None,
+            )
         if self.config.synchronization == "naive":
             # naive scheme additionally host-blocks (Fig. 4a)
             ctx.engine.wait_flag(rdv.flag, reason=label)
         return None
-
-    def _await_flag(
-        self,
-        flag: Flag,
-        label: str,
-        rdv: Optional[Rendezvous],
-        deadline_us: Optional[float],
-    ) -> None:
-        """Host-block on a completion flag, honoring the per-op deadline."""
-        ctx = self.ctx
-        if deadline_us is None:
-            if flag.ready_time is None:
-                ctx.engine.wait_flag(flag, reason=f"wait({label})")
-            else:
-                ctx.engine.wait_flag(flag, reason=label)
-            return
-        if not ctx.engine.wait_flag_deadline(
-            flag, ctx.now + deadline_us, reason=f"wait({label})"
-        ):
-            detail = self._timeout_info(label, rdv)()
-            raise CommTimeoutError(
-                f"{label} exceeded the {deadline_us:.0f}us deadline on rank "
-                f"{ctx.rank}: {detail}",
-                label=label,
-                rank=ctx.rank,
-                deadline_us=deadline_us,
-                detail=detail,
-            )
 
     def _timeout_info(self, label: str, rdv: Optional[Rendezvous]):
         """Deferred per-rank diagnostics for a CommTimeoutError: evaluated
@@ -489,8 +450,8 @@ class ExecutionLayer:
         backend = self._resolve_backend(backend_name, OpFamily.P2P, tensor.nbytes())
         resolved_name = backend.name
         src, dst = (ctx.rank, peer_global) if is_send else (peer_global, ctx.rank)
-        if self._fault_gate or self._quarantined:
-            backend = self._admit_backend(
+        if self.health.gate:
+            backend = self.health.admit(
                 backend, OpFamily.P2P, tensor.nbytes(), p2p_channel=(src, dst, tag)
             )
         label, dispatch_reason = self._op_label(

@@ -8,14 +8,18 @@ buckets reduced every step — this removes the host-side setup from the
 steady state.
 
 Implementation: initialization runs the public op with the
-communicator's ``_collective`` intercepted, capturing the exact
-internal invocation (validated buffers, op family, rendezvous meta) and
-pre-compiling its :class:`~repro.core.dispatch.CommPlan` in the
-communicator's dispatch plan cache.  ``start()`` replays that
-invocation with ``dispatch_scale=PERSISTENT_DISPATCH_SCALE`` — a
-per-call keyword, so a start that raises (quarantined backend, fault
-storm) cannot leak a discount into unrelated operations, unlike the old
-``comm._persistent_scale`` global.  Plan invalidation (tuning-table
+communicator's ``_post`` intercepted, capturing the op-table row and
+arguments, prepares the call once (validated buffers, rendezvous meta,
+datapath mover) and pre-compiles its
+:class:`~repro.core.dispatch.CommPlan` in the communicator's dispatch
+plan cache.  ``start()`` replays the prepared call through ``_post``, so
+each start runs the same hook chain as a public call: it counts as one
+adaptive op, and an ``"auto"`` or ``hier:*`` name that routes to a
+hierarchical composite posts that composite (at full dispatch cost;
+``plan`` is None then).  A flat start passes
+``dispatch_scale=PERSISTENT_DISPATCH_SCALE`` — a per-call argument, so
+a start that raises (quarantined backend, fault storm) cannot leak a
+discount into unrelated operations.  Plan invalidation (tuning-table
 swaps, quarantines, codec changes) is handled by the cache itself: the
 next start recompiles transparently.
 
@@ -30,7 +34,7 @@ Usage::
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Optional
 
 from repro.core.exceptions import MCRError
 from repro.core.handles import WorkHandle
@@ -76,32 +80,29 @@ class PersistentCollective:
         self.op_name = op_name
         self.backend = backend
         self.starts = 0
-        # init-time negotiation: resolve the backend once so bad names
-        # fail here, not at step N
-        if backend != "auto":
-            comm._backend(backend)
         # run the public op with dispatch intercepted: arguments are
-        # validated here (bad shapes/roots fail at init) and the internal
-        # invocation is captured for replay
-        self._call = comm._capture_collective(
+        # validated here (bad shapes/roots fail at init) and the prepared
+        # call is kept for replay
+        self._spec, self._args, self._prep = comm._capture_collective(
             getattr(comm, op_name), backend, *args, **kwargs
         )
-        # pre-compile the plan so the first start() is already steady-state
-        comm._plan_for_call(*self._call)
+        # resolve and pre-compile the plan once, so bad backend names fail
+        # here, not at step N, and the first start() is steady-state
+        comm._plan_for_call(self._spec, backend, self._prep)
 
     @property
-    def plan(self) -> "CommPlan":
+    def plan(self) -> "Optional[CommPlan]":
         """The currently pinned dispatch plan — the one the next
         :meth:`start` posts with (recompiled transparently after an
-        invalidation)."""
-        return self.comm._plan_for_call(*self._call)
+        invalidation) — or None while the name routes hierarchically."""
+        return self.comm._plan_for_call(self._spec, self.backend, self._prep)
 
     def start(self) -> WorkHandle:
         """Post one instance of the operation; returns its handle."""
         self.starts += 1
-        args, kwargs = self._call
-        return self.comm._collective(
-            *args, dispatch_scale=PERSISTENT_DISPATCH_SCALE, **kwargs
+        return self.comm._post(
+            self._spec, self.backend, self._args, True, self._prep,
+            PERSISTENT_DISPATCH_SCALE,
         )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

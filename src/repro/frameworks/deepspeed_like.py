@@ -107,15 +107,10 @@ class DeepSpeedLikeEngine:
         )
         comp_cfg = self.config["compression"]
         if comp_cfg.get("enabled"):
-            # compression applies inside the communicator's config; the
-            # driver built it already, so install the codec directly
-            self.driver.comm.config.compression = CompressionConfig(
-                enabled=True, rate_bits=int(comp_cfg.get("rate_bits", 8))
-            )
-            from repro.ext.compression import FixedRateCodec
-
-            self.driver.comm._codec = FixedRateCodec(
-                int(comp_cfg.get("rate_bits", 8))
+            # the driver built the communicator already: install the codec
+            # through the call that also recompiles its dispatch plans
+            self.driver.comm.set_compression(
+                CompressionConfig(enabled=True, rate_bits=int(comp_cfg.get("rate_bits", 8)))
             )
         self.steps_completed = 0
 

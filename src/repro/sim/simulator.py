@@ -134,7 +134,7 @@ class Simulator:
             from repro.sim.faults import FaultInjector
 
             injector = FaultInjector(self.faults)
-            shared["fault_injector"] = injector
+            shared["injector"] = injector
         contexts = []
         for rank in range(self.world_size):
             gpu = GPU(

@@ -1,9 +1,9 @@
 """One injected-violation harness for ``scripts/lint.py``.
 
-``tests/test_layering.py``, ``test_set_order_lint.py`` and
-``test_hostfree_lint.py`` each build a root with this module, inject a
-violation of their rule, and assert the lint's verdict, so a green CI
-lint step means something.
+``tests/test_layering.py``, ``test_set_order_lint.py``,
+``test_hostfree_lint.py`` and ``test_hooks_lint.py`` each build a root
+with this module, inject a violation of their rule, and assert the
+lint's verdict, so a green CI lint step means something.
 """
 
 from __future__ import annotations

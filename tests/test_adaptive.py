@@ -76,7 +76,7 @@ def run_loop(
             tail,
             snap,
             entries,
-            sorted(comm._quarantined),
+            sorted(comm.health.quarantined),
             comm.plan_stats["invalidations"],
         )
         comm.finalize()
@@ -220,16 +220,16 @@ class TestUnquarantineCascade:
             comm.synchronize()
             children = comm._hier_children
             assert children
-            comm._quarantine(comm.backends["nccl"], "test outage")
+            comm.health.quarantine("nccl", "test outage")
             inherited = [
-                "nccl" in c._quarantined
+                "nccl" in c.health.quarantined
                 for c in children
                 if "nccl" in c.backends
             ]
             assert inherited and all(inherited)
-            comm._unquarantine(comm.backends["nccl"], "probe cleared")
+            comm.health.unquarantine("nccl", "probe cleared")
             recovered = [
-                "nccl" not in c._quarantined
+                "nccl" not in c.health.quarantined
                 for c in children
                 if "nccl" in c.backends
             ]
@@ -237,6 +237,25 @@ class TestUnquarantineCascade:
             assert not comm.backends["nccl"].failed
             comm.finalize()
             return True
+
+        assert all(Simulator(16, system=lassen()).run(rank_main).rank_results)
+
+    def test_quarantine_inherited_at_spawn_recovers_too(self):
+        def rank_main(ctx):
+            comm = MCRCommunicator(
+                ctx, ["nccl", "mvapich2-gdr"], comm_id="cascade-spawn"
+            )
+            comm.health.quarantine("nccl", "outage before any phase group")
+            # the phase children are built now and inherit the quarantine
+            comm.all_reduce("hier:nccl+mvapich2-gdr", ctx.virtual_tensor(1024))
+            comm.synchronize()
+            children = [c for c in comm._hier_children if "nccl" in c.backends]
+            assert children
+            assert all("nccl" in c.health.quarantined for c in children)
+            comm.health.unquarantine("nccl", "probe cleared")
+            recovered = all("nccl" not in c.health.quarantined for c in children)
+            comm.finalize()
+            return recovered
 
         assert all(Simulator(16, system=lassen()).run(rank_main).rank_results)
 
@@ -252,11 +271,11 @@ class TestUnquarantineCascade:
                 c for c in comm._hier_children if "nccl" in c.backends
             )
             # a fault observed only inside one phase group
-            child._quarantine(child.backends["nccl"], "child-local fault")
-            comm._quarantine(comm.backends["nccl"], "parent outage")
-            comm._unquarantine(comm.backends["nccl"], "probe cleared")
+            child.health.quarantine("nccl", "child-local fault")
+            comm.health.quarantine("nccl", "parent outage")
+            comm.health.unquarantine("nccl", "probe cleared")
             # the child's own quarantine is not the parent's to lift
-            assert "nccl" in child._quarantined
+            assert "nccl" in child.health.quarantined
             comm.finalize()
             return True
 

@@ -119,6 +119,21 @@ class TestTraining:
         squeezed = Simulator(4).run(main, True).rank_results[0]
         assert squeezed < plain  # gradient allreduce bytes shrank
 
+    def test_compression_installs_through_set_compression(self):
+        """The codec goes in through the call that also recompiles the
+        communicator's plans (one ``codec change`` invalidation)."""
+
+        def main(ctx, compressed):
+            config = {"compression": {"enabled": compressed, "rate_bits": 8}}
+            engine = DeepSpeedLikeEngine(ctx, config)
+            comm = engine.driver.comm
+            out = comm.config.compression.enabled, comm.plan_stats["invalidations"]
+            engine.finalize()
+            return out
+
+        assert Simulator(2).run(main, True).rank_results[0] == (True, 1)
+        assert Simulator(2).run(main, False).rank_results[0] == (False, 0)
+
     def test_default_config_not_mutated(self):
         snapshot = {k: dict(v) for k, v in DEFAULT_CONFIG.items()}
 

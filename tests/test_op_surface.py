@@ -127,7 +127,7 @@ class TestBarrierDefault:
             )
             comm.barrier()
             comm.synchronize()
-            quarantined = sorted(comm._quarantined)
+            quarantined = sorted(comm.health.quarantined)
             comm.finalize()
             return quarantined
 

@@ -189,6 +189,53 @@ class TestPlanPinning:
         assert persistent < before
 
 
+class TestHierRouted:
+    """A start runs the public call's hook chain: one adaptive op, then
+    hierarchical routing.  Capture posts nothing, on the phase
+    communicators included."""
+
+    NUMEL = 1 << 14
+
+    @pytest.mark.parametrize("backend", ["auto", "hier:nccl+mvapich2-gdr"])
+    def test_start_routes_through_the_composite(self, backend):
+        from repro.cluster import lassen
+        from repro.core import MCRConfig, TuningTable
+        from repro.core.config import AdaptiveConfig
+
+        numel, world = self.NUMEL, 16
+        table = TuningTable(system="lassen")
+        table.add("allreduce", world, numel * 4, "hier:nccl+mvapich2-gdr")
+
+        def mine(rank, step):
+            return np.arange(numel, dtype=np.float32) + rank + 100 * step
+
+        def main(ctx):
+            config = MCRConfig()
+            config.adaptive = AdaptiveConfig(enabled=True)
+            comm = MCRCommunicator(
+                ctx, ["nccl", "mvapich2-gdr"], config=config, tuning_table=table
+            )
+            x = ctx.zeros(numel)
+            op = PersistentCollective(comm, "all_reduce", backend, x)
+            at_init = (comm.retuner.snapshot()["ops"], len(comm._hier_children))
+            sums = []
+            for step in range(2):
+                x.data[:] = mine(ctx.rank, step)
+                op.start().synchronize()
+                sums.append(x.data.copy())
+            out = at_init, comm.retuner.snapshot()["ops"], op.plan, sums
+            comm.finalize()
+            return out
+
+        for at_init, ops, plan, sums in Simulator(world, system=lassen()).run(main).rank_results:
+            assert at_init == (0, 0)
+            assert ops == 2  # one adaptive op per start
+            assert plan is None  # the phase communicators plan the pieces
+            for step, got in enumerate(sums):
+                want = np.sum([mine(r, step) for r in range(world)], axis=0)
+                assert np.array_equal(got, want)
+
+
 class TestPerformance:
     def test_persistent_cheaper_than_regular(self):
         n_ops = 32

@@ -543,7 +543,7 @@ class TestVectoredCollectives:
                     comm.all_gatherv("nccl", out, x, rcounts=[2, 2])
                     comm.synchronize()
                 stats = comm.plan_stats
-                quarantined = sorted(comm._quarantined)
+                quarantined = sorted(comm.health.quarantined)
                 comm.finalize()
                 return ctx.now, out.data.copy(), stats, quarantined
 

@@ -138,6 +138,19 @@ class TestFinishedOpsAreReleased:
         expected = [(True, True, keep_handle)] * WORLD
         assert Simulator(WORLD).run(main).rank_results == expected
 
+    def test_dropped_communicator_frees_by_reference_count(self, no_auto_gc):
+        # nothing a communicator owns points back at it (``comm.health``
+        # holds a proxy), so the collector is not needed to free it
+        def main(ctx):
+            comm = MCRCommunicator(ctx, ["nccl", "mvapich2-gdr"])
+            comm.all_reduce("nccl", ctx.ones(8))
+            comm.finalize()
+            alive = weakref.ref(comm)
+            del comm
+            return alive() is None
+
+        assert all(Simulator(WORLD).run(main).rank_results)
+
     def test_cyclic_garbage_after_a_run_does_not_grow_with_ops(self, no_auto_gc):
         def garbage(n_ops: int) -> int:
             Simulator(WORLD).run(mixed_program(n_ops))
