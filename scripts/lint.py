@@ -17,7 +17,8 @@ files it covers (docs/INTERNALS.md §7, §10, §15 give the why):
 * ``hooks`` (``src/repro`` outside :data:`COMM_FILES`) — no
   ``<receiver>._name`` on anything but ``self`` when ``_name`` is a
   private communicator member the ``CommCore`` protocol does not
-  declare.
+  declare, and no underscored ``CommCore`` hook that nothing there
+  reaches that way.
 
 A flagged use that cannot reach a result is allowed by
 ``ALLOWED[rule]["<path from the root>::<enclosing function>"] = reason``;
@@ -564,29 +565,34 @@ def _comm_members(tree: ast.Module) -> set[str]:
     return {name for name in names if name.startswith("_") and not name.startswith("__")}
 
 
-def _declared(tree: ast.Module) -> set[str]:
-    """Every member the ``CommCore`` protocol class declares."""
+def _declared(tree: ast.Module) -> dict[str, int]:
+    """Every member the ``CommCore`` protocol class declares, with the
+    line that declares it."""
     return {
-        getattr(stmt, "name", None) or getattr(getattr(stmt, "target", None), "id", None)
+        getattr(stmt, "name", None) or stmt.target.id: stmt.lineno
         for cls in tree.body
         if isinstance(cls, ast.ClassDef) and cls.name == PROTOCOL[1]
         for stmt in cls.body
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.AnnAssign))
     }
 
 
 class _Hooks(_Scoped):
     """Every ``<receiver>._name`` with a receiver other than ``self`` and
-    a ``_name`` from ``undeclared``."""
+    a ``_name`` from ``undeclared``; ``used`` collects every underscored
+    name reached that way."""
 
-    def __init__(self, tree: ast.Module, undeclared: "set[str]") -> None:
+    def __init__(self, tree: ast.Module, undeclared: "set[str]", used: "set[str]") -> None:
         super().__init__()
-        self.undeclared = undeclared
+        self.undeclared, self.used = undeclared, used
         self.visit(tree)
 
     def visit_Attribute(self, node: ast.Attribute) -> None:
-        if node.attr in self.undeclared and getattr(node.value, "id", None) != "self":
-            self.hit(node, f"reaches the communicator's {node.attr}, which CommCore does not "
-                     "declare — use the public surface or declare an extension hook")
+        if node.attr.startswith("_") and getattr(node.value, "id", None) != "self":
+            if node.attr in self.undeclared:
+                self.hit(node, f"reaches the communicator's {node.attr}, which CommCore does not "
+                         "declare — use the public surface or declare an extension hook")
+            self.used.add(node.attr)
         self.generic_visit(node)
 
 
@@ -596,11 +602,18 @@ def hooks_rule(trees: dict[str, ast.Module]) -> Iterable[tuple[str, Hit]]:
         if path in trees:
             members |= _comm_members(trees[path])
     protocol = trees.get(PROTOCOL[0])
-    undeclared = members - (_declared(protocol) if protocol is not None else set())
+    declared = _declared(protocol) if protocol is not None else {}
+    undeclared = members - declared.keys()
+    used: set[str] = set()
     for path, tree in trees.items():
         if path not in COMM_FILES:
-            for hit in _Hooks(tree, undeclared).hits:
+            for hit in _Hooks(tree, undeclared, used).hits:
                 yield path, hit
+    # a hook nothing outside the core reaches is surface to trim
+    for name, lineno in declared.items():
+        if name.startswith("_") and not name.startswith("__") and name not in used:
+            yield PROTOCOL[0], (lineno, PROTOCOL[1], f"declares the extension hook {name}, which "
+                                "nothing outside the comm core uses — drop the stale declaration")
 
 
 # ----------------------------------------------------------------------

@@ -13,7 +13,7 @@ from __future__ import annotations
 import abc
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Type
+from typing import Type
 
 from repro.backends.calibration import (
     BackendTuning,
@@ -88,11 +88,6 @@ class Backend(abc.ABC):
         self.world_size = world_size
         self.system = system
         self.initialized = False
-        #: failure latch: set via fail() when the library suffers a
-        #: permanent fault; a failed backend stays usable for draining
-        #: already-posted work but must not accept new dispatches
-        self.failed = False
-        self.failure_reason: Optional[str] = None
         #: shared per-(class, system) cost memo table (see module header)
         self._cost_cache = _cost_cache_for(type(self), system)
         #: canonical name, bound per instance (attribute reads sit on the
@@ -107,34 +102,6 @@ class Backend(abc.ABC):
 
     def finalize(self) -> None:
         self.initialized = False
-
-    # -- failure modes (fault injection / graceful degradation) ----------
-
-    def fail(self, reason: str = "injected permanent fault") -> None:
-        """Latch a permanent library failure.
-
-        Called by the communicator when the fault injector declares this
-        backend permanently down; the communicator quarantines the
-        backend and fails over, while in-flight operations drain.
-        """
-        self.failed = True
-        self.failure_reason = reason
-
-    def recover(self, reason: str = "probation probe cleared") -> None:
-        """Release the permanent-failure latch.
-
-        Called by the communicator's probation path
-        (:mod:`repro.core.adaptive`) when a timing-only probe observes
-        the library healthy again; the communicator un-quarantines the
-        backend symmetrically on every rank at the same logical op.
-        """
-        self.failed = False
-        self.failure_reason = None
-
-    @property
-    def usable(self) -> bool:
-        """Whether new operations may be dispatched on this backend."""
-        return self.initialized and not self.failed
 
     # -- capability queries ----------------------------------------------
 

@@ -211,16 +211,14 @@ class HierarchicalExecutor:
         self._perms: dict[tuple, np.ndarray] = {}
 
     # -- sub-communicators ------------------------------------------------
-
-    def _make_sub(self, ranks, comm_id: str, phase: str) -> CommCore:
-        # construction, phase tagging, quarantine inheritance, and child
-        # registration all live behind the protocol's spawn hook
-        return self.comm.spawn_phase_comm(ranks, comm_id, phase)
+    #
+    # construction, phase tagging, quarantine inheritance, and child
+    # registration all live behind the protocol's spawn hook
 
     def intra_comm(self) -> CommCore:
         """The sub-communicator over this rank's node members."""
         if self._intra is None:
-            self._intra = self._make_sub(
+            self._intra = self.comm.spawn_phase_comm(
                 self.layout.node_members[self.my_node],
                 f"{self.comm.comm_id}|hier-intra",
                 "intra",
@@ -234,7 +232,7 @@ class HierarchicalExecutor:
         sub = self._shards.get(local_index)
         if sub is None:
             ranks = [members[local_index] for members in self.layout.node_members]
-            sub = self._shards[local_index] = self._make_sub(
+            sub = self._shards[local_index] = self.comm.spawn_phase_comm(
                 ranks, f"{self.comm.comm_id}|hier-inter{local_index}", "inter"
             )
         return sub
@@ -506,8 +504,6 @@ class HierarchicalExecutor:
                 out_flat.reshape(p, chunk)[:] = b_flat.reshape(p, chunk)[unpack]
 
             self._on_complete(handle, deliver)
-        else:
-            deliver = None
         if async_op:
             return handle
         self._sync(shard, handle)

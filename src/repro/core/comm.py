@@ -14,8 +14,8 @@ dependencies (``docs/INTERNALS.md`` §15):
   validation/meta builder (``prepare``), datapath mover, hierarchical
   capability, and the ``force_host``/``compressible``/``vector``
   flags.  The shared pre-dispatch hook chain (``retuner.before_op`` →
-  ``_hier_target``) runs uniformly for every family from
-  :meth:`MCRCommunicator._post`;
+  ``_plan``, whose plan routes flat or hierarchical) runs uniformly for
+  every family from :meth:`MCRCommunicator._post`;
 * **dispatch** (:mod:`repro.core.dispatch`) — backend resolution and
   the compiled :class:`~repro.core.dispatch.CommPlan` cache, with
   backend health (quarantine, failover) owned by ``comm.health``
@@ -39,7 +39,7 @@ from repro.backends.base import Backend, canonical_name, create_backend
 from repro.backends.ops import ReduceOp
 from repro.core.config import BACKEND_INIT_US, MCRConfig
 from repro.core.dispatch import CommPlan, DispatchLayer
-from repro.core.exceptions import BackendError, ValidationError
+from repro.core.exceptions import BackendError, MCRError, ValidationError
 from repro.core.handles import WorkHandle
 from repro.core.health import Health
 from repro.core.op_table import (
@@ -183,10 +183,6 @@ class MCRCommunicator(DispatchLayer, ExecutionLayer):
         self._phase_tag = ""
         self._hier_children: list["MCRCommunicator"] = []
         self._hier_exec = None
-        #: memoized "does this table contain hier entries" probe, keyed
-        #: by (table identity, generation) — keeps the no-hier auto path
-        #: at one dict hit per dispatch
-        self._hier_table_probe: Optional[tuple[int, int, bool]] = None
 
         #: fault injection / graceful degradation (repro.sim.faults): the
         #: quarantine set, fault counters, retry and failover
@@ -277,15 +273,15 @@ class MCRCommunicator(DispatchLayer, ExecutionLayer):
         each backend and apply its native completion semantics."""
         if backends is None:
             backends = list(self.backends)
-            # hierarchical phases run on sub-communicators; a full
-            # synchronize drains those first (their completions gate the
-            # parent-level handles)
-            for child in self._hier_children:
-                child.synchronize()
         elif isinstance(backends, str):
             backends = [backends]
-        for name in backends:
-            backend = self._backend(name)
+        resolved = [self._backend(name) for name in backends]
+        # hierarchical phases run on sub-communicators over the same
+        # backends; drain those first (their completions gate the
+        # parent-level handles)
+        for child in self._hier_children:
+            child.synchronize([backend.name for backend in resolved])
+        for backend in resolved:
             self.sync.synchronize_backend(backend)
             pending = self._outstanding.pop(backend.name, [])
             for handle in pending:
@@ -339,34 +335,29 @@ class MCRCommunicator(DispatchLayer, ExecutionLayer):
     ) -> Optional[WorkHandle]:
         """Run one table row: validate/prepare (a persistent start hands
         in its call, prepared once), then the uniform pre-dispatch hook
-        chain, then hand off to the dispatch layer.
+        chain, then one plan lookup decides where the op runs.
 
-        The hook chain runs identically for *every* family and start:
+        The chain runs identically for *every* family and start:
 
         1. ``retuner.before_op`` — adaptive pre-op accounting (pending
-           table edits apply to the op being posted);
-        2. ``_hier_target`` — hierarchical composite routing for the
-           families that decompose (``spec.hier_op``), when the name can
-           route there (``"auto"`` or ``hier:*``); ``dispatch_scale``
-           discounts only a flat post.
+           table edits apply to the op being posted, so its plan
+           recompiles against them);
+        2. ``_plan`` — the compiled plan either names a hierarchical
+           composite (``plan.hier``), which the executor decomposes into
+           phases, or a flat backend for ``_collective``;
+           ``dispatch_scale`` discounts only a flat post.
         """
         if prep is None:
             prep = spec.prepare(self, *args)
         retuner = self._retuner
         if retuner is not None and not retuner.quiet:
             retuner.before_op(spec.family, prep.nbytes)
-        if spec.hier_op is not None and (
-            backend_name == "auto" or backend_name[:5].lower() == "hier:"
-        ):
-            hspec = self._hier_target(backend_name, spec.family, prep.nbytes)
-            if hspec is not None:
-                return getattr(self._hier(), spec.hier_op)(hspec, *args, async_op)
-        return self._collective(
-            backend_name, spec.family, prep.nbytes, prep.inputs, prep.outputs,
-            prep.move, meta=prep.meta, async_op=async_op, vector=spec.vector,
-            force_host=spec.force_host, compressible=spec.compressible,
-            extras=prep.extras, tensors=prep.tensors, dispatch_scale=dispatch_scale,
-        )
+        if self._finalized:
+            raise MCRError("communicator already finalized")
+        plan = self._plan(spec, backend_name, prep)
+        if plan.hier is not None:
+            return getattr(self._hier(), spec.hier_op)(plan.hier, *args, async_op)
+        return self._collective(spec, backend_name, prep, plan, async_op, dispatch_scale)
 
     # ------------------------------------------------------------------
     # collectives (Listing 1): thin table-driven wrappers

@@ -3,8 +3,9 @@
 
 Steady-state dispatch runs through a compile-once plan cache
 (:class:`CommPlan`): everything derivable from a call's signature alone
-— resolved backend, interned labels, dispatch cost, codec arithmetic,
-stream placement, tagged rendezvous meta — is snapshotted on first post
+— flat backend or hierarchical composite, resolved backend, interned
+labels, dispatch cost, codec arithmetic, stream placement, tagged
+rendezvous meta — is snapshotted on first post
 and re-used per call, the way MPI-4 persistent operations and pre-built
 communication plans amortize per-call setup (paper §V-E).  Clearing the
 cache on tuning-table installs, quarantines, and codec/synchronization
@@ -22,7 +23,7 @@ the state referenced here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.backends.base import Backend, canonical_name
 from repro.backends.ops import OpFamily
@@ -33,16 +34,22 @@ from repro.core.tuning import TuningTable
 from repro.obs.metrics import ObsEvent
 from repro.sim.streams import Stream
 
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.backends.hierarchical import HierSpec
+
 
 @dataclass(slots=True)
 class CommPlan:
     """One compiled dispatch plan (paper §V-E persistent-op amortization).
 
-    Snapshots everything the ``_collective`` spine can derive from the
-    call signature alone, keyed per (requested backend, rendezvous meta,
-    nbytes, timing-only) so a steady-state training step pays one dict
-    lookup instead of re-deriving tuning choice, labels, codec
-    arithmetic, and stream placement on every post.
+    Snapshots everything dispatch can derive from the call signature
+    alone, keyed per (requested backend, rendezvous meta, nbytes,
+    timing-only) so a steady-state training step pays one dict lookup
+    instead of re-deriving routing, tuning choice, labels, codec
+    arithmetic, and stream placement on every post.  A plan whose
+    ``hier`` is set routes the call to the hierarchical composite; its
+    flat fields keep their defaults, since the phase communicators plan
+    the pieces.
 
     Tuning-table installs, quarantines, and codec/synchronization
     changes clear the cache; plans compiled through the ``"auto"`` path
@@ -55,26 +62,30 @@ class CommPlan:
     #: tuning-table generation consulted at compile time; -1 when the
     #: plan did not go through the table (explicit backend, or no table)
     table_generation: int
-    backend: Backend
+    #: a virtual tensor is involved: charge full communication time but
+    #: skip the data plane (workload modeling; see SimTensor docs)
+    timing_only: bool
+    #: the composite this call routes to (``hier:*`` or an ``"auto"``
+    #: table cell naming one); None = flat dispatch on ``backend``
+    hier: Optional[HierSpec] = None
+    backend: Optional[Backend] = None
     #: backend name after §V-F resolution but *before* the fault gate —
     #: the reference point for "reroute" dispatch attribution
-    resolved_name: str
-    label: str
-    dispatch_reason: str
-    #: dispatch attribution when the fault gate does not reroute
-    dispatch_kind: str
-    dispatch_cost_us: float
-    codec: object
-    wire_bytes: int
-    codec_us: float
+    resolved_name: str = ""
+    label: str = ""
+    dispatch_reason: str = ""
+    dispatch_cost_us: float = 0.0
+    codec: object = None
+    wire_bytes: int = 0
+    codec_us: float = 0.0
     #: stream placement, see :meth:`~repro.core.sync.SyncManager.placement`
     #: (``stream`` and ``pool`` both None: the op completes on the host)
-    stream: Optional[Stream]
-    pool: Optional[StreamPool]
-    host_sync: bool
-    stream_semantics: bool
+    stream: Optional[Stream] = None
+    pool: Optional[StreamPool] = None
+    host_sync: bool = False
+    stream_semantics: bool = False
     #: rendezvous meta with the virtual/real data-plane tag appended
-    meta_tagged: tuple
+    meta_tagged: tuple = ()
 
 
 class DispatchLayer:
@@ -221,37 +232,19 @@ class DispatchLayer:
             self._hier_exec = HierarchicalExecutor(self)
         return self._hier_exec
 
-    def _table_has_hier(self, table: TuningTable) -> bool:
-        """Whether the tuning table contains any ``hier:*`` entry, memoized
-        per (table identity, generation) so hier-free auto dispatch pays
-        one tuple compare."""
-        probe = self._hier_table_probe
-        ident, gen = id(table), table.generation
-        if probe is not None and probe[0] == ident and probe[1] == gen:
-            return probe[2]
-        has = any(
-            choice[:5].lower() == "hier:"
-            for by_ws in table.entries.values()
-            for by_msg in by_ws.values()
-            for choice in by_msg.values()
-        )
-        self._hier_table_probe = (ident, gen, has)
-        return has
-
     def _hier_target(self, name: str, family: OpFamily, nbytes: int):
-        """Resolve one dispatch to a hierarchical spec, or None for flat.
+        """Resolve one dispatch of a hierarchically decomposable row to a
+        hierarchical spec, or None for flat.
 
-        ``name`` is ``"auto"`` or a ``hier:*`` spelling: ``_post`` only
-        routes names that can go hierarchical here.  Explicit ``hier:*``
-        spellings must parse and have both constituents initialized
-        (errors otherwise, mirroring unknown backend names).  ``"auto"``
-        consults the tuned table; a hier entry that cannot run here —
-        malformed, missing constituent, or a constituent quarantined by
-        a permanent fault — silently falls back to flat resolution,
-        matching ``_resolve_backend``'s treatment of unavailable tuned
-        choices.
+        Explicit ``hier:*`` spellings must parse and have both
+        constituents initialized (errors otherwise, mirroring unknown
+        backend names).  ``"auto"`` consults the tuned table; a hier
+        entry that cannot run here — malformed, missing constituent, or
+        a constituent quarantined by a permanent fault — silently falls
+        back to flat resolution, matching ``_resolve_backend``'s
+        treatment of unavailable tuned choices.  Any other name is flat.
         """
-        if name != "auto":
+        if name[:5].lower() == "hier:":
             from repro.backends.hierarchical import parse_hier
 
             spec = parse_hier(name)
@@ -264,7 +257,7 @@ class DispatchLayer:
                     )
             return spec
         table = self._tuning_table
-        if table is None or not self._table_has_hier(table):
+        if name != "auto" or table is None:
             return None
         choice = table.lookup(family.value, self.world_size, nbytes)
         if choice is None or choice[:5].lower() != "hier:":
@@ -298,29 +291,26 @@ class DispatchLayer:
     def _dispatch_cost(self, backend: Backend) -> float:
         return self.config.dispatch_overhead_us + backend.call_overhead_us()
 
-    def _plan(
-        self, backend_name: str, family: OpFamily, nbytes: int, meta: tuple,
-        vector: bool, force_host: bool, compressible: bool, timing_only: bool,
-        count: bool = True,
-    ) -> CommPlan:
-        """The plan for one call signature: a cache hit, or a compile
-        cached for the next call.  Only posts ``count`` towards
-        :attr:`plan_stats`, persistent pins do not."""
+    def _plan(self, spec, backend_name: str, prep, count: bool = True) -> CommPlan:
+        """The plan for one prepared call of op-table row ``spec``: a
+        cache hit, or a compile cached for the next call.  Only posts
+        ``count`` towards :attr:`plan_stats`, persistent pins do not."""
+        timing_only = False
+        for t in prep.tensors:
+            if t is not None and t.is_virtual:
+                timing_only = True
+                break
         if not self._plan_cache_on:
-            return self._compile_plan(
-                backend_name, family, nbytes, meta,
-                vector, force_host, compressible, timing_only,
-            )
+            # a throwaway plan through the same code: cached and uncached
+            # dispatch are identical by construction
+            return self._compile_plan(spec, backend_name, prep, timing_only)
         # meta[0] names the op-table row, which fixes family and flags
-        key = (backend_name, meta, nbytes, timing_only)
+        key = (backend_name, prep.meta, prep.nbytes, timing_only)
         plan = self._plans.get(key)
         if plan is not None and (plan.table_generation < 0 or self._plan_valid(plan)):
             self._plan_hits += count
             return plan
-        plan = self._plans[key] = self._compile_plan(
-            backend_name, family, nbytes, meta,
-            vector, force_host, compressible, timing_only,
-        )
+        plan = self._plans[key] = self._compile_plan(spec, backend_name, prep, timing_only)
         self._plan_misses += count
         return plan
 
@@ -333,24 +323,22 @@ class DispatchLayer:
             return False
         return True
 
-    def _compile_plan(
-        self,
-        backend_name: str,
-        family: OpFamily,
-        nbytes: int,
-        meta: tuple,
-        vector: bool,
-        force_host: bool,
-        compressible: bool,
-        timing_only: bool,
-    ) -> CommPlan:
+    def _compile_plan(self, spec, backend_name: str, prep, timing_only: bool) -> CommPlan:
         """Derive one dispatch plan from a call signature.
 
-        Pure with respect to simulated time — resolution, label
+        Pure with respect to simulated time — routing, resolution, label
         interning, codec arithmetic, and stream placement never advance
         the clock — and arithmetic-identical to the historical per-call
         derivation, so cached and uncached dispatch cannot diverge.
         """
+        family, nbytes = spec.family, prep.nbytes
+        table_generation = -1
+        if backend_name == "auto" and self._tuning_table is not None:
+            table_generation = self._tuning_table.generation
+        if spec.hier_op is not None:
+            hier = self._hier_target(backend_name, family, nbytes)
+            if hier is not None:
+                return CommPlan(table_generation, timing_only, hier)
         backend = self._resolve_backend(backend_name, family, nbytes)
         label, dispatch_reason = self._op_label(family, backend.name)
         # compression (§V-E): shrink the wire size, model codec kernels,
@@ -360,25 +348,22 @@ class DispatchLayer:
         codec_us = 0.0
         if (
             self._codec is not None
-            and compressible
+            and spec.compressible
             and family.value in COMPRESSIBLE_FAMILIES
         ):
             codec = self._codec
             wire_bytes = codec.compressed_nbytes(nbytes)
             codec_us = codec.codec_time_us(nbytes)
         stream, pool, host_sync, stream_semantics = self.sync.placement(
-            backend, force_host, wire_bytes
+            backend, spec.force_host, wire_bytes
         )
-        table_generation = -1
-        if backend_name == "auto" and self._tuning_table is not None:
-            table_generation = self._tuning_table.generation
         return CommPlan(
             table_generation=table_generation,
+            timing_only=timing_only,
             backend=backend,
             resolved_name=backend.name,
             label=label,
             dispatch_reason=dispatch_reason,
-            dispatch_kind="auto" if backend_name == "auto" else "explicit",
             dispatch_cost_us=self._dispatch_cost(backend),
             codec=codec,
             wire_bytes=wire_bytes,
@@ -387,7 +372,7 @@ class DispatchLayer:
             pool=pool,
             host_sync=host_sync,
             stream_semantics=stream_semantics,
-            meta_tagged=(*meta, "virtual" if timing_only else "real"),
+            meta_tagged=(*prep.meta, "virtual" if timing_only else "real"),
         )
 
     # -- persistent collectives (ext.persistent, §V-E) ---------------------
@@ -408,23 +393,6 @@ class DispatchLayer:
             del self._post
         spec, call_args = captured[0]
         return spec, call_args, spec.prepare(self, *call_args)
-
-    def _plan_for_call(self, spec, backend_name: str, prep) -> Optional[CommPlan]:
-        """The plan a captured call posts with — the pin a
-        :class:`~repro.ext.persistent.PersistentCollective` holds — or
-        None when hierarchical routing takes the call instead."""
-        if (
-            spec.hier_op is not None
-            and (backend_name == "auto" or backend_name[:5].lower() == "hier:")
-            and self._hier_target(backend_name, spec.family, prep.nbytes) is not None
-        ):
-            return None
-        return self._plan(
-            backend_name, spec.family, prep.nbytes, prep.meta,
-            spec.vector, spec.force_host, spec.compressible,
-            any(t is not None and t.is_virtual for t in prep.tensors),
-            count=False,
-        )
 
     def _flush_plan_stats(self) -> None:
         """Report plan-cache effectiveness to the observability registry

@@ -85,7 +85,6 @@ class Health:
         if inherited:
             self.inherited.add(name)
         self.gate = True
-        self.backends[name].fail(reason)
         # a quarantine changes dispatch for every subsequent op (auto
         # resolution skips the backend, explicit dispatch reroutes), so
         # compiled plans must recompute from the degraded state
@@ -123,7 +122,6 @@ class Health:
         self.quarantined.discard(name)
         self.inherited.discard(name)
         self.gate = self.injector is not None or bool(self.quarantined)
-        self.backends[name].recover(reason)
         # recovery changes dispatch exactly like quarantine did
         self.comm.invalidate_plans(f"unquarantine({name})")
         self.record("unquarantine", name, reason)

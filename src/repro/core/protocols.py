@@ -25,12 +25,13 @@ The protocol has two sections:
   introspection, collectives, point-to-point;
 * the **extension hooks** — a small, explicitly documented set of
   internal attributes that in-tree extensions legitimately reach into
-  (the fusion route table, the persistent-collective capture/replay
+  (the fusion route table, the persistent-collective capture/plan/replay
   hooks, the communicator's ``health``).  They are underscored because
   user code must not touch them, but they are part of the stable
   contract for extension authors; anything not listed here is private
   to one layer and may change without notice (``scripts/lint.py``'s
-  ``hooks`` rule fails CI on an undeclared one).
+  ``hooks`` rule fails CI on an undeclared one, and on a declared one
+  that nothing outside the core uses).
 """
 
 from __future__ import annotations
@@ -259,13 +260,13 @@ class CommCore(Protocol):
 
     # -- extension hooks (stable contract for in-tree extensions) ----------
     #
-    # ext/persistent: init-time capture, then replay through the op
-    # surface's hook chain
+    # ext/persistent: init-time capture, the uncounted plan pin, then
+    # replay through the op surface's hook chain
     def _capture_collective(
         self, post: Callable, backend_name: str, *args, **kwargs
     ) -> tuple: ...
 
-    def _plan_for_call(self, spec: Any, backend_name: str, prep: Any) -> Any: ...
+    def _plan(self, spec: Any, backend_name: str, prep: Any, count: bool = True) -> Any: ...
 
     def _post(self, *args, **kwargs) -> Optional["WorkHandle"]: ...
 

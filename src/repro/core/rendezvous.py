@@ -12,23 +12,23 @@ This module is the bottom of the comm-core layering (op surface →
 dispatch → execution; see ``docs/INTERNALS.md`` §15): it must not
 import :mod:`repro.core.dispatch` or :mod:`repro.core.comm`.  The
 :class:`ExecutionLayer` mixin reaches dispatch-layer methods
-(``_plan``, ``_op_label``, ...) and ``self.health`` through ``self`` — the
-concrete :class:`~repro.core.comm.MCRCommunicator` composes both
-layers — so the *code* dependency stays one-directional even though the
-call graph crosses layers per operation.
+(``_op_label``, ``_resolve_backend``, ...) and ``self.health`` through
+``self`` — the concrete :class:`~repro.core.comm.MCRCommunicator`
+composes both layers — so the *code* dependency stays one-directional
+even though the call graph crosses layers per operation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
 from repro.backends.ops import OpFamily
 from repro.core.config import EAGER_THRESHOLD, LARGE_MESSAGE_THRESHOLD
-from repro.core.exceptions import MCRError, ValidationError
+from repro.core.exceptions import ValidationError
 from repro.core.handles import CompletedHandle, WorkHandle, host_block
 from repro.sim.engine import Flag, SimError
 from repro.sim.graph import CollectiveGroup, apply_wire_lane, resolve
@@ -103,7 +103,7 @@ class ExecutionLayer:
     Stateless by itself — every attribute it reads (``ctx``, ``_shared``,
     ``_seq``, plan-cache state, ``health``, ...) is initialized by
     :class:`~repro.core.comm.MCRCommunicator`, and every dispatch-layer
-    method it calls (``_plan``, ``_op_label``, ...) is provided by
+    method it calls (``_op_label``, ``_dispatch_cost``, ...) is provided by
     :class:`~repro.core.dispatch.DispatchLayer`.
     """
 
@@ -127,42 +127,15 @@ class ExecutionLayer:
         return self._seq[backend_name]
 
     def _collective(
-        self,
-        backend_name: str,
-        family: OpFamily,
-        nbytes: int,
-        inputs: list[np.ndarray],
-        outputs: list[np.ndarray],
-        move: Callable[[list[Arrival]], None],
-        meta: tuple,
-        async_op: bool,
-        vector: bool = False,
-        force_host: bool = False,
-        compressible: bool = True,
-        extras: Optional[dict] = None,
-        tensors: tuple = (),
-        dispatch_scale: float = 1.0,
+        self, spec, backend_name: str, prep, plan, async_op: bool, dispatch_scale: float
     ) -> Optional[WorkHandle]:
-        # virtual (timing-only) tensors: charge full communication time
-        # but skip the data plane (workload modeling; see SimTensor docs)
-        timing_only = False
-        for t in tensors:
-            if t is not None and t.is_virtual:
-                timing_only = True
-                break
-        if self._finalized:
-            raise MCRError("communicator already finalized")
+        """Post one prepared call of op-table row ``spec`` (family and
+        flags) under its flat ``plan``: buffers, mover, meta and extras
+        come from ``prep``, everything signature-derived from ``plan``."""
         ctx = self.ctx
-
-        # plan lookup: steady state pays one dict probe; first post (or
-        # first post after an invalidation) compiles.  The cache-off path
-        # compiles a throwaway plan through the same code, which is what
-        # keeps cached and uncached dispatch identical by construction.
-        plan = self._plan(
-            backend_name, family, nbytes, meta,
-            vector, force_host, compressible, timing_only,
-        )
-
+        family = spec.family
+        nbytes = prep.nbytes
+        timing_only = plan.timing_only
         backend = plan.backend
         label = plan.label
         dispatch_reason = plan.dispatch_reason
@@ -181,7 +154,7 @@ class ExecutionLayer:
                 label, dispatch_reason = self._op_label(family, backend.name)
                 dispatch_cost = self._dispatch_cost(backend)
                 stream, pool, host_sync, stream_semantics = self.sync.placement(
-                    backend, force_host, plan.wire_bytes
+                    backend, spec.force_host, plan.wire_bytes
                 )
         stream_kind = stream is not None or pool is not None
         dispatch = (
@@ -208,7 +181,7 @@ class ExecutionLayer:
 
         if ws == 1:
             if not timing_only:
-                for a_in, a_out in zip(inputs, outputs):
+                for a_in, a_out in zip(prep.inputs, prep.outputs):
                     if a_in is not a_out:
                         a_out[:] = a_in
             handle = CompletedHandle(ctx, backend.name, label)
@@ -241,7 +214,7 @@ class ExecutionLayer:
         if rank in rdv.arrivals:
             raise ValidationError(f"rank {rank} arrived twice at {key}")
 
-        arrival = Arrival(rank, engine.now, inputs, outputs, extras or _NO_EXTRAS)
+        arrival = Arrival(rank, engine.now, prep.inputs, prep.outputs, prep.extras or _NO_EXTRAS)
         rdv.arrivals[rank] = arrival
         if host_sync:
             ctx.gpu.default_stream.synchronize()
@@ -267,6 +240,7 @@ class ExecutionLayer:
         last = len(rdv.arrivals) == ws and not rdv.claimed
         if last:
             rdv.claimed = True
+            vector = spec.vector
             if vector and family is OpFamily.ALLTOALL:
                 # an imbalanced alltoallv runs at the pace of its heaviest
                 # sender or receiver (the straggler destination), not this
@@ -294,6 +268,7 @@ class ExecutionLayer:
                 # Listing-2 style device->host->device copies around the op
                 duration += 2.0 * ctx.system.host_staging_us(wire_bytes)
             ordered = [rdv.arrivals[r] for r in self.group_ranks]
+            move = prep.move
 
             def on_resolve() -> None:
                 if not timing_only:

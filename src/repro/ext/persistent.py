@@ -14,9 +14,9 @@ datapath mover) and pre-compiles its
 :class:`~repro.core.dispatch.CommPlan` in the communicator's dispatch
 plan cache.  ``start()`` replays the prepared call through ``_post``, so
 each start runs the same hook chain as a public call: it counts as one
-adaptive op, and an ``"auto"`` or ``hier:*`` name that routes to a
-hierarchical composite posts that composite (at full dispatch cost;
-``plan`` is None then).  A flat start passes
+adaptive op, and an ``"auto"`` or ``hier:*`` name whose plan routes to a
+hierarchical composite (``plan.hier``) posts that composite at full
+dispatch cost.  A flat start passes
 ``dispatch_scale=PERSISTENT_DISPATCH_SCALE`` — a per-call argument, so
 a start that raises (quarantined backend, fault storm) cannot leak a
 discount into unrelated operations.  Plan invalidation (tuning-table
@@ -34,7 +34,7 @@ Usage::
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 from repro.core.exceptions import MCRError
 from repro.core.handles import WorkHandle
@@ -88,14 +88,15 @@ class PersistentCollective:
         )
         # resolve and pre-compile the plan once, so bad backend names fail
         # here, not at step N, and the first start() is steady-state
-        comm._plan_for_call(self._spec, backend, self._prep)
+        comm._plan(self._spec, backend, self._prep, count=False)
 
     @property
-    def plan(self) -> "Optional[CommPlan]":
+    def plan(self) -> "CommPlan":
         """The currently pinned dispatch plan — the one the next
         :meth:`start` posts with (recompiled transparently after an
-        invalidation) — or None while the name routes hierarchically."""
-        return self.comm._plan_for_call(self._spec, self.backend, self._prep)
+        invalidation).  Its ``hier`` is set while the name routes to a
+        hierarchical composite."""
+        return self.comm._plan(self._spec, self.backend, self._prep, count=False)
 
     def start(self) -> WorkHandle:
         """Post one instance of the operation; returns its handle."""

@@ -234,7 +234,7 @@ class TestUnquarantineCascade:
                 if "nccl" in c.backends
             ]
             assert recovered and all(recovered)
-            assert not comm.backends["nccl"].failed
+            assert "nccl" not in comm.health.quarantined
             comm.finalize()
             return True
 

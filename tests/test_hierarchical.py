@@ -315,6 +315,50 @@ class TestAutoDispatch:
 
         assert spmd(16, fn, faults=faults) == [136.0] * 16
 
+    def test_reinstalled_table_reroutes_every_rank(self):
+        """Routing is plan state, so installing a table reroutes every
+        rank — even when the new table reuses the freed one's ``id()``
+        at the same generation, which a (table identity, generation)
+        memo mistook for the old table and kept routing flat."""
+        numel = 1 << 20  # 4 MiB fp32
+
+        def fn(ctx, comm):
+            first = TuningTable(system="lassen")
+            first.add("allreduce", 16, numel * 4, "nccl")
+            comm.tuning_table = first
+            x = ctx.full(numel, float(ctx.rank))
+            comm.all_reduce("auto", x)
+            comm.synchronize()
+            comm.tuning_table = None
+            del first
+            second = TuningTable(system="lassen")
+            second.add("allreduce", 16, numel * 4, HIER)
+            comm.tuning_table = second
+            x.fill_(float(ctx.rank))
+            comm.all_reduce("auto", x)
+            comm.synchronize()
+            return comm._hier_exec is not None, float(x.data[0]), float(x.data[-1])
+
+        assert spmd(16, fn) == [(True, 120.0, 120.0)] * 16
+
+    def test_named_synchronize_drains_phases(self):
+        """Naming the constituents drains the composite's phase
+        communicators too, exactly like a full ``synchronize()``."""
+        config = MCRConfig(mpi_stream_mode="mpi-managed")
+
+        def run(names):
+            def fn(ctx, comm):
+                x = ctx.virtual_tensor(1 << 20)  # 4 MiB fp32
+                handle = comm.all_reduce("hier:mvapich2-gdr+nccl", x, async_op=True)
+                comm.synchronize(names)
+                return ctx.now, handle.completion_time
+
+            return spmd(16, fn, config=config)
+
+        named, full = run(["nccl", "mvapich2-gdr"]), run(None)
+        for (now, done), (full_now, full_done) in zip(named, full):
+            assert now == done == full_now == full_done
+
 
 class TestResilience:
     def test_explicit_hier_survives_permanent_fault(self):

@@ -1,5 +1,7 @@
 """Nothing outside the comm core reaches a private communicator member
-that the ``CommCore`` protocol does not declare (ROADMAP item 4).
+that the ``CommCore`` protocol does not declare, and the protocol
+declares no private hook that nothing outside the core reaches
+(ROADMAP item 4).
 
 Two halves, like ``tests/test_set_order_lint.py``: the real ``src/``
 tree is clean with an empty allow-list, and the ``hooks`` rule of
@@ -21,7 +23,8 @@ class TestRealTree:
         assert ALLOWED["hooks"] == {}
 
 
-#: a communicator with two private members, one of them declared
+#: a communicator with two private members, one of them declared and
+#: used by an extension
 _CORE = {
     "src/repro/core/comm.py": (
         "class MCRCommunicator:\n"
@@ -29,6 +32,7 @@ _CORE = {
         "\n    def _post(self):\n        return self._codec\n"
     ),
     "src/repro/core/protocols.py": "class CommCore:\n    _shared: dict\n",
+    "src/repro/ext/user.py": "def g(comm):\n    return comm._shared\n",
 }
 
 _VIOLATIONS = {
@@ -73,6 +77,23 @@ class TestInjectedViolations:
         violations = check(root, allowed={})
         assert violations and all("_outstanding" in v for v in violations), violations
         assert any("backends/hierarchical.py" in v for v in violations)
+
+    def test_stale_declaration_fails(self, tmp_path):
+        root = copy_tree(tmp_path)
+        protocols = root / "src" / "repro" / "core" / "protocols.py"
+        protocols.write_text(protocols.read_text() + "    _foo: Any\n")
+        violations = check(root, allowed={})
+        assert len(violations) == 1, violations
+        assert violations[0].startswith("hooks: src/repro/core/protocols.py:")
+        assert "CommCore: declares the extension hook _foo" in violations[0]
+
+    def test_a_hook_used_only_inside_the_core_is_stale(self, tmp_path):
+        root = write_tree(tmp_path, {
+            **_CORE, "src/repro/ext/user.py": "",
+            "src/repro/core/health.py": "def f(comm):\n    return comm._shared\n",
+        })
+        violations = check(root, allowed={})
+        assert len(violations) == 1 and "hook _shared" in violations[0], violations
 
     def test_cli_fails_on_dirty_tree(self, tmp_path):
         proc = run_cli(_tree(tmp_path, _VIOLATIONS["read"]))

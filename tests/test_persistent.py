@@ -198,6 +198,7 @@ class TestHierRouted:
 
     @pytest.mark.parametrize("backend", ["auto", "hier:nccl+mvapich2-gdr"])
     def test_start_routes_through_the_composite(self, backend):
+        from repro.backends.hierarchical import parse_hier
         from repro.cluster import lassen
         from repro.core import MCRConfig, TuningTable
         from repro.core.config import AdaptiveConfig
@@ -230,7 +231,10 @@ class TestHierRouted:
         for at_init, ops, plan, sums in Simulator(world, system=lassen()).run(main).rank_results:
             assert at_init == (0, 0)
             assert ops == 2  # one adaptive op per start
-            assert plan is None  # the phase communicators plan the pieces
+            # the pinned plan routes to the composite; the phase
+            # communicators plan the pieces
+            assert plan.hier == parse_hier("hier:nccl+mvapich2-gdr")
+            assert plan.backend is None
             for step, got in enumerate(sums):
                 want = np.sum([mine(r, step) for r in range(world)], axis=0)
                 assert np.array_equal(got, want)

@@ -371,11 +371,12 @@ class TestPlanHitPost:
     arrival, enqueue, return.  Counted as Python calls on the posting
     thread (``sys.setprofile``; a count, not a clock) for one post at
     ws 16, taken on rank 0 (48 / 45 / 49 before stream placement
-    compiled into the plan)."""
+    compiled into the plan; ``"auto"`` took 38 while a separate memoized
+    hierarchical-routing probe ran ahead of the plan lookup)."""
 
     @pytest.mark.parametrize(
         "backend, async_op, budget",
-        [("auto", True, 38), ("nccl", True, 33), ("mvapich2-gdr", False, 37)],
+        [("auto", True, 35), ("nccl", True, 33), ("mvapich2-gdr", False, 37)],
     )
     def test_python_calls_per_post(self, backend, async_op, budget):
         table = TuningTable()
@@ -406,6 +407,34 @@ class TestPlanHitPost:
         calls, stats = _run(main, world_size=16).rank_results[0]
         assert (stats["hits"], stats["misses"]) == (1, 1)
         assert len(calls) <= budget, calls
+
+    def test_hier_routed_auto_post_is_a_hit(self):
+        """Routing to the composite is plan state: the second hier-routed
+        ``"auto"`` post hits the parent's plan and never consults the
+        tuning table."""
+        from repro.cluster import lassen
+
+        def main(ctx):
+            table = TuningTable(system="lassen")  # one per rank: it is spied on
+            table.add("allreduce", 16, 4 << 20, "hier:nccl+mvapich2-gdr")
+            comm = MCRCommunicator(ctx, BACKENDS, tuning_table=table)
+            x = ctx.virtual_tensor(1 << 20)  # 4 MiB fp32
+            comm.all_reduce("auto", x)
+            comm.synchronize()
+            lookups = []
+            lookup = table.lookup
+            table.lookup = lambda *a: lookups.append(a) or lookup(*a)
+            comm.all_reduce("auto", x)
+            comm.synchronize()
+            stats = comm.plan_stats
+            routed = comm._hier_exec is not None
+            comm.finalize()
+            return lookups, stats, routed
+
+        for lookups, stats, routed in _run(main, world_size=16, system=lassen()).rank_results:
+            assert routed
+            assert lookups == []
+            assert (stats["hits"], stats["misses"], stats["plans"]) == (1, 1, 1)
 
 
 class TestObservability:
