@@ -126,6 +126,7 @@ class WorkHandle:
 
     def is_completed(self) -> bool:
         """Non-blocking completion test (MPI_Test analogue)."""
+        self.ctx.engine.settle()
         return self.flag.is_set and self.flag.ready_time <= self.ctx.now
 
     @property

@@ -117,15 +117,6 @@ class ExecutionLayer:
             return _VIRTUAL_BUF
         return tensor.contiguous().view_flat()
 
-    def _next_seq(self, backend_name: str) -> int:
-        # rendezvous sequence numbers are keyed per backend only:
-        # collective calls are communicator-ordered within a library
-        # regardless of op family, exactly like NCCL/MPI, so mixed-family
-        # programs stay matched as long as every rank posts the same
-        # op order (tests/test_plan_cache.py pins this down)
-        self._seq[backend_name] += 1
-        return self._seq[backend_name]
-
     def _collective(
         self, spec, backend_name: str, prep, plan, async_op: bool, dispatch_scale: float
     ) -> Optional[WorkHandle]:
@@ -164,20 +155,45 @@ class ExecutionLayer:
         )
 
         # host dispatch: thin Python layer + backend call overhead (C3);
-        # persistent collectives replay at a discounted scale (§V-E).
-        # ``wait_until`` directly: every post pays this, so it skips
-        # ``Engine.sleep``'s extra frame
+        # persistent collectives replay at a discounted scale (§V-E)
         if dispatch_scale != 1.0:
             dispatch_cost *= dispatch_scale
         if dispatch_cost < 0:
             raise SimError(f"negative sleep {dispatch_cost}")
         engine = ctx.engine
-        engine.wait_until(engine.now + dispatch_cost, dispatch_reason)
+        ws = self._ws
+        resolves = ws == 1
+        if not resolves:
+            # rendezvous sequence numbers are keyed per backend only:
+            # collective calls are communicator-ordered within a library
+            # regardless of op family, like NCCL/MPI
+            # (tests/test_plan_cache.py pins this down)
+            self._seq[backend.name] += 1
+            key = (self.comm_id, backend.name, self._seq[backend.name])
+            rdv_table = self._shared["rdv"]
+            rdv = rdv_table.get(key)
+            resolves = rdv is not None and len(rdv.arrivals) == ws - 1
+        # the dispatch cost is lookahead (INTERNALS §5): the post stamps
+        # its arrival at now + cost and keeps running.  It yields instead
+        # when it resolves the rendezvous, when the rank already runs
+        # ahead and no host wait ends the op, and where the post time
+        # must be seen (pre-post sync, naive mode, deadlines, retuner)
+        deadline_us = self.config.op_deadline_us
+        if (
+            resolves
+            or host_sync
+            or deadline_us is not None
+            or self._retuner is not None
+            or (async_op or stream_semantics) and engine.ahead
+        ):
+            # ``wait_until`` directly: it skips ``Engine.sleep``'s frame
+            engine.wait_until(engine.now + dispatch_cost, dispatch_reason)
+        else:
+            engine.advance(engine.now + dispatch_cost)
 
         codec = plan.codec
         wire_bytes = plan.wire_bytes
         codec_us = plan.codec_us
-        ws = self._ws
 
         if ws == 1:
             if not timing_only:
@@ -195,11 +211,8 @@ class ExecutionLayer:
 
         # rendezvous ---------------------------------------------------
 
-        seq = self._next_seq(backend.name)
-        key = (self.comm_id, backend.name, seq)
-        rdv_table = self._shared["rdv"]
         meta = plan.meta_tagged
-        rdv = rdv_table.get(key)
+        rdv = rdv_table.get(key)  # a yield may have let the first rank in
         rank = ctx.rank
         if rdv is None:
             rdv = Rendezvous(
@@ -334,7 +347,6 @@ class ExecutionLayer:
             # rank's callback at one instant with one shared duration,
             # keeping the per-rank observation streams identical
             self._retuner.attach(family, backend.name, nbytes, rdv, backend_name == "auto")
-        deadline_us = self.config.op_deadline_us
         if async_op:
             handle = WorkHandle(
                 ctx, backend.name, rdv.flag, member_node, stream_semantics, label,

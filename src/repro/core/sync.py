@@ -129,6 +129,7 @@ class SyncManager:
         un-waited ``MPI_Request``s) — without that term they would always
         report 0.0 and soak up every flush.
         """
+        self.ctx.engine.settle()
         now = self.ctx.now
 
         def load(name: str) -> float:

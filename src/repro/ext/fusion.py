@@ -257,8 +257,9 @@ class TensorFusion:
             choice = self.comm.sync.least_busy_backend(
                 list(self.comm.backends), self.comm._outstanding
             )
-            routes[(key, seq)] = [choice, 1]
-            return choice
+            # the probe settles a rank that runs ahead first, so a peer
+            # that reached this flush earlier may have decided meanwhile
+            entry = routes.setdefault((key, seq), [choice, 0])
         entry[1] += 1
         if entry[1] >= len(self.comm.group_ranks):
             del routes[(key, seq)]

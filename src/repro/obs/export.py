@@ -19,6 +19,7 @@ Three output surfaces:
 from __future__ import annotations
 
 import json
+import math
 from collections import defaultdict
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional
@@ -103,10 +104,15 @@ def chrome_trace_events(
     tracer: Optional["Tracer"], registry: Optional[MetricsRegistry] = None
 ) -> list[dict]:
     """The full exported event list: tracer intervals + step markers +
-    counter tracks (the latter two only when a registry is given)."""
+    counter tracks (the latter two only when a registry is given), in a
+    canonical order — metadata first, then by ``(ts, pid, tid, name)`` —
+    that does not depend on which rank's thread recorded first."""
     events = tracer.to_chrome_trace() if tracer is not None else []
     if registry is not None:
         events += step_marker_events(registry) + counter_track_events(registry)
+    events.sort(
+        key=lambda e: (e.get("ts", -math.inf), e["pid"], e.get("tid", -1), e["name"])
+    )
     return events
 
 

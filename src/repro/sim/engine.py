@@ -3,8 +3,15 @@
 Each simulated rank runs user code on a dedicated OS thread, but a baton
 protocol guarantees **exactly one** thread executes at any moment, so no
 user-visible locking is needed and execution is fully deterministic.
-Virtual time (microseconds, float) only advances when the running thread
-blocks on a future event; ties are broken FIFO by a sequence counter.
+Virtual time is microseconds (float), and :attr:`Engine.now` is the
+*running process's own clock*: a dispatch sets it to the popped event's
+time, and a process may move it forward without yielding
+(:meth:`Engine.advance`, the lookahead of conservative parallel DES, for
+host work no other process can observe).  A process whose clock is past
+the earliest pending event is *ahead*; :meth:`Engine.settle` parks it
+until every earlier event has run, and every read of another process's
+progress settles first.  Events at equal times pop by ``(time, process
+tie key, sequence)``; the tie key is the process index (:func:`tie_keys`).
 
 This is the classic process-interaction DES style (as in SimPy), using
 threads instead of generators so that deeply nested user code — a whole
@@ -46,9 +53,16 @@ import itertools
 import os
 import threading
 from heapq import heappop, heappush
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 from repro.sim.errors import DeadlockError, SimAborted, SimError
+
+
+def tie_keys(n: int) -> Sequence[int]:
+    """The heap tie key of each of ``n`` process indices: events at equal
+    times pop in ascending key order.  Tests swap in a permutation to
+    check which results depend on it."""
+    return range(n)
 
 
 class _Kill(BaseException):
@@ -65,7 +79,8 @@ class Flag:
     Work handles and rendezvous completions fire flags with the simulated
     time at which the underlying operation finishes (possibly in the
     future relative to the firing rank's clock); waiters resume at
-    ``max(their local now, ready_time)``.
+    ``max(ready_time, the firer's clock, their own clock when they
+    parked)``, so a waiter that parked ahead never resumes earlier.
     """
 
     __slots__ = ("_engine", "ready_time", "_waiters", "label", "callbacks")
@@ -94,7 +109,7 @@ class Flag:
             engine = self._engine
             wake = max(ready_time, engine.now)
             for proc in self._waiters:
-                engine._schedule(wake, proc)
+                engine._schedule(max(wake, proc.clock), proc)
             self._waiters.clear()
         for cb in self.callbacks:
             cb()
@@ -126,6 +141,8 @@ class _Proc:
         "result",
         "epoch",
         "_kill_sent",
+        "tie",
+        "clock",
     )
 
     def __init__(self, engine: "Engine", name: str, fn: Callable[[], object]):
@@ -143,6 +160,11 @@ class _Proc:
         self.epoch = 0
         #: teardown wake already delivered (guards double-release in _fail)
         self._kill_sent = False
+        #: heap tie key (set by Engine.run from tie_keys)
+        self.tie = 0
+        #: the process's own clock when it last parked; a flag never
+        #: wakes it earlier
+        self.clock = 0.0
 
     def _body(self) -> None:
         try:
@@ -178,6 +200,7 @@ class _Proc:
         happens — execution continues inline with the clock advanced.
         """
         self.blocked_on = reason
+        self.clock = self.engine.now
         if not self.engine._dispatch_next(self):
             self.wake.acquire()
         self.blocked_on = None
@@ -192,8 +215,11 @@ class Engine:
     """
 
     def __init__(self, max_events: int = 200_000_000):
+        #: the running process's own clock
         self.now: float = 0.0
-        self._heap: list[tuple[float, int, _Proc, int]] = []
+        #: the latest clock any process has advanced to
+        self._latest = 0.0
+        self._heap: list[tuple[float, int, int, _Proc, int]] = []
         self._seq = itertools.count()
         self._procs: list[_Proc] = []
         self._failure: Optional[BaseException] = None
@@ -219,7 +245,7 @@ class Engine:
             "handoffs": self._handoffs,
             "inline": self._inline,
             "processes": len(self._procs),
-            "now_us": self.now,
+            "now_us": max(self.now, self._latest),
         }
 
     # -- process management -------------------------------------------
@@ -230,7 +256,8 @@ class Engine:
         self._procs.append(_Proc(self, name, fn))
 
     def run(self) -> float:
-        """Run to completion; return final simulated time (microseconds)."""
+        """Run to completion; return the latest simulated time any
+        process reached (microseconds)."""
         if self._started:
             raise SimError("Engine.run() called twice")
         self._started = True
@@ -238,7 +265,8 @@ class Engine:
             return self.now
         self._all_left.acquire()
         self._threads_alive = len(self._procs)
-        for proc in self._procs:
+        for proc, tie in zip(self._procs, tie_keys(len(self._procs))):
+            proc.tie = tie
             _thread.start_new_thread(proc._body, ())
             self._schedule(0.0, proc)
         self._dispatch_next()
@@ -249,7 +277,7 @@ class Engine:
             )
         if self._failure is not None:
             raise self._failure
-        return self.now
+        return max(self.now, self._latest)
 
     def _thread_left(self) -> None:
         """Called by every rank thread as its last act."""
@@ -263,7 +291,7 @@ class Engine:
     #    thread, or by main before dispatch starts) --------------------
 
     def _schedule(self, time: float, proc: _Proc) -> None:
-        heappush(self._heap, (time, next(self._seq), proc, proc.epoch))
+        heappush(self._heap, (time, proc.tie, next(self._seq), proc, proc.epoch))
 
     def _dispatch_next(self, parking: Optional[_Proc] = None) -> bool:
         """Hand the baton to the earliest scheduled process (or finish).
@@ -282,14 +310,15 @@ class Engine:
             self._fail(SimError(f"event budget exceeded ({self._max_events})"))
             return True
         while self._heap:
-            time, _, proc, epoch = heappop(self._heap)
+            time, _, _, proc, epoch = heappop(self._heap)
             if epoch != proc.epoch:
                 # stale entry: the process was already woken through a
                 # different event (e.g. a flag fired before its deadline
                 # timer, or vice versa) — skip it.
                 continue
-            if time > self.now:
-                self.now = time
+            # the popped process's own clock; it may be behind the
+            # process that parked, which ran ahead (see advance)
+            self.now = time
             self._current = proc
             proc.epoch += 1
             if proc is parking:
@@ -331,6 +360,32 @@ class Engine:
         if proc is None:  # pragma: no cover - defensive
             raise SimError("no process is running")
         return proc
+
+    @property
+    def ahead(self) -> bool:
+        """Whether the running process's clock is past the earliest
+        pending event (another process has yet to run up to it)."""
+        heap = self._heap
+        return bool(heap) and heap[0][0] < self.now
+
+    def advance(self, time: float) -> None:
+        """Move the running process's own clock to ``time`` without
+        yielding: lookahead over host work that no other process can
+        observe before ``time``.  The process may then be :attr:`ahead`;
+        reads of other processes' progress :meth:`settle` first."""
+        if time > self.now:
+            self.now = time
+            if time > self._latest:
+                self._latest = time
+
+    def settle(self) -> None:
+        """Park a process that is :attr:`ahead` until every earlier event
+        has run, so what it reads next is what it would read at its own
+        clock.  A no-op otherwise."""
+        if self.ahead:
+            proc = self._current
+            self._schedule(self.now, proc)
+            proc.park("settle")
 
     def wait_until(self, time: float, reason: str = "timer") -> None:
         """Block the calling process until virtual ``time``."""

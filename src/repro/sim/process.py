@@ -64,7 +64,8 @@ class RankContext:
 
     @property
     def now(self) -> float:
-        """Current virtual time in microseconds."""
+        """This rank's virtual clock in microseconds (see
+        :attr:`repro.sim.engine.Engine.now`)."""
         return self.engine.now
 
     def sleep(self, duration_us: float, reason: str = "host") -> None:

@@ -38,6 +38,7 @@ class CudaEvent:
     def completion_time(self) -> float:
         """The event's timestamp; requires the underlying op resolved."""
         if self._node is not None:
+            self._node.stream.gpu.engine.settle()
             if not self._node.resolved:
                 raise SimError(
                     f"event {self.label!r}: underlying op not yet resolved; "
@@ -224,6 +225,7 @@ class Stream:
         Raises if the stream has unresolved (deferred) work — callers
         that may race a pending collective must synchronize instead.
         """
+        self.gpu.engine.settle()
         if self.last is None:
             return 0.0
         if not self.last.resolved:

@@ -92,10 +92,12 @@ class Tracer:
     def to_chrome_trace(self) -> list[dict]:
         """Export as Chrome trace-event JSON (load in chrome://tracing or
         Perfetto): one process per rank, one thread per stream, complete
-        ("X") events in microseconds."""
+        ("X") events in microseconds.  Thread ids number each rank's
+        streams in time order, so they do not depend on which rank's
+        thread recorded an interval first."""
         events: list[dict] = []
         thread_ids: dict[tuple[int, str], int] = {}
-        for record in self.records:
+        for record in sorted(self.records, key=lambda r: (r.start, r.rank, r.stream)):
             key = (record.rank, record.stream)
             if key not in thread_ids:
                 thread_ids[key] = len(

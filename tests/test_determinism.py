@@ -126,10 +126,25 @@ def scenario_deadlock() -> dict:
     }
 
 
+def scenario_megatron_msccl_ws4() -> dict:
+    """One Megatron TP=2 step on msccl at 4 ranks (Fig. 10's SCCL column):
+    collectives from several communicators share a wire lane, so the
+    step time moves if a change reorders when rendezvous resolve — e.g.
+    letting the resolving rank run ahead of its dispatch cost."""
+    from repro.cluster import thetagpu
+    from repro.models import BackendPlan, MegatronDenseModel, Trainer
+
+    result = Trainer(thetagpu(), steps=1, warmup=0).run(
+        MegatronDenseModel(), 4, BackendPlan.pure("msccl")
+    )
+    return {"step_time_us": result.step_time_us, "comm_by_family": result.comm_by_family}
+
+
 SCENARIOS = {
     "mixed_flag_heavy": scenario_mixed_flag_heavy,
     "p2p_with_bystanders": scenario_p2p_with_bystanders,
     "deadlock": scenario_deadlock,
+    "megatron_msccl_ws4": scenario_megatron_msccl_ws4,
 }
 
 

@@ -256,13 +256,182 @@ class TestEngineScalability:
 
         result = Simulator(world, system=lassen(), observe=True).run(main)
         gauges = result.metrics.gauges
-        # 7 per rank today: start, one park per rendezvous, the final joins
+        # 5 per rank today; 7 when every post yielded for its dispatch cost
         assert gauges["engine.events_dispatched"] <= 3 * world * ops
         # every event but the final one is a handoff or an inline advance
         assert (
             gauges["engine.handoffs"] + gauges["engine.inline"] + 1
             == gauges["engine.events_dispatched"]
         )
+
+
+    @pytest.mark.parametrize("world", [16, 64])
+    def test_dispatch_cost_is_not_a_handoff(self, world):
+        """The dispatch-cost lookahead, as a count: 50 synchronous 4 MiB
+        all-reduces alternating nccl and mvapich2-gdr cost 1.56 baton
+        handoffs per rank-op when every post yielded for its dispatch
+        cost, 0.56 now (only the resolving rank and the host waits
+        yield)."""
+        from repro.core import MCRCommunicator
+
+        ops = 50
+
+        def main(ctx):
+            comm = MCRCommunicator(ctx, ["nccl", "mvapich2-gdr"])
+            x = ctx.virtual_tensor(1 << 20)
+            for i in range(ops):
+                comm.all_reduce("nccl" if i % 2 == 0 else "mvapich2-gdr", x)
+            comm.finalize()
+
+        gauges = Simulator(world, observe=True).run(main).metrics.gauges
+        assert gauges["engine.handoffs"] / (world * ops) <= 0.6
+
+
+class TestTieOrder:
+    def test_equal_times_pop_by_process_index_not_push_order(self):
+        order = []
+
+        def late_pusher(e):  # pushes its wake at 10 last, at time 1
+            e.sleep(1)
+            e.sleep(9)
+            order.append("p0")
+
+        def make(tag):
+            def body(e):
+                e.sleep(10)
+                order.append(tag)
+
+            return body
+
+        run_procs(late_pusher, make("p1"), make("p2"))
+        assert order == ["p0", "p1", "p2"]
+
+    def test_flag_waiters_wake_by_process_index(self):
+        engine = Engine()
+        flag = engine.new_flag("x")
+        woke = []
+
+        def waiter(tag, delay):
+            def body():
+                engine.sleep(delay)  # p1 registers on the flag before p0
+                engine.wait_flag(flag)
+                woke.append(tag)
+
+            return body
+
+        def firer():
+            engine.sleep(5)
+            flag.fire(7.0)
+
+        engine.add_process("p0", waiter("p0", 2))
+        engine.add_process("p1", waiter("p1", 1))
+        engine.add_process("f", firer)
+        engine.run()
+        assert woke == ["p0", "p1"]
+
+
+class TestLookahead:
+    """``advance`` moves the running process's own clock without
+    yielding; a process past the earliest pending event is ``ahead``."""
+
+    def test_ahead_waiter_resumes_at_its_own_clock(self):
+        engine = Engine()
+        flag = engine.new_flag("f")
+        seen = {}
+
+        def ahead():
+            engine.advance(50.0)
+            seen["ahead"] = engine.ahead
+            engine.wait_flag(flag)
+            seen["resumed"] = engine.now
+
+        def firer():
+            engine.sleep(5.0)
+            flag.fire(engine.now)  # fired at 5, before the waiter's clock
+
+        engine.add_process("ahead", ahead)
+        engine.add_process("firer", firer)
+        assert engine.run() == 50.0
+        assert seen == {"ahead": True, "resumed": 50.0}
+
+    def test_run_returns_the_latest_clock(self):
+        engine = Engine()
+        engine.add_process("far", lambda: engine.advance(100.0))
+        engine.add_process("near", lambda: engine.sleep(10.0))
+        assert engine.run() == 100.0
+        assert engine.stats()["now_us"] == 100.0
+
+    def test_settle_parks_only_when_ahead(self):
+        engine = Engine()
+        order = []
+
+        def runner():
+            engine.settle()  # level with the other process: no park
+            order.append(("runner", engine.now, engine.stats()["events_dispatched"]))
+            engine.advance(20.0)
+            engine.settle()  # ahead: the other process runs to 10 first
+            order.append(("runner", engine.now, engine.stats()["events_dispatched"]))
+
+        def other():
+            engine.sleep(10.0)
+            order.append(("other", engine.now))
+
+        engine.add_process("runner", runner)
+        engine.add_process("other", other)
+        engine.run()
+        assert order == [("runner", 0.0, 1), ("other", 10.0), ("runner", 20.0, 4)]
+
+
+class TestPollSitesSettle:
+    """Every read of another rank's progress settles first.  Rank 0 posts
+    op B by lookahead, which puts its clock past the instant at which
+    rank 1 resolves op A; read without settling, A would still look
+    pending.  Each case fails if its read site does not settle."""
+
+    @staticmethod
+    def _run(read):
+        from repro.core import MCRCommunicator, MCRConfig
+
+        def main(ctx):
+            # a large dispatch cost widens the lookahead window
+            comm = MCRCommunicator(
+                ctx, ["nccl", "mvapich2-gdr", "msccl"],
+                config=MCRConfig(dispatch_overhead_us=1000.0),
+            )
+            x = ctx.virtual_tensor(256)
+            if ctx.rank == 1:
+                ctx.sleep(1500.0)  # resolves A while rank 0 runs ahead
+            h = comm.all_reduce("nccl", x, async_op=True)  # A
+            event = ctx.record_event(ctx.stream("nccl:comm0"))
+            if ctx.rank == 0:
+                ctx.sleep(1000.0)
+            comm.all_reduce("mvapich2-gdr", x, async_op=True)  # B
+            got = read(ctx, comm, h, event) if ctx.rank == 0 else None
+            comm.synchronize()
+            done = h.completion_time
+            comm.finalize()
+            return got, done
+
+        return Simulator(2).run(main).rank_results[0]
+
+    def test_work_handle_is_completed(self):
+        got, _ = self._run(lambda ctx, comm, h, event: h.is_completed())
+        assert got is True
+
+    def test_stream_tail_time(self):
+        got, done = self._run(lambda ctx, comm, h, event: ctx.stream("nccl:comm0").tail_time)
+        assert got == done
+
+    def test_cuda_event_completion_time(self):
+        got, done = self._run(lambda ctx, comm, h, event: event.completion_time())
+        assert got == done
+
+    def test_stream_pressure_probe(self):
+        # A finished: nccl carries no load and wins the tie by order
+        got, _ = self._run(
+            lambda ctx, comm, h, event: comm.sync.least_busy_backend(["nccl", "msccl"])
+        )
+        assert got == "nccl"
 
 
 def interleaved_then_solo(e: Engine) -> Engine:

@@ -224,10 +224,11 @@ class TestStreamGates:
 
         def main(ctx):
             comm = MCRCommunicator(ctx, ["nccl"])
-            x = ctx.ones(64)
+            # timing-only: the loop never synchronizes, so a host write to
+            # a real buffer would race the all-reduces still in flight
+            x = ctx.virtual_tensor(64)
             longest = 0
             for _ in range(n_ops):
-                x.fill_(1.0)
                 comm.all_reduce("nccl", x)  # gates the default stream
                 longest = max(longest, len(ctx.default_stream._gates))
             kernel = ctx.launch(10.0, label="after")
