@@ -13,7 +13,7 @@ from __future__ import annotations
 import abc
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Type
+from typing import Optional, Type
 
 from repro.backends.calibration import (
     BackendTuning,
@@ -45,8 +45,70 @@ def _cost_cache_for(cls: type, system: "SystemSpec") -> dict:
 
 
 def clear_cost_caches() -> None:
-    """Drop every memoized cost (after mutating a SystemSpec in place)."""
+    """Drop every memoized cost (after mutating a SystemSpec or a
+    backend's calibration in place), and with it every cost-query
+    backend: a cached instance stays bound to the memo table it was
+    built with, so it would keep serving the pre-clear costs."""
     _cost_cache_for.cache_clear()
+    cost_backend.cache_clear()
+
+
+@lru_cache(maxsize=512)
+def cost_backend(name: str, p: int, system: "SystemSpec") -> "Backend":
+    """The one cost-query backend per (name, communicator size, system).
+
+    Sweeps price thousands of cells; building a backend per cell would
+    dominate them.  Cost queries never mutate the backend, so one shared
+    rank-0 instance serves every client that prices by name.
+    """
+    return create_backend(name, 0, p, system)
+
+
+def price_us(
+    system: "SystemSpec",
+    backend: "Backend | str",
+    family: OpFamily,
+    nbytes: int,
+    p: int,
+    path: Optional[CommPath] = None,
+    config=None,
+    *,
+    vector: bool = False,
+    nonblocking: bool = False,
+    overheads: bool = True,
+) -> float:
+    """The analytic price of one collective: the one place it is composed.
+
+    ``collective_cost_us x (1 + dispatch_fraction)``, then, with
+    ``overheads``, ``+ dispatch_overhead_us`` and ``+ call_overhead_us``
+    in that order.  ``config=None`` prices the bare library, as the OMB
+    reference does: no runtime layer, so no dispatch fraction and no
+    dispatch overhead.  ``backend`` is a live instance (the runtime and
+    the retuner price with their own) or a name, served by
+    :func:`cost_backend`; a ``hier:*`` name prices the composite's
+    phase schedule instead (+inf where it cannot run).  ``path``
+    defaults to the dense ``system.comm_path(p)``.
+    """
+    if isinstance(backend, str):
+        if backend[:5].lower() == "hier:":
+            from repro.backends.hierarchical import hier_collective_cost_us, parse_hier
+
+            return hier_collective_cost_us(
+                system, parse_hier(backend), family, nbytes, p, config
+            )
+        backend = cost_backend(backend, p, system)
+    if path is None:
+        path = system.comm_path(p)
+    cost = backend.collective_cost_us(
+        family, nbytes, p, path, vector=vector, nonblocking=nonblocking
+    )
+    if config is not None:
+        cost *= 1.0 + config.dispatch_fraction
+    if overheads:
+        if config is not None:
+            cost += config.dispatch_overhead_us
+        cost += backend.call_overhead_us()
+    return cost
 
 
 @dataclass(frozen=True)

@@ -57,12 +57,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from repro.backends.base import available_backends, canonical_name, create_backend
+from repro.backends.base import available_backends, canonical_name, cost_backend, price_us
 from repro.backends.cost import PhaseCost, composite_cost_us
 from repro.backends.ops import OpFamily, ReduceOp
 from repro.core.exceptions import BackendError, ValidationError
@@ -557,15 +556,8 @@ class HierarchicalExecutor:
 
 
 # ---------------------------------------------------------------------------
-# composite analytic cost (tuner / microbench support)
+# composite analytic cost (priced through price_us for a hier:* name)
 # ---------------------------------------------------------------------------
-
-
-@lru_cache(maxsize=512)
-def _phase_backend(name: str, p: int, system: "SystemSpec"):
-    """Analytic backend instance for one phase (shared cost memo per
-    (class, system) makes this cheap to cache by coordinates)."""
-    return create_backend(name, 0, p, system)
 
 
 def _dense_layout(system: "SystemSpec", world_size: int) -> tuple[int, int, bool]:
@@ -590,9 +582,9 @@ def hier_cost_phases(
 
     Mirrors the executor's schedule: every phase is a full MCR-DL
     dispatch (non-blocking post + host synchronize), so each carries the
-    constituent's cost scaled by the dispatch fraction plus the
-    per-phase dispatch and call overheads — the same accounting the
-    tuner applies to flat backends.
+    constituent's :func:`~repro.backends.base.price_us` without
+    overheads, plus the per-phase dispatch and call overheads kept apart
+    in ``overhead_us`` (the retuner scales only the former by drift).
     """
     if family not in HIER_FAMILIES:
         return None
@@ -602,13 +594,14 @@ def hier_cost_phases(
     k, ppn, uniform = _dense_layout(system, world_size)
 
     def phase(tag: str, name: str, fam: OpFamily, n: int, p: int, path) -> PhaseCost:
-        backend = _phase_backend(name, p, system)
-        raw = backend.collective_cost_us(fam, n, p, path, nonblocking=True)
-        raw *= 1.0 + cfg.dispatch_fraction
-        overhead = cfg.dispatch_overhead_us + backend.call_overhead_us()
+        backend = cost_backend(name, p, system)
         return PhaseCost(
-            phase=tag, backend=name, family=fam.value, cost_us=raw,
-            overhead_us=overhead,
+            phase=tag, backend=name, family=fam.value,
+            cost_us=price_us(
+                system, backend, fam, n, p, path, cfg,
+                nonblocking=True, overheads=False,
+            ),
+            overhead_us=cfg.dispatch_overhead_us + backend.call_overhead_us(),
         )
 
     def flat(name: str) -> list[PhaseCost]:

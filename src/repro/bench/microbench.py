@@ -15,31 +15,16 @@ Measurement methodology (paper §VI-A):
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Optional, Sequence
 
-from repro.backends.base import create_backend
+from repro.backends.base import price_us
 from repro.backends.ops import OpFamily
 from repro.cluster.topology import SystemSpec
-from repro.core.api import create_communicator
 from repro.core.config import MCRConfig
-from repro.sim.simulator import Simulator
+from repro.core.tuner import simulated_latency_us
 
 #: Fig. 2/7 sweep: 1 KiB .. 64 MiB
 MICRO_MESSAGE_SIZES = tuple(1024 * (2**i) for i in range(17))
-
-
-@lru_cache(maxsize=256)
-def _cost_backend(backend_name: str, world_size: int, system: SystemSpec):
-    """One cost-query backend per (name, world size, system).
-
-    Sweeps call :func:`omb_latency_us` once per message size; building a
-    fresh backend per cell defeated the per-(class, system) cost memo
-    the same way the pre-hoist analytic tuner did (see
-    ``Tuner._analytic_backends``).  Cost queries never mutate the
-    backend, so one shared rank-0 instance serves every sweep.
-    """
-    return create_backend(backend_name, 0, world_size, system)
 
 
 def omb_latency_us(
@@ -50,24 +35,13 @@ def omb_latency_us(
     world_size: int,
     nonblocking: bool = False,
 ) -> float:
-    """C-level reference latency of one collective (no framework)."""
-    if backend_name[:5].lower() == "hier:":
-        # composite target: price the full phase schedule (Fig. 2-style
-        # sweeps compare it against its constituents at each size)
-        from repro.backends.hierarchical import (
-            hier_collective_cost_us,
-            parse_hier,
-        )
-
-        return hier_collective_cost_us(
-            system, parse_hier(backend_name), family, nbytes, world_size
-        )
-    backend = _cost_backend(backend_name, world_size, system)
-    path = system.comm_path(world_size)
-    raw = backend.collective_cost_us(
-        family, nbytes, world_size, path, nonblocking=nonblocking
+    """C-level reference latency of one collective (no framework): the
+    bare library's :func:`~repro.backends.base.price_us`.  A ``hier:*``
+    name prices the composite's phase schedule, so Fig. 2-style sweeps
+    compare it against its constituents at each size."""
+    return price_us(
+        system, backend_name, family, nbytes, world_size, nonblocking=nonblocking
     )
-    return raw + backend.call_overhead_us()
 
 
 def effective_nbytes(nbytes: int, world_size: int) -> int:
@@ -97,44 +71,14 @@ def framework_latency_us(
     iterations: int = 5,
     nonblocking: bool = False,
 ) -> float:
-    """Per-op latency through a framework's dispatch path (simulated)."""
-
-    config = config or MCRConfig()
+    """Per-op latency through a framework's dispatch path: the one
+    simulated harness (:func:`repro.core.tuner.simulated_latency_us`),
+    one warmup post, at the :func:`effective_nbytes` payload."""
     numel = effective_nbytes(nbytes, world_size) // 4
-
-    def bench(ctx):
-        comm = create_communicator(ctx, [backend_name], config=config, comm_id="omb")
-        x = ctx.virtual_tensor(numel)
-        out = ctx.virtual_tensor(numel)
-        big = ctx.virtual_tensor(numel * ctx.world_size)
-
-        def run_op():
-            if family is OpFamily.ALLREDUCE:
-                h = comm.all_reduce(backend_name, x, async_op=nonblocking)
-            elif family is OpFamily.ALLTOALL:
-                h = comm.all_to_all_single(backend_name, out, x, async_op=nonblocking)
-            elif family is OpFamily.ALLGATHER:
-                h = comm.all_gather(backend_name, big, x, async_op=nonblocking)
-            elif family is OpFamily.BROADCAST:
-                h = comm.bcast(backend_name, x, root=0, async_op=nonblocking)
-            else:
-                raise ValueError(f"microbench does not cover {family}")
-            if h is not None:
-                h.synchronize()
-            else:
-                comm.synchronize(backend_name)
-
-        run_op()  # warmup
-        comm.barrier(backend_name)
-        start = ctx.now
-        for _ in range(iterations):
-            run_op()
-        elapsed = (ctx.now - start) / iterations
-        comm.finalize()
-        return elapsed
-
-    result = Simulator(world_size, system=system).run(bench)
-    return max(result.rank_results)
+    return simulated_latency_us(
+        system, backend_name, family, numel, numel, world_size,
+        config or MCRConfig(), iterations, 1, async_op=nonblocking,
+    )
 
 
 def overhead_pct(framework_us: float, omb_us: float) -> float:
@@ -182,38 +126,6 @@ def _omb_cell(context: tuple, unit: tuple) -> float:
     )
 
 
-def _omb_cache_keys(
-    system: SystemSpec,
-    family: OpFamily,
-    world_size: int,
-    nonblocking: bool,
-    cells: Sequence[tuple],
-) -> list[str]:
-    from repro.bench.sweep import (
-        SWEEP_SCHEMA_VERSION,
-        calibration_fingerprint,
-        stable_hash,
-        system_fingerprint,
-    )
-
-    base = {
-        "schema": SWEEP_SCHEMA_VERSION,
-        "kind": "microbench",
-        "system": system_fingerprint(system),
-        "family": str(family),
-        "world_size": world_size,
-        "nonblocking": nonblocking,
-    }
-    backend_ctx = {
-        name: stable_hash({**base, "calibration": calibration_fingerprint(name)})
-        for name in dict.fromkeys(backend for backend, _ in cells)
-    }
-    return [
-        stable_hash({"ctx": backend_ctx[backend], "backend": backend, "msg": msg})
-        for backend, msg in cells
-    ]
-
-
 def sweep_backends(
     system: SystemSpec,
     backends: Sequence[str],
@@ -227,25 +139,25 @@ def sweep_backends(
     """Fig. 2: OMB latency series per backend over message sizes.
 
     Backend construction is hoisted out of the sweep loop (one cost
-    backend per name, via :func:`_cost_backend`); ``jobs``/``cache``
+    backend per name, via :func:`repro.backends.base.cost_backend`);
+    ``jobs``/``cache``
     fan cells out / serve them from the on-disk sweep cache exactly as
     :meth:`repro.core.tuner.Tuner.build_table` does.
     """
-    from repro.bench.sweep import run_sweep
+    from repro.bench.sweep import cell_keys, run_sweep
 
     family = OpFamily(family)
     cells = [(backend, msg) for backend in backends for msg in message_sizes]
+    keys = None
+    if cache is not None:
+        keys = cell_keys(
+            "microbench", system,
+            [{"backend": backend, "msg": msg} for backend, msg in cells],
+            family=str(family), world_size=world_size, nonblocking=nonblocking,
+        )
     outcome = run_sweep(
-        _omb_cell,
-        cells,
-        context=(system, family.value, world_size, nonblocking),
-        jobs=jobs,
-        cache=cache,
-        keys=(
-            _omb_cache_keys(system, family, world_size, nonblocking, cells)
-            if cache is not None
-            else None
-        ),
+        _omb_cell, cells, context=(system, family.value, world_size, nonblocking),
+        jobs=jobs, cache=cache, keys=keys,
     )
     out: dict[str, list[tuple[int, float]]] = {}
     for (backend, msg), latency in zip(cells, outcome.results):

@@ -135,6 +135,34 @@ def config_fingerprint(config) -> dict:
     return fields
 
 
+def cell_keys(kind: str, system, cells: Sequence[dict], **context) -> list[str]:
+    """One content hash per sweep cell, for :class:`SweepCache`.
+
+    The measurement context — schema version, ``kind`` (``"tuning"``,
+    ``"microbench"``), the system fingerprint, the caller's ``context``
+    fields and the calibration of the cell's ``backend`` — is hashed
+    once per backend; each key then hashes that digest with the cell's
+    own coordinates.
+    """
+    base = {
+        "schema": SWEEP_SCHEMA_VERSION,
+        "kind": kind,
+        "system": system_fingerprint(system),
+        **context,
+    }
+    backend_ctx: dict[str, str] = {}
+    keys = []
+    for cell in cells:
+        name = cell["backend"]
+        digest = backend_ctx.get(name)
+        if digest is None:
+            digest = backend_ctx[name] = stable_hash(
+                {**base, "calibration": calibration_fingerprint(name)}
+            )
+        keys.append(stable_hash({"ctx": digest, **cell}))
+    return keys
+
+
 # ----------------------------------------------------------------------
 # on-disk cache
 # ----------------------------------------------------------------------

@@ -49,6 +49,7 @@ import zlib
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Optional
 
+from repro.backends.base import price_us
 from repro.backends.ops import OpFamily
 from repro.core.tuning import message_bucket
 from repro.obs.metrics import LogHistogram, ObsEvent
@@ -505,9 +506,9 @@ class AdaptiveRetuner:
     # -- pricing -----------------------------------------------------------
 
     def _expected(self, cell: _Cell, backend_name: str) -> float:
-        """Analytic expectation for one cell/backend, mirroring the
-        simulated duration composition (raw cost x dispatch fraction;
-        codec and staging extras are approximated away)."""
+        """Analytic expectation for one cell/backend: the resolving
+        rank's duration composition, ``price_us`` without overheads
+        (codec and staging extras are approximated away)."""
         cached = cell.analytic.get(backend_name)
         if cached is not None:
             return cached
@@ -515,10 +516,10 @@ class AdaptiveRetuner:
         backend = comm.backends.get(backend_name)
         if backend is None:
             return 0.0
-        cost = backend.collective_cost_us(
-            cell.family, cell.bucket, comm.world_size, comm._comm_path
-        ) * (1.0 + comm.config.dispatch_fraction)
-        cell.analytic[backend_name] = cost
+        cost = cell.analytic[backend_name] = price_us(
+            self.ctx.system, backend, cell.family, cell.bucket, comm.world_size,
+            comm._comm_path, comm.config, overheads=False,
+        )
         return cost
 
     def _hier_score(self, cell: _Cell, name: str) -> Optional[float]:

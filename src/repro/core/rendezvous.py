@@ -26,6 +26,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
+from repro.backends.base import price_us
 from repro.backends.ops import OpFamily
 from repro.core.config import EAGER_THRESHOLD, LARGE_MESSAGE_THRESHOLD
 from repro.core.exceptions import ValidationError
@@ -259,15 +260,10 @@ class ExecutionLayer:
                 # sender or receiver (the straggler destination), not this
                 # rank's own volume
                 wire_bytes = max(wire_bytes, self._alltoallv_critical_bytes(rdv))
-            duration = backend.collective_cost_us(
-                family,
-                wire_bytes,
-                ws,
-                self._comm_path,
-                vector=vector,
-                nonblocking=async_op,
+            duration = price_us(
+                ctx.system, backend, family, wire_bytes, ws, self._comm_path,
+                self.config, vector=vector, nonblocking=async_op, overheads=False,
             )
-            duration *= 1.0 + self.config.dispatch_fraction
             if self._link_faults:
                 # degraded/flapping fabric window (repro.sim.faults):
                 # decided once, by the resolving rank, at the transfer's

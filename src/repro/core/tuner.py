@@ -9,7 +9,8 @@ Two measurement modes:
 
 * ``simulated`` — actually runs the discrete-event simulator with an
   MCR-DL communicator issuing the operation in a timed loop (this is
-  what the paper's suite does with OMB-style scripts).  Cells are
+  what the paper's suite does with OMB-style scripts) through
+  :func:`simulated_latency_us`, the harness Fig. 7 also runs.  Cells are
   **timing-only**: the benchmark buffers are virtual tensors (declared
   size, one element of storage), so every op takes the runtime's
   ``timing_only`` path — same dispatch, rendezvous, stream placement,
@@ -21,9 +22,11 @@ Two measurement modes:
   O(ranks x iterations) instead of O(world size x bytes): the full
   256 B .. 64 MiB :data:`DEFAULT_MESSAGE_SIZES` range is practical in
   this mode;
-* ``analytic`` — prices the operation directly from the backend cost
-  model plus per-call overheads.  Orders of magnitude faster for wide
-  sweeps; the test suite verifies both modes agree on rankings.
+* ``analytic`` — prices the operation with
+  :func:`~repro.backends.base.price_us`, the one analytic price (cost
+  model x dispatch fraction, plus the dispatch and call overheads).
+  Orders of magnitude faster for wide sweeps; the test suite verifies
+  both modes agree on rankings and, for flat cells, on values.
 
 Sweeps are embarrassingly parallel — every cell is a pure function of
 its coordinates — so :meth:`Tuner.build_table` decomposes the grid into
@@ -36,10 +39,11 @@ resulting table and report are byte-identical to a serial run.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from repro.backends.base import create_backend
+from repro.backends.base import price_us
 from repro.backends.ops import OpFamily
 from repro.cluster.topology import SystemSpec
 from repro.core.comm import MCRCommunicator
@@ -47,6 +51,8 @@ from repro.core.config import MCRConfig
 from repro.core.exceptions import TuningError
 from repro.core.tuning import TuningTable
 from repro.obs.metrics import ObsEvent
+from repro.sim.simulator import Simulator
+from repro.tensor.dtypes import float32
 
 #: default sweep, 256 B .. 64 MiB in powers of two
 DEFAULT_MESSAGE_SIZES = tuple(256 * (2**i) for i in range(19))
@@ -93,119 +99,141 @@ class TuningReport:
         ]
 
 
-class _BenchBuffers:
-    """Lazily built timing-only tensors shared by the simulated op runners.
-
-    Every buffer is a :meth:`~repro.sim.process.RankContext.virtual_tensor`
-    — declared size, one element of storage — so the runtime prices each
-    op from its declared bytes and never runs the data plane.
-    """
-
-    __slots__ = ("ctx", "numel", "_cache")
-
-    def __init__(self, ctx, numel: int):
-        self.ctx = ctx
-        self.numel = numel
-        self._cache: dict[str, object] = {}
-
-    def get(self, name: str, numel: int):
-        buf = self._cache.get(name)
-        if buf is None:
-            buf = self._cache[name] = self.ctx.virtual_tensor(numel)
-        return buf
-
-    @property
-    def x(self):
-        return self.get("x", self.numel)
-
-    @property
-    def out(self):
-        return self.get("out", self.numel * self.ctx.world_size)
-
-    @property
-    def big(self):
-        return self.get("big", self.numel * self.ctx.world_size)
+# One benchmark body per op family: ``make(ctx, numel, alltoall_numel)``
+# builds the rank's buffers and returns ``post(comm, backend, async_op)``,
+# which returns the op's handle (None for a synchronous post).  Buffers
+# are virtual tensors (declared size, one element of storage), so the
+# runtime prices each op from its declared bytes and never runs the data
+# plane; each body builds only the ones its op posts.
 
 
-def _run_reduce_scatter(comm, backend_name, ctx, bufs):
-    small = bufs.get("small", max(1, bufs.numel // ctx.world_size))
-    pad = bufs.get("pad", small.numel() * ctx.world_size)
-    comm.reduce_scatter(backend_name, small, pad)
+def _allreduce(ctx, numel, alltoall_numel):
+    x = ctx.virtual_tensor(numel)
+    return lambda comm, b, a: comm.all_reduce(b, x, async_op=a)
 
 
-#: simulated micro-benchmark body per op family
-_SIM_OP_RUNNERS = {
-    OpFamily.ALLREDUCE: lambda comm, b, ctx, bufs: comm.all_reduce(b, bufs.x),
-    OpFamily.ALLGATHER: lambda comm, b, ctx, bufs: comm.all_gather(b, bufs.out, bufs.x),
-    OpFamily.ALLTOALL: lambda comm, b, ctx, bufs: comm.all_to_all_single(
-        b, bufs.big, bufs.big
-    ),
-    OpFamily.REDUCE_SCATTER: _run_reduce_scatter,
-    OpFamily.BROADCAST: lambda comm, b, ctx, bufs: comm.bcast(b, bufs.x, root=0),
-    OpFamily.REDUCE: lambda comm, b, ctx, bufs: comm.reduce(b, bufs.x, root=0),
-    OpFamily.GATHER: lambda comm, b, ctx, bufs: comm.gather(
-        b, bufs.x, bufs.out if ctx.rank == 0 else None, root=0
-    ),
-    OpFamily.SCATTER: lambda comm, b, ctx, bufs: comm.scatter(
-        b, bufs.x, bufs.big if ctx.rank == 0 else None, root=0
-    ),
+def _allgather(ctx, numel, alltoall_numel):
+    x, out = ctx.virtual_tensor(numel), ctx.virtual_tensor(numel * ctx.world_size)
+    return lambda comm, b, a: comm.all_gather(b, out, x, async_op=a)
+
+
+def _alltoall(ctx, numel, alltoall_numel):
+    buf = ctx.virtual_tensor(alltoall_numel)
+    return lambda comm, b, a: comm.all_to_all_single(b, buf, buf, async_op=a)
+
+
+def _reduce_scatter(ctx, numel, alltoall_numel):
+    shard = ctx.virtual_tensor(max(1, numel // ctx.world_size))
+    padded = ctx.virtual_tensor(shard.numel() * ctx.world_size)
+    return lambda comm, b, a: comm.reduce_scatter(b, shard, padded, async_op=a)
+
+
+def _broadcast(ctx, numel, alltoall_numel):
+    x = ctx.virtual_tensor(numel)
+    return lambda comm, b, a: comm.bcast(b, x, root=0, async_op=a)
+
+
+def _reduce(ctx, numel, alltoall_numel):
+    x = ctx.virtual_tensor(numel)
+    return lambda comm, b, a: comm.reduce(b, x, root=0, async_op=a)
+
+
+def _gather(ctx, numel, alltoall_numel):
+    x = ctx.virtual_tensor(numel)
+    out = ctx.virtual_tensor(numel * ctx.world_size) if ctx.rank == 0 else None
+    return lambda comm, b, a: comm.gather(b, x, out, root=0, async_op=a)
+
+
+def _scatter(ctx, numel, alltoall_numel):
+    x = ctx.virtual_tensor(numel)
+    full = ctx.virtual_tensor(numel * ctx.world_size) if ctx.rank == 0 else None
+    return lambda comm, b, a: comm.scatter(b, x, full, root=0, async_op=a)
+
+
+_OP_RUNNERS = {
+    OpFamily.ALLREDUCE: _allreduce,
+    OpFamily.ALLGATHER: _allgather,
+    OpFamily.ALLTOALL: _alltoall,
+    OpFamily.REDUCE_SCATTER: _reduce_scatter,
+    OpFamily.BROADCAST: _broadcast,
+    OpFamily.REDUCE: _reduce,
+    OpFamily.GATHER: _gather,
+    OpFamily.SCATTER: _scatter,
 }
 
 
-class _SweepContext:
-    """Picklable measurement context shipped once to each pool worker.
+def simulated_latency_us(
+    system: SystemSpec,
+    backend_name: str,
+    op: OpFamily,
+    numel: int,
+    alltoall_numel: int,
+    world_size: int,
+    config: MCRConfig,
+    iterations: int,
+    warmup: int,
+    async_op: bool = False,
+) -> float:
+    """Per-op latency of ``op`` measured end to end in the simulator:
+    ``warmup`` posts, a barrier, then ``iterations`` posts each followed
+    by its synchronize; the slowest rank's mean.  The one simulated
+    harness: the tuner's simulated cells and Fig. 7's framework side
+    both run it.
 
-    Reconstructs (and memoizes) a :class:`Tuner` on first use in each
-    process; the serial path binds the issuing tuner instead so the
-    in-process sweep reuses its per-instance backend memo exactly as
-    before.
+    Each rank posts ``numel`` float32 elements (a gathered buffer holds
+    ``numel x world size``); ``all_to_all_single`` posts
+    ``alltoall_numel`` elements in and out.  A ``hier:*`` name runs the
+    composite over its constituents, or is +inf for a family it cannot
+    decompose.
     """
+    make = _OP_RUNNERS.get(op)
+    if make is None:
+        raise TuningError(f"cannot benchmark {op}")
+    if backend_name[:5].lower() == "hier:":
+        from repro.backends.hierarchical import HIER_FAMILIES, parse_hier
 
-    def __init__(
-        self,
-        system: SystemSpec,
-        backends: Sequence[str],
-        config: MCRConfig,
-        mode: str,
-        iterations: int,
-        warmup: int,
-    ):
-        self.system = system
-        self.backends = tuple(backends)
-        self.config = config
-        self.mode = mode
-        self.iterations = iterations
-        self.warmup = warmup
-        self._tuner: Optional["Tuner"] = None
+        if op not in HIER_FAMILIES:
+            return math.inf  # not decomposable; never simulate it
+        spec = parse_hier(backend_name)
+        comm_backends = list(dict.fromkeys((spec.intra, spec.inter)))
+        #: "hier:*" is not a backend name; synchronize/barrier on the
+        #: constituents (None = all, which also drains phase groups)
+        sync_target, barrier_on = None, comm_backends[0]
+    else:
+        comm_backends = [backend_name]
+        sync_target, barrier_on = backend_name, backend_name
 
-    def bind(self, tuner: "Tuner") -> None:
-        self._tuner = tuner
+    def bench(ctx):
+        comm = MCRCommunicator(ctx, comm_backends, config=config)
+        post = make(ctx, numel, alltoall_numel)
 
-    def tuner(self) -> "Tuner":
-        if self._tuner is None:
-            self._tuner = Tuner(
-                self.system,
-                list(self.backends),
-                config=self.config,
-                mode=self.mode,
-                iterations=self.iterations,
-                warmup=self.warmup,
-            )
-        return self._tuner
+        def run_op():
+            handle = post(comm, backend_name, async_op)
+            if handle is not None:
+                handle.synchronize()
+            else:
+                comm.synchronize(sync_target)
 
-    def __getstate__(self) -> dict:
-        state = dict(self.__dict__)
-        state["_tuner"] = None  # never ship the memoized tuner
-        return state
+        for _ in range(warmup):
+            run_op()
+        comm.barrier(barrier_on)
+        start = ctx.now
+        for _ in range(iterations):
+            run_op()
+        elapsed = ctx.now - start
+        comm.finalize()
+        return elapsed / iterations
+
+    result = Simulator(world_size, system=system).run(bench)
+    return max(result.rank_results)
 
 
-def _measure_cell(context: _SweepContext, unit: tuple) -> float:
+def _measure_cell(tuner: "Tuner", unit: tuple) -> float:
     """Sweep-engine worker: measure one (op, world size, msg, backend)
-    cell.  Top-level so the spawn pool can pickle it by reference."""
+    cell.  Top-level so the spawn pool can pickle it by reference; the
+    tuner itself is the context shipped once to each worker."""
     op_value, world_size, msg_bytes, backend = unit
-    return context.tuner().measure(
-        backend, OpFamily(op_value), msg_bytes, world_size
-    )
+    return tuner.measure(backend, OpFamily(op_value), msg_bytes, world_size)
 
 
 class Tuner:
@@ -234,137 +262,31 @@ class Tuner:
         #: optional repro.obs.MetricsRegistry; every measured sample is
         #: reported as a kind="tuning" event
         self.metrics = metrics
-        #: one analytic backend instance per (name, world_size), reused
-        #: across the whole sweep — instantiating per cell dominated wide
-        #: analytic sweeps and defeated the shared cost memo
-        self._analytic_backends: dict[tuple[str, int], object] = {}
 
-    # -- measurement --------------------------------------------------------
+    def __getstate__(self) -> dict:
+        # sweep workers get the measurement context, never the observer
+        return {**self.__dict__, "metrics": None}
 
     def measure(
         self, backend_name: str, op: OpFamily, msg_bytes: int, world_size: int
     ) -> float:
         """End-to-end per-operation latency in µs."""
         if self.mode == "analytic":
-            return self._measure_analytic(backend_name, op, msg_bytes, world_size)
-        return self._measure_simulated(backend_name, op, msg_bytes, world_size)
-
-    def _measure_analytic(
-        self, backend_name: str, op: OpFamily, msg_bytes: int, world_size: int
-    ) -> float:
-        if backend_name[:5].lower() == "hier:":
-            # composite candidate: price the phase schedule (each phase
-            # already carries its dispatch fraction + overheads); +inf
-            # for families a hierarchical target cannot run, so flat
-            # backends always win those cells
-            from repro.backends.hierarchical import (
-                hier_collective_cost_us,
-                parse_hier,
+            return price_us(
+                self.system, backend_name, op, msg_bytes, world_size,
+                config=self.config,
             )
-
-            return hier_collective_cost_us(
-                self.system, parse_hier(backend_name), op, msg_bytes,
-                world_size, config=self.config,
-            )
-        key = (backend_name, world_size)
-        backend = self._analytic_backends.get(key)
-        if backend is None:
-            backend = self._analytic_backends[key] = create_backend(
-                backend_name, 0, world_size, self.system
-            )
-        path = self.system.comm_path(world_size)
-        raw = backend.collective_cost_us(op, msg_bytes, world_size, path)
-        raw *= 1.0 + self.config.dispatch_fraction
-        return raw + self.config.dispatch_overhead_us + backend.call_overhead_us()
-
-    def _measure_simulated(
-        self, backend_name: str, op: OpFamily, msg_bytes: int, world_size: int
-    ) -> float:
-        from repro.sim.simulator import Simulator
-        from repro.tensor.dtypes import float32
-
-        iters, warmup = self.iterations, self.warmup
         numel = max(1, msg_bytes // float32.itemsize)
-        config = self.config
-        runner = _SIM_OP_RUNNERS.get(op)
-        if runner is None:
-            raise TuningError(f"tuner cannot benchmark {op}")
-        if backend_name[:5].lower() == "hier:":
-            from repro.backends.hierarchical import HIER_FAMILIES, parse_hier
-
-            if op not in HIER_FAMILIES:
-                import math
-
-                return math.inf  # not decomposable; never simulate it
-            spec = parse_hier(backend_name)
-            comm_backends = list(dict.fromkeys((spec.intra, spec.inter)))
-            #: "hier:*" is not a backend name; synchronize/barrier on the
-            #: constituents (None = all, which also drains phase groups)
-            sync_target, barrier_on = None, comm_backends[0]
-        else:
-            comm_backends = [backend_name]
-            sync_target, barrier_on = backend_name, backend_name
-
-        def bench(ctx):
-            comm = MCRCommunicator(ctx, comm_backends, config=config)
-            bufs = _BenchBuffers(ctx, numel)
-
-            def run_op():
-                runner(comm, backend_name, ctx, bufs)
-                comm.synchronize(sync_target)
-
-            for _ in range(warmup):
-                run_op()
-            comm.barrier(barrier_on)
-            start = ctx.now
-            for _ in range(iters):
-                run_op()
-            elapsed = ctx.now - start
-            comm.finalize()
-            return elapsed / iters
-
-        result = Simulator(world_size, system=self.system).run(bench)
-        return max(result.rank_results)
-
-    # -- sweep ------------------------------------------------------------
-
-    def _cache_keys(self, cells: Sequence[tuple]) -> list[str]:
-        """One content hash per cell: measurement context + the
-        backend's calibration constants + the cell coordinates."""
-        from repro.bench.sweep import (
-            SWEEP_SCHEMA_VERSION,
-            calibration_fingerprint,
-            config_fingerprint,
-            stable_hash,
-            system_fingerprint,
+        return simulated_latency_us(
+            self.system, backend_name, op, numel,
+            # all_to_all_single posts ws x msg of local input here, while
+            # analytic cells and "auto" lookups key on the local input
+            # total: tests/test_tuner_simulated.py's strict alltoall xfail
+            numel * world_size,
+            world_size, self.config, self.iterations, self.warmup,
         )
 
-        base = {
-            "schema": SWEEP_SCHEMA_VERSION,
-            "kind": "tuning",
-            "system": system_fingerprint(self.system),
-            "config": config_fingerprint(self.config),
-            "mode": self.mode,
-            "iterations": self.iterations,
-            "warmup": self.warmup,
-        }
-        # hash the per-backend context once, not once per cell
-        backend_ctx = {
-            name: stable_hash({**base, "calibration": calibration_fingerprint(name)})
-            for name in self.backends
-        }
-        return [
-            stable_hash(
-                {
-                    "ctx": backend_ctx[backend],
-                    "op": op_value,
-                    "world_size": ws,
-                    "msg_bytes": msg,
-                    "backend": backend,
-                }
-            )
-            for (op_value, ws, msg, backend) in cells
-        ]
+    # -- sweep ------------------------------------------------------------
 
     def build_table(
         self,
@@ -381,7 +303,7 @@ class Tuner:
         already-measured cells from disk.  Both preserve byte-identical
         output relative to a serial, uncached sweep.
         """
-        from repro.bench.sweep import run_sweep
+        from repro.bench.sweep import cell_keys, config_fingerprint, run_sweep
 
         bad = [ws for ws in world_sizes if ws < 2]
         if bad:
@@ -397,22 +319,20 @@ class Tuner:
             for msg in message_sizes
             for backend in self.backends
         ]
-        context = _SweepContext(
-            self.system, self.backends, self.config,
-            self.mode, self.iterations, self.warmup,
-        )
-        if jobs <= 1:
-            # serial sweeps measure through *this* tuner, preserving its
-            # per-instance analytic-backend memo across build_table calls
-            context.bind(self)
+        keys = None
+        if cache is not None:
+            keys = cell_keys(
+                "tuning", self.system,
+                [
+                    {"op": op, "world_size": ws, "msg_bytes": msg, "backend": backend}
+                    for (op, ws, msg, backend) in cells
+                ],
+                config=config_fingerprint(self.config), mode=self.mode,
+                iterations=self.iterations, warmup=self.warmup,
+            )
         outcome = run_sweep(
-            _measure_cell,
-            cells,
-            context=context,
-            jobs=jobs,
-            cache=cache,
-            keys=self._cache_keys(cells) if cache is not None else None,
-            metrics=self.metrics,
+            _measure_cell, cells, context=self, jobs=jobs, cache=cache,
+            keys=keys, metrics=self.metrics,
         )
 
         # deterministic merge: replay the serial loop order over the

@@ -70,17 +70,17 @@ class TestMicrobench:
     def test_sweep_constructs_one_backend_per_name(self, monkeypatch):
         # perf guard: backend construction is hoisted out of the sweep
         # loop — a 17-size sweep must not build 17 backends per name
-        from repro.bench import microbench
+        from repro.backends import base
 
         built = []
-        real = microbench.create_backend
+        real = base.create_backend
 
         def counting(name, rank, world_size, system):
             built.append(name)
             return real(name, rank, world_size, system)
 
-        microbench._cost_backend.cache_clear()
-        monkeypatch.setattr(microbench, "create_backend", counting)
+        base.cost_backend.cache_clear()
+        monkeypatch.setattr(base, "create_backend", counting)
         try:
             sweep_backends(
                 lassen(), ["nccl", "gloo"], OpFamily.ALLREDUCE, 8,
@@ -88,7 +88,7 @@ class TestMicrobench:
             )
             assert sorted(built) == ["gloo", "nccl"]
         finally:
-            microbench._cost_backend.cache_clear()
+            base.cost_backend.cache_clear()
 
     def test_overhead_prices_both_sides_at_one_payload(self):
         # regression: the framework side floored 60 bytes to 32 while the

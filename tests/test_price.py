@@ -1,0 +1,104 @@
+"""One price per cell: every client prices a collective through
+:func:`repro.backends.base.price_us` and its one backend cache.
+
+* the source tree calls ``Backend.collective_cost_us`` from one place,
+  ``price_us`` itself, so no client composes the price on its own;
+* ``clear_cost_caches`` really drops every cached cost: a cost-query
+  backend built before the clear would keep serving pre-clear costs.
+"""
+
+from __future__ import annotations
+
+import ast
+import dataclasses
+
+import pytest
+
+from repro.backends.base import backend_class, clear_cost_caches
+from repro.backends.hierarchical import hier_collective_cost_us, parse_hier
+from repro.backends.ops import OpFamily
+from repro.bench.microbench import omb_latency_us
+from repro.cluster import lassen
+
+from .lint_harness import REPO
+
+#: the one (file, enclosing function) allowed to call collective_cost_us
+_PRICER = ("src/repro/backends/base.py", "price_us")
+
+
+class _Calls(ast.NodeVisitor):
+    """Every ``<expr>.collective_cost_us(...)`` call with the name of
+    the function that encloses it."""
+
+    def __init__(self) -> None:
+        self.scope: list[str] = []
+        self.hits: list[tuple[str, int]] = []
+
+    def _scoped(self, node) -> None:
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    visit_FunctionDef = visit_AsyncFunctionDef = visit_ClassDef = _scoped
+
+    def visit_Call(self, node: ast.Call) -> None:
+        func = node.func
+        if isinstance(func, ast.Attribute) and func.attr == "collective_cost_us":
+            self.hits.append((self.scope[-1] if self.scope else "<module>", node.lineno))
+        self.generic_visit(node)
+
+
+def test_one_place_prices_a_collective():
+    found = []
+    for path in sorted((REPO / "src" / "repro").rglob("*.py")):
+        rel = path.relative_to(REPO).as_posix()
+        calls = _Calls()
+        calls.visit(ast.parse(path.read_text(), filename=rel))
+        found += [(rel, function, line) for function, line in calls.hits]
+    strays = [hit for hit in found if hit[:2] != _PRICER]
+    assert strays == [], "price a collective through price_us"
+    assert [hit[:2] for hit in found] == [_PRICER]
+
+
+def _doubled_bandwidth(tuning):
+    """nccl's calibration with every per-byte multiplier doubled."""
+    ops = {
+        key: dataclasses.replace(op, bandwidth_x=2.0 * op.bandwidth_x)
+        for key, op in tuning.ops.items()
+    }
+    default = dataclasses.replace(
+        tuning.default, bandwidth_x=2.0 * tuning.default.bandwidth_x
+    )
+    return dataclasses.replace(tuning, ops=ops, default=default)
+
+
+#: one 1 MiB allreduce at world size 16 on lassen, priced flat (the OMB
+#: reference) and as a composite; (before, after) doubling nccl's
+#: per-byte multipliers
+_CELL = (OpFamily.ALLREDUCE, 1 << 20, 16)
+_HIER = parse_hier("hier:nccl+mvapich2-gdr")
+
+
+@pytest.mark.parametrize(
+    "price, before, after",
+    [
+        (lambda system: omb_latency_us(system, "nccl", *_CELL), 332.25, 633.14),
+        (lambda system: hier_collective_cost_us(system, _HIER, *_CELL), 102.18, 123.96),
+    ],
+    ids=["omb", "composite"],
+)
+def test_clear_cost_caches_drops_cached_backends(monkeypatch, price, before, after):
+    system = lassen()
+    assert price(system) == pytest.approx(before, abs=0.01)
+
+    cls = backend_class("nccl")
+    monkeypatch.setattr(cls, "tuning", _doubled_bandwidth(cls.tuning))
+    clear_cost_caches()
+    try:
+        # a system never priced before builds fresh backends: the truth
+        fresh = price(lassen())
+        assert fresh == pytest.approx(after, abs=0.01)
+        assert price(system) == fresh
+    finally:
+        monkeypatch.undo()
+        clear_cost_caches()

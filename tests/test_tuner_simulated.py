@@ -46,17 +46,45 @@ class TestSimulatedTableII:
             assert simulated_table.lookup("allgather", 16, msg) == "msccl"
 
 
+#: flat cells the analytic and simulated prices must agree on
+_FLAT_BACKENDS = ("nccl", "mvapich2-gdr")
+_FLAT_SIZES = (4096, 1 << 20)
+
+
+def _flat_cell(op, backend, msg):
+    """(analytic, simulated) latency of one flat cell at world size 8."""
+    analytic = Tuner(lassen(), [backend], mode="analytic")
+    simulated = Tuner(lassen(), [backend], mode="simulated", iterations=3)
+    return analytic.measure(backend, op, msg, 8), simulated.measure(backend, op, msg, 8)
+
+
 class TestSimulatedMeasurements:
-    def test_simulated_exceeds_analytic_by_dispatch_margin(self):
-        """End-to-end numbers include the synchronization the analytic
-        path doesn't; they must be close but never smaller."""
-        analytic = Tuner(lassen(), BACKENDS, mode="analytic")
-        simulated = Tuner(lassen(), BACKENDS, mode="simulated", iterations=3)
-        for msg in (2048, 1 << 18):
-            a = analytic.measure("nccl", OpFamily.ALLREDUCE, msg, 8)
-            s = simulated.measure("nccl", OpFamily.ALLREDUCE, msg, 8)
-            assert s >= a * 0.95
-            assert s <= a * 3.0 + 50.0
+    @pytest.mark.parametrize("msg", _FLAT_SIZES)
+    @pytest.mark.parametrize("backend", _FLAT_BACKENDS)
+    @pytest.mark.parametrize(
+        "op", [op for op in DEFAULT_OPS if op is not OpFamily.ALLTOALL], ids=str
+    )
+    def test_simulated_exceeds_analytic_by_dispatch_margin(self, op, backend, msg):
+        """A flat simulated cell is the analytic price to the last bits:
+        the host sleeps the dispatch and call overheads, then the wire
+        runs the dispatch-scaled cost."""
+        analytic, simulated = _flat_cell(op, backend, msg)
+        assert simulated == pytest.approx(analytic, rel=1e-12)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason=(
+            "the simulated tuner posts all_to_all_single on numel x ws "
+            "buffers, so its cell at msg is priced at ws x msg of local "
+            "input; analytic cells and auto lookups key on the local "
+            "input total"
+        ),
+    )
+    def test_alltoall_simulated_matches_analytic(self):
+        for backend in _FLAT_BACKENDS:
+            for msg in _FLAT_SIZES:
+                analytic, simulated = _flat_cell(OpFamily.ALLTOALL, backend, msg)
+                assert simulated == pytest.approx(analytic, rel=1e-12)
 
     @pytest.mark.parametrize(
         "op",
