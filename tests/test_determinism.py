@@ -22,6 +22,7 @@ simulated timing.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import pathlib
 
@@ -140,11 +141,162 @@ def scenario_megatron_msccl_ws4() -> dict:
     return {"step_time_us": result.step_time_us, "comm_by_family": result.comm_by_family}
 
 
+HIER = "hier:nccl+mvapich2-gdr"
+
+
+def _digest(tensors) -> str:
+    return hashlib.sha256(b"".join(t.data.tobytes() for t in tensors)).hexdigest()
+
+
+def scenario_hier_ws16() -> dict:
+    """Every ``hier:*`` family at ws 16 on lassen, blocking and async, on
+    real data.  A 4 KiB async flat nccl op stays in flight across each
+    4 KiB composite all_reduce, so a phase that took the parent's stream
+    round-robin position would land on another stream.  A host-path
+    composite on an ``mpi-managed`` communicator leaves its last phase
+    outstanding for the closing named ``synchronize``."""
+    from repro.cluster import lassen
+    from repro.core import MCRConfig
+
+    def main(ctx):
+        ws, rank = ctx.world_size, ctx.rank
+        comm = MCRCommunicator(ctx, ["nccl", "mvapich2-gdr"])
+        host = MCRCommunicator(
+            ctx, ["nccl", "mvapich2-gdr"], comm_id="host",
+            config=MCRConfig(mpi_stream_mode="mpi-managed"),
+        )
+        trace, outs = [], []
+        for async_op in (False, True):
+            flat = ctx.full(1024, float(rank))
+            handles = [comm.all_reduce("nccl", flat, async_op=True)]
+            ar = ctx.full(1024, rank + 1.0)
+            handles.append(comm.all_reduce(HIER, ar, async_op=async_op))
+            bc = ctx.full(300, float(rank))
+            handles.append(comm.bcast(HIER, bc, root=5, async_op=async_op))
+            ag = ctx.zeros(7 * ws)
+            handles.append(comm.all_gather(HIER, ag, ctx.full(7, float(rank)), async_op=async_op))
+            a2a = ctx.zeros(2 * ws)
+            src = ctx.tensor([100.0 * rank + j for j in range(2 * ws)])
+            handles.append(comm.all_to_all_single(HIER, a2a, src, async_op=async_op))
+            trace.append(ctx.now)
+            for handle in handles:
+                if handle is not None:
+                    handle.wait()
+            trace.append(ctx.now)
+            outs += [flat, ar, bc, ag, a2a]
+        rev = ctx.full(4096, rank + 1.0)
+        host.all_reduce("hier:mvapich2-gdr+nccl", rev, async_op=True)
+        trace.append(ctx.now)
+        host.synchronize(["nccl", "mvapich2-gdr"])
+        comm.synchronize(["nccl", "mvapich2-gdr"])
+        trace.append(ctx.now)
+        outs.append(rev)
+        host.finalize()
+        comm.finalize()
+        return {"trace": trace, "sha256": _digest(outs)}
+
+    result = Simulator(16, system=lassen()).run(main)
+    return {"ranks": result.rank_results, "elapsed_us": result.elapsed_us}
+
+
+def scenario_hier_uneven_ws6() -> dict:
+    """Uneven placements at ws 6 on lassen (nodes of 4 and 2): the
+    leader all_reduce, the AVG flat fallback, the uneven all_gather and
+    all_to_all_single fallbacks, an uneven bcast, and an interleaved
+    sub-group whose odd-length all_reduce leaves the sharded path."""
+    from repro.backends.ops import ReduceOp
+    from repro.cluster import lassen
+
+    def main(ctx):
+        ws, rank = ctx.world_size, ctx.rank
+        comm = MCRCommunicator(ctx, ["nccl", "mvapich2-gdr"])
+        trace = []
+        s = ctx.full(1024, rank + 1.0)
+        comm.all_reduce(HIER, s)
+        trace.append(ctx.now)
+        avg = ctx.full(64, rank + 1.0)
+        comm.all_reduce(HIER, avg, op=ReduceOp.AVG)
+        trace.append(ctx.now)
+        ag = ctx.zeros(5 * ws)
+        comm.all_gather(HIER, ag, ctx.full(5, float(rank)))
+        a2a = ctx.zeros(ws)
+        comm.all_to_all_single(HIER, a2a, ctx.tensor([10.0 * rank + j for j in range(ws)]))
+        trace.append(ctx.now)
+        bc = ctx.full(32, float(rank))
+        handle = comm.bcast(HIER, bc, root=4, async_op=True)
+        handle.wait()
+        trace.append(ctx.now)
+        outs = [s, avg, ag, a2a, bc]
+        if rank in (0, 4, 1, 5):
+            sub = MCRCommunicator(ctx, ["nccl", "mvapich2-gdr"], comm_id="sub", ranks=[0, 4, 1, 5])
+            odd = ctx.full(7, rank + 1.0)
+            sub.all_reduce(HIER, odd)
+            gat = ctx.zeros(3 * 4)
+            sub.all_gather(HIER, gat, ctx.full(3, float(sub.rank)))
+            sub.synchronize()
+            trace.append(ctx.now)
+            outs += [odd, gat]
+            sub.finalize()
+        comm.synchronize()
+        trace.append(ctx.now)
+        comm.finalize()
+        return {"trace": trace, "sha256": _digest(outs)}
+
+    result = Simulator(6, system=lassen()).run(main)
+    return {"ranks": result.rank_results, "elapsed_us": result.elapsed_us}
+
+
+def scenario_hier_faults_ws8() -> dict:
+    """Composites under faults at ws 8 on lassen: nccl fails permanently
+    at op 2 of every scope and mvapich2-gdr faults transiently, so phase
+    groups quarantine and fail over on their own while the parent does
+    too.  Rows whose detail starts ``inherited``/``parent:`` (copies of
+    the parent's quarantines) are left out."""
+    from repro.cluster import lassen
+    from repro.sim.faults import FaultSpec
+
+    faults = FaultSpec.parse(
+        "seed=11;backend=nccl:permanent:at=2;backend=mvapich2-gdr:transient:prob=0.3"
+    )
+
+    def main(ctx):
+        ws, rank = ctx.world_size, ctx.rank
+        comm = MCRCommunicator(ctx, ["nccl", "mvapich2-gdr", "ucc"])
+        trace, outs = [], []
+        for i in range(4):
+            x = ctx.full(256, rank + 1.0 + i)
+            comm.all_reduce(HIER, x)
+            y = ctx.full(64, float(rank))
+            comm.all_reduce("nccl", y)
+            g = ctx.zeros(3 * ws)
+            handle = comm.all_gather(HIER, g, ctx.full(3, float(rank + i)), async_op=True)
+            handle.wait()
+            b = ctx.full(16, float(rank))
+            comm.bcast(HIER, b, root=i % ws)
+            trace.append(ctx.now)
+            outs += [x, y, g, b]
+        comm.synchronize()
+        trace.append(ctx.now)
+        comm.finalize()
+        return {"trace": trace, "sha256": _digest(outs)}
+
+    result = Simulator(8, system=lassen(), faults=faults).run(main)
+    # per rank, in the order logged: ranks log at one instant in tie order
+    rows: list[list] = [[] for _ in range(8)]
+    for e in result.shared["comm_logger"].events:
+        if not e.detail.startswith(("inherited", "parent:")):
+            rows[e.rank].append([e.family, e.backend, e.start, e.detail])
+    return {"ranks": result.rank_results, "elapsed_us": result.elapsed_us, "faults": rows}
+
+
 SCENARIOS = {
     "mixed_flag_heavy": scenario_mixed_flag_heavy,
     "p2p_with_bystanders": scenario_p2p_with_bystanders,
     "deadlock": scenario_deadlock,
     "megatron_msccl_ws4": scenario_megatron_msccl_ws4,
+    "hier_ws16": scenario_hier_ws16,
+    "hier_uneven_ws6": scenario_hier_uneven_ws6,
+    "hier_faults_ws8": scenario_hier_faults_ws8,
 }
 
 
