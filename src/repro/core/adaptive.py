@@ -475,8 +475,8 @@ class AdaptiveRetuner:
         """Pick the sweep winner and schedule the table edit.  Flat
         candidates score by measured EMA; hier composites by analytic
         phase costs scaled with their constituents' observed drift
-        (composite parents are never measured directly — phase timings
-        land on the child communicators)."""
+        (composites are never measured directly — a phase group has no
+        retuner to observe its posts)."""
         scores: dict[str, float] = {}
         for name, ema in cell.ema.items():
             if name == cell.current or name in cell.explore_remaining:

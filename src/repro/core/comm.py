@@ -31,16 +31,17 @@ concrete class (enforced by ``scripts/lint.py``).
 from __future__ import annotations
 
 from collections import defaultdict, deque
+from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
 
 from repro.backends.base import Backend, canonical_name, create_backend
-from repro.backends.ops import ReduceOp
+from repro.backends.ops import OpFamily, ReduceOp
 from repro.core.config import BACKEND_INIT_US, MCRConfig
 from repro.core.dispatch import CommPlan, DispatchLayer
 from repro.core.exceptions import BackendError, MCRError, ValidationError
-from repro.core.handles import WorkHandle
+from repro.core.handles import CompletedHandle, WorkHandle
 from repro.core.health import Health
 from repro.core.op_table import (
     _ALL_GATHER,
@@ -57,6 +58,7 @@ from repro.core.op_table import (
     _REDUCE_SCATTER,
     _SCATTER,
     _SCATTERV,
+    PHASE_OPS,
     CollectiveSpec,
     _Prepared,
 )
@@ -88,6 +90,38 @@ def _shared_group(state: dict, world_size: int, ranks: Optional[Sequence[int]]) 
         # one record per rank set, however it was spelled
         record = groups[named] = groups.setdefault(tuple(group), record)
     return record
+
+
+class PhaseGroup:
+    """One process group that a communicator's ``hier:*`` phases run on
+    (INTERNALS §13): this rank's node (``{comm_id}|hier-intra``) or one
+    shard (``{comm_id}|hier-inter{l}``).
+
+    It keeps what a sub-communicator did that the simulation observes,
+    under the names ``_collective`` reads: the group and its own
+    rendezvous table and per-backend sequence, its pools' round-robin
+    positions over the communicator's streams, its fault scope and
+    quarantines (:class:`~repro.core.health.Health` with the
+    communicator's as parent), and its outstanding host-path handles.
+    It has no retuner, plans or backends of its own.
+    """
+
+    def __init__(self, comm: "MCRCommunicator", ranks: Sequence[int], comm_id: str, tag: str):
+        ctx = comm.ctx
+        self.group_ranks, _, comm_states = _shared_group(
+            ctx.shared["mcr_dl"], ctx.world_size, ranks
+        )
+        self.world_size = self._ws = len(self.group_ranks)
+        self.comm_id = comm_id
+        #: the phase tag of its labels and comm records
+        self.tag = tag
+        self._shared = comm_states.setdefault(comm_id, {"rdv": {}})
+        self._seq: dict[str, int] = defaultdict(int)
+        self._outstanding: dict[str, list[WorkHandle]] = defaultdict(list)
+        self._comm_path = ctx.system.comm_path_for_ranks(self.group_ranks)
+        self._retuner = None
+        self.sync = SyncManager(ctx, comm.backends, comm.config)
+        self.health = Health(comm, parent=comm.health, comm_id=comm_id)
 
 
 class MCRCommunicator(DispatchLayer, ExecutionLayer):
@@ -174,15 +208,11 @@ class MCRCommunicator(DispatchLayer, ExecutionLayer):
         #: strings sit on the per-op hot path and never change
         self._op_labels: dict[tuple, tuple[str, str]] = {}
 
-        # hierarchical composite dispatch (``hier:<intra>+<inter>``):
-        # the executor and its sub-communicators are built lazily on the
-        # first hierarchical dispatch; ``_phase_tag`` marks this
-        # communicator as one phase of a parent's decomposition (set by
-        # spawn_phase_comm's caller) and flows into op labels and comm
-        # records
-        self._phase_tag = ""
-        self._hier_children: list["MCRCommunicator"] = []
-        self._hier_exec = None
+        # hierarchical composites (``hier:<intra>+<inter>``): the node
+        # placement and the phase groups in the order they split, both
+        # built on first use (INTERNALS §13)
+        self._layout = None
+        self._phase_groups: dict[str, PhaseGroup] = {}
 
         #: fault injection / graceful degradation (repro.sim.faults): the
         #: quarantine set, fault counters, retry and failover
@@ -224,12 +254,10 @@ class MCRCommunicator(DispatchLayer, ExecutionLayer):
         self._link_faults = getattr(ctx.system, "link_degradation", None) is not None
 
         # online adaptive dispatch (repro.core.adaptive): one retuner
-        # per rank per top-level communicator.  Hierarchical phase
-        # communicators never adapt on their own — the parent owns the
-        # table that routed the composite.  None keeps every adaptive
-        # hook below at a single is-None check (zero cost when off).
+        # per rank per communicator.  None keeps every adaptive hook
+        # below at a single is-None check (zero cost when off).
         self._retuner = None
-        if self.config.adaptive.enabled and "|hier-" not in comm_id:
+        if self.config.adaptive.enabled:
             from repro.core.adaptive import AdaptiveRetuner
 
             if self._tuning_table is not None:
@@ -276,54 +304,23 @@ class MCRCommunicator(DispatchLayer, ExecutionLayer):
         elif isinstance(backends, str):
             backends = [backends]
         resolved = [self._backend(name) for name in backends]
-        # hierarchical phases run on sub-communicators over the same
-        # backends; drain those first (their completions gate the
-        # parent-level handles)
-        for child in self._hier_children:
-            child.synchronize([backend.name for backend in resolved])
-        for backend in resolved:
-            self.sync.synchronize_backend(backend)
-            pending = self._outstanding.pop(backend.name, [])
-            for handle in pending:
-                handle.synchronize()
+        # composites' phase groups drain first, in the order they split
+        # (their pools wrap this communicator's streams)
+        for scope in (*self._phase_groups.values(), self):
+            for backend in resolved:
+                scope.sync.synchronize_backend(backend)
+                for handle in scope._outstanding.pop(backend.name, []):
+                    handle.synchronize()
 
     def finalize(self, backends: "str | Sequence[str] | None" = None) -> None:
         """Drain outstanding work and shut backends down."""
         if self._finalized:
             return
         self.synchronize(backends)
-        for child in self._hier_children:
-            child.finalize()
         self._flush_plan_stats()
         for backend in self.backends.values():
             backend.finalize()
         self._finalized = True
-
-    def spawn_phase_comm(
-        self, ranks: Sequence[int], comm_id: str, phase: str
-    ) -> "MCRCommunicator":
-        """Construct a phase sub-communicator over a rank subset.
-
-        This is the hierarchical executor's entry point for building its
-        intra-node and shard groups: the child shares this
-        communicator's backends and config, carries ``phase`` in its op
-        labels and comm records, inherits the parent's quarantines
-        (a backend the parent declared dead must not serve a phase) and
-        follows its quarantine/unquarantine cascades, and registers in
-        ``_hier_children`` so plan invalidation, synchronize, and
-        finalize all reach it.
-        """
-        sub = MCRCommunicator(
-            self.ctx,
-            list(self.backends),
-            config=self.config,
-            comm_id=comm_id,
-            ranks=ranks,
-        )
-        sub._phase_tag = phase
-        self.health.adopt(sub.health)
-        self._hier_children.append(sub)
-        return sub
 
     # ------------------------------------------------------------------
     # the shared pre-dispatch driver
@@ -343,8 +340,8 @@ class MCRCommunicator(DispatchLayer, ExecutionLayer):
            table edits apply to the op being posted, so its plan
            recompiles against them);
         2. ``_plan`` — the compiled plan either names a hierarchical
-           composite (``plan.hier``), which the executor decomposes into
-           phases, or a flat backend for ``_collective``;
+           composite (``plan.hier``) with its phase list for
+           ``_run_phases``, or a flat backend for ``_collective``;
            ``dispatch_scale`` discounts only a flat post.
         """
         if prep is None:
@@ -356,8 +353,104 @@ class MCRCommunicator(DispatchLayer, ExecutionLayer):
             raise MCRError("communicator already finalized")
         plan = self._plan(spec, backend_name, prep)
         if plan.hier is not None:
-            return getattr(self._hier(), spec.hier_op)(plan.hier, *args, async_op)
+            return self._run_phases(spec, args, prep, plan, async_op)
         return self._collective(spec, backend_name, prep, plan, async_op, dispatch_scale)
+
+    def _run_phases(
+        self, spec: CollectiveSpec, args: tuple, prep: _Prepared, plan: CommPlan, async_op: bool
+    ) -> Optional[WorkHandle]:
+        """Run a composite's compiled phase list (INTERNALS §13): each
+        phase this rank takes part in is one ``_collective`` on its phase
+        group, posted non-blocking and host-synchronized before the next
+        (collective data moves when the rendezvous resolves, so a later
+        phase posted early could read a buffer the earlier one has not
+        produced yet).  The caller's async contract applies to the last."""
+        phases, compiled = plan.phases, plan.phase_plans
+        if phases[0].group == "flat":
+            # a degenerate composite is the call itself, on this group
+            name = phases[0].backend
+            if compiled[0] is None:
+                compiled[0] = self._compile_plan(spec, name, prep, plan.timing_only)
+            return self._collective(spec, name, prep, compiled[0], async_op, 1.0)
+        rank, virtual = self.ctx.rank, plan.timing_only
+        mine = [i for i, p in enumerate(phases) if p.members is None or rank in p.members]
+        # the communicator split: this rank's node group and every group
+        # all ranks use split before the first phase, a leaders-only
+        # group when its phase posts
+        for i in mine:
+            if phases[i].group == "intra" or phases[i].members is None:
+                self._phase_group(phases[i])
+        # the caller's tensors, then each scratch buffer once this call
+        # first names it (fresh per call: in-flight composites never alias)
+        tensors = {"in": prep.tensors[0], "out": prep.tensors[-1]}
+
+        def buffer(role) -> SimTensor:
+            if role not in tensors:
+                like = tensors["in"]
+                make = self.ctx.virtual_tensor if virtual else self.ctx.zeros
+                tensors[role] = make(role.nbytes // like.element_size(), like.dtype)
+            return tensors[role]
+
+        def shuffle(step) -> None:
+            src, dst = (buffer(role).contiguous().view_flat() for role in step[:2])
+            dst.reshape(len(step.perm), -1)[:] = src.reshape(len(step.perm), -1)[step.perm]
+
+        op = args[1] if spec.family is OpFamily.ALLREDUCE else None
+        handle = group = None
+        for i in mine:
+            phase = phases[i]
+            if handle is not None:
+                self._drain(group, handle)
+            group = self._phase_group(phase)
+            if phase.before is not None and not virtual:
+                shuffle(phase.before)
+            row, build = PHASE_OPS[phase.family]
+            phase_prep = row.prepare(
+                group, *build(buffer(phase.out), buffer(phase.src), phase.root, op)
+            )
+            if compiled[i] is None:
+                compiled[i] = self._compile_plan(row, phase.backend, phase_prep, virtual, group)
+            handle = self._collective(row, phase.backend, phase_prep, compiled[i], True, 1.0, group)
+            if phase.after is not None and not virtual:
+                # the rendezvous may already have resolved
+                if handle.flag.is_set:
+                    shuffle(phase.after)
+                else:
+                    handle.flag.callbacks.append(partial(shuffle, phase.after))
+        if async_op and mine[-1] == len(phases) - 1:
+            return handle
+        self._drain(group, handle)
+        if async_op:
+            # this rank's part ended early: a bcast root's node already
+            # holds the payload
+            return CompletedHandle(self.ctx, phases[-1].backend, f"{spec.name}:{plan.hier.name}")
+        return None
+
+    @staticmethod
+    def _drain(group: "PhaseGroup", handle: WorkHandle) -> None:
+        """Host-block on one phase and retire its handle."""
+        handle.synchronize()
+        pending = group._outstanding[handle.backend_name]
+        if handle in pending:
+            pending.remove(handle)
+
+    def _phase_group(self, phase) -> "PhaseGroup":
+        """This rank's group for ``phase``, split on first use: one
+        ``BACKEND_INIT_US`` per backend, in init order, as constructing a
+        sub-communicator would charge."""
+        layout = self._hier_layout()
+        if phase.group == "intra":
+            comm_id = f"{self.comm_id}|hier-intra"
+        else:
+            local = 0 if phase.group == "leaders" else layout.locate(self.ctx.rank)[1]
+            comm_id = f"{self.comm_id}|hier-inter{local}"
+        group = self._phase_groups.get(comm_id)
+        if group is None:
+            ranks = layout.group(phase.group, self.ctx.rank)
+            group = self._phase_groups[comm_id] = PhaseGroup(self, ranks, comm_id, phase.tag)
+            for name in self.backends:
+                self.ctx.sleep(BACKEND_INIT_US, reason=f"init({name})")
+        return group
 
     # ------------------------------------------------------------------
     # collectives (Listing 1): thin table-driven wrappers
@@ -567,10 +660,6 @@ class MCRCommunicator(DispatchLayer, ExecutionLayer):
     # ------------------------------------------------------------------
     # argument validation helpers (used by the prepare builders)
     # ------------------------------------------------------------------
-
-    def _check_root(self, root: int) -> None:
-        if not 0 <= root < self.world_size:
-            raise ValidationError(f"root {root} out of range [0, {self.world_size})")
 
     def _check_v_args(
         self, counts: Optional[Sequence[int]], displs: Optional[Sequence[int]]

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 from repro.backends.base import Backend, canonical_name
-from repro.backends.ops import OpFamily
+from repro.backends.ops import OpFamily, ReduceOp
 from repro.core.config import COMPRESSIBLE_FAMILIES, CompressionConfig
 from repro.core.exceptions import BackendError
 from repro.core.sync import StreamPool
@@ -47,9 +47,9 @@ class CommPlan:
     timing-only) so a steady-state training step pays one dict lookup
     instead of re-deriving routing, tuning choice, labels, codec
     arithmetic, and stream placement on every post.  A plan whose
-    ``hier`` is set routes the call to the hierarchical composite; its
-    flat fields keep their defaults, since the phase communicators plan
-    the pieces.
+    ``hier`` is set routes the call to the hierarchical composite: it
+    carries the composite's compiled phase list, and its flat fields
+    keep their defaults (INTERNALS §13).
 
     Tuning-table installs, quarantines, and codec/synchronization
     changes clear the cache; plans compiled through the ``"auto"`` path
@@ -68,6 +68,10 @@ class CommPlan:
     #: the composite this call routes to (``hier:*`` or an ``"auto"``
     #: table cell naming one); None = flat dispatch on ``backend``
     hier: Optional[HierSpec] = None
+    #: the composite's schedule (:func:`~repro.backends.hierarchical.
+    #: hier_phases`), and each phase's flat plan once it has run here
+    phases: tuple = ()
+    phase_plans: Optional[list] = None
     backend: Optional[Backend] = None
     #: backend name after §V-F resolution but *before* the fault gate —
     #: the reference point for "reroute" dispatch attribution
@@ -130,10 +134,6 @@ class DispatchLayer:
         self._link_faults = (
             getattr(self.ctx.system, "link_degradation", None) is not None
         )
-        # hierarchical phase communicators snapshot the same state (plans,
-        # the link gate); one invalidation covers the whole family
-        for child in self._hier_children:
-            child.invalidate_plans(reason)
 
     def set_compression(self, compression: CompressionConfig) -> None:
         """Enable/disable/retune lossy compression mid-run (§V-E).
@@ -223,14 +223,14 @@ class DispatchLayer:
 
     # -- hierarchical composite dispatch (hier:<intra>+<inter>) -----------
 
-    def _hier(self):
-        """The lazily built hierarchical executor (sub-groups derived
-        from ``SystemSpec.node_of`` on first use, cached here)."""
-        if self._hier_exec is None:
-            from repro.backends.hierarchical import HierarchicalExecutor
+    def _hier_layout(self):
+        """This group's node placement (``SystemSpec.node_of``), derived
+        on the first composite and cached."""
+        if self._layout is None:
+            from repro.backends.hierarchical import derive_layout
 
-            self._hier_exec = HierarchicalExecutor(self)
-        return self._hier_exec
+            self._layout = derive_layout(self.ctx.system, self.group_ranks)
+        return self._layout
 
     def _hier_target(self, name: str, family: OpFamily, nbytes: int):
         """Resolve one dispatch of a hierarchically decomposable row to a
@@ -275,16 +275,31 @@ class DispatchLayer:
 
     # -- plan compilation --------------------------------------------------
 
-    def _op_label(self, op, backend_name: str) -> tuple[str, str]:
-        """Cached ``(label, dispatch reason)`` for one (op, backend) pair."""
-        key = (op, backend_name)
+    def _hier_phases(self, hier, family: OpFamily, prep) -> tuple:
+        """Compile one composite call's phase list, reading the facts its
+        schedule turns on from the rendezvous meta: ``(row, numel, dtype,
+        op)`` for all_reduce, ``(row, numel, dtype, root)`` for bcast."""
+        from repro.backends.hierarchical import hier_phases
+
+        layout = self._hier_layout()
+        meta = prep.meta
+        return tuple(hier_phases(
+            layout, hier, family, prep.nbytes,
+            divisible=meta[1] % layout.ppn == 0,
+            op=ReduceOp(meta[3]) if family is OpFamily.ALLREDUCE else ReduceOp.SUM,
+            root=meta[3] if family is OpFamily.BROADCAST else 0,
+        ))
+
+    # -- plan compilation --------------------------------------------------
+
+    def _op_label(self, op, backend_name: str, phase: str = "") -> tuple[str, str]:
+        """Cached ``(label, dispatch reason)`` for one (op, backend) pair;
+        a composite's phases mark theirs with the phase tag, so chrome
+        traces show the intra/inter segments."""
+        key = (op, backend_name, phase)
         cached = self._op_labels.get(key)
         if cached is None:
-            label = f"{op}:{backend_name}"
-            if self._phase_tag:
-                # phase communicators mark their intervals so chrome
-                # traces show the intra/inter segments of a composite
-                label = f"{label}@{self._phase_tag}"
+            label = f"{op}:{backend_name}@{phase}" if phase else f"{op}:{backend_name}"
             cached = self._op_labels[key] = (label, f"dispatch({label})")
         return cached
 
@@ -323,8 +338,11 @@ class DispatchLayer:
             return False
         return True
 
-    def _compile_plan(self, spec, backend_name: str, prep, timing_only: bool) -> CommPlan:
-        """Derive one dispatch plan from a call signature.
+    def _compile_plan(
+        self, spec, backend_name: str, prep, timing_only: bool, group=None
+    ) -> CommPlan:
+        """Derive one dispatch plan from a call signature (on a
+        composite's phase ``group``: a phase's flat plan).
 
         Pure with respect to simulated time — routing, resolution, label
         interning, codec arithmetic, and stream placement never advance
@@ -335,12 +353,18 @@ class DispatchLayer:
         table_generation = -1
         if backend_name == "auto" and self._tuning_table is not None:
             table_generation = self._tuning_table.generation
-        if spec.hier_op is not None:
+        if spec.hier and group is None:
             hier = self._hier_target(backend_name, family, nbytes)
             if hier is not None:
-                return CommPlan(table_generation, timing_only, hier)
+                phases = self._hier_phases(hier, family, prep)
+                return CommPlan(
+                    table_generation, timing_only, hier,
+                    phases=phases, phase_plans=[None] * len(phases),
+                )
         backend = self._resolve_backend(backend_name, family, nbytes)
-        label, dispatch_reason = self._op_label(family, backend.name)
+        label, dispatch_reason = self._op_label(
+            family, backend.name, "" if group is None else group.tag
+        )
         # compression (§V-E): shrink the wire size, model codec kernels,
         # and apply the real quantization error to the data
         codec = None
@@ -354,7 +378,7 @@ class DispatchLayer:
             codec = self._codec
             wire_bytes = codec.compressed_nbytes(nbytes)
             codec_us = codec.codec_time_us(nbytes)
-        stream, pool, host_sync, stream_semantics = self.sync.placement(
+        stream, pool, host_sync, stream_semantics = (group or self).sync.placement(
             backend, spec.force_host, wire_bytes
         )
         return CommPlan(

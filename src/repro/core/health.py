@@ -33,32 +33,38 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 
 class Health:
-    """Whether each backend of one communicator may serve an op."""
+    """Whether each backend of one communicator — or of one phase group
+    of its composites (INTERNALS §13) — may serve an op."""
 
-    def __init__(self, comm: "CommCore"):
+    def __init__(self, comm: "CommCore", parent: Optional["Health"] = None, comm_id: str = ""):
         # a proxy: no comm <-> health cycle, so comms free without the GC
         self.comm = weakref.proxy(comm)
         self.ctx = comm.ctx
         self.backends = comm.backends
         self.obs = comm.ctx.shared.get("obs")
+        #: the fault scope the injector seeds on: the communicator's id,
+        #: or a phase group's
+        self.comm_id = comm_id or comm.comm_id
+        #: a phase group's health has its communicator's as ``parent``,
+        #: whose quarantines bar it too (a union, not a copy: recovery
+        #: there is recovery here).  A phase group has no retuner and no
+        #: table: it neither recompiles plans nor re-probes, and fails
+        #: over to the first live backend in init order.
+        self.parent = parent
         #: permanently failed backends; decisions adding to this set are
-        #: deterministic per (comm, backend, collective index) so every
+        #: deterministic per (scope, backend, collective index) so every
         #: rank quarantines at the same op and the set stays symmetric
         self.quarantined: set = set()
-        #: the quarantines a parent put here, which its recovery lifts
-        self.inherited: set = set()
         #: per-scope op counters driving injector decisions
         self.counters: dict = {}
-        #: phase communicators' health, reached by the cascades
-        self.children: list[Health] = []
         #: the job's fault injector, installed into shared state by the
         #: Simulator before any rank runs
         self.injector = comm.ctx.shared.get("injector")
         #: the per-op gate: False (no injector, nothing quarantined)
         #: keeps the healthy path at one attribute truth test
-        self.gate = self.injector is not None
+        self.gate = parent is not None or self.injector is not None
         self.log = None
-        if self.gate:
+        if self.injector is not None:
             from repro.ext.logging_ext import CommLogger
 
             # retry/failover events always go to the shared comm log,
@@ -69,43 +75,33 @@ class Health:
         if self.log is not None:
             self.log.log_event(kind, self.ctx.rank, name, self.ctx.now, detail)
 
-    def adopt(self, child: "Health") -> None:
-        """Register a phase communicator's health: it inherits this
-        one's quarantines now and follows both cascades from here on."""
-        # construction order: each is logged, and a set walk is hash order
-        for name in child.backends:
-            if name in self.quarantined:
-                child.quarantine(name, "inherited from parent communicator", True)
-        self.children.append(child)
+    def dead(self) -> set:
+        """Every quarantine that bars this scope."""
+        if self.parent is None:
+            return self.quarantined
+        return self.quarantined | self.parent.quarantined
 
-    def quarantine(self, name: str, reason: str, inherited: bool = False) -> None:
-        if name in self.quarantined:
+    def quarantine(self, name: str, reason: str) -> None:
+        if name in self.dead():
             return
         self.quarantined.add(name)
-        if inherited:
-            self.inherited.add(name)
         self.gate = True
-        # a quarantine changes dispatch for every subsequent op (auto
-        # resolution skips the backend, explicit dispatch reroutes), so
-        # compiled plans must recompute from the degraded state
-        self.comm.invalidate_plans(f"quarantine({name})")
         self.record("quarantine", name, reason)
-        retuner = self.comm.retuner
-        if retuner is not None:
-            # probation: the retuner re-probes the backend at matched op
-            # indexes and un-quarantines symmetrically on success
-            retuner.on_quarantine(name)
-        # a backend the parent declares dead must not keep serving
-        # hierarchical phases; each phase communicator degrades (and
-        # fails over) independently.  Child-local quarantines do NOT
-        # propagate upward — a fault observed only inside one phase
-        # group is handled by that group's own failover.
-        for child in self.children:
-            if name in child.backends:
-                child.quarantine(name, f"parent: {reason}", True)
-        if len(self.quarantined) == len(self.backends):
+        if self.parent is None:
+            # a quarantine changes dispatch for every subsequent op (auto
+            # resolution skips the backend, explicit dispatch reroutes),
+            # so compiled plans must recompute from the degraded state.
+            # A phase group's stays its own: a fault seen inside one
+            # group is that group's to fail over.
+            self.comm.invalidate_plans(f"quarantine({name})")
+            retuner = self.comm.retuner
+            if retuner is not None:
+                # probation: the retuner re-probes the backend at matched
+                # op indexes and un-quarantines symmetrically on success
+                retuner.on_quarantine(name)
+        if len(self.dead()) == len(self.backends):
             raise BackendError(
-                f"all backends permanently failed: {sorted(self.quarantined)}"
+                f"all backends permanently failed: {sorted(self.dead())}"
             )
 
     def unquarantine(self, name: str, reason: str) -> None:
@@ -113,21 +109,15 @@ class Health:
 
         Only the adaptive probation protocol calls this, at matched op
         indexes on every rank, so the quarantine set stays symmetric.
-        Phase children whose quarantine came from this communicator
-        recover with it; a child-local quarantine stays put, mirroring
-        the asymmetry of the quarantine cascade.
+        Phase groups recover with it, except from their own quarantines.
         """
         if name not in self.quarantined:
             return
         self.quarantined.discard(name)
-        self.inherited.discard(name)
         self.gate = self.injector is not None or bool(self.quarantined)
         # recovery changes dispatch exactly like quarantine did
         self.comm.invalidate_plans(f"unquarantine({name})")
         self.record("unquarantine", name, reason)
-        for child in self.children:
-            if name in child.inherited:
-                child.unquarantine(name, f"parent: {reason}")
 
     def probe(self, name: str, p2p_channel: Optional[tuple] = None) -> tuple:
         """Consult the injector once under ``name``'s op counter for one
@@ -138,7 +128,7 @@ class Health:
         scope = ("coll", name) if p2p_channel is None else ("p2p", name, *p2p_channel)
         idx = self.counters[scope] = self.counters.get(scope, 0) + 1
         fault = self.injector.backend_fault(
-            self.comm.comm_id, name, idx, p2p=p2p_channel is not None,
+            self.comm_id, name, idx, p2p=p2p_channel is not None,
             rank=self.ctx.rank, now=self.ctx.now, obs=self.obs,
         )
         return fault, idx
@@ -146,14 +136,15 @@ class Health:
     def _survivor(self, family: OpFamily, nbytes: int, exclude: str = "") -> Backend:
         """Deterministic failover target: tuning table, then init order
         (§V-F dispatch, restricted to live backends)."""
-        survivors = [n for n in self.backends if n not in self.quarantined and n != exclude]
+        dead = self.dead()
+        survivors = [n for n in self.backends if n not in dead and n != exclude]
         if not survivors:
             raise BackendError(
                 f"no surviving backend for {family.value}: "
-                f"quarantined {sorted(self.quarantined)}"
+                f"quarantined {sorted(dead)}"
             )
         choice = survivors[0]
-        table = self.comm.tuning_table
+        table = self.comm.tuning_table if self.parent is None else None
         if table is not None:
             tuned = table.lookup(family.value, self.comm.world_size, nbytes)
             if tuned is not None and canonical_name(tuned) in survivors:
@@ -170,7 +161,7 @@ class Health:
         the operation."""
         hops = 0
         while True:
-            if backend.name in self.quarantined:
+            if backend.name in self.dead():
                 old = backend.name
                 backend = self._survivor(family, nbytes)
                 self.record("failover", old, f"-> {backend.name}")

@@ -25,7 +25,7 @@ import numpy as np
 from repro.backends import datapath
 from repro.backends.ops import OpFamily, ReduceOp
 from repro.core.exceptions import ValidationError
-from repro.core.rendezvous import Arrival
+from repro.core.rendezvous import Arrival, flat_buffer
 from repro.tensor import SimTensor
 
 @dataclass(slots=True)
@@ -58,9 +58,8 @@ class CollectiveSpec:
     #: ``prepare(comm, *args) -> _Prepared``: validate the public
     #: arguments and build buffers, rendezvous meta, and the mover
     prepare: Callable[..., _Prepared]
-    #: method name on the HierarchicalExecutor when the family is
-    #: hierarchically decomposable (hier:<intra>+<inter>); None = flat only
-    hier_op: Optional[str] = None
+    #: hierarchically decomposable (hier:<intra>+<inter>)
+    hier: bool = False
     compressible: bool = True
     force_host: bool = False
     vector: bool = False
@@ -71,8 +70,13 @@ class CollectiveSpec:
 # ---------------------------------------------------------------------------
 
 
+def _check_root(comm, root: int) -> None:
+    if not 0 <= root < comm.world_size:
+        raise ValidationError(f"root {root} out of range [0, {comm.world_size})")
+
+
 def _prep_all_reduce(comm, tensor: SimTensor, op: ReduceOp) -> _Prepared:
-    buf = comm._flat(tensor)
+    buf = flat_buffer(tensor)
 
     def move(arrivals: list[Arrival]) -> None:
         datapath.all_reduce([a.inputs[0] for a in arrivals], [a.outputs[0] for a in arrivals], op)
@@ -85,8 +89,8 @@ def _prep_all_reduce(comm, tensor: SimTensor, op: ReduceOp) -> _Prepared:
 
 
 def _prep_reduce(comm, tensor: SimTensor, root: int, op: ReduceOp) -> _Prepared:
-    comm._check_root(root)
-    buf = comm._flat(tensor)
+    _check_root(comm, root)
+    buf = flat_buffer(tensor)
 
     def move(arrivals: list[Arrival]) -> None:
         datapath.reduce([a.inputs[0] for a in arrivals], arrivals[root].outputs[0], op)
@@ -99,8 +103,8 @@ def _prep_reduce(comm, tensor: SimTensor, root: int, op: ReduceOp) -> _Prepared:
 
 
 def _prep_bcast(comm, tensor: SimTensor, root: int) -> _Prepared:
-    comm._check_root(root)
-    buf = comm._flat(tensor)
+    _check_root(comm, root)
+    buf = flat_buffer(tensor)
 
     def move(arrivals: list[Arrival]) -> None:
         datapath.broadcast(arrivals[root].inputs[0], [a.outputs[0] for a in arrivals])
@@ -113,7 +117,7 @@ def _prep_bcast(comm, tensor: SimTensor, root: int) -> _Prepared:
 
 
 def _prep_all_gather(comm, output: SimTensor, input: SimTensor) -> _Prepared:
-    in_buf, out_buf = comm._flat(input), comm._flat(output)
+    in_buf, out_buf = flat_buffer(input), flat_buffer(output)
     if output.numel() != input.numel() * comm.world_size:
         raise ValidationError(
             f"all_gather: output numel {output.numel()} != "
@@ -133,7 +137,7 @@ def _prep_all_gather(comm, output: SimTensor, input: SimTensor) -> _Prepared:
 def _prep_reduce_scatter(
     comm, output: SimTensor, input: SimTensor, op: ReduceOp
 ) -> _Prepared:
-    in_buf, out_buf = comm._flat(input), comm._flat(output)
+    in_buf, out_buf = flat_buffer(input), flat_buffer(output)
     if input.numel() != output.numel() * comm.world_size:
         raise ValidationError(
             f"reduce_scatter: input numel {input.numel()} != "
@@ -153,7 +157,7 @@ def _prep_reduce_scatter(
 
 
 def _prep_all_to_all_single(comm, output: SimTensor, input: SimTensor) -> _Prepared:
-    in_buf, out_buf = comm._flat(input), comm._flat(output)
+    in_buf, out_buf = flat_buffer(input), flat_buffer(output)
     if input.numel() != output.numel():
         raise ValidationError("all_to_all_single: input/output numel differ")
     if input.numel() % comm.world_size != 0:
@@ -182,8 +186,8 @@ def _prep_all_to_all(
             f"all_to_all: need {comm.world_size} tensors per list, got "
             f"{len(input)}/{len(output)}"
         )
-    in_bufs = [comm._flat(t) for t in input]
-    out_bufs = [comm._flat(t) for t in output]
+    in_bufs = [flat_buffer(t) for t in input]
+    out_bufs = [flat_buffer(t) for t in output]
     nbytes = sum(t.nbytes() for t in input)
 
     def move(arrivals: list[Arrival]) -> None:
@@ -212,15 +216,15 @@ def _prep_all_to_all(
 def _prep_gather(
     comm, input: SimTensor, output: Optional[SimTensor], root: int
 ) -> _Prepared:
-    comm._check_root(root)
-    in_buf = comm._flat(input)
+    _check_root(comm, root)
+    in_buf = flat_buffer(input)
     out_bufs = []
     if comm.rank == root:
         if output is None:
             raise ValidationError("gather: root must pass an output tensor")
         if output.numel() != input.numel() * comm.world_size:
             raise ValidationError("gather: root output numel mismatch")
-        out_bufs = [comm._flat(output)]
+        out_bufs = [flat_buffer(output)]
 
     def move(arrivals: list[Arrival]) -> None:
         datapath.gather([a.inputs[0] for a in arrivals], arrivals[root].outputs[0])
@@ -235,15 +239,15 @@ def _prep_gather(
 def _prep_scatter(
     comm, output: SimTensor, input: Optional[SimTensor], root: int
 ) -> _Prepared:
-    comm._check_root(root)
-    out_buf = comm._flat(output)
+    _check_root(comm, root)
+    out_buf = flat_buffer(output)
     in_bufs = []
     if comm.rank == root:
         if input is None:
             raise ValidationError("scatter: root must pass an input tensor")
         if input.numel() != output.numel() * comm.world_size:
             raise ValidationError("scatter: root input numel mismatch")
-        in_bufs = [comm._flat(input)]
+        in_bufs = [flat_buffer(input)]
 
     def move(arrivals: list[Arrival]) -> None:
         datapath.scatter(arrivals[root].inputs[0], [a.outputs[0] for a in arrivals])
@@ -263,9 +267,9 @@ def _prep_gatherv(
     displs: Optional[Sequence[int]],
     root: int,
 ) -> _Prepared:
-    comm._check_root(root)
+    _check_root(comm, root)
     rcounts, displs = comm._check_v_args(rcounts, displs)
-    in_buf = comm._flat(input)
+    in_buf = flat_buffer(input)
     if input.numel() < rcounts[comm.rank]:
         raise ValidationError(
             f"gatherv: rank {comm.rank} input smaller than rcount"
@@ -274,7 +278,7 @@ def _prep_gatherv(
     if comm.rank == root:
         if output is None:
             raise ValidationError("gatherv: root must pass an output tensor")
-        out_bufs = [comm._flat(output)]
+        out_bufs = [flat_buffer(output)]
 
     def move(arrivals: list[Arrival]) -> None:
         datapath.gather_v(
@@ -296,9 +300,9 @@ def _prep_scatterv(
     displs: Optional[Sequence[int]],
     root: int,
 ) -> _Prepared:
-    comm._check_root(root)
+    _check_root(comm, root)
     scounts, displs = comm._check_v_args(scounts, displs)
-    out_buf = comm._flat(output)
+    out_buf = flat_buffer(output)
     if output.numel() < scounts[comm.rank]:
         raise ValidationError(
             f"scatterv: rank {comm.rank} output smaller than scount"
@@ -307,7 +311,7 @@ def _prep_scatterv(
     if comm.rank == root:
         if input is None:
             raise ValidationError("scatterv: root must pass an input tensor")
-        in_bufs = [comm._flat(input)]
+        in_bufs = [flat_buffer(input)]
 
     def move(arrivals: list[Arrival]) -> None:
         datapath.scatter_v(
@@ -329,7 +333,7 @@ def _prep_all_gatherv(
     displs: Optional[Sequence[int]],
 ) -> _Prepared:
     rcounts, displs = comm._check_v_args(rcounts, displs)
-    in_buf, out_buf = comm._flat(input), comm._flat(output)
+    in_buf, out_buf = flat_buffer(input), flat_buffer(output)
 
     def move(arrivals: list[Arrival]) -> None:
         datapath.all_gather_v(
@@ -357,7 +361,7 @@ def _prep_all_to_allv(
 ) -> _Prepared:
     scounts, sdispls = comm._check_v_args(scounts, sdispls)
     rcounts, rdispls = comm._check_v_args(rcounts, rdispls)
-    in_buf, out_buf = comm._flat(input), comm._flat(output)
+    in_buf, out_buf = flat_buffer(input), flat_buffer(output)
 
     def move(arrivals: list[Arrival]) -> None:
         datapath.all_to_all_v(
@@ -395,22 +399,22 @@ def _prep_barrier(comm) -> _Prepared:
 # ---------------------------------------------------------------------------
 
 _ALL_REDUCE = CollectiveSpec(
-    "all_reduce", OpFamily.ALLREDUCE, _prep_all_reduce, hier_op="all_reduce"
+    "all_reduce", OpFamily.ALLREDUCE, _prep_all_reduce, hier=True
 )
 _REDUCE = CollectiveSpec("reduce", OpFamily.REDUCE, _prep_reduce)
 _BCAST = CollectiveSpec(
-    "bcast", OpFamily.BROADCAST, _prep_bcast, hier_op="bcast", compressible=False
+    "bcast", OpFamily.BROADCAST, _prep_bcast, hier=True, compressible=False
 )
 _ALL_GATHER = CollectiveSpec(
     "all_gather", OpFamily.ALLGATHER, _prep_all_gather,
-    hier_op="all_gather", compressible=False,
+    hier=True, compressible=False,
 )
 _REDUCE_SCATTER = CollectiveSpec(
     "reduce_scatter", OpFamily.REDUCE_SCATTER, _prep_reduce_scatter
 )
 _ALL_TO_ALL_SINGLE = CollectiveSpec(
     "all_to_all_single", OpFamily.ALLTOALL, _prep_all_to_all_single,
-    hier_op="all_to_all_single", compressible=False,
+    hier=True, compressible=False,
 )
 _ALL_TO_ALL = CollectiveSpec(
     "all_to_all", OpFamily.ALLTOALL, _prep_all_to_all, compressible=False
@@ -436,3 +440,14 @@ _ALL_TO_ALLV = CollectiveSpec(
 _BARRIER = CollectiveSpec(
     "barrier", OpFamily.BARRIER, _prep_barrier, compressible=False, force_host=True
 )
+
+#: the rows a composite's phases post, by family, each with the builder
+#: of its arguments from ``(out, src, root, op)`` (hier:* phase lists)
+PHASE_OPS = {
+    OpFamily.ALLREDUCE: (_ALL_REDUCE, lambda out, src, root, op: (out, op)),
+    OpFamily.REDUCE: (_REDUCE, lambda out, src, root, op: (out, root, op)),
+    OpFamily.BROADCAST: (_BCAST, lambda out, src, root, op: (out, root)),
+    OpFamily.REDUCE_SCATTER: (_REDUCE_SCATTER, lambda out, src, root, op: (out, src, op)),
+    OpFamily.ALLGATHER: (_ALL_GATHER, lambda out, src, root, op: (out, src)),
+    OpFamily.ALLTOALL: (_ALL_TO_ALL_SINGLE, lambda out, src, root, op: (out, src)),
+}

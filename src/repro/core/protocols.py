@@ -12,8 +12,8 @@
   collective/p2p spines over the simulation engine.
 
 Everything *outside* the core — ``ext/`` extensions, ``frameworks/``
-baselines, ``backends/hierarchical``, the tuner and the adaptive
-retuner — consumes this :class:`CommCore` protocol instead of importing
+baselines, the tuner and the adaptive retuner — consumes this
+:class:`CommCore` protocol instead of importing
 the concrete :class:`~repro.core.comm.MCRCommunicator`, which removes
 the historical import cycle (six-plus deferred ``if TYPE_CHECKING`` /
 function-local imports) and is enforced by
@@ -103,10 +103,6 @@ class CommCore(Protocol):
     def set_compression(self, compression: "CompressionConfig") -> None: ...
 
     def set_synchronization(self, mode: str) -> None: ...
-
-    def spawn_phase_comm(
-        self, ranks: Sequence[int], comm_id: str, phase: str
-    ) -> "CommCore": ...
 
     # -- collectives (Listing 1) -------------------------------------------
 
@@ -271,7 +267,7 @@ class CommCore(Protocol):
     def _post(self, *args, **kwargs) -> Optional["WorkHandle"]: ...
 
     # ext/fusion (shared route table, stream-pressure probe, obs events),
-    # backends/hierarchical (phase drain), adaptive (probation + symmetry)
+    # adaptive (probation + symmetry)
     _shared: dict
     _outstanding: dict
     _obs: Any

@@ -41,6 +41,18 @@ _VIRTUAL_BUF = np.empty(0, dtype=np.float32)
 _NO_EXTRAS = MappingProxyType({})
 
 
+def flat_buffer(tensor: SimTensor) -> np.ndarray:
+    """The flat data-plane view of one tensor argument."""
+    if not isinstance(tensor, SimTensor):
+        raise TypeError(f"expected SimTensor, got {type(tensor).__name__}")
+    if tensor.is_virtual:
+        # timing-only tensor: the buffer is never read or written (every
+        # data-plane touch is guarded by ``not timing_only``), so skip
+        # the contiguity/view work and hand back a shared placeholder
+        return _VIRTUAL_BUF
+    return tensor.contiguous().view_flat()
+
+
 @dataclass(slots=True)
 class Arrival:
     """One rank's registration at a collective rendezvous.
@@ -108,23 +120,20 @@ class ExecutionLayer:
     :class:`~repro.core.dispatch.DispatchLayer`.
     """
 
-    def _flat(self, tensor: SimTensor) -> np.ndarray:
-        if not isinstance(tensor, SimTensor):
-            raise TypeError(f"expected SimTensor, got {type(tensor).__name__}")
-        if tensor.is_virtual:
-            # timing-only tensor: the buffer is never read or written (every
-            # data-plane touch is guarded by ``not timing_only``), so skip
-            # the contiguity/view work and hand back a shared placeholder
-            return _VIRTUAL_BUF
-        return tensor.contiguous().view_flat()
-
     def _collective(
-        self, spec, backend_name: str, prep, plan, async_op: bool, dispatch_scale: float
+        self, spec, backend_name: str, prep, plan, async_op: bool, dispatch_scale: float,
+        group=None,
     ) -> Optional[WorkHandle]:
         """Post one prepared call of op-table row ``spec`` (family and
         flags) under its flat ``plan``: buffers, mover, meta and extras
-        come from ``prep``, everything signature-derived from ``plan``."""
+        come from ``prep``, everything signature-derived from ``plan``.
+
+        ``group`` is a composite's phase group (INTERNALS §13); it keeps
+        the rendezvous state, fault scope and stream round-robin of its
+        own under the communicator's names, read through ``scope``."""
         ctx = self.ctx
+        scope = self if group is None else group
+        phase = "" if group is None else group.tag
         family = spec.family
         nbytes = prep.nbytes
         timing_only = plan.timing_only
@@ -136,16 +145,16 @@ class ExecutionLayer:
         pool = plan.pool
         host_sync = plan.host_sync
         stream_semantics = plan.stream_semantics
-        if self.health.gate:
+        if scope.health.gate:
             # the fault gate runs per call even on a plan hit: injector
             # op counters must advance exactly as in the uncached path,
             # and its retries/reroutes are call-local, never plan state
-            admitted = self.health.admit(backend, family, nbytes)
+            admitted = scope.health.admit(backend, family, nbytes)
             if admitted is not backend:
                 backend = admitted
-                label, dispatch_reason = self._op_label(family, backend.name)
+                label, dispatch_reason = self._op_label(family, backend.name, phase)
                 dispatch_cost = self._dispatch_cost(backend)
-                stream, pool, host_sync, stream_semantics = self.sync.placement(
+                stream, pool, host_sync, stream_semantics = scope.sync.placement(
                     backend, spec.force_host, plan.wire_bytes
                 )
         stream_kind = stream is not None or pool is not None
@@ -162,16 +171,17 @@ class ExecutionLayer:
         if dispatch_cost < 0:
             raise SimError(f"negative sleep {dispatch_cost}")
         engine = ctx.engine
-        ws = self._ws
+        ws = scope._ws
         resolves = ws == 1
         if not resolves:
             # rendezvous sequence numbers are keyed per backend only:
             # collective calls are communicator-ordered within a library
             # regardless of op family, like NCCL/MPI
             # (tests/test_plan_cache.py pins this down)
-            self._seq[backend.name] += 1
-            key = (self.comm_id, backend.name, self._seq[backend.name])
-            rdv_table = self._shared["rdv"]
+            seq = scope._seq
+            seq[backend.name] += 1
+            key = (scope.comm_id, backend.name, seq[backend.name])
+            rdv_table = scope._shared["rdv"]
             rdv = rdv_table.get(key)
             resolves = rdv is not None and len(rdv.arrivals) == ws - 1
         # the dispatch cost is lookahead (INTERNALS §5): the post stamps
@@ -184,7 +194,7 @@ class ExecutionLayer:
             resolves
             or host_sync
             or deadline_us is not None
-            or self._retuner is not None
+            or scope._retuner is not None
             or (async_op or stream_semantics) and engine.ahead
         ):
             # ``wait_until`` directly: it skips ``Engine.sleep``'s frame
@@ -202,10 +212,11 @@ class ExecutionLayer:
                     if a_in is not a_out:
                         a_out[:] = a_in
             handle = CompletedHandle(ctx, backend.name, label)
-            self._log(
-                family, backend, nbytes, ctx.now, ctx.now, async_op,
-                dispatch=dispatch, stream="host",
-            )
+            if self.logger is not None:
+                self._log_on_flag(
+                    family, backend, nbytes, handle.flag, async_op,
+                    dispatch=dispatch, stream="host", phase=phase,
+                )
             if async_op:
                 return handle
             return None
@@ -261,7 +272,7 @@ class ExecutionLayer:
                 # rank's own volume
                 wire_bytes = max(wire_bytes, self._alltoallv_critical_bytes(rdv))
             duration = price_us(
-                ctx.system, backend, family, wire_bytes, ws, self._comm_path,
+                ctx.system, backend, family, wire_bytes, ws, scope._comm_path,
                 self.config, vector=vector, nonblocking=async_op, overheads=False,
             )
             if self._link_faults:
@@ -276,7 +287,7 @@ class ExecutionLayer:
             if self.config.force_host_staging:
                 # Listing-2 style device->host->device copies around the op
                 duration += 2.0 * ctx.system.host_staging_us(wire_bytes)
-            ordered = [rdv.arrivals[r] for r in self.group_ranks]
+            ordered = [rdv.arrivals[r] for r in scope.group_ranks]
             move = prep.move
 
             def on_resolve() -> None:
@@ -336,26 +347,27 @@ class ExecutionLayer:
         if self.logger is not None:
             self._log_on_flag(
                 family, backend, nbytes, rdv.flag, async_op, rdv,
-                dispatch=dispatch, stream=stream_label,
+                dispatch=dispatch, stream=stream_label, phase=phase,
             )
-        if self._retuner is not None:
+        if scope._retuner is not None:
             # observation rides the rendezvous flag: fire() runs every
             # rank's callback at one instant with one shared duration,
             # keeping the per-rank observation streams identical
-            self._retuner.attach(family, backend.name, nbytes, rdv, backend_name == "auto")
+            scope._retuner.attach(family, backend.name, nbytes, rdv, backend_name == "auto")
         if async_op:
             handle = WorkHandle(
                 ctx, backend.name, rdv.flag, member_node, stream_semantics, label,
                 deadline_us=deadline_us,
                 timeout_info=(
-                    self._timeout_info(label, rdv) if deadline_us is not None else None
+                    self._timeout_info(label, rdv, scope.group_ranks)
+                    if deadline_us is not None else None
                 ),
             )
             if pool is None:
                 # a pool-stream op ends by its stream's tail, which
                 # synchronize() drains first; only host-path and
                 # default-stream ops need their handle kept for it
-                self._outstanding[backend.name].append(handle)
+                scope._outstanding[backend.name].append(handle)
             return handle
         # synchronous op: apply wait() semantics inline, no handle object
         if stream_semantics and member_node is not None:
@@ -363,22 +375,25 @@ class ExecutionLayer:
         else:
             host_block(
                 ctx, rdv.flag, label, "wait", deadline_us,
-                self._timeout_info(label, rdv) if deadline_us is not None else None,
+                self._timeout_info(label, rdv, scope.group_ranks)
+                if deadline_us is not None else None,
             )
         if self.config.synchronization == "naive":
             # naive scheme additionally host-blocks (Fig. 4a)
             ctx.engine.wait_flag(rdv.flag, reason=label)
         return None
 
-    def _timeout_info(self, label: str, rdv: Optional[Rendezvous]):
+    @staticmethod
+    def _timeout_info(label: str, rdv: Optional[Rendezvous], ranks: list[int]):
         """Deferred per-rank diagnostics for a CommTimeoutError: evaluated
-        at timeout time, when the rendezvous shows who never arrived."""
+        at timeout time, when the rendezvous shows who of ``ranks`` (the
+        group's) never arrived."""
 
         def info() -> str:
             if rdv is None:
                 return "operation still pending"
             arrived = sorted(rdv.arrivals)
-            missing = [r for r in self.group_ranks if r not in rdv.arrivals]
+            missing = [r for r in ranks if r not in rdv.arrivals]
             if missing:
                 posted = ", ".join(
                     f"rank {r}@{rdv.arrivals[r].host_time:.1f}us" for r in arrived
@@ -444,7 +459,7 @@ class ExecutionLayer:
 
         chan = self._shared["p2p"][(backend.name, src, dst, tag)]
         mine, theirs = ("sends", "recvs") if is_send else ("recvs", "sends")
-        buf = self._flat(tensor)
+        buf = flat_buffer(tensor)
 
         if chan[theirs]:
             other_buf, other_time, flag, other_virtual = chan[theirs].popleft()
@@ -523,32 +538,6 @@ class ExecutionLayer:
             return "reroute"  # fault gate failed over / rerouted
         return "auto" if requested == "auto" else "explicit"
 
-    def _log(
-        self,
-        family: OpFamily,
-        backend,
-        nbytes: int,
-        start: float,
-        end: float,
-        async_op: bool,
-        dispatch: str = "explicit",
-        stream: str = "",
-    ) -> None:
-        if self.logger is not None:
-            self.logger.log(
-                rank=self.ctx.rank,
-                family=family.value,
-                backend=backend.name,
-                nbytes=nbytes,
-                start=start,
-                end=end,
-                async_op=async_op,
-                step=self.logger.event_log.step(self.ctx.rank),
-                dispatch=dispatch,
-                stream=stream,
-                phase=self._phase_tag,
-            )
-
     def _log_on_flag(
         self,
         family: OpFamily,
@@ -559,6 +548,7 @@ class ExecutionLayer:
         rdv: Optional[Rendezvous] = None,
         dispatch: str = "explicit",
         stream: str = "",
+        phase: str = "",
     ) -> None:
         """Log once the completion time is known (flag fired).
 
@@ -573,7 +563,6 @@ class ExecutionLayer:
         rank = self.ctx.rank
         post_time = self.ctx.now
         step = logger.event_log.step(rank)
-        phase = self._phase_tag
 
         def emit() -> None:
             end = flag.ready_time

@@ -207,59 +207,52 @@ class TestProbation:
 
 
 class TestUnquarantineCascade:
-    """Parent recovery lifts inherited child quarantines — and only those."""
+    """A phase group's health unions the parent's quarantines: parent
+    recovery is group recovery, and a group-local quarantine stays put."""
 
-    def test_hier_children_follow_parent(self):
+    def test_phase_groups_follow_parent(self):
         def rank_main(ctx):
             comm = MCRCommunicator(
                 ctx, ["nccl", "mvapich2-gdr"], comm_id="cascade-test"
             )
             x = ctx.virtual_tensor(1024)
-            # build the phase children
+            # split the phase groups
             comm.all_reduce("hier:nccl+mvapich2-gdr", x)
             comm.synchronize()
-            children = comm._hier_children
-            assert children
+            groups = list(comm._phase_groups.values())
+            assert groups
             comm.health.quarantine("nccl", "test outage")
-            inherited = [
-                "nccl" in c.health.quarantined
-                for c in children
-                if "nccl" in c.backends
-            ]
-            assert inherited and all(inherited)
+            assert all("nccl" in g.health.dead() for g in groups)
+            # a union, not a copy: nothing was written into the groups
+            assert all(not g.health.quarantined for g in groups)
             comm.health.unquarantine("nccl", "probe cleared")
-            recovered = [
-                "nccl" not in c.health.quarantined
-                for c in children
-                if "nccl" in c.backends
-            ]
-            assert recovered and all(recovered)
+            assert all("nccl" not in g.health.dead() for g in groups)
             assert "nccl" not in comm.health.quarantined
             comm.finalize()
             return True
 
         assert all(Simulator(16, system=lassen()).run(rank_main).rank_results)
 
-    def test_quarantine_inherited_at_spawn_recovers_too(self):
+    def test_quarantine_before_the_split_recovers_too(self):
         def rank_main(ctx):
             comm = MCRCommunicator(
                 ctx, ["nccl", "mvapich2-gdr"], comm_id="cascade-spawn"
             )
             comm.health.quarantine("nccl", "outage before any phase group")
-            # the phase children are built now and inherit the quarantine
+            # the phase groups split now, under the quarantine
             comm.all_reduce("hier:nccl+mvapich2-gdr", ctx.virtual_tensor(1024))
             comm.synchronize()
-            children = [c for c in comm._hier_children if "nccl" in c.backends]
-            assert children
-            assert all("nccl" in c.health.quarantined for c in children)
+            groups = list(comm._phase_groups.values())
+            assert groups
+            assert all("nccl" in g.health.dead() for g in groups)
             comm.health.unquarantine("nccl", "probe cleared")
-            recovered = all("nccl" not in c.health.quarantined for c in children)
+            recovered = all("nccl" not in g.health.dead() for g in groups)
             comm.finalize()
             return recovered
 
         assert all(Simulator(16, system=lassen()).run(rank_main).rank_results)
 
-    def test_child_local_quarantine_stays_put(self):
+    def test_group_local_quarantine_stays_put(self):
         def rank_main(ctx):
             comm = MCRCommunicator(
                 ctx, ["nccl", "mvapich2-gdr"], comm_id="cascade-local"
@@ -267,15 +260,14 @@ class TestUnquarantineCascade:
             x = ctx.virtual_tensor(1024)
             comm.all_reduce("hier:nccl+mvapich2-gdr", x)
             comm.synchronize()
-            child = next(
-                c for c in comm._hier_children if "nccl" in c.backends
-            )
+            group = next(iter(comm._phase_groups.values()))
             # a fault observed only inside one phase group
-            child.health.quarantine("nccl", "child-local fault")
+            group.health.quarantine("nccl", "group-local fault")
+            assert "nccl" not in comm.health.quarantined
             comm.health.quarantine("nccl", "parent outage")
             comm.health.unquarantine("nccl", "probe cleared")
-            # the child's own quarantine is not the parent's to lift
-            assert "nccl" in child.health.quarantined
+            # the group's own quarantine is not the parent's to lift
+            assert "nccl" in group.health.dead()
             comm.finalize()
             return True
 

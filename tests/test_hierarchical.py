@@ -23,6 +23,8 @@ from repro.backends.hierarchical import (
     HierSpec,
     derive_layout,
     hier_collective_cost_us,
+    hier_cost_phases,
+    hier_phases,
     is_hier_name,
     parse_hier,
 )
@@ -286,13 +288,13 @@ class TestAutoDispatch:
             small = ctx.full(1024, 1.0)  # 4 KiB
             comm.all_reduce("auto", small)
             comm.synchronize()
-            hier_after_small = comm._hier_exec is not None
+            hier_after_small = bool(comm._phase_groups)
             big = ctx.full(1 << 20, 1.0)  # 4 MiB
             comm.all_reduce("auto", big)
             comm.synchronize()
             return (
                 hier_after_small,
-                comm._hier_exec is not None,
+                bool(comm._phase_groups),
                 float(small.data[0]),
                 float(big.data[0]),
             )
@@ -337,7 +339,7 @@ class TestAutoDispatch:
             x.fill_(float(ctx.rank))
             comm.all_reduce("auto", x)
             comm.synchronize()
-            return comm._hier_exec is not None, float(x.data[0]), float(x.data[-1])
+            return bool(comm._phase_groups), float(x.data[0]), float(x.data[-1])
 
         assert spmd(16, fn) == [(True, 120.0, 120.0)] * 16
 
@@ -376,9 +378,12 @@ class TestResilience:
         results = spmd(8, fn, faults=faults)
         assert len(set(results)) == 1  # phases failed over symmetrically
 
-    def test_inherited_quarantines_logged_in_construction_order(self):
-        """Phase children inherit the parent's quarantines; walking the
-        parent's quarantine *set* logged them in string-hash order."""
+    def test_parent_quarantines_bar_phase_groups_without_copies(self):
+        """A phase group's health unions the parent's quarantines instead
+        of copying them: no per-group rows are logged (walking the
+        parent's quarantine *set* once logged those copies in
+        string-hash order), and the log is the same under two hash
+        seeds."""
         script = """
 from repro.cluster import lassen
 from repro.core import MCRCommunicator
@@ -394,10 +399,13 @@ def main(ctx):
     for name in DEAD:
         comm.all_reduce(name, x)
     comm.all_reduce("hier:nccl+mvapich2-gdr", x)
+    groups = {
+        cid: ([n for n in comm.backends if n in g.health.dead()], sorted(g.health.quarantined))
+        for cid, g in comm._phase_groups.items()
+    }
     comm.finalize()
     events = CommLogger.shared(ctx).events
-    inherited = [e.backend for e in events if e.rank == 0 and e.detail.startswith("inherited")]
-    return [(e.family, e.backend) for e in events], inherited
+    return [(e.family, e.backend, e.detail) for e in events], groups
 
 faults = FaultSpec(backend_faults=tuple(
     BackendFault(backend=name, kind="permanent", at_op=1) for name in DEAD))
@@ -413,12 +421,18 @@ print(repr(Simulator(8, system=lassen(), faults=faults).run(main).rank_results[0
                 env=env, capture_output=True, text=True, check=True,
             ).stdout
 
-        # seeds 0 and 3 logged ucc, openmpi, msccl and msccl, openmpi, ucc
         out = run("0")
         assert out == run("3")
-        _, inherited = ast.literal_eval(out)
-        # rank 0's two phase children (intra, inter), each in init order
-        assert inherited == ["msccl", "ucc", "openmpi"] * 2
+        events, groups = ast.literal_eval(out)
+        # every row is the parent's own: three quarantines, then failovers
+        assert not [e for e in events if e[2].startswith(("inherited", "parent:"))]
+        assert {e[0] for e in events} == {"quarantine", "failover"}
+        # rank 0's two phase groups (intra, inter), in the order they split
+        dead = ["msccl", "ucc", "openmpi"]
+        assert groups == {
+            "world|hier-intra": (dead, []),
+            "world|hier-inter0": (dead, []),
+        }
 
     def test_plan_cache_byte_identity(self):
         def job(plan_cache):
@@ -432,6 +446,102 @@ print(repr(Simulator(8, system=lassen(), faults=faults).run(main).rank_results[0
             return spmd(16, fn, config=MCRConfig(plan_cache=plan_cache))
 
         assert job(True) == job(False)
+
+
+class TestPhaseList:
+    """One schedule: the phases a composite runs are the list
+    :func:`hier_phases` returns, and a composite is one post."""
+
+    @pytest.mark.parametrize("family", sorted(HIER_FAMILIES, key=lambda f: f.value))
+    @pytest.mark.parametrize("world", [8, 12, 16, 32])
+    @pytest.mark.parametrize("nbytes", [4 << 10, 1 << 20])
+    def test_logged_phases_are_the_schedule(self, family, world, nbytes):
+        """Rank 0's phase-tagged comm rows are the phases it takes part
+        in, in order.  Each row's transfer time is that phase's price on
+        its group size and path, as :func:`hier_cost_phases` prices it on
+        the dense layout."""
+        system = lassen()
+        spec = parse_hier(HIER)
+        numel = nbytes // 4 // world * world  # all_to_all_single splits by ws
+
+        def fn(ctx, comm):
+            x = ctx.virtual_tensor(numel)
+            if family is OpFamily.ALLREDUCE:
+                comm.all_reduce(HIER, x)
+            elif family is OpFamily.BROADCAST:
+                comm.bcast(HIER, x, root=0)
+            elif family is OpFamily.ALLGATHER:
+                comm.all_gather(HIER, ctx.virtual_tensor(numel * world), x)
+            else:
+                comm.all_to_all_single(HIER, ctx.virtual_tensor(numel), x)
+            comm.synchronize()
+            from repro.ext.logging_ext import CommLogger
+
+            rows = CommLogger.shared(ctx).records
+            return [
+                (r.phase, r.backend, r.family, r.nbytes, r.end - r.start)
+                for r in rows if r.rank == 0 and r.phase
+            ]
+
+        logged = spmd(world, fn, system, config=MCRConfig(enable_logging=True))[0]
+        layout = derive_layout(system, range(world))
+        phases = hier_phases(layout, spec, family, numel * 4)
+        costs = hier_cost_phases(system, spec, family, numel * 4, world)
+        expected = [
+            (c.phase, c.backend, c.family, p.nbytes, pytest.approx(c.cost_us, rel=1e-12))
+            for p, c in zip(phases, costs)
+            if p.members is None or 0 in p.members
+        ]
+        assert len(phases) > 1 and logged == expected
+        # the transfer prices above are taken at these group sizes: a
+        # lassen node's four GPUs, and one rank per node
+        sizes = [len(layout.group(p.group, 0)) for p in phases]
+        assert sizes == [4 if p.group == "intra" else world // 4 for p in phases]
+
+    def test_one_communicator_per_rank(self, monkeypatch):
+        built = []
+        init = MCRCommunicator.__init__
+
+        def counting(self, ctx, *args, **kwargs):
+            built.append(ctx.rank)
+            init(self, ctx, *args, **kwargs)
+
+        monkeypatch.setattr(MCRCommunicator, "__init__", counting)
+
+        def fn(ctx, comm):
+            x = ctx.full(64, 1.0)
+            comm.all_reduce(HIER, x)
+            comm.bcast(HIER, x, root=5)
+            comm.all_gather(HIER, ctx.zeros(64 * 16), x)
+            comm.all_to_all_single(HIER, ctx.zeros(64), x)
+            comm.synchronize()
+            return len(comm._phase_groups)
+
+        # one node group and one shard group per rank; shard 0 is the
+        # leaders' group
+        assert spmd(16, fn) == [2] * 16
+        assert sorted(built) == list(range(16))
+
+    @pytest.mark.parametrize("world, op", [(4, "all_reduce"), (6, "all_gather")])
+    def test_degenerate_composite_posts_once(self, world, op):
+        """A single-node (ws 4) or uneven-fallback (ws 6) composite is one
+        flat phase: the adaptive op count and the plan lookups see one
+        post per call, not the composite and then its constituent."""
+        from repro.core.config import AdaptiveConfig
+
+        config = MCRConfig()
+        config.adaptive = AdaptiveConfig(enabled=True)
+
+        def fn(ctx, comm):
+            for _ in range(3):
+                if op == "all_reduce":
+                    comm.all_reduce(HIER, ctx.full(64, 1.0))
+                else:
+                    comm.all_gather(HIER, ctx.zeros(4 * world), ctx.full(4, 1.0))
+            stats = comm.plan_stats
+            return comm.retuner.snapshot()["ops"], stats["hits"] + stats["misses"]
+
+        assert spmd(world, fn, config=config) == [(3, 3)] * world
 
 
 class TestObservability:

@@ -76,7 +76,7 @@ class TestInjectedViolations:
         protocols.write_text(protocols.read_text().replace("    _outstanding: dict\n", ""))
         violations = check(root, allowed={})
         assert violations and all("_outstanding" in v for v in violations), violations
-        assert any("backends/hierarchical.py" in v for v in violations)
+        assert any("ext/fusion.py" in v for v in violations)
 
     def test_stale_declaration_fails(self, tmp_path):
         root = copy_tree(tmp_path)

@@ -52,7 +52,7 @@ class TestRealTree:
         def main(ctx):
             comm = MCRCommunicator(ctx, ["nccl"])
             assert isinstance(comm, CommCore)
-            for attr in ("_shared", "_outstanding", "health", "_phase_tag"):
+            for attr in ("_shared", "_outstanding", "health"):
                 assert hasattr(comm, attr)
             comm.finalize()
 

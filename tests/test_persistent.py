@@ -218,7 +218,8 @@ class TestHierRouted:
             )
             x = ctx.zeros(numel)
             op = PersistentCollective(comm, "all_reduce", backend, x)
-            at_init = (comm.retuner.snapshot()["ops"], len(comm._hier_children))
+            # the pin compiles the phase list but splits no phase group
+            at_init = (comm.retuner.snapshot()["ops"], len(comm._phase_groups))
             sums = []
             for step in range(2):
                 x.data[:] = mine(ctx.rank, step)
@@ -231,10 +232,11 @@ class TestHierRouted:
         for at_init, ops, plan, sums in Simulator(world, system=lassen()).run(main).rank_results:
             assert at_init == (0, 0)
             assert ops == 2  # one adaptive op per start
-            # the pinned plan routes to the composite; the phase
-            # communicators plan the pieces
+            # the pinned plan routes to the composite and carries its
+            # sharded three-phase list
             assert plan.hier == parse_hier("hier:nccl+mvapich2-gdr")
             assert plan.backend is None
+            assert [p.group for p in plan.phases] == ["intra", "shard", "intra"]
             for step, got in enumerate(sums):
                 want = np.sum([mine(r, step) for r in range(world)], axis=0)
                 assert np.array_equal(got, want)

@@ -427,7 +427,7 @@ class TestPlanHitPost:
             comm.all_reduce("auto", x)
             comm.synchronize()
             stats = comm.plan_stats
-            routed = comm._hier_exec is not None
+            routed = bool(comm._phase_groups)
             comm.finalize()
             return lookups, stats, routed
 
