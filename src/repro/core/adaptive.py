@@ -50,7 +50,9 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.backends.base import price_us
+from repro.backends.hierarchical import HIER_FAMILIES, hier_cost_phases, parse_hier
 from repro.backends.ops import OpFamily
+from repro.core.exceptions import BackendError
 from repro.core.tuning import message_bucket
 from repro.obs.metrics import LogHistogram, ObsEvent
 
@@ -73,6 +75,20 @@ COOLDOWN_OPS = 12
 CANARY_BYTES = 4096
 #: seed for the deterministic epsilon-exploration hash
 EXPLORE_SEED = 0
+
+
+@dataclass
+class _Shared:
+    """Single-copy adaptive state all ranks share (``CommState.adapt``)."""
+
+    #: max op index any rank has posted: the completion domain's only
+    #: view of post progress
+    max_posted: int = 0
+    #: quarantine mirror, readable at fire instants
+    quarantined: set = field(default_factory=set)
+    #: epsilon trials posted per cell, marked once per logical trial
+    trials_posted: dict = field(default_factory=dict)
+    trial_marks: set = field(default_factory=set)
 
 
 @dataclass
@@ -143,23 +159,8 @@ class AdaptiveRetuner:
         #: reentrancy guard: a probation canary posts a real collective
         #: from inside before_op; it must not count as a new op
         self.quiet = False
-        shared = comm._shared
-        self._sh = shared.setdefault(
-            "adapt",
-            {
-                # max op index any rank has posted: the completion
-                # domain's only view of post progress (single shared
-                # copy, so all callbacks at one fire instant agree)
-                "max_posted": 0,
-                # shared mirror of the quarantine set, readable at fire
-                # instants (per-rank health is post-domain state)
-                "quarantined": set(),
-                # epsilon trials posted per cell (marked once per
-                # logical trial, not once per rank)
-                "trials_posted": {},
-                "trial_marks": set(),
-            },
-        )
+        state = comm._group.state
+        self._sh = state.adapt = state.adapt or _Shared()
         self._lead = comm.ctx.rank == comm.group_ranks[0]
         system = comm.ctx.system
         self._multinode = (
@@ -176,8 +177,8 @@ class AdaptiveRetuner:
         self._op_index += 1
         idx = self._op_index
         sh = self._sh
-        if idx > sh["max_posted"]:
-            sh["max_posted"] = idx
+        if idx > sh.max_posted:
+            sh.max_posted = idx
         pending = self._pending
         while pending and pending[0][0] <= idx:
             heapq.heappop(pending)[-1]()
@@ -194,7 +195,7 @@ class AdaptiveRetuner:
         """Schedule from the completion domain: the effect index is the
         shared posted high-water mark plus one — no rank has posted that
         op yet, so every rank applies the action before resolving it."""
-        effect = self._sh["max_posted"] + 1 + offset
+        effect = self._sh.max_posted + 1 + offset
         self._fire_seq += 1
         heapq.heappush(self._pending, (effect, 1, self._fire_seq, fn))
         return effect
@@ -219,7 +220,7 @@ class AdaptiveRetuner:
             return  # only trial cells the table explicitly serves
         if self._hash(op, bucket, idx) / 2**32 >= self.cfg.epsilon:
             return
-        quarantined = self._sh["quarantined"]
+        quarantined = self._sh.quarantined
         alts = [
             name
             for name in self.comm.backends
@@ -233,11 +234,11 @@ class AdaptiveRetuner:
         self._schedule_post(idx + 1, lambda: table.add(op, ws, bucket, cur))
         mark = (op, bucket, idx)
         sh = self._sh
-        if mark not in sh["trial_marks"]:
+        if mark not in sh.trial_marks:
             # one logical trial, marked by whichever rank posts first
-            sh["trial_marks"].add(mark)
+            sh.trial_marks.add(mark)
             key = (op, bucket)
-            sh["trials_posted"][key] = sh["trials_posted"].get(key, 0) + 1
+            sh.trials_posted[key] = sh.trials_posted.get(key, 0) + 1
         self._emit("explore", alt, detail=f"epsilon-trial@{op}/{bucket}")
 
     # -- probation (quarantine recovery) -----------------------------------
@@ -245,7 +246,7 @@ class AdaptiveRetuner:
     def on_quarantine(self, backend_name: str) -> None:
         """Called by ``Health.quarantine`` — post domain, at the same op
         index on every rank."""
-        self._sh["quarantined"].add(backend_name)
+        self._sh.quarantined.add(backend_name)
         interval = self.cfg.probation_interval
         if interval > 0:
             self._schedule_post(
@@ -264,7 +265,7 @@ class AdaptiveRetuner:
         timing-only canary that re-seeds the backend's observed latency."""
         health = self.comm.health
         if backend_name not in health.quarantined:
-            self._sh["quarantined"].discard(backend_name)
+            self._sh.quarantined.discard(backend_name)
             return
         self.stats["probation"] += 1
         fault, _ = health.probe(backend_name)
@@ -278,7 +279,7 @@ class AdaptiveRetuner:
                     lambda: self._probe(backend_name),
                 )
             return
-        self._sh["quarantined"].discard(backend_name)
+        self._sh.quarantined.discard(backend_name)
         health.unquarantine(
             backend_name, f"probation probe cleared at op {self._op_index}"
         )
@@ -363,7 +364,7 @@ class AdaptiveRetuner:
         if cell.current is None:
             cell.current = backend_name
         elif backend_name != cell.current:
-            posted = self._sh["trials_posted"].get(cell_key, 0)
+            posted = self._sh.trials_posted.get(cell_key, 0)
             if cell.trials_seen < posted:
                 cell.trials_seen += 1  # an epsilon trial, not a move
             else:
@@ -404,11 +405,11 @@ class AdaptiveRetuner:
         ``hier:*`` composites of live constituents, capped at
         :data:`MAX_CANDIDATES`.  Quarantine state comes from the shared
         mirror — this runs in the completion domain."""
-        quarantined = self._sh["quarantined"]
+        quarantined = self._sh.quarantined
         cur = cell.current
         live = [n for n in self.comm.backends if n not in quarantined]
         out = [n for n in live if n != cur]
-        if self._multinode and cell.family in _hier_families():
+        if self._multinode and cell.family in HIER_FAMILIES:
             for intra in live:
                 for inter in live:
                     if intra == inter:
@@ -518,14 +519,11 @@ class AdaptiveRetuner:
             return 0.0
         cost = cell.analytic[backend_name] = price_us(
             self.ctx.system, backend, cell.family, cell.bucket, comm.world_size,
-            comm._comm_path, comm.config, overheads=False,
+            comm._group.comm_path, comm.config, overheads=False,
         )
         return cost
 
     def _hier_score(self, cell: _Cell, name: str) -> Optional[float]:
-        from repro.backends.hierarchical import hier_cost_phases, parse_hier
-        from repro.core.exceptions import BackendError
-
         try:
             spec = parse_hier(name)
         except BackendError:
@@ -592,9 +590,3 @@ class AdaptiveRetuner:
                 for key, cell in sorted(self._cells.items())
             },
         }
-
-
-def _hier_families() -> frozenset:
-    from repro.backends.hierarchical import HIER_FAMILIES
-
-    return HIER_FAMILIES

@@ -30,7 +30,6 @@ concrete class (enforced by ``scripts/lint.py``).
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
 from functools import partial
 from typing import Optional, Sequence
 
@@ -39,7 +38,7 @@ import numpy as np
 from repro.backends.base import Backend, canonical_name, create_backend
 from repro.backends.ops import OpFamily, ReduceOp
 from repro.core.config import BACKEND_INIT_US, MCRConfig
-from repro.core.dispatch import CommPlan, DispatchLayer
+from repro.core.dispatch import CommPlan, DispatchLayer, PlanCache
 from repro.core.exceptions import BackendError, MCRError, ValidationError
 from repro.core.handles import CompletedHandle, WorkHandle
 from repro.core.health import Health
@@ -62,66 +61,13 @@ from repro.core.op_table import (
     CollectiveSpec,
     _Prepared,
 )
-from repro.core.rendezvous import ExecutionLayer
+from repro.core.rendezvous import CommShared, ExecutionLayer, Group
 from repro.core.sync import SyncManager
 from repro.core.tuning import TuningTable
 from repro.sim.process import RankContext
 from repro.tensor import SimTensor
 
 __all__ = ["CollectiveSpec", "CommPlan", "MCRCommunicator"]
-
-
-def _shared_group(state: dict, world_size: int, ranks: Optional[Sequence[int]]) -> tuple:
-    """The job-wide record of one process group: ``(group_ranks, {global
-    rank: group rank}, {comm_id: rendezvous state})``, validated and built
-    by the first rank that names the group (``None`` = the world)."""
-    groups = state.setdefault("__groups__", {})
-    named = None if ranks is None else tuple(ranks)
-    record = groups.get(named)
-    if record is None:
-        spelled = range(world_size) if named is None else named
-        group = list(dict.fromkeys(int(r) for r in spelled))
-        if len(group) != len(spelled):
-            raise BackendError(f"duplicate ranks in group {list(spelled)}")
-        for r in group:
-            if not 0 <= r < world_size:
-                raise BackendError(f"group rank {r} out of range")
-        record = (group, {r: i for i, r in enumerate(group)}, {})
-        # one record per rank set, however it was spelled
-        record = groups[named] = groups.setdefault(tuple(group), record)
-    return record
-
-
-class PhaseGroup:
-    """One process group that a communicator's ``hier:*`` phases run on
-    (INTERNALS §13): this rank's node (``{comm_id}|hier-intra``) or one
-    shard (``{comm_id}|hier-inter{l}``).
-
-    It keeps what a sub-communicator did that the simulation observes,
-    under the names ``_collective`` reads: the group and its own
-    rendezvous table and per-backend sequence, its pools' round-robin
-    positions over the communicator's streams, its fault scope and
-    quarantines (:class:`~repro.core.health.Health` with the
-    communicator's as parent), and its outstanding host-path handles.
-    It has no retuner, plans or backends of its own.
-    """
-
-    def __init__(self, comm: "MCRCommunicator", ranks: Sequence[int], comm_id: str, tag: str):
-        ctx = comm.ctx
-        self.group_ranks, _, comm_states = _shared_group(
-            ctx.shared["mcr_dl"], ctx.world_size, ranks
-        )
-        self.world_size = self._ws = len(self.group_ranks)
-        self.comm_id = comm_id
-        #: the phase tag of its labels and comm records
-        self.tag = tag
-        self._shared = comm_states.setdefault(comm_id, {"rdv": {}})
-        self._seq: dict[str, int] = defaultdict(int)
-        self._outstanding: dict[str, list[WorkHandle]] = defaultdict(list)
-        self._comm_path = ctx.system.comm_path_for_ranks(self.group_ranks)
-        self._retuner = None
-        self.sync = SyncManager(ctx, comm.backends, comm.config)
-        self.health = Health(comm, parent=comm.health, comm_id=comm_id)
 
 
 class MCRCommunicator(DispatchLayer, ExecutionLayer):
@@ -145,40 +91,28 @@ class MCRCommunicator(DispatchLayer, ExecutionLayer):
         if not backends:
             raise BackendError("MCR-DL needs at least one backend")
         self.ctx = ctx
-        # job-wide comm state: what construction derives independently of
-        # the rank (validated configs and groups) is built by the first
-        # rank that needs it and shared by the rest
-        state = ctx.shared.setdefault("mcr_dl", {})
+        job = self._job = ctx.shared.setdefault("mcr_dl", CommShared())
         if config is None:
             config = MCRConfig()  # the defaults are valid
-        elif state.setdefault("__configs__", {}).get(id(config)) is not config:
+        elif job.configs.get(id(config)) is not config:
             config.validate()
-            state["__configs__"][id(config)] = config
+            job.configs[id(config)] = config
         self.config = config
         self.comm_id = comm_id
-
-        # dispatch plan cache: compiled plans keyed by call signature,
-        # cleared as a whole on invalidation (see CommPlan)
-        self._plans: dict[tuple, CommPlan] = {}
-        self._plan_hits = 0
-        self._plan_misses = 0
-        self._plan_invalidations = 0
-        self._plan_cache_on = self.config.plan_cache
+        self._plan_cache = PlanCache(config.plan_cache)
         self._tuning_table = tuning_table
 
         # process group: the rank subset this communicator spans (like an
         # MPI sub-communicator / torch.distributed process group)
-        self.group_ranks, index, comm_states = _shared_group(state, ctx.world_size, ranks)
-        if ctx.rank not in index:
+        record = job.group(ctx.world_size, ranks)
+        self.group_ranks = record.ranks
+        if ctx.rank not in record.index:
             raise BackendError(
                 f"rank {ctx.rank} constructing a communicator for group "
                 f"{self.group_ranks} it does not belong to"
             )
         #: group-local rank (MPI communicator semantics)
-        self.rank = self.group_rank = index[ctx.rank]
-        #: group size, cached — group_ranks is immutable after init and
-        #: the property is read several times per operation
-        self._ws = len(self.group_ranks)
+        self.rank = self.group_rank = record.index[ctx.rank]
 
         names = [canonical_name(b) for b in backends]
         if len(set(names)) != len(names):
@@ -200,23 +134,17 @@ class MCRCommunicator(DispatchLayer, ExecutionLayer):
                 "one is optimal for overlap (paper §V-D footnote 4)"
             )
 
-        self.sync = SyncManager(ctx, self.backends, self.config)
-        self._seq: dict[str, int] = defaultdict(int)
-        self._outstanding: dict[str, list[WorkHandle]] = defaultdict(list)
-        self._finalized = False
-        #: interned (label, dispatch reason) per (op, backend) — these
-        #: strings sit on the per-op hot path and never change
-        self._op_labels: dict[tuple, tuple[str, str]] = {}
-
-        # hierarchical composites (``hier:<intra>+<inter>``): the node
-        # placement and the phase groups in the order they split, both
-        # built on first use (INTERNALS §13)
-        self._layout = None
-        self._phase_groups: dict[str, PhaseGroup] = {}
-
+        self.sync = SyncManager(ctx, self.backends, config)
         #: fault injection / graceful degradation (repro.sim.faults): the
         #: quarantine set, fault counters, retry and failover
         self.health = Health(self)
+        #: the rendezvous scope of every flat op and p2p call
+        self._group = Group(ctx, record, comm_id, "", self.sync, self.health)
+        self._finalized = False
+        # the phase groups of hierarchical composites
+        # (``hier:<intra>+<inter>``) in the order they split, on first use
+        # (INTERNALS §13)
+        self._phase_groups: dict[str, Group] = {}
 
         self.logger = None
         if self.config.enable_logging:
@@ -235,19 +163,6 @@ class MCRCommunicator(DispatchLayer, ExecutionLayer):
 
             self._codec = FixedRateCodec(self.config.compression.rate_bits)
 
-        self._shared = comm_states.get(comm_id)
-        if self._shared is None:
-            self._shared = comm_states[comm_id] = {
-                "rdv": {},
-                "p2p": defaultdict(lambda: {"sends": deque(), "recvs": deque()}),
-            }
-        # wire lanes are a property of the *fabric*, shared by every
-        # communicator/process group in the job
-        self._channel = state.setdefault("__channel__", defaultdict(float))
-        if len(self.group_ranks) == ctx.world_size:
-            self._comm_path = ctx.system.comm_path(ctx.world_size)
-        else:
-            self._comm_path = ctx.system.comm_path_for_ranks(self.group_ranks)
         #: link-degradation gate, bound once (the Simulator installs the
         #: schedule on the SystemSpec before any rank runs); False keeps
         #: the healthy hot path free of extra float ops
@@ -255,8 +170,7 @@ class MCRCommunicator(DispatchLayer, ExecutionLayer):
 
         # online adaptive dispatch (repro.core.adaptive): one retuner
         # per rank per communicator.  None keeps every adaptive hook
-        # below at a single is-None check (zero cost when off).
-        self._retuner = None
+        # at a single is-None check (zero cost when off).
         if self.config.adaptive.enabled:
             from repro.core.adaptive import AdaptiveRetuner
 
@@ -268,7 +182,7 @@ class MCRCommunicator(DispatchLayer, ExecutionLayer):
                 self._tuning_table = self._tuning_table.clone()
             else:
                 self._tuning_table = TuningTable(system=ctx.system.name)
-            self._retuner = AdaptiveRetuner(self)
+            self._group.retuner = AdaptiveRetuner(self)
 
     # ------------------------------------------------------------------
     # introspection (Listing 1 head)
@@ -290,7 +204,7 @@ class MCRCommunicator(DispatchLayer, ExecutionLayer):
     @property
     def world_size(self) -> int:
         """Size of this communicator's group."""
-        return self._ws
+        return self._group.world_size
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -306,10 +220,10 @@ class MCRCommunicator(DispatchLayer, ExecutionLayer):
         resolved = [self._backend(name) for name in backends]
         # composites' phase groups drain first, in the order they split
         # (their pools wrap this communicator's streams)
-        for scope in (*self._phase_groups.values(), self):
+        for group in (*self._phase_groups.values(), self._group):
             for backend in resolved:
-                scope.sync.synchronize_backend(backend)
-                for handle in scope._outstanding.pop(backend.name, []):
+                group.sync.synchronize_backend(backend)
+                for handle in group.outstanding.pop(backend.name, ()):
                     handle.synchronize()
 
     def finalize(self, backends: "str | Sequence[str] | None" = None) -> None:
@@ -317,7 +231,8 @@ class MCRCommunicator(DispatchLayer, ExecutionLayer):
         if self._finalized:
             return
         self.synchronize(backends)
-        self._flush_plan_stats()
+        if self._obs is not None:
+            self._plan_cache.flush(self._obs, self.ctx.rank, self.ctx.now)
         for backend in self.backends.values():
             backend.finalize()
         self._finalized = True
@@ -346,7 +261,7 @@ class MCRCommunicator(DispatchLayer, ExecutionLayer):
         """
         if prep is None:
             prep = spec.prepare(self, *args)
-        retuner = self._retuner
+        retuner = self._group.retuner
         if retuner is not None and not retuner.quiet:
             retuner.before_op(spec.family, prep.nbytes)
         if self._finalized:
@@ -354,7 +269,9 @@ class MCRCommunicator(DispatchLayer, ExecutionLayer):
         plan = self._plan(spec, backend_name, prep)
         if plan.hier is not None:
             return self._run_phases(spec, args, prep, plan, async_op)
-        return self._collective(spec, backend_name, prep, plan, async_op, dispatch_scale)
+        return self._collective(
+            self._group, spec, backend_name, prep, plan, async_op, dispatch_scale
+        )
 
     def _run_phases(
         self, spec: CollectiveSpec, args: tuple, prep: _Prepared, plan: CommPlan, async_op: bool
@@ -370,8 +287,8 @@ class MCRCommunicator(DispatchLayer, ExecutionLayer):
             # a degenerate composite is the call itself, on this group
             name = phases[0].backend
             if compiled[0] is None:
-                compiled[0] = self._compile_plan(spec, name, prep, plan.timing_only)
-            return self._collective(spec, name, prep, compiled[0], async_op, 1.0)
+                compiled[0] = self._compile_plan(self._group, spec, name, prep, plan.timing_only)
+            return self._collective(self._group, spec, name, prep, compiled[0], async_op)
         rank, virtual = self.ctx.rank, plan.timing_only
         mine = [i for i, p in enumerate(phases) if p.members is None or rank in p.members]
         # the communicator split: this rank's node group and every group
@@ -396,11 +313,11 @@ class MCRCommunicator(DispatchLayer, ExecutionLayer):
             dst.reshape(len(step.perm), -1)[:] = src.reshape(len(step.perm), -1)[step.perm]
 
         op = args[1] if spec.family is OpFamily.ALLREDUCE else None
-        handle = group = None
+        handle = None
         for i in mine:
             phase = phases[i]
             if handle is not None:
-                self._drain(group, handle)
+                handle.synchronize()
             group = self._phase_group(phase)
             if phase.before is not None and not virtual:
                 shuffle(phase.before)
@@ -409,8 +326,8 @@ class MCRCommunicator(DispatchLayer, ExecutionLayer):
                 group, *build(buffer(phase.out), buffer(phase.src), phase.root, op)
             )
             if compiled[i] is None:
-                compiled[i] = self._compile_plan(row, phase.backend, phase_prep, virtual, group)
-            handle = self._collective(row, phase.backend, phase_prep, compiled[i], True, 1.0, group)
+                compiled[i] = self._compile_plan(group, row, phase.backend, phase_prep, virtual)
+            handle = self._collective(group, row, phase.backend, phase_prep, compiled[i], True)
             if phase.after is not None and not virtual:
                 # the rendezvous may already have resolved
                 if handle.flag.is_set:
@@ -419,22 +336,14 @@ class MCRCommunicator(DispatchLayer, ExecutionLayer):
                     handle.flag.callbacks.append(partial(shuffle, phase.after))
         if async_op and mine[-1] == len(phases) - 1:
             return handle
-        self._drain(group, handle)
+        handle.synchronize()
         if async_op:
             # this rank's part ended early: a bcast root's node already
             # holds the payload
             return CompletedHandle(self.ctx, phases[-1].backend, f"{spec.name}:{plan.hier.name}")
         return None
 
-    @staticmethod
-    def _drain(group: "PhaseGroup", handle: WorkHandle) -> None:
-        """Host-block on one phase and retire its handle."""
-        handle.synchronize()
-        pending = group._outstanding[handle.backend_name]
-        if handle in pending:
-            pending.remove(handle)
-
-    def _phase_group(self, phase) -> "PhaseGroup":
+    def _phase_group(self, phase) -> Group:
         """This rank's group for ``phase``, split on first use: one
         ``BACKEND_INIT_US`` per backend, in init order, as constructing a
         sub-communicator would charge."""
@@ -446,8 +355,15 @@ class MCRCommunicator(DispatchLayer, ExecutionLayer):
             comm_id = f"{self.comm_id}|hier-inter{local}"
         group = self._phase_groups.get(comm_id)
         if group is None:
-            ranks = layout.group(phase.group, self.ctx.rank)
-            group = self._phase_groups[comm_id] = PhaseGroup(self, ranks, comm_id, phase.tag)
+            ctx = self.ctx
+            record = self._job.group(ctx.world_size, layout.group(phase.group, ctx.rank))
+            # its own stream round-robin over this communicator's streams,
+            # and a fault scope under the communicator's quarantines
+            group = self._phase_groups[comm_id] = Group(
+                ctx, record, comm_id, phase.tag,
+                SyncManager(ctx, self.backends, self.config),
+                Health(self, parent=self.health, comm_id=comm_id),
+            )
             for name in self.backends:
                 self.ctx.sleep(BACKEND_INIT_US, reason=f"init({name})")
         return group

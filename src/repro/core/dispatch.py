@@ -16,16 +16,17 @@ Layering (``docs/INTERNALS.md`` §15): this module sits between the op
 surface (:mod:`repro.core.comm`) and the execution spine
 (:mod:`repro.core.rendezvous`).  It may import the execution layer but
 never the op surface; :class:`DispatchLayer` is a mixin composed into
-:class:`~repro.core.comm.MCRCommunicator`, whose ``__init__`` owns all
-the state referenced here.
+:class:`~repro.core.comm.MCRCommunicator`, and :class:`PlanCache` is the
+plan state it owns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import Any, Optional
 
 from repro.backends.base import Backend, canonical_name
+from repro.backends.hierarchical import HierSpec, derive_layout, hier_phases, parse_hier
 from repro.backends.ops import OpFamily, ReduceOp
 from repro.core.config import COMPRESSIBLE_FAMILIES, CompressionConfig
 from repro.core.exceptions import BackendError
@@ -33,9 +34,6 @@ from repro.core.sync import StreamPool
 from repro.core.tuning import TuningTable
 from repro.obs.metrics import ObsEvent
 from repro.sim.streams import Stream
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.backends.hierarchical import HierSpec
 
 
 @dataclass(slots=True)
@@ -92,12 +90,73 @@ class CommPlan:
     meta_tagged: tuple = ()
 
 
+class PlanCache:
+    """One communicator's compiled plans, keyed by call signature and
+    cleared as a whole on invalidation, with the counters behind
+    :attr:`DispatchLayer.plan_stats`."""
+
+    __slots__ = ("plans", "on", "hits", "misses", "invalidations")
+
+    def __init__(self, on: bool):
+        self.plans: dict[tuple, CommPlan] = {}
+        #: ``MCRConfig.plan_cache``: off compiles a throwaway plan per call
+        self.on = on
+        self.hits = self.misses = self.invalidations = 0
+
+    def get(self, key: tuple, table: Optional[TuningTable], count: bool) -> Optional[CommPlan]:
+        """The cached plan for ``key``, unless it is missing or pinned to
+        a tuning table that is no longer installed or was edited since."""
+        plan = self.plans.get(key)
+        if plan is None:
+            return None
+        pinned = plan.table_generation
+        if pinned >= 0 and (table is None or table.generation != pinned):
+            self.invalidations += 1
+            return None
+        self.hits += count
+        return plan
+
+    def put(self, key: tuple, plan: CommPlan, count: bool) -> CommPlan:
+        self.plans[key] = plan
+        self.misses += count
+        return plan
+
+    def clear(self) -> None:
+        self.invalidations += 1
+        self.plans.clear()
+
+    def stats(self) -> dict:
+        total = self.hits + self.misses
+        return {
+            "hits": self.hits,
+            "misses": self.misses,
+            "invalidations": self.invalidations,
+            "plans": len(self.plans),
+            "hit_rate": self.hits / total if total else 0.0,
+        }
+
+    def flush(self, obs: Any, rank: int, now: float) -> None:
+        """Report the counters to the observability registry as
+        aggregated events — one ``kind="plan"`` ObsEvent per outcome with
+        the count carried in ``nbytes``, mirroring the sweep-cache
+        reporting convention (zero events on the per-op hot path)."""
+        for detail, count in (
+            ("hit", self.hits), ("miss", self.misses), ("invalidate", self.invalidations),
+        ):
+            if count:
+                obs.observe(ObsEvent(
+                    kind="plan", rank=rank, stream="host", backend="",
+                    family="dispatch_plan", nbytes=count, step=-1,
+                    start=now, end=now, detail=detail,
+                ))
+
+
 class DispatchLayer:
     """Mixin: decides *where* an operation runs and at what plan.
 
-    Stateless by itself — every attribute it reads (``_plans``,
-    ``_tuning_table``, ``health``, ...) is initialized by
-    :class:`~repro.core.comm.MCRCommunicator`.
+    Its plan state is the :class:`PlanCache` ``_plan_cache``; the rest
+    it reads (tuning table, ``health``, ``_group``, ``_job``) is
+    initialized by :class:`~repro.core.comm.MCRCommunicator`.
     """
 
     # ------------------------------------------------------------------
@@ -129,8 +188,7 @@ class DispatchLayer:
         the SystemSpec mid-run — so the refreshed link gate below takes
         effect with the same invalidation discipline as the plans.
         """
-        self._plan_invalidations += 1
-        self._plans.clear()
+        self._plan_cache.clear()
         self._link_faults = (
             getattr(self.ctx.system, "link_degradation", None) is not None
         )
@@ -163,20 +221,13 @@ class DispatchLayer:
     def retuner(self):
         """This rank's :class:`repro.core.adaptive.AdaptiveRetuner`, or
         None when ``config.adaptive.enabled`` is off (the default)."""
-        return self._retuner
+        return self._group.retuner
 
     @property
     def plan_stats(self) -> dict:
         """Plan-cache effectiveness: hit/miss/invalidation counts, the
         number of resident plans, and the steady-state hit rate."""
-        total = self._plan_hits + self._plan_misses
-        return {
-            "hits": self._plan_hits,
-            "misses": self._plan_misses,
-            "invalidations": self._plan_invalidations,
-            "plans": len(self._plans),
-            "hit_rate": self._plan_hits / total if total else 0.0,
-        }
+        return self._plan_cache.stats()
 
     # ------------------------------------------------------------------
     # backend resolution (§V-F)
@@ -225,12 +276,11 @@ class DispatchLayer:
 
     def _hier_layout(self):
         """This group's node placement (``SystemSpec.node_of``), derived
-        on the first composite and cached."""
-        if self._layout is None:
-            from repro.backends.hierarchical import derive_layout
-
-            self._layout = derive_layout(self.ctx.system, self.group_ranks)
-        return self._layout
+        by the first rank that runs a composite on it, for the job."""
+        record = self._group.record
+        if record.layout is None:
+            record.layout = derive_layout(self.ctx.system, record.ranks)
+        return record.layout
 
     def _hier_target(self, name: str, family: OpFamily, nbytes: int):
         """Resolve one dispatch of a hierarchically decomposable row to a
@@ -245,8 +295,6 @@ class DispatchLayer:
         treatment of unavailable tuned choices.  Any other name is flat.
         """
         if name[:5].lower() == "hier:":
-            from repro.backends.hierarchical import parse_hier
-
             spec = parse_hier(name)
             for part in (spec.intra, spec.inter):
                 if part not in self.backends:
@@ -262,8 +310,6 @@ class DispatchLayer:
         choice = table.lookup(family.value, self.world_size, nbytes)
         if choice is None or choice[:5].lower() != "hier:":
             return None
-        from repro.backends.hierarchical import parse_hier
-
         try:
             spec = parse_hier(choice)
         except BackendError:
@@ -279,8 +325,6 @@ class DispatchLayer:
         """Compile one composite call's phase list, reading the facts its
         schedule turns on from the rendezvous meta: ``(row, numel, dtype,
         op)`` for all_reduce, ``(row, numel, dtype, root)`` for bcast."""
-        from repro.backends.hierarchical import hier_phases
-
         layout = self._hier_layout()
         meta = prep.meta
         return tuple(hier_phases(
@@ -289,19 +333,6 @@ class DispatchLayer:
             op=ReduceOp(meta[3]) if family is OpFamily.ALLREDUCE else ReduceOp.SUM,
             root=meta[3] if family is OpFamily.BROADCAST else 0,
         ))
-
-    # -- plan compilation --------------------------------------------------
-
-    def _op_label(self, op, backend_name: str, phase: str = "") -> tuple[str, str]:
-        """Cached ``(label, dispatch reason)`` for one (op, backend) pair;
-        a composite's phases mark theirs with the phase tag, so chrome
-        traces show the intra/inter segments."""
-        key = (op, backend_name, phase)
-        cached = self._op_labels.get(key)
-        if cached is None:
-            label = f"{op}:{backend_name}@{phase}" if phase else f"{op}:{backend_name}"
-            cached = self._op_labels[key] = (label, f"dispatch({label})")
-        return cached
 
     def _dispatch_cost(self, backend: Backend) -> float:
         return self.config.dispatch_overhead_us + backend.call_overhead_us()
@@ -315,34 +346,25 @@ class DispatchLayer:
             if t is not None and t.is_virtual:
                 timing_only = True
                 break
-        if not self._plan_cache_on:
+        cache = self._plan_cache
+        if not cache.on:
             # a throwaway plan through the same code: cached and uncached
             # dispatch are identical by construction
-            return self._compile_plan(spec, backend_name, prep, timing_only)
+            return self._compile_plan(self._group, spec, backend_name, prep, timing_only)
         # meta[0] names the op-table row, which fixes family and flags
         key = (backend_name, prep.meta, prep.nbytes, timing_only)
-        plan = self._plans.get(key)
-        if plan is not None and (plan.table_generation < 0 or self._plan_valid(plan)):
-            self._plan_hits += count
-            return plan
-        plan = self._plans[key] = self._compile_plan(spec, backend_name, prep, timing_only)
-        self._plan_misses += count
+        plan = cache.get(key, self._tuning_table, count)
+        if plan is None:
+            plan = cache.put(
+                key, self._compile_plan(self._group, spec, backend_name, prep, timing_only), count
+            )
         return plan
 
-    def _plan_valid(self, plan: CommPlan) -> bool:
-        """Whether the tuning table a generation-pinned plan consulted is
-        still installed and unedited."""
-        table = self._tuning_table
-        if table is None or table.generation != plan.table_generation:
-            self._plan_invalidations += 1
-            return False
-        return True
-
     def _compile_plan(
-        self, spec, backend_name: str, prep, timing_only: bool, group=None
+        self, group, spec, backend_name: str, prep, timing_only: bool
     ) -> CommPlan:
-        """Derive one dispatch plan from a call signature (on a
-        composite's phase ``group``: a phase's flat plan).
+        """Derive one dispatch plan from a call signature on ``group``
+        (a composite's phase group: a phase's flat plan).
 
         Pure with respect to simulated time — routing, resolution, label
         interning, codec arithmetic, and stream placement never advance
@@ -353,7 +375,9 @@ class DispatchLayer:
         table_generation = -1
         if backend_name == "auto" and self._tuning_table is not None:
             table_generation = self._tuning_table.generation
-        if spec.hier and group is None:
+        if spec.hier:
+            # a phase names a flat backend, so only its communicator's
+            # calls can route to a composite here
             hier = self._hier_target(backend_name, family, nbytes)
             if hier is not None:
                 phases = self._hier_phases(hier, family, prep)
@@ -362,9 +386,7 @@ class DispatchLayer:
                     phases=phases, phase_plans=[None] * len(phases),
                 )
         backend = self._resolve_backend(backend_name, family, nbytes)
-        label, dispatch_reason = self._op_label(
-            family, backend.name, "" if group is None else group.tag
-        )
+        label, dispatch_reason = self._job.label(family, backend.name, group.tag)
         # compression (§V-E): shrink the wire size, model codec kernels,
         # and apply the real quantization error to the data
         codec = None
@@ -378,7 +400,7 @@ class DispatchLayer:
             codec = self._codec
             wire_bytes = codec.compressed_nbytes(nbytes)
             codec_us = codec.codec_time_us(nbytes)
-        stream, pool, host_sync, stream_semantics = (group or self).sync.placement(
+        stream, pool, host_sync, stream_semantics = group.sync.placement(
             backend, spec.force_host, wire_bytes
         )
         return CommPlan(
@@ -417,33 +439,3 @@ class DispatchLayer:
             del self._post
         spec, call_args = captured[0]
         return spec, call_args, spec.prepare(self, *call_args)
-
-    def _flush_plan_stats(self) -> None:
-        """Report plan-cache effectiveness to the observability registry
-        as aggregated events — one ``kind="plan"`` ObsEvent per outcome
-        with the count carried in ``nbytes``, mirroring the sweep-cache
-        reporting convention (zero events on the per-op hot path)."""
-        obs = self._obs
-        if obs is None:
-            return
-        now = self.ctx.now
-        for detail, count in (
-            ("hit", self._plan_hits),
-            ("miss", self._plan_misses),
-            ("invalidate", self._plan_invalidations),
-        ):
-            if count:
-                obs.observe(
-                    ObsEvent(
-                        kind="plan",
-                        rank=self.ctx.rank,
-                        stream="host",
-                        backend="",
-                        family="dispatch_plan",
-                        nbytes=count,
-                        step=-1,
-                        start=now,
-                        end=now,
-                        detail=detail,
-                    )
-                )

@@ -25,8 +25,8 @@ The protocol has two sections:
   introspection, collectives, point-to-point;
 * the **extension hooks** — a small, explicitly documented set of
   internal attributes that in-tree extensions legitimately reach into
-  (the fusion route table, the persistent-collective capture/plan/replay
-  hooks, the communicator's ``health``).  They are underscored because
+  (the communicator's rendezvous ``Group``, the persistent-collective
+  capture/plan/replay hooks, the communicator's ``health``).  They are underscored because
   user code must not touch them, but they are part of the stable
   contract for extension authors; anything not listed here is private
   to one layer and may change without notice (``scripts/lint.py``'s
@@ -266,11 +266,10 @@ class CommCore(Protocol):
 
     def _post(self, *args, **kwargs) -> Optional["WorkHandle"]: ...
 
-    # ext/fusion (shared route table, stream-pressure probe, obs events),
-    # adaptive (probation + symmetry)
-    _shared: dict
-    _outstanding: dict
+    # ext/fusion (route table, stream-pressure probe, obs events) and
+    # adaptive (shared state, pricing path, obs events): the
+    # communicator's repro.core.rendezvous.Group and the obs registry
+    _group: Any
     _obs: Any
-    _comm_path: Any
     #: a repro.core.health.Health: quarantine, fault counters, failover
     health: Any

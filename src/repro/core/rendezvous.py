@@ -8,28 +8,34 @@ programs deadlock (and the engine reports it), and argument mismatches
 raise :class:`~repro.core.exceptions.ValidationError` at the
 rendezvous.
 
+It also holds the comm core's state records: the per-job
+:class:`CommShared` with a :class:`GroupRecord` per process group and a
+:class:`CommState` per ``comm_id``, and the per-rank :class:`Group`.
+
 This module is the bottom of the comm-core layering (op surface →
 dispatch → execution; see ``docs/INTERNALS.md`` §15): it must not
 import :mod:`repro.core.dispatch` or :mod:`repro.core.comm`.  The
 :class:`ExecutionLayer` mixin reaches dispatch-layer methods
-(``_op_label``, ``_resolve_backend``, ...) and ``self.health`` through
-``self`` — the concrete :class:`~repro.core.comm.MCRCommunicator`
-composes both layers — so the *code* dependency stays one-directional
-even though the call graph crosses layers per operation.
+(``_resolve_backend``, ``_dispatch_cost``, ...) through ``self`` — the
+concrete :class:`~repro.core.comm.MCRCommunicator` composes both layers
+— so the *code* dependency stays one-directional even though the call
+graph crosses layers per operation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import defaultdict, deque
+from dataclasses import dataclass, field
+from functools import partial
 from types import MappingProxyType
-from typing import Mapping, Optional, Sequence
+from typing import Any, Mapping, Optional, Sequence
 
 import numpy as np
 
 from repro.backends.base import price_us
 from repro.backends.ops import OpFamily
 from repro.core.config import EAGER_THRESHOLD, LARGE_MESSAGE_THRESHOLD
-from repro.core.exceptions import ValidationError
+from repro.core.exceptions import BackendError, ValidationError
 from repro.core.handles import CompletedHandle, WorkHandle, host_block
 from repro.sim.engine import Flag, SimError
 from repro.sim.graph import CollectiveGroup, apply_wire_lane, resolve
@@ -53,6 +59,129 @@ def flat_buffer(tensor: SimTensor) -> np.ndarray:
     return tensor.contiguous().view_flat()
 
 
+@dataclass(slots=True, eq=False)
+class CommState:
+    """What the member ranks of one group share under one ``comm_id``:
+    its open rendezvous, its p2p channels, and the single-copy state the
+    adaptive retuner and fusion's route table keep there once used."""
+
+    rdv: dict = field(default_factory=dict)
+    p2p: defaultdict = field(
+        default_factory=lambda: defaultdict(lambda: {"sends": deque(), "recvs": deque()})
+    )
+    adapt: Any = None
+    fusion_routes: dict = field(default_factory=dict)
+
+
+@dataclass(slots=True, eq=False)
+class GroupRecord:
+    """The job-wide record of one process group: its ranks (read-only),
+    ``{global rank: group rank}``, a :class:`CommState` per ``comm_id``
+    and, once a composite needs it, its node placement (``HierLayout``)."""
+
+    ranks: list[int]
+    index: dict[int, int]
+    comms: dict[str, CommState] = field(default_factory=dict)
+    layout: Any = None
+
+
+class CommShared:
+    """The job's comm state, ``ctx.shared["mcr_dl"]``: what does not
+    depend on the rank, built by the first rank that needs it and shared
+    by the rest (INTERNALS §15)."""
+
+    __slots__ = ("groups", "configs", "channel", "labels")
+
+    def __init__(self) -> None:
+        #: one record per rank set, under every spelling it was named by
+        #: (``None`` = the world)
+        self.groups: dict[Optional[tuple], GroupRecord] = {}
+        #: validated config objects by ``id`` (the object pins the id)
+        self.configs: dict[int, Any] = {}
+        #: wire lanes are a property of the *fabric*, shared by every
+        #: communicator and process group in the job
+        self.channel: defaultdict = defaultdict(float)
+        #: interned ``(label, dispatch reason)`` per (op, backend, phase
+        #: tag): hot-path strings that never change
+        self.labels: dict[tuple, tuple[str, str]] = {}
+
+    def group(self, world_size: int, ranks: Optional[Sequence[int]]) -> GroupRecord:
+        """The record of the group ``ranks`` names, validated and built by
+        the first rank that names it."""
+        named = None if ranks is None else tuple(ranks)
+        record = self.groups.get(named)
+        if record is None:
+            spelled = range(world_size) if named is None else named
+            group = list(dict.fromkeys(int(r) for r in spelled))
+            if len(group) != len(spelled):
+                raise BackendError(f"duplicate ranks in group {list(spelled)}")
+            for r in group:
+                if not 0 <= r < world_size:
+                    raise BackendError(f"group rank {r} out of range")
+            record = GroupRecord(group, {r: i for i, r in enumerate(group)})
+            # one record per rank set, however it was spelled
+            record = self.groups[named] = self.groups.setdefault(tuple(group), record)
+        return record
+
+    def label(self, op, backend_name: str, phase: str = "") -> tuple[str, str]:
+        """``(label, dispatch reason)`` for one (op, backend) pair; a
+        composite's phases mark theirs with the phase tag (chrome traces
+        show the intra/inter segments)."""
+        key = (op, backend_name, phase)
+        cached = self.labels.get(key)
+        if cached is None:
+            label = f"{op}:{backend_name}@{phase}" if phase else f"{op}:{backend_name}"
+            cached = self.labels[key] = (label, f"dispatch({label})")
+        return cached
+
+
+class Group:
+    """One rendezvous scope on one rank: a communicator's own group, or
+    one phase group of its ``hier:*`` composites (INTERNALS §13).
+    ``_collective`` reads everything that depends on the scope from it."""
+
+    __slots__ = (
+        "record", "ranks", "world_size", "comm_id", "tag", "state", "seq",
+        "outstanding", "comm_path", "sync", "health", "retuner",
+    )
+
+    def __init__(self, ctx, record: GroupRecord, comm_id: str, tag: str, sync, health):
+        self.record = record
+        self.ranks = record.ranks
+        self.world_size = len(record.ranks)
+        self.comm_id = comm_id
+        #: the phase tag of its labels and comm records ("" = none)
+        self.tag = tag
+        self.state = record.comms.get(comm_id) or record.comms.setdefault(comm_id, CommState())
+        #: per-backend rendezvous sequence numbers
+        self.seq: defaultdict = defaultdict(int)
+        #: per backend, the async handles ``synchronize()`` host-blocks on
+        self.outstanding: defaultdict = defaultdict(deque)
+        system = ctx.system
+        if self.world_size == ctx.world_size:
+            self.comm_path = system.comm_path(ctx.world_size)
+        else:
+            self.comm_path = system.comm_path_for_ranks(self.ranks)
+        #: its stream pools' round-robin (a SyncManager) and fault scope
+        #: (a Health) are its own
+        self.sync = sync
+        self.health = health
+        #: the adaptive retuner; None when off, and on a phase group
+        self.retuner = None
+
+    def keep(self, handle: WorkHandle) -> None:
+        """Hold an async handle for ``synchronize()``, first dropping the
+        complete ones at the front of its backend's list (not when a flag
+        fires: ``least_busy_backend`` counts a future ``ready_time``)."""
+        pending, now = self.outstanding[handle.backend_name], handle.ctx.now
+        while pending:
+            ready = pending[0].flag.ready_time
+            if ready is None or ready > now:
+                break
+            pending.popleft()
+        pending.append(handle)
+
+
 @dataclass(slots=True)
 class Arrival:
     """One rank's registration at a collective rendezvous.
@@ -68,72 +197,44 @@ class Arrival:
     extras: Mapping
 
 
+@dataclass(slots=True, eq=False)
 class Rendezvous:
     """Shared per-collective matching record."""
 
-    __slots__ = (
-        "key",
-        "expected",
-        "family",
-        "meta",
-        "flag",
-        "group",
-        "arrivals",
-        "resolved",
-        "claimed",
-        "duration",
-    )
-
-    def __init__(
-        self,
-        key: tuple,
-        expected: int,
-        family: OpFamily,
-        meta: tuple,
-        flag: Flag,
-        stream_kind: bool,
-    ):
-        self.key = key
-        self.expected = expected
-        self.family = family
-        self.meta = meta
-        self.flag = flag
-        self.group: Optional[CollectiveGroup] = (
-            CollectiveGroup(expected, flag, label=str(key)) if stream_kind else None
-        )
-        self.arrivals: dict[int, Arrival] = {}
-        self.resolved = False
-        #: set by the rank that takes responsibility for resolution (the
-        #: pre-post host sync can let several ranks observe "all arrived")
-        self.claimed = False
-        #: transfer duration (µs), known once the last rank arrives
-        self.duration: Optional[float] = None
+    family: OpFamily
+    meta: tuple
+    flag: Flag
+    #: the members' stream-side group; None when the op completes on the host
+    group: Optional[CollectiveGroup]
+    arrivals: dict[int, Arrival] = field(default_factory=dict)
+    #: set by the rank that takes responsibility for resolution (the
+    #: pre-post host sync can let several ranks observe "all arrived")
+    claimed: bool = False
+    #: transfer duration (µs), known once the last rank arrives
+    duration: Optional[float] = None
 
 
 class ExecutionLayer:
     """Mixin: posts operations into the engine and observes completion.
 
-    Stateless by itself — every attribute it reads (``ctx``, ``_shared``,
-    ``_seq``, plan-cache state, ``health``, ...) is initialized by
-    :class:`~repro.core.comm.MCRCommunicator`, and every dispatch-layer
-    method it calls (``_op_label``, ``_dispatch_cost``, ...) is provided by
+    Its scope state is the :class:`Group` of each call; the rest it reads
+    (``ctx``, ``config``, ``logger``, ``_job``, the link gate) is
+    initialized by :class:`~repro.core.comm.MCRCommunicator`, and the
+    dispatch-layer methods it calls come from
     :class:`~repro.core.dispatch.DispatchLayer`.
     """
 
     def _collective(
-        self, spec, backend_name: str, prep, plan, async_op: bool, dispatch_scale: float,
-        group=None,
+        self, group: Group, spec, backend_name: str, prep, plan, async_op: bool,
+        dispatch_scale: float = 1.0,
     ) -> Optional[WorkHandle]:
         """Post one prepared call of op-table row ``spec`` (family and
-        flags) under its flat ``plan``: buffers, mover, meta and extras
-        come from ``prep``, everything signature-derived from ``plan``.
-
-        ``group`` is a composite's phase group (INTERNALS §13); it keeps
-        the rendezvous state, fault scope and stream round-robin of its
-        own under the communicator's names, read through ``scope``."""
+        flags) on ``group`` under its flat ``plan``: buffers, mover, meta
+        and extras come from ``prep``, everything signature-derived from
+        ``plan``, the rendezvous state, fault scope and stream round-robin
+        from ``group``."""
         ctx = self.ctx
-        scope = self if group is None else group
-        phase = "" if group is None else group.tag
+        phase = group.tag
         family = spec.family
         nbytes = prep.nbytes
         timing_only = plan.timing_only
@@ -145,16 +246,16 @@ class ExecutionLayer:
         pool = plan.pool
         host_sync = plan.host_sync
         stream_semantics = plan.stream_semantics
-        if scope.health.gate:
+        if group.health.gate:
             # the fault gate runs per call even on a plan hit: injector
             # op counters must advance exactly as in the uncached path,
             # and its retries/reroutes are call-local, never plan state
-            admitted = scope.health.admit(backend, family, nbytes)
+            admitted = group.health.admit(backend, family, nbytes)
             if admitted is not backend:
                 backend = admitted
-                label, dispatch_reason = self._op_label(family, backend.name, phase)
+                label, dispatch_reason = self._job.label(family, backend.name, phase)
                 dispatch_cost = self._dispatch_cost(backend)
-                stream, pool, host_sync, stream_semantics = scope.sync.placement(
+                stream, pool, host_sync, stream_semantics = group.sync.placement(
                     backend, spec.force_host, plan.wire_bytes
                 )
         stream_kind = stream is not None or pool is not None
@@ -171,17 +272,17 @@ class ExecutionLayer:
         if dispatch_cost < 0:
             raise SimError(f"negative sleep {dispatch_cost}")
         engine = ctx.engine
-        ws = scope._ws
+        ws = group.world_size
         resolves = ws == 1
         if not resolves:
             # rendezvous sequence numbers are keyed per backend only:
             # collective calls are communicator-ordered within a library
             # regardless of op family, like NCCL/MPI
             # (tests/test_plan_cache.py pins this down)
-            seq = scope._seq
+            seq = group.seq
             seq[backend.name] += 1
-            key = (scope.comm_id, backend.name, seq[backend.name])
-            rdv_table = scope._shared["rdv"]
+            key = (group.comm_id, backend.name, seq[backend.name])
+            rdv_table = group.state.rdv
             rdv = rdv_table.get(key)
             resolves = rdv is not None and len(rdv.arrivals) == ws - 1
         # the dispatch cost is lookahead (INTERNALS §5): the post stamps
@@ -194,7 +295,7 @@ class ExecutionLayer:
             resolves
             or host_sync
             or deadline_us is not None
-            or scope._retuner is not None
+            or group.retuner is not None
             or (async_op or stream_semantics) and engine.ahead
         ):
             # ``wait_until`` directly: it skips ``Engine.sleep``'s frame
@@ -227,10 +328,9 @@ class ExecutionLayer:
         rdv = rdv_table.get(key)  # a yield may have let the first rank in
         rank = ctx.rank
         if rdv is None:
-            rdv = Rendezvous(
-                key, ws, family, meta, engine.new_flag(label), stream_kind
-            )
-            rdv_table[key] = rdv
+            flag = engine.new_flag(label)
+            members = CollectiveGroup(ws, flag, label=str(key)) if stream_kind else None
+            rdv = rdv_table[key] = Rendezvous(family, meta, flag, members)
         if rdv.meta != meta or rdv.family is not family:
             raise ValidationError(
                 f"collective mismatch at {key}: rank {rank} posted "
@@ -272,7 +372,7 @@ class ExecutionLayer:
                 # rank's own volume
                 wire_bytes = max(wire_bytes, self._alltoallv_critical_bytes(rdv))
             duration = price_us(
-                ctx.system, backend, family, wire_bytes, ws, scope._comm_path,
+                ctx.system, backend, family, wire_bytes, ws, group.comm_path,
                 self.config, vector=vector, nonblocking=async_op, overheads=False,
             )
             if self._link_faults:
@@ -287,7 +387,7 @@ class ExecutionLayer:
             if self.config.force_host_staging:
                 # Listing-2 style device->host->device copies around the op
                 duration += 2.0 * ctx.system.host_staging_us(wire_bytes)
-            ordered = [rdv.arrivals[r] for r in scope.group_ranks]
+            ordered = [rdv.arrivals[r] for r in group.ranks]
             move = prep.move
 
             def on_resolve() -> None:
@@ -299,7 +399,6 @@ class ExecutionLayer:
                     move(ordered)
                 for a in ordered:
                     a.inputs = a.outputs = ()
-                rdv.resolved = True
 
             del rdv_table[key]
             # Bandwidth-bound ops serialize per wire lane (§V-C:
@@ -319,12 +418,12 @@ class ExecutionLayer:
                 rdv.group.duration = duration
                 rdv.group.on_resolve = on_resolve
                 if is_large and family is not OpFamily.BARRIER:
-                    rdv.group.channel_store = self._channel
+                    rdv.group.channel_store = self._job.channel
                     rdv.group.channel_key = lane
                     rdv.group.interference = interference
                 resolve(rdv.group, ctx.engine)
             else:
-                channel = self._channel
+                channel = self._job.channel
                 start = max(a.host_time for a in ordered)
                 if is_large:
                     start = apply_wire_lane(
@@ -340,26 +439,26 @@ class ExecutionLayer:
             # resolve() an incomplete group (a silent no-op).  The rank
             # whose member completes the group must retry, or every host
             # parks on a flag nobody will fire.
-            group = rdv.group
-            if group is not None and group.complete and not group._resolved:
-                resolve(group, ctx.engine)
+            members = rdv.group
+            if members is not None and members.complete and not members._resolved:
+                resolve(members, ctx.engine)
 
         if self.logger is not None:
             self._log_on_flag(
                 family, backend, nbytes, rdv.flag, async_op, rdv,
                 dispatch=dispatch, stream=stream_label, phase=phase,
             )
-        if scope._retuner is not None:
+        if group.retuner is not None:
             # observation rides the rendezvous flag: fire() runs every
             # rank's callback at one instant with one shared duration,
             # keeping the per-rank observation streams identical
-            scope._retuner.attach(family, backend.name, nbytes, rdv, backend_name == "auto")
+            group.retuner.attach(family, backend.name, nbytes, rdv, backend_name == "auto")
         if async_op:
             handle = WorkHandle(
                 ctx, backend.name, rdv.flag, member_node, stream_semantics, label,
                 deadline_us=deadline_us,
                 timeout_info=(
-                    self._timeout_info(label, rdv, scope.group_ranks)
+                    self._timeout_info(label, rdv, group.ranks)
                     if deadline_us is not None else None
                 ),
             )
@@ -367,7 +466,7 @@ class ExecutionLayer:
                 # a pool-stream op ends by its stream's tail, which
                 # synchronize() drains first; only host-path and
                 # default-stream ops need their handle kept for it
-                scope._outstanding[backend.name].append(handle)
+                group.keep(handle)
             return handle
         # synchronous op: apply wait() semantics inline, no handle object
         if stream_semantics and member_node is not None:
@@ -375,7 +474,7 @@ class ExecutionLayer:
         else:
             host_block(
                 ctx, rdv.flag, label, "wait", deadline_us,
-                self._timeout_info(label, rdv, scope.group_ranks)
+                self._timeout_info(label, rdv, group.ranks)
                 if deadline_us is not None else None,
             )
         if self.config.synchronization == "naive":
@@ -384,14 +483,12 @@ class ExecutionLayer:
         return None
 
     @staticmethod
-    def _timeout_info(label: str, rdv: Optional[Rendezvous], ranks: list[int]):
+    def _timeout_info(label: str, rdv: Rendezvous, ranks: list[int]):
         """Deferred per-rank diagnostics for a CommTimeoutError: evaluated
         at timeout time, when the rendezvous shows who of ``ranks`` (the
         group's) never arrived."""
 
         def info() -> str:
-            if rdv is None:
-                return "operation still pending"
             arrived = sorted(rdv.arrivals)
             missing = [r for r in ranks if r not in rdv.arrivals]
             if missing:
@@ -403,18 +500,13 @@ class ExecutionLayer:
 
         return info
 
-    def _alltoallv_critical_bytes(self, rdv: Rendezvous) -> int:
+    @staticmethod
+    def _alltoallv_critical_bytes(rdv: Rendezvous) -> int:
         """Heaviest per-rank send or receive volume of an alltoallv."""
-        arrivals = [rdv.arrivals[r] for r in self.group_ranks if r in rdv.arrivals]
-        if not arrivals or "scounts" not in arrivals[0].extras:
-            return 0
-        elem = arrivals[0].extras.get("_elem_size", 4)
-        send_totals = [sum(a.extras["scounts"]) for a in arrivals]
-        p = len(arrivals)
-        recv_totals = [
-            sum(a.extras["scounts"][j] for a in arrivals) for j in range(p)
-        ]
-        return max(max(send_totals), max(recv_totals)) * elem
+        extras = [a.extras for a in rdv.arrivals.values()]
+        rows = [e["scounts"] for e in extras]
+        heaviest = max(max(map(sum, rows)), max(map(sum, zip(*rows))))
+        return heaviest * extras[0]["_elem_size"]
 
     def _trace_host_collective(
         self, ordered: list[Arrival], label: str, start: float, end: float
@@ -439,27 +531,27 @@ class ExecutionLayer:
         is_send: bool,
         async_op: bool,
     ) -> Optional[WorkHandle]:
-        ctx = self.ctx
-        if not 0 <= peer < self.world_size:
+        ctx, group = self.ctx, self._group
+        if not 0 <= peer < group.world_size:
             raise ValidationError(f"peer {peer} out of range")
-        peer_global = self.group_ranks[peer]
+        peer_global = group.ranks[peer]
         if peer_global == ctx.rank:
             raise ValidationError("p2p with self is not supported")
         backend = self._resolve_backend(backend_name, OpFamily.P2P, tensor.nbytes())
         resolved_name = backend.name
         src, dst = (ctx.rank, peer_global) if is_send else (peer_global, ctx.rank)
-        if self.health.gate:
-            backend = self.health.admit(
+        if group.health.gate:
+            backend = group.health.admit(
                 backend, OpFamily.P2P, tensor.nbytes(), p2p_channel=(src, dst, tag)
             )
-        label, dispatch_reason = self._op_label(
-            "send" if is_send else "recv", backend.name
-        )
+        label, dispatch_reason = self._job.label("send" if is_send else "recv", backend.name)
         ctx.sleep(self._dispatch_cost(backend), reason=dispatch_reason)
 
-        chan = self._shared["p2p"][(backend.name, src, dst, tag)]
+        chan = group.state.p2p[(backend.name, src, dst, tag)]
         mine, theirs = ("sends", "recvs") if is_send else ("recvs", "sends")
         buf = flat_buffer(tensor)
+        deadline_us = self.config.op_deadline_us
+        timeout_info = None
 
         if chan[theirs]:
             other_buf, other_time, flag, other_virtual = chan[theirs].popleft()
@@ -504,10 +596,6 @@ class ExecutionLayer:
                         dispatch=dispatch,
                         stream="p2p",
                     )
-            handle = WorkHandle(
-                ctx, backend.name, flag, None, False, label,
-                deadline_us=self.config.op_deadline_us,
-            )
         else:
             flag = ctx.new_flag(label)
             if is_send and tensor.nbytes() <= EAGER_THRESHOLD:
@@ -517,16 +605,27 @@ class ExecutionLayer:
                     buf = buf.copy()
                 flag.fire(ctx.now)
             chan[mine].append((buf, ctx.now, flag, tensor.is_virtual))
-            handle = WorkHandle(
-                ctx, backend.name, flag, None, False, label,
-                deadline_us=self.config.op_deadline_us,
-            )
-
+            if deadline_us is not None:
+                timeout_info = partial(
+                    self._p2p_timeout_info, flag, peer_global, theirs[:-1], backend.name, tag
+                )
+        handle = WorkHandle(
+            ctx, backend.name, flag, None, False, label,
+            deadline_us=deadline_us, timeout_info=timeout_info,
+        )
         if async_op:
-            self._outstanding[backend.name].append(handle)
+            group.keep(handle)
             return handle
         handle.synchronize()
         return None
+
+    @staticmethod
+    def _p2p_timeout_info(flag: Flag, peer: int, missing: str, backend: str, tag: int) -> str:
+        """CommTimeoutError detail of one queued p2p post: the match
+        fires its flag, so an unfired one means the peer never posted."""
+        if flag.ready_time is None:
+            return f"rank {peer} never posted the matching {missing} on {backend} (tag {tag})"
+        return "both sides posted; transfer still in flight"
 
     # -- logging -----------------------------------------------------------
 

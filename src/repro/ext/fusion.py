@@ -251,12 +251,11 @@ class TensorFusion:
         cross-rank shared state, entries are dropped once every group
         rank has read them.
         """
-        routes = self.comm._shared.setdefault("fusion_routes", {})
+        group = self.comm._group
+        routes = group.state.fusion_routes
         entry = routes.get((key, seq))
         if entry is None:
-            choice = self.comm.sync.least_busy_backend(
-                list(self.comm.backends), self.comm._outstanding
-            )
+            choice = group.sync.least_busy_backend(list(self.comm.backends), group.outstanding)
             # the probe settles a rank that runs ahead first, so a peer
             # that reached this flush earlier may have decided meanwhile
             entry = routes.setdefault((key, seq), [choice, 0])

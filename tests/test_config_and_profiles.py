@@ -122,7 +122,7 @@ class TestStreamPoolPolicy:
                 "mvapich2-gdr", ctx.virtual_tensor(8 << 20), async_op=True
             )
             choice = comm.sync.least_busy_backend(
-                ["mvapich2-gdr", "nccl"], comm._outstanding
+                ["mvapich2-gdr", "nccl"], comm._group.outstanding
             )
             h.wait()
             comm.finalize()

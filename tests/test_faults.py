@@ -407,6 +407,29 @@ class TestDeadlines:
         with pytest.raises(CommTimeoutError, match="never posted"):
             Simulator(2).run(main)
 
+    @pytest.mark.parametrize(
+        "side, numel, missing",
+        [("recv", 16, "send"), ("send", 1 << 15, "recv")],  # a 128 KiB send is not eager
+    )
+    def test_p2p_timeout_names_the_peer_that_never_posted(self, side, numel, missing):
+        config = MCRConfig(op_deadline_us=500.0)
+
+        def main(ctx):
+            comm = MCRCommunicator(ctx, ["mvapich2-gdr", "nccl"], config=config)
+            if ctx.rank == 0:
+                getattr(comm, side)("nccl", ctx.zeros(numel), 2, tag=7)
+            else:
+                ctx.sleep(50_000.0)  # rank 2 never posts its side
+            comm.finalize()
+
+        with pytest.raises(CommTimeoutError) as err:
+            Simulator(3).run(main)
+        detail = f"rank 2 never posted the matching {missing} on nccl (tag 7)"
+        assert err.value.detail == detail
+        assert str(err.value) == (
+            f"{side}:nccl exceeded the 500us deadline on rank 0: {detail}"
+        )
+
     def test_healthy_job_unaffected_by_deadline(self):
         world, n_ops = 4, 3
         base = allreduce_job(["nccl"], n_ops=n_ops)

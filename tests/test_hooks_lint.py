@@ -73,9 +73,9 @@ class TestInjectedViolations:
     def test_dropping_a_declaration_flags_its_users(self, tmp_path):
         root = copy_tree(tmp_path)
         protocols = root / "src" / "repro" / "core" / "protocols.py"
-        protocols.write_text(protocols.read_text().replace("    _outstanding: dict\n", ""))
+        protocols.write_text(protocols.read_text().replace("    _group: Any\n", ""))
         violations = check(root, allowed={})
-        assert violations and all("_outstanding" in v for v in violations), violations
+        assert violations and all("_group" in v for v in violations), violations
         assert any("ext/fusion.py" in v for v in violations)
 
     def test_stale_declaration_fails(self, tmp_path):

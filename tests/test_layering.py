@@ -52,7 +52,7 @@ class TestRealTree:
         def main(ctx):
             comm = MCRCommunicator(ctx, ["nccl"])
             assert isinstance(comm, CommCore)
-            for attr in ("_shared", "_outstanding", "health"):
+            for attr in ("_group", "_obs", "health"):
                 assert hasattr(comm, attr)
             comm.finalize()
 

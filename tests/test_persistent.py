@@ -111,7 +111,7 @@ class TestPlanPinning:
             comm.tuning_table = second
             after = op.plan.resolved_name
             op.start().synchronize()
-            seqs = dict(comm._seq)
+            seqs = dict(comm._group.seq)
             comm.finalize()
             return before, after, seqs
 

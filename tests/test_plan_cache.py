@@ -116,7 +116,7 @@ class TestAutoDispatch:
             for _ in range(10):
                 comm.all_reduce("auto", x)
             stats = comm.plan_stats
-            plans = list(comm._plans.values())
+            plans = list(comm._plan_cache.plans.values())
             comm.finalize()
             return stats, [p.resolved_name for p in plans]
 
@@ -145,7 +145,7 @@ class TestAutoDispatch:
                     comm.all_reduce("auto", x)
                     # the rendezvous sequence number reveals which backend
                     # actually carried each op
-                    picked.append(dict(comm._seq))
+                    picked.append(dict(comm._group.seq))
                 comm.finalize()
                 return ctx.now, picked[-1]
 
@@ -172,7 +172,7 @@ class TestAutoDispatch:
             table.add("allreduce", 2, 4096, "mvapich2-gdr")
             for _ in range(3):
                 comm.all_reduce("auto", x)
-            seqs = dict(comm._seq)
+            seqs = dict(comm._group.seq)
             stats = comm.plan_stats
             comm.finalize()
             return seqs, stats
@@ -289,11 +289,11 @@ class TestInvalidation:
             comm = MCRCommunicator(ctx, BACKENDS)
             x = ctx.virtual_tensor(1024)
             comm.all_reduce("nccl", x)
-            plan = next(iter(comm._plans.values()))
+            plan = next(iter(comm._plan_cache.plans.values()))
             stream_plan = (plan.stream, plan.pool is comm.sync.pools["nccl"])
             comm.set_synchronization("naive")
             comm.all_reduce("nccl", x)
-            plan = next(iter(comm._plans.values()))
+            plan = next(iter(comm._plan_cache.plans.values()))
             naive_plan = (plan.stream is ctx.default_stream, plan.pool)
             comm.synchronize()
             comm.finalize()
@@ -310,9 +310,9 @@ class TestInvalidation:
             comm = MCRCommunicator(ctx, BACKENDS)
             x = ctx.virtual_tensor(1024)
             comm.all_reduce("nccl", x)
-            before = len(comm._plans)
+            before = len(comm._plan_cache.plans)
             comm.invalidate_plans("test")
-            after = len(comm._plans)
+            after = len(comm._plan_cache.plans)
             comm.all_reduce("nccl", x)
             stats = comm.plan_stats
             comm.finalize()

@@ -25,6 +25,7 @@ import weakref
 
 import pytest
 
+from repro.cluster import lassen
 from repro.core import BackendError, CommTimeoutError, MCRCommunicator, MCRConfig
 from repro.core.handles import WorkHandle
 from repro.core.rendezvous import Arrival, Rendezvous
@@ -164,7 +165,9 @@ class TestFinishedOpsAreReleased:
     "backend, mode, held",
     [
         ("nccl", "mcr-managed", 0),  # pool stream: synchronize() drains it
-        ("mvapich2-gdr", "mpi-managed", 200),  # host path: MPI_Wait needs the handle
+        # host path: MPI_Wait needs the handle until it completes; keeping
+        # the next one drops the complete ones ahead of it
+        ("mvapich2-gdr", "mpi-managed", 2),
     ],
 )
 def test_dropped_handles_kept_only_where_synchronize_needs_them(
@@ -178,11 +181,35 @@ def test_dropped_handles_kept_only_where_synchronize_needs_them(
         live = sum(
             type(obj) is WorkHandle and obj.ctx is ctx for obj in gc.get_objects()
         )
-        kept = sum(len(handles) for handles in comm._outstanding.values())
+        kept = sum(len(handles) for handles in comm._group.outstanding.values())
         comm.synchronize()
         return live, kept
 
     assert Simulator(WORLD).run(main).rank_results == [(held, held)] * WORLD
+
+
+def test_completed_handles_leave_before_synchronize():
+    """A host-path or p2p handle stays in the outstanding table only until
+    it completes: keeping the next one drops the complete ones ahead of
+    it, so waited handles do not pile up until ``synchronize()``."""
+
+    def main(ctx):
+        comm = MCRCommunicator(
+            ctx, ["mvapich2-gdr", "nccl"], config=MCRConfig(mpi_stream_mode="mpi-managed")
+        )
+        x, y = ctx.virtual_tensor(1024), ctx.virtual_tensor(1024)
+        for _ in range(300):
+            comm.all_reduce("mvapich2-gdr", x, async_op=True).wait()
+        for _ in range(100):
+            sent = comm.isend("nccl", x, (ctx.rank + 1) % WORLD)
+            comm.irecv("nccl", y, (ctx.rank - 1) % WORLD).wait()
+            sent.wait()
+        held = {name: len(handles) for name, handles in comm._group.outstanding.items()}
+        comm.synchronize()
+        return held
+
+    for held in Simulator(WORLD).run(main).rank_results:
+        assert held == {"mvapich2-gdr": 1, "nccl": 1}
 
 
 def test_containers_per_collective_in_flight(no_auto_gc):
@@ -342,6 +369,36 @@ class TestSharedGroupRecord:
 
         with pytest.raises(ValueError, match="streams_per_backend"):
             Simulator(2).run(bad)
+
+
+    def test_per_job_records_exist_once_per_job(self):
+        """The job's ``CommShared``, its interned labels and a group's node
+        placement are one object each, whichever rank built them."""
+
+        def main(ctx):
+            comm = MCRCommunicator(ctx, ["nccl", "mvapich2-gdr"])
+            x = ctx.virtual_tensor(1 << 20)
+            comm.all_reduce("hier:nccl+mvapich2-gdr", x)
+            comm.all_reduce("nccl", x)
+            comm.synchronize()
+            labels = {}
+            for plan in comm._plan_cache.plans.values():
+                for flat in plan.phase_plans or (plan,):
+                    labels[flat.label] = flat.label
+            out = comm._job, labels, comm._hier_layout()
+            comm.finalize()
+            return out
+
+        results = Simulator(16, system=lassen()).run(main).rank_results
+        job, labels, layout = results[0]
+        assert set(labels) == {
+            "allreduce:nccl", "reduce_scatter:nccl@intra",
+            "allreduce:mvapich2-gdr@inter", "allgather:nccl@intra",
+        }
+        for rank_job, rank_labels, rank_layout in results:
+            assert rank_job is job and rank_layout is layout
+            assert rank_labels.keys() == labels.keys()
+            assert all(rank_labels[k] is labels[k] for k in labels)
 
 
 def _threads_settle_at(expected: int) -> bool:

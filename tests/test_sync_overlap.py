@@ -195,18 +195,15 @@ class TestSynchronizeAPI:
         "mode, kept",
         [
             # pool-stream ops are drained through their streams; only p2p
-            # handles are kept
-            ({}, {"mvapich2-gdr": ["isend", "irecv"]}),
-            # MPI on the host path
-            (
-                {"mpi_stream_mode": "mpi-managed"},
-                {"mvapich2-gdr": ["mpi", "isend", "irecv"]},
-            ),
-            # everything on the default stream
-            (
-                {"synchronization": "naive"},
-                {"mvapich2-gdr": ["mpi", "isend", "irecv"], "nccl": ["small", "large"]},
-            ),
+            # handles are kept, and the eager isend, complete when the
+            # irecv is kept behind it, is dropped then
+            ({}, {"mvapich2-gdr": ["irecv"]}),
+            # MPI on the host path, complete (like the isend) by the time
+            # the next handle is kept behind it
+            ({"mpi_stream_mode": "mpi-managed"}, {"mvapich2-gdr": ["irecv"]}),
+            # everything on the default stream, whose pre-post sync waits
+            # out each op before the next is kept
+            ({"synchronization": "naive"}, {"mvapich2-gdr": ["irecv"], "nccl": ["large"]}),
         ],
         ids=["mcr-managed", "mpi-managed", "naive"],
     )
@@ -214,7 +211,7 @@ class TestSynchronizeAPI:
         self, mode, kept, deadline_us
     ):
         """No handle is ever waited: ``synchronize`` alone completes every
-        op, whether or not ``_outstanding`` holds its handle."""
+        op, whether or not ``Group.outstanding`` holds its handle."""
         world = 4
         config = MCRConfig(op_deadline_us=deadline_us, **mode)
 
@@ -234,7 +231,7 @@ class TestSynchronizeAPI:
             }
             tag = {id(h): name for name, h in handles.items()}
             outstanding = {
-                name: [tag[id(h)] for h in held] for name, held in comm._outstanding.items()
+                name: [tag[id(h)] for h in held] for name, held in comm._group.outstanding.items()
             }
             comm.synchronize("nccl")
             after_nccl = ctx.now
