@@ -91,7 +91,7 @@ class MCRCommunicator(DispatchLayer, ExecutionLayer):
         if not backends:
             raise BackendError("MCR-DL needs at least one backend")
         self.ctx = ctx
-        job = self._job = ctx.shared.setdefault("mcr_dl", CommShared())
+        job = self._job = ctx.shared.setdefault("mcr_dl", CommShared(ctx.system))
         if config is None:
             config = MCRConfig()  # the defaults are valid
         elif job.configs.get(id(config)) is not config:
@@ -256,7 +256,7 @@ class MCRCommunicator(DispatchLayer, ExecutionLayer):
            recompiles against them);
         2. ``_plan`` — the compiled plan either names a hierarchical
            composite (``plan.hier``) with its phase list for
-           ``_run_phases``, or a flat backend for ``_collective``;
+           ``_run_phases``, or a flat backend for ``_post_collective``;
            ``dispatch_scale`` discounts only a flat post.
         """
         if prep is None:
@@ -269,7 +269,7 @@ class MCRCommunicator(DispatchLayer, ExecutionLayer):
         plan = self._plan(spec, backend_name, prep)
         if plan.hier is not None:
             return self._run_phases(spec, args, prep, plan, async_op)
-        return self._collective(
+        return self._post_collective(
             self._group, spec, backend_name, prep, plan, async_op, dispatch_scale
         )
 
@@ -277,8 +277,8 @@ class MCRCommunicator(DispatchLayer, ExecutionLayer):
         self, spec: CollectiveSpec, args: tuple, prep: _Prepared, plan: CommPlan, async_op: bool
     ) -> Optional[WorkHandle]:
         """Run a composite's compiled phase list (INTERNALS §13): each
-        phase this rank takes part in is one ``_collective`` on its phase
-        group, posted non-blocking and host-synchronized before the next
+        phase this rank takes part in is one ``_post_collective`` on its
+        phase group, posted non-blocking and host-synchronized before the next
         (collective data moves when the rendezvous resolves, so a later
         phase posted early could read a buffer the earlier one has not
         produced yet).  The caller's async contract applies to the last."""
@@ -288,7 +288,7 @@ class MCRCommunicator(DispatchLayer, ExecutionLayer):
             name = phases[0].backend
             if compiled[0] is None:
                 compiled[0] = self._compile_plan(self._group, spec, name, prep, plan.timing_only)
-            return self._collective(self._group, spec, name, prep, compiled[0], async_op)
+            return self._post_collective(self._group, spec, name, prep, compiled[0], async_op)
         rank, virtual = self.ctx.rank, plan.timing_only
         mine = [i for i, p in enumerate(phases) if p.members is None or rank in p.members]
         # the communicator split: this rank's node group and every group
@@ -327,7 +327,9 @@ class MCRCommunicator(DispatchLayer, ExecutionLayer):
             )
             if compiled[i] is None:
                 compiled[i] = self._compile_plan(group, row, phase.backend, phase_prep, virtual)
-            handle = self._collective(group, row, phase.backend, phase_prep, compiled[i], True)
+            handle = self._post_collective(
+                group, row, phase.backend, phase_prep, compiled[i], True
+            )
             if phase.after is not None and not virtual:
                 # the rendezvous may already have resolved
                 if handle.flag.is_set:

@@ -22,7 +22,7 @@ plan state it owns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Optional
 
 from repro.backends.base import Backend, canonical_name
@@ -419,6 +419,20 @@ class DispatchLayer:
             host_sync=host_sync,
             stream_semantics=stream_semantics,
             meta_tagged=(*prep.meta, "virtual" if timing_only else "real"),
+        )
+
+    def _reroute(self, group, spec, plan: CommPlan, backend: Backend) -> CommPlan:
+        """``plan`` moved to the backend the fault gate admitted instead:
+        a call-local copy (never cached) whose ``resolved_name`` still
+        names the plan's choice, for "reroute" attribution."""
+        label, dispatch_reason = self._job.label(spec.family, backend.name, group.tag)
+        stream, pool, host_sync, stream_semantics = group.sync.placement(
+            backend, spec.force_host, plan.wire_bytes
+        )
+        return replace(
+            plan, backend=backend, label=label, dispatch_reason=dispatch_reason,
+            dispatch_cost_us=self._dispatch_cost(backend), stream=stream, pool=pool,
+            host_sync=host_sync, stream_semantics=stream_semantics,
         )
 
     # -- persistent collectives (ext.persistent, §V-E) ---------------------

@@ -38,7 +38,7 @@ from repro.core.config import EAGER_THRESHOLD, LARGE_MESSAGE_THRESHOLD
 from repro.core.exceptions import BackendError, ValidationError
 from repro.core.handles import CompletedHandle, WorkHandle, host_block
 from repro.sim.engine import Flag, SimError
-from repro.sim.graph import CollectiveGroup, apply_wire_lane, resolve
+from repro.sim.graph import CollectiveGroup, resolve
 from repro.tensor import SimTensor
 
 #: stand-in data-plane buffer for virtual (timing-only) tensors
@@ -85,22 +85,56 @@ class GroupRecord:
     layout: Any = None
 
 
+class WireLanes:
+    """The fabric's wire lanes (INTERNALS §3).  Bandwidth-bound transfers
+    serialize per injection path of a GPU node — GPU-initiated
+    (stream-aware backends) or host-initiated RDMA (MPI) — since
+    "concurrent large-message operations are bandwidth-bound and show no
+    benefit" (§V-C); which is also why mixing two backends of one kind
+    buys nothing (§V-D footnote 4).  The lanes share one fabric tail,
+    which every admitted transfer advances by ``interference ×
+    duration``.  Latency-bound transfers overlap freely."""
+
+    __slots__ = ("tails", "shared", "interference")
+
+    def __init__(self, interference: float):
+        #: per lane, the end of its last admitted transfer
+        self.tails: dict = {}
+        self.shared = 0.0
+        self.interference = interference
+
+    def admission(self, backend, family: OpFamily, wire_bytes: int, duration: float):
+        """One transfer's admission: a callable from its ready time to its
+        admitted start, or None when it bypasses the lanes."""
+        if wire_bytes < LARGE_MESSAGE_THRESHOLD or family is OpFamily.BARRIER:
+            return None
+        return partial(self.admit, backend.properties.stream_aware, duration)
+
+    def admit(self, lane, duration: float, ready: float) -> float:
+        """Admit a transfer ready at ``ready`` onto ``lane``: its start is
+        the latest of ``ready``, the lane's tail and the fabric tail."""
+        start = max(ready, self.tails.get(lane, 0.0), self.shared)
+        self.tails[lane] = start + duration
+        self.shared = start + self.interference * duration
+        return start
+
+
 class CommShared:
     """The job's comm state, ``ctx.shared["mcr_dl"]``: what does not
     depend on the rank, built by the first rank that needs it and shared
     by the rest (INTERNALS §15)."""
 
-    __slots__ = ("groups", "configs", "channel", "labels")
+    __slots__ = ("groups", "configs", "lanes", "labels")
 
-    def __init__(self) -> None:
+    def __init__(self, system) -> None:
         #: one record per rank set, under every spelling it was named by
         #: (``None`` = the world)
         self.groups: dict[Optional[tuple], GroupRecord] = {}
         #: validated config objects by ``id`` (the object pins the id)
         self.configs: dict[int, Any] = {}
-        #: wire lanes are a property of the *fabric*, shared by every
-        #: communicator and process group in the job
-        self.channel: defaultdict = defaultdict(float)
+        #: a property of the *fabric*, shared by every communicator and
+        #: process group in the job
+        self.lanes = WireLanes(system.cross_path_interference)
         #: interned ``(label, dispatch reason)`` per (op, backend, phase
         #: tag): hot-path strings that never change
         self.labels: dict[tuple, tuple[str, str]] = {}
@@ -138,7 +172,7 @@ class CommShared:
 class Group:
     """One rendezvous scope on one rank: a communicator's own group, or
     one phase group of its ``hier:*`` composites (INTERNALS §13).
-    ``_collective`` reads everything that depends on the scope from it."""
+    A post's stages read everything that depends on the scope from it."""
 
     __slots__ = (
         "record", "ranks", "world_size", "comm_id", "tag", "state", "seq",
@@ -207,9 +241,6 @@ class Rendezvous:
     #: the members' stream-side group; None when the op completes on the host
     group: Optional[CollectiveGroup]
     arrivals: dict[int, Arrival] = field(default_factory=dict)
-    #: set by the rank that takes responsibility for resolution (the
-    #: pre-post host sync can let several ranks observe "all arrived")
-    claimed: bool = False
     #: transfer duration (µs), known once the last rank arrives
     duration: Optional[float] = None
 
@@ -217,56 +248,35 @@ class Rendezvous:
 class ExecutionLayer:
     """Mixin: posts operations into the engine and observes completion.
 
-    Its scope state is the :class:`Group` of each call; the rest it reads
+    A collective runs in three stages (INTERNALS §5): every rank posts
+    (:meth:`_post_collective`), the last arrival resolves
+    (:meth:`_resolve_collective`), and every rank completes
+    (:meth:`_complete_collective`).  Its scope state is the :class:`Group` of each call; the rest it reads
     (``ctx``, ``config``, ``logger``, ``_job``, the link gate) is
     initialized by :class:`~repro.core.comm.MCRCommunicator`, and the
     dispatch-layer methods it calls come from
     :class:`~repro.core.dispatch.DispatchLayer`.
     """
 
-    def _collective(
+    def _post_collective(
         self, group: Group, spec, backend_name: str, prep, plan, async_op: bool,
         dispatch_scale: float = 1.0,
     ) -> Optional[WorkHandle]:
         """Post one prepared call of op-table row ``spec`` (family and
-        flags) on ``group`` under its flat ``plan``: buffers, mover, meta
-        and extras come from ``prep``, everything signature-derived from
-        ``plan``, the rendezvous state, fault scope and stream round-robin
-        from ``group``."""
+        flags) on ``group`` under its flat ``plan`` (INTERNALS §5): the
+        fault gate, the dispatch cost, the arrival and the stream member.
+        The ws-th arrival resolves the rendezvous; every post completes."""
         ctx = self.ctx
-        phase = group.tag
-        family = spec.family
-        nbytes = prep.nbytes
-        timing_only = plan.timing_only
-        backend = plan.backend
-        label = plan.label
-        dispatch_reason = plan.dispatch_reason
-        dispatch_cost = plan.dispatch_cost_us
-        stream = plan.stream
-        pool = plan.pool
-        host_sync = plan.host_sync
-        stream_semantics = plan.stream_semantics
         if group.health.gate:
             # the fault gate runs per call even on a plan hit: injector
             # op counters must advance exactly as in the uncached path,
             # and its retries/reroutes are call-local, never plan state
-            admitted = group.health.admit(backend, family, nbytes)
-            if admitted is not backend:
-                backend = admitted
-                label, dispatch_reason = self._job.label(family, backend.name, phase)
-                dispatch_cost = self._dispatch_cost(backend)
-                stream, pool, host_sync, stream_semantics = group.sync.placement(
-                    backend, spec.force_host, plan.wire_bytes
-                )
-        stream_kind = stream is not None or pool is not None
-        dispatch = (
-            self._dispatch_kind(backend_name, plan.resolved_name, backend.name)
-            if self.logger is not None
-            else "explicit"
-        )
-
+            admitted = group.health.admit(plan.backend, spec.family, prep.nbytes)
+            if admitted is not plan.backend:
+                plan = self._reroute(group, spec, plan, admitted)
         # host dispatch: thin Python layer + backend call overhead (C3);
         # persistent collectives replay at a discounted scale (§V-E)
+        dispatch_cost = plan.dispatch_cost_us
         if dispatch_scale != 1.0:
             dispatch_cost *= dispatch_scale
         if dispatch_cost < 0:
@@ -279,204 +289,196 @@ class ExecutionLayer:
             # collective calls are communicator-ordered within a library
             # regardless of op family, like NCCL/MPI
             # (tests/test_plan_cache.py pins this down)
+            name = plan.backend.name
             seq = group.seq
-            seq[backend.name] += 1
-            key = (group.comm_id, backend.name, seq[backend.name])
-            rdv_table = group.state.rdv
-            rdv = rdv_table.get(key)
+            seq[name] += 1
+            key = (group.comm_id, name, seq[name])
+            rdv = group.state.rdv.get(key)
             resolves = rdv is not None and len(rdv.arrivals) == ws - 1
         # the dispatch cost is lookahead (INTERNALS §5): the post stamps
         # its arrival at now + cost and keeps running.  It yields instead
         # when it resolves the rendezvous, when the rank already runs
         # ahead and no host wait ends the op, and where the post time
         # must be seen (pre-post sync, naive mode, deadlines, retuner)
-        deadline_us = self.config.op_deadline_us
         if (
             resolves
-            or host_sync
-            or deadline_us is not None
+            or plan.host_sync
+            or self.config.op_deadline_us is not None
             or group.retuner is not None
-            or (async_op or stream_semantics) and engine.ahead
+            or (async_op or plan.stream_semantics) and engine.ahead
         ):
             # ``wait_until`` directly: it skips ``Engine.sleep``'s frame
-            engine.wait_until(engine.now + dispatch_cost, dispatch_reason)
+            engine.wait_until(engine.now + dispatch_cost, plan.dispatch_reason)
         else:
             engine.advance(engine.now + dispatch_cost)
-
-        codec = plan.codec
-        wire_bytes = plan.wire_bytes
-        codec_us = plan.codec_us
-
         if ws == 1:
-            if not timing_only:
+            if not plan.timing_only:
                 for a_in, a_out in zip(prep.inputs, prep.outputs):
                     if a_in is not a_out:
                         a_out[:] = a_in
-            handle = CompletedHandle(ctx, backend.name, label)
+            handle = CompletedHandle(ctx, plan.backend.name, plan.label)
             if self.logger is not None:
                 self._log_on_flag(
-                    family, backend, nbytes, handle.flag, async_op,
-                    dispatch=dispatch, stream="host", phase=phase,
+                    spec.family, plan.backend, prep.nbytes, handle.flag, async_op,
+                    dispatch=self._dispatch_kind(
+                        backend_name, plan.resolved_name, plan.backend.name
+                    ),
+                    stream="host", phase=group.tag,
                 )
-            if async_op:
-                return handle
-            return None
+            return handle if async_op else None
+        if plan.host_sync:
+            # before the registration, so no yield separates a rank's
+            # arrival from its stream member: the ws-th arrival is last
+            ctx.gpu.default_stream.synchronize()
+        rdv, member = self._arrive(group, key, spec.family, prep, plan)
+        if len(rdv.arrivals) == ws:
+            del group.state.rdv[key]
+            self._resolve_collective(group, spec, prep, plan, rdv, async_op)
+        return self._complete_collective(
+            group, spec.family, backend_name, prep.nbytes, plan, rdv, member, async_op
+        )
 
-        # rendezvous ---------------------------------------------------
-
+    def _arrive(self, group: Group, key: tuple, family: OpFamily, prep, plan) -> tuple:
+        """Register this rank's arrival at rendezvous ``key`` on
+        ``group`` (opened by the first arrival, validated by the others)
+        and enqueue its stream member, if any, with no yield between:
+        ``(rendezvous, member)``."""
+        ctx = self.ctx
+        rdv = group.state.rdv.get(key)
         meta = plan.meta_tagged
-        rdv = rdv_table.get(key)  # a yield may have let the first rank in
-        rank = ctx.rank
+        stream = plan.stream
+        on_stream = stream is not None or plan.pool is not None
         if rdv is None:
-            flag = engine.new_flag(label)
-            members = CollectiveGroup(ws, flag, label=str(key)) if stream_kind else None
-            rdv = rdv_table[key] = Rendezvous(family, meta, flag, members)
-        if rdv.meta != meta or rdv.family is not family:
+            flag = ctx.engine.new_flag(plan.label)
+            members = CollectiveGroup(group.world_size, flag, label=str(key)) if on_stream else None
+            rdv = group.state.rdv[key] = Rendezvous(family, meta, flag, members)
+        elif rdv.meta != meta or rdv.family is not family:
             raise ValidationError(
-                f"collective mismatch at {key}: rank {rank} posted "
+                f"collective mismatch at {key}: rank {ctx.rank} posted "
                 f"{family}/{meta}, expected {rdv.family}/{rdv.meta}"
             )
-        if rank in rdv.arrivals:
-            raise ValidationError(f"rank {rank} arrived twice at {key}")
+        elif ctx.rank in rdv.arrivals:
+            raise ValidationError(f"rank {ctx.rank} arrived twice at {key}")
+        rdv.arrivals[ctx.rank] = Arrival(
+            ctx.rank, ctx.engine.now, prep.inputs, prep.outputs, prep.extras or _NO_EXTRAS
+        )
+        if not on_stream:
+            return rdv, None
+        if stream is None:
+            stream = plan.pool.pick()
+        producer = ctx.gpu.default_stream.last
+        member = stream.enqueue_collective_member(
+            rdv.group,
+            deps=(producer,) if producer is not None else (),
+            label=plan.label,
+            category="comm",
+        )
+        return rdv, member
 
-        arrival = Arrival(rank, engine.now, prep.inputs, prep.outputs, prep.extras or _NO_EXTRAS)
-        rdv.arrivals[rank] = arrival
-        if host_sync:
-            ctx.gpu.default_stream.synchronize()
-            # the sync may advance the host clock; the arrival timestamp
-            # must reflect when the op was actually posted or
-            # flapping-link windows skew
-            arrival.host_time = engine.now
+    def _resolve_collective(
+        self, group: Group, spec, prep, plan, rdv: Rendezvous, async_op: bool
+    ) -> None:
+        """Resolve ``rdv`` once, on its last arrival: the one place a
+        transfer's duration is set (price, link faults, codec, host
+        staging, an alltoallv's critical bytes).  The transfer then goes
+        to its wire lane: a host-path one is admitted here and fires the
+        flag, a stream one when ``graph.resolve`` finds its members
+        ready."""
+        ctx = self.ctx
+        family, backend = spec.family, plan.backend
+        wire_bytes = plan.wire_bytes
+        if spec.vector and family is OpFamily.ALLTOALL:
+            # an imbalanced alltoallv runs at the pace of its heaviest
+            # sender or receiver (the straggler destination), not this
+            # rank's own volume
+            wire_bytes = max(wire_bytes, self._alltoallv_critical_bytes(rdv))
+        duration = price_us(
+            ctx.system, backend, family, wire_bytes, group.world_size, group.comm_path,
+            self.config, vector=spec.vector, nonblocking=async_op, overheads=False,
+        )
+        ordered = [rdv.arrivals[r] for r in group.ranks]
+        ready = max(a.host_time for a in ordered)
+        if self._link_faults:
+            # degraded/flapping fabric window (repro.sim.faults): decided
+            # once, at the transfer's host-side ready time — per-rank
+            # clocks cannot split the decision
+            duration *= ctx.system.link_time_factor(ready, backend.name)
+        duration += plan.codec_us
+        if self.config.force_host_staging:
+            # Listing-2 style device->host->device copies around the op
+            duration += 2.0 * ctx.system.host_staging_us(wire_bytes)
+        rdv.duration = duration  # before fire: deferred log emits read it
+        admit = self._job.lanes.admission(backend, family, wire_bytes, duration)
+        move = None if plan.timing_only else prep.move
+        codec = plan.codec
 
-        member_node = None
-        stream_label = "host"
-        if stream_kind:
-            if stream is None:
-                stream = pool.pick()
-            stream_label = stream.name
-            producer = ctx.gpu.default_stream.last
-            member_node = stream.enqueue_collective_member(
-                rdv.group,
-                deps=(producer,) if producer is not None else (),
-                label=label,
-                category="comm",
-            )
+        def on_resolve() -> None:
+            if move is not None:
+                if codec is not None:
+                    for a in ordered:
+                        for buf in a.inputs:
+                            codec.apply_quantization_error(buf)
+                move(ordered)
+            for a in ordered:
+                a.inputs = a.outputs = ()
 
-        last = len(rdv.arrivals) == ws and not rdv.claimed
-        if last:
-            rdv.claimed = True
-            vector = spec.vector
-            if vector and family is OpFamily.ALLTOALL:
-                # an imbalanced alltoallv runs at the pace of its heaviest
-                # sender or receiver (the straggler destination), not this
-                # rank's own volume
-                wire_bytes = max(wire_bytes, self._alltoallv_critical_bytes(rdv))
-            duration = price_us(
-                ctx.system, backend, family, wire_bytes, ws, group.comm_path,
-                self.config, vector=vector, nonblocking=async_op, overheads=False,
-            )
-            if self._link_faults:
-                # degraded/flapping fabric window (repro.sim.faults):
-                # decided once, by the resolving rank, at the transfer's
-                # start time — per-rank clocks cannot split the decision
-                duration *= ctx.system.link_time_factor(
-                    max(a.host_time for a in rdv.arrivals.values()),
-                    backend.name,
+        members = rdv.group
+        if members is not None:
+            members.duration = duration
+            members.on_resolve = on_resolve
+            members.admit = admit
+            resolve(members, ctx.engine)
+            return
+        start = ready if admit is None else admit(ready)
+        end = start + duration
+        on_resolve()
+        tracer = ctx.gpu.tracer
+        if tracer is not None:
+            for a in ordered:
+                tracer.record(
+                    rank=a.rank, stream="mpi-host", label=plan.label, category="comm",
+                    start=start, end=end,
                 )
-            duration += codec_us
-            if self.config.force_host_staging:
-                # Listing-2 style device->host->device copies around the op
-                duration += 2.0 * ctx.system.host_staging_us(wire_bytes)
-            ordered = [rdv.arrivals[r] for r in group.ranks]
-            move = prep.move
+        rdv.flag.fire(end)
 
-            def on_resolve() -> None:
-                if not timing_only:
-                    if codec is not None:
-                        for a in ordered:
-                            for buf in a.inputs:
-                                codec.apply_quantization_error(buf)
-                    move(ordered)
-                for a in ordered:
-                    a.inputs = a.outputs = ()
-
-            del rdv_table[key]
-            # Bandwidth-bound ops serialize per wire lane (§V-C:
-            # "concurrent large-message operations are bandwidth-bound and
-            # show no benefit"); latency-bound small ops overlap freely.
-            # Two lanes model the two injection paths of a GPU node:
-            # GPU-initiated (NCCL-family) and host-initiated RDMA (MPI) —
-            # which is also why mixing more than one backend of the same
-            # kind buys nothing (paper §V-D footnote 4).
-            is_large = wire_bytes >= LARGE_MESSAGE_THRESHOLD
-            lane = (
-                "wire:stream" if backend.properties.stream_aware else "wire:host"
-            )
-            interference = getattr(ctx.system, "cross_path_interference", 0.6)
-            rdv.duration = duration  # before fire: deferred log emits read it
-            if stream_kind:
-                rdv.group.duration = duration
-                rdv.group.on_resolve = on_resolve
-                if is_large and family is not OpFamily.BARRIER:
-                    rdv.group.channel_store = self._job.channel
-                    rdv.group.channel_key = lane
-                    rdv.group.interference = interference
-                resolve(rdv.group, ctx.engine)
-            else:
-                channel = self._job.channel
-                start = max(a.host_time for a in ordered)
-                if is_large:
-                    start = apply_wire_lane(
-                        channel, lane, start, duration, interference
-                    )
-                end = start + duration
-                on_resolve()
-                self._trace_host_collective(ordered, label, start, end)
-                rdv.flag.fire(end)
-        elif member_node is not None and rdv.claimed:
-            # the pre-post host sync separates arrival registration from
-            # member enqueue, so the claiming rank can wake first and
-            # resolve() an incomplete group (a silent no-op).  The rank
-            # whose member completes the group must retry, or every host
-            # parks on a flag nobody will fire.
-            members = rdv.group
-            if members is not None and members.complete and not members._resolved:
-                resolve(members, ctx.engine)
-
+    def _complete_collective(
+        self, group: Group, family: OpFamily, backend_name: str, nbytes: int, plan,
+        rdv: Rendezvous, member, async_op: bool,
+    ) -> Optional[WorkHandle]:
+        """Complete one post: its log record, the retuner's observation,
+        and handle or wait semantics."""
+        ctx, backend, label = self.ctx, plan.backend, plan.label
         if self.logger is not None:
             self._log_on_flag(
                 family, backend, nbytes, rdv.flag, async_op, rdv,
-                dispatch=dispatch, stream=stream_label, phase=phase,
+                dispatch=self._dispatch_kind(backend_name, plan.resolved_name, backend.name),
+                stream="host" if member is None else member.stream.name, phase=group.tag,
             )
         if group.retuner is not None:
             # observation rides the rendezvous flag: fire() runs every
             # rank's callback at one instant with one shared duration,
             # keeping the per-rank observation streams identical
             group.retuner.attach(family, backend.name, nbytes, rdv, backend_name == "auto")
+        deadline_us = self.config.op_deadline_us
+        timeout_info = None
+        if deadline_us is not None:
+            timeout_info = self._timeout_info(label, rdv, group.ranks)
         if async_op:
             handle = WorkHandle(
-                ctx, backend.name, rdv.flag, member_node, stream_semantics, label,
-                deadline_us=deadline_us,
-                timeout_info=(
-                    self._timeout_info(label, rdv, group.ranks)
-                    if deadline_us is not None else None
-                ),
+                ctx, backend.name, rdv.flag, member, plan.stream_semantics, label,
+                deadline_us=deadline_us, timeout_info=timeout_info,
             )
-            if pool is None:
+            if plan.pool is None:
                 # a pool-stream op ends by its stream's tail, which
                 # synchronize() drains first; only host-path and
                 # default-stream ops need their handle kept for it
                 group.keep(handle)
             return handle
         # synchronous op: apply wait() semantics inline, no handle object
-        if stream_semantics and member_node is not None:
-            ctx.gpu.default_stream.gate_on(member_node)
+        if plan.stream_semantics and member is not None:
+            ctx.gpu.default_stream.gate_on(member)
         else:
-            host_block(
-                ctx, rdv.flag, label, "wait", deadline_us,
-                self._timeout_info(label, rdv, group.ranks)
-                if deadline_us is not None else None,
-            )
+            host_block(ctx, rdv.flag, label, "wait", deadline_us, timeout_info)
         if self.config.synchronization == "naive":
             # naive scheme additionally host-blocks (Fig. 4a)
             ctx.engine.wait_flag(rdv.flag, reason=label)
@@ -507,18 +509,6 @@ class ExecutionLayer:
         rows = [e["scounts"] for e in extras]
         heaviest = max(max(map(sum, rows)), max(map(sum, zip(*rows))))
         return heaviest * extras[0]["_elem_size"]
-
-    def _trace_host_collective(
-        self, ordered: list[Arrival], label: str, start: float, end: float
-    ) -> None:
-        tracer = self.ctx.gpu.tracer
-        if tracer is None:
-            return
-        for a in ordered:
-            tracer.record(
-                rank=a.rank, stream="mpi-host", label=label, category="comm",
-                start=start, end=end,
-            )
 
     # -- point-to-point ----------------------------------------------------
 
@@ -572,11 +562,11 @@ class ExecutionLayer:
                 recv_buf[:] = send_buf
             if not flag.is_set:  # eager sends fire their flag at post time
                 flag.fire(end)
-            if not is_send:
-                # the receiver's own completion is the transfer end
-                my_flag = ctx.new_flag(label)
-                my_flag.fire(end)
-                flag = my_flag
+            if not is_send or tensor.nbytes() <= EAGER_THRESHOLD:
+                # the receiver's own completion is the transfer end; an
+                # eager send's is its post, whoever posted first
+                flag = ctx.new_flag(label)
+                flag.fire(ctx.now if is_send else end)
             if self.logger is not None:
                 # one record per endpoint (the queued peer cannot know the
                 # transfer duration, so the matching side logs for both)

@@ -137,13 +137,13 @@ class CollectiveGroup:
     """A collective's per-rank member nodes with a single joint start.
 
     All members start at the global max of their individual ready times
-    (NCCL semantics: the kernel spins until every peer has arrived) and
-    finish together ``duration`` later.  ``on_resolve`` performs the data
+    (NCCL semantics: the kernel spins until every peer has arrived), or
+    at what ``admit`` makes of it, and finish together ``duration`` later.  ``on_resolve`` performs the data
     movement exactly once.
 
     Lifetime: resolution drops ``members``, ``on_resolve`` (and with it
-    every rank's buffers) and the wire-lane store; a resolved group is
-    its ``flag`` and ``duration``, and ``complete`` reads False.
+    every rank's buffers) and ``admit``; a resolved group is its
+    ``flag`` and ``duration``, and ``complete`` reads False.
     """
 
     __slots__ = (
@@ -154,9 +154,7 @@ class CollectiveGroup:
         "flag",
         "_resolved",
         "label",
-        "channel_store",
-        "channel_key",
-        "interference",
+        "admit",
     )
 
     def __init__(self, expected: int, flag: Flag, label: str = "collective"):
@@ -167,16 +165,9 @@ class CollectiveGroup:
         self.flag = flag
         self._resolved = False
         self.label = label
-        #: optional wire-lane serialization: bandwidth-bound collectives
-        #: on the same injection path cannot run concurrently (paper §V-C
-        #: notes concurrent large-message operations show no benefit).
-        #: The group starts no earlier than channel_store[channel_key]
-        #: and pushes that lane's tail to its end; it also advances the
-        #: cross-lane "__shared__" tail by ``interference x duration`` so
-        #: different lanes only partially overlap.
-        self.channel_store: Optional[dict] = None
-        self.channel_key: Optional[str] = None
-        self.interference: float = 0.0
+        #: set with ``duration`` by the collective's resolver: maps the
+        #: members' joint ready time to their start (None: start when ready)
+        self.admit: Optional[Callable[[float], float]] = None
 
     @property
     def complete(self) -> bool:
@@ -226,19 +217,13 @@ def resolve(seed: "GpuOp | CollectiveGroup", engine: Engine) -> None:
                     b._block(group)
                 continue
             start = max(m._ready_time() for m in group.members)
-            if group.channel_store is not None:
-                start = apply_wire_lane(
-                    group.channel_store,
-                    group.channel_key,
-                    start,
-                    group.duration,
-                    group.interference,
-                )
+            if group.admit is not None:
+                start = group.admit(start)
             end = start + group.duration
             group._resolved = True
             members, on_resolve = group.members, group.on_resolve
             group.members = ()
-            group.on_resolve = group.channel_store = None
+            group.on_resolve = group.admit = None
             for m in members:
                 m.start = start
                 m.end = end
@@ -246,25 +231,6 @@ def resolve(seed: "GpuOp | CollectiveGroup", engine: Engine) -> None:
             if on_resolve is not None:
                 on_resolve()
             group.flag.fire(end)
-
-
-def apply_wire_lane(
-    store: dict, lane: str, ready: float, duration: float, interference: float
-) -> float:
-    """Admit a bandwidth-bound transfer onto a wire lane.
-
-    Same-lane transfers serialize fully; transfers on other lanes are
-    throttled through the ``__shared__`` tail, which every transfer
-    advances by ``interference * duration`` — so the aggregate fabric
-    sustains at most ``1/interference`` lanes' worth of concurrent
-    bandwidth.  Returns the admitted start time and updates the store.
-    """
-    start = max(ready, store.get(lane, 0.0), store.get("__shared__", 0.0))
-    store[lane] = start + duration
-    store["__shared__"] = max(store.get("__shared__", 0.0), start) + (
-        interference * duration
-    )
-    return start
 
 
 def _finish_node(node: GpuOp, work: list) -> None:

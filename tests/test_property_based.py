@@ -7,9 +7,9 @@ from hypothesis import given, settings, strategies as st
 from repro.backends import datapath
 from repro.backends.cost import CostParams, evaluate, ALGORITHMS
 from repro.backends.ops import ReduceOp
+from repro.core.rendezvous import WireLanes
 from repro.core.tuning import TuningTable, message_bucket
 from repro.ext.compression import BLOCK_ELEMS, FixedRateCodec
-from repro.sim.graph import apply_wire_lane
 from repro.sim.trace import Tracer
 
 finite_f32 = st.floats(
@@ -214,14 +214,14 @@ class TestWireLaneProperties:
     )
     @settings(max_examples=60, deadline=None)
     def test_lane_tails_monotone_and_starts_admissible(self, ops, interference):
-        store: dict = {}
+        lanes = WireLanes(interference)
         prev_tail = {"a": 0.0, "b": 0.0}
         for lane, ready, duration in ops:
-            start = apply_wire_lane(store, lane, ready, duration, interference)
+            start = lanes.admit(lane, duration, ready)
             assert start >= ready
             assert start >= prev_tail[lane]  # same-lane FIFO
             prev_tail[lane] = start + duration
-            assert store[lane] == start + duration
+            assert lanes.tails[lane] == start + duration
 
 
 class TestTracerProperties:

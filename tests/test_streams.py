@@ -7,9 +7,9 @@ These are the CUDA-ordering behaviours MCR-DL's synchronization design
 import pytest
 
 from repro.core.comm import MCRCommunicator
+from repro.core.rendezvous import WireLanes
 from repro.sim import DeadlockError, Simulator
 from repro.sim.errors import SimError
-from repro.sim.graph import apply_wire_lane
 
 
 def run1(fn, **kw):
@@ -181,24 +181,24 @@ class TestTrace:
 
 class TestWireLane:
     def test_same_lane_serializes(self):
-        store = {}
-        s1 = apply_wire_lane(store, "a", 0.0, 100.0, 0.5)
-        s2 = apply_wire_lane(store, "a", 0.0, 100.0, 0.5)
+        lanes = WireLanes(0.5)
+        s1 = lanes.admit("a", 100.0, 0.0)
+        s2 = lanes.admit("a", 100.0, 0.0)
         assert s1 == 0.0
         assert s2 == 100.0
 
     def test_cross_lane_partial_overlap(self):
-        store = {}
-        apply_wire_lane(store, "a", 0.0, 100.0, 0.5)
-        s2 = apply_wire_lane(store, "b", 0.0, 100.0, 0.5)
+        lanes = WireLanes(0.5)
+        lanes.admit("a", 100.0, 0.0)
+        s2 = lanes.admit("b", 100.0, 0.0)
         assert s2 == 50.0  # throttled by the shared tail, not fully serial
 
     def test_zero_interference_is_independent(self):
-        store = {}
-        apply_wire_lane(store, "a", 0.0, 100.0, 0.0)
-        assert apply_wire_lane(store, "b", 0.0, 100.0, 0.0) == 0.0
+        lanes = WireLanes(0.0)
+        lanes.admit("a", 100.0, 0.0)
+        assert lanes.admit("b", 100.0, 0.0) == 0.0
 
     def test_full_interference_is_shared_wire(self):
-        store = {}
-        apply_wire_lane(store, "a", 0.0, 100.0, 1.0)
-        assert apply_wire_lane(store, "b", 0.0, 100.0, 1.0) == 100.0
+        lanes = WireLanes(1.0)
+        lanes.admit("a", 100.0, 0.0)
+        assert lanes.admit("b", 100.0, 0.0) == 100.0

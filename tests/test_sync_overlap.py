@@ -262,3 +262,58 @@ class TestSynchronizeAPI:
             return ok
 
         assert all(Simulator(2).run(main).rank_results)
+
+
+class TestPrePostSync:
+    def test_host_path_waits_for_a_peer_still_syncing(self):
+        """Under ``mpi-managed`` a host-path collective host-syncs the
+        default stream before it posts.  A peer that arrives while
+        another rank is still in that sync must not resolve the
+        rendezvous with the syncing rank's pre-sync arrival time: both
+        ranks return together, after the later post."""
+        config = MCRConfig(mpi_stream_mode="mpi-managed")
+
+        def main(ctx):
+            comm = MCRCommunicator(ctx, ["nccl", "mvapich2-gdr"], config=config)
+            if ctx.rank == 0:
+                ctx.launch(1000.0)  # drained by the pre-post sync
+            else:
+                ctx.sleep(500.0)
+            posted = ctx.now
+            comm.all_reduce("mvapich2-gdr", ctx.virtual_tensor(262_144))
+            returned = ctx.now
+            comm.finalize()
+            return posted, returned, ctx.gpu.default_stream.tail_time
+
+        (post0, ret0, drained0), (post1, ret1, _) = Simulator(2).run(main).rank_results
+        assert ret0 == ret1
+        assert ret0 > max(post0, post1, drained0)
+
+
+class TestWireLaneAdmission:
+    def test_cross_path_interference_through_the_communicator(self):
+        """A bandwidth-bound stream-lane (nccl) and host-lane
+        (mvapich2-gdr, ``mpi-managed``) all-reduce posted back to back:
+        the second is admitted ``interference × duration`` of the first
+        after the first starts."""
+        from repro.cluster import lassen
+
+        system = lassen()
+        config = MCRConfig(mpi_stream_mode="mpi-managed")
+
+        def main(ctx):
+            comm = MCRCommunicator(ctx, ["nccl", "mvapich2-gdr"], config=config)
+            h1 = comm.all_reduce("nccl", ctx.virtual_tensor(1 << 20), async_op=True)
+            h2 = comm.all_reduce("mvapich2-gdr", ctx.virtual_tensor(1 << 20), async_op=True)
+            h1.synchronize()
+            h2.synchronize()
+            comm.finalize()
+
+        res = Simulator(2, system=system, trace=True).run(main)
+        (first,) = res.tracer.filter(rank=0, label_contains="allreduce:nccl")
+        (second,) = res.tracer.filter(rank=0, label_contains="allreduce:mvapich2-gdr")
+        assert first.stream != "mpi-host" and second.stream == "mpi-host"
+        duration = first.end - first.start
+        admitted = first.start + system.cross_path_interference * duration
+        assert second.start == pytest.approx(admitted, rel=1e-12)
+        assert second.start - first.start < duration  # the lanes overlap

@@ -1,4 +1,4 @@
-"""Results under a permuted tie order (ROADMAP item 2(a)).
+"""Results under a permuted tie order (ROADMAP item 1).
 
 Events at equal simulated times pop by ``(time, tie key, sequence)``,
 and the tie key of each process comes from one factory,
@@ -38,21 +38,12 @@ LEDGER_SCENARIOS = {
 }
 
 #: (program, seed) pairs whose simulated times move with the tie order
-_P2P = (
-    "an eager send and its matching recv post at one instant; which runs "
-    "first decides when the transfer starts"
-)
 _LANE = (
-    "wire-lane admission follows resolution order (ROADMAP item 2), and "
+    "wire-lane admission follows resolution order (ROADMAP item 1(c)), and "
     "the dispatch-cost lookahead lets the rank that registers last at an "
     "instant resolve, which is not the same rank under every tie order"
 )
 MOVES = {
-    ("mixed_flag_heavy", 1): _P2P,
-    ("mixed_flag_heavy", 2): _P2P,
-    ("mixed_flag_heavy", 3): _P2P,
-    ("p2p_with_bystanders", 1): _P2P,
-    ("p2p_with_bystanders", 3): _P2P,
     ("megatron_msccl_ws4", 2): _LANE,
 }
 
