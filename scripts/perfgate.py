@@ -7,8 +7,9 @@ facts are checked — the same verdict on any host, at any load, under
 any hash seed — and no clock is read; speed is ``perfbench/``'s job.
 Tier-1 runs this gate through ``tests/test_perfgate.py``.
 
-* **simulated fingerprints** (``sim_*`` metrics): any difference from
-  the ledger fails — timing-semantics drift is never expected.  A
+* **fingerprints** (``sim_*`` simulated values and ``det_*`` engine
+  counts): any difference from the ledger fails — timing-semantics
+  drift is never expected.  A
   scenario with no row in the ledger fails too: record it with
   ``python -m repro perf``.
 * **observability budget** (``obs_overhead``): the simulated step-time
@@ -72,7 +73,7 @@ def failures_of(baseline: dict, fresh: dict) -> list[str]:
         moved = sorted(k for k in was.keys() | now.keys() if was.get(k) != now.get(k))
         if moved:
             failures.append(
-                f"{name}: simulated fingerprint changed ({', '.join(moved)})"
+                f"{name}: fingerprint changed ({', '.join(moved)})"
             )
 
     obs, plan = fresh["obs_overhead"], fresh["dispatch_cache"]

@@ -102,9 +102,9 @@ def engine_events() -> dict:
     final = engine.run()
     stats = engine.stats()
     return {
-        "events": stats["events_dispatched"],
-        "handoffs": stats["handoffs"],
-        "inline": stats["inline"],
+        "det_events": stats["events_dispatched"],
+        "det_handoffs": stats["handoffs"],
+        "det_inline": stats["inline"],
         "sim_final_us": final,
     }
 
@@ -511,8 +511,9 @@ def run_scenarios(
 
 
 def fingerprint(metrics: dict) -> dict:
-    """The simulated part of a metrics dict: what must never move."""
-    return {k: v for k, v in metrics.items() if k.startswith("sim_")}
+    """The part of a metrics dict that must never move: simulated values
+    (``sim_*``) and deterministic engine counts (``det_*``)."""
+    return {k: v for k, v in metrics.items() if k.startswith(("sim_", "det_"))}
 
 
 def load(path: str) -> dict:

@@ -4,42 +4,33 @@ probation.
 The offline tuner (§V-F) freezes one table from a one-time sweep; when
 link quality drifts mid-run, or a quarantined backend recovers, "auto"
 dispatch keeps serving stale choices forever.  This module closes the
-loop: an :class:`AdaptiveRetuner` per top-level communicator watches
-*completed* collective timings (EMA + log2 histogram per
-``(op, world size, message bucket, backend)`` cell), detects drift
-against the analytic cost-model expectation, re-tunes the cell through
-bounded epsilon-greedy exploration, and commits the winner with an
-in-place :meth:`~repro.core.tuning.TuningTable.add` — the table's
-generation counter then recompiles only the affected "auto" dispatch
-plans (see the plan cache, INTERNALS §12).  A probation path
-periodically re-probes quarantined backends and symmetrically
-un-quarantines on success.
+loop in two parts, one per execution domain:
 
-SPMD symmetry (why this module is shaped the way it is)
--------------------------------------------------------
+* the **completion domain** is one :class:`CellBook` per group and
+  ``comm_id`` (``CommState.adapt``).  The resolver hands it one
+  observation per completed collective, on the rendezvous flag.  It
+  keeps an EMA + log2 histogram per ``(op, world size, message bucket,
+  backend)`` cell, detects drift against the analytic cost-model
+  expectation, re-tunes the cell through bounded exploration, and
+  records each decided table edit as data in :attr:`CellBook.edits`.
+  An edit takes effect at op index ``max_posted + 1 (+ offset)``, a
+  posted high-water mark that no rank had reached when it was decided.
+* the **post domain** is one :class:`AdaptiveRetuner` per rank.
+  :meth:`AdaptiveRetuner.before_op` runs once per posted collective, at
+  the same per-communicator op index on every rank (the agree-at-op
+  discipline of fault quarantine).  It moves the book's new edits into
+  the rank's pending heap and applies every entry due at this index to
+  the rank's private table clone with
+  :meth:`~repro.core.tuning.TuningTable.add` — the table's generation
+  counter then recompiles only the affected "auto" dispatch plans (see
+  the plan cache, INTERNALS §12).  Epsilon trials and the probation path,
+  which periodically re-probes quarantined backends and symmetrically
+  un-quarantines on success, also run here.
 
-Every rank runs its own retuner, and any state that influences dispatch
-must evolve identically on all ranks or rendezvous keys diverge and the
-job deadlocks.  Two execution domains keep that invariant:
-
-* the **post domain**: :meth:`AdaptiveRetuner.before_op` runs once per
-  posted collective, at the same per-communicator op index on every
-  rank (the same agree-at-op discipline as fault quarantine).  Table
-  edits and probation probes apply here, so every rank's table is
-  identical whenever the same logical op resolves.
-* the **completion domain**: observations ride rendezvous completion
-  flags, whose callbacks all run at one global instant with one shared
-  duration — every rank ingests an *identical* observation stream and
-  reaches identical decisions.  A decision made here cannot touch the
-  table directly (ranks may have raced ahead posting ops), so its edit
-  is deferred to effect index ``max_posted + 1``, a shared high-water
-  mark no rank has reached yet; all ranks apply it in ``before_op``
-  before posting that op.
-
-Completion-domain code must never read per-rank post-domain state (op
-counters, the live table, ``health.quarantined``) — only shared single-copy
-values (``max_posted``, the shared quarantine mirror) are safe, because
-all callbacks at one fire instant read the same object.
+Every rank applies the same edits at the same op index, so the tables
+that decide rendezvous keys stay identical.  The book never reads
+per-rank post-domain state (op counters, the live table,
+``health.quarantined``): only ``max_posted`` and its quarantine mirror.
 """
 
 from __future__ import annotations
@@ -47,6 +38,7 @@ from __future__ import annotations
 import heapq
 import zlib
 from dataclasses import dataclass, field
+from functools import partial
 from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.backends.base import price_us
@@ -58,9 +50,6 @@ from repro.obs.metrics import LogHistogram, ObsEvent
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.protocols import CommCore
-
-#: action names mirrored into ``tuning.adapt.{name}`` counters
-ACTIONS = ("drift", "explore", "retune", "probation")
 
 #: EMA smoothing for observed per-cell latencies (weight of the newest
 #: sample)
@@ -78,27 +67,11 @@ EXPLORE_SEED = 0
 
 
 @dataclass
-class _Shared:
-    """Single-copy adaptive state all ranks share (``CommState.adapt``)."""
-
-    #: max op index any rank has posted: the completion domain's only
-    #: view of post progress
-    max_posted: int = 0
-    #: quarantine mirror, readable at fire instants
-    quarantined: set = field(default_factory=set)
-    #: epsilon trials posted per cell, marked once per logical trial
-    trials_posted: dict = field(default_factory=dict)
-    trial_marks: set = field(default_factory=set)
-
-
-@dataclass
 class _Cell:
-    """Per-(op family, message bucket) adaptive state on one rank.
+    """The adaptive state of one (op family, message bucket) cell.
 
     The communicator's group size is fixed, so the world-size coordinate
-    of the paper's table key is implicit.  All fields live in the
-    completion domain except nothing — cells are only touched from
-    :meth:`AdaptiveRetuner.on_complete`.
+    of the paper's table key is implicit.
     """
 
     family: OpFamily
@@ -106,8 +79,7 @@ class _Cell:
     #: "steady" | "explore" | "cooldown"
     mode: str = "steady"
     #: the backend this cell believes is serving "auto" dispatch,
-    #: tracked purely from the completion stream (reading the live
-    #: table here would break symmetry)
+    #: tracked purely from the completion stream
     current: Optional[str] = None
     #: completed ops observed for this cell (any backend)
     completions: int = 0
@@ -132,210 +104,69 @@ class _Cell:
     cooldown_until: int = 0
 
 
-class AdaptiveRetuner:
-    """One per rank per top-level communicator (``adaptive.enabled``).
-
-    The owning communicator clones its tuning table at construction so
-    in-place retuning edits stay rank-private; see the module docstring
-    for the two-domain symmetry argument.
-    """
+class CellBook:
+    """The completion domain of one communicator's adaptive dispatch:
+    one per group and ``comm_id`` (``CommState.adapt``), built by the
+    first member rank whose retuner starts.  Its cells and decisions
+    exist once; the member ranks read only :attr:`edits` (through
+    their cursors), :attr:`quarantined` and :attr:`trials_posted`."""
 
     def __init__(self, comm: "CommCore"):
-        self.comm = comm
-        self.ctx = comm.ctx
         self.cfg = comm.config.adaptive
-        self.table = comm.tuning_table
-        self._cells: dict[tuple[str, int], _Cell] = {}
-        #: posted-collective index on this communicator (post domain)
-        self._op_index = 0
-        #: pending actions: (effect op index, domain, seq, fn) heap.
-        #: Identical on every rank at matched op indexes — post-domain
-        #: entries are scheduled at matched indexes, completion-domain
-        #: entries at shared fire instants — so draining the heap in
-        #: before_op applies the same edits everywhere.
-        self._pending: list = []
-        self._post_seq = 0
-        self._fire_seq = 0
-        #: reentrancy guard: a probation canary posts a real collective
-        #: from inside before_op; it must not count as a new op
-        self.quiet = False
-        state = comm._group.state
-        self._sh = state.adapt = state.adapt or _Shared()
-        self._lead = comm.ctx.rank == comm.group_ranks[0]
-        system = comm.ctx.system
-        self._multinode = (
-            len({system.node_of(r) for r in comm.group_ranks}) > 1
-        )
-        #: per-rank action counts (identical across ranks)
-        self.stats = {name: 0 for name in ACTIONS}
+        self.config = comm.config
+        #: flat backends by name, for candidates and analytic pricing
+        self.backends = comm.backends
+        self.world_size = comm.world_size
+        self.system = comm.ctx.system
+        self.comm_path = comm._group.comm_path
+        self.engine = comm.ctx.engine
+        self.obs = comm._obs
+        #: the rank the book's ObsEvents are attributed to
+        self.lead = comm.group_ranks[0]
+        self.multinode = len({self.system.node_of(r) for r in comm.group_ranks}) > 1
+        #: max op index any rank has posted: the book's only view of
+        #: post progress
+        self.max_posted = 0
+        #: quarantine mirror, written by the ranks' post domains
+        self.quarantined: set = set()
+        #: epsilon trials posted per cell, counted once per logical trial
+        self.trials_posted: dict = {}
+        #: ``(op, bucket, idx)`` -> ranks that have posted that trial;
+        #: dropped once every group rank has
+        self.trial_marks: dict = {}
+        self.cells: dict[tuple[str, int], _Cell] = {}
+        #: decided table edits ``(effect index, op, bucket, backend)`` in
+        #: decision order
+        self.edits: list[tuple[int, str, int, str]] = []
+        #: completion-domain action counts
+        self.stats = {"drift": 0, "explore": 0, "retune": 0}
 
-    # -- post domain -------------------------------------------------------
-
-    def before_op(self, family: OpFamily, nbytes: int) -> None:
-        """Hook run once per posted collective, before backend
-        resolution, so pending table edits affect the op being posted."""
-        self._op_index += 1
-        idx = self._op_index
-        sh = self._sh
-        if idx > sh.max_posted:
-            sh.max_posted = idx
-        pending = self._pending
-        while pending and pending[0][0] <= idx:
-            heapq.heappop(pending)[-1]()
-        if self.cfg.epsilon > 0.0:
-            self._maybe_trial(family, nbytes, idx)
-
-    def _schedule_post(self, effect: int, fn: Callable[[], None]) -> None:
-        """Schedule from the post domain (every rank schedules at the
-        same op index, so immediate future indexes are symmetric)."""
-        self._post_seq += 1
-        heapq.heappush(self._pending, (effect, 0, self._post_seq, fn))
-
-    def _schedule_fire(self, fn: Callable[[], None], offset: int = 0) -> int:
-        """Schedule from the completion domain: the effect index is the
-        shared posted high-water mark plus one — no rank has posted that
-        op yet, so every rank applies the action before resolving it."""
-        effect = self._sh.max_posted + 1 + offset
-        self._fire_seq += 1
-        heapq.heappush(self._pending, (effect, 1, self._fire_seq, fn))
-        return effect
-
-    def _hash(self, *parts) -> int:
-        key = "|".join(
-            str(p) for p in (EXPLORE_SEED, self.comm.comm_id, *parts)
-        )
-        return zlib.crc32(key.encode("utf-8"))
-
-    def _maybe_trial(self, family: OpFamily, nbytes: int, idx: int) -> None:
-        """Steady-state epsilon exploration: with probability ``epsilon``
-        (a deterministic per-op hash, so all ranks draw identically),
-        serve this one op on an alternate backend to keep its EMA fresh,
-        restoring the table entry at the next op index."""
-        op = family.value
-        ws = self.comm.world_size
-        bucket = message_bucket(nbytes)
-        row = self.table.entries.get(op, {}).get(ws, {})
-        cur = row.get(bucket)
-        if cur is None:
-            return  # only trial cells the table explicitly serves
-        if self._hash(op, bucket, idx) / 2**32 >= self.cfg.epsilon:
-            return
-        quarantined = self._sh.quarantined
-        alts = [
-            name
-            for name in self.comm.backends
-            if name != cur and name not in quarantined
-        ]
-        if not alts:
-            return
-        alt = alts[self._hash(op, bucket, idx, "alt") % len(alts)]
-        table = self.table
-        table.add(op, ws, bucket, alt)
-        self._schedule_post(idx + 1, lambda: table.add(op, ws, bucket, cur))
+    def mark_trial(self, op: str, bucket: int, idx: int) -> None:
+        """Count one rank's post of the epsilon trial at ``idx``: the
+        first poster counts the logical trial, the last drops the mark."""
         mark = (op, bucket, idx)
-        sh = self._sh
-        if mark not in sh.trial_marks:
-            # one logical trial, marked by whichever rank posts first
-            sh.trial_marks.add(mark)
+        seen = self.trial_marks.get(mark, 0)
+        if seen == 0:
             key = (op, bucket)
-            sh.trials_posted[key] = sh.trials_posted.get(key, 0) + 1
-        self._emit("explore", alt, detail=f"epsilon-trial@{op}/{bucket}")
-
-    # -- probation (quarantine recovery) -----------------------------------
-
-    def on_quarantine(self, backend_name: str) -> None:
-        """Called by ``Health.quarantine`` — post domain, at the same op
-        index on every rank."""
-        self._sh.quarantined.add(backend_name)
-        interval = self.cfg.probation_interval
-        if interval > 0:
-            self._schedule_post(
-                self._op_index + interval, lambda: self._probe(backend_name)
-            )
-            self._emit(
-                "probation",
-                backend_name,
-                detail=f"scheduled@+{interval}",
-            )
-
-    def _probe(self, backend_name: str) -> None:
-        """One probation probe (runs in before_op at a matched op index):
-        ``health.probe`` consults the fault injector under the backend's
-        own op counter; on a healthy verdict un-quarantine and post a
-        timing-only canary that re-seeds the backend's observed latency."""
-        health = self.comm.health
-        if backend_name not in health.quarantined:
-            self._sh.quarantined.discard(backend_name)
-            return
-        self.stats["probation"] += 1
-        fault, _ = health.probe(backend_name)
-        if fault is not None:
-            self._emit(
-                "probation", backend_name, detail=f"probe-failed@{self._op_index}"
-            )
-            if self.cfg.probation_interval > 0:
-                self._schedule_post(
-                    self._op_index + self.cfg.probation_interval,
-                    lambda: self._probe(backend_name),
-                )
-            return
-        self._sh.quarantined.discard(backend_name)
-        health.unquarantine(
-            backend_name, f"probation probe cleared at op {self._op_index}"
-        )
-        self._emit("probation", backend_name, detail="recovered")
-        self._canary(backend_name)
-
-    def _canary(self, backend_name: str) -> None:
-        """Timing-only allreduce on the recovered backend: every rank
-        posts it at the same op index (we are inside before_op), so the
-        rendezvous matches; ``quiet`` keeps it from counting as a new
-        adaptive op while its completion still feeds the EMA."""
-        tensor = self.ctx.virtual_tensor(max(1, CANARY_BYTES // 4))
-        self.quiet = True
-        try:
-            self.comm.all_reduce(backend_name, tensor)
-        finally:
-            self.quiet = False
-
-    # -- completion domain -------------------------------------------------
-
-    def attach(
-        self,
-        family: OpFamily,
-        backend_name: str,
-        nbytes: int,
-        rdv,
-        auto: bool,
-    ) -> None:
-        """Register the observation for one posted collective on its
-        rendezvous flag.  ``fire()`` runs all ranks' callbacks at one
-        global instant with one shared duration, which is what makes the
-        per-rank observation streams identical."""
-        cell_key = (family.value, message_bucket(nbytes))
-        flag = rdv.flag
-
-        def emit() -> None:
-            duration = rdv.duration
-            if duration:
-                self.on_complete(cell_key, family, backend_name, duration, auto)
-
-        if flag.is_set:
-            emit()
+            self.trials_posted[key] = self.trials_posted.get(key, 0) + 1
+        if seen + 1 == self.world_size:
+            del self.trial_marks[mark]
         else:
-            flag.callbacks.append(emit)
+            self.trial_marks[mark] = seen + 1
 
     def on_complete(
         self,
-        cell_key: tuple[str, int],
         family: OpFamily,
+        nbytes: int,
         backend_name: str,
         duration: float,
         auto: bool,
     ) -> None:
-        cell = self._cells.get(cell_key)
+        """Ingest one completed collective (a flag callback, run once)."""
+        cell_key = (family.value, message_bucket(nbytes))
+        cell = self.cells.get(cell_key)
         if cell is None:
-            cell = self._cells[cell_key] = _Cell(family=family, bucket=cell_key[1])
+            cell = self.cells[cell_key] = _Cell(family=family, bucket=cell_key[1])
         cell.completions += 1
         alpha = EMA_ALPHA
         prev = cell.ema.get(backend_name)
@@ -350,12 +181,18 @@ class AdaptiveRetuner:
         if not auto:
             return  # explicit dispatch is measured but never retuned
         if cell.mode == "explore":
-            self._explore_step(cell, cell_key, backend_name)
+            self._explore_step(cell, backend_name)
         elif cell.mode == "cooldown":
             if cell.completions >= cell.cooldown_until:
                 cell.mode = "steady"
         else:
             self._steady_step(cell, cell_key, backend_name)
+
+    def _edit(self, cell: _Cell, backend_name: str, offset: int = 0) -> None:
+        """Decide one table edit, effective at an op index no rank has
+        posted yet, so every rank applies it before resolving that op."""
+        effect = self.max_posted + 1 + offset
+        self.edits.append((effect, cell.family.value, cell.bucket, backend_name))
 
     def _steady_step(
         self, cell: _Cell, cell_key: tuple[str, int], backend_name: str
@@ -364,7 +201,7 @@ class AdaptiveRetuner:
         if cell.current is None:
             cell.current = backend_name
         elif backend_name != cell.current:
-            posted = self._sh.trials_posted.get(cell_key, 0)
+            posted = self.trials_posted.get(cell_key, 0)
             if cell.trials_seen < posted:
                 cell.trials_seen += 1  # an epsilon trial, not a move
             else:
@@ -397,19 +234,18 @@ class AdaptiveRetuner:
         if trigger is None:
             return
         self.stats["drift"] += 1
-        self._emit("drift", cur, detail=f"{cell_key[0]}/{cell_key[1]} {trigger}")
+        self.emit("drift", cur, detail=f"{cell_key[0]}/{cell_key[1]} {trigger}")
         self._start_explore(cell, cell_key)
 
     def _candidates(self, cell: _Cell) -> list[str]:
         """Exploration candidates: live flat backends first, then
         ``hier:*`` composites of live constituents, capped at
-        :data:`MAX_CANDIDATES`.  Quarantine state comes from the shared
-        mirror — this runs in the completion domain."""
-        quarantined = self._sh.quarantined
+        :data:`MAX_CANDIDATES`."""
+        quarantined = self.quarantined
         cur = cell.current
-        live = [n for n in self.comm.backends if n not in quarantined]
+        live = [n for n in self.backends if n not in quarantined]
         out = [n for n in live if n != cur]
-        if self._multinode and cell.family in HIER_FAMILIES:
+        if self.multinode and cell.family in HIER_FAMILIES:
             for intra in live:
                 for inter in live:
                     if intra == inter:
@@ -443,37 +279,30 @@ class AdaptiveRetuner:
         cell.explore_deadline = (
             cell.completions + (len(flats) + 2) * cfg.explore_ops + 8
         )
-        op, ws, bucket = cell.family.value, self.comm.world_size, cell.bucket
-        table = self.table
         for i, cand in enumerate(flats):
             # candidate i serves ops [base + i*E, base + (i+1)*E); the
             # last one keeps serving until the commit edit lands
-            self._schedule_fire(
-                lambda c=cand: table.add(op, ws, bucket, c),
-                offset=i * cfg.explore_ops,
-            )
+            self._edit(cell, cand, offset=i * cfg.explore_ops)
         self.stats["explore"] += 1
-        self._emit(
+        self.emit(
             "explore",
             ",".join(candidates),
             detail=f"sweep {cell_key[0]}/{cell_key[1]}",
         )
         if not flats:
-            self._commit(cell, cell_key)  # hier-only: score analytically
+            self._commit(cell)  # hier-only: score analytically
 
-    def _explore_step(
-        self, cell: _Cell, cell_key: tuple[str, int], backend_name: str
-    ) -> None:
+    def _explore_step(self, cell: _Cell, backend_name: str) -> None:
         remaining = cell.explore_remaining
         owed = remaining.get(backend_name)
         if owed is not None and owed > 0:
             remaining[backend_name] = owed - 1
         done = all(v <= 0 for v in remaining.values())
         if done or cell.completions >= cell.explore_deadline:
-            self._commit(cell, cell_key)
+            self._commit(cell)
 
-    def _commit(self, cell: _Cell, cell_key: tuple[str, int]) -> None:
-        """Pick the sweep winner and schedule the table edit.  Flat
+    def _commit(self, cell: _Cell) -> None:
+        """Pick the sweep winner and decide the table edit.  Flat
         candidates score by measured EMA; hier composites by analytic
         phase costs scaled with their constituents' observed drift
         (composites are never measured directly — a phase group has no
@@ -494,32 +323,29 @@ class AdaptiveRetuner:
             return
         winner = min(sorted(scores), key=lambda name: scores[name])
         previous = cell.current
-        op, ws, bucket = cell.family.value, self.comm.world_size, cell.bucket
-        table = self.table
-        self._schedule_fire(lambda: table.add(op, ws, bucket, winner))
+        self._edit(cell, winner)
         cell.current = winner
         cell.baseline[winner] = scores[winner]
         cell.mode = "cooldown"
         cell.cooldown_until = cell.completions + COOLDOWN_OPS
         self.stats["retune"] += 1
-        self._emit("retune", winner, detail=f"{previous}->{winner}")
+        self.emit("retune", winner, detail=f"{previous}->{winner}")
 
     # -- pricing -----------------------------------------------------------
 
     def _expected(self, cell: _Cell, backend_name: str) -> float:
-        """Analytic expectation for one cell/backend: the resolving
-        rank's duration composition, ``price_us`` without overheads
-        (codec and staging extras are approximated away)."""
+        """Analytic expectation for one cell/backend: the resolver's
+        duration composition, ``price_us`` without overheads (codec and
+        staging extras are approximated away)."""
         cached = cell.analytic.get(backend_name)
         if cached is not None:
             return cached
-        comm = self.comm
-        backend = comm.backends.get(backend_name)
+        backend = self.backends.get(backend_name)
         if backend is None:
             return 0.0
         cost = cell.analytic[backend_name] = price_us(
-            self.ctx.system, backend, cell.family, cell.bucket, comm.world_size,
-            comm._group.comm_path, comm.config, overheads=False,
+            self.system, backend, cell.family, cell.bucket, self.world_size,
+            self.comm_path, self.config, overheads=False,
         )
         return cost
 
@@ -529,8 +355,7 @@ class AdaptiveRetuner:
         except BackendError:
             return None
         phases = hier_cost_phases(
-            self.ctx.system, spec, cell.family, cell.bucket,
-            self.comm.world_size, self.comm.config,
+            self.system, spec, cell.family, cell.bucket, self.world_size, self.config,
         )
         if phases is None:
             return None
@@ -551,34 +376,191 @@ class AdaptiveRetuner:
 
     # -- observability -----------------------------------------------------
 
-    def _emit(self, action: str, backend: str, detail: str = "") -> None:
-        """One ``kind="adapt"`` ObsEvent per logical action, emitted by
-        the group's lead rank only so ``tuning.adapt.*`` counters read
-        as one increment per decision."""
-        obs = self.comm._obs
-        if obs is None or not self._lead:
+    def emit(self, action: str, backend: str, detail: str = "") -> None:
+        """One ``kind="adapt"`` ObsEvent per logical action, attributed
+        to the group's lead rank at ``engine.now``, so
+        ``tuning.adapt.*`` counters read as one increment per decision."""
+        obs = self.obs
+        if obs is None:
             return
-        now = self.ctx.now
+        now = self.engine.now
         obs.observe(
             ObsEvent(
                 kind="adapt",
-                rank=self.ctx.rank,
+                rank=self.lead,
                 stream="",
                 backend=backend,
                 family=action,
                 nbytes=0,
-                step=obs.current_step(self.ctx.rank),
+                step=obs.current_step(self.lead),
                 start=now,
                 end=now,
                 detail=detail,
             )
         )
 
+
+class AdaptiveRetuner:
+    """The post domain of adaptive dispatch: one per rank per top-level
+    communicator (``adaptive.enabled``).
+
+    The owning communicator clones its tuning table at construction, so
+    the edits this retuner applies stay rank-private.
+    """
+
+    def __init__(self, comm: "CommCore"):
+        self.comm = comm
+        self.ctx = comm.ctx
+        self.cfg = comm.config.adaptive
+        self.table = comm.tuning_table
+        state = comm._group.state
+        self.book = state.adapt = state.adapt or CellBook(comm)
+        #: the book's edits already moved into the pending heap
+        self._edits_seen = len(self.book.edits)
+        #: posted-collective index on this communicator
+        self._op_index = 0
+        #: pending actions: (effect op index, domain, seq, fn) heap;
+        #: domain 0 is scheduled here at matched op indexes, domain 1 is
+        #: the book's edits with ``seq`` their position in ``book.edits``
+        self._pending: list = []
+        self._post_seq = 0
+        #: reentrancy guard: a probation canary posts a real collective
+        #: from inside before_op; it must not count as a new op
+        self.quiet = False
+        self._lead = comm.ctx.rank == comm.group_ranks[0]
+        self.probations = 0
+
+    def before_op(self, family: OpFamily, nbytes: int) -> None:
+        """Hook run once per posted collective, before backend
+        resolution, so pending table edits affect the op being posted."""
+        self._op_index += 1
+        idx = self._op_index
+        book = self.book
+        if idx > book.max_posted:
+            book.max_posted = idx
+        pending = self._pending
+        edits = book.edits
+        if self._edits_seen < len(edits):
+            # each was decided for an index no rank had posted yet, so
+            # none is due before this one
+            ws, add = self.comm.world_size, self.table.add
+            for seq in range(self._edits_seen, len(edits)):
+                effect, op, bucket, name = edits[seq]
+                heapq.heappush(pending, (effect, 1, seq, partial(add, op, ws, bucket, name)))
+            self._edits_seen = len(edits)
+        while pending and pending[0][0] <= idx:
+            heapq.heappop(pending)[-1]()
+        if self.cfg.epsilon > 0.0:
+            self._maybe_trial(family, nbytes, idx)
+
+    def _schedule_post(self, effect: int, fn: Callable[[], None]) -> None:
+        """Schedule at an op index every rank reaches the same way."""
+        self._post_seq += 1
+        heapq.heappush(self._pending, (effect, 0, self._post_seq, fn))
+
+    def _hash(self, *parts) -> int:
+        key = "|".join(
+            str(p) for p in (EXPLORE_SEED, self.comm.comm_id, *parts)
+        )
+        return zlib.crc32(key.encode("utf-8"))
+
+    def _maybe_trial(self, family: OpFamily, nbytes: int, idx: int) -> None:
+        """Steady-state epsilon exploration: with probability ``epsilon``
+        (a deterministic per-op hash, so all ranks draw identically),
+        serve this one op on an alternate backend to keep its EMA fresh,
+        restoring the table entry at the next op index."""
+        op = family.value
+        ws = self.comm.world_size
+        bucket = message_bucket(nbytes)
+        row = self.table.entries.get(op, {}).get(ws, {})
+        cur = row.get(bucket)
+        if cur is None:
+            return  # only trial cells the table explicitly serves
+        if self._hash(op, bucket, idx) / 2**32 >= self.cfg.epsilon:
+            return
+        quarantined = self.book.quarantined
+        alts = [
+            name
+            for name in self.comm.backends
+            if name != cur and name not in quarantined
+        ]
+        if not alts:
+            return
+        alt = alts[self._hash(op, bucket, idx, "alt") % len(alts)]
+        table = self.table
+        table.add(op, ws, bucket, alt)
+        self._schedule_post(idx + 1, lambda: table.add(op, ws, bucket, cur))
+        self.book.mark_trial(op, bucket, idx)
+        self._emit("explore", alt, detail=f"epsilon-trial@{op}/{bucket}")
+
+    # -- probation (quarantine recovery) -----------------------------------
+
+    def on_quarantine(self, backend_name: str) -> None:
+        """Called by ``Health.quarantine`` — post domain, at the same op
+        index on every rank."""
+        self.book.quarantined.add(backend_name)
+        interval = self.cfg.probation_interval
+        if interval > 0:
+            self._schedule_post(
+                self._op_index + interval, lambda: self._probe(backend_name)
+            )
+            self._emit(
+                "probation",
+                backend_name,
+                detail=f"scheduled@+{interval}",
+            )
+
+    def _probe(self, backend_name: str) -> None:
+        """One probation probe (runs in before_op at a matched op index):
+        ``health.probe`` consults the fault injector under the backend's
+        own op counter; on a healthy verdict un-quarantine and post a
+        timing-only canary that re-seeds the backend's observed latency."""
+        health = self.comm.health
+        if backend_name not in health.quarantined:
+            self.book.quarantined.discard(backend_name)
+            return
+        self.probations += 1
+        fault, _ = health.probe(backend_name)
+        if fault is not None:
+            self._emit(
+                "probation", backend_name, detail=f"probe-failed@{self._op_index}"
+            )
+            if self.cfg.probation_interval > 0:
+                self._schedule_post(
+                    self._op_index + self.cfg.probation_interval,
+                    lambda: self._probe(backend_name),
+                )
+            return
+        self.book.quarantined.discard(backend_name)
+        health.unquarantine(
+            backend_name, f"probation probe cleared at op {self._op_index}"
+        )
+        self._emit("probation", backend_name, detail="recovered")
+        self._canary(backend_name)
+
+    def _canary(self, backend_name: str) -> None:
+        """Timing-only allreduce on the recovered backend: every rank
+        posts it at the same op index (we are inside before_op), so the
+        rendezvous matches; ``quiet`` keeps it from counting as a new
+        adaptive op while its completion still feeds the book."""
+        tensor = self.ctx.virtual_tensor(max(1, CANARY_BYTES // 4))
+        self.quiet = True
+        try:
+            self.comm.all_reduce(backend_name, tensor)
+        finally:
+            self.quiet = False
+
+    def _emit(self, action: str, backend: str, detail: str = "") -> None:
+        """A post-domain action is taken by every rank; the lead's
+        stands for all."""
+        if self._lead:
+            self.book.emit(action, backend, detail)
+
     def snapshot(self) -> dict:
         """Debug/report view: per-cell EMA state and action counts."""
         return {
             "ops": self._op_index,
-            "stats": dict(self.stats),
+            "stats": {**self.book.stats, "probation": self.probations},
             "cells": {
                 f"{key[0]}/{key[1]}": {
                     "mode": cell.mode,
@@ -587,6 +569,6 @@ class AdaptiveRetuner:
                     "ema": {k: round(v, 3) for k, v in cell.ema.items()},
                     "count": dict(cell.count),
                 }
-                for key, cell in sorted(self._cells.items())
+                for key, cell in sorted(self.book.cells.items())
             },
         }

@@ -168,9 +168,9 @@ class MCRCommunicator(DispatchLayer, ExecutionLayer):
         #: the healthy hot path free of extra float ops
         self._link_faults = getattr(ctx.system, "link_degradation", None) is not None
 
-        # online adaptive dispatch (repro.core.adaptive): one retuner
-        # per rank per communicator.  None keeps every adaptive hook
-        # at a single is-None check (zero cost when off).
+        # online adaptive dispatch (repro.core.adaptive): a retuner per
+        # rank, a CellBook per group.  None keeps every adaptive hook at
+        # a single is-None check (zero cost when off).
         if self.config.adaptive.enabled:
             from repro.core.adaptive import AdaptiveRetuner
 

@@ -62,8 +62,8 @@ def flat_buffer(tensor: SimTensor) -> np.ndarray:
 @dataclass(slots=True, eq=False)
 class CommState:
     """What the member ranks of one group share under one ``comm_id``:
-    its open rendezvous, its p2p channels, and the single-copy state the
-    adaptive retuner and fusion's route table keep there once used."""
+    its open rendezvous, its p2p channels, the adaptive ``CellBook``
+    and fusion's route table, the last two once used."""
 
     rdv: dict = field(default_factory=dict)
     p2p: defaultdict = field(
@@ -333,7 +333,7 @@ class ExecutionLayer:
         rdv, member = self._arrive(group, key, spec.family, prep, plan)
         if len(rdv.arrivals) == ws:
             del group.state.rdv[key]
-            self._resolve_collective(group, spec, prep, plan, rdv, async_op)
+            self._resolve_collective(group, spec, backend_name, prep, plan, rdv, async_op)
         return self._complete_collective(
             group, spec.family, backend_name, prep.nbytes, plan, rdv, member, async_op
         )
@@ -376,14 +376,15 @@ class ExecutionLayer:
         return rdv, member
 
     def _resolve_collective(
-        self, group: Group, spec, prep, plan, rdv: Rendezvous, async_op: bool
+        self, group: Group, spec, backend_name: str, prep, plan, rdv: Rendezvous,
+        async_op: bool,
     ) -> None:
         """Resolve ``rdv`` once, on its last arrival: the one place a
         transfer's duration is set (price, link faults, codec, host
-        staging, an alltoallv's critical bytes).  The transfer then goes
-        to its wire lane: a host-path one is admitted here and fires the
-        flag, a stream one when ``graph.resolve`` finds its members
-        ready."""
+        staging, an alltoallv's critical bytes) and the adaptive
+        observation attached.  The transfer then goes to its wire lane:
+        a host-path one is admitted here and fires the flag, a stream
+        one when ``graph.resolve`` finds its members ready."""
         ctx = self.ctx
         family, backend = spec.family, plan.backend
         wire_bytes = plan.wire_bytes
@@ -408,6 +409,12 @@ class ExecutionLayer:
             # Listing-2 style device->host->device copies around the op
             duration += 2.0 * ctx.system.host_staging_us(wire_bytes)
         rdv.duration = duration  # before fire: deferred log emits read it
+        if group.retuner is not None and duration:
+            # the group's one observation, fed at the flag's fire instant
+            rdv.flag.callbacks.append(partial(
+                group.state.adapt.on_complete, family, prep.nbytes, backend.name,
+                duration, backend_name == "auto",
+            ))
         admit = self._job.lanes.admission(backend, family, wire_bytes, duration)
         move = None if plan.timing_only else prep.move
         codec = plan.codec
@@ -445,8 +452,8 @@ class ExecutionLayer:
         self, group: Group, family: OpFamily, backend_name: str, nbytes: int, plan,
         rdv: Rendezvous, member, async_op: bool,
     ) -> Optional[WorkHandle]:
-        """Complete one post: its log record, the retuner's observation,
-        and handle or wait semantics."""
+        """Complete one post: its log record and handle or wait
+        semantics."""
         ctx, backend, label = self.ctx, plan.backend, plan.label
         if self.logger is not None:
             self._log_on_flag(
@@ -454,11 +461,6 @@ class ExecutionLayer:
                 dispatch=self._dispatch_kind(backend_name, plan.resolved_name, backend.name),
                 stream="host" if member is None else member.stream.name, phase=group.tag,
             )
-        if group.retuner is not None:
-            # observation rides the rendezvous flag: fire() runs every
-            # rank's callback at one instant with one shared duration,
-            # keeping the per-rank observation streams identical
-            group.retuner.attach(family, backend.name, nbytes, rdv, backend_name == "auto")
         deadline_us = self.config.op_deadline_us
         timeout_info = None
         if deadline_us is not None:

@@ -9,8 +9,10 @@ fact that a run *finishes* is itself the no-deadlock assertion.
 
 import pytest
 
+from repro.backends.ops import OpFamily
 from repro.cluster import lassen
 from repro.core import MCRCommunicator, MCRConfig, TuningTable
+from repro.core.adaptive import CellBook
 from repro.core.config import AdaptiveConfig
 from repro.sim import Simulator
 from repro.sim.faults import FaultSpec
@@ -111,6 +113,44 @@ class TestAdaptiveConfig:
             assert snap is None and entries is None
 
 
+class TestCellBook:
+    def test_one_observation_per_collective(self, monkeypatch):
+        """The group's one book ingests each collective of the
+        communicator's own group once, not once per rank; a composite's
+        phase groups are not observed."""
+        calls = []
+        on_complete = CellBook.on_complete
+
+        def counted(book, *args):
+            calls.append(args[:3])
+            on_complete(book, *args)
+
+        monkeypatch.setattr(CellBook, "on_complete", counted)
+
+        def rank_main(ctx):
+            comm = MCRCommunicator(
+                ctx, ["nccl", "mvapich2-gdr"],
+                config=MCRConfig(adaptive=adaptive_config()),
+                tuning_table=degraded_table(8), comm_id="adapt-once",
+            )
+            x = ctx.virtual_tensor(NBYTES // 4)
+            for _ in range(10):
+                comm.all_reduce("auto", x)
+            for _ in range(4):
+                out, x_small = ctx.virtual_tensor(8 * 256), ctx.virtual_tensor(256)
+                comm.all_gather("mvapich2-gdr", out, x_small)
+            for _ in range(3):
+                comm.all_reduce("hier:nccl+mvapich2-gdr", x)
+            comm.synchronize()
+            comm.finalize()
+            return comm.retuner.snapshot()["ops"]
+
+        ops = Simulator(8, system=lassen()).run(rank_main).rank_results
+        assert ops == [17] * 8
+        assert len(calls) == 14
+        assert calls.count((OpFamily.ALLREDUCE, NBYTES, "nccl")) == 10
+
+
 class TestDriftRetune:
     """A mid-run degraded link must flip the cell off its tuned pick."""
 
@@ -171,6 +211,36 @@ class TestEpsilonTrials:
         # ...but the cell and table still serve the tuned pick
         assert cell["current"] == "nccl"
         assert entries[0]["allreduce"][16][NBYTES] == "nccl"
+
+    def test_trial_marks_are_released(self):
+        """Each epsilon trial's mark is dropped once every group rank has
+        posted it, like fusion's route table."""
+        table = degraded_table(4)
+        adaptive = adaptive_config(epsilon=0.2, drift_ratio=10.0)
+
+        def rank_main(ctx):
+            comm = MCRCommunicator(
+                ctx, ["nccl", "mvapich2-gdr"], config=MCRConfig(adaptive=adaptive),
+                tuning_table=table, comm_id="adapt-marks",
+            )
+            x = ctx.virtual_tensor(NBYTES // 4)
+            for _ in range(500):
+                comm.all_reduce("auto", x, async_op=True).synchronize()
+            book = comm._group.state.adapt
+            out = (
+                len(book.trial_marks),
+                sum(book.trials_posted.values()),
+                str(comm.retuner.snapshot()),
+                str(comm.retuner.table.entries),
+            )
+            comm.finalize()
+            return out
+
+        results = Simulator(4, system=lassen()).run(rank_main).rank_results
+        marks, trials, snaps, tables = zip(*results)
+        assert marks == (0, 0, 0, 0)
+        assert trials[0] > 0
+        assert len(set(snaps)) == 1 and len(set(tables)) == 1
 
 
 class TestProbation:

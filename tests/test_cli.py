@@ -120,6 +120,26 @@ class TestTrain:
         assert rc == 0
         assert json.loads(capsys.readouterr().out)["plan"] == "MCR-DL-T"
 
+    def test_train_adapt_keeps_the_healthy_step_time(self, tmp_path, capsys):
+        """``--adapt`` runs Trainer -> CommDriver -> retuner; on a healthy
+        fabric the tuned table never drifts, so the step time is the
+        adaptive-off one (INTERNALS §14)."""
+        table = tmp_path / "t.json"
+        assert main([
+            "tune", "--system", "thetagpu", "--world-sizes", "4",
+            "--num-sizes", "6", "--out", str(table),
+        ]) == 0
+        capsys.readouterr()
+        run = [
+            "train", "--model", "dlrm", "--system", "thetagpu", "--world", "4",
+            "--plan", "tuned", "--table", str(table), "--steps", "3",
+        ]
+        step_us = []
+        for extra in ([], ["--adapt"]):
+            assert main(run + extra) == 0
+            step_us.append(json.loads(capsys.readouterr().out)["step_time_us"])
+        assert step_us[0] == step_us[1] == 5708.538186986298
+
     def test_unknown_model_rejected(self):
         with pytest.raises(SystemExit, match="unknown model"):
             main(["train", "--model", "bert"])

@@ -7,8 +7,9 @@ including NCCL, which has no native vectored collectives.
 import numpy as np
 import pytest
 
-from repro.core import MCRCommunicator, ValidationError
+from repro.core import MCRCommunicator, TuningTable, ValidationError
 from repro.sim import Simulator
+from repro.sim.errors import DeadlockError
 
 BACKENDS = ["nccl", "mvapich2-gdr"]
 
@@ -120,6 +121,33 @@ class TestAllToAllv:
         results = spmd(2, fn)
         assert np.array_equal(results[0], [0, 1])
         assert np.array_equal(results[1], [0, 1])
+
+
+@pytest.mark.xfail(
+    raises=DeadlockError,
+    strict=True,
+    reason="auto all_to_allv keys the table on each rank's own send total: "
+    "ranks whose totals fall in different buckets resolve different "
+    "backends and never meet (ROADMAP item 8)",
+)
+def test_auto_alltoallv_with_send_totals_in_different_buckets_completes():
+    table = TuningTable(system="thetagpu")
+    table.add("alltoall", 2, 1 << 10, "nccl")
+    table.add("alltoall", 2, 1 << 20, "mvapich2-gdr")
+    rcounts = [16, 200000]
+
+    def main(ctx):
+        comm = MCRCommunicator(ctx, BACKENDS, tuning_table=table)
+        scounts = [16, 16] if ctx.rank == 0 else [200000, 200000]
+        out = ctx.zeros(sum(rcounts))
+        comm.all_to_allv(
+            "auto", out, ctx.zeros(sum(scounts)), scounts=scounts, rcounts=rcounts
+        )
+        comm.synchronize()
+        comm.finalize()
+        return True
+
+    assert Simulator(2).run(main).rank_results == [True, True]
 
 
 class TestVectoredValidation:

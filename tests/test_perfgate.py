@@ -117,6 +117,13 @@ def test_moved_sim_value_fails(monkeypatch, tmp_path):
     assert _gate(monkeypatch, tmp_path, _committed(), moved) == 1
 
 
+def test_moved_det_value_fails(monkeypatch, tmp_path):
+    # an engine count is gated like a simulated value
+    moved = _committed("engine_events", det_handoffs=29908)
+    assert "det_handoffs" in perfgate.failures_of(_committed(), moved)[0]
+    assert _gate(monkeypatch, tmp_path, _committed(), moved) == 1
+
+
 def test_scenario_absent_from_baseline_fails(monkeypatch, tmp_path):
     baseline = _committed()
     del baseline["tuned_step"]
