@@ -417,13 +417,19 @@ def adaptive_degraded_link() -> dict:
 def dsmoe_step() -> dict:
     """One measured DS-MoE step at 64 ranks under a mixed plan: the
     end-to-end composition (model, plan dispatch, rendezvous, wire-lane
-    contention) that Figure 8 runs dozens of times."""
+    contention) that Figure 8 runs dozens of times.  Also pins the
+    engine's event, handoff and inline counts for the run, the
+    deterministic proxy of what the lookahead (INTERNALS §5) saves."""
     from repro.cluster import lassen
     from repro.models import BackendPlan, DSMoEModel, Trainer
 
-    trainer = Trainer(lassen(), steps=2, warmup=1)
+    trainer = Trainer(lassen(), steps=2, warmup=1, metrics=True)
     result = trainer.run(DSMoEModel(), 64, BackendPlan.mixed(label="MCR-DL"))
+    gauges = result.metrics.gauges
     return {
+        "det_events": gauges["engine.events_dispatched"],
+        "det_handoffs": gauges["engine.handoffs"],
+        "det_inline": gauges["engine.inline"],
         "sim_step_us": result.step_time_us,
         "sim_samples_per_sec": result.samples_per_sec,
     }

@@ -297,15 +297,13 @@ class ExecutionLayer:
             resolves = rdv is not None and len(rdv.arrivals) == ws - 1
         # the dispatch cost is lookahead (INTERNALS §5): the post stamps
         # its arrival at now + cost and keeps running.  It yields instead
-        # when it resolves the rendezvous, when the rank already runs
-        # ahead and no host wait ends the op, and where the post time
-        # must be seen (pre-post sync, naive mode, deadlines, retuner)
+        # when it resolves the rendezvous and where the post time must be
+        # seen (pre-post sync, naive mode, deadlines, retuner)
         if (
             resolves
             or plan.host_sync
             or self.config.op_deadline_us is not None
             or group.retuner is not None
-            or (async_op or plan.stream_semantics) and engine.ahead
         ):
             # ``wait_until`` directly: it skips ``Engine.sleep``'s frame
             engine.wait_until(engine.now + dispatch_cost, plan.dispatch_reason)

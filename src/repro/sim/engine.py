@@ -7,10 +7,12 @@ Virtual time is microseconds (float), and :attr:`Engine.now` is the
 *running process's own clock*: a dispatch sets it to the popped event's
 time, and a process may move it forward without yielding
 (:meth:`Engine.advance`, the lookahead of conservative parallel DES, for
-host work no other process can observe).  A process whose clock is past
-the earliest pending event is *ahead*; :meth:`Engine.settle` parks it
-until every earlier event has run, and every read of another process's
-progress settles first.  Events at equal times pop by ``(time, process
+host work no other process can observe: a kernel launch's overhead and
+the dispatch cost of a post that does not resolve).  Lookahead is no
+event, but it is charged to the event budget.  A process whose clock is
+past the earliest pending event is *ahead*; :meth:`Engine.settle` parks
+it until every earlier event has run, and every read of another
+process's progress settles first.  Events at equal times pop by ``(time, process
 tie key, sequence)``; the tie key is the process index (:func:`tie_keys`).
 
 This is the classic process-interaction DES style (as in SimPy), using
@@ -236,6 +238,10 @@ class Engine:
         self._handoffs = 0
         self._inline = 0
         self._max_events = max_events
+        #: what is left of ``max_events``: charged by every dispatch and
+        #: inline wait, and by every :meth:`advance`, which is no event
+        #: but must not let a runaway lookahead loop escape the budget
+        self._budget = max_events
         self._current: Optional[_Proc] = None
 
     def stats(self) -> dict:
@@ -306,7 +312,8 @@ class Engine:
             self._main_baton.set()
             return True
         self._events_dispatched += 1
-        if self._events_dispatched > self._max_events:
+        self._budget -= 1
+        if self._budget < 0:
             self._fail(SimError(f"event budget exceeded ({self._max_events})"))
             return True
         while self._heap:
@@ -372,7 +379,12 @@ class Engine:
         """Move the running process's own clock to ``time`` without
         yielding: lookahead over host work that no other process can
         observe before ``time``.  The process may then be :attr:`ahead`;
-        reads of other processes' progress :meth:`settle` first."""
+        reads of other processes' progress :meth:`settle` first.  Each
+        call is charged to the event budget, as an inline wait is."""
+        self._budget -= 1
+        if self._budget < 0:
+            self._fail(SimError(f"event budget exceeded ({self._max_events})"))
+            raise _Kill()
         if time > self.now:
             self.now = time
             if time > self._latest:
@@ -402,7 +414,8 @@ class Engine:
             # budget is still charged so runaway single-process loops are
             # caught exactly as before.
             self._events_dispatched += 1
-            if self._events_dispatched > self._max_events:
+            self._budget -= 1
+            if self._budget < 0:
                 self._fail(SimError(f"event budget exceeded ({self._max_events})"))
                 raise _Kill()
             self._inline += 1

@@ -101,9 +101,10 @@ class RankContext:
         The host does *not* block for the kernel itself.
         """
         stream = stream or self.gpu.default_stream
-        # plain label as the reason: launch overhead is a pure time advance
-        # on the hot path and the f-string decoration was pure overhead
-        self.engine.sleep(self.gpu.kernel_launch_overhead_us, label)
+        # the launch overhead is lookahead (INTERNALS §1): host work no
+        # other rank can observe, so the clock advances without a yield
+        engine = self.engine
+        engine.advance(engine.now + self.gpu.kernel_launch_overhead_us)
         return stream.enqueue(
             duration_us * self.compute_scale, deps=deps, label=label, category=category
         )

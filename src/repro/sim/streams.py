@@ -75,14 +75,19 @@ class Stream:
         """Make the next enqueued op wait for ``node`` (the host does not).
 
         Resolved gates fold into one float floor — ``max`` is exact and
-        order-free, so start times are the same as keeping the nodes —
-        and only unresolved nodes are kept, so a stream that is gated
-        often but enqueued on rarely holds work in flight, not history.
+        order-free, so start times are the same as keeping the nodes.
+        Unresolved gates fold per stream: when ``node`` is the newest op
+        on its stream, FIFO order means it ends no earlier than any
+        pending gate from that stream, so it supersedes them.  A stream
+        that is gated often but enqueued on rarely so holds at most one
+        pending gate per gating stream, not history.
         """
+        superseded = node.stream if node.stream.last is node else None
         pending = []
         for gate in (*self._gates, node):
             if gate.end is None:
-                pending.append(gate)
+                if gate is node or gate.stream is not superseded:
+                    pending.append(gate)
             elif gate.end > self._gate_floor:
                 self._gate_floor = gate.end
         self._gates = pending
@@ -254,6 +259,8 @@ class GPU:
         tracer: Optional[Tracer] = None,
         kernel_launch_overhead_us: float = 4.0,
     ):
+        if kernel_launch_overhead_us < 0:
+            raise SimError(f"negative kernel launch overhead {kernel_launch_overhead_us}")
         self.engine = engine
         self.index = index
         self.tracer = tracer

@@ -30,9 +30,9 @@ GOLDEN_SHA256 = {
     "stdout": "20249646be63899d6c0b1f25d279a167edc141d0809483631370b8e67479dc08",
 }
 ENGINE_GAUGES = {
-    "engine.events_dispatched": 3753,
-    "engine.handoffs": 3567,
-    "engine.inline": 185,
+    "engine.events_dispatched": 1515,
+    "engine.handoffs": 1296,
+    "engine.inline": 218,
 }
 
 

@@ -57,6 +57,13 @@ class TestStreamFifo:
         with pytest.raises(SimError):
             run1(body)
 
+    def test_negative_launch_overhead_rejected(self):
+        def body(ctx):
+            ctx.launch(5)
+
+        with pytest.raises(SimError, match="launch overhead"):
+            run1(body, kernel_launch_overhead_us=-1.0)
+
 
 class TestEvents:
     def test_record_then_wait_orders_across_streams(self):

@@ -7,10 +7,11 @@ in a seeded permutation of the process indices and reruns the
 determinism programs, the ``hier_allreduce`` and
 ``adaptive_degraded_link`` ledger scenarios and a real-data program.
 
-Data identity and deadlock-freedom must hold under every order.
-Simulated time need not yet: where it moves, the case is a strict
-xfail naming why, so a change that makes it order-free turns it red
-until the mark goes.
+Data identity and deadlock-freedom must hold under every order, and so
+must simulated time on every case here.  A case whose time is known to
+move goes in ``MOVES`` as a strict xfail naming why, so a change that
+makes it order-free turns it red until the entry goes; the table is
+empty today.
 """
 
 from __future__ import annotations
@@ -37,15 +38,9 @@ LEDGER_SCENARIOS = {
     "adaptive_degraded_link": perfregress.adaptive_degraded_link,
 }
 
-#: (program, seed) pairs whose simulated times move with the tie order
-_LANE = (
-    "wire-lane admission follows resolution order (ROADMAP item 1(c)), and "
-    "the dispatch-cost lookahead lets the rank that registers last at an "
-    "instant resolve, which is not the same rank under every tie order"
-)
-MOVES = {
-    ("megatron_msccl_ws4", 2): _LANE,
-}
+#: (program, seed) pairs whose simulated times move with the tie order,
+#: each with the reason; none is known today
+MOVES: dict[tuple[str, int], str] = {}
 
 
 def _permutation(seed: int):
