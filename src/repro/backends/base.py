@@ -1,6 +1,8 @@
 """Backend base class and registry ("Backend as a Class", Table I).
 
-A Backend is the per-rank handle to one communication library.  It owns
+A Backend models one communication library for one communicator size;
+it holds no per-rank state, so a job shares one instance per (library,
+size, system) across its ranks (:func:`cost_backend`).  It owns
 the library's *semantics* (stream-aware vs host-synchronized, CUDA-aware
 or host-staged, which operations are native) and its *performance
 character* (algorithm selection + calibrated cost multipliers).  The
@@ -55,11 +57,12 @@ def clear_cost_caches() -> None:
 
 @lru_cache(maxsize=512)
 def cost_backend(name: str, p: int, system: "SystemSpec") -> "Backend":
-    """The one cost-query backend per (name, communicator size, system).
+    """The one backend per (name, communicator size, system).
 
     Sweeps price thousands of cells; building a backend per cell would
-    dominate them.  Cost queries never mutate the backend, so one shared
-    rank-0 instance serves every client that prices by name.
+    dominate them.  Nothing mutates a backend, so one shared rank-0
+    instance serves every client that prices by name and every rank's
+    communicator.
     """
     return create_backend(name, 0, p, system)
 
@@ -135,7 +138,7 @@ class BackendProperties:
 
 
 class Backend(abc.ABC):
-    """One rank's handle to one communication library.
+    """One communication library, shared by every rank of a job.
 
     Subclasses define class-level ``properties`` and ``tuning`` and
     implement :meth:`algorithm_for`.  Cost evaluation, staging cost, and
@@ -149,21 +152,11 @@ class Backend(abc.ABC):
         self.rank = rank
         self.world_size = world_size
         self.system = system
-        self.initialized = False
         #: shared per-(class, system) cost memo table (see module header)
         self._cost_cache = _cost_cache_for(type(self), system)
         #: canonical name, bound per instance (attribute reads sit on the
         #: per-op hot path; a property lookup there is measurable)
         self.name = self.properties.name
-
-    # -- lifecycle -------------------------------------------------------
-
-    def init(self) -> None:
-        """Library initialization (communicator setup, bootstrap)."""
-        self.initialized = True
-
-    def finalize(self) -> None:
-        self.initialized = False
 
     # -- capability queries ----------------------------------------------
 

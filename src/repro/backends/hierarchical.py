@@ -379,10 +379,7 @@ def hier_cost_phases(
     costs = []
     for phase in hier_phases(layout, spec, family, nbytes):
         ranks = layout.group(phase.group, 0)
-        if phase.group == "flat":
-            path = system.comm_path(world_size)
-        else:
-            path = system.comm_path_for_ranks(ranks)
+        path = system.comm_path_for_ranks(ranks)
         backend = cost_backend(phase.backend, len(ranks), system)
         costs.append(PhaseCost(
             phase=phase.tag, backend=phase.backend, family=phase.family.value,

@@ -7,13 +7,16 @@ needs:
   gpus_per_node);
 * the latency/bandwidth of the path between two ranks
   (:meth:`SystemSpec.path`);
-* aggregate quantities for a communicator of ``p`` ranks — the slowest
-  per-hop latency, the per-rank bottleneck bandwidth, and the fraction of
-  traffic crossing node boundaries (:meth:`SystemSpec.comm_path`).
+* aggregate quantities for a communicator over a rank set — the
+  slowest per-hop latency, the per-rank bottleneck bandwidth, and the
+  exact fraction of peer pairs that cross node boundaries
+  (:meth:`SystemSpec.comm_path_for_ranks`; :meth:`SystemSpec.comm_path`
+  is its dense ``0..p-1`` case).
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from repro.cluster.hardware import LinkSpec, NodeSpec
@@ -124,74 +127,32 @@ class SystemSpec:
     # -- communicator-level aggregate -------------------------------------
 
     def comm_path(self, world_size: int) -> CommPath:
-        """Effective alpha/beta for a communicator of ``world_size`` ranks.
-
-        With dense packing, a communicator spanning ``n`` nodes sends the
-        fraction ``(p - ppn) / (p - 1)``-ish of its ring/pairwise traffic
-        over the inter-node fabric.  The per-rank bottleneck bandwidth is
-        the inter-node link shared by the node's ppn ranks (the classic
-        reason scaling efficiency drops when crossing the node boundary),
-        inflated by fat-tree contention as the node count grows.
-        """
-        cached = self._comm_path_cache.get(world_size)
-        if cached is not None:
-            return cached
-        return self._comm_path_uncached(world_size)
-
-    def _comm_path_uncached(self, world_size: int) -> CommPath:
-        self.validate_world_size(world_size)
-        ppn = min(world_size, self.gpus_per_node)
-        n_nodes = self.nodes_for(world_size)
-        intra = self.node.intra_link
-        if n_nodes == 1:
-            path = self._comm_path_cache[world_size] = CommPath(
-                alpha_us=intra.latency_us,
-                beta_us_per_byte=intra.beta_us_per_byte,
-                intra_fraction=1.0,
-                n_nodes=1,
-                ppn=ppn,
+        """Effective alpha/beta for a communicator of ranks
+        ``0..world_size-1``: :meth:`comm_path_for_ranks` over the dense
+        placement, validated and cached per size."""
+        path = self._comm_path_cache.get(world_size)
+        if path is None:
+            self.validate_world_size(world_size)
+            path = self._comm_path_cache[world_size] = self.comm_path_for_ranks(
+                range(world_size)
             )
-            return path
-        # fraction of ordered peer pairs that are intra-node
-        p = world_size
-        intra_pairs = p * (ppn - 1)
-        all_pairs = p * (p - 1)
-        intra_fraction = intra_pairs / all_pairs if all_pairs else 1.0
-        if self.fabric is not None:
-            contention = self.fabric.contention(n_nodes)
-            alpha = self.fabric.effective_inter_latency_us(self.inter_link, n_nodes)
-        else:
-            contention = 1.0 + self.fabric_contention * (n_nodes - 1) / max(
-                self.max_nodes - 1, 1
-            )
-            alpha = self.inter_link.latency_us
-        # each node's inter link is shared by its ppn ranks
-        inter_bw_per_rank = self.inter_link.bandwidth_gbps / ppn / contention
-        beta_inter = 1.0 / (inter_bw_per_rank * 1e3)
-        # blended beta: intra traffic still rides NVLink
-        beta = intra_fraction * intra.beta_us_per_byte + (1 - intra_fraction) * beta_inter
-        path = self._comm_path_cache[world_size] = CommPath(
-            alpha_us=alpha,
-            beta_us_per_byte=beta,
-            intra_fraction=intra_fraction,
-            n_nodes=n_nodes,
-            ppn=ppn,
-        )
         return path
 
     def comm_path_for_ranks(self, ranks) -> CommPath:
-        """Effective alpha/beta for a communicator over an explicit rank
-        subset (process groups: tensor-parallel pairs, data-parallel
-        slices).  Uses the actual node placement of the members."""
-        ranks = list(ranks)
-        if not ranks:
+        """Effective alpha/beta for a communicator over ``ranks`` (the
+        world, or a process group: tensor-parallel pairs, data-parallel
+        slices), from the members' actual node placement.
+
+        The fraction of ordered peer pairs that share a node rides the
+        intra-node link; the rest crosses the fabric, where each node's
+        inter link is shared by its ranks (the fullest node sets the
+        per-rank bottleneck: the classic reason scaling efficiency drops
+        at the node boundary), inflated by fabric contention as the node
+        count grows."""
+        per_node = Counter(map(self.node_of, ranks))
+        if not per_node:
             raise ValueError("empty rank group")
-        per_node: dict[int, int] = {}
-        for r in ranks:
-            node = self.node_of(r)
-            per_node[node] = per_node.get(node, 0) + 1
-        n_nodes = len(per_node)
-        p = len(ranks)
+        n_nodes, p = len(per_node), sum(per_node.values())
         intra = self.node.intra_link
         if n_nodes == 1:
             return CommPath(
@@ -202,11 +163,9 @@ class SystemSpec:
                 ppn=p,
             )
         intra_pairs = sum(c * (c - 1) for c in per_node.values())
-        all_pairs = p * (p - 1)
-        intra_fraction = intra_pairs / all_pairs if all_pairs else 1.0
-        # same fabric model as _comm_path_uncached: an explicit group
-        # crossing the spine pays detailed-fabric contention and hop
-        # latency, not the linear heuristic
+        intra_fraction = intra_pairs / (p * (p - 1))
+        # a detailed fabric sets contention and hop latency from the
+        # tree's structure instead of the linear heuristic
         if self.fabric is not None:
             contention = self.fabric.contention(n_nodes)
             alpha = self.fabric.effective_inter_latency_us(self.inter_link, n_nodes)

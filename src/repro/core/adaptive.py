@@ -118,12 +118,12 @@ class CellBook:
         self.backends = comm.backends
         self.world_size = comm.world_size
         self.system = comm.ctx.system
-        self.comm_path = comm._group.comm_path
+        self.comm_path = comm._group.record.comm_path
         self.engine = comm.ctx.engine
         self.obs = comm._obs
         #: the rank the book's ObsEvents are attributed to
         self.lead = comm.group_ranks[0]
-        self.multinode = len({self.system.node_of(r) for r in comm.group_ranks}) > 1
+        self.multinode = self.comm_path.spans_nodes
         #: max op index any rank has posted: the book's only view of
         #: post progress
         self.max_posted = 0

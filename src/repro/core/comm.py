@@ -35,7 +35,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.backends.base import Backend, canonical_name, create_backend
+from repro.backends.base import Backend, canonical_name, cost_backend
 from repro.backends.ops import OpFamily, ReduceOp
 from repro.core.config import BACKEND_INIT_US, MCRConfig
 from repro.core.dispatch import CommPlan, DispatchLayer, PlanCache
@@ -117,12 +117,12 @@ class MCRCommunicator(DispatchLayer, ExecutionLayer):
         names = [canonical_name(b) for b in backends]
         if len(set(names)) != len(names):
             raise BackendError(f"duplicate backends in {list(backends)}")
+        # a backend holds no per-rank state: every rank shares the job's
+        # one instance per (library, group size), as cost queries do
         self.backends: dict[str, Backend] = {}
         for name in names:
-            backend = create_backend(name, ctx.rank, len(self.group_ranks), ctx.system)
-            backend.init()
+            self.backends[name] = cost_backend(name, len(self.group_ranks), ctx.system)
             self.ctx.sleep(BACKEND_INIT_US, reason=f"init({name})")
-            self.backends[name] = backend
 
         non_stream = [n for n, b in self.backends.items() if not b.properties.stream_aware]
         #: footnote 4: mixing more than one non-stream-aware backend is
@@ -139,7 +139,7 @@ class MCRCommunicator(DispatchLayer, ExecutionLayer):
         #: quarantine set, fault counters, retry and failover
         self.health = Health(self)
         #: the rendezvous scope of every flat op and p2p call
-        self._group = Group(ctx, record, comm_id, "", self.sync, self.health)
+        self._group = Group(record, comm_id, "", self.health)
         self._finalized = False
         # the phase groups of hierarchical composites
         # (``hier:<intra>+<inter>``) in the order they split, on first use
@@ -219,22 +219,23 @@ class MCRCommunicator(DispatchLayer, ExecutionLayer):
             backends = [backends]
         resolved = [self._backend(name) for name in backends]
         # composites' phase groups drain first, in the order they split
-        # (their pools wrap this communicator's streams)
+        # (they post on this communicator's pools): a pool op ends at or
+        # before its stream's tail, so the pools keep no handle; host-path
+        # ops complete at their handles
         for group in (*self._phase_groups.values(), self._group):
             for backend in resolved:
-                group.sync.synchronize_backend(backend)
+                for stream in self.sync.pools.get(backend.name, ()):
+                    stream.synchronize()
                 for handle in group.outstanding.pop(backend.name, ()):
                     handle.synchronize()
 
     def finalize(self, backends: "str | Sequence[str] | None" = None) -> None:
-        """Drain outstanding work and shut backends down."""
+        """Drain outstanding work and close the communicator."""
         if self._finalized:
             return
         self.synchronize(backends)
         if self._obs is not None:
             self._plan_cache.flush(self._obs, self.ctx.rank, self.ctx.now)
-        for backend in self.backends.values():
-            backend.finalize()
         self._finalized = True
 
     # ------------------------------------------------------------------
@@ -359,12 +360,10 @@ class MCRCommunicator(DispatchLayer, ExecutionLayer):
         if group is None:
             ctx = self.ctx
             record = self._job.group(ctx.world_size, layout.group(phase.group, ctx.rank))
-            # its own stream round-robin over this communicator's streams,
-            # and a fault scope under the communicator's quarantines
+            # its own round-robin over this communicator's pools, and a
+            # fault scope under the communicator's quarantines
             group = self._phase_groups[comm_id] = Group(
-                ctx, record, comm_id, phase.tag,
-                SyncManager(ctx, self.backends, self.config),
-                Health(self, parent=self.health, comm_id=comm_id),
+                record, comm_id, phase.tag, Health(self, parent=self.health, comm_id=comm_id)
             )
             for name in self.backends:
                 self.ctx.sleep(BACKEND_INIT_US, reason=f"init({name})")
@@ -580,8 +579,12 @@ class MCRCommunicator(DispatchLayer, ExecutionLayer):
     # ------------------------------------------------------------------
 
     def _check_v_args(
-        self, counts: Optional[Sequence[int]], displs: Optional[Sequence[int]]
+        self, counts: Optional[Sequence[int]], displs: Optional[Sequence[int]],
+        numel: Optional[int] = None, buffer: str = "",
     ) -> tuple[list[int], list[int]]:
+        """Counts and displacements of one vectored call, checked at the
+        call for real and virtual tensors alike; ``numel`` bounds the
+        ``buffer`` they index when this rank holds it."""
         if counts is None:
             raise ValidationError("vectored collective requires counts")
         counts = [int(c) for c in counts]
@@ -597,5 +600,12 @@ class MCRCommunicator(DispatchLayer, ExecutionLayer):
         if len(displs) != self.world_size:
             raise ValidationError(
                 f"displs length {len(displs)} != world size {self.world_size}"
+            )
+        if any(d < 0 for d in displs):
+            raise ValidationError(f"negative displacement in {displs}")
+        if numel is not None and any(d + c > numel for c, d in zip(counts, displs)):
+            raise ValidationError(
+                f"displacements {displs} with counts {counts} run past the {buffer} "
+                f"end ({numel} elements)"
             )
         return counts, displs

@@ -30,7 +30,6 @@ from repro.backends.hierarchical import HierSpec, derive_layout, hier_phases, pa
 from repro.backends.ops import OpFamily, ReduceOp
 from repro.core.config import COMPRESSIBLE_FAMILIES, CompressionConfig
 from repro.core.exceptions import BackendError
-from repro.core.sync import StreamPool
 from repro.core.tuning import TuningTable
 from repro.obs.metrics import ObsEvent
 from repro.sim.streams import Stream
@@ -83,7 +82,7 @@ class CommPlan:
     #: stream placement, see :meth:`~repro.core.sync.SyncManager.placement`
     #: (``stream`` and ``pool`` both None: the op completes on the host)
     stream: Optional[Stream] = None
-    pool: Optional[StreamPool] = None
+    pool: Optional[tuple[Stream, ...]] = None
     host_sync: bool = False
     stream_semantics: bool = False
     #: rendezvous meta with the virtual/real data-plane tag appended
@@ -155,7 +154,7 @@ class DispatchLayer:
     """Mixin: decides *where* an operation runs and at what plan.
 
     Its plan state is the :class:`PlanCache` ``_plan_cache``; the rest
-    it reads (tuning table, ``health``, ``_group``, ``_job``) is
+    it reads (tuning table, ``health``, ``sync``, ``_group``, ``_job``) is
     initialized by :class:`~repro.core.comm.MCRCommunicator`.
     """
 
@@ -400,7 +399,7 @@ class DispatchLayer:
             codec = self._codec
             wire_bytes = codec.compressed_nbytes(nbytes)
             codec_us = codec.codec_time_us(nbytes)
-        stream, pool, host_sync, stream_semantics = group.sync.placement(
+        stream, pool, host_sync, stream_semantics = self.sync.placement(
             backend, spec.force_host, wire_bytes
         )
         return CommPlan(
@@ -426,7 +425,7 @@ class DispatchLayer:
         a call-local copy (never cached) whose ``resolved_name`` still
         names the plan's choice, for "reroute" attribution."""
         label, dispatch_reason = self._job.label(spec.family, backend.name, group.tag)
-        stream, pool, host_sync, stream_semantics = group.sync.placement(
+        stream, pool, host_sync, stream_semantics = self.sync.placement(
             backend, spec.force_host, plan.wire_bytes
         )
         return replace(

@@ -268,7 +268,8 @@ def _prep_gatherv(
     root: int,
 ) -> _Prepared:
     _check_root(comm, root)
-    rcounts, displs = comm._check_v_args(rcounts, displs)
+    bound = output.numel() if comm.rank == root and output is not None else None
+    rcounts, displs = comm._check_v_args(rcounts, displs, bound, "root output")
     in_buf = flat_buffer(input)
     if input.numel() < rcounts[comm.rank]:
         raise ValidationError(
@@ -301,7 +302,8 @@ def _prep_scatterv(
     root: int,
 ) -> _Prepared:
     _check_root(comm, root)
-    scounts, displs = comm._check_v_args(scounts, displs)
+    bound = input.numel() if comm.rank == root and input is not None else None
+    scounts, displs = comm._check_v_args(scounts, displs, bound, "root input")
     out_buf = flat_buffer(output)
     if output.numel() < scounts[comm.rank]:
         raise ValidationError(
@@ -332,7 +334,7 @@ def _prep_all_gatherv(
     rcounts: Optional[Sequence[int]],
     displs: Optional[Sequence[int]],
 ) -> _Prepared:
-    rcounts, displs = comm._check_v_args(rcounts, displs)
+    rcounts, displs = comm._check_v_args(rcounts, displs, output.numel(), "output")
     in_buf, out_buf = flat_buffer(input), flat_buffer(output)
 
     def move(arrivals: list[Arrival]) -> None:
@@ -359,8 +361,8 @@ def _prep_all_to_allv(
     rcounts: Optional[Sequence[int]],
     rdispls: Optional[Sequence[int]],
 ) -> _Prepared:
-    scounts, sdispls = comm._check_v_args(scounts, sdispls)
-    rcounts, rdispls = comm._check_v_args(rcounts, rdispls)
+    scounts, sdispls = comm._check_v_args(scounts, sdispls, input.numel(), "input")
+    rcounts, rdispls = comm._check_v_args(rcounts, rdispls, output.numel(), "output")
     in_buf, out_buf = flat_buffer(input), flat_buffer(output)
 
     def move(arrivals: list[Arrival]) -> None:

@@ -76,11 +76,13 @@ class CommState:
 @dataclass(slots=True, eq=False)
 class GroupRecord:
     """The job-wide record of one process group: its ranks (read-only),
-    ``{global rank: group rank}``, a :class:`CommState` per ``comm_id``
-    and, once a composite needs it, its node placement (``HierLayout``)."""
+    ``{global rank: group rank}``, its comm path (``CommPath``), a
+    :class:`CommState` per ``comm_id`` and, once a composite needs it,
+    its node placement (``HierLayout``)."""
 
     ranks: list[int]
     index: dict[int, int]
+    comm_path: Any
     comms: dict[str, CommState] = field(default_factory=dict)
     layout: Any = None
 
@@ -124,9 +126,10 @@ class CommShared:
     depend on the rank, built by the first rank that needs it and shared
     by the rest (INTERNALS §15)."""
 
-    __slots__ = ("groups", "configs", "lanes", "labels")
+    __slots__ = ("system", "groups", "configs", "lanes", "labels")
 
     def __init__(self, system) -> None:
+        self.system = system
         #: one record per rank set, under every spelling it was named by
         #: (``None`` = the world)
         self.groups: dict[Optional[tuple], GroupRecord] = {}
@@ -152,9 +155,12 @@ class CommShared:
             for r in group:
                 if not 0 <= r < world_size:
                     raise BackendError(f"group rank {r} out of range")
-            record = GroupRecord(group, {r: i for i, r in enumerate(group)})
             # one record per rank set, however it was spelled
-            record = self.groups[named] = self.groups.setdefault(tuple(group), record)
+            record = self.groups.get(tuple(group)) or GroupRecord(
+                group, {r: i for i, r in enumerate(group)},
+                self.system.comm_path_for_ranks(group),
+            )
+            self.groups[named] = self.groups[tuple(group)] = record
         return record
 
     def label(self, op, backend_name: str, phase: str = "") -> tuple[str, str]:
@@ -176,10 +182,10 @@ class Group:
 
     __slots__ = (
         "record", "ranks", "world_size", "comm_id", "tag", "state", "seq",
-        "outstanding", "comm_path", "sync", "health", "retuner",
+        "outstanding", "turns", "health", "retuner",
     )
 
-    def __init__(self, ctx, record: GroupRecord, comm_id: str, tag: str, sync, health):
+    def __init__(self, record: GroupRecord, comm_id: str, tag: str, health):
         self.record = record
         self.ranks = record.ranks
         self.world_size = len(record.ranks)
@@ -191,15 +197,9 @@ class Group:
         self.seq: defaultdict = defaultdict(int)
         #: per backend, the async handles ``synchronize()`` host-blocks on
         self.outstanding: defaultdict = defaultdict(deque)
-        system = ctx.system
-        if self.world_size == ctx.world_size:
-            self.comm_path = system.comm_path(ctx.world_size)
-        else:
-            self.comm_path = system.comm_path_for_ranks(self.ranks)
-        #: its stream pools' round-robin (a SyncManager) and fault scope
-        #: (a Health) are its own
-        self.sync = sync
-        self.health = health
+        #: per backend, its round-robin position over the communicator's pool
+        self.turns: defaultdict = defaultdict(int)
+        self.health = health  # its fault scope
         #: the adaptive retuner; None when off, and on a phase group
         self.retuner = None
 
@@ -363,7 +363,11 @@ class ExecutionLayer:
         if not on_stream:
             return rdv, None
         if stream is None:
-            stream = plan.pool.pick()
+            # round-robin over the pool: small messages run concurrently
+            # (§V-C); bandwidth-bound ones were pinned at compile time
+            pool, turns, name = plan.pool, group.turns, plan.backend.name
+            stream = pool[turns[name] % len(pool)]
+            turns[name] += 1
         producer = ctx.gpu.default_stream.last
         member = stream.enqueue_collective_member(
             rdv.group,
@@ -392,8 +396,9 @@ class ExecutionLayer:
             # rank's own volume
             wire_bytes = max(wire_bytes, self._alltoallv_critical_bytes(rdv))
         duration = price_us(
-            ctx.system, backend, family, wire_bytes, group.world_size, group.comm_path,
-            self.config, vector=spec.vector, nonblocking=async_op, overheads=False,
+            ctx.system, backend, family, wire_bytes, group.world_size,
+            group.record.comm_path, self.config,
+            vector=spec.vector, nonblocking=async_op, overheads=False,
         )
         ordered = [rdv.arrivals[r] for r in group.ranks]
         ready = max(a.host_time for a in ordered)

@@ -26,40 +26,22 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.process import RankContext
 
 
-class StreamPool:
-    """Round-robin pool of communication streams for one backend."""
-
-    def __init__(self, ctx: "RankContext", backend_name: str, size: int):
-        self.ctx = ctx
-        self.backend_name = backend_name
-        self.streams = [
-            ctx.stream(f"{backend_name}:comm{i}") for i in range(size)
-        ]
-        self._next = 0
-
-    def pick(self) -> Stream:
-        """The next stream round-robin: small messages run concurrently
-        (§V-C).  Bandwidth-bound ones are pinned to stream 0 at plan
-        compile time instead (:meth:`SyncManager.placement`)."""
-        stream = self.streams[self._next % len(self.streams)]
-        self._next += 1
-        return stream
-
-    def synchronize(self) -> None:
-        for stream in self.streams:
-            stream.synchronize()
-
-
 class SyncManager:
-    """Owns every backend's stream pool and the global sync policy."""
+    """Owns every backend's stream pool and the global sync policy: one
+    per communicator, shared by its composites' phase groups (each keeps
+    only its round-robin position, ``Group.turns``)."""
 
     def __init__(self, ctx: "RankContext", backends: dict[str, Backend], config: MCRConfig):
         self.ctx = ctx
         self.config = config
-        self.pools: dict[str, StreamPool] = {}
-        for name, backend in backends.items():
-            if self._uses_mcr_streams(backend):
-                self.pools[name] = StreamPool(ctx, name, config.streams_per_backend)
+        #: per backend riding MCR-managed streams, its pool of comm streams
+        self.pools: dict[str, tuple[Stream, ...]] = {
+            name: tuple(
+                ctx.stream(f"{name}:comm{i}") for i in range(config.streams_per_backend)
+            )
+            for name, backend in backends.items()
+            if self._uses_mcr_streams(backend)
+        }
         if (
             config.mpi_stream_mode == "mcr-managed"
             and config.mpi_internal_multistream
@@ -82,7 +64,7 @@ class SyncManager:
 
     def placement(
         self, backend: Backend, force_host: bool, wire_bytes: int
-    ) -> tuple[Optional[Stream], Optional[StreamPool], bool, bool]:
+    ) -> tuple[Optional[Stream], Optional[tuple[Stream, ...]], bool, bool]:
         """Where one op runs and how its completion is observed, compiled
         once per plan: ``(stream, pool, host_sync, stream_semantics)``.
 
@@ -103,18 +85,8 @@ class SyncManager:
         pool = self.pools.get(backend.name)
         if force_host or pool is None:
             return None, None, pool is None, False
-        stream = pool.streams[0] if wire_bytes >= LARGE_MESSAGE_THRESHOLD else None
+        stream = pool[0] if wire_bytes >= LARGE_MESSAGE_THRESHOLD else None
         return stream, pool, False, backend.properties.stream_aware
-
-    def synchronize_backend(self, backend: Backend) -> None:
-        """The per-backend piece of ``mcr_dl.synchronize()`` (§V-D): loop
-        over each backend and apply its native synchronization."""
-        if backend.name in self.pools:
-            # every op posted on the pool ends at or before its stream's
-            # tail, which is why the communicator keeps no handle for them
-            self.pools[backend.name].synchronize()
-        # host-synchronized backends complete at their wait()s; any
-        # outstanding requests are tracked and drained by the communicator.
 
     def least_busy_backend(
         self, names: list[str], outstanding: Optional[dict] = None
@@ -136,7 +108,7 @@ class SyncManager:
             total = 0.0
             pool = self.pools.get(name)
             if pool is not None:
-                for stream in pool.streams:
+                for stream in pool:
                     node = stream.last
                     if node is not None and node.resolved:
                         total += max(0.0, node.end - now)

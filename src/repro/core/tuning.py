@@ -86,16 +86,7 @@ class TuningTable:
         ``generation`` only move when an entry actually changed — a no-op
         merge must not recompile every cached "auto" dispatch plan.
         """
-        for op, scales in other.entries.items():
-            for ws, buckets in scales.items():
-                if ws < 1:
-                    raise TuningError(f"bad world size {ws} in merged table ({op})")
-                for bucket in buckets:
-                    if bucket < 1 or bucket != message_bucket(bucket):
-                        raise TuningError(
-                            f"bad message bucket {bucket} in merged table "
-                            f"({op}, world size {ws}); buckets are powers of two"
-                        )
+        _check_entries(other.entries, "merged table")
         changed = False
         for op, scales in other.entries.items():
             for ws, buckets in scales.items():
@@ -208,4 +199,20 @@ class TuningTable:
                     table.entries.setdefault(op, {}).setdefault(int(ws), {})[
                         int(bucket)
                     ] = backend
+        # a file comes from outside the program: the checks merge applies
+        _check_entries(table.entries, str(path))
         return table
+
+
+def _check_entries(entries: dict, source: str) -> None:
+    """Reject a world size below 1 or a bucket that is not a power of two."""
+    for op, scales in entries.items():
+        for ws, buckets in scales.items():
+            if ws < 1:
+                raise TuningError(f"bad world size {ws} in {source} ({op})")
+            for bucket in buckets:
+                if bucket < 1 or bucket != message_bucket(bucket):
+                    raise TuningError(
+                        f"bad message bucket {bucket} in {source} "
+                        f"({op}, world size {ws}); buckets are powers of two"
+                    )

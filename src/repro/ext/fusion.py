@@ -255,7 +255,9 @@ class TensorFusion:
         routes = group.state.fusion_routes
         entry = routes.get((key, seq))
         if entry is None:
-            choice = group.sync.least_busy_backend(list(self.comm.backends), group.outstanding)
+            choice = self.comm.sync.least_busy_backend(
+                list(self.comm.backends), group.outstanding
+            )
             # the probe settles a rank that runs ahead first, so a peer
             # that reached this flush earlier may have decided meanwhile
             entry = routes.setdefault((key, seq), [choice, 0])

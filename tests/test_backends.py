@@ -183,11 +183,3 @@ class TestCostSurface:
         backend = create_backend("nccl", 0, 8, system)
         with pytest.raises(ValueError):
             backend.collective_cost_us(OpFamily.ALLREDUCE, 4, 0, system.comm_path(4))
-
-    def test_lifecycle(self, system):
-        backend = create_backend("nccl", 0, 4, system)
-        assert not backend.initialized
-        backend.init()
-        assert backend.initialized
-        backend.finalize()
-        assert not backend.initialized

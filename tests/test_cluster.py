@@ -96,6 +96,24 @@ class TestCommPath:
         assert path.n_nodes == 1
         assert path.ppn == 1
 
+    @pytest.mark.parametrize("system, ws", [(lassen(), 6), (thetagpu(), 20)])
+    def test_dense_path_is_the_exact_path(self, system, ws):
+        # a partly filled last node: one model for the world and a group
+        assert system.comm_path(ws) == system.comm_path_for_ranks(range(ws))
+
+    def test_partly_filled_last_node_counts_its_pairs(self):
+        # ws 6 on lassen: nodes of 4 and 2 ranks, (4*3 + 2*1) / (6*5)
+        # ordered pairs share a node, not 6*3 / 30
+        path = lassen().comm_path(6)
+        assert path.intra_fraction == 14 / 30
+        assert path.ppn == 4
+
+    def test_dense_path_is_cached_and_validated(self):
+        sys = lassen()
+        assert sys.comm_path(12) is sys.comm_path(12)
+        with pytest.raises(ValueError, match="cannot place"):
+            sys.comm_path(4 * sys.max_nodes + 1)
+
 
 class TestSystems:
     def test_lassen_shape(self):

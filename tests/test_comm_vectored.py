@@ -188,3 +188,67 @@ class TestVectoredValidation:
                     rcounts=[4, 4], root=0,
                 )
             )
+
+
+@pytest.mark.parametrize("virtual", [False, True], ids=["real", "virtual"])
+class TestVectoredDisplacements:
+    """Displacements are checked at the call, against the buffer they
+    index where the rank holds it, for real and virtual tensors alike."""
+
+    def _run(self, virtual, fn, world=2):
+        def main(ctx):
+            comm = MCRCommunicator(ctx, BACKENDS)
+            make = ctx.virtual_tensor if virtual else ctx.zeros
+            fn(ctx, comm, make)
+            comm.finalize()
+
+        Simulator(world).run(main)
+
+    @pytest.mark.parametrize("displs", [[-8, 4], [-4, 4]])
+    def test_gatherv_negative_displacement(self, virtual, displs):
+        with pytest.raises(ValidationError, match="negative displacement"):
+            self._run(virtual, lambda ctx, comm, make: comm.gatherv(
+                "nccl", make(4), make(8) if ctx.rank == 0 else None,
+                rcounts=[4, 4], displs=displs, root=0,
+            ))
+
+    def test_gatherv_past_root_output(self, virtual):
+        with pytest.raises(ValidationError, match="past the root output end"):
+            self._run(virtual, lambda ctx, comm, make: comm.gatherv(
+                "nccl", make(4), make(8) if ctx.rank == 0 else None,
+                rcounts=[4, 4], displs=[4, 8], root=0,
+            ))
+
+    def test_scatterv_past_root_input(self, virtual):
+        with pytest.raises(ValidationError, match="past the root input end"):
+            self._run(virtual, lambda ctx, comm, make: comm.scatterv(
+                "mvapich2-gdr", make(4), make(8) if ctx.rank == 1 else None,
+                scounts=[4, 4], displs=[0, 5], root=1,
+            ))
+
+    def test_all_gatherv_past_output(self, virtual):
+        with pytest.raises(ValidationError, match="past the output end"):
+            self._run(virtual, lambda ctx, comm, make: comm.all_gatherv(
+                "nccl", make(6), make(3), rcounts=[3, 3], displs=[0, 4],
+            ))
+
+    def test_all_to_allv_negative_send_displacement(self, virtual):
+        with pytest.raises(ValidationError, match="negative displacement"):
+            self._run(virtual, lambda ctx, comm, make: comm.all_to_allv(
+                "nccl", make(4), make(4),
+                scounts=[2, 2], sdispls=[-2, 2], rcounts=[2, 2],
+            ))
+
+    def test_all_to_allv_past_output(self, virtual):
+        with pytest.raises(ValidationError, match="past the output end"):
+            self._run(virtual, lambda ctx, comm, make: comm.all_to_allv(
+                "mvapich2-gdr", make(4), make(4),
+                scounts=[2, 2], rcounts=[2, 2], rdispls=[0, 3],
+            ))
+
+    def test_in_bounds_displacements_still_run(self, virtual):
+        # the last chunk may end exactly at the buffer's end
+        self._run(virtual, lambda ctx, comm, make: comm.gatherv(
+            "nccl", make(4), make(8) if ctx.rank == 0 else None,
+            rcounts=[4, 4], displs=[4, 0], root=0,
+        ))

@@ -163,6 +163,32 @@ class TestGroupTopologyAwareness:
         inter = run([0, 4], "inter")  # different nodes
         assert intra < inter
 
+    def test_world_and_subgroup_over_one_rank_set_cost_the_same(self):
+        """Ranks {0..5} on lassen span a full node and half of another,
+        whether they are a 6-rank world or a group of an 8-rank job: one
+        comm-path model prices both."""
+        from repro.cluster import lassen
+
+        def run(world):
+            def main(ctx):
+                if ctx.rank >= 6:
+                    return None
+                comm = MCRCommunicator(ctx, ["nccl"], ranks=range(6), comm_id="six")
+                t0 = ctx.now
+                h = comm.all_reduce("nccl", ctx.virtual_tensor(1 << 20), async_op=True)
+                h.synchronize()  # 4 MiB of float32
+                elapsed = ctx.now - t0
+                comm.finalize()
+                return elapsed
+
+            return [r for r in Simulator(world, system=lassen()).run(main).rank_results if r]
+
+        whole, sub = run(6), run(8)
+        assert whole == sub
+        # pairs that share a node are 14/30, not the 18/30 of a world
+        # whose last node is full (that world took 608.7 µs)
+        assert whole[0] == pytest.approx(760.67, abs=0.01)
+
 
 class TestMixedPpnGroups:
     """End-to-end collectives on a group whose members are spread

@@ -381,33 +381,51 @@ class TestSharedGroupRecord:
 
 
     def test_per_job_records_exist_once_per_job(self):
-        """The job's ``CommShared``, its interned labels and a group's node
-        placement are one object each, whichever rank built them."""
+        """The job's ``CommShared``, its interned labels, a group's node
+        placement and comm path, and each library's backend are one
+        object each, whichever rank built them.  A rank's phase groups
+        post on its communicator's stream pools, each keeping its own
+        round-robin position."""
 
         def main(ctx):
             comm = MCRCommunicator(ctx, ["nccl", "mvapich2-gdr"])
             x = ctx.virtual_tensor(1 << 20)
             comm.all_reduce("hier:nccl+mvapich2-gdr", x)
+            comm.all_reduce("hier:nccl+mvapich2-gdr", ctx.virtual_tensor(1024))
             comm.all_reduce("nccl", x)
             comm.synchronize()
-            labels = {}
+            labels, pools = {}, []
             for plan in comm._plan_cache.plans.values():
                 for flat in plan.phase_plans or (plan,):
                     labels[flat.label] = flat.label
-            out = comm._job, labels, comm._hier_layout()
+                    if flat.pool is not None:
+                        pools.append(flat.pool is comm.sync.pools[flat.backend.name])
+            groups = [comm._group, *comm._phase_groups.values()]
+            turns = [dict(g.turns) for g in groups]
+            assert not any(hasattr(g, "sync") for g in groups)
+            out = (
+                comm._job, labels, comm._hier_layout(), comm._group.record.comm_path,
+                dict(comm.backends), pools, turns,
+            )
             comm.finalize()
             return out
 
         results = Simulator(16, system=lassen()).run(main).rank_results
-        job, labels, layout = results[0]
+        job, labels, layout, path, backends, _, _ = results[0]
         assert set(labels) == {
             "allreduce:nccl", "reduce_scatter:nccl@intra",
             "allreduce:mvapich2-gdr@inter", "allgather:nccl@intra",
         }
-        for rank_job, rank_labels, rank_layout in results:
-            assert rank_job is job and rank_layout is layout
+        assert path is job.groups[None].comm_path
+        for rank_job, rank_labels, rank_layout, rank_path, rank_backends, pools, turns in results:
+            assert rank_job is job and rank_layout is layout and rank_path is path
             assert rank_labels.keys() == labels.keys()
             assert all(rank_labels[k] is labels[k] for k in labels)
+            assert all(rank_backends[n] is backends[n] for n in backends)
+            assert pools and all(pools)
+            # the flat 4 MiB op is pinned to stream 0; the 4 KiB
+            # composite's two intra phases round-robin on the node group
+            assert turns[0] == {} and turns[1] == {"nccl": 2}
 
 
 def _threads_settle_at(expected: int) -> bool:

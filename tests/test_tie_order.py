@@ -2,16 +2,19 @@
 
 Events at equal simulated times pop by ``(time, tie key, sequence)``,
 and the tie key of each process comes from one factory,
-``repro.sim.engine.tie_keys`` (the process index).  Each case here swaps
-in a seeded permutation of the process indices and reruns the
-determinism programs, the ``hier_allreduce`` and
-``adaptive_degraded_link`` ledger scenarios and a real-data program.
+``repro.sim.engine.tie_keys`` (the process index).  Two seeded
+adversaries rerun the determinism programs, the ``hier_allreduce`` and
+``adaptive_degraded_link`` ledger scenarios and a real-data program:
+
+* ``permutation`` swaps in a permutation of the process indices, so
+  one process order holds for the whole run;
+* ``per_entry`` patches ``Engine._schedule`` here to draw a random tie
+  key for every heap entry, so equal-time events may pop in any order.
 
 Data identity and deadlock-freedom must hold under every order, and so
 must simulated time on every case here.  A case whose time is known to
 move goes in ``MOVES`` as a strict xfail naming why, so a change that
-makes it order-free turns it red until the entry goes; the table is
-empty today.
+makes it order-free turns it red until the entry goes.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from __future__ import annotations
 import json
 import pathlib
 import random
+from heapq import heappush
 
 import numpy as np
 import pytest
@@ -38,18 +42,39 @@ LEDGER_SCENARIOS = {
     "adaptive_degraded_link": perfregress.adaptive_degraded_link,
 }
 
-#: (program, seed) pairs whose simulated times move with the tie order,
-#: each with the reason; none is known today
-MOVES: dict[tuple[str, int], str] = {}
+_LANES = (
+    "wire-lane admission follows engine order: two transfers ready at one "
+    "instant take the lane in the order their resolving ranks run "
+    "(ROADMAP item 1(c))"
+)
+#: (adversary, program, seed) cases whose simulated times move with the
+#: tie order, each with the reason
+MOVES: dict[tuple[str, str, int], str] = {
+    ("per_entry", name, seed): _LANES
+    for name in ("megatron_msccl_ws4", "hier_allreduce", "adaptive_degraded_link")
+    for seed in SEEDS
+}
 
 
-def _permutation(seed: int):
+def _permutation(mp: pytest.MonkeyPatch, seed: int) -> None:
     def tie_keys(n: int) -> list[int]:
         order = list(range(n))
         random.Random(seed).shuffle(order)
         return order
 
-    return tie_keys
+    mp.setattr(engine_mod, "tie_keys", tie_keys)
+
+
+def _per_entry(mp: pytest.MonkeyPatch, seed: int) -> None:
+    rng = random.Random(seed)
+
+    def _schedule(self, time: float, proc) -> None:
+        heappush(self._heap, (time, rng.random(), next(self._seq), proc, proc.epoch))
+
+    mp.setattr(engine_mod.Engine, "_schedule", _schedule)
+
+
+ADVERSARIES = {"permutation": _permutation, "per_entry": _per_entry}
 
 
 def _real_data() -> list:
@@ -78,19 +103,25 @@ def _real_data() -> list:
     return Simulator(8, system=lassen()).run(main).rank_results
 
 
-@pytest.fixture(scope="module", params=SEEDS)
-def permuted(request) -> tuple[int, dict]:
-    """``(seed, {program: result})`` with the tie order permuted."""
+@pytest.fixture(
+    scope="module",
+    params=[(a, seed) for a in ADVERSARIES for seed in SEEDS],
+    # the permutation's cases keep their bare-seed ids
+    ids=lambda p: str(p[1]) if p[0] == "permutation" else f"{p[0]}-{p[1]}",
+)
+def permuted(request) -> tuple[str, int, dict]:
+    """``(adversary, seed, {program: result})`` under a seeded tie order."""
+    adversary, seed = request.param
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(engine_mod, "tie_keys", _permutation(request.param))
+        ADVERSARIES[adversary](mp, seed)
         results = {name: json.loads(json.dumps(fn())) for name, fn in SCENARIOS.items()}
         results.update({name: fn() for name, fn in LEDGER_SCENARIOS.items()})
         results["real_data"] = _real_data()
-    return request.param, results
+    return adversary, seed, results
 
 
 def test_data_identity_and_deadlock_freedom(permuted):
-    _, results = permuted
+    _, _, results = permuted
     ws = 8
     for rank, (hier, flat, gathered, got) in enumerate(results["real_data"]):
         total = sum(range(1, ws + 1))
@@ -110,9 +141,10 @@ def test_data_identity_and_deadlock_freedom(permuted):
 
 @pytest.mark.parametrize("name", [*sorted(SCENARIOS), *sorted(LEDGER_SCENARIOS)])
 def test_simulated_time_identity(permuted, name, request):
-    seed, results = permuted
-    if (name, seed) in MOVES:
-        request.applymarker(pytest.mark.xfail(strict=True, reason=MOVES[name, seed]))
+    adversary, seed, results = permuted
+    reason = MOVES.get((adversary, name, seed))
+    if reason is not None:
+        request.applymarker(pytest.mark.xfail(strict=True, reason=reason))
     if name in LEDGER_SCENARIOS:
         expected = perfregress.fingerprint(perfregress.load(str(LEDGER))[name])
         assert perfregress.fingerprint(results[name]) == expected

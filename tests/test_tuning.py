@@ -1,6 +1,8 @@
 """Tuning tables and the tuning suite (paper §V-F, C5)."""
 
+import json
 import math
+import pathlib
 
 import pytest
 
@@ -105,6 +107,25 @@ class TestTuningTable:
         t.save(path)
         with pytest.raises(TuningError, match="not transferable"):
             TuningTable.load(path, expect_system="thetagpu")
+
+    @pytest.mark.parametrize(
+        "ws, bucket, message",
+        [("0", "1024", "world size 0"), ("16", "0", "bucket 0"), ("16", "1000", "bucket 1000")],
+    )
+    def test_load_rejects_what_merge_rejects(self, tmp_path, ws, bucket, message):
+        """A table read from a file gets merge's checks at load time, not
+        a math domain error at its first "auto" lookup."""
+        path = tmp_path / "table.json"
+        path.write_text(json.dumps(
+            {"system": "lassen", "entries": {"allreduce": {ws: {bucket: "nccl"}}}}
+        ))
+        with pytest.raises(TuningError, match=message):
+            TuningTable.load(path)
+
+    def test_committed_table_loads(self):
+        path = pathlib.Path(__file__).resolve().parent.parent / "results"
+        table = TuningTable.load(path / "tuning_table_lassen.json", expect_system="lassen")
+        assert table.num_entries() == 36 and table.generation == 0
 
     def test_merge(self):
         a, b = self.make(), TuningTable()
