@@ -65,15 +65,16 @@ class AdaptiveConfig:
     probation_interval: int = 25
 
     def validate(self) -> None:
-        if self.drift_ratio <= 1.0:
+        # negated comparisons, so NaN fails each check
+        if not self.drift_ratio > 1.0:
             raise ValueError("adaptive.drift_ratio must be > 1")
-        if self.min_samples < 1:
+        if not self.min_samples >= 1:
             raise ValueError("adaptive.min_samples must be >= 1")
-        if self.explore_ops < 1:
+        if not self.explore_ops >= 1:
             raise ValueError("adaptive.explore_ops must be >= 1")
         if not 0.0 <= self.epsilon < 1.0:
             raise ValueError("adaptive.epsilon must be in [0, 1)")
-        if self.probation_interval < 0:
+        if not self.probation_interval >= 0:
             raise ValueError("adaptive.probation_interval must be >= 0")
 
 
@@ -151,12 +152,15 @@ class MCRConfig:
             raise ValueError(f"bad mpi_stream_mode {self.mpi_stream_mode!r}")
         if self.synchronization not in ("fine-grained", "naive"):
             raise ValueError(f"bad synchronization {self.synchronization!r}")
-        if self.streams_per_backend < 1:
+        # negated comparisons, so NaN fails each check
+        if not self.streams_per_backend >= 1:
             raise ValueError("streams_per_backend must be >= 1")
+        if not self.dispatch_overhead_us >= 0:
+            raise ValueError("dispatch_overhead_us must be >= 0")
         if not 0 <= self.dispatch_fraction < 1:
             raise ValueError("dispatch_fraction must be in [0, 1)")
-        if self.op_deadline_us is not None and self.op_deadline_us <= 0:
+        if self.op_deadline_us is not None and not self.op_deadline_us > 0:
             raise ValueError("op_deadline_us must be positive (or None)")
-        if self.comm_max_retries < 0:
+        if not self.comm_max_retries >= 0:
             raise ValueError("comm_max_retries must be >= 0")
         self.adaptive.validate()

@@ -37,15 +37,26 @@ Neither fast path reorders events: both fire only when the parking
 process would have been popped next anyway, so simulated timestamps are
 identical with and without them.
 
-Every process thread runs under ``SCHED_BATCH`` where the platform
-allows it.  The waker releases the next baton while it still holds the
-GIL; under the default policy the kernel preempts it for the woken
-thread, which then blocks on the GIL and bounces straight back — four
-context switches per handoff.  ``SCHED_BATCH`` turns off that wakeup
-preemption, so a handoff is the two switches the baton needs.  The baton
-already lets only one process thread run at a time, so the policy
-cannot change which thread runs next, only how soon.  The calling
-thread's policy is never touched.
+Process threads outlive the run.  A process-wide pool keeps idle raw
+threads parked; :meth:`Engine.run` borrows one per process and starts a
+new OS thread only when none is idle.  A thread puts itself back in the
+pool after its process body has ended and only then tells the engine it
+left, so when ``run()`` returns every thread it used is idle again and
+the next run of the same size starts none.  A parked thread holds no
+reference to its last run.  The pool only grows, so after a 2 048-rank
+run the process keeps 2 048 idle threads; their resident cost and the
+per-rank saving are measured in ``docs/INTERNALS.md`` §1.  A forked
+child starts with an empty pool.
+
+Every pooled thread runs under ``SCHED_BATCH`` where the platform allows
+it, set once when the thread is created.  The waker releases the next
+baton while it still holds the GIL; under the default policy the kernel
+preempts it for the woken thread, which then blocks on the GIL and
+bounces straight back — four context switches per handoff.
+``SCHED_BATCH`` turns off that wakeup preemption, so a handoff is the
+two switches the baton needs.  The baton already lets only one process
+thread run at a time, so the policy cannot change which thread runs
+next, only how soon.  The calling thread's policy is never touched.
 """
 
 from __future__ import annotations
@@ -104,7 +115,7 @@ class Flag:
         """Mark complete at ``ready_time`` and schedule all waiters."""
         if self.ready_time is not None:
             raise SimError(f"flag {self.label!r} fired twice")
-        if ready_time < 0:
+        if not ready_time >= 0:  # NaN too
             raise SimError(f"flag {self.label!r} fired at negative time {ready_time}")
         self.ready_time = ready_time
         if self._waiters:
@@ -127,10 +138,10 @@ class _Proc:
     ``wake`` is a raw lock used as a binary semaphore: it is held (locked)
     from construction onward, both while the process runs and while it is
     parked; waking the process is exactly one ``release()``, and parking
-    is exactly one blocking ``acquire()``.  The thread itself is started
-    with ``_thread.start_new_thread`` by :meth:`Engine.run`: the baton is
-    the only handshake a rank needs, so it does not pay for a ``Thread``
-    object, its started-event and its join lock.
+    is exactly one blocking ``acquire()``.  The lock belongs to the
+    process, not to the pooled thread that runs it: :meth:`Engine._fail`
+    may release the lock of a process that is still running, and a lock
+    reused across runs would then wake the next run's process early.
     """
 
     __slots__ = (
@@ -170,11 +181,6 @@ class _Proc:
 
     def _body(self) -> None:
         try:
-            try:
-                # the calling thread only (pid 0); see the module docstring
-                os.sched_setscheduler(0, os.SCHED_BATCH, os.sched_param(0))
-            except (AttributeError, OSError):
-                pass  # not Linux, or a sandbox that refuses the call
             self.wake.acquire()
             if self.engine._failure is not None:
                 return
@@ -190,9 +196,7 @@ class _Proc:
             self.engine._proc_exited(self)
         finally:
             # let go of the rank's closure (its context, GPU, streams)
-            # and tell run() when the last thread has left
             self.fn = None
-            self.engine._thread_left()
 
     def park(self, reason: str) -> None:
         """Hand the baton off and sleep until re-scheduled.
@@ -208,6 +212,69 @@ class _Proc:
         self.blocked_on = None
         if self.engine._failure is not None:
             raise _Kill()
+
+
+#: idle pooled rank threads, process-wide, and the lock that guards it
+_idle: list["_Worker"] = []
+_pool_lock = _thread.allocate_lock()
+
+
+def _empty_pool() -> None:
+    """A forked child has none of its parent's threads, and the pool
+    lock may have been held by one of them at the fork."""
+    global _idle, _pool_lock
+    _idle = []
+    _pool_lock = _thread.allocate_lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_empty_pool)
+
+
+class _Worker:
+    """A pooled raw thread that runs process bodies, one run at a time.
+
+    ``go`` is held while the thread runs a body and while it is parked in
+    the pool; handing it the next process is one ``release()``.  Raw
+    ``_thread`` threads: the baton is the only handshake a rank needs, so
+    none pays for a ``Thread`` object, its started-event and join lock.
+    """
+
+    __slots__ = ("go", "proc")
+
+    def __init__(self, proc: _Proc):
+        self.go = _thread.allocate_lock()
+        self.go.acquire()
+        self.proc: Optional[_Proc] = proc
+
+    @staticmethod
+    def run(proc: _Proc) -> None:
+        """Run ``proc``'s body on an idle pooled thread, or a new one."""
+        with _pool_lock:
+            worker = _idle.pop() if _idle else None
+        if worker is None:
+            _thread.start_new_thread(_Worker(proc)._serve, ())
+        else:
+            worker.proc = proc
+            worker.go.release()
+
+    def _serve(self) -> None:
+        try:
+            # the calling thread only (pid 0); see the module docstring
+            os.sched_setscheduler(0, os.SCHED_BATCH, os.sched_param(0))
+        except (AttributeError, OSError):
+            pass  # not Linux, or a sandbox that refuses the call
+        while True:
+            proc, self.proc = self.proc, None
+            left = proc.engine._thread_left
+            proc._body()
+            # park holding nothing of the run, then count out of it
+            proc = None
+            with _pool_lock:
+                _idle.append(self)
+            left()
+            left = None
+            self.go.acquire()
 
 
 class Engine:
@@ -273,7 +340,7 @@ class Engine:
         self._threads_alive = len(self._procs)
         for proc, tie in zip(self._procs, tie_keys(len(self._procs))):
             proc.tie = tie
-            _thread.start_new_thread(proc._body, ())
+            _Worker.run(proc)
             self._schedule(0.0, proc)
         self._dispatch_next()
         self._main_baton.wait()
@@ -286,7 +353,7 @@ class Engine:
         return max(self.now, self._latest)
 
     def _thread_left(self) -> None:
-        """Called by every rank thread as its last act."""
+        """Called by every rank thread once it is back in the pool."""
         with self._count_lock:
             self._threads_alive -= 1
             last = self._threads_alive == 0
@@ -425,7 +492,7 @@ class Engine:
         proc.park(reason)
 
     def sleep(self, duration: float, reason: str = "sleep") -> None:
-        if duration < 0:
+        if not duration >= 0:  # NaN too
             raise SimError(f"negative sleep {duration}")
         self.wait_until(self.now + duration, reason)
 

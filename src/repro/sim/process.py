@@ -44,7 +44,7 @@ class RankContext:
         self.shared = shared
         self._seed = seed
         self.device = Device("cuda", rank)
-        if compute_scale <= 0:
+        if not compute_scale > 0:  # NaN too
             raise ValueError(f"compute_scale must be positive, got {compute_scale}")
         #: straggler modeling: every launched kernel's duration is
         #: multiplied by this factor (>1 = a slow GPU / noisy neighbour)

@@ -113,7 +113,7 @@ class Simulator:
         for rank, factor in self.stragglers.items():
             if not 0 <= rank < world_size:
                 raise ValueError(f"straggler rank {rank} out of range")
-            if factor <= 0:
+            if not factor > 0:  # NaN too
                 raise ValueError(f"straggler factor must be positive, got {factor}")
 
     def run(self, fn: Callable[..., Any], *args: Any, **kwargs: Any) -> SimResult:

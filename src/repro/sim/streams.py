@@ -116,7 +116,7 @@ class Stream:
         previous op on this stream, any pending event gates, and the
         explicit ``deps``.
         """
-        if duration < 0:
+        if not duration >= 0:  # NaN too
             raise SimError(f"negative kernel duration {duration}")
         host_ready, deps = self._launch_point(deps)
         prev = self.last
@@ -259,7 +259,7 @@ class GPU:
         tracer: Optional[Tracer] = None,
         kernel_launch_overhead_us: float = 4.0,
     ):
-        if kernel_launch_overhead_us < 0:
+        if not kernel_launch_overhead_us >= 0:  # NaN too
             raise SimError(f"negative kernel launch overhead {kernel_launch_overhead_us}")
         self.engine = engine
         self.index = index

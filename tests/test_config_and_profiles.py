@@ -1,12 +1,16 @@
 """Configuration validation, framework profiles, handle edge cases."""
 
+import math
+
 import pytest
 
 from repro.core import MCRCommunicator, MCRConfig
-from repro.core.config import COMPRESSIBLE_FAMILIES
+from repro.core.config import COMPRESSIBLE_FAMILIES, AdaptiveConfig
 from repro.core.handles import CompletedHandle
 from repro.models import PROFILES
 from repro.sim import Simulator
+
+NAN = math.nan
 
 
 class TestMCRConfigValidation:
@@ -28,6 +32,33 @@ class TestMCRConfigValidation:
     def test_bad_dispatch_fraction(self):
         with pytest.raises(ValueError, match="dispatch_fraction"):
             MCRConfig(dispatch_fraction=1.5).validate()
+
+    @pytest.mark.parametrize("value", [-5.0, -1e6, NAN])
+    def test_bad_dispatch_overhead(self, value):
+        # a negative overhead used to make every op faster than a free
+        # one, and -1e6 failed deep in the engine with "negative sleep"
+        with pytest.raises(ValueError, match="dispatch_overhead_us"):
+            MCRConfig(dispatch_overhead_us=value).validate()
+
+    def test_zero_dispatch_overhead_valid(self):
+        MCRConfig(dispatch_overhead_us=0.0).validate()
+
+    @pytest.mark.parametrize("value", [0.0, -1.0, NAN])
+    def test_bad_op_deadline(self, value):
+        with pytest.raises(ValueError, match="op_deadline_us"):
+            MCRConfig(op_deadline_us=value).validate()
+
+    @pytest.mark.parametrize(
+        "field", ["drift_ratio", "min_samples", "explore_ops", "epsilon", "probation_interval"]
+    )
+    def test_nan_adaptive_rejected(self, field):
+        with pytest.raises(ValueError, match=f"adaptive.{field}"):
+            MCRConfig(adaptive=AdaptiveConfig(**{field: NAN})).validate()
+
+    @pytest.mark.parametrize("field", ["streams_per_backend", "comm_max_retries"])
+    def test_nan_counts_rejected(self, field):
+        with pytest.raises(ValueError, match=field):
+            MCRConfig(**{field: NAN}).validate()
 
     def test_compression_defaults_off(self):
         assert not MCRConfig().compression.enabled

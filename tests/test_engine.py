@@ -1,12 +1,22 @@
 """Discrete-event engine: clock, scheduling, flags, deadlocks, errors."""
 
 import _thread
+import gc
+import math
+import multiprocessing
 import os
+import sys
+import threading
+import time
+import weakref
 
 import pytest
 
+import repro.sim.engine as engine_mod
 from repro.sim import DeadlockError, Engine, Flag, Simulator
 from repro.sim.errors import SimError
+
+NAN = math.nan
 
 
 def run_procs(*fns, max_events=1_000_000):
@@ -40,6 +50,15 @@ class TestClock:
             e.sleep(-1)
 
         with pytest.raises(SimError):
+            run_procs(body)
+
+    def test_nan_sleep_rejected(self):
+        # a NaN duration used to pass the check and make the job's
+        # elapsed time NaN
+        def body(e):
+            e.sleep(NAN)
+
+        with pytest.raises(SimError, match="negative sleep nan"):
             run_procs(body)
 
     def test_wait_until_past_is_noop(self):
@@ -118,6 +137,13 @@ class TestFlags:
             e.new_flag().fire(-1.0)
 
         with pytest.raises(SimError):
+            run_procs(body)
+
+    def test_nan_fire_rejected(self):
+        def body(e):
+            e.new_flag().fire(NAN)
+
+        with pytest.raises(SimError, match="negative time nan"):
             run_procs(body)
 
     def test_callbacks_invoked_once(self):
@@ -259,6 +285,19 @@ class TestSimulatorFacade:
         r2 = Simulator(2, seed=7).run(body).rank_results
         assert r1 == r2
         assert r1[0] != r1[1]
+
+    def test_nan_host_sleep_rejected(self):
+        # one rank's NaN sleep used to make the job's elapsed_us NaN
+        def body(ctx):
+            ctx.sleep(NAN if ctx.rank == 0 else 1.0)
+
+        with pytest.raises(SimError, match="negative sleep"):
+            Simulator(2).run(body)
+
+    def test_nan_straggler_factor_rejected(self):
+        # a NaN factor used to drop the straggler's kernels
+        with pytest.raises(ValueError, match="straggler factor"):
+            Simulator(2, stragglers={0: NAN})
 
 
 class TestEngineScalability:
@@ -511,12 +550,24 @@ class TestHandoffCounters:
         assert (stats["events_dispatched"], stats["handoffs"], stats["inline"]) == (9, 6, 2)
 
 
-class TestThreadPolicy:
-    """Each process thread asks for ``SCHED_BATCH`` once, as its first
-    act; the calling thread's policy is never touched; a platform or
-    sandbox that refuses changes nothing simulated."""
+@pytest.fixture
+def empty_pool(monkeypatch):
+    """An empty rank-thread pool for one test, so its runs start new
+    threads whatever ran before; the threads it starts join the
+    process-wide pool afterwards."""
+    outer, fresh = engine_mod._idle, []
+    monkeypatch.setattr(engine_mod, "_idle", fresh)
+    yield fresh
+    outer.extend(fresh)
 
-    def test_each_process_thread_requests_batch_once(self, monkeypatch):
+
+class TestThreadPolicy:
+    """A new pooled thread asks for ``SCHED_BATCH`` once, as its first
+    act, and a reused one never asks again; the calling thread's policy
+    is never touched; a platform or sandbox that refuses changes nothing
+    simulated."""
+
+    def test_each_process_thread_requests_batch_once(self, monkeypatch, empty_pool):
         batch = object()
         calls = []
 
@@ -526,11 +577,15 @@ class TestThreadPolicy:
         monkeypatch.setattr(os, "sched_setscheduler", record, raising=False)
         monkeypatch.setattr(os, "SCHED_BATCH", batch, raising=False)
         monkeypatch.setattr(os, "sched_param", lambda priority: ("param", priority), raising=False)
+        before = _thread._count()
         interleaved_then_solo(Engine()).run()
         threads = {ident for ident, *_ in calls}
-        assert len(calls) == len(threads) == 2
+        assert len(calls) == len(threads) == 2 == _thread._count() - before
         assert _thread.get_ident() not in threads
         assert [call[1:] for call in calls] == [(0, batch, ("param", 0))] * 2
+        # the same two threads run the next engine and ask nothing
+        interleaved_then_solo(Engine()).run()
+        assert len(calls) == 2 and _thread._count() - before == 2
 
     @pytest.mark.skipif(
         not hasattr(os, "sched_getscheduler"), reason="no scheduling policies here"
@@ -549,15 +604,104 @@ class TestThreadPolicy:
         assert os.sched_getscheduler(0) == before
 
     @pytest.mark.parametrize("refusal", ["raises", "missing"])
-    def test_refused_policy_runs_the_same(self, monkeypatch, refusal):
-        expected = interleaved_then_solo(Engine()).run()
+    def test_refused_policy_runs_the_same(self, monkeypatch, refusal, empty_pool):
+        # refuse before the run: a thread asks only when it is created,
+        # and on the empty pool both of this run's threads are new
+        asked = []
         if refusal == "raises":
             def refuse(*args):
+                asked.append(_thread.get_ident())
                 raise OSError(1, "Operation not permitted")
 
             monkeypatch.setattr(os, "sched_setscheduler", refuse, raising=False)
         else:
             monkeypatch.delattr(os, "sched_setscheduler", raising=False)
+        before = _thread._count()
         engine = interleaved_then_solo(Engine())
-        assert repr(engine.run()) == repr(expected)
-        assert engine.stats()["handoffs"] == 6
+        assert repr(engine.run()) == repr(14.5)
+        assert _thread._count() - before == 2 == len(empty_pool)
+        stats = engine.stats()
+        assert (stats["events_dispatched"], stats["handoffs"], stats["inline"]) == (9, 6, 2)
+        if refusal == "raises":
+            assert len(set(asked)) == len(asked) == 2
+
+
+def _noop(ctx) -> None:
+    pass
+
+
+def _forked_child(queue) -> None:
+    queue.put(Simulator(4).run(lambda ctx: ctx.rank).rank_results)
+
+
+class TestThreadPool:
+    """Rank threads outlive a run: the next run borrows them, a parked
+    thread keeps nothing of the run it served, and a forked child starts
+    with a pool of its own."""
+
+    def test_second_run_starts_no_thread(self):
+        Simulator(16).run(_noop)
+        before = _thread._count()
+        assert Simulator(16).run(lambda ctx: ctx.rank).rank_results == list(range(16))
+        assert _thread._count() == before
+
+    def test_run_returns_with_every_thread_idle(self, empty_pool):
+        engine = interleaved_then_solo(Engine())
+        engine.run()
+        assert len(empty_pool) == 2
+        assert all(worker.proc is None for worker in empty_pool)
+
+    def test_concurrent_runs_share_the_pool(self, empty_pool):
+        # engines on several caller threads borrow from and return to one
+        # pool at once; a lost or doubly parked thread breaks the count
+        results, callers = [], []
+
+        def caller():
+            for _ in range(10):
+                results.append(interleaved_then_solo(Engine()).run())
+
+        before = _thread._count()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            callers = [threading.Thread(target=caller) for _ in range(4)]
+            for thread in callers:
+                thread.start()
+            for thread in callers:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in callers)
+        assert results == [14.5] * 40
+        assert len({id(worker) for worker in empty_pool}) == len(empty_pool)
+        assert _thread._count() - before == len(empty_pool) <= 8
+
+    def test_finished_engine_is_collected(self):
+        engine = interleaved_then_solo(Engine())
+        engine.run()
+        ref = weakref.ref(engine)
+        del engine
+        # the last thread drops its reference a few instructions after
+        # it counted itself out of the run
+        for _ in range(200):
+            gc.collect()
+            if ref() is None:
+                break
+            time.sleep(0.005)
+        assert ref() is None
+
+    def test_forked_child_runs_a_simulator(self):
+        Simulator(4).run(_noop)  # the parent's pool holds idle threads
+        context = multiprocessing.get_context("fork")
+        queue = context.Queue()
+        child = context.Process(target=_forked_child, args=(queue,))
+        child.start()
+        try:
+            # without a fresh pool the child would hand its ranks to
+            # threads it does not have, and never finish
+            assert queue.get(timeout=60) == [0, 1, 2, 3]
+        finally:
+            child.join(timeout=60)
+            if child.exitcode is None:  # pragma: no cover - hung child
+                child.kill()
+        assert child.exitcode == 0

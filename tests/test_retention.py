@@ -11,20 +11,20 @@ and ``tracemalloc`` ratios only — no clock, no CPU count
   drains the stream instead;
 * ``Stream`` gates fold into a float once they resolve;
 * one validated group record per job, shared by every member rank;
-* rank threads are raw threads and every one of them leaves, however
-  the job ends.
+* rank threads are pooled raw threads, and every one of them is back
+  in the pool, idle, however the job ends.
 """
 
 from __future__ import annotations
 
 import _thread
 import gc
-import time
 import tracemalloc
 import weakref
 
 import pytest
 
+import repro.sim.engine as engine_mod
 from repro.cluster import lassen
 from repro.core import BackendError, CommTimeoutError, MCRCommunicator, MCRConfig
 from repro.core.handles import WorkHandle
@@ -428,25 +428,20 @@ class TestSharedGroupRecord:
             assert turns[0] == {} and turns[1] == {"nccl": 2}
 
 
-def _threads_settle_at(expected: int) -> bool:
-    """A raw thread is counted until its bootstrap returns, a few
-    instructions after it told ``Engine.run`` it left."""
-    for _ in range(2000):
-        if _thread._count() == expected:
-            return True
-        time.sleep(0.001)
-    return False
-
-
 class TestRankThreadsLeave:
+    """However a run ends, every thread it borrowed is back in the pool,
+    idle, when ``run()`` returns: on a warm pool the run starts no thread
+    and leaks none."""
+
     def _run(self, main, world=WORLD, raises=None):
-        before = _thread._count()
+        Simulator(world).run(lambda ctx: None)  # warm the pool
+        before, idle = _thread._count(), len(engine_mod._idle)
         if raises is None:
             Simulator(world).run(main)
         else:
             with pytest.raises(raises):
                 Simulator(world).run(main)
-        assert _threads_settle_at(before), (before, _thread._count())
+        assert (_thread._count(), len(engine_mod._idle)) == (before, idle)
 
     def test_after_success(self):
         self._run(mixed_program(20))

@@ -4,6 +4,8 @@ These are the CUDA-ordering behaviours MCR-DL's synchronization design
 (paper §V-C, Fig. 4) depends on.
 """
 
+import math
+
 import pytest
 
 from repro.core.comm import MCRCommunicator
@@ -63,6 +65,16 @@ class TestStreamFifo:
 
         with pytest.raises(SimError, match="launch overhead"):
             run1(body, kernel_launch_overhead_us=-1.0)
+
+    def test_nan_duration_rejected(self):
+        # used to pass the ``< 0`` check and drop the kernel silently
+        with pytest.raises(SimError, match="negative kernel duration nan"):
+            run1(lambda ctx: ctx.launch(math.nan))
+
+    def test_nan_launch_overhead_rejected(self):
+        # used to pass the ``< 0`` check and make every launch free
+        with pytest.raises(SimError, match="launch overhead nan"):
+            run1(lambda ctx: None, kernel_launch_overhead_us=math.nan)
 
 
 class TestEvents:

@@ -3,8 +3,9 @@
 Events at equal simulated times pop by ``(time, tie key, sequence)``,
 and the tie key of each process comes from one factory,
 ``repro.sim.engine.tie_keys`` (the process index).  Two seeded
-adversaries rerun the determinism programs, the ``hier_allreduce`` and
-``adaptive_degraded_link`` ledger scenarios and a real-data program:
+adversaries rerun the determinism programs, every ledger scenario but
+the two tuning sweeps and a real-data program, each program under a
+fresh adversary:
 
 * ``permutation`` swaps in a permutation of the process indices, so
   one process order holds for the whole run;
@@ -12,13 +13,16 @@ adversaries rerun the determinism programs, the ``hier_allreduce`` and
   key for every heap entry, so equal-time events may pop in any order.
 
 Data identity and deadlock-freedom must hold under every order, and so
-must simulated time on every case here.  A case whose time is known to
+must simulated time (a ledger row's ``sim_*`` values) on every case
+here.  The two heaviest ledger scenarios run under the first seed only
+(:data:`ONE_SEED`).  A case whose time is known to
 move goes in ``MOVES`` as a strict xfail naming why, so a change that
 makes it order-free turns it red until the entry goes.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import pathlib
 import random
@@ -37,9 +41,21 @@ from .test_determinism import GOLDEN, SCENARIOS
 
 SEEDS = (1, 2, 3)
 LEDGER = pathlib.Path(__file__).resolve().parent.parent / "BENCH_simulator.json"
+#: every ledger scenario but the two tuning sweeps
 LEDGER_SCENARIOS = {
-    "hier_allreduce": perfregress.hier_allreduce,
-    "adaptive_degraded_link": perfregress.adaptive_degraded_link,
+    name: perfregress.SCENARIOS[name]
+    for name in (
+        "engine_events",
+        "allreduce_ws16",
+        "allreduce_ws64",
+        "allreduce_ws128",
+        "dispatch_cache",
+        "hier_allreduce",
+        "adaptive_degraded_link",
+        "dsmoe_step",
+        "tuned_step",
+        "obs_overhead",
+    )
 }
 
 _LANES = (
@@ -77,6 +93,10 @@ def _per_entry(mp: pytest.MonkeyPatch, seed: int) -> None:
 ADVERSARIES = {"permutation": _permutation, "per_entry": _per_entry}
 
 
+def _simulated(metrics: dict) -> dict:
+    return {k: v for k, v in metrics.items() if k.startswith("sim_")}
+
+
 def _real_data() -> list:
     """Mixed backends, a hier composite, async waits and a p2p ring on
     real tensors; every output is checked against NumPy."""
@@ -103,25 +123,51 @@ def _real_data() -> list:
     return Simulator(8, system=lassen()).run(main).rank_results
 
 
-@pytest.fixture(
-    scope="module",
-    params=[(a, seed) for a in ADVERSARIES for seed in SEEDS],
+#: the heaviest ledger scenarios run under the first seed only, which
+#: keeps this file under 10 s
+ONE_SEED = ("dsmoe_step", "obs_overhead")
+ORDERS = [(a, seed) for a in ADVERSARIES for seed in SEEDS]
+
+
+def _runs_under(name: str, seed: int) -> bool:
+    return name not in ONE_SEED or seed == SEEDS[0]
+
+
+def _order_id(order: tuple[str, int]) -> str:
     # the permutation's cases keep their bare-seed ids
-    ids=lambda p: str(p[1]) if p[0] == "permutation" else f"{p[0]}-{p[1]}",
-)
-def permuted(request) -> tuple[str, int, dict]:
-    """``(adversary, seed, {program: result})`` under a seeded tie order."""
-    adversary, seed = request.param
-    with pytest.MonkeyPatch.context() as mp:
-        ADVERSARIES[adversary](mp, seed)
-        results = {name: json.loads(json.dumps(fn())) for name, fn in SCENARIOS.items()}
-        results.update({name: fn() for name, fn in LEDGER_SCENARIOS.items()})
-        results["real_data"] = _real_data()
-    return adversary, seed, results
+    adversary, seed = order
+    return str(seed) if adversary == "permutation" else f"{adversary}-{seed}"
 
 
-def test_data_identity_and_deadlock_freedom(permuted):
-    _, _, results = permuted
+@functools.cache
+def _under(order: tuple[str, int]) -> dict:
+    """``{program: result}`` under the seeded tie order ``order``."""
+    adversary, seed = order
+
+    def run(fn):
+        # each program gets its own adversary, so its order does not
+        # depend on which programs ran before it
+        with pytest.MonkeyPatch.context() as mp:
+            ADVERSARIES[adversary](mp, seed)
+            return fn()
+
+    results = {name: json.loads(json.dumps(run(fn))) for name, fn in SCENARIOS.items()}
+    results.update(
+        {name: run(fn) for name, fn in LEDGER_SCENARIOS.items() if _runs_under(name, seed)}
+    )
+    results["real_data"] = run(_real_data)
+    return results
+
+
+@pytest.fixture(scope="module", autouse=True)
+def _forget_results():
+    yield
+    _under.cache_clear()
+
+
+@pytest.mark.parametrize("order", ORDERS, ids=_order_id)
+def test_data_identity_and_deadlock_freedom(order):
+    results = _under(order)
     ws = 8
     for rank, (hier, flat, gathered, got) in enumerate(results["real_data"]):
         total = sum(range(1, ws + 1))
@@ -139,14 +185,27 @@ def test_data_identity_and_deadlock_freedom(permuted):
         assert [len(t) for t in traces] == [len(t) for t in golden[name]["traces"]]
 
 
-@pytest.mark.parametrize("name", [*sorted(SCENARIOS), *sorted(LEDGER_SCENARIOS)])
-def test_simulated_time_identity(permuted, name, request):
-    adversary, seed, results = permuted
+CASES = [
+    (order, name)
+    for order in ORDERS
+    for name in (*sorted(SCENARIOS), *sorted(LEDGER_SCENARIOS))
+    if _runs_under(name, order[1])
+]
+
+
+@pytest.mark.parametrize(
+    "order, name", CASES, ids=[f"{_order_id(order)}-{name}" for order, name in CASES]
+)
+def test_simulated_time_identity(order, name, request):
+    adversary, seed = order
+    results = _under(order)
     reason = MOVES.get((adversary, name, seed))
     if reason is not None:
         request.applymarker(pytest.mark.xfail(strict=True, reason=reason))
     if name in LEDGER_SCENARIOS:
-        expected = perfregress.fingerprint(perfregress.load(str(LEDGER))[name])
-        assert perfregress.fingerprint(results[name]) == expected
+        # the simulated values only: a row's ``det_*`` handoff counts are
+        # the engine's pop order, which the adversary changes by design
+        expected = perfregress.load(str(LEDGER))[name]
+        assert _simulated(results[name]) == _simulated(expected)
     else:
         assert results[name] == json.loads(GOLDEN.read_text())[name]
