@@ -478,7 +478,10 @@ class AdaptiveRetuner:
             return  # only trial cells the table explicitly serves
         if self._hash(op, bucket, idx) / 2**32 >= self.cfg.epsilon:
             return
-        quarantined = self.book.quarantined
+        # this rank's own set: every rank has reached this op index, so
+        # it agrees across ranks; the group's mirror may already hold a
+        # quarantine another rank's gate added at this same op
+        quarantined = self.comm.health.quarantined
         alts = [
             name
             for name in self.comm.backends

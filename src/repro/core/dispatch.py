@@ -70,9 +70,10 @@ class CommPlan:
     phases: tuple = ()
     phase_plans: Optional[list] = None
     backend: Optional[Backend] = None
-    #: backend name after §V-F resolution but *before* the fault gate —
-    #: the reference point for "reroute" dispatch attribution
-    resolved_name: str = ""
+    #: how the call came to ``backend``, for the comm log: "explicit"
+    #: (named by the caller), "auto" (:meth:`Health.choose`) or
+    #: "reroute" (the fault gate's call-local plan, never cached)
+    dispatch: str = "explicit"
     label: str = ""
     dispatch_reason: str = ""
     dispatch_cost_us: float = 0.0
@@ -192,6 +193,16 @@ class DispatchLayer:
             getattr(self.ctx.system, "link_degradation", None) is not None
         )
 
+    def _reconfigure(self, reason: str, **changes) -> None:
+        """Copy on write: ranks commonly share one ``MCRConfig`` object
+        (``CommShared.configs``), so a mid-run switch rebinds this
+        communicator to a validated copy instead of writing into it,
+        then invalidates the compiled plans."""
+        config = replace(self.config, **changes)
+        config.validate()
+        self.config = self.sync.config = config
+        self.invalidate_plans(reason)
+
     def set_compression(self, compression: CompressionConfig) -> None:
         """Enable/disable/retune lossy compression mid-run (§V-E).
 
@@ -199,22 +210,20 @@ class DispatchLayer:
         and codec costs recompute; mutating ``config.compression`` in
         place would leave stale plans serving the old codec.
         """
-        self.config.compression = compression
-        self._codec = None
+        codec = None
         if compression.enabled:
             from repro.ext.compression import FixedRateCodec
 
-            self._codec = FixedRateCodec(compression.rate_bits)
-        self.invalidate_plans("codec change")
+            codec = FixedRateCodec(compression.rate_bits)
+        self._reconfigure("codec change", compression=compression)
+        self._codec = codec
 
     def set_synchronization(self, mode: str) -> None:
         """Switch the synchronization scheme mid-run (Fig. 4a vs 4b).
 
         Plan-invalidating: stream-vs-host placement is plan state.
         """
-        self.config.synchronization = mode
-        self.config.validate()
-        self.invalidate_plans("synchronization change")
+        self._reconfigure("synchronization change", synchronization=mode)
 
     @property
     def retuner(self):
@@ -255,21 +264,28 @@ class DispatchLayer:
                 f"have {list(self.backends)}"
             ) from None
 
-    def _resolve_backend(self, name: str, family: OpFamily, nbytes: int) -> Backend:
-        """Resolve an explicit name or the ``"auto"`` tuned choice (§V-F)."""
-        if name != "auto":
-            return self._backend(name)
-        choice = None
-        if self.tuning_table is not None:
-            choice = self.tuning_table.lookup(family.value, self.world_size, nbytes)
-            if choice is not None:
-                canon = canonical_name(choice)
-                if canon not in self.backends or canon in self.health.quarantined:
-                    choice = None  # tuned for a backend we did not init
-                    # (or one quarantined by a permanent fault)
-        if choice is None:
-            choice = next(iter(self.backends))
-        return self._backend(choice)
+    def _route(
+        self, name: str, family: OpFamily, nbytes: int, composite: bool
+    ) -> "Backend | HierSpec":
+        """Where one call of ``name`` runs: a flat :class:`Backend`, or
+        on a ``composite`` (``hier``) row a :class:`HierSpec`.  ``"auto"``
+        is :meth:`Health.choose`'s; an explicit ``hier:*`` name must parse
+        and have both constituents initialized; any other name is the
+        backend it names (explicit names are never resolved past a
+        quarantine: the fault gate fails them over per call)."""
+        if name == "auto":
+            return self.health.choose(family, nbytes, composite=composite)
+        if composite and name[:5].lower() == "hier:":
+            spec = parse_hier(name)
+            for part in (spec.intra, spec.inter):
+                if part not in self.backends:
+                    raise BackendError(
+                        f"hierarchical target {name!r} needs backend "
+                        f"{part!r}, which is not initialized on this "
+                        f"communicator; have {list(self.backends)}"
+                    )
+            return spec
+        return self._backend(name)
 
     # -- hierarchical composite dispatch (hier:<intra>+<inter>) -----------
 
@@ -280,43 +296,6 @@ class DispatchLayer:
         if record.layout is None:
             record.layout = derive_layout(self.ctx.system, record.ranks)
         return record.layout
-
-    def _hier_target(self, name: str, family: OpFamily, nbytes: int):
-        """Resolve one dispatch of a hierarchically decomposable row to a
-        hierarchical spec, or None for flat.
-
-        Explicit ``hier:*`` spellings must parse and have both
-        constituents initialized (errors otherwise, mirroring unknown
-        backend names).  ``"auto"`` consults the tuned table; a hier
-        entry that cannot run here — malformed, missing constituent, or
-        a constituent quarantined by a permanent fault — silently falls
-        back to flat resolution, matching ``_resolve_backend``'s
-        treatment of unavailable tuned choices.  Any other name is flat.
-        """
-        if name[:5].lower() == "hier:":
-            spec = parse_hier(name)
-            for part in (spec.intra, spec.inter):
-                if part not in self.backends:
-                    raise BackendError(
-                        f"hierarchical target {name!r} needs backend "
-                        f"{part!r}, which is not initialized on this "
-                        f"communicator; have {list(self.backends)}"
-                    )
-            return spec
-        table = self._tuning_table
-        if name != "auto" or table is None:
-            return None
-        choice = table.lookup(family.value, self.world_size, nbytes)
-        if choice is None or choice[:5].lower() != "hier:":
-            return None
-        try:
-            spec = parse_hier(choice)
-        except BackendError:
-            return None
-        for part in (spec.intra, spec.inter):
-            if part not in self.backends or part in self.health.quarantined:
-                return None
-        return spec
 
     # -- plan compilation --------------------------------------------------
 
@@ -360,10 +339,12 @@ class DispatchLayer:
         return plan
 
     def _compile_plan(
-        self, group, spec, backend_name: str, prep, timing_only: bool
+        self, group, spec, backend_name: str, prep, timing_only: bool, dispatch: str = ""
     ) -> CommPlan:
         """Derive one dispatch plan from a call signature on ``group``
-        (a composite's phase group: a phase's flat plan).
+        (a composite's phase group: a phase's flat plan).  ``dispatch``
+        overrides the plan's attribution: the fault gate compiles its
+        call-local "reroute" plans here too.
 
         Pure with respect to simulated time — routing, resolution, label
         interning, codec arithmetic, and stream placement never advance
@@ -374,18 +355,16 @@ class DispatchLayer:
         table_generation = -1
         if backend_name == "auto" and self._tuning_table is not None:
             table_generation = self._tuning_table.generation
-        if spec.hier:
-            # a phase names a flat backend, so only its communicator's
-            # calls can route to a composite here
-            hier = self._hier_target(backend_name, family, nbytes)
-            if hier is not None:
-                phases = self._hier_phases(hier, family, prep)
-                return CommPlan(
-                    table_generation, timing_only, hier,
-                    phases=phases, phase_plans=[None] * len(phases),
-                )
-        backend = self._resolve_backend(backend_name, family, nbytes)
-        label, dispatch_reason = self._job.label(family, backend.name, group.tag)
+        # a phase names a flat backend, so only its communicator's calls
+        # can route to a composite here
+        target = self._route(backend_name, family, nbytes, spec.hier)
+        if type(target) is HierSpec:
+            phases = self._hier_phases(target, family, prep)
+            return CommPlan(
+                table_generation, timing_only, target,
+                phases=phases, phase_plans=[None] * len(phases),
+            )
+        label, dispatch_reason = self._job.label(family, target.name, group.tag)
         # compression (§V-E): shrink the wire size, model codec kernels,
         # and apply the real quantization error to the data
         codec = None
@@ -400,16 +379,16 @@ class DispatchLayer:
             wire_bytes = codec.compressed_nbytes(nbytes)
             codec_us = codec.codec_time_us(nbytes)
         stream, pool, host_sync, stream_semantics = self.sync.placement(
-            backend, spec.force_host, wire_bytes
+            target, spec.force_host, wire_bytes
         )
         return CommPlan(
             table_generation=table_generation,
             timing_only=timing_only,
-            backend=backend,
-            resolved_name=backend.name,
+            backend=target,
+            dispatch=dispatch or ("auto" if backend_name == "auto" else "explicit"),
             label=label,
             dispatch_reason=dispatch_reason,
-            dispatch_cost_us=self._dispatch_cost(backend),
+            dispatch_cost_us=self._dispatch_cost(target),
             codec=codec,
             wire_bytes=wire_bytes,
             codec_us=codec_us,
@@ -418,20 +397,6 @@ class DispatchLayer:
             host_sync=host_sync,
             stream_semantics=stream_semantics,
             meta_tagged=(*prep.meta, "virtual" if timing_only else "real"),
-        )
-
-    def _reroute(self, group, spec, plan: CommPlan, backend: Backend) -> CommPlan:
-        """``plan`` moved to the backend the fault gate admitted instead:
-        a call-local copy (never cached) whose ``resolved_name`` still
-        names the plan's choice, for "reroute" attribution."""
-        label, dispatch_reason = self._job.label(spec.family, backend.name, group.tag)
-        stream, pool, host_sync, stream_semantics = self.sync.placement(
-            backend, spec.force_host, plan.wire_bytes
-        )
-        return replace(
-            plan, backend=backend, label=label, dispatch_reason=dispatch_reason,
-            dispatch_cost_us=self._dispatch_cost(backend), stream=stream, pool=pool,
-            host_sync=host_sync, stream_semantics=stream_semantics,
         )
 
     # -- persistent collectives (ext.persistent, §V-E) ---------------------

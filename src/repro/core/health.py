@@ -24,6 +24,7 @@ import weakref
 from typing import TYPE_CHECKING, Optional
 
 from repro.backends.base import Backend, canonical_name
+from repro.backends.hierarchical import HierSpec, is_hier_name, parse_hier
 from repro.backends.ops import OpFamily
 from repro.core.config import RETRY_BACKOFF_US
 from repro.core.exceptions import BackendError
@@ -133,23 +134,43 @@ class Health:
         )
         return fault, idx
 
-    def _survivor(self, family: OpFamily, nbytes: int, exclude: str = "") -> Backend:
-        """Deterministic failover target: tuning table, then init order
-        (§V-F dispatch, restricted to live backends)."""
+    def choose(
+        self, family: OpFamily, nbytes: int, exclude: str = "", composite: bool = False
+    ) -> "Backend | HierSpec":
+        """The one backend decision (§V-F): the tuned choice when it can
+        run here, else the first live backend in init order.
+
+        The tuned choice runs when it is a live flat backend other than
+        ``exclude`` or, on a ``composite`` (``hier``) row, a ``hier:*``
+        entry whose constituents are both live; that returns its
+        :class:`~repro.backends.hierarchical.HierSpec`.  A phase group
+        has no table.  At a matched op index the table, the quarantine
+        set and ``nbytes`` (but on the two alltoall rows, INTERNALS §12)
+        agree on every rank, so every rank chooses alike."""
         dead = self.dead()
-        survivors = [n for n in self.backends if n not in dead and n != exclude]
-        if not survivors:
-            raise BackendError(
-                f"no surviving backend for {family.value}: "
-                f"quarantined {sorted(dead)}"
-            )
-        choice = survivors[0]
         table = self.comm.tuning_table if self.parent is None else None
         if table is not None:
             tuned = table.lookup(family.value, self.comm.world_size, nbytes)
-            if tuned is not None and canonical_name(tuned) in survivors:
-                choice = canonical_name(tuned)
-        return self.backends[choice]
+            if composite and is_hier_name(tuned):
+                try:
+                    spec = parse_hier(tuned)
+                except BackendError:
+                    spec = None  # malformed: falls back like an unknown name
+                if spec is not None and all(
+                    part in self.backends and part not in dead
+                    for part in (spec.intra, spec.inter)
+                ):
+                    return spec
+            elif tuned is not None:
+                tuned = canonical_name(tuned)
+                if tuned in self.backends and tuned not in dead and tuned != exclude:
+                    return self.backends[tuned]
+        for name, backend in self.backends.items():
+            if name not in dead and name != exclude:
+                return backend
+        raise BackendError(
+            f"no surviving backend for {family.value}: quarantined {sorted(dead)}"
+        )
 
     def admit(
         self, backend: Backend, family: OpFamily, nbytes: int,
@@ -163,7 +184,7 @@ class Health:
         while True:
             if backend.name in self.dead():
                 old = backend.name
-                backend = self._survivor(family, nbytes)
+                backend = self.choose(family, nbytes)
                 self.record("failover", old, f"-> {backend.name}")
                 continue
             if hops > 3 * len(self.backends):  # pragma: no cover - safety valve
@@ -193,7 +214,7 @@ class Health:
                     continue
                 # p2p: reroute this one op, no global quarantine
                 old = backend.name
-                backend = self._survivor(family, nbytes, exclude=old)
+                backend = self.choose(family, nbytes, exclude=old)
                 self.record("failover", old, f"-> {backend.name} (p2p reroute)")
                 hops += 1
                 continue

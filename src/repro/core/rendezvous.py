@@ -16,7 +16,7 @@ This module is the bottom of the comm-core layering (op surface →
 dispatch → execution; see ``docs/INTERNALS.md`` §15): it must not
 import :mod:`repro.core.dispatch` or :mod:`repro.core.comm`.  The
 :class:`ExecutionLayer` mixin reaches dispatch-layer methods
-(``_resolve_backend``, ``_dispatch_cost``, ...) through ``self`` — the
+(``_route``, ``_compile_plan``, ...) through ``self`` — the
 concrete :class:`~repro.core.comm.MCRCommunicator` composes both layers
 — so the *code* dependency stays one-directional even though the call
 graph crosses layers per operation.
@@ -273,7 +273,9 @@ class ExecutionLayer:
             # and its retries/reroutes are call-local, never plan state
             admitted = group.health.admit(plan.backend, spec.family, prep.nbytes)
             if admitted is not plan.backend:
-                plan = self._reroute(group, spec, plan, admitted)
+                plan = self._compile_plan(
+                    group, spec, admitted.name, prep, plan.timing_only, "reroute"
+                )
         # host dispatch: thin Python layer + backend call overhead (C3);
         # persistent collectives replay at a discounted scale (§V-E)
         dispatch_cost = plan.dispatch_cost_us
@@ -318,10 +320,7 @@ class ExecutionLayer:
             if self.logger is not None:
                 self._log_on_flag(
                     spec.family, plan.backend, prep.nbytes, handle.flag, async_op,
-                    dispatch=self._dispatch_kind(
-                        backend_name, plan.resolved_name, plan.backend.name
-                    ),
-                    stream="host", phase=group.tag,
+                    dispatch=plan.dispatch, stream="host", phase=group.tag,
                 )
             return handle if async_op else None
         if plan.host_sync:
@@ -333,7 +332,7 @@ class ExecutionLayer:
             del group.state.rdv[key]
             self._resolve_collective(group, spec, backend_name, prep, plan, rdv, async_op)
         return self._complete_collective(
-            group, spec.family, backend_name, prep.nbytes, plan, rdv, member, async_op
+            group, spec.family, prep.nbytes, plan, rdv, member, async_op
         )
 
     def _arrive(self, group: Group, key: tuple, family: OpFamily, prep, plan) -> tuple:
@@ -452,8 +451,8 @@ class ExecutionLayer:
         rdv.flag.fire(end)
 
     def _complete_collective(
-        self, group: Group, family: OpFamily, backend_name: str, nbytes: int, plan,
-        rdv: Rendezvous, member, async_op: bool,
+        self, group: Group, family: OpFamily, nbytes: int, plan, rdv: Rendezvous,
+        member, async_op: bool,
     ) -> Optional[WorkHandle]:
         """Complete one post: its log record and handle or wait
         semantics."""
@@ -461,7 +460,7 @@ class ExecutionLayer:
         if self.logger is not None:
             self._log_on_flag(
                 family, backend, nbytes, rdv.flag, async_op, rdv,
-                dispatch=self._dispatch_kind(backend_name, plan.resolved_name, backend.name),
+                dispatch=plan.dispatch,
                 stream="host" if member is None else member.stream.name, phase=group.tag,
             )
         deadline_us = self.config.op_deadline_us
@@ -532,8 +531,7 @@ class ExecutionLayer:
         peer_global = group.ranks[peer]
         if peer_global == ctx.rank:
             raise ValidationError("p2p with self is not supported")
-        backend = self._resolve_backend(backend_name, OpFamily.P2P, tensor.nbytes())
-        resolved_name = backend.name
+        backend = routed = self._route(backend_name, OpFamily.P2P, tensor.nbytes(), False)
         src, dst = (ctx.rank, peer_global) if is_send else (peer_global, ctx.rank)
         if group.health.gate:
             backend = group.health.admit(
@@ -575,9 +573,10 @@ class ExecutionLayer:
             if self.logger is not None:
                 # one record per endpoint (the queued peer cannot know the
                 # transfer duration, so the matching side logs for both)
-                dispatch = self._dispatch_kind(
-                    backend_name, resolved_name, backend.name
-                )
+                if backend is not routed:
+                    dispatch = "reroute"  # the fault gate rerouted this op
+                else:
+                    dispatch = "auto" if backend_name == "auto" else "explicit"
                 for endpoint in (ctx.rank, peer):
                     self.logger.log(
                         rank=endpoint,
@@ -623,14 +622,6 @@ class ExecutionLayer:
         return "both sides posted; transfer still in flight"
 
     # -- logging -----------------------------------------------------------
-
-    @staticmethod
-    def _dispatch_kind(requested: str, resolved_name: str, actual_name: str) -> str:
-        """Attribution tag for one dispatch decision (ISSUE 4): how did
-        this op end up on ``actual_name``?"""
-        if actual_name != resolved_name:
-            return "reroute"  # fault gate failed over / rerouted
-        return "auto" if requested == "auto" else "explicit"
 
     def _log_on_flag(
         self,

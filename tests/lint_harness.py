@@ -4,10 +4,15 @@
 ``test_hostfree_lint.py`` and ``test_hooks_lint.py`` each build a root
 with this module, inject a violation of their rule, and assert the
 lint's verdict, so a green CI lint step means something.
+
+:func:`method_calls` serves the one-place checks of ``test_price.py``
+and ``test_tuning.py``: it finds every call of one method name in the
+source tree.
 """
 
 from __future__ import annotations
 
+import ast
 import functools
 import shutil
 import subprocess
@@ -49,3 +54,38 @@ def real_tree(rule: str) -> list[str]:
 @functools.lru_cache(maxsize=None)
 def _real_violations() -> tuple[str, ...]:
     return tuple(check(REPO))
+
+
+class _Calls(ast.NodeVisitor):
+    """Every ``<expr>.<attr>(...)`` call with the name of the function
+    that encloses it."""
+
+    def __init__(self, attr: str) -> None:
+        self.attr = attr
+        self.scope: list[str] = []
+        self.hits: list[tuple[str, int]] = []
+
+    def _scoped(self, node) -> None:
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    visit_FunctionDef = visit_AsyncFunctionDef = visit_ClassDef = _scoped
+
+    def visit_Call(self, node: ast.Call) -> None:
+        func = node.func
+        if isinstance(func, ast.Attribute) and func.attr == self.attr:
+            self.hits.append((self.scope[-1] if self.scope else "<module>", node.lineno))
+        self.generic_visit(node)
+
+
+def method_calls(attr: str) -> list[tuple[str, str, int]]:
+    """``(file, enclosing function, line)`` of every ``.<attr>(`` call
+    under ``src/repro``."""
+    found = []
+    for path in sorted((REPO / "src" / "repro").rglob("*.py")):
+        rel = path.relative_to(REPO).as_posix()
+        calls = _Calls(attr)
+        calls.visit(ast.parse(path.read_text(), filename=rel))
+        found += [(rel, function, line) for function, line in calls.hits]
+    return found

@@ -15,7 +15,7 @@ from repro.core import MCRCommunicator, MCRConfig, TuningTable
 from repro.core.adaptive import CellBook
 from repro.core.config import AdaptiveConfig
 from repro.sim import Simulator
-from repro.sim.faults import FaultSpec
+from repro.sim.faults import BackendFault, FaultSpec
 
 NBYTES = 1 << 20
 
@@ -241,6 +241,36 @@ class TestEpsilonTrials:
         assert marks == (0, 0, 0, 0)
         assert trials[0] > 0
         assert len(set(snaps)) == 1 and len(set(tables)) == 1
+
+    def test_trial_alternates_skip_this_ranks_quarantines(self):
+        """An epsilon trial picks its alternate from this rank's own
+        quarantine set, which every rank has reached at the op being
+        posted; the group's mirror may already hold a quarantine another
+        rank's gate added at that same op, and the ranks then trialled
+        different backends and deadlocked."""
+        table = TuningTable()
+        table.add("allreduce", 2, 4096, "mvapich2-gdr")
+        config = MCRConfig(adaptive=AdaptiveConfig(
+            enabled=True, epsilon=0.5, probation_interval=0
+        ))
+        faults = FaultSpec(
+            backend_faults=(BackendFault("nccl", "permanent", at_op=1),)
+        )
+
+        def rank_main(ctx):
+            comm = MCRCommunicator(
+                ctx, ["nccl", "mvapich2-gdr", "ucc"], config=config, tuning_table=table
+            )
+            x = ctx.virtual_tensor(1024)
+            handles = [comm.all_reduce("auto", x, async_op=True) for _ in range(12)]
+            for handle in handles:
+                handle.synchronize()
+            quarantined = sorted(comm.health.quarantined)
+            comm.finalize()
+            return quarantined
+
+        results = Simulator(2, faults=faults).run(rank_main).rank_results
+        assert results == [["nccl"], ["nccl"]]
 
 
 class TestProbation:

@@ -128,7 +128,7 @@ class TestAllToAllv:
     strict=True,
     reason="auto all_to_allv keys the table on each rank's own send total: "
     "ranks whose totals fall in different buckets resolve different "
-    "backends and never meet (ROADMAP item 8)",
+    "backends and never meet (ROADMAP item 3)",
 )
 def test_auto_alltoallv_with_send_totals_in_different_buckets_completes():
     table = TuningTable(system="thetagpu")

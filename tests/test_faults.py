@@ -333,12 +333,21 @@ class TestPermanentFailover:
         assert q.backend == "nccl"
 
     def test_auto_dispatch_avoids_quarantined_backend(self):
-        res = Simulator(2, faults=permanent(at_op=1)).run(
-            allreduce_job(["nccl", "mvapich2-gdr"], n_ops=3, dispatch="auto")
-        )
-        assert res.shared["comm_logger"].event_counts()["quarantine"] == 2
+        """After the quarantine, "auto" compiles onto the survivor: only
+        the quarantining op fails over, every later op logs "auto"."""
+        backends = ["nccl", "mvapich2-gdr", "ucc"]
+        res = Simulator(2, faults=permanent(at_op=1)).run(allreduce_job(
+            backends, n_ops=4, dispatch="auto", config=MCRConfig(enable_logging=True)
+        ))
+        logger = res.shared["comm_logger"]
+        counts = logger.event_counts()
+        assert counts["quarantine"] == 2
+        assert counts["failover"] == 2  # op 1, once per rank
         for data in res.rank_results:
-            assert np.allclose(data, 3 * 2 ** 2)
+            assert np.allclose(data, 3 * 2 ** 3)
+        for rank in range(2):
+            ops = [(r.backend, r.detail) for r in logger.records if r.rank == rank]
+            assert ops == [("mvapich2-gdr", "reroute")] + [("mvapich2-gdr", "auto")] * 3
 
     def test_all_backends_failed_raises_backend_error(self):
         with pytest.raises(BackendError, match="permanently failed"):

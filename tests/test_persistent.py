@@ -87,7 +87,7 @@ class TestPlanPinning:
             op = PersistentCollective(comm, "all_reduce", "nccl", ctx.zeros(4))
             stats = comm.plan_stats
             comm.finalize()
-            return stats["plans"], op.plan.resolved_name
+            return stats["plans"], op.plan.backend.name
 
         plans, resolved = Simulator(2).run(main).rank_results[0]
         assert plans == 1
@@ -106,10 +106,10 @@ class TestPlanPinning:
                 ctx, ["nccl", "mvapich2-gdr"], tuning_table=first
             )
             op = PersistentCollective(comm, "all_reduce", "auto", ctx.zeros(1024))
-            before = op.plan.resolved_name
+            before = op.plan.backend.name
             op.start().synchronize()
             comm.tuning_table = second
-            after = op.plan.resolved_name
+            after = op.plan.backend.name
             op.start().synchronize()
             seqs = dict(comm._group.seq)
             comm.finalize()

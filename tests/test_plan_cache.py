@@ -13,7 +13,8 @@ import sys
 import numpy as np
 import pytest
 
-from repro.core import MCRCommunicator, MCRConfig
+from repro.backends.ops import ReduceOp
+from repro.core import MCRCommunicator, MCRConfig, op_table
 from repro.core.config import CompressionConfig
 from repro.core.tuning import TuningTable
 from repro.sim import Simulator
@@ -118,7 +119,7 @@ class TestAutoDispatch:
             stats = comm.plan_stats
             plans = list(comm._plan_cache.plans.values())
             comm.finalize()
-            return stats, [p.resolved_name for p in plans]
+            return stats, [p.backend.name for p in plans]
 
         stats, resolved = _run(main).rank_results[0]
         assert stats == {
@@ -304,6 +305,34 @@ class TestInvalidation:
         # every op to the default stream, so the plan was recompiled
         assert stream_plan == (None, True)
         assert naive_plan == (True, None)
+
+    @pytest.mark.parametrize("switch", ["synchronization", "compression"])
+    def test_switch_leaves_a_shared_config_alone(self, switch):
+        """Ranks commonly share one ``MCRConfig``: a rank's switch is its
+        own, so a peer's post that comes before the peer's own switch
+        still compiles under the old settings."""
+        shared = MCRConfig()
+
+        def main(ctx, config):
+            comm = MCRCommunicator(ctx, BACKENDS, config=config)
+            if ctx.rank == 1:
+                ctx.launch(2000.0)
+            handle = comm.all_reduce("nccl", ctx.virtual_tensor(1 << 20), async_op=True)
+            posted = ctx.now
+            if switch == "synchronization":
+                comm.set_synchronization("naive")
+            else:
+                comm.set_compression(CompressionConfig(enabled=True, rate_bits=8))
+            handle.synchronize()
+            comm.synchronize()
+            comm.finalize()
+            return posted, comm.config is config
+
+        private = _run(lambda ctx: main(ctx, MCRConfig())).rank_results
+        joint = _run(lambda ctx: main(ctx, shared)).rank_results
+        assert joint == [(posted, False) for posted, _ in private]
+        assert joint[1][0] < 2000.0  # the post did not wait for the kernel
+        assert shared == MCRConfig()
 
     def test_manual_invalidate_clears_plans(self):
         def main(ctx):
@@ -589,3 +618,89 @@ class TestVectoredCollectives:
         assert tc == tu
         assert np.array_equal(dc, du)
         assert stats["invalidations"] >= 1
+
+
+#: world size of the plan-key symmetry job
+KEY_WS = 4
+#: per-rank element counts of the uneven v-ops: rank r's own count is
+#: ``COUNTS[r]``; rank i sends ``PAIRS[i][j]`` elements to rank j
+COUNTS = [1, 2, 3, 4]
+PAIRS = [[(i + 1) * (j + 2) for j in range(KEY_WS)] for i in range(KEY_WS)]
+#: every row of the op table, by name
+ROWS = {
+    row.name: row for row in vars(op_table).values() if isinstance(row, op_table.CollectiveSpec)
+}
+
+
+def _key_args(ctx, rank: int) -> dict:
+    """Legal, rank-asymmetric arguments for every op-table row at
+    ``KEY_WS``: root vs non-root (1 is the root), ``None`` outputs and
+    inputs off the root, uneven v-counts and uneven all_to_all pairs."""
+    z = ctx.zeros
+    root = rank == 1
+    return {
+        "all_reduce": (z(8), ReduceOp.SUM),
+        "reduce": (z(8), 1, ReduceOp.SUM),
+        "bcast": (z(8), 1),
+        "all_gather": (z(8 * KEY_WS), z(8)),
+        "reduce_scatter": (z(8), z(8 * KEY_WS), ReduceOp.SUM),
+        "all_to_all_single": (z(8 * KEY_WS), z(8 * KEY_WS)),
+        "all_to_all": (
+            [z(PAIRS[j][rank]) for j in range(KEY_WS)],
+            [z(PAIRS[rank][j]) for j in range(KEY_WS)],
+        ),
+        "gather": (z(8), z(8 * KEY_WS) if root else None, 1),
+        "scatter": (z(8), z(8 * KEY_WS) if root else None, 1),
+        "gatherv": (z(COUNTS[rank]), z(sum(COUNTS)) if root else None, COUNTS, None, 1),
+        "scatterv": (z(COUNTS[rank]), z(sum(COUNTS)) if root else None, COUNTS, None, 1),
+        "all_gatherv": (z(sum(COUNTS)), z(COUNTS[rank]), COUNTS, None),
+        "all_to_allv": (
+            z(sum(row[rank] for row in PAIRS)), z(sum(PAIRS[rank])),
+            PAIRS[rank], None, [row[rank] for row in PAIRS], None,
+        ),
+        "barrier": (),
+    }
+
+
+@pytest.fixture(scope="module")
+def plan_keys():
+    """Each rank's ``(meta, nbytes)`` for every op-table row: the part
+    of the plan key, and of ``Health.choose``'s input, the call sets."""
+
+    def main(ctx):
+        comm = MCRCommunicator(ctx, BACKENDS)
+        keys = {}
+        for name, args in _key_args(ctx, comm.rank).items():
+            prep = ROWS[name].prepare(comm, *args)
+            keys[name] = (prep.meta, prep.nbytes)
+        comm.finalize()
+        return keys
+
+    return _run(main, world_size=KEY_WS).rank_results
+
+
+#: rows whose key still holds a quantity only the rank knows (ROADMAP 3)
+_OWN_SEND_TOTAL = pytest.mark.xfail(
+    strict=True,
+    reason="nbytes is the rank's own send total, so ranks can pick different "
+    "backends for one \"auto\" call (ROADMAP item 3)",
+)
+
+
+@pytest.mark.parametrize(
+    "row",
+    [
+        pytest.param(name, marks=_OWN_SEND_TOTAL)
+        if name in ("all_to_all", "all_to_allv") else name
+        for name in ROWS
+    ],
+)
+def test_plan_keys_are_symmetric_across_ranks(plan_keys, row):
+    """Every rank of one call builds the same plan key from its own
+    legal arguments, so ``"auto"`` resolves it alike everywhere."""
+    keys = [rank_keys[row] for rank_keys in plan_keys]
+    assert keys == [keys[0]] * KEY_WS
+
+
+def test_plan_key_cases_cover_every_row(plan_keys):
+    assert sorted(plan_keys[0]) == sorted(ROWS)

@@ -9,7 +9,6 @@
 
 from __future__ import annotations
 
-import ast
 import dataclasses
 
 import pytest
@@ -20,41 +19,14 @@ from repro.backends.ops import OpFamily
 from repro.bench.microbench import omb_latency_us
 from repro.cluster import lassen
 
-from .lint_harness import REPO
+from .lint_harness import method_calls
 
 #: the one (file, enclosing function) allowed to call collective_cost_us
 _PRICER = ("src/repro/backends/base.py", "price_us")
 
 
-class _Calls(ast.NodeVisitor):
-    """Every ``<expr>.collective_cost_us(...)`` call with the name of
-    the function that encloses it."""
-
-    def __init__(self) -> None:
-        self.scope: list[str] = []
-        self.hits: list[tuple[str, int]] = []
-
-    def _scoped(self, node) -> None:
-        self.scope.append(node.name)
-        self.generic_visit(node)
-        self.scope.pop()
-
-    visit_FunctionDef = visit_AsyncFunctionDef = visit_ClassDef = _scoped
-
-    def visit_Call(self, node: ast.Call) -> None:
-        func = node.func
-        if isinstance(func, ast.Attribute) and func.attr == "collective_cost_us":
-            self.hits.append((self.scope[-1] if self.scope else "<module>", node.lineno))
-        self.generic_visit(node)
-
-
 def test_one_place_prices_a_collective():
-    found = []
-    for path in sorted((REPO / "src" / "repro").rglob("*.py")):
-        rel = path.relative_to(REPO).as_posix()
-        calls = _Calls()
-        calls.visit(ast.parse(path.read_text(), filename=rel))
-        found += [(rel, function, line) for function, line in calls.hits]
+    found = method_calls("collective_cost_us")
     strays = [hit for hit in found if hit[:2] != _PRICER]
     assert strays == [], "price a collective through price_us"
     assert [hit[:2] for hit in found] == [_PRICER]

@@ -4,8 +4,8 @@ Events at equal simulated times pop by ``(time, tie key, sequence)``,
 and the tie key of each process comes from one factory,
 ``repro.sim.engine.tie_keys`` (the process index).  Two seeded
 adversaries rerun the determinism programs, every ledger scenario but
-the two tuning sweeps and a real-data program, each program under a
-fresh adversary:
+the two tuning sweeps, a real-data program and a fusion program, each
+program under a fresh adversary:
 
 * ``permutation`` swaps in a permutation of the process indices, so
   one process order holds for the whole run;
@@ -13,8 +13,9 @@ fresh adversary:
   key for every heap entry, so equal-time events may pop in any order.
 
 Data identity and deadlock-freedom must hold under every order, and so
-must simulated time (a ledger row's ``sim_*`` values) on every case
-here.  The two heaviest ledger scenarios run under the first seed only
+must simulated time (a ledger row's ``sim_*`` values, the fusion
+program's clocks and flush routes under the default order) on every
+case here.  The two heaviest ledger scenarios run under the first seed only
 (:data:`ONE_SEED`).  A case whose time is known to
 move goes in ``MOVES`` as a strict xfail naming why, so a change that
 makes it order-free turns it red until the entry goes.
@@ -34,7 +35,8 @@ import pytest
 import repro.sim.engine as engine_mod
 from repro.bench import perfregress
 from repro.cluster import lassen
-from repro.core import MCRCommunicator
+from repro.core import MCRCommunicator, MCRConfig
+from repro.ext.fusion import FusionConfig, TensorFusion
 from repro.sim import Simulator
 
 from .test_determinism import GOLDEN, SCENARIOS
@@ -63,12 +65,21 @@ _LANES = (
     "instant take the lane in the order their resolving ranks run "
     "(ROADMAP item 1(c))"
 )
+_FIRST_FLUSHER = (
+    "fusion's first-flusher route (TensorFusion._route_flush): the rank "
+    "that runs first at a tie picks a below-B flush's backend from its own "
+    "stream load (ROADMAP item 1(d))"
+)
 #: (adversary, program, seed) cases whose simulated times move with the
 #: tie order, each with the reason
 MOVES: dict[tuple[str, str, int], str] = {
-    ("per_entry", name, seed): _LANES
-    for name in ("megatron_msccl_ws4", "hier_allreduce", "adaptive_degraded_link")
-    for seed in SEEDS
+    **{
+        ("per_entry", name, seed): _LANES
+        for name in ("megatron_msccl_ws4", "hier_allreduce", "adaptive_degraded_link")
+        for seed in SEEDS
+    },
+    **{("per_entry", "fusion_flush", seed): _FIRST_FLUSHER for seed in SEEDS},
+    ("permutation", "fusion_flush", 2): _FIRST_FLUSHER,
 }
 
 
@@ -123,6 +134,73 @@ def _real_data() -> list:
     return Simulator(8, system=lassen()).run(main).rank_results
 
 
+#: the fusion program's small tensors per step, rank r's i-th holding r + i
+FUSED = 6
+
+
+def _fusion_flush() -> list:
+    """Timeout and boundary flushes below ``B`` with three backends: ranks
+    0 and 1 have a long host-path exchange pending on mvapich2-gdr, ranks
+    2 and 3 a short one, so the first rank to reach a flush at a tied
+    clock decides the route from a load its peers do not share."""
+
+    def main(ctx):
+        rank = ctx.rank
+        comm = MCRCommunicator(
+            ctx, ["nccl", "msccl", "mvapich2-gdr"],
+            config=MCRConfig(mpi_stream_mode="mpi-managed"),
+        )
+        fusion = TensorFusion(comm, FusionConfig(
+            max_buffer_bytes=1 << 14, max_wait_us=30.0, bypass_threshold=1 << 13,
+        ))
+        tensors, handles = [], []
+        exchange = ctx.virtual_tensor((1 << 22) if rank < 2 else 16)
+        for _ in range(3):
+            busy = [
+                comm.all_reduce(name, ctx.virtual_tensor(1 << 20), async_op=True)
+                for name in ("nccl", "msccl")
+            ]
+            busy.append(comm.isend("mvapich2-gdr", exchange, rank ^ 1))
+            busy.append(comm.irecv("mvapich2-gdr", exchange, rank ^ 1))
+            for i in range(FUSED):
+                tensors.append(ctx.full(64 * (i + 1), float(rank + i)))
+                handles.append(fusion.all_reduce("nccl", tensors[-1]))
+                ctx.sleep(10.0 * (i % 3))
+            fusion.flush_all()
+            for handle in busy:
+                handle.wait()
+        for handle in handles:
+            handle.wait()
+        comm.synchronize()
+        routes = [h._inner.backend_name for h in handles]
+        out = (ctx.now, routes, [t.data[0].item() for t in tensors])
+        comm.finalize()
+        return out
+
+    return Simulator(4, system=lassen()).run(main).rank_results
+
+
+@functools.cache
+def _fusion_default() -> tuple[list, int]:
+    """The fusion program under the default order, and how many times
+    it reached ``TensorFusion._route_flush``."""
+    calls = []
+    route = TensorFusion._route_flush
+
+    def counted(self, key, seq):
+        calls.append(seq)
+        return route(self, key, seq)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(TensorFusion, "_route_flush", counted)
+        return _fusion_flush(), len(calls)
+
+
+def test_fusion_program_reaches_the_route_flush():
+    # six below-B flushes, each reached by all four ranks
+    assert _fusion_default()[1] == 6 * 4
+
+
 #: the heaviest ledger scenarios run under the first seed only, which
 #: keeps this file under 10 s
 ONE_SEED = ("dsmoe_step", "obs_overhead")
@@ -156,6 +234,7 @@ def _under(order: tuple[str, int]) -> dict:
         {name: run(fn) for name, fn in LEDGER_SCENARIOS.items() if _runs_under(name, seed)}
     )
     results["real_data"] = run(_real_data)
+    results["fusion_flush"] = run(_fusion_flush)
     return results
 
 
@@ -163,6 +242,7 @@ def _under(order: tuple[str, int]) -> dict:
 def _forget_results():
     yield
     _under.cache_clear()
+    _fusion_default.cache_clear()
 
 
 @pytest.mark.parametrize("order", ORDERS, ids=_order_id)
@@ -175,6 +255,11 @@ def test_data_identity_and_deadlock_freedom(order):
         assert np.array_equal(flat, np.full(1 << 16, total, np.float32))
         assert np.array_equal(gathered, np.repeat(np.arange(ws, dtype=np.float32), 256))
         assert np.array_equal(got, np.full(512, (rank - 1) % ws, np.float32))
+    fused = results["fusion_flush"]
+    for _, routes, data in fused:
+        # every rank followed one route per flush and got the sum
+        assert routes == fused[0][1]
+        assert data == [float(6 + 4 * (i % FUSED)) for i in range(len(data))]
     # every program ran to the end; the asymmetric one still deadlocks
     # with the same diagnostics
     golden = json.loads(GOLDEN.read_text())
@@ -188,7 +273,7 @@ def test_data_identity_and_deadlock_freedom(order):
 CASES = [
     (order, name)
     for order in ORDERS
-    for name in (*sorted(SCENARIOS), *sorted(LEDGER_SCENARIOS))
+    for name in (*sorted(SCENARIOS), *sorted(LEDGER_SCENARIOS), "fusion_flush")
     if _runs_under(name, order[1])
 ]
 
@@ -207,5 +292,7 @@ def test_simulated_time_identity(order, name, request):
         # the engine's pop order, which the adversary changes by design
         expected = perfregress.load(str(LEDGER))[name]
         assert _simulated(results[name]) == _simulated(expected)
+    elif name == "fusion_flush":
+        assert results[name] == _fusion_default()[0]
     else:
         assert results[name] == json.loads(GOLDEN.read_text())[name]

@@ -1,4 +1,8 @@
-"""Tuning tables and the tuning suite (paper §V-F, C5)."""
+"""Tuning tables and the tuning suite (paper §V-F, C5).
+
+Every dispatch decision that reads a table reads it in one place,
+``Health.choose`` (``test_one_place_picks_a_backend``).
+"""
 
 import json
 import math
@@ -16,6 +20,21 @@ from repro.core import (
     message_bucket,
 )
 from repro.sim import Simulator
+
+from .lint_harness import method_calls
+
+#: the one (file, enclosing function) allowed to look a table up
+_CHOOSER = ("src/repro/core/health.py", "choose")
+#: reports the table's picks and does not dispatch
+_REPORTER = "src/repro/bench/perfregress.py"
+
+
+def test_one_place_picks_a_backend():
+    """``"auto"``, ``hier:*`` routing and failover all take their tuned
+    choice from ``Health.choose``: no other dispatch site looks a
+    tuning table up, so no two sites can disagree."""
+    found = [hit for hit in method_calls("lookup") if hit[0] != _REPORTER]
+    assert [hit[:2] for hit in found] == [_CHOOSER], "pick a backend through Health.choose"
 
 
 class TestMessageBucket:
