@@ -7,9 +7,11 @@ facts are checked — the same verdict on any host, at any load, under
 any hash seed — and no clock is read; speed is ``perfbench/``'s job.
 Tier-1 runs this gate through ``tests/test_perfgate.py``.
 
-* **fingerprints** (``sim_*`` simulated values and ``det_*`` engine
-  counts): any difference from the ledger fails — timing-semantics
-  drift is never expected.  A
+* **fingerprints** (``sim_*`` simulated values and ``det_*``
+  deterministic counts: engine events and handoffs, and
+  ``tuned_step``'s dispatch-plan compiles): any difference from the
+  ledger fails — timing-semantics drift is never expected, and a plan
+  compiled per rank instead of per group shows as a moved count.  A
   scenario with no row in the ledger fails too: record it with
   ``python -m repro perf``.
 * **observability budget** (``obs_overhead``): the simulated step-time

@@ -16,6 +16,11 @@ class ReduceOp(enum.Enum):
     MAX = "max"
     AVG = "avg"
 
+    def __init__(self, value: str):
+        #: ``value`` as a plain attribute: a rendezvous meta reads it on
+        #: every post, and ``.value`` is a descriptor call
+        self.code = value
+
     def apply(self, arrays: list[np.ndarray]) -> np.ndarray:
         """Reduce a list of equally-shaped arrays element-wise.
 

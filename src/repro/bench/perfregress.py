@@ -441,7 +441,9 @@ def tuned_step() -> dict:
 
     ``sim_backends`` is the order the plan hands the communicator, which
     default-backend ops follow: building it from a set once made the
-    step time depend on ``PYTHONHASHSEED``.
+    step time depend on ``PYTHONHASHSEED``.  ``det_plan_compiles``
+    counts the run's dispatch-plan compiles: each plan is compiled once
+    per group, not once per rank (INTERNALS §12).
     """
     from repro.cluster import lassen
     from repro.core import Tuner
@@ -452,6 +454,7 @@ def tuned_step() -> dict:
     plan = BackendPlan.tuned(tuner.build_table(world_sizes=[16]).table)
     result = Trainer(system, steps=2, warmup=1).run(DSMoEModel(), 16, plan)
     return {
+        "det_plan_compiles": result.plan_compiles,
         "sim_step_us": result.step_time_us,
         "sim_backends": plan.backends(),
     }
@@ -518,7 +521,7 @@ def run_scenarios(
 
 def fingerprint(metrics: dict) -> dict:
     """The part of a metrics dict that must never move: simulated values
-    (``sim_*``) and deterministic engine counts (``det_*``)."""
+    (``sim_*``) and deterministic counts (``det_*``)."""
     return {k: v for k, v in metrics.items() if k.startswith(("sim_", "det_"))}
 
 

@@ -163,11 +163,6 @@ class MCRCommunicator(DispatchLayer, ExecutionLayer):
 
             self._codec = FixedRateCodec(self.config.compression.rate_bits)
 
-        #: link-degradation gate, bound once (the Simulator installs the
-        #: schedule on the SystemSpec before any rank runs); False keeps
-        #: the healthy hot path free of extra float ops
-        self._link_faults = getattr(ctx.system, "link_degradation", None) is not None
-
         # online adaptive dispatch (repro.core.adaptive): a retuner per
         # rank, a CellBook per group.  None keeps every adaptive hook at
         # a single is-None check (zero cost when off).
@@ -183,6 +178,7 @@ class MCRCommunicator(DispatchLayer, ExecutionLayer):
             else:
                 self._tuning_table = TuningTable(system=ctx.system.name)
             self._group.retuner = AdaptiveRetuner(self)
+        self._snapshot()
 
     # ------------------------------------------------------------------
     # introspection (Listing 1 head)
@@ -283,13 +279,12 @@ class MCRCommunicator(DispatchLayer, ExecutionLayer):
         (collective data moves when the rendezvous resolves, so a later
         phase posted early could read a buffer the earlier one has not
         produced yet).  The caller's async contract applies to the last."""
-        phases, compiled = plan.phases, plan.phase_plans
+        phases = plan.phases
         if phases[0].group == "flat":
             # a degenerate composite is the call itself, on this group
             name = phases[0].backend
-            if compiled[0] is None:
-                compiled[0] = self._compile_plan(self._group, spec, name, prep, plan.timing_only)
-            return self._post_collective(self._group, spec, name, prep, compiled[0], async_op)
+            flat = self._shared_plan(self._group, spec, name, prep, plan.timing_only)
+            return self._post_collective(self._group, spec, name, prep, flat, async_op)
         rank, virtual = self.ctx.rank, plan.timing_only
         mine = [i for i, p in enumerate(phases) if p.members is None or rank in p.members]
         # the communicator split: this rank's node group and every group
@@ -326,11 +321,9 @@ class MCRCommunicator(DispatchLayer, ExecutionLayer):
             phase_prep = row.prepare(
                 group, *build(buffer(phase.out), buffer(phase.src), phase.root, op)
             )
-            if compiled[i] is None:
-                compiled[i] = self._compile_plan(group, row, phase.backend, phase_prep, virtual)
-            handle = self._post_collective(
-                group, row, phase.backend, phase_prep, compiled[i], True
-            )
+            # compiled once per phase group: uneven node groups never share
+            flat = self._shared_plan(group, row, phase.backend, phase_prep, virtual)
+            handle = self._post_collective(group, row, phase.backend, phase_prep, flat, True)
             if phase.after is not None and not virtual:
                 # the rendezvous may already have resolved
                 if handle.flag.is_set:

@@ -32,7 +32,6 @@ from repro.core.config import COMPRESSIBLE_FAMILIES, CompressionConfig
 from repro.core.exceptions import BackendError
 from repro.core.tuning import TuningTable
 from repro.obs.metrics import ObsEvent
-from repro.sim.streams import Stream
 
 
 @dataclass(slots=True)
@@ -43,10 +42,11 @@ class CommPlan:
     alone, keyed per (requested backend, rendezvous meta, nbytes,
     timing-only) so a steady-state training step pays one dict lookup
     instead of re-deriving routing, tuning choice, labels, codec
-    arithmetic, and stream placement on every post.  A plan whose
-    ``hier`` is set routes the call to the hierarchical composite: it
-    carries the composite's compiled phase list, and its flat fields
-    keep their defaults (INTERNALS §13).
+    arithmetic, and stream placement on every post.  It names nothing
+    of one rank, so the ranks of a group share it (INTERNALS §12).  A
+    plan whose ``hier`` is set routes the call to the hierarchical
+    composite: it carries the composite's compiled phase list, and its
+    flat fields keep their defaults (INTERNALS §13).
 
     Tuning-table installs, quarantines, and codec/synchronization
     changes clear the cache; plans compiled through the ``"auto"`` path
@@ -65,10 +65,8 @@ class CommPlan:
     #: the composite this call routes to (``hier:*`` or an ``"auto"``
     #: table cell naming one); None = flat dispatch on ``backend``
     hier: Optional[HierSpec] = None
-    #: the composite's schedule (:func:`~repro.backends.hierarchical.
-    #: hier_phases`), and each phase's flat plan once it has run here
+    #: the composite's schedule (:func:`~repro.backends.hierarchical.hier_phases`)
     phases: tuple = ()
-    phase_plans: Optional[list] = None
     backend: Optional[Backend] = None
     #: how the call came to ``backend``, for the comm log: "explicit"
     #: (named by the caller), "auto" (:meth:`Health.choose`) or
@@ -80,49 +78,35 @@ class CommPlan:
     codec: object = None
     wire_bytes: int = 0
     codec_us: float = 0.0
-    #: stream placement, see :meth:`~repro.core.sync.SyncManager.placement`
-    #: (``stream`` and ``pool`` both None: the op completes on the host)
-    stream: Optional[Stream] = None
-    pool: Optional[tuple[Stream, ...]] = None
+    #: the placement rule each rank applies to its own streams, see
+    #: :meth:`~repro.core.sync.SyncManager.placement`
+    pool: str = ""
+    pinned: bool = False
+    on_default: bool = False
     host_sync: bool = False
     stream_semantics: bool = False
+    #: the post yields at its dispatch cost: host sync, deadline, retuner
+    yields: bool = False
     #: rendezvous meta with the virtual/real data-plane tag appended
     meta_tagged: tuple = ()
 
 
 class PlanCache:
-    """One communicator's compiled plans, keyed by call signature and
-    cleared as a whole on invalidation, with the counters behind
-    :attr:`DispatchLayer.plan_stats`."""
+    """One communicator's plans, keyed by call signature and cleared as
+    a whole on invalidation, with the counters behind
+    :attr:`DispatchLayer.plan_stats`; :meth:`DispatchLayer._plan` fills it."""
 
-    __slots__ = ("plans", "on", "hits", "misses", "invalidations")
+    __slots__ = ("plans", "on", "hits", "misses", "invalidations", "clears")
 
     def __init__(self, on: bool):
         self.plans: dict[tuple, CommPlan] = {}
         #: ``MCRConfig.plan_cache``: off compiles a throwaway plan per call
         self.on = on
-        self.hits = self.misses = self.invalidations = 0
-
-    def get(self, key: tuple, table: Optional[TuningTable], count: bool) -> Optional[CommPlan]:
-        """The cached plan for ``key``, unless it is missing or pinned to
-        a tuning table that is no longer installed or was edited since."""
-        plan = self.plans.get(key)
-        if plan is None:
-            return None
-        pinned = plan.table_generation
-        if pinned >= 0 and (table is None or table.generation != pinned):
-            self.invalidations += 1
-            return None
-        self.hits += count
-        return plan
-
-    def put(self, key: tuple, plan: CommPlan, count: bool) -> CommPlan:
-        self.plans[key] = plan
-        self.misses += count
-        return plan
+        self.hits = self.misses = self.invalidations = self.clears = 0
 
     def clear(self) -> None:
         self.invalidations += 1
+        self.clears += 1
         self.plans.clear()
 
     def stats(self) -> dict:
@@ -189,8 +173,21 @@ class DispatchLayer:
         effect with the same invalidation discipline as the plans.
         """
         self._plan_cache.clear()
-        self._link_faults = (
-            getattr(self.ctx.system, "link_degradation", None) is not None
+        self._snapshot()
+        for group in self._phase_groups.values():
+            group.health.regate()
+
+    def _snapshot(self) -> None:
+        """Bind the link gate (False keeps the healthy hot path free of
+        extra float ops) and the plan context: the config by value (its
+        dataclass ``repr``, exact for the fields it holds; it fixes the
+        codec), the table, the backends, the quarantines, the retuner and
+        the clears.  Ranks whose context matches share their plans."""
+        self._link_faults = getattr(self.ctx.system, "link_degradation", None) is not None
+        self._plan_context = (
+            repr(self.config), id(self._tuning_table), tuple(self.backends),
+            frozenset(self.health.dead()), self._group.retuner is not None,
+            self._plan_cache.clears,
         )
 
     def _reconfigure(self, reason: str, **changes) -> None:
@@ -236,6 +233,12 @@ class DispatchLayer:
         """Plan-cache effectiveness: hit/miss/invalidation counts, the
         number of resident plans, and the steady-state hit rate."""
         return self._plan_cache.stats()
+
+    @property
+    def plan_compiles(self) -> int:
+        """Plans compiled in this job, by every rank: a plan its group
+        shares counts once."""
+        return self._job.compiles
 
     # ------------------------------------------------------------------
     # backend resolution (§V-F)
@@ -316,26 +319,43 @@ class DispatchLayer:
         return self.config.dispatch_overhead_us + backend.call_overhead_us()
 
     def _plan(self, spec, backend_name: str, prep, count: bool = True) -> CommPlan:
-        """The plan for one prepared call of op-table row ``spec``: a
-        cache hit, or a compile cached for the next call.  Only posts
-        ``count`` towards :attr:`plan_stats`, persistent pins do not."""
-        timing_only = False
-        for t in prep.tensors:
-            if t is not None and t.is_virtual:
-                timing_only = True
-                break
+        """The plan for one prepared call of op-table row ``spec``: a cache
+        hit, or the group's shared plan cached for the next call.  Only
+        posts ``count`` towards :attr:`plan_stats`, persistent pins do not."""
         cache = self._plan_cache
-        if not cache.on:
-            # a throwaway plan through the same code: cached and uncached
-            # dispatch are identical by construction
-            return self._compile_plan(self._group, spec, backend_name, prep, timing_only)
         # meta[0] names the op-table row, which fixes family and flags
-        key = (backend_name, prep.meta, prep.nbytes, timing_only)
-        plan = cache.get(key, self._tuning_table, count)
-        if plan is None:
-            plan = cache.put(
-                key, self._compile_plan(self._group, spec, backend_name, prep, timing_only), count
-            )
+        key = (backend_name, prep.meta, prep.nbytes, prep.timing_only)
+        plan = cache.plans.get(key)
+        if plan is not None:
+            # an "auto" plan pins the table generation it consulted
+            pinned = plan.table_generation
+            if pinned < 0 or pinned == self._tuning_table.generation:
+                cache.hits += count
+                return plan
+            cache.invalidations += 1
+        plan = self._shared_plan(self._group, spec, backend_name, prep, prep.timing_only)
+        if cache.on:
+            cache.plans[key] = plan
+            cache.misses += count
+        return plan
+
+    def _shared_plan(self, group, spec, backend_name: str, prep, timing_only: bool) -> CommPlan:
+        """The plan of one call signature on ``group``, compiled once for its
+        ranks whose plan context matches: through the memo on its
+        ``CommState``, whose entry holds the table it was keyed on (that
+        ``id`` is not reused while the entry lives).  Plan cache off: a
+        throwaway plan."""
+        if not self._plan_cache.on:
+            return self._compile_plan(group, spec, backend_name, prep, timing_only)
+        memo, table = group.state.plans, self._tuning_table
+        shared = (self._plan_context, backend_name, prep.meta, prep.nbytes, timing_only)
+        entry = memo.get(shared)
+        if entry is not None:
+            pinned = entry[1].table_generation
+            if pinned < 0 or pinned == table.generation:
+                return entry[1]
+        plan = self._compile_plan(group, spec, backend_name, prep, timing_only)
+        memo[shared] = (table, plan)
         return plan
 
     def _compile_plan(
@@ -348,9 +368,9 @@ class DispatchLayer:
 
         Pure with respect to simulated time — routing, resolution, label
         interning, codec arithmetic, and stream placement never advance
-        the clock — and arithmetic-identical to the historical per-call
-        derivation, so cached and uncached dispatch cannot diverge.
+        the clock — so cached, shared and uncached dispatch cannot diverge.
         """
+        self._job.compiles += 1
         family, nbytes = spec.family, prep.nbytes
         table_generation = -1
         if backend_name == "auto" and self._tuning_table is not None:
@@ -359,17 +379,14 @@ class DispatchLayer:
         # can route to a composite here
         target = self._route(backend_name, family, nbytes, spec.hier)
         if type(target) is HierSpec:
-            phases = self._hier_phases(target, family, prep)
             return CommPlan(
                 table_generation, timing_only, target,
-                phases=phases, phase_plans=[None] * len(phases),
+                phases=self._hier_phases(target, family, prep),
             )
         label, dispatch_reason = self._job.label(family, target.name, group.tag)
         # compression (§V-E): shrink the wire size, model codec kernels,
         # and apply the real quantization error to the data
-        codec = None
-        wire_bytes = nbytes
-        codec_us = 0.0
+        codec, wire_bytes, codec_us = None, nbytes, 0.0
         if (
             self._codec is not None
             and spec.compressible
@@ -378,24 +395,21 @@ class DispatchLayer:
             codec = self._codec
             wire_bytes = codec.compressed_nbytes(nbytes)
             codec_us = codec.codec_time_us(nbytes)
-        stream, pool, host_sync, stream_semantics = self.sync.placement(
+        pool, pinned, on_default, host_sync, stream_semantics = self.sync.placement(
             target, spec.force_host, wire_bytes
         )
         return CommPlan(
-            table_generation=table_generation,
-            timing_only=timing_only,
-            backend=target,
+            table_generation, timing_only, backend=target,
             dispatch=dispatch or ("auto" if backend_name == "auto" else "explicit"),
-            label=label,
-            dispatch_reason=dispatch_reason,
+            label=label, dispatch_reason=dispatch_reason,
             dispatch_cost_us=self._dispatch_cost(target),
-            codec=codec,
-            wire_bytes=wire_bytes,
-            codec_us=codec_us,
-            stream=stream,
-            pool=pool,
-            host_sync=host_sync,
+            codec=codec, wire_bytes=wire_bytes, codec_us=codec_us,
+            pool=pool, pinned=pinned, on_default=on_default, host_sync=host_sync,
             stream_semantics=stream_semantics,
+            yields=(
+                host_sync or self.config.op_deadline_us is not None
+                or group.retuner is not None
+            ),
             meta_tagged=(*prep.meta, "virtual" if timing_only else "real"),
         )
 

@@ -63,7 +63,7 @@ class Health:
         self.injector = comm.ctx.shared.get("injector")
         #: the per-op gate: False (no injector, nothing quarantined)
         #: keeps the healthy path at one attribute truth test
-        self.gate = parent is not None or self.injector is not None
+        self.regate()
         self.log = None
         if self.injector is not None:
             from repro.ext.logging_ext import CommLogger
@@ -75,6 +75,10 @@ class Health:
     def record(self, kind: str, name: str, detail: str = "") -> None:
         if self.log is not None:
             self.log.log_event(kind, self.ctx.rank, name, self.ctx.now, detail)
+
+    def regate(self) -> None:
+        """Re-derive the gate (a phase group's: on its parent's invalidation)."""
+        self.gate = self.injector is not None or bool(self.dead())
 
     def dead(self) -> set:
         """Every quarantine that bars this scope."""
@@ -115,7 +119,7 @@ class Health:
         if name not in self.quarantined:
             return
         self.quarantined.discard(name)
-        self.gate = self.injector is not None or bool(self.quarantined)
+        self.regate()
         # recovery changes dispatch exactly like quarantine did
         self.comm.invalidate_plans(f"unquarantine({name})")
         self.record("unquarantine", name, reason)

@@ -41,6 +41,8 @@ class _Prepared:
     meta: tuple
     tensors: tuple = ()
     extras: Optional[dict] = None
+    #: a virtual tensor is involved: time the call, move no data
+    timing_only: bool = False
 
 
 @dataclass(frozen=True)
@@ -75,73 +77,76 @@ def _check_root(comm, root: int) -> None:
         raise ValidationError(f"root {root} out of range [0, {comm.world_size})")
 
 
+def _virtual(*tensors: Optional[SimTensor]) -> bool:
+    """Whether any tensor passed (None: not passed) is virtual."""
+    return any(t is not None and t.virtual_numel is not None for t in tensors)
+
+
 def _prep_all_reduce(comm, tensor: SimTensor, op: ReduceOp) -> _Prepared:
-    buf = flat_buffer(tensor)
+    buf, numel = flat_buffer(tensor)
 
     def move(arrivals: list[Arrival]) -> None:
         datapath.all_reduce([a.inputs[0] for a in arrivals], [a.outputs[0] for a in arrivals], op)
 
     return _Prepared(
-        tensor.nbytes(), [buf], [buf], move,
-        meta=("allreduce", tensor.numel(), tensor.dtype.name, op.value),
-        tensors=(tensor,),
+        numel * tensor.dtype.itemsize, [buf], [buf], move,
+        ("allreduce", numel, tensor.dtype.name, op.code), (tensor,),
+        timing_only=tensor.virtual_numel is not None,
     )
 
 
 def _prep_reduce(comm, tensor: SimTensor, root: int, op: ReduceOp) -> _Prepared:
     _check_root(comm, root)
-    buf = flat_buffer(tensor)
+    buf, numel = flat_buffer(tensor)
 
     def move(arrivals: list[Arrival]) -> None:
         datapath.reduce([a.inputs[0] for a in arrivals], arrivals[root].outputs[0], op)
 
     return _Prepared(
-        tensor.nbytes(), [buf], [buf], move,
-        meta=("reduce", tensor.numel(), tensor.dtype.name, op.value, root),
-        tensors=(tensor,),
+        numel * tensor.dtype.itemsize, [buf], [buf], move,
+        ("reduce", numel, tensor.dtype.name, op.code, root), (tensor,),
+        timing_only=tensor.virtual_numel is not None,
     )
 
 
 def _prep_bcast(comm, tensor: SimTensor, root: int) -> _Prepared:
     _check_root(comm, root)
-    buf = flat_buffer(tensor)
+    buf, numel = flat_buffer(tensor)
 
     def move(arrivals: list[Arrival]) -> None:
         datapath.broadcast(arrivals[root].inputs[0], [a.outputs[0] for a in arrivals])
 
     return _Prepared(
-        tensor.nbytes(), [buf], [buf], move,
-        meta=("bcast", tensor.numel(), tensor.dtype.name, root),
-        tensors=(tensor,),
+        numel * tensor.dtype.itemsize, [buf], [buf], move,
+        ("bcast", numel, tensor.dtype.name, root), (tensor,),
+        timing_only=tensor.virtual_numel is not None,
     )
 
 
 def _prep_all_gather(comm, output: SimTensor, input: SimTensor) -> _Prepared:
-    in_buf, out_buf = flat_buffer(input), flat_buffer(output)
-    if output.numel() != input.numel() * comm.world_size:
+    (in_buf, numel), (out_buf, out_numel) = flat_buffer(input), flat_buffer(output)
+    if out_numel != numel * comm.world_size:
         raise ValidationError(
-            f"all_gather: output numel {output.numel()} != "
-            f"{comm.world_size} * {input.numel()}"
+            f"all_gather: output numel {out_numel} != {comm.world_size} * {numel}"
         )
 
     def move(arrivals: list[Arrival]) -> None:
         datapath.all_gather([a.inputs[0] for a in arrivals], [a.outputs[0] for a in arrivals])
 
     return _Prepared(
-        input.nbytes(), [in_buf], [out_buf], move,
-        meta=("all_gather", input.numel(), input.dtype.name),
-        tensors=(input, output),
+        numel * input.dtype.itemsize, [in_buf], [out_buf], move,
+        ("all_gather", numel, input.dtype.name), (input, output),
+        timing_only=input.virtual_numel is not None or output.virtual_numel is not None,
     )
 
 
 def _prep_reduce_scatter(
     comm, output: SimTensor, input: SimTensor, op: ReduceOp
 ) -> _Prepared:
-    in_buf, out_buf = flat_buffer(input), flat_buffer(output)
-    if input.numel() != output.numel() * comm.world_size:
+    (in_buf, numel), (out_buf, out_numel) = flat_buffer(input), flat_buffer(output)
+    if numel != out_numel * comm.world_size:
         raise ValidationError(
-            f"reduce_scatter: input numel {input.numel()} != "
-            f"{comm.world_size} * {output.numel()}"
+            f"reduce_scatter: input numel {numel} != {comm.world_size} * {out_numel}"
         )
 
     def move(arrivals: list[Arrival]) -> None:
@@ -150,19 +155,19 @@ def _prep_reduce_scatter(
         )
 
     return _Prepared(
-        input.nbytes(), [in_buf], [out_buf], move,
-        meta=("reduce_scatter", input.numel(), input.dtype.name, op.value),
-        tensors=(input, output),
+        numel * input.dtype.itemsize, [in_buf], [out_buf], move,
+        ("reduce_scatter", numel, input.dtype.name, op.code), (input, output),
+        timing_only=input.virtual_numel is not None or output.virtual_numel is not None,
     )
 
 
 def _prep_all_to_all_single(comm, output: SimTensor, input: SimTensor) -> _Prepared:
-    in_buf, out_buf = flat_buffer(input), flat_buffer(output)
-    if input.numel() != output.numel():
+    (in_buf, numel), (out_buf, out_numel) = flat_buffer(input), flat_buffer(output)
+    if numel != out_numel:
         raise ValidationError("all_to_all_single: input/output numel differ")
-    if input.numel() % comm.world_size != 0:
+    if numel % comm.world_size != 0:
         raise ValidationError(
-            f"all_to_all_single: numel {input.numel()} not divisible by "
+            f"all_to_all_single: numel {numel} not divisible by "
             f"world size {comm.world_size}"
         )
 
@@ -172,9 +177,9 @@ def _prep_all_to_all_single(comm, output: SimTensor, input: SimTensor) -> _Prepa
         )
 
     return _Prepared(
-        input.nbytes(), [in_buf], [out_buf], move,
-        meta=("all_to_all_single", input.numel(), input.dtype.name),
-        tensors=(input, output),
+        numel * input.dtype.itemsize, [in_buf], [out_buf], move,
+        ("all_to_all_single", numel, input.dtype.name), (input, output),
+        timing_only=input.virtual_numel is not None or output.virtual_numel is not None,
     )
 
 
@@ -186,9 +191,10 @@ def _prep_all_to_all(
             f"all_to_all: need {comm.world_size} tensors per list, got "
             f"{len(input)}/{len(output)}"
         )
-    in_bufs = [flat_buffer(t) for t in input]
-    out_bufs = [flat_buffer(t) for t in output]
+    in_bufs = [flat_buffer(t)[0] for t in input]
+    out_bufs = [flat_buffer(t)[0] for t in output]
     nbytes = sum(t.nbytes() for t in input)
+    tensors = (*input, *output)
 
     def move(arrivals: list[Arrival]) -> None:
         p = len(arrivals)
@@ -209,7 +215,8 @@ def _prep_all_to_all(
     return _Prepared(
         nbytes, in_bufs, out_bufs, move,
         meta=("all_to_all", comm.world_size),
-        tensors=(*input, *output),
+        tensors=tensors,
+        timing_only=_virtual(*tensors),
     )
 
 
@@ -217,22 +224,23 @@ def _prep_gather(
     comm, input: SimTensor, output: Optional[SimTensor], root: int
 ) -> _Prepared:
     _check_root(comm, root)
-    in_buf = flat_buffer(input)
+    in_buf, numel = flat_buffer(input)
     out_bufs = []
     if comm.rank == root:
         if output is None:
             raise ValidationError("gather: root must pass an output tensor")
-        if output.numel() != input.numel() * comm.world_size:
+        out_buf, out_numel = flat_buffer(output)
+        if out_numel != numel * comm.world_size:
             raise ValidationError("gather: root output numel mismatch")
-        out_bufs = [flat_buffer(output)]
+        out_bufs = [out_buf]
 
     def move(arrivals: list[Arrival]) -> None:
         datapath.gather([a.inputs[0] for a in arrivals], arrivals[root].outputs[0])
 
     return _Prepared(
-        input.nbytes(), [in_buf], out_bufs, move,
-        meta=("gather", input.numel(), input.dtype.name, root),
-        tensors=(input, output),
+        numel * input.dtype.itemsize, [in_buf], out_bufs, move,
+        ("gather", numel, input.dtype.name, root), (input, output),
+        timing_only=_virtual(input, output),
     )
 
 
@@ -240,22 +248,23 @@ def _prep_scatter(
     comm, output: SimTensor, input: Optional[SimTensor], root: int
 ) -> _Prepared:
     _check_root(comm, root)
-    out_buf = flat_buffer(output)
+    out_buf, numel = flat_buffer(output)
     in_bufs = []
     if comm.rank == root:
         if input is None:
             raise ValidationError("scatter: root must pass an input tensor")
-        if input.numel() != output.numel() * comm.world_size:
+        in_buf, in_numel = flat_buffer(input)
+        if in_numel != numel * comm.world_size:
             raise ValidationError("scatter: root input numel mismatch")
-        in_bufs = [flat_buffer(input)]
+        in_bufs = [in_buf]
 
     def move(arrivals: list[Arrival]) -> None:
         datapath.scatter(arrivals[root].inputs[0], [a.outputs[0] for a in arrivals])
 
     return _Prepared(
-        output.nbytes(), in_bufs, [out_buf], move,
-        meta=("scatter", output.numel(), output.dtype.name, root),
-        tensors=(input, output),
+        numel * output.dtype.itemsize, in_bufs, [out_buf], move,
+        ("scatter", numel, output.dtype.name, root), (input, output),
+        timing_only=_virtual(input, output),
     )
 
 
@@ -270,8 +279,8 @@ def _prep_gatherv(
     _check_root(comm, root)
     bound = output.numel() if comm.rank == root and output is not None else None
     rcounts, displs = comm._check_v_args(rcounts, displs, bound, "root output")
-    in_buf = flat_buffer(input)
-    if input.numel() < rcounts[comm.rank]:
+    in_buf, numel = flat_buffer(input)
+    if numel < rcounts[comm.rank]:
         raise ValidationError(
             f"gatherv: rank {comm.rank} input smaller than rcount"
         )
@@ -279,7 +288,7 @@ def _prep_gatherv(
     if comm.rank == root:
         if output is None:
             raise ValidationError("gatherv: root must pass an output tensor")
-        out_bufs = [flat_buffer(output)]
+        out_bufs = [flat_buffer(output)[0]]
 
     def move(arrivals: list[Arrival]) -> None:
         datapath.gather_v(
@@ -290,6 +299,7 @@ def _prep_gatherv(
         max(rcounts) * input.element_size(), [in_buf], out_bufs, move,
         meta=("gatherv", tuple(rcounts), tuple(displs), input.dtype.name, root),
         tensors=(input, output),
+        timing_only=_virtual(input, output),
     )
 
 
@@ -304,8 +314,8 @@ def _prep_scatterv(
     _check_root(comm, root)
     bound = input.numel() if comm.rank == root and input is not None else None
     scounts, displs = comm._check_v_args(scounts, displs, bound, "root input")
-    out_buf = flat_buffer(output)
-    if output.numel() < scounts[comm.rank]:
+    out_buf, numel = flat_buffer(output)
+    if numel < scounts[comm.rank]:
         raise ValidationError(
             f"scatterv: rank {comm.rank} output smaller than scount"
         )
@@ -313,7 +323,7 @@ def _prep_scatterv(
     if comm.rank == root:
         if input is None:
             raise ValidationError("scatterv: root must pass an input tensor")
-        in_bufs = [flat_buffer(input)]
+        in_bufs = [flat_buffer(input)[0]]
 
     def move(arrivals: list[Arrival]) -> None:
         datapath.scatter_v(
@@ -324,6 +334,7 @@ def _prep_scatterv(
         max(scounts) * output.element_size(), in_bufs, [out_buf], move,
         meta=("scatterv", tuple(scounts), tuple(displs), output.dtype.name, root),
         tensors=(input, output),
+        timing_only=_virtual(input, output),
     )
 
 
@@ -335,7 +346,7 @@ def _prep_all_gatherv(
     displs: Optional[Sequence[int]],
 ) -> _Prepared:
     rcounts, displs = comm._check_v_args(rcounts, displs, output.numel(), "output")
-    in_buf, out_buf = flat_buffer(input), flat_buffer(output)
+    in_buf, out_buf = flat_buffer(input)[0], flat_buffer(output)[0]
 
     def move(arrivals: list[Arrival]) -> None:
         datapath.all_gather_v(
@@ -349,6 +360,7 @@ def _prep_all_gatherv(
         max(rcounts) * input.element_size(), [in_buf], [out_buf], move,
         meta=("all_gatherv", tuple(rcounts), tuple(displs), input.dtype.name),
         tensors=(input, output),
+        timing_only=_virtual(input, output),
     )
 
 
@@ -363,7 +375,7 @@ def _prep_all_to_allv(
 ) -> _Prepared:
     scounts, sdispls = comm._check_v_args(scounts, sdispls, input.numel(), "input")
     rcounts, rdispls = comm._check_v_args(rcounts, rdispls, output.numel(), "output")
-    in_buf, out_buf = flat_buffer(input), flat_buffer(output)
+    in_buf, out_buf = flat_buffer(input)[0], flat_buffer(output)[0]
 
     def move(arrivals: list[Arrival]) -> None:
         datapath.all_to_all_v(
@@ -379,6 +391,7 @@ def _prep_all_to_allv(
         sum(scounts) * input.element_size(), [in_buf], [out_buf], move,
         meta=("all_to_allv", comm.world_size, input.dtype.name),
         tensors=(input, output),
+        timing_only=_virtual(input, output),
         extras={
             "scounts": list(scounts),
             "sdispls": list(sdispls),

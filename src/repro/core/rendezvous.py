@@ -47,25 +47,27 @@ _VIRTUAL_BUF = np.empty(0, dtype=np.float32)
 _NO_EXTRAS = MappingProxyType({})
 
 
-def flat_buffer(tensor: SimTensor) -> np.ndarray:
-    """The flat data-plane view of one tensor argument."""
+def flat_buffer(tensor: SimTensor) -> tuple[np.ndarray, int]:
+    """The flat data-plane view of one tensor argument, and its numel."""
     if not isinstance(tensor, SimTensor):
         raise TypeError(f"expected SimTensor, got {type(tensor).__name__}")
-    if tensor.is_virtual:
+    if tensor.virtual_numel is not None:
         # timing-only tensor: the buffer is never read or written (every
         # data-plane touch is guarded by ``not timing_only``), so skip
         # the contiguity/view work and hand back a shared placeholder
-        return _VIRTUAL_BUF
-    return tensor.contiguous().view_flat()
+        return _VIRTUAL_BUF, tensor.virtual_numel
+    buf = tensor.contiguous().view_flat()
+    return buf, buf.size
 
 
 @dataclass(slots=True, eq=False)
 class CommState:
     """What the member ranks of one group share under one ``comm_id``:
-    its open rendezvous, its p2p channels, the adaptive ``CellBook``
-    and fusion's route table, the last two once used."""
+    its open rendezvous, its plans (``DispatchLayer._shared_plan``), its
+    p2p channels, the adaptive ``CellBook`` and fusion's route table."""
 
     rdv: dict = field(default_factory=dict)
+    plans: dict = field(default_factory=dict)
     p2p: defaultdict = field(
         default_factory=lambda: defaultdict(lambda: {"sends": deque(), "recvs": deque()})
     )
@@ -126,7 +128,7 @@ class CommShared:
     depend on the rank, built by the first rank that needs it and shared
     by the rest (INTERNALS §15)."""
 
-    __slots__ = ("system", "groups", "configs", "lanes", "labels")
+    __slots__ = ("system", "groups", "configs", "lanes", "labels", "compiles")
 
     def __init__(self, system) -> None:
         self.system = system
@@ -141,6 +143,8 @@ class CommShared:
         #: interned ``(label, dispatch reason)`` per (op, backend, phase
         #: tag): hot-path strings that never change
         self.labels: dict[tuple, tuple[str, str]] = {}
+        #: plans compiled, by every rank (``plan_compiles``)
+        self.compiles = 0
 
     def group(self, world_size: int, ranks: Optional[Sequence[int]]) -> GroupRecord:
         """The record of the group ``ranks`` names, validated and built by
@@ -243,6 +247,8 @@ class Rendezvous:
     arrivals: dict[int, Arrival] = field(default_factory=dict)
     #: transfer duration (µs), known once the last rank arrives
     duration: Optional[float] = None
+    #: some member posted non-blocking: the transfer is priced so
+    nonblocking: bool = False
 
 
 class ExecutionLayer:
@@ -264,8 +270,9 @@ class ExecutionLayer:
     ) -> Optional[WorkHandle]:
         """Post one prepared call of op-table row ``spec`` (family and
         flags) on ``group`` under its flat ``plan`` (INTERNALS §5): the
-        fault gate, the dispatch cost, the arrival and the stream member.
-        The ws-th arrival resolves the rendezvous; every post completes."""
+        fault gate, the dispatch cost, the arrival and the stream member,
+        then its log record and handle or wait semantics.  The ws-th
+        arrival resolves the rendezvous."""
         ctx = self.ctx
         if group.health.gate:
             # the fault gate runs per call even on a plan hit: injector
@@ -285,69 +292,90 @@ class ExecutionLayer:
             raise SimError(f"negative sleep {dispatch_cost}")
         engine = ctx.engine
         ws = group.world_size
-        resolves = ws == 1
-        if not resolves:
-            # rendezvous sequence numbers are keyed per backend only:
-            # collective calls are communicator-ordered within a library
-            # regardless of op family, like NCCL/MPI
-            # (tests/test_plan_cache.py pins this down)
-            name = plan.backend.name
-            seq = group.seq
-            seq[name] += 1
-            key = (group.comm_id, name, seq[name])
-            rdv = group.state.rdv.get(key)
-            resolves = rdv is not None and len(rdv.arrivals) == ws - 1
-        # the dispatch cost is lookahead (INTERNALS §5): the post stamps
-        # its arrival at now + cost and keeps running.  It yields instead
-        # when it resolves the rendezvous and where the post time must be
-        # seen (pre-post sync, naive mode, deadlines, retuner)
-        if (
-            resolves
-            or plan.host_sync
-            or self.config.op_deadline_us is not None
-            or group.retuner is not None
-        ):
-            # ``wait_until`` directly: it skips ``Engine.sleep``'s frame
-            engine.wait_until(engine.now + dispatch_cost, plan.dispatch_reason)
-        else:
-            engine.advance(engine.now + dispatch_cost)
+        name, label = plan.backend.name, plan.label
         if ws == 1:
+            engine.wait_until(engine.now + dispatch_cost, plan.dispatch_reason)
             if not plan.timing_only:
                 for a_in, a_out in zip(prep.inputs, prep.outputs):
                     if a_in is not a_out:
                         a_out[:] = a_in
-            handle = CompletedHandle(ctx, plan.backend.name, plan.label)
+            handle = CompletedHandle(ctx, name, label)
             if self.logger is not None:
-                self._log_on_flag(
-                    spec.family, plan.backend, prep.nbytes, handle.flag, async_op,
-                    dispatch=plan.dispatch, stream="host", phase=group.tag,
-                )
+                self._log_on_flag(group, spec, plan, prep.nbytes, handle.flag, async_op)
             return handle if async_op else None
-        if plan.host_sync:
-            # before the registration, so no yield separates a rank's
-            # arrival from its stream member: the ws-th arrival is last
-            ctx.gpu.default_stream.synchronize()
-        rdv, member = self._arrive(group, key, spec.family, prep, plan)
+        # rendezvous sequence numbers are keyed per backend only:
+        # collective calls are communicator-ordered within a library
+        # regardless of op family, like NCCL/MPI
+        # (tests/test_plan_cache.py pins this down)
+        seq = group.seq
+        seq[name] += 1
+        key = (group.comm_id, name, seq[name])
+        rdvs = group.state.rdv
+        rdv = rdvs.get(key)
+        # the dispatch cost is lookahead (INTERNALS §5): the post stamps
+        # its arrival at now + cost and keeps running.  It yields instead
+        # when it resolves the rendezvous and where the post time must be
+        # seen (``plan.yields``), then reads the rendezvous again
+        if plan.yields or rdv is not None and len(rdv.arrivals) == ws - 1:
+            # ``wait_until`` directly: it skips ``Engine.sleep``'s frame
+            engine.wait_until(engine.now + dispatch_cost, plan.dispatch_reason)
+            if plan.host_sync:
+                # before the registration, so no yield separates a rank's
+                # arrival from its stream member: the ws-th arrival is last
+                ctx.gpu.default_stream.synchronize()
+            rdv = rdvs.get(key)
+        else:
+            engine.advance(engine.now + dispatch_cost)
+        rdv, member = self._arrive(group, key, rdv, spec.family, prep, plan, async_op)
         if len(rdv.arrivals) == ws:
-            del group.state.rdv[key]
-            self._resolve_collective(group, spec, backend_name, prep, plan, rdv, async_op)
-        return self._complete_collective(
-            group, spec.family, prep.nbytes, plan, rdv, member, async_op
-        )
+            del rdvs[key]
+            self._resolve_collective(group, spec, backend_name, prep, plan, rdv)
+        if self.logger is not None:
+            self._log_on_flag(
+                group, spec, plan, prep.nbytes, rdv.flag, async_op, rdv,
+                "host" if member is None else member.stream.name,
+            )
+        deadline_us = self.config.op_deadline_us
+        timeout_info = None
+        if deadline_us is not None:
+            timeout_info = self._timeout_info(label, rdv, group.ranks)
+        if async_op:
+            handle = WorkHandle(
+                ctx, name, rdv.flag, member, plan.stream_semantics, label,
+                deadline_us=deadline_us, timeout_info=timeout_info,
+            )
+            if not plan.pool:
+                # a pool-stream op ends by its stream's tail, which
+                # synchronize() drains first; only host-path and
+                # default-stream ops need their handle kept for it
+                group.keep(handle)
+            return handle
+        # synchronous op: apply wait() semantics inline, no handle object
+        if plan.stream_semantics and member is not None:
+            ctx.gpu.default_stream.gate_on(member)
+        else:
+            host_block(ctx, rdv.flag, label, "wait", deadline_us, timeout_info)
+        if self.config.synchronization == "naive":
+            # naive scheme additionally host-blocks (Fig. 4a)
+            engine.wait_flag(rdv.flag, reason=label)
+        return None
 
-    def _arrive(self, group: Group, key: tuple, family: OpFamily, prep, plan) -> tuple:
+    def _arrive(
+        self, group: Group, key: tuple, rdv: Optional["Rendezvous"], family: OpFamily,
+        prep, plan, async_op: bool,
+    ) -> tuple:
         """Register this rank's arrival at rendezvous ``key`` on
-        ``group`` (opened by the first arrival, validated by the others)
-        and enqueue its stream member, if any, with no yield between:
-        ``(rendezvous, member)``."""
+        ``group`` (``rdv``: the open one; opened by the first arrival,
+        validated by the others) and enqueue its stream member, if any,
+        on this rank's stream under the plan's placement rule, with no
+        yield between: ``(rendezvous, member)``."""
         ctx = self.ctx
-        rdv = group.state.rdv.get(key)
-        meta = plan.meta_tagged
-        stream = plan.stream
-        on_stream = stream is not None or plan.pool is not None
+        meta, pool = plan.meta_tagged, plan.pool
         if rdv is None:
-            flag = ctx.engine.new_flag(plan.label)
-            members = CollectiveGroup(group.world_size, flag, label=str(key)) if on_stream else None
+            flag = Flag(ctx.engine, plan.label)
+            members = None
+            if pool or plan.on_default:
+                members = CollectiveGroup(group.world_size, flag, label=key)
             rdv = group.state.rdv[key] = Rendezvous(family, meta, flag, members)
         elif rdv.meta != meta or rdv.family is not family:
             raise ValidationError(
@@ -359,14 +387,22 @@ class ExecutionLayer:
         rdv.arrivals[ctx.rank] = Arrival(
             ctx.rank, ctx.engine.now, prep.inputs, prep.outputs, prep.extras or _NO_EXTRAS
         )
-        if not on_stream:
+        if async_op:
+            rdv.nonblocking = True
+        if pool:
+            streams = self.sync.pools[pool]
+            if plan.pinned:
+                stream = streams[0]
+            else:
+                # round-robin over the pool: small messages run
+                # concurrently (§V-C)
+                turns = group.turns
+                stream = streams[turns[pool] % len(streams)]
+                turns[pool] += 1
+        elif plan.on_default:
+            stream = ctx.gpu.default_stream
+        else:
             return rdv, None
-        if stream is None:
-            # round-robin over the pool: small messages run concurrently
-            # (§V-C); bandwidth-bound ones were pinned at compile time
-            pool, turns, name = plan.pool, group.turns, plan.backend.name
-            stream = pool[turns[name] % len(pool)]
-            turns[name] += 1
         producer = ctx.gpu.default_stream.last
         member = stream.enqueue_collective_member(
             rdv.group,
@@ -377,8 +413,7 @@ class ExecutionLayer:
         return rdv, member
 
     def _resolve_collective(
-        self, group: Group, spec, backend_name: str, prep, plan, rdv: Rendezvous,
-        async_op: bool,
+        self, group: Group, spec, backend_name: str, prep, plan, rdv: Rendezvous
     ) -> None:
         """Resolve ``rdv`` once, on its last arrival: the one place a
         transfer's duration is set (price, link faults, codec, host
@@ -397,7 +432,7 @@ class ExecutionLayer:
         duration = price_us(
             ctx.system, backend, family, wire_bytes, group.world_size,
             group.record.comm_path, self.config,
-            vector=spec.vector, nonblocking=async_op, overheads=False,
+            vector=spec.vector, nonblocking=rdv.nonblocking, overheads=False,
         )
         ordered = [rdv.arrivals[r] for r in group.ranks]
         ready = max(a.host_time for a in ordered)
@@ -450,44 +485,6 @@ class ExecutionLayer:
                 )
         rdv.flag.fire(end)
 
-    def _complete_collective(
-        self, group: Group, family: OpFamily, nbytes: int, plan, rdv: Rendezvous,
-        member, async_op: bool,
-    ) -> Optional[WorkHandle]:
-        """Complete one post: its log record and handle or wait
-        semantics."""
-        ctx, backend, label = self.ctx, plan.backend, plan.label
-        if self.logger is not None:
-            self._log_on_flag(
-                family, backend, nbytes, rdv.flag, async_op, rdv,
-                dispatch=plan.dispatch,
-                stream="host" if member is None else member.stream.name, phase=group.tag,
-            )
-        deadline_us = self.config.op_deadline_us
-        timeout_info = None
-        if deadline_us is not None:
-            timeout_info = self._timeout_info(label, rdv, group.ranks)
-        if async_op:
-            handle = WorkHandle(
-                ctx, backend.name, rdv.flag, member, plan.stream_semantics, label,
-                deadline_us=deadline_us, timeout_info=timeout_info,
-            )
-            if plan.pool is None:
-                # a pool-stream op ends by its stream's tail, which
-                # synchronize() drains first; only host-path and
-                # default-stream ops need their handle kept for it
-                group.keep(handle)
-            return handle
-        # synchronous op: apply wait() semantics inline, no handle object
-        if plan.stream_semantics and member is not None:
-            ctx.gpu.default_stream.gate_on(member)
-        else:
-            host_block(ctx, rdv.flag, label, "wait", deadline_us, timeout_info)
-        if self.config.synchronization == "naive":
-            # naive scheme additionally host-blocks (Fig. 4a)
-            ctx.engine.wait_flag(rdv.flag, reason=label)
-        return None
-
     @staticmethod
     def _timeout_info(label: str, rdv: Rendezvous, ranks: list[int]):
         """Deferred per-rank diagnostics for a CommTimeoutError: evaluated
@@ -531,18 +528,19 @@ class ExecutionLayer:
         peer_global = group.ranks[peer]
         if peer_global == ctx.rank:
             raise ValidationError("p2p with self is not supported")
-        backend = routed = self._route(backend_name, OpFamily.P2P, tensor.nbytes(), False)
+        nbytes = tensor.nbytes()
+        backend = routed = self._route(backend_name, OpFamily.P2P, nbytes, False)
         src, dst = (ctx.rank, peer_global) if is_send else (peer_global, ctx.rank)
         if group.health.gate:
             backend = group.health.admit(
-                backend, OpFamily.P2P, tensor.nbytes(), p2p_channel=(src, dst, tag)
+                backend, OpFamily.P2P, nbytes, p2p_channel=(src, dst, tag)
             )
         label, dispatch_reason = self._job.label("send" if is_send else "recv", backend.name)
         ctx.sleep(self._dispatch_cost(backend), reason=dispatch_reason)
 
         chan = group.state.p2p[(backend.name, src, dst, tag)]
         mine, theirs = ("sends", "recvs") if is_send else ("recvs", "sends")
-        buf = flat_buffer(tensor)
+        buf = flat_buffer(tensor)[0]
         deadline_us = self.config.op_deadline_us
         timeout_info = None
 
@@ -555,7 +553,7 @@ class ExecutionLayer:
                     f"p2p size mismatch: send {send_buf.size} vs recv {recv_buf.size}"
                 )
             cost = backend.p2p_cost_us(
-                tensor.nbytes(), ctx.system.same_node(src, dst)
+                nbytes, ctx.system.same_node(src, dst)
             ) * (1.0 + self.config.dispatch_fraction)
             start = max(ctx.now, other_time)
             if self._link_faults:
@@ -565,7 +563,7 @@ class ExecutionLayer:
                 recv_buf[:] = send_buf
             if not flag.is_set:  # eager sends fire their flag at post time
                 flag.fire(end)
-            if not is_send or tensor.nbytes() <= EAGER_THRESHOLD:
+            if not is_send or nbytes <= EAGER_THRESHOLD:
                 # the receiver's own completion is the transfer end; an
                 # eager send's is its post, whoever posted first
                 flag = ctx.new_flag(label)
@@ -582,7 +580,7 @@ class ExecutionLayer:
                         rank=endpoint,
                         family=str(OpFamily.P2P),
                         backend=backend.name,
-                        nbytes=tensor.nbytes(),
+                        nbytes=nbytes,
                         start=end - cost,
                         end=end,
                         async_op=async_op,
@@ -592,7 +590,7 @@ class ExecutionLayer:
                     )
         else:
             flag = ctx.new_flag(label)
-            if is_send and tensor.nbytes() <= EAGER_THRESHOLD:
+            if is_send and nbytes <= EAGER_THRESHOLD:
                 # eager protocol: buffer the payload so the sender can
                 # return (and reuse its tensor) before the match
                 if not tensor.is_virtual:
@@ -624,16 +622,8 @@ class ExecutionLayer:
     # -- logging -----------------------------------------------------------
 
     def _log_on_flag(
-        self,
-        family: OpFamily,
-        backend,
-        nbytes: int,
-        flag: Flag,
-        async_op: bool,
-        rdv: Optional[Rendezvous] = None,
-        dispatch: str = "explicit",
-        stream: str = "",
-        phase: str = "",
+        self, group: Group, spec, plan, nbytes: int, flag: Flag, async_op: bool,
+        rdv: Optional[Rendezvous] = None, stream: str = "host",
     ) -> None:
         """Log once the completion time is known (flag fired).
 
@@ -644,9 +634,7 @@ class ExecutionLayer:
         completing during step N+1 still belongs to the step that issued
         it.  Callers check that a logger exists.
         """
-        logger = self.logger
-        rank = self.ctx.rank
-        post_time = self.ctx.now
+        logger, rank, post_time = self.logger, self.ctx.rank, self.ctx.now
         step = logger.event_log.step(rank)
 
         def emit() -> None:
@@ -654,17 +642,9 @@ class ExecutionLayer:
             duration = rdv.duration if rdv is not None and rdv.duration else None
             start = end - duration if duration is not None else post_time
             logger.log(
-                rank=rank,
-                family=family.value,
-                backend=backend.name,
-                nbytes=nbytes,
-                start=start,
-                end=end,
-                async_op=async_op,
-                step=step,
-                dispatch=dispatch,
-                stream=stream,
-                phase=phase,
+                rank=rank, family=spec.family.value, backend=plan.backend.name,
+                nbytes=nbytes, start=start, end=end, async_op=async_op, step=step,
+                dispatch=plan.dispatch, stream=stream, phase=group.tag,
             )
 
         if flag.is_set:

@@ -64,14 +64,15 @@ class SyncManager:
 
     def placement(
         self, backend: Backend, force_host: bool, wire_bytes: int
-    ) -> tuple[Optional[Stream], Optional[tuple[Stream, ...]], bool, bool]:
+    ) -> tuple[str, bool, bool, bool, bool]:
         """Where one op runs and how its completion is observed, compiled
-        once per plan: ``(stream, pool, host_sync, stream_semantics)``.
+        once per plan as a rule any rank of the group applies to its own
+        streams: ``(pool, pinned, on_default, host_sync, stream_semantics)``.
 
-        * ``stream`` — the fixed stream: the default stream in naive mode
-          (Fig. 4a), pool stream 0 for bandwidth-bound messages (§V-C);
-          None to round-robin over ``pool``, or on the host path;
-        * ``pool`` — the backend's stream pool when the op rides it;
+        * ``pool`` — the backend whose stream pool the op rides ("" =
+          none), round-robin, or stream 0 when ``pinned`` (bandwidth-bound,
+          §V-C); ``on_default`` — the default stream (naive mode, Fig. 4a);
+          neither: the op completes on the host;
         * ``host_sync`` — synchronize the default stream before posting:
           naive mode, and MPI under ``mpi-managed`` (CUDA-aware MPI gives
           no stream-ordering guarantees; §V-D option 1);
@@ -80,13 +81,14 @@ class SyncManager:
           on MCR-managed streams, which only move where it overlaps.
         """
         if self.config.synchronization == "naive":
-            stream = None if force_host else self.ctx.gpu.default_stream
-            return stream, None, True, False
-        pool = self.pools.get(backend.name)
-        if force_host or pool is None:
-            return None, None, pool is None, False
-        stream = pool[0] if wire_bytes >= LARGE_MESSAGE_THRESHOLD else None
-        return stream, pool, False, backend.properties.stream_aware
+            return "", False, not force_host, True, False
+        pooled = backend.name in self.pools
+        if force_host or not pooled:
+            return "", False, False, not pooled, False
+        return (
+            backend.name, wire_bytes >= LARGE_MESSAGE_THRESHOLD, False, False,
+            backend.properties.stream_aware,
+        )
 
     def least_busy_backend(
         self, names: list[str], outstanding: Optional[dict] = None

@@ -54,16 +54,10 @@ class TuningTable:
         # and log-space nearest-neighbour search are memoized per snapped
         # (op, world size, bucket) and invalidated whenever entries change
         self._lookup_cache: dict[tuple[str, int, int], Optional[str]] = {}
-        # monotonic edit counter: communicator dispatch plans compiled
-        # through the "auto" path pin the generation they consulted, so
-        # in-place edits (add/merge) recompile plans without the caller
-        # having to reinstall the table
-        self._generation = 0
-
-    @property
-    def generation(self) -> int:
-        """Bumped on every in-place edit (``add``/``merge``)."""
-        return self._generation
+        #: bumped on every in-place edit (``add``/``merge``): "auto"
+        #: dispatch plans pin the generation they consulted, so edits
+        #: recompile them without a reinstall (each such plan hit reads it)
+        self.generation = 0
 
     # -- construction ----------------------------------------------------
 
@@ -75,7 +69,7 @@ class TuningTable:
         bucket = message_bucket(msg_bytes)
         self.entries.setdefault(op, {}).setdefault(world_size, {})[bucket] = backend
         self._lookup_cache.clear()
-        self._generation += 1
+        self.generation += 1
 
     def merge(self, other: "TuningTable") -> None:
         """Overlay ``other``'s entries onto this table.
@@ -97,7 +91,7 @@ class TuningTable:
                         changed = True
         if changed:
             self._lookup_cache.clear()
-            self._generation += 1
+            self.generation += 1
 
     def clone(self) -> "TuningTable":
         """Deep copy of the entries under a fresh generation counter.

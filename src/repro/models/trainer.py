@@ -44,6 +44,9 @@ class TrainResult:
     metrics: Optional[object] = None
     #: the run's shared :class:`repro.ext.logging_ext.CommLogger`
     comm_log: Optional[object] = None
+    #: dispatch plans compiled in the run, by every rank (a plan the
+    #: ranks of a group share counts once; ``comm.plan_compiles``)
+    plan_compiles: int = 0
 
     @property
     def comm_time_us(self) -> float:
@@ -183,6 +186,7 @@ class Trainer:
             tracer=result.tracer,
             metrics=result.metrics,
             comm_log=shared_logger,
+            plan_compiles=result.shared["mcr_dl"].compiles,
         )
 
 

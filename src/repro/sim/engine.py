@@ -504,7 +504,9 @@ class Engine:
             if ready > self.now:
                 self.wait_until(ready, reason or flag.label)
             return
-        proc = self.current_proc()
+        proc = self._current  # ``current_proc`` inline: every blocking wait runs this
+        if proc is None:  # pragma: no cover - defensive
+            raise SimError("no process is running")
         flag._waiters.append(proc)
         proc.park(reason or flag.label)
 

@@ -80,6 +80,11 @@ class GpuOp:
         self.deps = deps
         self.prev = prev
         self.group = group
+        if group is not None:
+            # a member joins its collective as it is enqueued
+            if group._resolved or len(group.members) >= group.expected:
+                raise SimError(f"collective {group.label!r}: too many members")
+            group.members.append(self)
         self.end: Optional[float] = None
         self.start: Optional[float] = None
         self._flag: Optional[Flag] = None
@@ -157,13 +162,14 @@ class CollectiveGroup:
         "admit",
     )
 
-    def __init__(self, expected: int, flag: Flag, label: str = "collective"):
+    def __init__(self, expected: int, flag: Flag, label: object = "collective"):
         self.expected = expected
         self.members: Sequence[GpuOp] = []
         self.duration: Optional[float] = None
         self.on_resolve: Optional[Callable[[], None]] = None
         self.flag = flag
         self._resolved = False
+        #: names the collective in errors (a rendezvous passes its key)
         self.label = label
         #: set with ``duration`` by the collective's resolver: maps the
         #: members' joint ready time to their start (None: start when ready)
@@ -172,11 +178,6 @@ class CollectiveGroup:
     @property
     def complete(self) -> bool:
         return len(self.members) == self.expected and self.duration is not None
-
-    def add_member(self, member: GpuOp) -> None:
-        if self._resolved or len(self.members) >= self.expected:
-            raise SimError(f"collective {self.label!r}: too many members")
-        self.members.append(member)
 
 
 def resolve(seed: "GpuOp | CollectiveGroup", engine: Engine) -> None:

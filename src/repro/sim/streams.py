@@ -168,8 +168,11 @@ class Stream:
         category: str = "comm",
     ) -> GpuOp:
         """Enqueue this rank's member of a collective ``group``."""
-        host_ready, deps = self._launch_point(deps)
-        node = GpuOp(
+        if self._gates or None in deps:
+            host_ready, deps = self._launch_point(deps)
+        else:
+            host_ready = max(self.gpu.engine.now, self._gate_floor)
+        node = self.last = GpuOp(
             stream=self,
             duration=None,  # owned by the group
             host_ready=host_ready,
@@ -179,8 +182,6 @@ class Stream:
             prev=self.last,
             group=group,
         )
-        self.last = node
-        group.add_member(node)
         return node
 
     # -- events ------------------------------------------------------------

@@ -71,7 +71,7 @@ class SimTensor:
     tests always use real tensors.
     """
 
-    __slots__ = ("_data", "_device", "_virtual_numel", "_dtype")
+    __slots__ = ("_data", "_device", "virtual_numel", "dtype")
 
     def __init__(
         self,
@@ -81,16 +81,17 @@ class SimTensor:
     ):
         if not isinstance(data, np.ndarray):
             raise TypeError(f"SimTensor wraps numpy arrays, got {type(data).__name__}")
-        # validates the dtype is supported; cached because metadata reads
-        # (dtype/element_size/nbytes) run once or more per communication op
-        self._dtype = dtype_from_numpy(data.dtype)
+        #: the element type (validated); plain attributes, like
+        #: ``virtual_numel``, because metadata reads run on every post
+        self.dtype: DType = dtype_from_numpy(data.dtype)
         if virtual_numel is not None and virtual_numel < data.size:
             raise ValueError(
                 f"virtual_numel {virtual_numel} smaller than storage {data.size}"
             )
         self._data = data
         self._device = device
-        self._virtual_numel = virtual_numel
+        #: the declared element count of a virtual tensor; None when real
+        self.virtual_numel = virtual_numel
 
     # -- metadata -----------------------------------------------------
 
@@ -105,11 +106,7 @@ class SimTensor:
 
     @property
     def is_virtual(self) -> bool:
-        return self._virtual_numel is not None
-
-    @property
-    def dtype(self) -> DType:
-        return self._dtype
+        return self.virtual_numel is not None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -120,15 +117,16 @@ class SimTensor:
         return self._data.ndim
 
     def numel(self) -> int:
-        if self._virtual_numel is not None:
-            return self._virtual_numel
+        if self.virtual_numel is not None:
+            return self.virtual_numel
         return int(self._data.size)
 
     def element_size(self) -> int:
-        return self._dtype.itemsize
+        return self.dtype.itemsize
 
     def nbytes(self) -> int:
-        return self.numel() * self.element_size()
+        numel = self.virtual_numel
+        return (self._data.size if numel is None else numel) * self.dtype.itemsize
 
     def is_contiguous(self) -> bool:
         return bool(self._data.flags["C_CONTIGUOUS"])
@@ -140,13 +138,13 @@ class SimTensor:
     # -- construction / movement --------------------------------------
 
     def clone(self) -> "SimTensor":
-        return SimTensor(self._data.copy(), self._device, self._virtual_numel)
+        return SimTensor(self._data.copy(), self._device, self.virtual_numel)
 
     def contiguous(self) -> "SimTensor":
         if self.is_contiguous():
             return self
         return SimTensor(
-            np.ascontiguousarray(self._data), self._device, self._virtual_numel
+            np.ascontiguousarray(self._data), self._device, self.virtual_numel
         )
 
     def to(self, device: "str | Device") -> "SimTensor":

@@ -232,6 +232,33 @@ class TestCorrectness:
             assert b == 4.0
             assert np.array_equal(g, np.arange(4.0))
 
+    def test_uneven_node_groups_compile_their_own_phase_plans(self):
+        """ws 6 on lassen: a node of 4 and a node of 2.  Each node group
+        compiles its phase plans once, in its own memo, shared by its
+        ranks and by no other node's."""
+
+        def fn(ctx, comm):
+            out = []
+            for _ in range(2):
+                x = ctx.full(8, float(ctx.rank + 1))
+                comm.all_reduce(HIER, x)
+                comm.synchronize()
+                out.append(x.data.copy())
+            intra = comm._phase_groups["world|hier-intra"].state
+            return out, intra, {id(plan) for _, plan in intra.plans.values()}
+
+        results = spmd(6, fn)
+        oracle = np.sum([np.full(8, float(r + 1)) for r in range(6)], axis=0)
+        for out, _, _ in results:
+            for data in out:
+                assert np.array_equal(data, oracle)
+        nodes = [results[:4], results[4:]]
+        for node in nodes:
+            assert all(state is node[0][1] for _, state, _ in node)
+            assert all(plans == node[0][2] and plans for _, _, plans in node)
+        assert nodes[0][0][1] is not nodes[1][0][1]
+        assert not nodes[0][0][2] & nodes[1][0][2]
+
     def test_single_node_degenerates_to_flat_intra(self):
         def fn(ctx, comm):
             x = ctx.full(4, float(ctx.rank + 1))
@@ -433,6 +460,43 @@ print(repr(Simulator(8, system=lassen(), faults=faults).run(main).rank_results[0
             "world|hier-intra": (dead, []),
             "world|hier-inter0": (dead, []),
         }
+
+    def test_healthy_phase_groups_skip_the_fault_gate(self, monkeypatch):
+        """With no injector and nothing quarantined a phase post runs no
+        admission; a parent quarantine turns its phase groups' gate on
+        (``invalidate_plans`` re-derives it), and recovery turns it off."""
+        from repro.core.health import Health
+
+        admits = []
+        admit = Health.admit
+        monkeypatch.setattr(
+            Health, "admit", lambda self, *a, **k: admits.append(a) or admit(self, *a, **k)
+        )
+
+        def main(ctx):
+            comm = MCRCommunicator(ctx, BACKENDS)
+            x = ctx.virtual_tensor(1 << 20)
+            for _ in range(10):
+                comm.all_reduce(HIER, x)
+            comm.synchronize()
+            comm.finalize()
+
+        assert round(Simulator(8, system=lassen()).run(main).elapsed_us, 3) == 4813.221
+        assert admits == []
+
+        def toggle(ctx):
+            comm = MCRCommunicator(ctx, [*BACKENDS, "msccl"])
+            comm.all_reduce(HIER, ctx.virtual_tensor(1 << 20))
+            gates = [[g.health.gate for g in comm._phase_groups.values()]]
+            comm.health.quarantine("msccl", "test")
+            gates.append([g.health.gate for g in comm._phase_groups.values()])
+            comm.health.unquarantine("msccl", "test")
+            gates.append([g.health.gate for g in comm._phase_groups.values()])
+            comm.finalize()
+            return gates
+
+        for gates in Simulator(8, system=lassen()).run(toggle).rank_results:
+            assert gates == [[False, False], [True, True], [False, False]]
 
     def test_plan_cache_byte_identity(self):
         def job(plan_cache):

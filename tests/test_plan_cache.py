@@ -291,11 +291,11 @@ class TestInvalidation:
             x = ctx.virtual_tensor(1024)
             comm.all_reduce("nccl", x)
             plan = next(iter(comm._plan_cache.plans.values()))
-            stream_plan = (plan.stream, plan.pool is comm.sync.pools["nccl"])
+            stream_plan = (plan.pool, plan.pinned, plan.on_default)
             comm.set_synchronization("naive")
             comm.all_reduce("nccl", x)
             plan = next(iter(comm._plan_cache.plans.values()))
-            naive_plan = (plan.stream is ctx.default_stream, plan.pool)
+            naive_plan = (plan.pool, plan.pinned, plan.on_default)
             comm.synchronize()
             comm.finalize()
             return stream_plan, naive_plan
@@ -303,8 +303,8 @@ class TestInvalidation:
         stream_plan, naive_plan = _run(main).rank_results[0]
         # a small op round-robins over the nccl pool; naive mode pins
         # every op to the default stream, so the plan was recompiled
-        assert stream_plan == (None, True)
-        assert naive_plan == (True, None)
+        assert stream_plan == ("nccl", False, False)
+        assert naive_plan == ("", False, True)
 
     @pytest.mark.parametrize("switch", ["synchronization", "compression"])
     def test_switch_leaves_a_shared_config_alone(self, switch):
@@ -401,11 +401,13 @@ class TestPlanHitPost:
     thread (``sys.setprofile``; a count, not a clock) for one post at
     ws 16, taken on rank 0 (48 / 45 / 49 before stream placement
     compiled into the plan; ``"auto"`` took 38 while a separate memoized
-    hierarchical-routing probe ran ahead of the plan lookup)."""
+    hierarchical-routing probe ran ahead of the plan lookup; 32 / 31 / 35
+    before the plan fixed its yield test and the tensor metadata became
+    plain attributes)."""
 
     @pytest.mark.parametrize(
         "backend, async_op, budget",
-        [("auto", True, 35), ("nccl", True, 33), ("mvapich2-gdr", False, 37)],
+        [("auto", True, 17), ("nccl", True, 17), ("mvapich2-gdr", False, 20)],
     )
     def test_python_calls_per_post(self, backend, async_op, budget):
         table = TuningTable()
@@ -464,6 +466,145 @@ class TestPlanHitPost:
             assert routed
             assert lookups == []
             assert (stats["hits"], stats["misses"], stats["plans"]) == (1, 1, 1)
+
+
+class TestPlanSharing:
+    """A plan names nothing of one rank, so the ranks of a group whose
+    plan context matches share one compiled plan (INTERNALS §12);
+    ``comm.plan_compiles`` counts the job's compiles."""
+
+    @staticmethod
+    def _table(ws):
+        table = TuningTable()
+        table.add("allreduce", ws, 4096, "nccl")
+        table.add("allreduce", ws, 1 << 20, "mvapich2-gdr")
+        table.add("allgather", ws, 4096, "mvapich2-gdr")
+        return table
+
+    def test_auto_program_compiles_each_plan_once_per_group(self):
+        table = self._table(4)
+
+        def main(ctx):
+            comm = MCRCommunicator(ctx, BACKENDS, tuning_table=table)
+            for _ in range(3):
+                for numel in (1024, 1 << 18):
+                    comm.all_reduce("auto", ctx.virtual_tensor(numel), async_op=True)
+                    comm.all_gather(
+                        "auto", ctx.virtual_tensor(4 * numel), ctx.virtual_tensor(numel),
+                        async_op=True,
+                    )
+                comm.all_reduce("nccl", ctx.virtual_tensor(64))
+            comm.synchronize()
+            out = comm.plan_stats, comm.plan_compiles, list(comm._plan_cache.plans.values())
+            comm.finalize()
+            return out
+
+        results = _run(main, world_size=4).rank_results
+        stats, compiles, plans = results[0]
+        assert stats["plans"] == 5 and stats["misses"] == 5
+        # five distinct plans in the job, one compile each (not one per rank)
+        assert compiles == 5
+        for rank_stats, rank_compiles, rank_plans in results:
+            assert rank_stats == stats and rank_compiles == compiles
+            assert all(p is q for p, q in zip(rank_plans, plans))
+
+    def test_naive_switch_stops_sharing_for_that_rank_only(self):
+        def main(ctx):
+            comm = MCRCommunicator(ctx, BACKENDS)
+            x = ctx.virtual_tensor(1024)
+            comm.all_reduce("nccl", x)
+            before = comm._plan(op_table._ALL_REDUCE, "nccl", op_table._prep_all_reduce(
+                comm, x, ReduceOp.SUM), count=False)
+            if ctx.rank == 1:
+                comm.set_synchronization("naive")
+            for _ in range(3):
+                comm.all_reduce("nccl", x)
+            comm.synchronize()
+            after = next(iter(comm._plan_cache.plans.values()))
+            out = before, after, comm.plan_compiles
+            comm.finalize()
+            return out
+
+        results = _run(main, world_size=4).rank_results
+        shared = results[0][0]
+        assert all(before is shared for before, _, _ in results)
+        # the switching rank compiled its own plan; its peers kept theirs
+        assert results[1][1] is not shared and results[1][1].on_default
+        assert all(results[r][1] is shared for r in (0, 2, 3))
+        assert {compiles for _, _, compiles in results} == {2}
+
+    def test_adaptive_ranks_compile_their_own_plans(self):
+        from repro.core.config import AdaptiveConfig
+
+        table = self._table(4)
+
+        def main(ctx):
+            config = MCRConfig(adaptive=AdaptiveConfig(enabled=True))
+            comm = MCRCommunicator(ctx, BACKENDS, config=config, tuning_table=table)
+            for _ in range(3):
+                comm.all_reduce("auto", ctx.virtual_tensor(1024))
+            comm.synchronize()
+            out = list(comm._plan_cache.plans.values()), comm.plan_compiles
+            comm.finalize()
+            return out
+
+        results = _run(main, world_size=4).rank_results
+        plans = [plan for rank_plans, _ in results for plan in rank_plans]
+        # each rank retunes a private table clone: nothing is shared
+        assert len(plans) == 4 and len({id(p) for p in plans}) == 4
+        assert {compiles for _, compiles in results} == {4}
+
+    def test_swapped_and_freed_table_never_serves_a_stale_plan(self):
+        import gc
+        import weakref
+
+        def main(ctx):
+            first = TuningTable()
+            first.add("allreduce", 2, 4096, "nccl")
+            alive = weakref.ref(first)
+            comm = MCRCommunicator(ctx, BACKENDS, tuning_table=first)
+            x = ctx.virtual_tensor(1024)
+            comm.all_reduce("auto", x)
+            picks = [comm._plan_cache.plans[next(iter(comm._plan_cache.plans))].backend.name]
+            del first
+            for backend in ("mvapich2-gdr", "nccl"):
+                # a fresh table per swap: once the last one is freed its
+                # id may come back, but not while a shared plan names it
+                table = TuningTable()
+                table.add("allreduce", 2, 4096, backend)
+                comm.tuning_table = table
+                del table
+                gc.collect()
+                comm.all_reduce("auto", x)
+                picks.append(next(iter(comm._plan_cache.plans.values())).backend.name)
+            comm.synchronize()
+            out = picks, alive() is not None, comm.plan_compiles
+            comm.finalize()
+            return out
+
+        for picks, pinned, compiles in _run(main).rank_results:
+            assert picks == ["nccl", "mvapich2-gdr", "nccl"]
+            assert pinned  # the memo entry holds the table it was keyed on
+            assert compiles == 2 * 3  # each rank installs tables of its own
+
+    def test_inplace_edit_of_a_shared_table_recompiles_once(self):
+        table = self._table(4)
+
+        def main(ctx):
+            comm = MCRCommunicator(ctx, BACKENDS, tuning_table=table)
+            x = ctx.virtual_tensor(1024)
+            comm.all_reduce("auto", x)
+            comm.synchronize()
+            if ctx.rank == 0:
+                table.add("allreduce", 4, 4096, "mvapich2-gdr")
+            ctx.sleep(10.0)  # every rank sees the edit before it posts again
+            comm.all_reduce("auto", x)
+            comm.synchronize()
+            out = next(iter(comm._plan_cache.plans.values())).backend.name, comm.plan_compiles
+            comm.finalize()
+            return out
+
+        assert _run(main, world_size=4).rank_results == [("mvapich2-gdr", 2)] * 4
 
 
 class TestObservability:

@@ -74,3 +74,24 @@ def test_clear_cost_caches_drops_cached_backends(monkeypatch, price, before, aft
     finally:
         monkeypatch.undo()
         clear_cost_caches()
+
+
+@pytest.mark.parametrize("late", [0, 1])
+def test_mixed_blocking_posts_price_alike_whoever_resolves(late):
+    """Rank 0 posts an all-reduce non-blocking, rank 1 blocking.  The
+    transfer is priced non-blocking because a member posted so, not
+    because the resolving (last-arriving) rank did: which rank comes
+    last must not move the duration."""
+    from repro.core import MCRCommunicator
+    from repro.sim import Simulator
+
+    def main(ctx):
+        comm = MCRCommunicator(ctx, ["nccl"])
+        if ctx.rank == late:
+            ctx.sleep(500.0)
+        handle = comm.all_reduce("nccl", ctx.virtual_tensor(65536), async_op=ctx.rank == 0)
+        if handle is not None:
+            handle.synchronize()
+        comm.finalize()
+
+    assert round(Simulator(2).run(main).elapsed_us, 3) == 546.197

@@ -395,11 +395,15 @@ class TestSharedGroupRecord:
             comm.all_reduce("nccl", x)
             comm.synchronize()
             labels, pools = {}, []
-            for plan in comm._plan_cache.plans.values():
-                for flat in plan.phase_plans or (plan,):
+            # a composite's phase plans live in its phase groups' memos
+            plans = list(comm._plan_cache.plans.values())
+            for group in comm._phase_groups.values():
+                plans += [plan for _, plan in group.state.plans.values()]
+            for flat in plans:
+                if flat.hier is None:
                     labels[flat.label] = flat.label
-                    if flat.pool is not None:
-                        pools.append(flat.pool is comm.sync.pools[flat.backend.name])
+                    if flat.pool:
+                        pools.append(flat.pool == flat.backend.name in comm.sync.pools)
             groups = [comm._group, *comm._phase_groups.values()]
             turns = [dict(g.turns) for g in groups]
             assert not any(hasattr(g, "sync") for g in groups)
