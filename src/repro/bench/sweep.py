@@ -192,7 +192,12 @@ class SweepCache:
             payload = json.loads(self._path(key_hash).read_text())
         except (FileNotFoundError, json.JSONDecodeError):
             return _MISS
-        if payload.get("schema") != SWEEP_SCHEMA_VERSION:
+        # a file of another schema or shape is a miss, never an error
+        if (
+            not isinstance(payload, dict)
+            or payload.get("schema") != SWEEP_SCHEMA_VERSION
+            or "value" not in payload
+        ):
             return _MISS
         return payload["value"]
 

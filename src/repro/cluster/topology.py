@@ -77,11 +77,6 @@ class SystemSpec:
         self.fabric_contention = fabric_contention
         self.cross_path_interference = cross_path_interference
         self.fabric = fabric
-        #: optional time-varying fabric degradation (an object with a
-        #: ``factor_at(t_us) -> float`` method, e.g.
-        #: repro.sim.faults.LinkSchedule); installed by the fault
-        #: injector, consulted per transfer via link_time_factor()
-        self.link_degradation = None
         # comm_path(ws) is pure in the spec's (post-construction
         # immutable) topology and sits under every analytic cost query
         self._comm_path_cache: dict[int, CommPath] = {}
@@ -185,21 +180,6 @@ class SystemSpec:
             n_nodes=n_nodes,
             ppn=max_occupancy,
         )
-
-    # -- fault injection ---------------------------------------------------
-
-    def link_time_factor(self, t_us: float, backend: str = "") -> float:
-        """Duration multiplier for fabric transfers at virtual time
-        ``t_us`` (1.0 = healthy; >1 = degraded link window active).
-
-        ``backend`` scopes the query to one library's injection path:
-        backend-scoped fault windows (``LinkFault.backend``) only apply
-        to transfers posted by that backend, modeling NIC/port-level
-        degradation that a different library's path does not cross.
-        Unscoped windows apply regardless of the value passed here.
-        """
-        sched = self.link_degradation
-        return 1.0 if sched is None else sched.factor_at(t_us, backend)
 
     # -- host staging (non-CUDA-aware paths) -------------------------------
 

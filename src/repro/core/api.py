@@ -156,8 +156,8 @@ def invalidate_plans(reason: str = "") -> None:
     Rarely needed — tuning-table installs, in-place table edits,
     quarantines, and codec/synchronization changes invalidate
     automatically — but required after out-of-band mutations the
-    communicator snapshots at compile time (e.g. installing a
-    link-degradation schedule on the SystemSpec mid-run).
+    communicator snapshots at compile time (e.g. editing
+    ``comm.config`` in place).
     """
     _comm().invalidate_plans(reason)
 

@@ -157,12 +157,6 @@ class MCRCommunicator(DispatchLayer, ExecutionLayer):
         #: attribute load
         self._obs = ctx.shared.get("obs")
 
-        self._codec = None
-        if self.config.compression.enabled:
-            from repro.ext.compression import FixedRateCodec
-
-            self._codec = FixedRateCodec(self.config.compression.rate_bits)
-
         # online adaptive dispatch (repro.core.adaptive): a retuner per
         # rank, a CellBook per group.  None keeps every adaptive hook at
         # a single is-None check (zero cost when off).

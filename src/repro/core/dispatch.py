@@ -167,10 +167,10 @@ class DispatchLayer:
 
         Called automatically on tuning-table install/swap, backend
         quarantine, and codec/synchronization changes.  Call it manually
-        after mutating state the communicator snapshots at construction
-        or compile time — e.g. installing a link-degradation schedule on
-        the SystemSpec mid-run — so the refreshed link gate below takes
-        effect with the same invalidation discipline as the plans.
+        after mutating state the communicator snapshots at compile time
+        — e.g. editing ``comm.config`` in place instead of through
+        ``set_compression``/``set_synchronization``.  Rebuilds the plan
+        context and re-derives each phase group's fault gate.
         """
         self._plan_cache.clear()
         self._snapshot()
@@ -178,12 +178,16 @@ class DispatchLayer:
             group.health.regate()
 
     def _snapshot(self) -> None:
-        """Bind the link gate (False keeps the healthy hot path free of
-        extra float ops) and the plan context: the config by value (its
+        """Bind the codec and the plan context: the config by value (its
         dataclass ``repr``, exact for the fields it holds; it fixes the
         codec), the table, the backends, the quarantines, the retuner and
         the clears.  Ranks whose context matches share their plans."""
-        self._link_faults = getattr(self.ctx.system, "link_degradation", None) is not None
+        compression = self.config.compression
+        self._codec = None
+        if compression.enabled:
+            from repro.ext.compression import FixedRateCodec
+
+            self._codec = FixedRateCodec(compression.rate_bits)
         self._plan_context = (
             repr(self.config), id(self._tuning_table), tuple(self.backends),
             frozenset(self.health.dead()), self._group.retuner is not None,
@@ -207,13 +211,7 @@ class DispatchLayer:
         and codec costs recompute; mutating ``config.compression`` in
         place would leave stale plans serving the old codec.
         """
-        codec = None
-        if compression.enabled:
-            from repro.ext.compression import FixedRateCodec
-
-            codec = FixedRateCodec(compression.rate_bits)
         self._reconfigure("codec change", compression=compression)
-        self._codec = codec
 
     def set_synchronization(self, mode: str) -> None:
         """Switch the synchronization scheme mid-run (Fig. 4a vs 4b).

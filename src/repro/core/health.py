@@ -61,6 +61,9 @@ class Health:
         #: the job's fault injector, installed into shared state by the
         #: Simulator before any rank runs
         self.injector = comm.ctx.shared.get("injector")
+        #: the run's link-fault windows (a ``LinkSchedule``), None without
+        #: link faults; every transfer of this scope is priced through it
+        self.links = None if self.injector is None else self.injector.link_schedule
         #: the per-op gate: False (no injector, nothing quarantined)
         #: keeps the healthy path at one attribute truth test
         self.regate()

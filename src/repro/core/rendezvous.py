@@ -436,11 +436,12 @@ class ExecutionLayer:
         )
         ordered = [rdv.arrivals[r] for r in group.ranks]
         ready = max(a.host_time for a in ordered)
-        if self._link_faults:
+        links = group.health.links
+        if links is not None:
             # degraded/flapping fabric window (repro.sim.faults): decided
             # once, at the transfer's host-side ready time — per-rank
             # clocks cannot split the decision
-            duration *= ctx.system.link_time_factor(ready, backend.name)
+            duration *= links.factor_at(ready, backend.name)
         duration += plan.codec_us
         if self.config.force_host_staging:
             # Listing-2 style device->host->device copies around the op
@@ -556,8 +557,9 @@ class ExecutionLayer:
                 nbytes, ctx.system.same_node(src, dst)
             ) * (1.0 + self.config.dispatch_fraction)
             start = max(ctx.now, other_time)
-            if self._link_faults:
-                cost *= ctx.system.link_time_factor(start, backend.name)
+            links = group.health.links
+            if links is not None:
+                cost *= links.factor_at(start, backend.name)
             end = start + cost
             if not timing_only:
                 recv_buf[:] = send_buf

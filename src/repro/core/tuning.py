@@ -180,6 +180,8 @@ class TuningTable:
     @classmethod
     def load(cls, path: "str | Path", expect_system: Optional[str] = None) -> "TuningTable":
         payload = json.loads(Path(path).read_text())
+        if not isinstance(payload, dict):
+            raise TuningError(f"{path} does not hold a JSON object")
         if expect_system is not None and payload.get("system") != expect_system:
             raise TuningError(
                 f"tuning table was generated on {payload.get('system')!r}, "
@@ -187,26 +189,36 @@ class TuningTable:
                 "systems (paper §V-F)"
             )
         table = cls(system=payload.get("system", "unknown"))
-        for op, scales in payload.get("entries", {}).items():
-            for ws, buckets in scales.items():
-                for bucket, backend in buckets.items():
-                    table.entries.setdefault(op, {}).setdefault(int(ws), {})[
-                        int(bucket)
-                    ] = backend
-        # a file comes from outside the program: the checks merge applies
+        # a file comes from outside the program: a wrong shape (a level
+        # that is not an object, a key that is not an integer) is a bad
+        # table, and so is whatever merge rejects
+        try:
+            for op, scales in payload.get("entries", {}).items():
+                for ws, buckets in scales.items():
+                    row = table.entries.setdefault(op, {}).setdefault(int(ws), {})
+                    for bucket, backend in buckets.items():
+                        row[int(bucket)] = backend
+        except (AttributeError, ValueError) as exc:
+            raise TuningError(f"malformed tuning table {path}: {exc}") from None
         _check_entries(table.entries, str(path))
         return table
 
 
 def _check_entries(entries: dict, source: str) -> None:
-    """Reject a world size below 1 or a bucket that is not a power of two."""
+    """Reject a world size below 1, a bucket that is not a power of two
+    or a backend name that is not a string."""
     for op, scales in entries.items():
         for ws, buckets in scales.items():
             if ws < 1:
                 raise TuningError(f"bad world size {ws} in {source} ({op})")
-            for bucket in buckets:
+            for bucket, backend in buckets.items():
                 if bucket < 1 or bucket != message_bucket(bucket):
                     raise TuningError(
                         f"bad message bucket {bucket} in {source} "
                         f"({op}, world size {ws}); buckets are powers of two"
+                    )
+                if not isinstance(backend, str):
+                    raise TuningError(
+                        f"bad backend {backend!r} in {source} "
+                        f"({op}, world size {ws}, bucket {bucket})"
                     )

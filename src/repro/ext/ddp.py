@@ -33,8 +33,8 @@ from typing import TYPE_CHECKING, Optional
 from repro.backends.ops import ReduceOp
 from repro.core.exceptions import MCRError
 from repro.core.protocols import CommCore
+from repro.ext.fusion import fused_all_reduce
 from repro.tensor import SimTensor
-from repro.tensor.tensor import cat
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.handles import WorkHandle
@@ -155,26 +155,7 @@ class DistributedDataParallel:
             raise MCRError(f"gradient {name!r} marked ready twice this step")
         bucket.pending.discard(name)
         if not bucket.pending:
-            self._reduce_bucket(bucket)
-
-    def _reduce_bucket(self, bucket: _Bucket) -> None:
-        fused = cat(bucket.tensors)
-        handle = self.comm.all_reduce(self.backend, fused, op=self.op, async_op=True)
-        if not fused.is_virtual:
-            views = [t.view_flat() for t in bucket.tensors]
-            flat = fused.view_flat()
-
-            def copy_back() -> None:
-                offset = 0
-                for view in views:
-                    view[:] = flat[offset : offset + view.size]
-                    offset += view.size
-
-            if handle.flag.is_set:
-                copy_back()
-            else:
-                handle.flag.callbacks.append(copy_back)
-        bucket.handle = handle
+            bucket.handle = fused_all_reduce(self.comm, self.backend, bucket.tensors, self.op)
 
     def wait_all(self) -> None:
         """Block until every bucket's reduction completed; resets the

@@ -29,6 +29,31 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.core.handles import WorkHandle
 
 
+def fused_all_reduce(
+    comm: CommCore, backend: str, tensors: list[SimTensor], op: ReduceOp
+) -> "WorkHandle":
+    """One async all-reduce of ``tensors`` concatenated.  The reduced
+    values are scattered back into the tensors when it completes —
+    inline if it already has; virtual tensors carry no data."""
+    fused = cat(tensors)
+    handle = comm.all_reduce(backend, fused, op=op, async_op=True)
+    if not fused.is_virtual:
+        flat = fused.view_flat()
+        views = [t.view_flat() for t in tensors]
+
+        def copy_back() -> None:
+            offset = 0
+            for view in views:
+                view[:] = flat[offset : offset + view.size]
+                offset += view.size
+
+        if handle.flag.is_set:
+            copy_back()
+        else:
+            handle.flag.callbacks.append(copy_back)
+    return handle
+
+
 @dataclass
 class FusionConfig:
     """Tensor-fusion parameters."""
@@ -219,27 +244,7 @@ class TensorFusion:
                     detail=f"{len(bucket.tensors)} tensors",
                 )
             )
-        tensors = bucket.tensors
-        fused_tensor = cat(tensors)
-        inner = self.comm.all_reduce(backend, fused_tensor, op=op, async_op=True)
-
-        if not fused_tensor.is_virtual:
-            # scatter reduced values back into the original tensors when
-            # the fused op completes (virtual tensors carry no data)
-            fused = fused_tensor.view_flat()
-            views = [t.view_flat() for t in tensors]
-            sizes = [v.size for v in views]
-
-            def copy_back() -> None:
-                offset = 0
-                for view, size in zip(views, sizes):
-                    view[:] = fused[offset : offset + size]
-                    offset += size
-
-            if inner.flag.is_set:
-                copy_back()
-            else:
-                inner.flag.callbacks.append(copy_back)
+        inner = fused_all_reduce(self.comm, backend, bucket.tensors, op)
         for handle in bucket.handles:
             handle._bind(inner)
 

@@ -14,6 +14,7 @@ characterizes it (Table I, Fig. 7):
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Optional, Sequence
 
 from repro.backends.base import backend_class, canonical_name
@@ -45,9 +46,12 @@ class TorchDistributed:
     ):
         self.backend = canonical_name(backend)
         self._nccl_like = backend_class(self.backend).properties.stream_aware
-        config = config or MCRConfig()
-        config.dispatch_overhead_us = TORCH_DISPATCH_OVERHEAD_US
-        config.dispatch_fraction = TORCH_DISPATCH_FRACTION
+        # a copy: the caller's config stays as the caller built it
+        config = replace(
+            config or MCRConfig(),
+            dispatch_overhead_us=TORCH_DISPATCH_OVERHEAD_US,
+            dispatch_fraction=TORCH_DISPATCH_FRACTION,
+        )
         self._comm = create_communicator(ctx, [self.backend], config=config, comm_id="torch")
 
     # -- capability gates ----------------------------------------------------

@@ -28,8 +28,6 @@ class SimResult:
     rank_results: list[Any]
     #: the timeline trace (None unless tracing was enabled)
     tracer: Optional[Tracer] = None
-    #: free-form counters populated by the runtime
-    stats: dict = field(default_factory=dict)
     #: the full cross-rank shared dictionary (comm logger, rendezvous
     #: tables, ...) as it stood at job end
     shared: dict = field(default_factory=dict)
@@ -123,18 +121,17 @@ class Simulator:
         or :class:`repro.sim.DeadlockError` if all ranks block forever.
         """
         engine = Engine(max_events=self.max_events)
-        shared: dict = {"stats": {}}
+        shared: dict = {}
         if self.metrics is not None:
             shared["obs"] = self.metrics
         tracer = Tracer(EventLog.shared(shared)) if self.trace else None
-        injector = None
         if self.faults is not None and (
             self.faults.backend_faults or self.faults.link_faults
         ):
             from repro.sim.faults import FaultInjector
 
-            injector = FaultInjector(self.faults)
-            shared["injector"] = injector
+            # the run's fault state: each communicator's Health binds it
+            shared["injector"] = FaultInjector(self.faults)
         contexts = []
         for rank in range(self.world_size):
             gpu = GPU(
@@ -177,17 +174,7 @@ class Simulator:
 
         for ctx in contexts:
             engine.add_process(f"rank{ctx.rank}", make_body(ctx))
-        if injector is not None and injector.link_schedule is not None:
-            # hook the degradation window onto the topology for the run;
-            # restored afterwards so a shared SystemSpec stays clean
-            prior = getattr(self.system, "link_degradation", None)
-            self.system.link_degradation = injector.link_schedule
-            try:
-                elapsed = engine.run()
-            finally:
-                self.system.link_degradation = prior
-        else:
-            elapsed = engine.run()
+        elapsed = engine.run()
         if self.metrics is not None:
             for name, value in engine.stats().items():
                 self.metrics.set_gauge(f"engine.{name}", value)
@@ -197,7 +184,6 @@ class Simulator:
             elapsed_us=elapsed,
             rank_results=results,
             tracer=tracer,
-            stats=shared["stats"],
             shared=shared,
             metrics=self.metrics,
         )

@@ -8,9 +8,13 @@ fail over to a survivor instead of deadlocking, per-op deadlines raise
 is bit-identical whether or not the fault machinery exists.
 """
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
+from repro.cluster import lassen
 from repro.core import (
     BackendError,
     CommTimeoutError,
@@ -166,6 +170,49 @@ class TestLinkFaults:
         # degradation changes timing, never data
         for h, d in zip(healthy.rank_results, degraded.rank_results):
             assert np.allclose(h, d)
+
+    def test_concurrent_runs_keep_their_own_link_faults(self):
+        """A run's link faults are its own: a fault-free job and a
+        degraded one on one SystemSpec object, each on its own caller
+        thread, read exactly what they read alone."""
+        system = lassen()
+
+        def main(ctx):
+            comm = MCRCommunicator(ctx, ["nccl"])
+            x = ctx.virtual_tensor(1 << 18)  # 1 MiB of float32
+            for _ in range(30):
+                comm.all_reduce("nccl", x)
+                ctx.sleep(50.0)
+            comm.finalize()
+
+        specs = {
+            "healthy": None,
+            "degraded": FaultSpec(link_faults=(LinkFault(factor=4.0),)),
+        }
+
+        def elapsed(name):
+            return Simulator(4, system=system, faults=specs[name]).run(main).elapsed_us
+
+        solo = {name: elapsed(name) for name in specs}
+        assert solo["degraded"] > solo["healthy"]
+        seen = {name: [] for name in specs}
+
+        def caller(name):
+            for _ in range(5):
+                seen[name].append(elapsed(name))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            callers = [threading.Thread(target=caller, args=(name,)) for name in specs]
+            for thread in callers:
+                thread.start()
+            for thread in callers:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in callers)
+        assert seen == {name: [solo[name]] * 5 for name in specs}
 
     def test_stream_path_arrival_time_reflects_pre_post_sync(self):
         """Regression: on the stream path, the pre-post host sync

@@ -64,6 +64,26 @@ class TestTorchDistributed:
         assert TORCH_DISPATCH_OVERHEAD_US > MCRConfig().dispatch_overhead_us
 
 
+    def test_caller_config_left_untouched(self):
+        """The torch overhead profile goes on a copy: a config the caller
+        hands in keeps its own dispatch costs, and the other fields it
+        sets still reach the communicator."""
+        from repro.core import MCRConfig
+        from repro.frameworks.torch_dist import TORCH_DISPATCH_OVERHEAD_US
+
+        config = MCRConfig(synchronization="naive")
+
+        def main(ctx):
+            dist = TorchDistributed(ctx, "nccl", config=config)
+            used = dist._comm.config
+            dist.finalize()
+            return used.dispatch_overhead_us, used.synchronization
+
+        results = Simulator(2).run(main).rank_results
+        assert results == [(TORCH_DISPATCH_OVERHEAD_US, "naive")] * 2
+        assert config == MCRConfig(synchronization="naive")
+
+
 class TestHorovod:
     def test_allreduce_averages_and_fuses(self):
         def main(ctx):

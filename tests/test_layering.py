@@ -69,15 +69,19 @@ class TestInjectedViolations:
         assert any("layer violation" in v for v in violations), violations
 
     def test_relative_import_cycle_through_package_init_fails(self, tmp_path):
-        # in a package's __init__, "from .fusion import" names a module
-        # inside that package, not a sibling of it
+        # in a package's __init__, "from .persistent import" names a
+        # module inside that package, not a sibling of it (no other
+        # module of the package imports persistent, so the cycle closes
+        # only through that edge)
         root = copy_tree(tmp_path)
         init = root / "src" / "repro" / "ext" / "__init__.py"
-        init.write_text(init.read_text().replace("from repro.ext.fusion import", "from .fusion import"))
-        _inject(root, "ext/fusion.py", before="import repro.ext  # injected\n")
+        init.write_text(
+            init.read_text().replace("from repro.ext.persistent import", "from .persistent import")
+        )
+        _inject(root, "ext/persistent.py", before="import repro.ext  # injected\n")
         violations = check(root)
         assert any(
-            "import cycle" in v and "repro.ext <-> repro.ext.fusion" in v for v in violations
+            "import cycle" in v and "repro.ext <-> repro.ext.persistent" in v for v in violations
         ), violations
 
     def test_lower_layer_importing_up_fails_even_without_cycle(self, tmp_path):

@@ -137,6 +137,10 @@ class TestSweepCache:
         assert cache.get(key) is _MISS
         (tmp_path / f"{key}.json").write_text("{not json")
         assert cache.get(key) is _MISS
+        # valid JSON of the wrong shape is a miss too
+        for payload in ([1, 2], "x", {"schema": SWEEP_SCHEMA_VERSION}):
+            (tmp_path / f"{key}.json").write_text(json.dumps(payload))
+            assert cache.get(key) is _MISS
 
     def test_schema_mismatch_misses(self, tmp_path):
         cache = SweepCache(tmp_path)

@@ -141,6 +141,27 @@ class TestTuningTable:
         with pytest.raises(TuningError, match=message):
             TuningTable.load(path)
 
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            ([1], "JSON object"),
+            ({"entries": []}, "malformed"),
+            ({"entries": {"allreduce": [2]}}, "malformed"),
+            ({"entries": {"allreduce": {"2": []}}}, "malformed"),
+            ({"entries": {"allreduce": {"eight": {"4096": "nccl"}}}}, "malformed.*'eight'"),
+            ({"entries": {"allreduce": {"2": {"4k": "nccl"}}}}, "malformed.*'4k'"),
+            ({"entries": {"allreduce": {"2": {"4096": 5}}}}, "bad backend 5"),
+        ],
+    )
+    def test_load_rejects_malformed_file(self, tmp_path, payload, message):
+        """A wrong-shaped file is a TuningError at load time, not an
+        AttributeError or ValueError there or inside the first "auto"
+        lookup."""
+        path = tmp_path / "table.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(TuningError, match=message):
+            TuningTable.load(path)
+
     def test_committed_table_loads(self):
         path = pathlib.Path(__file__).resolve().parent.parent / "results"
         table = TuningTable.load(path / "tuning_table_lassen.json", expect_system="lassen")
