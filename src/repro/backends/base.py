@@ -67,6 +67,15 @@ def cost_backend(name: str, p: int, system: "SystemSpec") -> "Backend":
     return create_backend(name, 0, p, system)
 
 
+#: the prefix of a hierarchical composite's name (``hier:<intra>+<inter>``)
+HIER_PREFIX = "hier:"
+
+
+def is_hier_name(name: str) -> bool:
+    """Whether ``name`` spells a hierarchical dispatch target."""
+    return isinstance(name, str) and name[: len(HIER_PREFIX)].lower() == HIER_PREFIX
+
+
 def price_us(
     system: "SystemSpec",
     backend: "Backend | str",
@@ -93,7 +102,7 @@ def price_us(
     defaults to the dense ``system.comm_path(p)``.
     """
     if isinstance(backend, str):
-        if backend[:5].lower() == "hier:":
+        if is_hier_name(backend):
             from repro.backends.hierarchical import hier_collective_cost_us, parse_hier
 
             return hier_collective_cost_us(

@@ -49,7 +49,14 @@ from typing import TYPE_CHECKING, NamedTuple, Optional, Union
 
 import numpy as np
 
-from repro.backends.base import available_backends, canonical_name, cost_backend, price_us
+from repro.backends.base import (
+    HIER_PREFIX,
+    available_backends,
+    canonical_name,
+    cost_backend,
+    is_hier_name,
+    price_us,
+)
 from repro.backends.cost import PhaseCost, composite_cost_us
 from repro.backends.ops import OpFamily, ReduceOp
 from repro.core.exceptions import BackendError
@@ -57,8 +64,6 @@ from repro.core.exceptions import BackendError
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.topology import SystemSpec
     from repro.core.config import MCRConfig
-
-_PREFIX = "hier:"
 
 #: op families a hierarchical target decomposes; anything else must be
 #: dispatched to a flat backend explicitly
@@ -76,11 +81,6 @@ class HierSpec:
     inter: str
 
 
-def is_hier_name(name: str) -> bool:
-    """Whether ``name`` spells a hierarchical dispatch target."""
-    return isinstance(name, str) and name[: len(_PREFIX)].lower() == _PREFIX
-
-
 def parse_hier(name: str) -> HierSpec:
     """Parse and canonicalize ``hier:<intra>+<inter>``.
 
@@ -91,7 +91,7 @@ def parse_hier(name: str) -> HierSpec:
     """
     if not is_hier_name(name):
         raise BackendError(f"{name!r} is not a hierarchical backend target")
-    body = name[len(_PREFIX):]
+    body = name[len(HIER_PREFIX):]
     parts = body.split("+")
     if len(parts) != 2 or not all(p.strip() for p in parts):
         raise BackendError(
@@ -107,7 +107,7 @@ def parse_hier(name: str) -> HierSpec:
                 f"unknown {level}-level backend {backend!r} in {name!r}; "
                 f"available: {known}"
             )
-    return HierSpec(name=f"{_PREFIX}{intra}+{inter}", intra=intra, inter=inter)
+    return HierSpec(name=f"{HIER_PREFIX}{intra}+{inter}", intra=intra, inter=inter)
 
 
 # ---------------------------------------------------------------------------

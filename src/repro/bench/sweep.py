@@ -101,9 +101,9 @@ def calibration_fingerprint(backend_name: str) -> dict:
     cached cells measured on that backend.
     """
     from repro.backends import calibration
-    from repro.backends.base import backend_class
+    from repro.backends.base import backend_class, is_hier_name
 
-    if backend_name[:5].lower() == "hier:":
+    if is_hier_name(backend_name):
         # composite target: its cost is a pure function of the two
         # constituents' calibrations, so fingerprint those
         from repro.backends.hierarchical import parse_hier

@@ -56,7 +56,7 @@ def _model(name: str):
 
 
 def _plan(spec: str, table_path: Optional[str]):
-    from repro.core import TuningTable
+    from repro.core import TuningError, TuningTable
     from repro.models import BackendPlan
 
     if spec == "mixed":
@@ -64,7 +64,11 @@ def _plan(spec: str, table_path: Optional[str]):
     if spec == "tuned":
         if not table_path:
             raise SystemExit("--plan tuned requires --table <file.json>")
-        return BackendPlan.tuned(TuningTable.load(table_path), label="MCR-DL-T")
+        try:
+            table = TuningTable.load(table_path)
+        except (TuningError, OSError) as exc:
+            raise SystemExit(f"bad --table {table_path}: {exc}")
+        return BackendPlan.tuned(table, label="MCR-DL-T")
     return BackendPlan.pure(spec, label=spec)
 
 

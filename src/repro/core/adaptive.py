@@ -9,10 +9,10 @@ loop in two parts, one per execution domain:
 * the **completion domain** is one :class:`CellBook` per group and
   ``comm_id`` (``CommState.adapt``).  The resolver hands it one
   observation per completed collective, on the rendezvous flag.  It
-  keeps an EMA + log2 histogram per ``(op, world size, message bucket,
-  backend)`` cell, detects drift against the analytic cost-model
-  expectation, re-tunes the cell through bounded exploration, and
-  records each decided table edit as data in :attr:`CellBook.edits`.
+  keeps an EMA per ``(op, world size, message bucket, backend)`` cell,
+  detects drift against the analytic cost-model expectation, re-tunes
+  the cell through bounded exploration, and records each decided table
+  edit as data in :attr:`CellBook.edits`.
   An edit takes effect at op index ``max_posted + 1 (+ offset)``, a
   posted high-water mark that no rank had reached when it was decided.
 * the **post domain** is one :class:`AdaptiveRetuner` per rank.
@@ -41,12 +41,12 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import TYPE_CHECKING, Callable, Optional
 
-from repro.backends.base import price_us
+from repro.backends.base import is_hier_name, price_us
 from repro.backends.hierarchical import HIER_FAMILIES, hier_cost_phases, parse_hier
 from repro.backends.ops import OpFamily
 from repro.core.exceptions import BackendError
 from repro.core.tuning import message_bucket
-from repro.obs.metrics import LogHistogram, ObsEvent
+from repro.obs.metrics import ObsEvent
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.protocols import CommCore
@@ -87,7 +87,6 @@ class _Cell:
     trials_seen: int = 0
     ema: dict = field(default_factory=dict)
     count: dict = field(default_factory=dict)
-    hist: dict = field(default_factory=dict)
     #: pure analytic expectation per backend (cached)
     analytic: dict = field(default_factory=dict)
     #: drift reference per backend: starts analytic, reset to the
@@ -174,10 +173,6 @@ class CellBook:
             duration if prev is None else alpha * duration + (1.0 - alpha) * prev
         )
         cell.count[backend_name] = cell.count.get(backend_name, 0) + 1
-        hist = cell.hist.get(backend_name)
-        if hist is None:
-            hist = cell.hist[backend_name] = LogHistogram()
-        hist.record(duration)
         if not auto:
             return  # explicit dispatch is measured but never retuned
         if cell.mode == "explore":
@@ -258,14 +253,14 @@ class CellBook:
     def _start_explore(self, cell: _Cell, cell_key: tuple[str, int]) -> None:
         cfg = self.cfg
         candidates = self._candidates(cell)
-        flats = [c for c in candidates if not c.startswith("hier:")]
-        cell.explore_hier = [c for c in candidates if c.startswith("hier:")]
+        flats = [c for c in candidates if not is_hier_name(c)]
+        cell.explore_hier = [c for c in candidates if is_hier_name(c)]
         if not candidates:
             # nowhere to go: accept the observed latency as the new
             # normal so drift does not re-fire every completion
             cell.baseline[cell.current] = cell.ema[cell.current]
             return
-        if cell.current is not None and not cell.current.startswith("hier:"):
+        if cell.current is not None and not is_hier_name(cell.current):
             # the incumbent competes on equal terms: its lifetime EMA
             # lags the very drift that triggered this sweep (a stale,
             # too-flattering score), so it gets a fresh window like

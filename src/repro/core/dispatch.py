@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Any, Optional
 
-from repro.backends.base import Backend, canonical_name
+from repro.backends.base import Backend, canonical_name, is_hier_name
 from repro.backends.hierarchical import HierSpec, derive_layout, hier_phases, parse_hier
 from repro.backends.ops import OpFamily, ReduceOp
 from repro.core.config import COMPRESSIBLE_FAMILIES, CompressionConfig
@@ -248,7 +248,7 @@ class DispatchLayer:
         backend = self.backends.get(name)
         if backend is not None:
             return backend
-        if name[:5].lower() == "hier:":
+        if is_hier_name(name):
             # composite targets are dispatch spellings, not backends;
             # only the four decomposable collectives accept them
             raise BackendError(
@@ -276,7 +276,7 @@ class DispatchLayer:
         quarantine: the fault gate fails them over per call)."""
         if name == "auto":
             return self.health.choose(family, nbytes, composite=composite)
-        if composite and name[:5].lower() == "hier:":
+        if composite and is_hier_name(name):
             spec = parse_hier(name)
             for part in (spec.intra, spec.inter):
                 if part not in self.backends:

@@ -23,8 +23,8 @@ from __future__ import annotations
 import weakref
 from typing import TYPE_CHECKING, Optional
 
-from repro.backends.base import Backend, canonical_name
-from repro.backends.hierarchical import HierSpec, is_hier_name, parse_hier
+from repro.backends.base import Backend, canonical_name, is_hier_name
+from repro.backends.hierarchical import HierSpec, parse_hier
 from repro.backends.ops import OpFamily
 from repro.core.config import RETRY_BACKOFF_US
 from repro.core.exceptions import BackendError

@@ -27,7 +27,6 @@ from __future__ import annotations
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from functools import partial
-from types import MappingProxyType
 from typing import Any, Mapping, Optional, Sequence
 
 import numpy as np
@@ -37,14 +36,12 @@ from repro.backends.ops import OpFamily
 from repro.core.config import EAGER_THRESHOLD, LARGE_MESSAGE_THRESHOLD
 from repro.core.exceptions import BackendError, ValidationError
 from repro.core.handles import CompletedHandle, WorkHandle, host_block
-from repro.sim.engine import Flag, SimError
+from repro.sim.engine import Engine, Flag, SimError
 from repro.sim.graph import CollectiveGroup, resolve
 from repro.tensor import SimTensor
 
 #: stand-in data-plane buffer for virtual (timing-only) tensors
 _VIRTUAL_BUF = np.empty(0, dtype=np.float32)
-#: the ``extras`` of every arrival that has none (extras are only read)
-_NO_EXTRAS = MappingProxyType({})
 
 
 def flat_buffer(tensor: SimTensor) -> tuple[np.ndarray, int]:
@@ -222,33 +219,30 @@ class Group:
 
 @dataclass(slots=True)
 class Arrival:
-    """One rank's registration at a collective rendezvous.
+    """One rank's registration at a collective rendezvous (the rank is
+    its key in ``Rendezvous.arrivals``)."""
 
-    ``inputs``/``outputs`` are dropped once the data has moved; ``rank``
-    and ``host_time`` stay for timeout diagnostics.
-    """
-
-    rank: int
     host_time: float
     inputs: Sequence[np.ndarray]
     outputs: Sequence[np.ndarray]
-    extras: Mapping
+    extras: Optional[Mapping]
 
 
-@dataclass(slots=True, eq=False)
-class Rendezvous:
-    """Shared per-collective matching record."""
+class Rendezvous(CollectiveGroup):
+    """One collective, shared by its ranks: it matches their arrivals,
+    holds their stream members (none when it completes on the host) and
+    is the flag its resolution fires.  Resolving it drops ``arrivals``;
+    ``duration`` is set from then on."""
 
-    family: OpFamily
-    meta: tuple
-    flag: Flag
-    #: the members' stream-side group; None when the op completes on the host
-    group: Optional[CollectiveGroup]
-    arrivals: dict[int, Arrival] = field(default_factory=dict)
-    #: transfer duration (µs), known once the last rank arrives
-    duration: Optional[float] = None
-    #: some member posted non-blocking: the transfer is priced so
-    nonblocking: bool = False
+    __slots__ = ("family", "meta", "arrivals", "nonblocking")
+
+    def __init__(self, engine: Engine, expected: int, label: str, family: OpFamily, meta: tuple):
+        super().__init__(engine, expected, label)
+        self.family = family
+        self.meta = meta
+        self.arrivals: dict[int, Arrival] = {}
+        #: some member posted non-blocking: the transfer is priced so
+        self.nonblocking = False
 
 
 class ExecutionLayer:
@@ -256,11 +250,11 @@ class ExecutionLayer:
 
     A collective runs in three stages (INTERNALS §5): every rank posts
     (:meth:`_post_collective`), the last arrival resolves
-    (:meth:`_resolve_collective`), and every rank completes
-    (:meth:`_complete_collective`).  Its scope state is the :class:`Group` of each call; the rest it reads
-    (``ctx``, ``config``, ``logger``, ``_job``, the link gate) is
-    initialized by :class:`~repro.core.comm.MCRCommunicator`, and the
-    dispatch-layer methods it calls come from
+    (:meth:`_resolve_collective`), and every rank completes (the end of
+    :meth:`_post_collective`).  Its scope state is the :class:`Group` of
+    each call; the rest it reads (``ctx``, ``config``, ``logger``,
+    ``_job``) is initialized by :class:`~repro.core.comm.MCRCommunicator`,
+    and the dispatch-layer methods it calls come from
     :class:`~repro.core.dispatch.DispatchLayer`.
     """
 
@@ -332,7 +326,7 @@ class ExecutionLayer:
             self._resolve_collective(group, spec, backend_name, prep, plan, rdv)
         if self.logger is not None:
             self._log_on_flag(
-                group, spec, plan, prep.nbytes, rdv.flag, async_op, rdv,
+                group, spec, plan, prep.nbytes, rdv, async_op,
                 "host" if member is None else member.stream.name,
             )
         deadline_us = self.config.op_deadline_us
@@ -341,7 +335,7 @@ class ExecutionLayer:
             timeout_info = self._timeout_info(label, rdv, group.ranks)
         if async_op:
             handle = WorkHandle(
-                ctx, name, rdv.flag, member, plan.stream_semantics, label,
+                ctx, name, rdv, member, plan.stream_semantics, label,
                 deadline_us=deadline_us, timeout_info=timeout_info,
             )
             if not plan.pool:
@@ -354,10 +348,10 @@ class ExecutionLayer:
         if plan.stream_semantics and member is not None:
             ctx.gpu.default_stream.gate_on(member)
         else:
-            host_block(ctx, rdv.flag, label, "wait", deadline_us, timeout_info)
+            host_block(ctx, rdv, label, "wait", deadline_us, timeout_info)
         if self.config.synchronization == "naive":
             # naive scheme additionally host-blocks (Fig. 4a)
-            engine.wait_flag(rdv.flag, reason=label)
+            engine.wait_flag(rdv, reason=label)
         return None
 
     def _arrive(
@@ -372,11 +366,9 @@ class ExecutionLayer:
         ctx = self.ctx
         meta, pool = plan.meta_tagged, plan.pool
         if rdv is None:
-            flag = Flag(ctx.engine, plan.label)
-            members = None
-            if pool or plan.on_default:
-                members = CollectiveGroup(group.world_size, flag, label=key)
-            rdv = group.state.rdv[key] = Rendezvous(family, meta, flag, members)
+            rdv = group.state.rdv[key] = Rendezvous(
+                ctx.engine, group.world_size, plan.label, family, meta
+            )
         elif rdv.meta != meta or rdv.family is not family:
             raise ValidationError(
                 f"collective mismatch at {key}: rank {ctx.rank} posted "
@@ -384,9 +376,7 @@ class ExecutionLayer:
             )
         elif ctx.rank in rdv.arrivals:
             raise ValidationError(f"rank {ctx.rank} arrived twice at {key}")
-        rdv.arrivals[ctx.rank] = Arrival(
-            ctx.rank, ctx.engine.now, prep.inputs, prep.outputs, prep.extras or _NO_EXTRAS
-        )
+        rdv.arrivals[ctx.rank] = Arrival(ctx.engine.now, prep.inputs, prep.outputs, prep.extras)
         if async_op:
             rdv.nonblocking = True
         if pool:
@@ -405,7 +395,7 @@ class ExecutionLayer:
             return rdv, None
         producer = ctx.gpu.default_stream.last
         member = stream.enqueue_collective_member(
-            rdv.group,
+            rdv,
             deps=(producer,) if producer is not None else (),
             label=plan.label,
             category="comm",
@@ -419,8 +409,9 @@ class ExecutionLayer:
         transfer's duration is set (price, link faults, codec, host
         staging, an alltoallv's critical bytes) and the adaptive
         observation attached.  The transfer then goes to its wire lane:
-        a host-path one is admitted here and fires the flag, a stream
-        one when ``graph.resolve`` finds its members ready."""
+        a host-path one is admitted here and fires ``rdv``, a stream one
+        when ``graph.resolve`` finds its members ready.  ``rdv`` lets go
+        of every rank's arrival here."""
         ctx = self.ctx
         family, backend = spec.family, plan.backend
         wire_bytes = plan.wire_bytes
@@ -435,6 +426,7 @@ class ExecutionLayer:
             vector=spec.vector, nonblocking=rdv.nonblocking, overheads=False,
         )
         ordered = [rdv.arrivals[r] for r in group.ranks]
+        rdv.arrivals.clear()
         ready = max(a.host_time for a in ordered)
         links = group.health.links
         if links is not None:
@@ -449,7 +441,7 @@ class ExecutionLayer:
         rdv.duration = duration  # before fire: deferred log emits read it
         if group.retuner is not None and duration:
             # the group's one observation, fed at the flag's fire instant
-            rdv.flag.callbacks.append(partial(
+            rdv.callbacks.append(partial(
                 group.state.adapt.on_complete, family, prep.nbytes, backend.name,
                 duration, backend_name == "auto",
             ))
@@ -464,27 +456,23 @@ class ExecutionLayer:
                         for buf in a.inputs:
                             codec.apply_quantization_error(buf)
                 move(ordered)
-            for a in ordered:
-                a.inputs = a.outputs = ()
 
-        members = rdv.group
-        if members is not None:
-            members.duration = duration
-            members.on_resolve = on_resolve
-            members.admit = admit
-            resolve(members, ctx.engine)
+        if rdv.members:
+            rdv.on_resolve = on_resolve
+            rdv.admit = admit
+            resolve(rdv, ctx.engine)
             return
         start = ready if admit is None else admit(ready)
         end = start + duration
         on_resolve()
         tracer = ctx.gpu.tracer
         if tracer is not None:
-            for a in ordered:
+            for rank in group.ranks:
                 tracer.record(
-                    rank=a.rank, stream="mpi-host", label=plan.label, category="comm",
+                    rank=rank, stream="mpi-host", label=plan.label, category="comm",
                     start=start, end=end,
                 )
-        rdv.flag.fire(end)
+        rdv.fire(end)
 
     @staticmethod
     def _timeout_info(label: str, rdv: Rendezvous, ranks: list[int]):
@@ -493,14 +481,12 @@ class ExecutionLayer:
         group's) never arrived."""
 
         def info() -> str:
+            if rdv.duration is not None:
+                return "all ranks arrived; transfer still in flight"
             arrived = sorted(rdv.arrivals)
             missing = [r for r in ranks if r not in rdv.arrivals]
-            if missing:
-                posted = ", ".join(
-                    f"rank {r}@{rdv.arrivals[r].host_time:.1f}us" for r in arrived
-                )
-                return f"ranks {missing} never posted {label} (arrived: {posted})"
-            return "all ranks arrived; transfer still in flight"
+            posted = ", ".join(f"rank {r}@{rdv.arrivals[r].host_time:.1f}us" for r in arrived)
+            return f"ranks {missing} never posted {label} (arrived: {posted})"
 
         return info
 
@@ -625,7 +611,7 @@ class ExecutionLayer:
 
     def _log_on_flag(
         self, group: Group, spec, plan, nbytes: int, flag: Flag, async_op: bool,
-        rdv: Optional[Rendezvous] = None, stream: str = "host",
+        stream: str = "host",
     ) -> None:
         """Log once the completion time is known (flag fired).
 
@@ -641,8 +627,8 @@ class ExecutionLayer:
 
         def emit() -> None:
             end = flag.ready_time
-            duration = rdv.duration if rdv is not None and rdv.duration else None
-            start = end - duration if duration is not None else post_time
+            duration = getattr(flag, "duration", None)  # a Rendezvous has one
+            start = end - duration if duration else post_time
             logger.log(
                 rank=rank, family=spec.family.value, backend=plan.backend.name,
                 nbytes=nbytes, start=start, end=end, async_op=async_op, step=step,

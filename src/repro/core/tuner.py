@@ -43,7 +43,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from repro.backends.base import price_us
+from repro.backends.base import is_hier_name, price_us
 from repro.backends.ops import OpFamily
 from repro.cluster.topology import SystemSpec
 from repro.core.comm import MCRCommunicator
@@ -189,7 +189,7 @@ def simulated_latency_us(
     make = _OP_RUNNERS.get(op)
     if make is None:
         raise TuningError(f"cannot benchmark {op}")
-    if backend_name[:5].lower() == "hier:":
+    if is_hier_name(backend_name):
         from repro.backends.hierarchical import HIER_FAMILIES, parse_hier
 
         if op not in HIER_FAMILIES:

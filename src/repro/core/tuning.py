@@ -179,7 +179,10 @@ class TuningTable:
 
     @classmethod
     def load(cls, path: "str | Path", expect_system: Optional[str] = None) -> "TuningTable":
-        payload = json.loads(Path(path).read_text())
+        try:
+            payload = json.loads(Path(path).read_text())
+        except json.JSONDecodeError as exc:
+            raise TuningError(f"{path} is not JSON: {exc}") from None
         if not isinstance(payload, dict):
             raise TuningError(f"{path} does not hold a JSON object")
         if expect_system is not None and payload.get("system") != expect_system:

@@ -151,7 +151,6 @@ class _Proc:
         "wake",
         "finished",
         "blocked_on",
-        "result",
         "epoch",
         "_kill_sent",
         "tie",
@@ -166,7 +165,6 @@ class _Proc:
         self.wake.acquire()  # parked until first dispatched
         self.finished = False
         self.blocked_on: Optional[str] = None
-        self.result: object = None
         #: dispatch generation; heap entries carry the epoch they were
         #: scheduled under, and entries from an older epoch are skipped
         #: (lazy cancellation — see wait_flag_deadline)
@@ -185,7 +183,7 @@ class _Proc:
             if self.engine._failure is not None:
                 return
             try:
-                self.result = self.fn()
+                self.fn()
             except _Kill:
                 return
             except BaseException as exc:  # propagate user errors to run()

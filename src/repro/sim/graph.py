@@ -82,7 +82,7 @@ class GpuOp:
         self.group = group
         if group is not None:
             # a member joins its collective as it is enqueued
-            if group._resolved or len(group.members) >= group.expected:
+            if group.ready_time is not None or len(group.members) >= group.expected:
                 raise SimError(f"collective {group.label!r}: too many members")
             group.members.append(self)
         self.end: Optional[float] = None
@@ -138,39 +138,28 @@ class GpuOp:
         return f"GpuOp({self.label!r} on {self.stream.name}, {state})"
 
 
-class CollectiveGroup:
-    """A collective's per-rank member nodes with a single joint start.
+class CollectiveGroup(Flag):
+    """A collective's per-rank member nodes with a single joint start, and
+    the flag its resolution fires.
 
     All members start at the global max of their individual ready times
     (NCCL semantics: the kernel spins until every peer has arrived), or
-    at what ``admit`` makes of it, and finish together ``duration`` later.  ``on_resolve`` performs the data
-    movement exactly once.
+    at what ``admit`` makes of it, and finish together ``duration`` later.
+    ``on_resolve`` performs the data movement exactly once.
 
     Lifetime: resolution drops ``members``, ``on_resolve`` (and with it
-    every rank's buffers) and ``admit``; a resolved group is its
-    ``flag`` and ``duration``, and ``complete`` reads False.
+    every rank's buffers) and ``admit``; a resolved group is a fired flag
+    with its ``duration``, and ``complete`` reads False.
     """
 
-    __slots__ = (
-        "expected",
-        "members",
-        "duration",
-        "on_resolve",
-        "flag",
-        "_resolved",
-        "label",
-        "admit",
-    )
+    __slots__ = ("expected", "members", "duration", "on_resolve", "admit")
 
-    def __init__(self, expected: int, flag: Flag, label: object = "collective"):
+    def __init__(self, engine: Engine, expected: int, label: str):
+        super().__init__(engine, label)
         self.expected = expected
         self.members: Sequence[GpuOp] = []
         self.duration: Optional[float] = None
         self.on_resolve: Optional[Callable[[], None]] = None
-        self.flag = flag
-        self._resolved = False
-        #: names the collective in errors (a rendezvous passes its key)
-        self.label = label
         #: set with ``duration`` by the collective's resolver: maps the
         #: members' joint ready time to their start (None: start when ready)
         self.admit: Optional[Callable[[float], float]] = None
@@ -208,7 +197,7 @@ def resolve(seed: "GpuOp | CollectiveGroup", engine: Engine) -> None:
             _finish_node(item, work)
         else:  # CollectiveGroup
             group = item
-            if group._resolved or not group.complete:
+            if not group.complete:  # resolved groups have no members
                 continue
             blockers: list[GpuOp] = []
             for m in group.members:
@@ -221,7 +210,6 @@ def resolve(seed: "GpuOp | CollectiveGroup", engine: Engine) -> None:
             if group.admit is not None:
                 start = group.admit(start)
             end = start + group.duration
-            group._resolved = True
             members, on_resolve = group.members, group.on_resolve
             group.members = ()
             group.on_resolve = group.admit = None
@@ -231,7 +219,7 @@ def resolve(seed: "GpuOp | CollectiveGroup", engine: Engine) -> None:
                 _finish_node(m, work)
             if on_resolve is not None:
                 on_resolve()
-            group.flag.fire(end)
+            group.fire(end)
 
 
 def _finish_node(node: GpuOp, work: list) -> None:

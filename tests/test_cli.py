@@ -104,6 +104,25 @@ class TestTrain:
                 "--faults", "backend=nccl:transient:prob=2.0",
             ])
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("{not json", "is not JSON"),
+            ('{"entries": []}', "malformed tuning table"),
+            (None, "No such file"),  # no file at all
+        ],
+        ids=["not-json", "bad-shape", "missing"],
+    )
+    def test_train_bad_table_rejected(self, tmp_path, text, message):
+        table = tmp_path / "t.json"
+        if text is not None:
+            table.write_text(text)
+        with pytest.raises(SystemExit, match=f"bad --table .*t.json: .*{message}"):
+            main([
+                "train", "--model", "resnet50", "--world", "4",
+                "--plan", "tuned", "--table", str(table),
+            ])
+
     def test_train_tuned_with_table(self, tmp_path, capsys):
         table = tmp_path / "t.json"
         main([

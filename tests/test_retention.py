@@ -30,11 +30,12 @@ from repro.core import BackendError, CommTimeoutError, MCRCommunicator, MCRConfi
 from repro.core.handles import WorkHandle
 from repro.core.rendezvous import Arrival, Rendezvous
 from repro.sim import DeadlockError, Simulator
+from repro.sim.engine import Flag
 from repro.sim.graph import CollectiveGroup, GpuOp
 
 WORLD = 4
 OPS_PER_STEP = 10
-_COUNTED = (GpuOp, Arrival, CollectiveGroup, Rendezvous)
+_COUNTED = (GpuOp, Arrival, CollectiveGroup, Rendezvous, Flag)
 
 
 def _live() -> dict:
@@ -119,7 +120,7 @@ class TestFinishedOpsAreReleased:
         self, backend, keep_handle, no_auto_gc
     ):
         # with a deadline set, a handle the user keeps holds the
-        # rendezvous (for timeout diagnostics) and so every Arrival
+        # rendezvous (for timeout diagnostics), which resolution emptied
         config = MCRConfig(op_deadline_us=1e9 if keep_handle else None)
 
         def main(ctx):
@@ -138,6 +139,26 @@ class TestFinishedOpsAreReleased:
 
         expected = [(True, True, keep_handle)] * WORLD
         assert Simulator(WORLD).run(main).rank_results == expected
+
+    @pytest.mark.parametrize("deadline", [None, 1e9])
+    def test_resolved_collective_holds_no_arrival(self, deadline, no_auto_gc):
+        # kept handles hold their rendezvous, and with a deadline set its
+        # timeout diagnostics too; a resolved one has let go of every
+        # rank's Arrival (84 live here when it did not)
+        config = MCRConfig(op_deadline_us=deadline)
+
+        def main(ctx):
+            comm = MCRCommunicator(ctx, ["nccl", "mvapich2-gdr"], config=config)
+            x = ctx.ones(64)
+            handles = [comm.all_reduce("nccl", x, async_op=True) for _ in range(20)]
+            comm.synchronize()
+            comm.barrier("mvapich2-gdr")  # every rank's part has resolved
+            # and no rank posts again: an Arrival alive now is a retired one
+            arrivals = sum(type(obj) is Arrival for obj in gc.get_objects())
+            # a collective's handle waits on its rendezvous
+            return arrivals, all(type(h.flag) is Rendezvous for h in handles)
+
+        assert Simulator(WORLD).run(main).rank_results == [(0, True)] * WORLD
 
     def test_dropped_communicator_frees_by_reference_count(self, no_auto_gc):
         # nothing a communicator owns points back at it (``comm.health``
@@ -212,18 +233,10 @@ def test_completed_handles_leave_before_synchronize():
         assert held == {"mvapich2-gdr": 1, "nccl": 1}
 
 
-def test_containers_per_collective_in_flight(no_auto_gc):
-    """The post path's allocation diet, as a count: lists and dicts owned
-    by the per-op records while a late rank holds ``held`` collectives
-    (and the kernels gated on them) in flight."""
-    held = 50
-
-    def containers() -> int:
-        return sum(
-            type(ref) in (list, dict)
-            for obj in gc.get_objects() if type(obj) in _COUNTED
-            for ref in gc.get_referents(obj)
-        )
+def _in_flight(count, held: int = 50) -> float:
+    """``count()`` per collective, read on the last rank while a late
+    rank holds ``held`` collectives (and the kernels gated on them) in
+    flight."""
 
     def main(ctx):
         comm = MCRCommunicator(ctx, ["nccl"])
@@ -233,16 +246,38 @@ def test_containers_per_collective_in_flight(no_auto_gc):
         for _ in range(held):
             comm.all_reduce("nccl", x, async_op=True).wait()
             ctx.launch(3.0)
-        count = containers() if ctx.rank == WORLD - 1 else None
+        result = count() if ctx.rank == WORLD - 1 else None
         comm.synchronize()
-        return count
+        return result
 
-    per_op = Simulator(WORLD).run(main).rank_results[-1] / held
+    return Simulator(WORLD).run(main).rank_results[-1] / held
+
+
+def test_records_per_collective_in_flight(no_auto_gc):
+    """One object per collective: its rendezvous is also its completion
+    flag and its members' stream group (12.04 when those were three)."""
+    per_op = _in_flight(lambda: sum(type(obj) in _COUNTED for obj in gc.get_objects()))
+    assert per_op < 11
+
+
+def test_containers_per_collective_in_flight(no_auto_gc):
+    """The post path's allocation diet, as a count: lists and dicts owned
+    by the per-op records, flags included."""
+
+    def containers() -> int:
+        return sum(
+            type(ref) in (list, dict)
+            for obj in gc.get_objects() if type(obj) in _COUNTED
+            for ref in gc.get_referents(obj)
+        )
+
     # 22.9 before the diet (a successor list on every node, list deps, a
-    # dict of extras per arrival); what is left is each arrival's
-    # input/output lists, the member and arrival tables, and a successor
-    # list on the nodes that really have one
-    assert per_op < 14
+    # dict of extras per arrival), 13.94 after it with flags not counted
+    # and 16.02 with them; what is left is each arrival's input/output
+    # lists, the arrival table, a collective's member list and its flag
+    # lists (waiters, callbacks), and a successor list on the nodes that
+    # really have one
+    assert _in_flight(containers) < 16.1
 
 
 class TestStreamGates:

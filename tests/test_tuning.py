@@ -151,14 +151,15 @@ class TestTuningTable:
             ({"entries": {"allreduce": {"eight": {"4096": "nccl"}}}}, "malformed.*'eight'"),
             ({"entries": {"allreduce": {"2": {"4k": "nccl"}}}}, "malformed.*'4k'"),
             ({"entries": {"allreduce": {"2": {"4096": 5}}}}, "bad backend 5"),
+            ("{not json", "is not JSON"),  # a str payload is the file's text
         ],
     )
     def test_load_rejects_malformed_file(self, tmp_path, payload, message):
         """A wrong-shaped file is a TuningError at load time, not an
-        AttributeError or ValueError there or inside the first "auto"
-        lookup."""
+        AttributeError or ValueError (or a JSONDecodeError) there or
+        inside the first "auto" lookup."""
         path = tmp_path / "table.json"
-        path.write_text(json.dumps(payload))
+        path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
         with pytest.raises(TuningError, match=message):
             TuningTable.load(path)
 
