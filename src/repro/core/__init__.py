@@ -2,10 +2,10 @@
 
 * :mod:`repro.core.api` — the module-level API of Listing 1 (import it
   as ``mcr_dl``);
-* :class:`repro.core.comm.MCRCommunicator` — the per-rank object API
-  (layered over :mod:`repro.core.dispatch` and
-  :mod:`repro.core.rendezvous`; extensions program against the
-  :class:`repro.core.protocols.CommCore` protocol);
+* :class:`repro.core.comm.MCRCommunicator` — the per-rank object API,
+  the one spelling of Listing 1 (over :mod:`repro.core.dispatch` and
+  :mod:`repro.core.rendezvous`; extensions hold the narrower
+  :class:`repro.core.protocols.CommCore`);
 * :class:`repro.core.config.MCRConfig` — runtime configuration
   (synchronization scheme, stream pools, MPI stream modes, compression);
 * :class:`repro.core.tuning.TuningTable` /

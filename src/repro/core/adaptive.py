@@ -399,15 +399,15 @@ class AdaptiveRetuner:
     """The post domain of adaptive dispatch: one per rank per top-level
     communicator (``adaptive.enabled``).
 
-    The owning communicator clones its tuning table at construction, so
-    the edits this retuner applies stay rank-private.
+    It edits the table its communicator consults, ``comm.tuning_table``,
+    which the communicator clones per rank whenever one is installed
+    (construction or swap), so the edits stay rank-private.
     """
 
     def __init__(self, comm: "CommCore"):
         self.comm = comm
         self.ctx = comm.ctx
         self.cfg = comm.config.adaptive
-        self.table = comm.tuning_table
         state = comm._group.state
         self.book = state.adapt = state.adapt or CellBook(comm)
         #: the book's edits already moved into the pending heap
@@ -438,15 +438,20 @@ class AdaptiveRetuner:
         if self._edits_seen < len(edits):
             # each was decided for an index no rank had posted yet, so
             # none is due before this one
-            ws, add = self.comm.world_size, self.table.add
+            apply = self._apply_edit
             for seq in range(self._edits_seen, len(edits)):
                 effect, op, bucket, name = edits[seq]
-                heapq.heappush(pending, (effect, 1, seq, partial(add, op, ws, bucket, name)))
+                heapq.heappush(pending, (effect, 1, seq, partial(apply, op, bucket, name)))
             self._edits_seen = len(edits)
         while pending and pending[0][0] <= idx:
             heapq.heappop(pending)[-1]()
         if self.cfg.epsilon > 0.0:
             self._maybe_trial(family, nbytes, idx)
+
+    def _apply_edit(self, op: str, bucket: int, name: str) -> None:
+        """Apply a book edit, due at the same op on every rank, to the
+        table installed then (not when this rank queued the edit)."""
+        self.comm.tuning_table.add(op, self.comm.world_size, bucket, name)
 
     def _schedule_post(self, effect: int, fn: Callable[[], None]) -> None:
         """Schedule at an op index every rank reaches the same way."""
@@ -467,7 +472,8 @@ class AdaptiveRetuner:
         op = family.value
         ws = self.comm.world_size
         bucket = message_bucket(nbytes)
-        row = self.table.entries.get(op, {}).get(ws, {})
+        table = self.comm.tuning_table
+        row = table.entries.get(op, {}).get(ws, {})
         cur = row.get(bucket)
         if cur is None:
             return  # only trial cells the table explicitly serves
@@ -485,7 +491,8 @@ class AdaptiveRetuner:
         if not alts:
             return
         alt = alts[self._hash(op, bucket, idx, "alt") % len(alts)]
-        table = self.table
+        # the restore edits the table the trial edited, even if another
+        # is installed before it falls due
         table.add(op, ws, bucket, alt)
         self._schedule_post(idx + 1, lambda: table.add(op, ws, bucket, cur))
         self.book.mark_trial(op, bucket, idx)

@@ -90,10 +90,12 @@ def create_communicator(
     """Construct a concrete communicator for an explicit rank context.
 
     This is the object-API entry point for framework shims and
-    benchmarks: they hold a :class:`~repro.core.protocols.CommCore`
-    and never import the concrete
+    benchmarks: they never import the concrete
     :class:`~repro.core.comm.MCRCommunicator` class (enforced by
-    ``scripts/lint.py``).
+    ``scripts/lint.py``).  The return type,
+    :class:`~repro.core.protocols.CommCore`, covers identity, lifecycle
+    and the extension hooks; the ops its holders call are
+    ``MCRCommunicator``'s methods.
     """
     return MCRCommunicator(
         ctx,

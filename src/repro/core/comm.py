@@ -23,9 +23,10 @@ dependencies (``docs/INTERNALS.md`` §15):
 * **execution** (:mod:`repro.core.rendezvous`) — rendezvous matching
   and the collective/p2p spines over the simulation engine.
 
-Code outside ``repro.core`` programs against the narrow
-:class:`~repro.core.protocols.CommCore` protocol instead of this
-concrete class (enforced by ``scripts/lint.py``).
+The methods below are the one spelling of Listing 1; code outside
+``repro.core`` holds the narrower :class:`~repro.core.protocols.CommCore`
+(enforced by ``scripts/lint.py``; ``tests/test_op_surface.py`` binds
+both it and :mod:`repro.core.api` to these methods).
 """
 
 from __future__ import annotations
@@ -100,7 +101,7 @@ class MCRCommunicator(DispatchLayer, ExecutionLayer):
         self.config = config
         self.comm_id = comm_id
         self._plan_cache = PlanCache(config.plan_cache)
-        self._tuning_table = tuning_table
+        self._tuning_table = self._own_table(tuning_table)
 
         # process group: the rank subset this communicator spans (like an
         # MPI sub-communicator / torch.distributed process group)
@@ -163,14 +164,6 @@ class MCRCommunicator(DispatchLayer, ExecutionLayer):
         if self.config.adaptive.enabled:
             from repro.core.adaptive import AdaptiveRetuner
 
-            if self._tuning_table is not None:
-                # ranks are usually handed one shared table object;
-                # online edits happen at rank-local points in execution,
-                # so each rank retunes a private clone (edits still stay
-                # symmetric — they apply at matched op indexes)
-                self._tuning_table = self._tuning_table.clone()
-            else:
-                self._tuning_table = TuningTable(system=ctx.system.name)
             self._group.retuner = AdaptiveRetuner(self)
         self._snapshot()
 

@@ -151,16 +151,23 @@ class DispatchLayer:
     def tuning_table(self) -> Optional[TuningTable]:
         """The table consulted by ``"auto"`` dispatch (§V-F).
 
-        Assigning a new table invalidates every compiled plan; in-place
-        mutation of the installed table is caught per-lookup through the
-        table's generation counter instead.
+        Assigning a new table (a per-rank clone under adaptive dispatch)
+        invalidates every compiled plan; in-place mutation of the
+        installed table is caught per-lookup through its generation.
         """
         return self._tuning_table
 
     @tuning_table.setter
     def tuning_table(self, table: Optional[TuningTable]) -> None:
-        self._tuning_table = table
+        self._tuning_table = self._own_table(table)
         self.invalidate_plans("tuning-table install/swap")
+
+    def _own_table(self, table: Optional[TuningTable]) -> Optional[TuningTable]:
+        """What to install for ``table``: under adaptive dispatch each
+        rank retunes a private clone (an empty table for None)."""
+        if not self.config.adaptive.enabled:
+            return table
+        return table.clone() if table is not None else TuningTable(system=self.ctx.system.name)
 
     def invalidate_plans(self, reason: str = "") -> None:
         """Clear the plan cache: every plan recompiles on next use.

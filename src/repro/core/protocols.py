@@ -1,37 +1,30 @@
-"""The ``CommCore`` protocol: the narrow contract extensions program to.
+"""The ``CommCore`` protocol: what extensions may reach on a communicator
+beyond its op surface.
 
-``repro.core.comm`` is layered (see ``docs/INTERNALS.md`` §15):
-
-* **op surface** (`repro.core.comm`) — the 16 public collectives as
-  declarative :class:`~repro.core.comm.CollectiveSpec` table rows plus
-  the shared pre-dispatch hook chain;
-* **dispatch** (`repro.core.dispatch`) — backend resolution and the
-  compiled :class:`~repro.core.dispatch.CommPlan` cache, with backend
-  health (`repro.core.health`) beneath it;
-* **execution** (`repro.core.rendezvous`) — rendezvous matching and the
-  collective/p2p spines over the simulation engine.
+``repro.core.comm`` is layered (``docs/INTERNALS.md`` §15): the op
+surface (`repro.core.comm`, the :class:`~repro.core.comm.CollectiveSpec`
+rows plus the pre-dispatch hook chain), dispatch (`repro.core.dispatch`,
+backend choice and the compiled-plan cache, with `repro.core.health`
+beneath it) and execution (`repro.core.rendezvous`).
 
 Everything *outside* the core — ``ext/`` extensions, ``frameworks/``
-baselines, the tuner and the adaptive retuner — consumes this
-:class:`CommCore` protocol instead of importing
-the concrete :class:`~repro.core.comm.MCRCommunicator`, which removes
-the historical import cycle (six-plus deferred ``if TYPE_CHECKING`` /
-function-local imports) and is enforced by
-``scripts/lint.py``.
+baselines, the tuner and the adaptive retuner — types its communicator
+as :class:`CommCore` instead of importing the concrete
+:class:`~repro.core.comm.MCRCommunicator`, which keeps the import graph
+acyclic (``scripts/lint.py`` enforces it).
 
-The protocol has two sections:
-
-* the **public surface** — Listing 1 of the paper: lifecycle,
-  introspection, collectives, point-to-point;
-* the **extension hooks** — a small, explicitly documented set of
-  internal attributes that in-tree extensions legitimately reach into
-  (the communicator's rendezvous ``Group``, the persistent-collective
-  capture/plan/replay hooks, the communicator's ``health``).  They are underscored because
-  user code must not touch them, but they are part of the stable
-  contract for extension authors; anything not listed here is private
-  to one layer and may change without notice (``scripts/lint.py``'s
-  ``hooks`` rule fails CI on an undeclared one, and on a declared one
-  that nothing outside the core uses).
+The protocol declares identity, lifecycle and the **extension hooks**:
+the underscored members in-tree extensions legitimately reach (the
+rendezvous ``Group``, the persistent-collective capture/plan/replay
+hooks, the obs registry) and ``health``.  User code must not touch
+them; anything not listed here is private to one layer
+(``scripts/lint.py``'s ``hooks`` rule fails CI on an undeclared one,
+and on a declared one that nothing outside the core uses).  The op
+surface of the paper's Listing 1 is not repeated here: its one
+spelling is the ``MCRCommunicator`` methods, which every communicator a
+holder can have provides, so holders call the ops all the same
+(``tests/test_op_surface.py`` checks ``repro.core.api`` and this
+protocol against those methods).
 """
 
 from __future__ import annotations
@@ -46,8 +39,6 @@ from typing import (
     runtime_checkable,
 )
 
-from repro.backends.ops import ReduceOp
-
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.backends.base import Backend
     from repro.core.config import CompressionConfig, MCRConfig
@@ -55,12 +46,13 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.sync import SyncManager
     from repro.core.tuning import TuningTable
     from repro.sim.process import RankContext
-    from repro.tensor import SimTensor
 
 
 @runtime_checkable
 class CommCore(Protocol):
-    """Structural type of a per-rank MCR-DL communicator."""
+    """Structural type of a per-rank MCR-DL communicator: identity,
+    lifecycle and the extension hooks.  Its op surface (Listing 1) is
+    :class:`~repro.core.comm.MCRCommunicator`'s."""
 
     # -- identity / wiring (read-only for consumers) -----------------------
 
@@ -104,156 +96,6 @@ class CommCore(Protocol):
 
     def set_synchronization(self, mode: str) -> None: ...
 
-    # -- collectives (Listing 1) -------------------------------------------
-
-    def all_reduce(
-        self,
-        backend: str,
-        tensor: "SimTensor",
-        op: ReduceOp = ReduceOp.SUM,
-        async_op: bool = False,
-    ) -> Optional["WorkHandle"]: ...
-
-    def reduce(
-        self,
-        backend: str,
-        tensor: "SimTensor",
-        root: int = 0,
-        op: ReduceOp = ReduceOp.SUM,
-        async_op: bool = False,
-    ) -> Optional["WorkHandle"]: ...
-
-    def bcast(
-        self, backend: str, tensor: "SimTensor", root: int = 0, async_op: bool = False
-    ) -> Optional["WorkHandle"]: ...
-
-    def all_gather(
-        self,
-        backend: str,
-        output: "SimTensor",
-        input: "SimTensor",
-        async_op: bool = False,
-    ) -> Optional["WorkHandle"]: ...
-
-    def reduce_scatter(
-        self,
-        backend: str,
-        output: "SimTensor",
-        input: "SimTensor",
-        op: ReduceOp = ReduceOp.SUM,
-        async_op: bool = False,
-    ) -> Optional["WorkHandle"]: ...
-
-    def all_to_all_single(
-        self,
-        backend: str,
-        output: "SimTensor",
-        input: "SimTensor",
-        async_op: bool = False,
-    ) -> Optional["WorkHandle"]: ...
-
-    def all_to_all(
-        self,
-        backend: str,
-        output: Sequence["SimTensor"],
-        input: Sequence["SimTensor"],
-        async_op: bool = False,
-    ) -> Optional["WorkHandle"]: ...
-
-    def gather(
-        self,
-        backend: str,
-        input: "SimTensor",
-        output: Optional["SimTensor"] = None,
-        root: int = 0,
-        async_op: bool = False,
-    ) -> Optional["WorkHandle"]: ...
-
-    def scatter(
-        self,
-        backend: str,
-        output: "SimTensor",
-        input: Optional["SimTensor"] = None,
-        root: int = 0,
-        async_op: bool = False,
-    ) -> Optional["WorkHandle"]: ...
-
-    def gatherv(
-        self,
-        backend: str,
-        input: "SimTensor",
-        output: Optional["SimTensor"] = None,
-        rcounts: Optional[Sequence[int]] = None,
-        displs: Optional[Sequence[int]] = None,
-        root: int = 0,
-        async_op: bool = False,
-    ) -> Optional["WorkHandle"]: ...
-
-    def scatterv(
-        self,
-        backend: str,
-        output: "SimTensor",
-        input: Optional["SimTensor"] = None,
-        scounts: Optional[Sequence[int]] = None,
-        displs: Optional[Sequence[int]] = None,
-        root: int = 0,
-        async_op: bool = False,
-    ) -> Optional["WorkHandle"]: ...
-
-    def all_gatherv(
-        self,
-        backend: str,
-        output: "SimTensor",
-        input: "SimTensor",
-        rcounts: Optional[Sequence[int]] = None,
-        displs: Optional[Sequence[int]] = None,
-        async_op: bool = False,
-    ) -> Optional["WorkHandle"]: ...
-
-    def all_to_allv(
-        self,
-        backend: str,
-        output: "SimTensor",
-        input: "SimTensor",
-        scounts: Optional[Sequence[int]] = None,
-        sdispls: Optional[Sequence[int]] = None,
-        rcounts: Optional[Sequence[int]] = None,
-        rdispls: Optional[Sequence[int]] = None,
-        async_op: bool = False,
-    ) -> Optional["WorkHandle"]: ...
-
-    def barrier(
-        self, backend: Optional[str] = None, async_op: bool = False
-    ) -> Optional["WorkHandle"]: ...
-
-    # -- point-to-point ----------------------------------------------------
-
-    def send(
-        self,
-        backend: str,
-        tensor: "SimTensor",
-        dst: int,
-        tag: int = 0,
-        async_op: bool = False,
-    ) -> Optional["WorkHandle"]: ...
-
-    def recv(
-        self,
-        backend: str,
-        tensor: "SimTensor",
-        src: int,
-        tag: int = 0,
-        async_op: bool = False,
-    ) -> Optional["WorkHandle"]: ...
-
-    def isend(
-        self, backend: str, tensor: "SimTensor", dst: int, tag: int = 0
-    ) -> "WorkHandle": ...
-
-    def irecv(
-        self, backend: str, tensor: "SimTensor", src: int, tag: int = 0
-    ) -> "WorkHandle": ...
-
     # -- extension hooks (stable contract for in-tree extensions) ----------
     #
     # ext/persistent: init-time capture, the uncounted plan pin, then
@@ -264,7 +106,10 @@ class CommCore(Protocol):
 
     def _plan(self, spec: Any, backend_name: str, prep: Any, count: bool = True) -> Any: ...
 
-    def _post(self, *args, **kwargs) -> Optional["WorkHandle"]: ...
+    def _post(
+        self, spec: Any, backend_name: str, args: tuple, async_op: bool,
+        prep: Any = None, dispatch_scale: float = 1.0,
+    ) -> Optional["WorkHandle"]: ...
 
     # ext/fusion (route table, stream-pressure probe, obs events) and
     # adaptive (shared state, pricing path, obs events): the

@@ -69,7 +69,7 @@ def run_loop(
         entries = (
             {
                 op: {ws: dict(b) for ws, b in scales.items()}
-                for op, scales in retuner.table.entries.items()
+                for op, scales in comm.tuning_table.entries.items()
             }
             if retuner is not None
             else None
@@ -231,7 +231,7 @@ class TestEpsilonTrials:
                 len(book.trial_marks),
                 sum(book.trials_posted.values()),
                 str(comm.retuner.snapshot()),
-                str(comm.retuner.table.entries),
+                str(comm.tuning_table.entries),
             )
             comm.finalize()
             return out
@@ -271,6 +271,76 @@ class TestEpsilonTrials:
 
         results = Simulator(2, faults=faults).run(rank_main).rank_results
         assert results == [["nccl"], ["nccl"]]
+
+    def test_table_swap_reaches_the_retuner(self):
+        """A table installed mid-run is the one the retuner edits: each
+        rank clones it, as at construction, and an epsilon trial right
+        after the swap serves its op on the swapped-in cell's alternate
+        (the trial used to edit the construction-time clone, which
+        ``"auto"`` no longer read)."""
+        old, new = TuningTable(), TuningTable()
+        old.add("allreduce", 2, 4096, "nccl")
+        new.add("allreduce", 2, 4096, "mvapich2-gdr")
+        # the config caps epsilon below 1; the first op's draw is below it
+        config = MCRConfig(adaptive=AdaptiveConfig(
+            enabled=True, epsilon=0.999, probation_interval=0
+        ))
+
+        def rank_main(ctx):
+            comm = MCRCommunicator(
+                ctx, ["nccl", "mvapich2-gdr"], config=config, tuning_table=old
+            )
+            comm.tuning_table = new
+            handle = comm.all_reduce("auto", ctx.virtual_tensor(1024), async_op=True)
+            handle.synchronize()
+            trials = sum(comm._group.state.adapt.trials_posted.values())
+            table = comm.tuning_table
+            comm.finalize()
+            return handle.backend_name, trials, table
+
+        results = Simulator(2).run(rank_main).rank_results
+        (served0, trials0, table0), (served1, trials1, table1) = results
+        assert trials0 == trials1 == 1
+        assert served0 == served1 == "nccl"
+        assert table0 is not table1
+        assert table0 is not new and table1 is not new
+        assert new.lookup("allreduce", 2, 4096) == "mvapich2-gdr"
+
+    def test_edit_pending_across_a_swap_lands_in_the_new_table(self):
+        """A book edit goes to the table installed at its effect index on
+        every rank, however far apart the ranks were when it was decided.
+        Op 1's completion decides an edit (a degraded nccl link trips the
+        drift check at once) after rank 0 has posted op 2 but before rank
+        1 has, so it takes effect at op 3, after the swap: both ranks'
+        swapped-in tables must carry it."""
+        old, new = TuningTable(), TuningTable()
+        old.add("allreduce", 2, NBYTES, "nccl")
+        new.add("allreduce", 2, NBYTES, "mvapich2-gdr")
+        config = MCRConfig(adaptive=adaptive_config(min_samples=1))
+        faults = FaultSpec.parse("link=0:inf:4.0:backend=nccl")
+
+        def rank_main(ctx):
+            comm = MCRCommunicator(
+                ctx, ["nccl", "mvapich2-gdr"], config=config, tuning_table=old
+            )
+            x = ctx.virtual_tensor(NBYTES // 4)
+            first = comm.all_reduce("auto", x, async_op=True)
+            if ctx.rank == 1:
+                ctx.sleep(1e6)  # op 1 completes while rank 1 sleeps
+            comm.all_reduce("auto", x)
+            comm.tuning_table = new
+            comm.all_reduce("auto", x)
+            first.synchronize()
+            book = comm._group.state.adapt
+            out = (list(book.edits), str(comm.tuning_table.entries))
+            comm.finalize()
+            return out
+
+        results = Simulator(2, faults=faults).run(rank_main).rank_results
+        (edits, table0), (_, table1) = results
+        assert edits and edits[0][:2] == (3, "allreduce")
+        assert table0 == table1
+        assert f"{NBYTES}: '{edits[0][3]}'" in table0
 
 
 class TestProbation:

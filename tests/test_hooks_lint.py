@@ -1,7 +1,7 @@
 """Nothing outside the comm core reaches a private communicator member
 that the ``CommCore`` protocol does not declare, and the protocol
 declares no private hook that nothing outside the core reaches
-(ROADMAP item 4).
+(docs/INTERNALS.md §15).
 
 Two halves, like ``tests/test_set_order_lint.py``: the real ``src/``
 tree is clean with an empty allow-list, and the ``hooks`` rule of

@@ -1,4 +1,4 @@
-"""Tier-1 stays host-independent (ROADMAP item 1(c)).
+"""Tier-1 stays host-independent (docs/INTERNALS.md §7, "The fingerprint ledger").
 
 Two halves, like ``tests/test_layering.py``: the real ``tests/`` tree
 and the fingerprint ledger's two files reach no wall clock and no CPU

@@ -52,8 +52,8 @@ class TestRealTree:
         def main(ctx):
             comm = MCRCommunicator(ctx, ["nccl"])
             assert isinstance(comm, CommCore)
-            for attr in ("_group", "_obs", "health"):
-                assert hasattr(comm, attr)
+            for attr in CommCore.__annotations__:
+                assert hasattr(comm, attr), attr
             comm.finalize()
 
         Simulator(2).run(main)

@@ -1,7 +1,12 @@
 """The descriptor-driven op surface (core/comm.py + core/op_table.py).
 
-Pins the two satellite contracts of the layered-core refactor:
+Pins three contracts of the layered core:
 
+* **one spelling of Listing 1** — each op is written once, as an
+  :class:`MCRCommunicator` method; ``repro.core.api``'s wrappers
+  forward to it with the same parameters, and the ``CommCore``
+  protocol declares no op at all (its own members match the
+  communicator's), checked by :func:`surface_drift`;
 * **uniform pre-dispatch hook chain** — ``retuner.before_op`` fires for
   *every* collective family (historically it was hand-inlined into the
   4 hier-capable ops only), and routing every family through the shared
@@ -12,10 +17,15 @@ Pins the two satellite contracts of the layered-core refactor:
   instead of raising.
 """
 
+import inspect
+from types import FunctionType, SimpleNamespace
+
 import numpy as np
 
-from repro.core import MCRCommunicator, MCRConfig
+from repro.backends.ops import ReduceOp
+from repro.core import MCRCommunicator, MCRConfig, api, op_table
 from repro.core.config import AdaptiveConfig
+from repro.core.protocols import CommCore
 from repro.sim import Simulator
 from repro.sim.faults import BackendFault, FaultSpec
 
@@ -155,3 +165,94 @@ class TestBarrierDefault:
         assert used == {"nccl"}
         for quarantined in quarantines:
             assert "mvapich2-gdr" in quarantined
+
+
+#: the p2p calls, which have no op-table row
+P2P = ("send", "recv", "isend", "irecv")
+#: second spellings of a collective, and the lifecycle calls the
+#: module-level API forwards to the communicator
+ALIASES = ("broadcast", "all_gather_base")
+FORWARDS = ("finalize", "synchronize", "get_backends", "get_size", "get_rank", "invalidate_plans")
+
+
+def op_names() -> list[str]:
+    """Every op of Listing 1: one per op-table row, then the p2p calls."""
+    rows = [v.name for v in vars(op_table).values() if isinstance(v, op_table.CollectiveSpec)]
+    return rows + list(P2P)
+
+
+def _params(fn, skip: int = 0) -> list[tuple]:
+    """A signature as (name, kind, default) per parameter; annotations
+    are not compared."""
+    params = list(inspect.signature(fn).parameters.values())[skip:]
+    return [(p.name, p.kind, p.default) for p in params]
+
+
+def surface_drift(module=api, protocol=CommCore) -> list[str]:
+    """Every way ``module``'s wrappers or ``protocol``'s declarations
+    disagree with the :class:`MCRCommunicator` methods (empty = none)."""
+    problems = []
+    for name in (*op_names(), *ALIASES, *FORWARDS):
+        method, wrapper = getattr(MCRCommunicator, name, None), getattr(module, name, None)
+        if not inspect.isfunction(method):
+            problems.append(f"{name}: no MCRCommunicator method")
+        elif not inspect.isfunction(wrapper):
+            problems.append(f"{name}: no api function")
+        elif _params(wrapper) != _params(method, skip=1):
+            problems.append(f"{name}: api{inspect.signature(wrapper)} != method{inspect.signature(method)}")
+    declared = {
+        name: member for name, member in vars(protocol).items()
+        if not name.startswith("__") and isinstance(member, (property, FunctionType))
+    }
+    for name in {*op_names(), *ALIASES} & {*declared, *getattr(protocol, "__annotations__", {})}:
+        problems.append(f"{name}: {protocol.__name__} declares an op of the op surface")
+    for name, member in declared.items():
+        ours = inspect.getattr_static(MCRCommunicator, name, None)
+        if isinstance(member, property):
+            if not isinstance(ours, property):
+                problems.append(f"{name}: not an MCRCommunicator property")
+        elif not inspect.isfunction(ours):
+            problems.append(f"{name}: no MCRCommunicator method")
+        elif _params(member) != _params(ours):
+            problems.append(
+                f"{name}: {protocol.__name__}{inspect.signature(member)} != "
+                f"method{inspect.signature(ours)}"
+            )
+    return problems
+
+
+class TestOneSpelling:
+    def test_tree_has_no_drift(self):
+        assert surface_drift() == []
+
+    def test_every_row_and_p2p_call_is_covered(self):
+        names = op_names()
+        assert {"all_reduce", "all_to_allv", "barrier", *P2P} <= set(names)
+        assert len(names) == len(set(names))
+
+    def test_injected_wrapper_drift_is_reported(self):
+        def all_reduce(backend, tensor, op=ReduceOp.SUM, async_op=True):
+            raise AssertionError("never called")
+
+        def gatherv(backend, input, output=None, displs=None, rcounts=None, root=0, async_op=False):
+            raise AssertionError("never called")
+
+        module = SimpleNamespace(**{**vars(api), "all_reduce": all_reduce, "gatherv": gatherv})
+        del module.irecv
+        problems = surface_drift(module)
+        assert [p.split(":")[0] for p in problems] == ["all_reduce", "gatherv", "irecv"], problems
+
+    def test_injected_protocol_drift_is_reported(self):
+        class Drifted:
+            sync: object
+            all_gather: object
+
+            def all_reduce(self, backend, tensor): ...
+
+            def _post(self, *args, **kwargs): ...
+
+            @property
+            def get_size(self): ...
+
+        problems = sorted(p.split(":")[0] for p in surface_drift(protocol=Drifted))
+        assert problems == ["_post", "all_gather", "all_reduce", "all_reduce", "get_size"], problems

@@ -8,6 +8,7 @@ property — a run with the cache force-disabled is byte-identical in
 simulated time and data to the cached run, healthy or degraded.
 """
 
+import gc
 import sys
 
 import numpy as np
@@ -428,9 +429,16 @@ class TestPlanHitPost:
                     calls.append(frame.f_code.co_name)
 
             if ctx.rank == 0:
+                # a collection inside the count would add the gc.callbacks
+                # other libraries install (hypothesis times its GC passes)
+                gc.disable()
                 sys.setprofile(profile)
-            post()
-            sys.setprofile(None)
+            try:
+                post()
+            finally:
+                sys.setprofile(None)
+                if ctx.rank == 0:
+                    gc.enable()
             stats = comm.plan_stats
             comm.finalize()
             return calls, stats

@@ -1,5 +1,5 @@
 """Nothing under ``src/`` lets a set's iteration order reach a result
-(ROADMAP item 1(b)).
+(docs/INTERNALS.md §10).
 
 Two halves, like ``tests/test_hostfree_lint.py``: the real ``src/`` tree
 is clean, and the ``set-order`` rule of ``scripts/lint.py`` pointed at an

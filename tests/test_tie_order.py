@@ -68,7 +68,7 @@ _LANES = (
 _FIRST_FLUSHER = (
     "fusion's first-flusher route (TensorFusion._route_flush): the rank "
     "that runs first at a tie picks a below-B flush's backend from its own "
-    "stream load (ROADMAP item 1(d))"
+    "stream load (ROADMAP item 3(c))"
 )
 #: (adversary, program, seed) cases whose simulated times move with the
 #: tie order, each with the reason
