@@ -15,10 +15,7 @@ from repro.bench.microbench import (
 )
 from repro.bench.reporting import Report
 from repro.core import MCRConfig
-from repro.frameworks.torch_dist import (
-    TORCH_DISPATCH_FRACTION,
-    TORCH_DISPATCH_OVERHEAD_US,
-)
+from repro.models.plan import PROFILES
 
 #: OMB alltoall message sizes are per destination pair
 PAIR_SIZES = [1024 * (4**i) for i in range(7)]  # 1 KiB .. 4 MiB per pair
@@ -27,10 +24,7 @@ BACKEND = "mvapich2-gdr"
 
 
 def torch_config() -> MCRConfig:
-    config = MCRConfig()
-    config.dispatch_overhead_us = TORCH_DISPATCH_OVERHEAD_US
-    config.dispatch_fraction = TORCH_DISPATCH_FRACTION
-    return config
+    return PROFILES["torch-distributed"].to_config()
 
 
 def run_sweep(system):

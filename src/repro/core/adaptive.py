@@ -83,8 +83,6 @@ class _Cell:
     current: Optional[str] = None
     #: completed ops observed for this cell (any backend)
     completions: int = 0
-    #: trial completions already attributed to epsilon probes
-    trials_seen: int = 0
     ema: dict = field(default_factory=dict)
     count: dict = field(default_factory=dict)
     #: pure analytic expectation per backend (cached)
@@ -108,7 +106,7 @@ class CellBook:
     one per group and ``comm_id`` (``CommState.adapt``), built by the
     first member rank whose retuner starts.  Its cells and decisions
     exist once; the member ranks read only :attr:`edits` (through
-    their cursors), :attr:`quarantined` and :attr:`trials_posted`."""
+    their cursors) and :attr:`quarantined`."""
 
     def __init__(self, comm: "CommCore"):
         self.cfg = comm.config.adaptive
@@ -128,30 +126,12 @@ class CellBook:
         self.max_posted = 0
         #: quarantine mirror, written by the ranks' post domains
         self.quarantined: set = set()
-        #: epsilon trials posted per cell, counted once per logical trial
-        self.trials_posted: dict = {}
-        #: ``(op, bucket, idx)`` -> ranks that have posted that trial;
-        #: dropped once every group rank has
-        self.trial_marks: dict = {}
         self.cells: dict[tuple[str, int], _Cell] = {}
         #: decided table edits ``(effect index, op, bucket, backend)`` in
         #: decision order
         self.edits: list[tuple[int, str, int, str]] = []
         #: completion-domain action counts
         self.stats = {"drift": 0, "explore": 0, "retune": 0}
-
-    def mark_trial(self, op: str, bucket: int, idx: int) -> None:
-        """Count one rank's post of the epsilon trial at ``idx``: the
-        first poster counts the logical trial, the last drops the mark."""
-        mark = (op, bucket, idx)
-        seen = self.trial_marks.get(mark, 0)
-        if seen == 0:
-            key = (op, bucket)
-            self.trials_posted[key] = self.trials_posted.get(key, 0) + 1
-        if seen + 1 == self.world_size:
-            del self.trial_marks[mark]
-        else:
-            self.trial_marks[mark] = seen + 1
 
     def on_complete(
         self,
@@ -160,8 +140,10 @@ class CellBook:
         backend_name: str,
         duration: float,
         auto: bool,
+        trial: bool,
     ) -> None:
-        """Ingest one completed collective (a flag callback, run once)."""
+        """Ingest one completed collective (a flag callback, run once);
+        ``trial``: its op index was an epsilon trial."""
         cell_key = (family.value, message_bucket(nbytes))
         cell = self.cells.get(cell_key)
         if cell is None:
@@ -181,7 +163,7 @@ class CellBook:
             if cell.completions >= cell.cooldown_until:
                 cell.mode = "steady"
         else:
-            self._steady_step(cell, cell_key, backend_name)
+            self._steady_step(cell, cell_key, backend_name, trial)
 
     def _edit(self, cell: _Cell, backend_name: str, offset: int = 0) -> None:
         """Decide one table edit, effective at an op index no rank has
@@ -190,16 +172,13 @@ class CellBook:
         self.edits.append((effect, cell.family.value, cell.bucket, backend_name))
 
     def _steady_step(
-        self, cell: _Cell, cell_key: tuple[str, int], backend_name: str
+        self, cell: _Cell, cell_key: tuple[str, int], backend_name: str, trial: bool
     ) -> None:
         cfg = self.cfg
         if cell.current is None:
             cell.current = backend_name
         elif backend_name != cell.current:
-            posted = self.trials_posted.get(cell_key, 0)
-            if cell.trials_seen < posted:
-                cell.trials_seen += 1  # an epsilon trial, not a move
-            else:
+            if not trial:  # a trial's alternate is not a move
                 # the dispatch layer itself moved (quarantine failover
                 # or an external table edit): follow it
                 cell.current = backend_name
@@ -424,12 +403,16 @@ class AdaptiveRetuner:
         self.quiet = False
         self._lead = comm.ctx.rank == comm.group_ranks[0]
         self.probations = 0
+        #: the op being posted is an epsilon trial (set by
+        #: :meth:`_maybe_trial`; the resolver hands it to the book)
+        self.trial = False
 
     def before_op(self, family: OpFamily, nbytes: int) -> None:
         """Hook run once per posted collective, before backend
         resolution, so pending table edits affect the op being posted."""
         self._op_index += 1
         idx = self._op_index
+        self.trial = False
         book = self.book
         if idx > book.max_posted:
             book.max_posted = idx
@@ -467,8 +450,8 @@ class AdaptiveRetuner:
     def _maybe_trial(self, family: OpFamily, nbytes: int, idx: int) -> None:
         """Steady-state epsilon exploration: with probability ``epsilon``
         (a deterministic per-op hash, so all ranks draw identically),
-        serve this one op on an alternate backend to keep its EMA fresh,
-        restoring the table entry at the next op index."""
+        serve this one op on an alternate backend to keep its EMA fresh;
+        the next op index restores the entry unless it was edited since."""
         op = family.value
         ws = self.comm.world_size
         bucket = message_bucket(nbytes)
@@ -491,11 +474,13 @@ class AdaptiveRetuner:
         if not alts:
             return
         alt = alts[self._hash(op, bucket, idx, "alt") % len(alts)]
-        # the restore edits the table the trial edited, even if another
-        # is installed before it falls due
+        # the restore edits the table the trial edited (even if another is
+        # installed before it falls due) while its cell holds the alternate
         table.add(op, ws, bucket, alt)
-        self._schedule_post(idx + 1, lambda: table.add(op, ws, bucket, cur))
-        self.book.mark_trial(op, bucket, idx)
+        self._schedule_post(
+            idx + 1, lambda: row.get(bucket) == alt and table.add(op, ws, bucket, cur)
+        )
+        self.trial = True
         self._emit("explore", alt, detail=f"epsilon-trial@{op}/{bucket}")
 
     # -- probation (quarantine recovery) -----------------------------------

@@ -17,7 +17,7 @@ dependencies (``docs/INTERNALS.md`` §15):
   ``_plan``, whose plan routes flat or hierarchical) runs uniformly for
   every family from :meth:`MCRCommunicator._post`;
 * **dispatch** (:mod:`repro.core.dispatch`) — backend resolution and
-  the compiled :class:`~repro.core.dispatch.CommPlan` cache, with
+  the compiled :class:`~repro.core.dispatch.CommPlan`, with
   backend health (quarantine, failover) owned by ``comm.health``
   (:mod:`repro.core.health`);
 * **execution** (:mod:`repro.core.rendezvous`) — rendezvous matching
@@ -39,7 +39,7 @@ import numpy as np
 from repro.backends.base import Backend, canonical_name, cost_backend
 from repro.backends.ops import OpFamily, ReduceOp
 from repro.core.config import BACKEND_INIT_US, MCRConfig
-from repro.core.dispatch import CommPlan, DispatchLayer, PlanCache
+from repro.core.dispatch import CommPlan, DispatchLayer
 from repro.core.exceptions import BackendError, MCRError, ValidationError
 from repro.core.handles import CompletedHandle, WorkHandle
 from repro.core.health import Health
@@ -100,7 +100,7 @@ class MCRCommunicator(DispatchLayer, ExecutionLayer):
             job.configs[id(config)] = config
         self.config = config
         self.comm_id = comm_id
-        self._plan_cache = PlanCache(config.plan_cache)
+        self._plan_hits = self._plan_misses = self._plan_invalidations = self._plan_clears = 0
         self._tuning_table = self._own_table(tuning_table)
 
         # process group: the rank subset this communicator spans (like an
@@ -218,7 +218,7 @@ class MCRCommunicator(DispatchLayer, ExecutionLayer):
             return
         self.synchronize(backends)
         if self._obs is not None:
-            self._plan_cache.flush(self._obs, self.ctx.rank, self.ctx.now)
+            self._flush_plan_stats()
         self._finalized = True
 
     # ------------------------------------------------------------------
@@ -270,7 +270,7 @@ class MCRCommunicator(DispatchLayer, ExecutionLayer):
         if phases[0].group == "flat":
             # a degenerate composite is the call itself, on this group
             name = phases[0].backend
-            flat = self._shared_plan(self._group, spec, name, prep, plan.timing_only)
+            flat = self._plan(spec, name, prep, count=False)
             return self._post_collective(self._group, spec, name, prep, flat, async_op)
         rank, virtual = self.ctx.rank, plan.timing_only
         mine = [i for i, p in enumerate(phases) if p.members is None or rank in p.members]
@@ -309,7 +309,7 @@ class MCRCommunicator(DispatchLayer, ExecutionLayer):
                 group, *build(buffer(phase.out), buffer(phase.src), phase.root, op)
             )
             # compiled once per phase group: uneven node groups never share
-            flat = self._shared_plan(group, row, phase.backend, phase_prep, virtual)
+            flat = self._plan(row, phase.backend, phase_prep, group, count=False)
             handle = self._post_collective(group, row, phase.backend, phase_prep, flat, True)
             if phase.after is not None and not virtual:
                 # the rendezvous may already have resolved

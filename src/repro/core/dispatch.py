@@ -1,29 +1,29 @@
 """Dispatch layer of the comm core: backend resolution and the compiled
-:class:`CommPlan` cache.
+:class:`CommPlan`.
 
-Steady-state dispatch runs through a compile-once plan cache
-(:class:`CommPlan`): everything derivable from a call's signature alone
-— flat backend or hierarchical composite, resolved backend, interned
-labels, dispatch cost, codec arithmetic, stream placement, tagged
-rendezvous meta — is snapshotted on first post
-and re-used per call, the way MPI-4 persistent operations and pre-built
-communication plans amortize per-call setup (paper §V-E).  Clearing the
-cache on tuning-table installs, quarantines, and codec/synchronization
-changes keeps degraded-mode behavior and simulated timings
-bit-identical to the uncached path.
+Steady-state dispatch replays compiled plans (:class:`CommPlan`):
+everything derivable from a call's signature alone — flat backend or
+hierarchical composite, resolved backend, interned labels, dispatch
+cost, codec arithmetic, stream placement, tagged rendezvous meta — is
+snapshotted on first post, kept once in the group's plan index
+(``CommState.plans``) and re-used by every rank whose plan context
+matches, the way MPI-4 persistent operations and pre-built
+communication plans amortize per-call setup (paper §V-E).  A new plan
+context on tuning-table installs, quarantines, and
+codec/synchronization changes keeps degraded-mode behavior and
+simulated timings bit-identical to the uncached path.
 
 Layering (``docs/INTERNALS.md`` §15): this module sits between the op
 surface (:mod:`repro.core.comm`) and the execution spine
 (:mod:`repro.core.rendezvous`).  It may import the execution layer but
 never the op surface; :class:`DispatchLayer` is a mixin composed into
-:class:`~repro.core.comm.MCRCommunicator`, and :class:`PlanCache` is the
-plan state it owns.
+:class:`~repro.core.comm.MCRCommunicator`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Any, Optional
+from typing import Optional
 
 from repro.backends.base import Backend, canonical_name, is_hier_name
 from repro.backends.hierarchical import HierSpec, derive_layout, hier_phases, parse_hier
@@ -39,21 +39,22 @@ class CommPlan:
     """One compiled dispatch plan (paper §V-E persistent-op amortization).
 
     Snapshots everything dispatch can derive from the call signature
-    alone, keyed per (requested backend, rendezvous meta, nbytes,
-    timing-only) so a steady-state training step pays one dict lookup
-    instead of re-deriving routing, tuning choice, labels, codec
-    arithmetic, and stream placement on every post.  It names nothing
-    of one rank, so the ranks of a group share it (INTERNALS §12).  A
-    plan whose ``hier`` is set routes the call to the hierarchical
-    composite: it carries the composite's compiled phase list, and its
-    flat fields keep their defaults (INTERNALS §13).
+    alone, so a steady-state training step pays one lookup in its
+    group's plan index, keyed per (plan context, requested backend,
+    rendezvous meta, nbytes, timing-only), instead of re-deriving
+    routing, tuning choice, labels, codec arithmetic, and stream
+    placement on every post.  It names nothing of one rank, so the ranks
+    of a group whose context matches share it (INTERNALS §12).  A plan
+    whose ``hier`` is set routes the call to the hierarchical composite:
+    it carries the composite's compiled phase list, and its flat fields
+    keep their defaults (INTERNALS §13).
 
     Tuning-table installs, quarantines, and codec/synchronization
-    changes clear the cache; plans compiled through the ``"auto"`` path
-    also pin the tuning table's generation so in-place table edits
-    (``add``/``merge``) recompile without an explicit reinstall.
-    Compilation never advances the virtual clock, so cached and
-    uncached dispatch are byte-identical.
+    changes move a rank to a new plan context; plans compiled through
+    the ``"auto"`` path also pin the tuning table's generation, so
+    in-place table edits (``add``/``merge``) recompile without an
+    explicit reinstall.  Compilation never advances the virtual clock,
+    so cached and uncached dispatch are byte-identical.
     """
 
     #: tuning-table generation consulted at compile time; -1 when the
@@ -91,60 +92,18 @@ class CommPlan:
     meta_tagged: tuple = ()
 
 
-class PlanCache:
-    """One communicator's plans, keyed by call signature and cleared as
-    a whole on invalidation, with the counters behind
-    :attr:`DispatchLayer.plan_stats`; :meth:`DispatchLayer._plan` fills it."""
-
-    __slots__ = ("plans", "on", "hits", "misses", "invalidations", "clears")
-
-    def __init__(self, on: bool):
-        self.plans: dict[tuple, CommPlan] = {}
-        #: ``MCRConfig.plan_cache``: off compiles a throwaway plan per call
-        self.on = on
-        self.hits = self.misses = self.invalidations = self.clears = 0
-
-    def clear(self) -> None:
-        self.invalidations += 1
-        self.clears += 1
-        self.plans.clear()
-
-    def stats(self) -> dict:
-        total = self.hits + self.misses
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "invalidations": self.invalidations,
-            "plans": len(self.plans),
-            "hit_rate": self.hits / total if total else 0.0,
-        }
-
-    def flush(self, obs: Any, rank: int, now: float) -> None:
-        """Report the counters to the observability registry as
-        aggregated events — one ``kind="plan"`` ObsEvent per outcome with
-        the count carried in ``nbytes``, mirroring the sweep-cache
-        reporting convention (zero events on the per-op hot path)."""
-        for detail, count in (
-            ("hit", self.hits), ("miss", self.misses), ("invalidate", self.invalidations),
-        ):
-            if count:
-                obs.observe(ObsEvent(
-                    kind="plan", rank=rank, stream="host", backend="",
-                    family="dispatch_plan", nbytes=count, step=-1,
-                    start=now, end=now, detail=detail,
-                ))
-
-
 class DispatchLayer:
     """Mixin: decides *where* an operation runs and at what plan.
 
-    Its plan state is the :class:`PlanCache` ``_plan_cache``; the rest
-    it reads (tuning table, ``health``, ``sync``, ``_group``, ``_job``) is
+    Its plans live in each group's plan index (``CommState.plans``),
+    under the two tokens :meth:`_snapshot` interns for this rank; it
+    owns only the counters behind :attr:`plan_stats`.  The rest it reads
+    (tuning table, ``health``, ``sync``, ``_group``, ``_job``) is
     initialized by :class:`~repro.core.comm.MCRCommunicator`.
     """
 
     # ------------------------------------------------------------------
-    # dispatch plan cache (§V-E persistent-op amortization)
+    # dispatch plans (§V-E persistent-op amortization)
     # ------------------------------------------------------------------
 
     @property
@@ -170,7 +129,7 @@ class DispatchLayer:
         return table.clone() if table is not None else TuningTable(system=self.ctx.system.name)
 
     def invalidate_plans(self, reason: str = "") -> None:
-        """Clear the plan cache: every plan recompiles on next use.
+        """Move to a new plan context: every plan recompiles on next use.
 
         Called automatically on tuning-table install/swap, backend
         quarantine, and codec/synchronization changes.  Call it manually
@@ -179,7 +138,8 @@ class DispatchLayer:
         ``set_compression``/``set_synchronization``.  Rebuilds the plan
         context and re-derives each phase group's fault gate.
         """
-        self._plan_cache.clear()
+        self._plan_invalidations += 1
+        self._plan_clears += 1
         self._snapshot()
         for group in self._phase_groups.values():
             group.health.regate()
@@ -187,19 +147,25 @@ class DispatchLayer:
     def _snapshot(self) -> None:
         """Bind the codec and the plan context: the config by value (its
         dataclass ``repr``, exact for the fields it holds; it fixes the
-        codec), the table, the backends, the quarantines, the retuner and
-        the clears.  Ranks whose context matches share their plans."""
+        codec), the backends, the quarantines, the retuner and the
+        clears, interned job-wide to a token that ranks whose context
+        matches share.  ``"auto"`` plans key on a second token that adds
+        the installed table, whose entry pins it (its ``id`` is not reused)."""
         compression = self.config.compression
         self._codec = None
         if compression.enabled:
             from repro.ext.compression import FixedRateCodec
 
             self._codec = FixedRateCodec(compression.rate_bits)
-        self._plan_context = (
-            repr(self.config), id(self._tuning_table), tuple(self.backends),
-            frozenset(self.health.dead()), self._group.retuner is not None,
-            self._plan_cache.clears,
+        context = (
+            repr(self.config), tuple(self.backends), frozenset(self.health.dead()),
+            self._group.retuner is not None, self._plan_clears,
         )
+        contexts, table = self._job.contexts, self._tuning_table
+        self._token = contexts.setdefault(context, (len(contexts), None))[0]
+        self._auto_token = contexts.setdefault(
+            (*context, id(table)), (len(contexts), table)
+        )[0]
 
     def _reconfigure(self, reason: str, **changes) -> None:
         """Copy on write: ranks commonly share one ``MCRConfig`` object
@@ -235,9 +201,34 @@ class DispatchLayer:
 
     @property
     def plan_stats(self) -> dict:
-        """Plan-cache effectiveness: hit/miss/invalidation counts, the
-        number of resident plans, and the steady-state hit rate."""
-        return self._plan_cache.stats()
+        """Plan effectiveness on this rank: lookups its group's index
+        served (``hits``, whoever compiled the plan), plans it compiled
+        (``misses``), invalidations, the index entries under its plan
+        context (``plans``) and the steady-state hit rate."""
+        hits, misses = self._plan_hits, self._plan_misses
+        tokens = (self._token, self._auto_token)
+        return {
+            "hits": hits, "misses": misses, "invalidations": self._plan_invalidations,
+            "plans": sum(key[0] in tokens for key in self._group.state.plans),
+            "hit_rate": hits / (hits + misses) if hits + misses else 0.0,
+        }
+
+    def _flush_plan_stats(self) -> None:
+        """Report the counters to the observability registry as
+        aggregated events — one ``kind="plan"`` ObsEvent per outcome with
+        the count carried in ``nbytes``, mirroring the sweep-cache
+        reporting convention (zero events on the per-op hot path)."""
+        rank, now = self.ctx.rank, self.ctx.now
+        for detail, count in (
+            ("hit", self._plan_hits), ("miss", self._plan_misses),
+            ("invalidate", self._plan_invalidations),
+        ):
+            if count:
+                self._obs.observe(ObsEvent(
+                    kind="plan", rank=rank, stream="host", backend="",
+                    family="dispatch_plan", nbytes=count, step=-1,
+                    start=now, end=now, detail=detail,
+                ))
 
     @property
     def plan_compiles(self) -> int:
@@ -323,49 +314,35 @@ class DispatchLayer:
     def _dispatch_cost(self, backend: Backend) -> float:
         return self.config.dispatch_overhead_us + backend.call_overhead_us()
 
-    def _plan(self, spec, backend_name: str, prep, count: bool = True) -> CommPlan:
-        """The plan for one prepared call of op-table row ``spec``: a cache
-        hit, or the group's shared plan cached for the next call.  Only
-        posts ``count`` towards :attr:`plan_stats`, persistent pins do not."""
-        cache = self._plan_cache
+    def _plan(self, spec, backend_name: str, prep, group=None, count: bool = True) -> CommPlan:
+        """The plan for one prepared call of op-table row ``spec`` on
+        ``group`` (default: the communicator's own): one lookup in the
+        group's plan index, compiled into it on a miss.  Only posts
+        ``count`` towards :attr:`plan_stats`, persistent pins and phase
+        posts do not.  Plan cache off: a throwaway plan, never counted."""
+        if group is None:
+            group = self._group
         # meta[0] names the op-table row, which fixes family and flags
-        key = (backend_name, prep.meta, prep.nbytes, prep.timing_only)
-        plan = cache.plans.get(key)
+        key = (
+            self._auto_token if backend_name == "auto" else self._token,
+            backend_name, prep.meta, prep.nbytes, prep.timing_only,
+        )
+        plans = group.state.plans
+        plan = plans.get(key)
         if plan is not None:
             # an "auto" plan pins the table generation it consulted
             pinned = plan.table_generation
             if pinned < 0 or pinned == self._tuning_table.generation:
-                cache.hits += count
+                self._plan_hits += count
                 return plan
-            cache.invalidations += 1
-        plan = self._shared_plan(self._group, spec, backend_name, prep, prep.timing_only)
-        if cache.on:
-            cache.plans[key] = plan
-            cache.misses += count
+            self._plan_invalidations += 1
+        plan = self._compile_plan(group, spec, backend_name, prep)
+        if self.config.plan_cache:
+            plans[key] = plan
+            self._plan_misses += count
         return plan
 
-    def _shared_plan(self, group, spec, backend_name: str, prep, timing_only: bool) -> CommPlan:
-        """The plan of one call signature on ``group``, compiled once for its
-        ranks whose plan context matches: through the memo on its
-        ``CommState``, whose entry holds the table it was keyed on (that
-        ``id`` is not reused while the entry lives).  Plan cache off: a
-        throwaway plan."""
-        if not self._plan_cache.on:
-            return self._compile_plan(group, spec, backend_name, prep, timing_only)
-        memo, table = group.state.plans, self._tuning_table
-        shared = (self._plan_context, backend_name, prep.meta, prep.nbytes, timing_only)
-        entry = memo.get(shared)
-        if entry is not None:
-            pinned = entry[1].table_generation
-            if pinned < 0 or pinned == table.generation:
-                return entry[1]
-        plan = self._compile_plan(group, spec, backend_name, prep, timing_only)
-        memo[shared] = (table, plan)
-        return plan
-
-    def _compile_plan(
-        self, group, spec, backend_name: str, prep, timing_only: bool, dispatch: str = ""
-    ) -> CommPlan:
+    def _compile_plan(self, group, spec, backend_name: str, prep, dispatch: str = "") -> CommPlan:
         """Derive one dispatch plan from a call signature on ``group``
         (a composite's phase group: a phase's flat plan).  ``dispatch``
         overrides the plan's attribution: the fault gate compiles its
@@ -376,7 +353,7 @@ class DispatchLayer:
         the clock — so cached, shared and uncached dispatch cannot diverge.
         """
         self._job.compiles += 1
-        family, nbytes = spec.family, prep.nbytes
+        family, nbytes, timing_only = spec.family, prep.nbytes, prep.timing_only
         table_generation = -1
         if backend_name == "auto" and self._tuning_table is not None:
             table_generation = self._tuning_table.generation

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional
 
+from repro.backends.base import canonical_name
 from repro.core.exceptions import CommTimeoutError, MCRError
 from repro.sim.engine import Flag
 from repro.sim.graph import GpuOp
@@ -102,9 +103,12 @@ class WorkHandle:
         """Order the caller's subsequent work after this operation.
 
         ``backend`` is accepted for paper-API compatibility
-        (``h.wait('nccl')``) and validated if given.
+        (``h.wait('nccl')``) and validated if given: any spelling of the
+        flat backend that ran the op (``"NCCL"``, ``"mvapich2"``).  A
+        dispatch spelling (``"auto"``, ``hier:*``) names no backend and
+        raises :class:`MCRError`.
         """
-        if backend is not None and backend != self.backend_name:
+        if backend is not None and canonical_name(backend) != self.backend_name:
             raise MCRError(
                 f"handle belongs to backend {self.backend_name!r}, "
                 f"wait called with {backend!r}"

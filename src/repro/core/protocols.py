@@ -104,7 +104,9 @@ class CommCore(Protocol):
         self, post: Callable, backend_name: str, *args, **kwargs
     ) -> tuple: ...
 
-    def _plan(self, spec: Any, backend_name: str, prep: Any, count: bool = True) -> Any: ...
+    def _plan(
+        self, spec: Any, backend_name: str, prep: Any, group: Any = None, count: bool = True
+    ) -> Any: ...
 
     def _post(
         self, spec: Any, backend_name: str, args: tuple, async_op: bool,

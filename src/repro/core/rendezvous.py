@@ -60,7 +60,8 @@ def flat_buffer(tensor: SimTensor) -> tuple[np.ndarray, int]:
 @dataclass(slots=True, eq=False)
 class CommState:
     """What the member ranks of one group share under one ``comm_id``:
-    its open rendezvous, its plans (``DispatchLayer._shared_plan``), its
+    its open rendezvous, its plan index (the only plan store, keyed by
+    plan-context token and call signature; ``DispatchLayer._plan``), its
     p2p channels, the adaptive ``CellBook`` and fusion's route table."""
 
     rdv: dict = field(default_factory=dict)
@@ -125,7 +126,7 @@ class CommShared:
     depend on the rank, built by the first rank that needs it and shared
     by the rest (INTERNALS §15)."""
 
-    __slots__ = ("system", "groups", "configs", "lanes", "labels", "compiles")
+    __slots__ = ("system", "groups", "configs", "lanes", "labels", "contexts", "compiles")
 
     def __init__(self, system) -> None:
         self.system = system
@@ -140,6 +141,9 @@ class CommShared:
         #: interned ``(label, dispatch reason)`` per (op, backend, phase
         #: tag): hot-path strings that never change
         self.labels: dict[tuple, tuple[str, str]] = {}
+        #: interned plan contexts: context -> (token, the table an
+        #: ``"auto"`` token is keyed on, pinning its ``id``)
+        self.contexts: dict[tuple, tuple] = {}
         #: plans compiled, by every rank (``plan_compiles``)
         self.compiles = 0
 
@@ -274,9 +278,7 @@ class ExecutionLayer:
             # and its retries/reroutes are call-local, never plan state
             admitted = group.health.admit(plan.backend, spec.family, prep.nbytes)
             if admitted is not plan.backend:
-                plan = self._compile_plan(
-                    group, spec, admitted.name, prep, plan.timing_only, "reroute"
-                )
+                plan = self._compile_plan(group, spec, admitted.name, prep, "reroute")
         # host dispatch: thin Python layer + backend call overhead (C3);
         # persistent collectives replay at a discounted scale (§V-E)
         dispatch_cost = plan.dispatch_cost_us
@@ -440,10 +442,11 @@ class ExecutionLayer:
             duration += 2.0 * ctx.system.host_staging_us(wire_bytes)
         rdv.duration = duration  # before fire: deferred log emits read it
         if group.retuner is not None and duration:
-            # the group's one observation, fed at the flag's fire instant
+            # the group's one observation, fed at the flag's fire instant;
+            # the last arrival's retuner knows if the op is an epsilon trial
             rdv.callbacks.append(partial(
                 group.state.adapt.on_complete, family, prep.nbytes, backend.name,
-                duration, backend_name == "auto",
+                duration, backend_name == "auto", group.retuner.trial,
             ))
         admit = self._job.lanes.admission(backend, family, wire_bytes, duration)
         move = None if plan.timing_only else prep.move

@@ -17,13 +17,9 @@ from repro.core.config import MCRConfig
 from repro.core.exceptions import MCRError
 from repro.core.handles import WorkHandle
 from repro.ext.fusion import FusionConfig, TensorFusion
+from repro.models.plan import PROFILES
 from repro.sim.process import RankContext
 from repro.tensor import SimTensor
-
-#: Horovod's dispatch is C++-backed like MCR-DL but adds a coordination
-#: round (its background-thread negotiation protocol)
-HOROVOD_DISPATCH_OVERHEAD_US = 4.5
-HOROVOD_DISPATCH_FRACTION = 0.02
 
 
 class UnsupportedOpError(MCRError):
@@ -40,9 +36,12 @@ class HorovodLike:
         fusion: Optional[FusionConfig] = None,
         experimental_mixed: Optional[list[str]] = None,
     ):
+        # Horovod's dispatch is C++-backed like MCR-DL but adds a
+        # coordination round (its background-thread negotiation protocol)
+        profile = PROFILES["horovod"]
         config = MCRConfig()
-        config.dispatch_overhead_us = HOROVOD_DISPATCH_OVERHEAD_US
-        config.dispatch_fraction = HOROVOD_DISPATCH_FRACTION
+        config.dispatch_overhead_us = profile.dispatch_overhead_us
+        config.dispatch_fraction = profile.dispatch_fraction
         backends = [backend]
         if experimental_mixed:
             backends = list(dict.fromkeys([backend, *experimental_mixed]))

@@ -17,21 +17,20 @@ from repro.backends.ops import ReduceOp
 from repro.core.api import create_communicator
 from repro.core.config import MCRConfig
 from repro.core.handles import WorkHandle
+from repro.models.plan import PROFILES
 from repro.sim.process import RankContext
 from repro.tensor import SimTensor
-
-#: interpreter-level wrapper cost per call (pickle-free buffer path)
-MPI4PY_DISPATCH_OVERHEAD_US = 5.0
-MPI4PY_DISPATCH_FRACTION = 0.03
 
 
 class Mpi4pyLike:
     """mpi4py over one MPI library, with Listing-2 host staging."""
 
     def __init__(self, ctx: RankContext, backend: str = "mvapich2-gdr"):
+        # interpreter-level wrapper cost per call (pickle-free buffer path)
+        profile = PROFILES["mpi4py"]
         config = MCRConfig()
-        config.dispatch_overhead_us = MPI4PY_DISPATCH_OVERHEAD_US
-        config.dispatch_fraction = MPI4PY_DISPATCH_FRACTION
+        config.dispatch_overhead_us = profile.dispatch_overhead_us
+        config.dispatch_fraction = profile.dispatch_fraction
         config.force_host_staging = True
         # the external wrapper never sees MCR's comm streams
         config.mpi_stream_mode = "mpi-managed"

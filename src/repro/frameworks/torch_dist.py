@@ -23,12 +23,9 @@ from repro.core.api import create_communicator
 from repro.core.config import MCRConfig
 from repro.core.exceptions import MCRError
 from repro.core.handles import WorkHandle
+from repro.models.plan import PROFILES
 from repro.sim.process import RankContext
 from repro.tensor import SimTensor
-
-#: Fig. 7 overhead profile for torch.distributed over MVAPICH2-GDR
-TORCH_DISPATCH_OVERHEAD_US = 9.0
-TORCH_DISPATCH_FRACTION = 0.035
 
 
 class UnsupportedOpError(MCRError):
@@ -46,11 +43,13 @@ class TorchDistributed:
     ):
         self.backend = canonical_name(backend)
         self._nccl_like = backend_class(self.backend).properties.stream_aware
-        # a copy: the caller's config stays as the caller built it
+        # a copy: the caller's config stays as the caller built it; the
+        # Fig. 7 overhead profile over MVAPICH2-GDR
+        profile = PROFILES["torch-distributed"]
         config = replace(
             config or MCRConfig(),
-            dispatch_overhead_us=TORCH_DISPATCH_OVERHEAD_US,
-            dispatch_fraction=TORCH_DISPATCH_FRACTION,
+            dispatch_overhead_us=profile.dispatch_overhead_us,
+            dispatch_fraction=profile.dispatch_fraction,
         )
         self._comm = create_communicator(ctx, [self.backend], config=config, comm_id="torch")
 

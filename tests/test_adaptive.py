@@ -212,9 +212,9 @@ class TestEpsilonTrials:
         assert cell["current"] == "nccl"
         assert entries[0]["allreduce"][16][NBYTES] == "nccl"
 
-    def test_trial_marks_are_released(self):
-        """Each epsilon trial's mark is dropped once every group rank has
-        posted it, like fusion's route table."""
+    def test_trials_keep_ranks_symmetric(self):
+        """A long run of epsilon trials leaves every rank with the same
+        retuner snapshot and table, with the alternate sampled."""
         table = degraded_table(4)
         adaptive = adaptive_config(epsilon=0.2, drift_ratio=10.0)
 
@@ -226,20 +226,18 @@ class TestEpsilonTrials:
             x = ctx.virtual_tensor(NBYTES // 4)
             for _ in range(500):
                 comm.all_reduce("auto", x, async_op=True).synchronize()
-            book = comm._group.state.adapt
+            snap = comm.retuner.snapshot()
             out = (
-                len(book.trial_marks),
-                sum(book.trials_posted.values()),
-                str(comm.retuner.snapshot()),
+                snap["cells"]["allreduce/%d" % NBYTES]["count"],
+                str(snap),
                 str(comm.tuning_table.entries),
             )
             comm.finalize()
             return out
 
         results = Simulator(4, system=lassen()).run(rank_main).rank_results
-        marks, trials, snaps, tables = zip(*results)
-        assert marks == (0, 0, 0, 0)
-        assert trials[0] > 0
+        counts, snaps, tables = zip(*results)
+        assert counts[0].get("mvapich2-gdr", 0) > 0
         assert len(set(snaps)) == 1 and len(set(tables)) == 1
 
     def test_trial_alternates_skip_this_ranks_quarantines(self):
@@ -272,6 +270,92 @@ class TestEpsilonTrials:
         results = Simulator(2, faults=faults).run(rank_main).rank_results
         assert results == [["nccl"], ["nccl"]]
 
+    @staticmethod
+    def _trials(comm, epsilon: float, ops: int) -> list[int]:
+        """The op indexes up to ``ops`` whose epsilon draw trials a
+        4 KiB all-reduce cell."""
+        return [
+            idx for idx in range(1, ops + 1)
+            if comm.retuner._hash("allreduce", 4096, idx) / 2**32 < epsilon
+        ]
+
+    def test_failover_after_explicit_trial_indexes_is_followed(self):
+        """A trial is known where its op resolves: explicit ops at trial
+        indexes owe the book nothing, so an ``"auto"`` op that a
+        quarantine fails over is followed at its first completion."""
+        table = TuningTable()
+        table.add("allreduce", 2, 4096, "nccl")
+        config = MCRConfig(adaptive=AdaptiveConfig(
+            enabled=True, epsilon=0.5, drift_ratio=10.0, probation_interval=0
+        ))
+        # nccl's second op (the "auto" op 22) fails hard
+        faults = FaultSpec(backend_faults=(BackendFault("nccl", "permanent", at_op=2),))
+
+        def rank_main(ctx):
+            comm = MCRCommunicator(
+                ctx, ["nccl", "mvapich2-gdr"], config=config, tuning_table=table,
+                comm_id="follow-1",
+            )
+            x = ctx.virtual_tensor(1024)
+
+            def current():
+                return comm.retuner.snapshot()["cells"]["allreduce/4096"]["current"]
+
+            comm.all_reduce("auto", x, async_op=True).synchronize()
+            before = current()
+            for _ in range(20):
+                comm.all_reduce("mvapich2-gdr", x)
+            failover = comm.all_reduce("auto", x, async_op=True)
+            failover.synchronize()
+            out = (
+                self._trials(comm, 0.5, 22), before, failover.backend_name,
+                sorted(comm.health.quarantined), current(),
+            )
+            comm.finalize()
+            return out
+
+        for trials, before, served, quarantined, after in (
+            Simulator(2, faults=faults).run(rank_main).rank_results
+        ):
+            # the two "auto" ops are not trials; many explicit ones are
+            assert 1 not in trials and 22 not in trials and len(trials) >= 8
+            assert (before, served, quarantined) == ("nccl", "mvapich2-gdr", ["nccl"])
+            assert after == "mvapich2-gdr"
+
+    def test_restore_keeps_an_edit_made_after_the_trial(self):
+        """A trial's restore writes the tuned entry back only while the
+        cell still holds the trial's alternate: a ``table.add`` between
+        the trial and its restore stands."""
+        backends = ["nccl", "mvapich2-gdr", "ucc"]
+        table = TuningTable()
+        table.add("allreduce", 2, 4096, "nccl")
+        config = MCRConfig(adaptive=AdaptiveConfig(
+            enabled=True, epsilon=0.5, drift_ratio=10.0, probation_interval=0
+        ))
+
+        def rank_main(ctx):
+            comm = MCRCommunicator(
+                ctx, backends, config=config, tuning_table=table, comm_id="restore-1"
+            )
+            x = ctx.virtual_tensor(1024)
+            trial = comm.all_reduce("auto", x, async_op=True)
+            edit = next(b for b in backends if b not in ("nccl", trial.backend_name))
+            comm.tuning_table.add("allreduce", 2, 4096, edit)
+            after = comm.all_reduce("auto", x, async_op=True)
+            for handle in (trial, after):
+                handle.synchronize()
+            out = (
+                self._trials(comm, 0.5, 2), trial.backend_name, edit, after.backend_name,
+                comm.tuning_table.entries["allreduce"][2][4096],
+            )
+            comm.finalize()
+            return out
+
+        for trials, trialled, edit, served, entry in Simulator(2).run(rank_main).rank_results:
+            assert trials == [1]  # op 1 is a trial, op 2 is not
+            assert trialled != "nccl"
+            assert served == entry == edit
+
     def test_table_swap_reaches_the_retuner(self):
         """A table installed mid-run is the one the retuner edits: each
         rank clones it, as at construction, and an epsilon trial right
@@ -293,14 +377,14 @@ class TestEpsilonTrials:
             comm.tuning_table = new
             handle = comm.all_reduce("auto", ctx.virtual_tensor(1024), async_op=True)
             handle.synchronize()
-            trials = sum(comm._group.state.adapt.trials_posted.values())
+            trial = comm.retuner.trial
             table = comm.tuning_table
             comm.finalize()
-            return handle.backend_name, trials, table
+            return handle.backend_name, trial, table
 
         results = Simulator(2).run(rank_main).rank_results
-        (served0, trials0, table0), (served1, trials1, table1) = results
-        assert trials0 == trials1 == 1
+        (served0, trial0, table0), (served1, trial1, table1) = results
+        assert trial0 is trial1 is True
         assert served0 == served1 == "nccl"
         assert table0 is not table1
         assert table0 is not new and table1 is not new

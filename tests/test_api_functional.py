@@ -86,6 +86,29 @@ class TestListing3And4:
 
         Simulator(4).run(main)
 
+    def test_wait_accepts_any_spelling_of_its_backend(self):
+        """``h.wait(name)`` compares canonical names: an alias or another
+        case names the handle's backend; another backend, ``"auto"`` or a
+        ``hier:*`` spelling does not."""
+
+        def main(ctx):
+            mcr_dl.init(["nccl", "mvapich2-gdr"])
+            x = ctx.rand(1024)
+            mcr_dl.all_reduce("mvapich2-gdr", x, async_op=True).wait("mvapich2")
+            mcr_dl.all_reduce("nccl", x, async_op=True).wait("NCCL")
+            rejected = []
+            for name in ("mvapich2-gdr", "auto", "hier:nccl+mvapich2-gdr"):
+                handle = mcr_dl.all_reduce("nccl", x, async_op=True)
+                with pytest.raises(MCRError, match="handle belongs to backend"):
+                    handle.wait(name)
+                rejected.append(name)
+            mcr_dl.finalize()
+            return rejected
+
+        assert Simulator(2).run(main).rank_results == [
+            ["mvapich2-gdr", "auto", "hier:nccl+mvapich2-gdr"]
+        ] * 2
+
     def test_listing4_mixed_backends(self):
         def main(ctx):
             mcr_dl.init(["nccl", "mvapich2-gdr"])

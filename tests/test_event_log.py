@@ -26,7 +26,7 @@ from repro.sim.faults import FaultSpec
 #: scheduler change may cut while every simulated value stays put.
 GOLDEN_SHA256 = {
     "trace": "e1c1ae249a86bf9bd6f6b1299738ada333c7805110a3e391212e5b567c892935",
-    "metrics": "c1350c5c35c0e93ab20d2856e1a4aa501c4787905eaad8c0e5076f3a7b599b7d",
+    "metrics": "90c4f38e70e20b38c359f814c92ba73112e18329bfb80f2fe4c64d35071b4ebb",
     "stdout": "20249646be63899d6c0b1f25d279a167edc141d0809483631370b8e67479dc08",
 }
 ENGINE_GAUGES = {

@@ -58,10 +58,10 @@ class TestTorchDistributed:
         Simulator(2).run(main)
 
     def test_higher_dispatch_cost_than_mcr(self):
-        from repro.frameworks.torch_dist import TORCH_DISPATCH_OVERHEAD_US
         from repro.core import MCRConfig
+        from repro.models.plan import PROFILES
 
-        assert TORCH_DISPATCH_OVERHEAD_US > MCRConfig().dispatch_overhead_us
+        assert PROFILES["torch-distributed"].dispatch_overhead_us > MCRConfig().dispatch_overhead_us
 
 
     def test_caller_config_left_untouched(self):
@@ -69,7 +69,7 @@ class TestTorchDistributed:
         hands in keeps its own dispatch costs, and the other fields it
         sets still reach the communicator."""
         from repro.core import MCRConfig
-        from repro.frameworks.torch_dist import TORCH_DISPATCH_OVERHEAD_US
+        from repro.models.plan import PROFILES
 
         config = MCRConfig(synchronization="naive")
 
@@ -80,7 +80,8 @@ class TestTorchDistributed:
             return used.dispatch_overhead_us, used.synchronization
 
         results = Simulator(2).run(main).rank_results
-        assert results == [(TORCH_DISPATCH_OVERHEAD_US, "naive")] * 2
+        overhead = PROFILES["torch-distributed"].dispatch_overhead_us
+        assert results == [(overhead, "naive")] * 2
         assert config == MCRConfig(synchronization="naive")
 
 

@@ -234,7 +234,7 @@ class TestCorrectness:
 
     def test_uneven_node_groups_compile_their_own_phase_plans(self):
         """ws 6 on lassen: a node of 4 and a node of 2.  Each node group
-        compiles its phase plans once, in its own memo, shared by its
+        compiles its phase plans once, in its own plan index, shared by its
         ranks and by no other node's."""
 
         def fn(ctx, comm):
@@ -245,7 +245,7 @@ class TestCorrectness:
                 comm.synchronize()
                 out.append(x.data.copy())
             intra = comm._phase_groups["world|hier-intra"].state
-            return out, intra, {id(plan) for _, plan in intra.plans.values()}
+            return out, intra, {id(plan) for plan in intra.plans.values()}
 
         results = spmd(6, fn)
         oracle = np.sum([np.full(8, float(r + 1)) for r in range(6)], axis=0)

@@ -32,6 +32,13 @@ def _cfg(plan_cache=True, **kwargs):
     return MCRConfig(plan_cache=plan_cache, **kwargs)
 
 
+def own_plans(comm):
+    """This rank's plans: the entries of its group's plan index under
+    its two plan-context tokens, in compile order."""
+    tokens = (comm._token, comm._auto_token)
+    return [plan for key, plan in comm._group.state.plans.items() if key[0] in tokens]
+
+
 class TestSteadyState:
     def test_one_miss_then_hits(self):
         def main(ctx):
@@ -118,7 +125,7 @@ class TestAutoDispatch:
             for _ in range(10):
                 comm.all_reduce("auto", x)
             stats = comm.plan_stats
-            plans = list(comm._plan_cache.plans.values())
+            plans = own_plans(comm)
             comm.finalize()
             return stats, [p.backend.name for p in plans]
 
@@ -291,11 +298,11 @@ class TestInvalidation:
             comm = MCRCommunicator(ctx, BACKENDS)
             x = ctx.virtual_tensor(1024)
             comm.all_reduce("nccl", x)
-            plan = next(iter(comm._plan_cache.plans.values()))
+            plan = own_plans(comm)[0]
             stream_plan = (plan.pool, plan.pinned, plan.on_default)
             comm.set_synchronization("naive")
             comm.all_reduce("nccl", x)
-            plan = next(iter(comm._plan_cache.plans.values()))
+            plan = own_plans(comm)[0]
             naive_plan = (plan.pool, plan.pinned, plan.on_default)
             comm.synchronize()
             comm.finalize()
@@ -340,9 +347,9 @@ class TestInvalidation:
             comm = MCRCommunicator(ctx, BACKENDS)
             x = ctx.virtual_tensor(1024)
             comm.all_reduce("nccl", x)
-            before = len(comm._plan_cache.plans)
+            before = len(own_plans(comm))
             comm.invalidate_plans("test")
-            after = len(comm._plan_cache.plans)
+            after = len(own_plans(comm))
             comm.all_reduce("nccl", x)
             stats = comm.plan_stats
             comm.finalize()
@@ -503,17 +510,19 @@ class TestPlanSharing:
                     )
                 comm.all_reduce("nccl", ctx.virtual_tensor(64))
             comm.synchronize()
-            out = comm.plan_stats, comm.plan_compiles, list(comm._plan_cache.plans.values())
+            out = comm.plan_stats, comm.plan_compiles, own_plans(comm)
             comm.finalize()
             return out
 
         results = _run(main, world_size=4).rank_results
-        stats, compiles, plans = results[0]
-        assert stats["plans"] == 5 and stats["misses"] == 5
+        _, compiles, plans = results[0]
         # five distinct plans in the job, one compile each (not one per rank)
-        assert compiles == 5
+        assert compiles == 5 and len(plans) == 5
+        # a miss is a compile: the ranks' misses add up to the job's
+        assert sum(stats["misses"] for stats, _, _ in results) == compiles
         for rank_stats, rank_compiles, rank_plans in results:
-            assert rank_stats == stats and rank_compiles == compiles
+            assert rank_stats["plans"] == 5 and rank_compiles == compiles
+            assert rank_stats["hits"] + rank_stats["misses"] == 15
             assert all(p is q for p, q in zip(rank_plans, plans))
 
     def test_naive_switch_stops_sharing_for_that_rank_only(self):
@@ -528,7 +537,7 @@ class TestPlanSharing:
             for _ in range(3):
                 comm.all_reduce("nccl", x)
             comm.synchronize()
-            after = next(iter(comm._plan_cache.plans.values()))
+            after = own_plans(comm)[0]
             out = before, after, comm.plan_compiles
             comm.finalize()
             return out
@@ -541,26 +550,38 @@ class TestPlanSharing:
         assert all(results[r][1] is shared for r in (0, 2, 3))
         assert {compiles for _, _, compiles in results} == {2}
 
-    def test_adaptive_ranks_compile_their_own_plans(self):
+    @pytest.mark.parametrize("adaptive, compiles", [(False, 2), (True, 5)])
+    def test_adaptive_ranks_share_only_explicit_plans(self, adaptive, compiles):
+        """Each adaptive rank retunes a private table clone, so its
+        ``"auto"`` plans are its own; its explicit-backend plans never
+        read the table and stay shared: one compile each without
+        adaptive, one per rank plus one with it."""
         from repro.core.config import AdaptiveConfig
 
         table = self._table(4)
 
         def main(ctx):
-            config = MCRConfig(adaptive=AdaptiveConfig(enabled=True))
+            config = MCRConfig(adaptive=AdaptiveConfig(enabled=adaptive))
             comm = MCRCommunicator(ctx, BACKENDS, config=config, tuning_table=table)
-            for _ in range(3):
-                comm.all_reduce("auto", ctx.virtual_tensor(1024))
-            comm.synchronize()
-            out = list(comm._plan_cache.plans.values()), comm.plan_compiles
+            x = ctx.virtual_tensor(1024)
+            handles = []
+            for _ in range(5):
+                handles.append(comm.all_reduce("auto", x, async_op=True))
+                handles.append(comm.all_reduce("nccl", x, async_op=True))
+            for handle in handles:
+                handle.synchronize()
+            out = own_plans(comm), comm.plan_compiles, comm.plan_stats["misses"]
             comm.finalize()
             return out
 
         results = _run(main, world_size=4).rank_results
-        plans = [plan for rank_plans, _ in results for plan in rank_plans]
-        # each rank retunes a private table clone: nothing is shared
-        assert len(plans) == 4 and len({id(p) for p in plans}) == 4
-        assert {compiles for _, compiles in results} == {4}
+        assert {job for _, job, _ in results} == {compiles}
+        assert sum(misses for _, _, misses in results) == compiles
+        auto, nccl = (
+            {id(plan) for plans, _, _ in results for plan in plans if plan.dispatch == kind}
+            for kind in ("auto", "explicit")
+        )
+        assert len(auto) == (4 if adaptive else 1) and len(nccl) == 1
 
     def test_swapped_and_freed_table_never_serves_a_stale_plan(self):
         import gc
@@ -573,7 +594,7 @@ class TestPlanSharing:
             comm = MCRCommunicator(ctx, BACKENDS, tuning_table=first)
             x = ctx.virtual_tensor(1024)
             comm.all_reduce("auto", x)
-            picks = [comm._plan_cache.plans[next(iter(comm._plan_cache.plans))].backend.name]
+            picks = [own_plans(comm)[0].backend.name]
             del first
             for backend in ("mvapich2-gdr", "nccl"):
                 # a fresh table per swap: once the last one is freed its
@@ -584,7 +605,7 @@ class TestPlanSharing:
                 del table
                 gc.collect()
                 comm.all_reduce("auto", x)
-                picks.append(next(iter(comm._plan_cache.plans.values())).backend.name)
+                picks.append(own_plans(comm)[0].backend.name)
             comm.synchronize()
             out = picks, alive() is not None, comm.plan_compiles
             comm.finalize()
@@ -608,7 +629,7 @@ class TestPlanSharing:
             ctx.sleep(10.0)  # every rank sees the edit before it posts again
             comm.all_reduce("auto", x)
             comm.synchronize()
-            out = next(iter(comm._plan_cache.plans.values())).backend.name, comm.plan_compiles
+            out = own_plans(comm)[0].backend.name, comm.plan_compiles
             comm.finalize()
             return out
 
@@ -630,10 +651,13 @@ class TestObservability:
 
         world = 2
         sim = Simulator(world, observe=True)
-        sim.run(main)
+        compiles = sim.run(main).shared["mcr_dl"].compiles
         counters = sim.metrics.counters
-        assert counters["comm.plan.hit"] == 4 * world
-        assert counters["comm.plan.miss"] == 2 * world
+        # the ranks share each plan: a miss is a compile, every other
+        # lookup a hit
+        assert compiles == 2
+        assert counters["comm.plan.miss"] == compiles
+        assert counters["comm.plan.hit"] == 6 * world - compiles
         assert counters["comm.plan.invalidate"] == 1 * world
 
     def test_no_events_when_observability_off(self):

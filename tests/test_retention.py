@@ -430,10 +430,11 @@ class TestSharedGroupRecord:
             comm.all_reduce("nccl", x)
             comm.synchronize()
             labels, pools = {}, []
-            # a composite's phase plans live in its phase groups' memos
-            plans = list(comm._plan_cache.plans.values())
-            for group in comm._phase_groups.values():
-                plans += [plan for _, plan in group.state.plans.values()]
+            # a composite's phase plans live in its phase groups' indexes
+            plans = [
+                plan for group in (comm._group, *comm._phase_groups.values())
+                for plan in group.state.plans.values()
+            ]
             for flat in plans:
                 if flat.hier is None:
                     labels[flat.label] = flat.label
