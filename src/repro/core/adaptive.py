@@ -23,9 +23,11 @@ loop in two parts, one per execution domain:
   the rank's private table clone with
   :meth:`~repro.core.tuning.TuningTable.add` — the table's generation
   counter then recompiles only the affected "auto" dispatch plans (see
-  the plan cache, INTERNALS §12).  Epsilon trials and the probation path,
-  which periodically re-probes quarantined backends and symmetrically
-  un-quarantines on success, also run here.
+  the plan cache, INTERNALS §12).  Epsilon trials, drawn only for
+  "auto" posts, route that one post to an alternate through a
+  call-local plan and never edit the table; the probation path, which
+  periodically re-probes quarantined backends and symmetrically
+  un-quarantines on success, also runs here.
 
 Every rank applies the same edits at the same op index, so the tables
 that decide rendezvous keys stay identical.  The book never reads
@@ -403,16 +405,18 @@ class AdaptiveRetuner:
         self.quiet = False
         self._lead = comm.ctx.rank == comm.group_ranks[0]
         self.probations = 0
-        #: the op being posted is an epsilon trial (set by
-        #: :meth:`_maybe_trial`; the resolver hands it to the book)
-        self.trial = False
+        #: the alternate an epsilon trial routes the ``"auto"`` op being
+        #: posted to, else None (set by :meth:`_maybe_trial`; ``_post``
+        #: routes by it, the resolver tells the book)
+        self.trial: Optional[str] = None
 
-    def before_op(self, family: OpFamily, nbytes: int) -> None:
+    def before_op(self, family: OpFamily, nbytes: int, auto: bool) -> None:
         """Hook run once per posted collective, before backend
-        resolution, so pending table edits affect the op being posted."""
+        resolution, so pending table edits affect the op being posted;
+        an ``auto`` post may draw an epsilon trial."""
         self._op_index += 1
         idx = self._op_index
-        self.trial = False
+        self.trial = None
         book = self.book
         if idx > book.max_posted:
             book.max_posted = idx
@@ -428,7 +432,7 @@ class AdaptiveRetuner:
             self._edits_seen = len(edits)
         while pending and pending[0][0] <= idx:
             heapq.heappop(pending)[-1]()
-        if self.cfg.epsilon > 0.0:
+        if auto and self.cfg.epsilon > 0.0:
             self._maybe_trial(family, nbytes, idx)
 
     def _apply_edit(self, op: str, bucket: int, name: str) -> None:
@@ -437,7 +441,8 @@ class AdaptiveRetuner:
         self.comm.tuning_table.add(op, self.comm.world_size, bucket, name)
 
     def _schedule_post(self, effect: int, fn: Callable[[], None]) -> None:
-        """Schedule at an op index every rank reaches the same way."""
+        """Schedule a probation probe at an op index every rank reaches
+        the same way."""
         self._post_seq += 1
         heapq.heappush(self._pending, (effect, 0, self._post_seq, fn))
 
@@ -450,13 +455,12 @@ class AdaptiveRetuner:
     def _maybe_trial(self, family: OpFamily, nbytes: int, idx: int) -> None:
         """Steady-state epsilon exploration: with probability ``epsilon``
         (a deterministic per-op hash, so all ranks draw identically),
-        serve this one op on an alternate backend to keep its EMA fresh;
-        the next op index restores the entry unless it was edited since."""
+        serve this one ``"auto"`` op on a hash-picked alternate backend
+        to keep its EMA fresh.  The table is left alone: ``_post`` routes
+        the op to :attr:`trial` through a call-local plan."""
         op = family.value
-        ws = self.comm.world_size
         bucket = message_bucket(nbytes)
-        table = self.comm.tuning_table
-        row = table.entries.get(op, {}).get(ws, {})
+        row = self.comm.tuning_table.entries.get(op, {}).get(self.comm.world_size, {})
         cur = row.get(bucket)
         if cur is None:
             return  # only trial cells the table explicitly serves
@@ -473,14 +477,7 @@ class AdaptiveRetuner:
         ]
         if not alts:
             return
-        alt = alts[self._hash(op, bucket, idx, "alt") % len(alts)]
-        # the restore edits the table the trial edited (even if another is
-        # installed before it falls due) while its cell holds the alternate
-        table.add(op, ws, bucket, alt)
-        self._schedule_post(
-            idx + 1, lambda: row.get(bucket) == alt and table.add(op, ws, bucket, cur)
-        )
-        self.trial = True
+        alt = self.trial = alts[self._hash(op, bucket, idx, "alt") % len(alts)]
         self._emit("explore", alt, detail=f"epsilon-trial@{op}/{bucket}")
 
     # -- probation (quarantine recovery) -----------------------------------

@@ -241,16 +241,22 @@ class MCRCommunicator(DispatchLayer, ExecutionLayer):
         2. ``_plan`` — the compiled plan either names a hierarchical
            composite (``plan.hier``) with its phase list for
            ``_run_phases``, or a flat backend for ``_post_collective``;
-           ``dispatch_scale`` discounts only a flat post.
+           ``dispatch_scale`` discounts only a flat post.  An epsilon
+           trial's ``"auto"`` post instead compiles a call-local plan on
+           the trial's alternate.
         """
         if prep is None:
             prep = spec.prepare(self, *args)
-        retuner = self._group.retuner
+        retuner, trial = self._group.retuner, None
         if retuner is not None and not retuner.quiet:
-            retuner.before_op(spec.family, prep.nbytes)
+            retuner.before_op(spec.family, prep.nbytes, backend_name == "auto")
+            trial = retuner.trial
         if self._finalized:
             raise MCRError("communicator already finalized")
-        plan = self._plan(spec, backend_name, prep)
+        if trial is None:
+            plan = self._plan(spec, backend_name, prep)
+        else:
+            plan = self._compile_plan(self._group, spec, trial, prep, "auto")
         if plan.hier is not None:
             return self._run_phases(spec, args, prep, plan, async_op)
         return self._post_collective(

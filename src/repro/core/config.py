@@ -16,8 +16,6 @@ EAGER_THRESHOLD = 64 * 1024
 BACKEND_INIT_US = 25.0
 #: base backoff between retry attempts, µs (doubles per attempt)
 RETRY_BACKOFF_US = 50.0
-#: ops eligible for compression (gradients tolerate loss; indices do not)
-COMPRESSIBLE_FAMILIES = ("allreduce", "reduce_scatter", "allgather")
 
 
 @dataclass
@@ -55,10 +53,10 @@ class AdaptiveConfig:
     min_samples: int = 6
     #: consecutive ops each exploration candidate serves during a sweep
     explore_ops: int = 3
-    #: steady-state exploration: probability (per posted op, decided by a
-    #: deterministic per-op hash so every rank draws identically) of
-    #: serving one op on the round-robin next alternate backend to keep
-    #: its EMA fresh; 0 disables
+    #: steady-state exploration: probability (per ``"auto"`` post, decided
+    #: by a deterministic per-op hash so every rank draws identically) of
+    #: serving that one op on a hash-picked alternate backend to keep its
+    #: EMA fresh; 0 disables
     epsilon: float = 0.0
     #: posted collectives between probation probes of a quarantined
     #: backend; 0 disables probation (quarantine stays a one-way door)

@@ -28,7 +28,7 @@ from typing import Optional
 from repro.backends.base import Backend, canonical_name, is_hier_name
 from repro.backends.hierarchical import HierSpec, derive_layout, hier_phases, parse_hier
 from repro.backends.ops import OpFamily, ReduceOp
-from repro.core.config import COMPRESSIBLE_FAMILIES, CompressionConfig
+from repro.core.config import CompressionConfig
 from repro.core.exceptions import BackendError
 from repro.core.tuning import TuningTable
 from repro.obs.metrics import ObsEvent
@@ -70,8 +70,9 @@ class CommPlan:
     phases: tuple = ()
     backend: Optional[Backend] = None
     #: how the call came to ``backend``, for the comm log: "explicit"
-    #: (named by the caller), "auto" (:meth:`Health.choose`) or
-    #: "reroute" (the fault gate's call-local plan, never cached)
+    #: (named by the caller), "auto" (:meth:`Health.choose`, or an
+    #: epsilon trial's call-local plan) or "reroute" (the fault gate's
+    #: call-local plan); call-local plans are never cached
     dispatch: str = "explicit"
     label: str = ""
     dispatch_reason: str = ""
@@ -345,8 +346,8 @@ class DispatchLayer:
     def _compile_plan(self, group, spec, backend_name: str, prep, dispatch: str = "") -> CommPlan:
         """Derive one dispatch plan from a call signature on ``group``
         (a composite's phase group: a phase's flat plan).  ``dispatch``
-        overrides the plan's attribution: the fault gate compiles its
-        call-local "reroute" plans here too.
+        overrides the plan's attribution: the fault gate's "reroute" and
+        an epsilon trial's "auto" plans are compiled here, call-local.
 
         Pure with respect to simulated time — routing, resolution, label
         interning, codec arithmetic, and stream placement never advance
@@ -369,11 +370,7 @@ class DispatchLayer:
         # compression (§V-E): shrink the wire size, model codec kernels,
         # and apply the real quantization error to the data
         codec, wire_bytes, codec_us = None, nbytes, 0.0
-        if (
-            self._codec is not None
-            and spec.compressible
-            and family.value in COMPRESSIBLE_FAMILIES
-        ):
+        if self._codec is not None and spec.compressible:
             codec = self._codec
             wire_bytes = codec.compressed_nbytes(nbytes)
             codec_us = codec.codec_time_us(nbytes)

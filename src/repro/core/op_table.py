@@ -62,7 +62,9 @@ class CollectiveSpec:
     prepare: Callable[..., _Prepared]
     #: hierarchically decomposable (hier:<intra>+<inter>)
     hier: bool = False
-    compressible: bool = True
+    #: lossy compression may shrink its wire (gradients tolerate loss;
+    #: indices and gathered parameters do not)
+    compressible: bool = False
     force_host: bool = False
     vector: bool = False
 
@@ -414,47 +416,29 @@ def _prep_barrier(comm) -> _Prepared:
 # ---------------------------------------------------------------------------
 
 _ALL_REDUCE = CollectiveSpec(
-    "all_reduce", OpFamily.ALLREDUCE, _prep_all_reduce, hier=True
+    "all_reduce", OpFamily.ALLREDUCE, _prep_all_reduce, hier=True, compressible=True
 )
 _REDUCE = CollectiveSpec("reduce", OpFamily.REDUCE, _prep_reduce)
-_BCAST = CollectiveSpec(
-    "bcast", OpFamily.BROADCAST, _prep_bcast, hier=True, compressible=False
-)
-_ALL_GATHER = CollectiveSpec(
-    "all_gather", OpFamily.ALLGATHER, _prep_all_gather,
-    hier=True, compressible=False,
-)
+_BCAST = CollectiveSpec("bcast", OpFamily.BROADCAST, _prep_bcast, hier=True)
+_ALL_GATHER = CollectiveSpec("all_gather", OpFamily.ALLGATHER, _prep_all_gather, hier=True)
 _REDUCE_SCATTER = CollectiveSpec(
-    "reduce_scatter", OpFamily.REDUCE_SCATTER, _prep_reduce_scatter
+    "reduce_scatter", OpFamily.REDUCE_SCATTER, _prep_reduce_scatter, compressible=True
 )
 _ALL_TO_ALL_SINGLE = CollectiveSpec(
-    "all_to_all_single", OpFamily.ALLTOALL, _prep_all_to_all_single,
-    hier=True, compressible=False,
+    "all_to_all_single", OpFamily.ALLTOALL, _prep_all_to_all_single, hier=True
 )
-_ALL_TO_ALL = CollectiveSpec(
-    "all_to_all", OpFamily.ALLTOALL, _prep_all_to_all, compressible=False
-)
-_GATHER = CollectiveSpec("gather", OpFamily.GATHER, _prep_gather, compressible=False)
-_SCATTER = CollectiveSpec(
-    "scatter", OpFamily.SCATTER, _prep_scatter, compressible=False
-)
-_GATHERV = CollectiveSpec(
-    "gatherv", OpFamily.GATHER, _prep_gatherv, compressible=False, vector=True
-)
-_SCATTERV = CollectiveSpec(
-    "scatterv", OpFamily.SCATTER, _prep_scatterv, compressible=False, vector=True
-)
+_ALL_TO_ALL = CollectiveSpec("all_to_all", OpFamily.ALLTOALL, _prep_all_to_all)
+_GATHER = CollectiveSpec("gather", OpFamily.GATHER, _prep_gather)
+_SCATTER = CollectiveSpec("scatter", OpFamily.SCATTER, _prep_scatter)
+_GATHERV = CollectiveSpec("gatherv", OpFamily.GATHER, _prep_gatherv, vector=True)
+_SCATTERV = CollectiveSpec("scatterv", OpFamily.SCATTER, _prep_scatterv, vector=True)
 _ALL_GATHERV = CollectiveSpec(
-    "all_gatherv", OpFamily.ALLGATHER, _prep_all_gatherv,
-    compressible=False, vector=True,
+    "all_gatherv", OpFamily.ALLGATHER, _prep_all_gatherv, vector=True
 )
 _ALL_TO_ALLV = CollectiveSpec(
-    "all_to_allv", OpFamily.ALLTOALL, _prep_all_to_allv,
-    compressible=False, vector=True,
+    "all_to_allv", OpFamily.ALLTOALL, _prep_all_to_allv, vector=True
 )
-_BARRIER = CollectiveSpec(
-    "barrier", OpFamily.BARRIER, _prep_barrier, compressible=False, force_host=True
-)
+_BARRIER = CollectiveSpec("barrier", OpFamily.BARRIER, _prep_barrier, force_host=True)
 
 #: the rows a composite's phases post, by family, each with the builder
 #: of its arguments from ``(out, src, root, op)`` (hier:* phase lists)

@@ -351,9 +351,6 @@ class ExecutionLayer:
             ctx.gpu.default_stream.gate_on(member)
         else:
             host_block(ctx, rdv, label, "wait", deadline_us, timeout_info)
-        if self.config.synchronization == "naive":
-            # naive scheme additionally host-blocks (Fig. 4a)
-            engine.wait_flag(rdv, reason=label)
         return None
 
     def _arrive(
@@ -446,7 +443,7 @@ class ExecutionLayer:
             # the last arrival's retuner knows if the op is an epsilon trial
             rdv.callbacks.append(partial(
                 group.state.adapt.on_complete, family, prep.nbytes, backend.name,
-                duration, backend_name == "auto", group.retuner.trial,
+                duration, backend_name == "auto", group.retuner.trial is not None,
             ))
         admit = self._job.lanes.admission(backend, family, wire_bytes, duration)
         move = None if plan.timing_only else prep.move

@@ -13,7 +13,6 @@ from typing import Optional
 
 from repro.backends.ops import ReduceOp
 from repro.core.api import create_communicator
-from repro.core.config import MCRConfig
 from repro.core.exceptions import MCRError
 from repro.core.handles import WorkHandle
 from repro.ext.fusion import FusionConfig, TensorFusion
@@ -38,10 +37,7 @@ class HorovodLike:
     ):
         # Horovod's dispatch is C++-backed like MCR-DL but adds a
         # coordination round (its background-thread negotiation protocol)
-        profile = PROFILES["horovod"]
-        config = MCRConfig()
-        config.dispatch_overhead_us = profile.dispatch_overhead_us
-        config.dispatch_fraction = profile.dispatch_fraction
+        config = PROFILES["horovod"].to_config()
         backends = [backend]
         if experimental_mixed:
             backends = list(dict.fromkeys([backend, *experimental_mixed]))

@@ -15,7 +15,6 @@ from typing import Optional
 
 from repro.backends.ops import ReduceOp
 from repro.core.api import create_communicator
-from repro.core.config import MCRConfig
 from repro.core.handles import WorkHandle
 from repro.models.plan import PROFILES
 from repro.sim.process import RankContext
@@ -26,12 +25,9 @@ class Mpi4pyLike:
     """mpi4py over one MPI library, with Listing-2 host staging."""
 
     def __init__(self, ctx: RankContext, backend: str = "mvapich2-gdr"):
-        # interpreter-level wrapper cost per call (pickle-free buffer path)
-        profile = PROFILES["mpi4py"]
-        config = MCRConfig()
-        config.dispatch_overhead_us = profile.dispatch_overhead_us
-        config.dispatch_fraction = profile.dispatch_fraction
-        config.force_host_staging = True
+        # interpreter-level wrapper cost per call (pickle-free buffer
+        # path) and the Listing-2 host staging
+        config = PROFILES["mpi4py"].to_config()
         # the external wrapper never sees MCR's comm streams
         config.mpi_stream_mode = "mpi-managed"
         self.backend = backend

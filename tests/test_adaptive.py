@@ -214,13 +214,17 @@ class TestEpsilonTrials:
 
     def test_trials_keep_ranks_symmetric(self):
         """A long run of epsilon trials leaves every rank with the same
-        retuner snapshot and table, with the alternate sampled."""
+        retuner snapshot and table, with the alternate sampled.  A trial
+        routes its one op and never edits the table, so the table's
+        generation stays 0 and no plan is invalidated; the comm log
+        records a trial op as ``"auto"`` dispatch on the alternate."""
         table = degraded_table(4)
         adaptive = adaptive_config(epsilon=0.2, drift_ratio=10.0)
+        config = MCRConfig(adaptive=adaptive, enable_logging=True)
 
         def rank_main(ctx):
             comm = MCRCommunicator(
-                ctx, ["nccl", "mvapich2-gdr"], config=MCRConfig(adaptive=adaptive),
+                ctx, ["nccl", "mvapich2-gdr"], config=config,
                 tuning_table=table, comm_id="adapt-marks",
             )
             x = ctx.virtual_tensor(NBYTES // 4)
@@ -231,14 +235,50 @@ class TestEpsilonTrials:
                 snap["cells"]["allreduce/%d" % NBYTES]["count"],
                 str(snap),
                 str(comm.tuning_table.entries),
+                comm.tuning_table.generation,
+                comm.plan_stats["invalidations"],
             )
             comm.finalize()
             return out
 
-        results = Simulator(4, system=lassen()).run(rank_main).rank_results
-        counts, snaps, tables = zip(*results)
+        run = Simulator(4, system=lassen()).run(rank_main)
+        counts, snaps, tables, generations, invalidations = zip(*run.rank_results)
         assert counts[0].get("mvapich2-gdr", 0) > 0
         assert len(set(snaps)) == 1 and len(set(tables)) == 1
+        assert generations == (0,) * 4 and invalidations == (0,) * 4
+        records = [r for r in run.shared["comm_logger"].records if r.rank == 0]
+        assert {r.detail for r in records} == {"auto"}
+        trialled = [r for r in records if r.backend == "mvapich2-gdr"]
+        assert len(trialled) == counts[0]["mvapich2-gdr"]
+
+    def test_explicit_ops_draw_no_trial(self):
+        """Only an ``"auto"`` post draws an epsilon trial: explicit ops
+        at trial indexes leave the table and the ``"auto"`` plans alone."""
+        table = TuningTable()
+        table.add("allreduce", 2, 4096, "nccl")
+        config = MCRConfig(adaptive=AdaptiveConfig(
+            enabled=True, epsilon=0.5, drift_ratio=10.0, probation_interval=0
+        ))
+
+        def rank_main(ctx):
+            comm = MCRCommunicator(
+                ctx, ["nccl", "mvapich2-gdr"], config=config, tuning_table=table
+            )
+            x = ctx.virtual_tensor(1024)
+            comm.all_reduce("auto", x, async_op=True).synchronize()
+            for _ in range(20):
+                comm.all_reduce("mvapich2-gdr", x)
+            comm.all_reduce("auto", x, async_op=True).synchronize()
+            out = (
+                self._trials(comm, 0.5, 22), comm.tuning_table.generation,
+                comm.plan_stats["invalidations"],
+            )
+            comm.finalize()
+            return out
+
+        for trials, generation, invalidations in Simulator(2).run(rank_main).rank_results:
+            assert len(trials) >= 8  # explicit ops sit at many trial indexes
+            assert (generation, invalidations) == (0, 0)
 
     def test_trial_alternates_skip_this_ranks_quarantines(self):
         """An epsilon trial picks its alternate from this rank's own
@@ -322,10 +362,10 @@ class TestEpsilonTrials:
             assert (before, served, quarantined) == ("nccl", "mvapich2-gdr", ["nccl"])
             assert after == "mvapich2-gdr"
 
-    def test_restore_keeps_an_edit_made_after_the_trial(self):
-        """A trial's restore writes the tuned entry back only while the
-        cell still holds the trial's alternate: a ``table.add`` between
-        the trial and its restore stands."""
+    def test_trial_leaves_the_table_alone(self):
+        """A trial routes its op and edits no table: a ``table.add`` right
+        after the trial stands, and it is the only move of the clone's
+        generation."""
         backends = ["nccl", "mvapich2-gdr", "ucc"]
         table = TuningTable()
         table.add("allreduce", 2, 4096, "nccl")
@@ -347,21 +387,22 @@ class TestEpsilonTrials:
             out = (
                 self._trials(comm, 0.5, 2), trial.backend_name, edit, after.backend_name,
                 comm.tuning_table.entries["allreduce"][2][4096],
+                comm.tuning_table.generation,
             )
             comm.finalize()
             return out
 
-        for trials, trialled, edit, served, entry in Simulator(2).run(rank_main).rank_results:
+        results = Simulator(2).run(rank_main).rank_results
+        for trials, trialled, edit, served, entry, generation in results:
             assert trials == [1]  # op 1 is a trial, op 2 is not
             assert trialled != "nccl"
             assert served == entry == edit
+            assert generation == 1
 
     def test_table_swap_reaches_the_retuner(self):
-        """A table installed mid-run is the one the retuner edits: each
+        """A table installed mid-run is the one the retuner reads: each
         rank clones it, as at construction, and an epsilon trial right
-        after the swap serves its op on the swapped-in cell's alternate
-        (the trial used to edit the construction-time clone, which
-        ``"auto"`` no longer read)."""
+        after the swap serves its op on the swapped-in cell's alternate."""
         old, new = TuningTable(), TuningTable()
         old.add("allreduce", 2, 4096, "nccl")
         new.add("allreduce", 2, 4096, "mvapich2-gdr")
@@ -384,7 +425,7 @@ class TestEpsilonTrials:
 
         results = Simulator(2).run(rank_main).rank_results
         (served0, trial0, table0), (served1, trial1, table1) = results
-        assert trial0 is trial1 is True
+        assert trial0 == trial1 == "nccl"
         assert served0 == served1 == "nccl"
         assert table0 is not table1
         assert table0 is not new and table1 is not new

@@ -4,8 +4,9 @@ import math
 
 import pytest
 
-from repro.core import MCRCommunicator, MCRConfig
-from repro.core.config import COMPRESSIBLE_FAMILIES, AdaptiveConfig
+from repro.backends.ops import OpFamily
+from repro.core import MCRCommunicator, MCRConfig, op_table
+from repro.core.config import AdaptiveConfig
 from repro.core.handles import CompletedHandle
 from repro.models import PROFILES
 from repro.sim import Simulator
@@ -64,8 +65,13 @@ class TestMCRConfigValidation:
         assert not MCRConfig().compression.enabled
 
     def test_compression_families(self):
-        assert "allreduce" in COMPRESSIBLE_FAMILIES
-        assert "alltoall" not in COMPRESSIBLE_FAMILIES  # indices must stay exact
+        rows = [v for v in vars(op_table).values() if isinstance(v, op_table.CollectiveSpec)]
+        assert op_table._ALL_REDUCE.compressible
+        # indices must stay exact
+        assert not any(row.compressible for row in rows if row.family is OpFamily.ALLTOALL)
+        assert sorted(row.name for row in rows if row.compressible) == [
+            "all_reduce", "reduce_scatter",
+        ]
 
     def test_invalid_config_rejected_at_communicator(self):
         def main(ctx):
