@@ -24,8 +24,8 @@ loop in two parts, one per execution domain:
   :meth:`~repro.core.tuning.TuningTable.add` — the table's generation
   counter then recompiles only the affected "auto" dispatch plans (see
   the plan cache, INTERNALS §12).  Epsilon trials, drawn only for
-  "auto" posts, route that one post to an alternate through a
-  call-local plan and never edit the table; the probation path, which
+  "auto" posts, route that one post to the alternate's indexed plan
+  and never edit the table; the probation path, which
   periodically re-probes quarantined backends and symmetrically
   un-quarantines on success, also runs here.
 
@@ -456,8 +456,8 @@ class AdaptiveRetuner:
         """Steady-state epsilon exploration: with probability ``epsilon``
         (a deterministic per-op hash, so all ranks draw identically),
         serve this one ``"auto"`` op on a hash-picked alternate backend
-        to keep its EMA fresh.  The table is left alone: ``_post`` routes
-        the op to :attr:`trial` through a call-local plan."""
+        to keep its EMA fresh.  The table is left alone: ``_post`` posts
+        the op on the plan its group indexes for :attr:`trial`."""
         op = family.value
         bucket = message_bucket(nbytes)
         row = self.comm.tuning_table.entries.get(op, {}).get(self.comm.world_size, {})

@@ -242,8 +242,8 @@ class MCRCommunicator(DispatchLayer, ExecutionLayer):
            composite (``plan.hier``) with its phase list for
            ``_run_phases``, or a flat backend for ``_post_collective``;
            ``dispatch_scale`` discounts only a flat post.  An epsilon
-           trial's ``"auto"`` post instead compiles a call-local plan on
-           the trial's alternate.
+           trial's ``"auto"`` post instead takes the indexed plan of the
+           trial's alternate, uncounted.
         """
         if prep is None:
             prep = spec.prepare(self, *args)
@@ -253,10 +253,7 @@ class MCRCommunicator(DispatchLayer, ExecutionLayer):
             trial = retuner.trial
         if self._finalized:
             raise MCRError("communicator already finalized")
-        if trial is None:
-            plan = self._plan(spec, backend_name, prep)
-        else:
-            plan = self._compile_plan(self._group, spec, trial, prep, "auto")
+        plan = self._plan(spec, trial or backend_name, prep, count=trial is None)
         if plan.hier is not None:
             return self._run_phases(spec, args, prep, plan, async_op)
         return self._post_collective(

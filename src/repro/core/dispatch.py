@@ -44,7 +44,8 @@ class CommPlan:
     rendezvous meta, nbytes, timing-only), instead of re-deriving
     routing, tuning choice, labels, codec arithmetic, and stream
     placement on every post.  It names nothing of one rank, so the ranks
-    of a group whose context matches share it (INTERNALS §12).  A plan
+    of a group whose context matches share it (INTERNALS §12), nor of
+    how a post came to it: the post attributes it for the comm log.  A plan
     whose ``hier`` is set routes the call to the hierarchical composite:
     it carries the composite's compiled phase list, and its flat fields
     keep their defaults (INTERNALS §13).
@@ -69,11 +70,6 @@ class CommPlan:
     #: the composite's schedule (:func:`~repro.backends.hierarchical.hier_phases`)
     phases: tuple = ()
     backend: Optional[Backend] = None
-    #: how the call came to ``backend``, for the comm log: "explicit"
-    #: (named by the caller), "auto" (:meth:`Health.choose`, or an
-    #: epsilon trial's call-local plan) or "reroute" (the fault gate's
-    #: call-local plan); call-local plans are never cached
-    dispatch: str = "explicit"
     label: str = ""
     dispatch_reason: str = ""
     dispatch_cost_us: float = 0.0
@@ -318,9 +314,9 @@ class DispatchLayer:
     def _plan(self, spec, backend_name: str, prep, group=None, count: bool = True) -> CommPlan:
         """The plan for one prepared call of op-table row ``spec`` on
         ``group`` (default: the communicator's own): one lookup in the
-        group's plan index, compiled into it on a miss.  Only posts
-        ``count`` towards :attr:`plan_stats`, persistent pins and phase
-        posts do not.  Plan cache off: a throwaway plan, never counted."""
+        group's plan index, compiled into it on a miss; only live posts
+        ``count`` (not pins, phases, reroutes or trials).  Plan cache off:
+        a throwaway plan, never counted."""
         if group is None:
             group = self._group
         # meta[0] names the op-table row, which fixes family and flags
@@ -343,11 +339,11 @@ class DispatchLayer:
             self._plan_misses += count
         return plan
 
-    def _compile_plan(self, group, spec, backend_name: str, prep, dispatch: str = "") -> CommPlan:
+    def _compile_plan(self, group, spec, backend_name: str, prep) -> CommPlan:
         """Derive one dispatch plan from a call signature on ``group``
-        (a composite's phase group: a phase's flat plan).  ``dispatch``
-        overrides the plan's attribution: the fault gate's "reroute" and
-        an epsilon trial's "auto" plans are compiled here, call-local.
+        (a composite's phase group: a phase's flat plan), for :meth:`_plan`
+        only.  It reads nothing but its inputs, so a reroute or a trial
+        posts the plan an explicit post on the backend it lands on gets.
 
         Pure with respect to simulated time — routing, resolution, label
         interning, codec arithmetic, and stream placement never advance
@@ -379,7 +375,6 @@ class DispatchLayer:
         )
         return CommPlan(
             table_generation, timing_only, backend=target,
-            dispatch=dispatch or ("auto" if backend_name == "auto" else "explicit"),
             label=label, dispatch_reason=dispatch_reason,
             dispatch_cost_us=self._dispatch_cost(target),
             codec=codec, wire_bytes=wire_bytes, codec_us=codec_us,

@@ -16,7 +16,7 @@ This module is the bottom of the comm-core layering (op surface →
 dispatch → execution; see ``docs/INTERNALS.md`` §15): it must not
 import :mod:`repro.core.dispatch` or :mod:`repro.core.comm`.  The
 :class:`ExecutionLayer` mixin reaches dispatch-layer methods
-(``_route``, ``_compile_plan``, ...) through ``self`` — the
+(``_route``, ``_plan``, ...) through ``self`` — the
 concrete :class:`~repro.core.comm.MCRCommunicator` composes both layers
 — so the *code* dependency stays one-directional even though the call
 graph crosses layers per operation.
@@ -249,6 +249,12 @@ class Rendezvous(CollectiveGroup):
         self.nonblocking = False
 
 
+def attribution(backend_name: str, rerouted: bool) -> str:
+    """How a post came to its backend, for the comm log: "reroute" (the
+    fault gate admitted another), "auto" (named so) or "explicit"."""
+    return "reroute" if rerouted else "auto" if backend_name == "auto" else "explicit"
+
+
 class ExecutionLayer:
     """Mixin: posts operations into the engine and observes completion.
 
@@ -272,13 +278,15 @@ class ExecutionLayer:
         then its log record and handle or wait semantics.  The ws-th
         arrival resolves the rendezvous."""
         ctx = self.ctx
+        rerouted = False
         if group.health.gate:
             # the fault gate runs per call even on a plan hit: injector
-            # op counters must advance exactly as in the uncached path,
-            # and its retries/reroutes are call-local, never plan state
+            # op counters must advance exactly as in the uncached path; a
+            # reroute posts the plan indexed for the backend it lands on
             admitted = group.health.admit(plan.backend, spec.family, prep.nbytes)
             if admitted is not plan.backend:
-                plan = self._compile_plan(group, spec, admitted.name, prep, "reroute")
+                plan = self._plan(spec, admitted.name, prep, group, count=False)
+                rerouted = True
         # host dispatch: thin Python layer + backend call overhead (C3);
         # persistent collectives replay at a discounted scale (§V-E)
         dispatch_cost = plan.dispatch_cost_us
@@ -297,7 +305,8 @@ class ExecutionLayer:
                         a_out[:] = a_in
             handle = CompletedHandle(ctx, name, label)
             if self.logger is not None:
-                self._log_on_flag(group, spec, plan, prep.nbytes, handle.flag, async_op)
+                dispatch = attribution(backend_name, rerouted)
+                self._log_on_flag(group, spec, plan, prep.nbytes, handle.flag, async_op, dispatch)
             return handle if async_op else None
         # rendezvous sequence numbers are keyed per backend only:
         # collective calls are communicator-ordered within a library
@@ -329,6 +338,7 @@ class ExecutionLayer:
         if self.logger is not None:
             self._log_on_flag(
                 group, spec, plan, prep.nbytes, rdv, async_op,
+                attribution(backend_name, rerouted),
                 "host" if member is None else member.stream.name,
             )
         deadline_us = self.config.op_deadline_us
@@ -559,10 +569,7 @@ class ExecutionLayer:
             if self.logger is not None:
                 # one record per endpoint (the queued peer cannot know the
                 # transfer duration, so the matching side logs for both)
-                if backend is not routed:
-                    dispatch = "reroute"  # the fault gate rerouted this op
-                else:
-                    dispatch = "auto" if backend_name == "auto" else "explicit"
+                dispatch = attribution(backend_name, backend is not routed)
                 for endpoint in (ctx.rank, peer):
                     self.logger.log(
                         rank=endpoint,
@@ -611,7 +618,7 @@ class ExecutionLayer:
 
     def _log_on_flag(
         self, group: Group, spec, plan, nbytes: int, flag: Flag, async_op: bool,
-        stream: str = "host",
+        dispatch: str, stream: str = "host",
     ) -> None:
         """Log once the completion time is known (flag fired).
 
@@ -620,8 +627,8 @@ class ExecutionLayer:
         communication time (it would double-count in the breakdowns).
         The training step is captured at *post* time: a non-blocking op
         completing during step N+1 still belongs to the step that issued
-        it.  Callers check that a logger exists.
-        """
+        it, and ``dispatch`` is the post's :func:`attribution`.  Callers
+        check that a logger exists."""
         logger, rank, post_time = self.logger, self.ctx.rank, self.ctx.now
         step = logger.event_log.step(rank)
 
@@ -632,7 +639,7 @@ class ExecutionLayer:
             logger.log(
                 rank=rank, family=spec.family.value, backend=plan.backend.name,
                 nbytes=nbytes, start=start, end=end, async_op=async_op, step=step,
-                dispatch=plan.dispatch, stream=stream, phase=group.tag,
+                dispatch=dispatch, stream=stream, phase=group.tag,
             )
 
         if flag.is_set:

@@ -62,11 +62,11 @@ class TuningTable:
     # -- construction ----------------------------------------------------
 
     def add(self, op: str, world_size: int, msg_bytes: int, backend: str) -> None:
-        if world_size < 1:
-            raise TuningError(f"bad world size {world_size}")
+        """Serve ``backend`` in ``msg_bytes``'s cell, checked as :meth:`merge` checks."""
         if msg_bytes < 0:
             raise TuningError(f"bad message size {msg_bytes}")
         bucket = message_bucket(msg_bytes)
+        _check_entries({op: {world_size: {bucket: backend}}}, "added entry")
         self.entries.setdefault(op, {}).setdefault(world_size, {})[bucket] = backend
         self._lookup_cache.clear()
         self.generation += 1

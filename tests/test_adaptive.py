@@ -216,8 +216,10 @@ class TestEpsilonTrials:
         """A long run of epsilon trials leaves every rank with the same
         retuner snapshot and table, with the alternate sampled.  A trial
         routes its one op and never edits the table, so the table's
-        generation stays 0 and no plan is invalidated; the comm log
-        records a trial op as ``"auto"`` dispatch on the alternate."""
+        generation stays 0 and no plan is invalidated; its plan is the
+        one its group indexes for the alternate, so trials compile
+        nothing new.  The comm log records a trial op as ``"auto"``
+        dispatch on the alternate."""
         table = degraded_table(4)
         adaptive = adaptive_config(epsilon=0.2, drift_ratio=10.0)
         config = MCRConfig(adaptive=adaptive, enable_logging=True)
@@ -237,15 +239,22 @@ class TestEpsilonTrials:
                 str(comm.tuning_table.entries),
                 comm.tuning_table.generation,
                 comm.plan_stats["invalidations"],
+                comm.plan_compiles,
+                len(comm._group.state.plans),
             )
             comm.finalize()
             return out
 
         run = Simulator(4, system=lassen()).run(rank_main)
-        counts, snaps, tables, generations, invalidations = zip(*run.rank_results)
+        counts, snaps, tables, generations, invalidations, compiles, plans = zip(
+            *run.rank_results
+        )
         assert counts[0].get("mvapich2-gdr", 0) > 0
         assert len(set(snaps)) == 1 and len(set(tables)) == 1
         assert generations == (0,) * 4 and invalidations == (0,) * 4
+        # one compile per indexed plan, none per trial: each rank's "auto"
+        # plan on its own table clone, and the alternate's one plan
+        assert compiles == plans == (5,) * 4
         records = [r for r in run.shared["comm_logger"].records if r.rank == 0]
         assert {r.detail for r in records} == {"auto"}
         trialled = [r for r in records if r.backend == "mvapich2-gdr"]

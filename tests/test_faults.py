@@ -396,6 +396,32 @@ class TestPermanentFailover:
             ops = [(r.backend, r.detail) for r in logger.records if r.rank == rank]
             assert ops == [("mvapich2-gdr", "reroute")] + [("mvapich2-gdr", "auto")] * 3
 
+    def test_failover_compiles_once_per_group(self):
+        """A reroute posts the plan the group indexes for the admitted
+        backend: after the quarantine every explicit "nccl" post lands on
+        mvapich2-gdr without compiling, so the job compiles three plans
+        (nccl before and after the quarantine's new plan context, and
+        mvapich2-gdr once) instead of one per rerouted post, and the
+        clock is the one a per-post compile gave."""
+        config = MCRConfig(enable_logging=True)
+
+        def main(ctx):
+            comm = MCRCommunicator(ctx, ["nccl", "mvapich2-gdr"], config=config)
+            x = ctx.virtual_tensor(1024)
+            for handle in [comm.all_reduce("nccl", x, async_op=True) for _ in range(200)]:
+                handle.synchronize()
+            compiles = comm.plan_compiles
+            comm.finalize()
+            return compiles
+
+        res = Simulator(4, faults=FaultSpec.parse("backend=nccl:permanent:at=5")).run(main)
+        assert res.rank_results == [3] * 4
+        assert res.elapsed_us == 811.7984309367766
+        logger = res.shared["comm_logger"]
+        for rank in range(4):
+            ops = [(r.backend, r.detail) for r in logger.records if r.rank == rank]
+            assert ops == [("nccl", "explicit")] * 4 + [("mvapich2-gdr", "reroute")] * 196
+
     def test_all_backends_failed_raises_backend_error(self):
         with pytest.raises(BackendError, match="permanently failed"):
             Simulator(2, faults=permanent(at_op=1)).run(

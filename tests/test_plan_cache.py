@@ -577,9 +577,13 @@ class TestPlanSharing:
         results = _run(main, world_size=4).rank_results
         assert {job for _, job, _ in results} == {compiles}
         assert sum(misses for _, _, misses in results) == compiles
+        # an "auto" plan consulted the table, an explicit one did not
         auto, nccl = (
-            {id(plan) for plans, _, _ in results for plan in plans if plan.dispatch == kind}
-            for kind in ("auto", "explicit")
+            {
+                id(plan) for plans, _, _ in results for plan in plans
+                if (plan.table_generation >= 0) is consulted
+            }
+            for consulted in (True, False)
         )
         assert len(auto) == (4 if adaptive else 1) and len(nccl) == 1
 

@@ -2,7 +2,9 @@
 :func:`repro.backends.base.price_us` and its one backend cache.
 
 * the source tree calls ``Backend.collective_cost_us`` from one place,
-  ``price_us`` itself, so no client composes the price on its own;
+  ``price_us`` itself, so no client composes the price on its own, and
+  ``_compile_plan`` from one, ``DispatchLayer._plan``, so every plan a
+  post runs is an indexed one;
 * ``clear_cost_caches`` really drops every cached cost: a cost-query
   backend built before the clear would keep serving pre-clear costs.
 """
@@ -30,6 +32,14 @@ def test_one_place_prices_a_collective():
     strays = [hit for hit in found if hit[:2] != _PRICER]
     assert strays == [], "price a collective through price_us"
     assert [hit[:2] for hit in found] == [_PRICER]
+
+
+def test_one_place_compiles_a_plan():
+    """Every plan a post runs, a fault-gate reroute's and an epsilon
+    trial's included, comes from the group's plan index: only
+    ``DispatchLayer._plan`` compiles one."""
+    found = method_calls("_compile_plan")
+    assert [hit[:2] for hit in found] == [("src/repro/core/dispatch.py", "_plan")]
 
 
 def _doubled_bandwidth(tuning):

@@ -181,6 +181,17 @@ class TestTuningTable:
         with pytest.raises(TuningError):
             t.add("allreduce", 4, -1, "nccl")
 
+    @pytest.mark.parametrize("backend", [None, 7])
+    def test_add_rejects_what_merge_rejects(self, backend):
+        """A backend name that is not a string is a TuningError at
+        ``add``, as at ``merge`` and ``load``: it never reaches an
+        ``"auto"`` post, and the table is left as it was."""
+        t = self.make()
+        entries, generation = str(t.entries), t.generation
+        with pytest.raises(TuningError, match="bad backend"):
+            t.add("allgather", 2, 4096, backend)
+        assert str(t.entries) == entries and t.generation == generation
+
     def test_merge_bumps_generation_once_per_changing_merge(self):
         a, b = self.make(), TuningTable()
         b.add("alltoall", 16, 1024, "mvapich2-gdr")
