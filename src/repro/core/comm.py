@@ -10,10 +10,10 @@ The communicator is composed of three layers with one-directional
 dependencies (``docs/INTERNALS.md`` §15):
 
 * **op surface** (this module) — each public collective is one
-  :class:`CollectiveSpec` table row: op family, argument
-  validation/meta builder (``prepare``), datapath mover, hierarchical
-  capability, and the ``force_host``/``compressible``/``vector``
-  flags.  The shared pre-dispatch hook chain (``retuner.before_op`` →
+  :class:`CollectiveSpec` table row: op family, the call's ``key``
+  (argument checks, meta, wire size) and ``build`` (buffers, datapath
+  mover), hierarchical capability, and the
+  ``force_host``/``compressible``/``vector`` flags.  The shared pre-dispatch hook chain (``retuner.before_op`` →
   ``_plan``, whose plan routes flat or hierarchical) runs uniformly for
   every family from :meth:`MCRCommunicator._post`;
 * **dispatch** (:mod:`repro.core.dispatch`) — backend resolution and
@@ -112,8 +112,9 @@ class MCRCommunicator(DispatchLayer, ExecutionLayer):
                 f"rank {ctx.rank} constructing a communicator for group "
                 f"{self.group_ranks} it does not belong to"
             )
-        #: group-local rank (MPI communicator semantics)
+        #: group-local rank (MPI communicator semantics) and group size
         self.rank = self.group_rank = record.index[ctx.rank]
+        self.world_size = len(record.ranks)
 
         names = [canonical_name(b) for b in backends]
         if len(set(names)) != len(names):
@@ -184,11 +185,6 @@ class MCRCommunicator(DispatchLayer, ExecutionLayer):
         self._backend(backend or next(iter(self.backends)))
         return self.group_rank
 
-    @property
-    def world_size(self) -> int:
-        """Size of this communicator's group."""
-        return self._group.world_size
-
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
@@ -229,9 +225,13 @@ class MCRCommunicator(DispatchLayer, ExecutionLayer):
         self, spec: CollectiveSpec, backend_name: str, args: tuple, async_op: bool,
         prep: Optional[_Prepared] = None, dispatch_scale: float = 1.0,
     ) -> Optional[WorkHandle]:
-        """Run one table row: validate/prepare (a persistent start hands
-        in its call, prepared once), then the uniform pre-dispatch hook
-        chain, then one plan lookup decides where the op runs.
+        """Run one table row: check the call through its ``key`` (a
+        persistent start hands in its call, prepared once), then the
+        uniform pre-dispatch hook chain, then one plan lookup decides
+        where the op runs.  Only an arrival that needs a data plane
+        builds one (``_Prepared``): a real-data call and an alltoallv,
+        whose resolver reads every rank's counts; any other timing-only
+        post goes key → plan → post.
 
         The chain runs identically for *every* family and start:
 
@@ -245,23 +245,26 @@ class MCRCommunicator(DispatchLayer, ExecutionLayer):
            trial's ``"auto"`` post instead takes the indexed plan of the
            trial's alternate, uncounted.
         """
-        if prep is None:
-            prep = spec.prepare(self, *args)
+        call = spec.key(self, *args) if prep is None else prep.key
         retuner, trial = self._group.retuner, None
         if retuner is not None and not retuner.quiet:
-            retuner.before_op(spec.family, prep.nbytes, backend_name == "auto")
+            retuner.before_op(spec.family, call[1], backend_name == "auto")
             trial = retuner.trial
         if self._finalized:
             raise MCRError("communicator already finalized")
-        plan = self._plan(spec, trial or backend_name, prep, count=trial is None)
+        plan = self._plan(spec, trial or backend_name, call, count=trial is None)
         if plan.hier is not None:
-            return self._run_phases(spec, args, prep, plan, async_op)
+            return self._run_phases(spec, args, call, plan, async_op)
+        if call[2] and spec is not _ALL_TO_ALLV:
+            prep = None  # a timing-only arrival is its host time
+        elif prep is None:
+            prep = spec.build(self, call, *args)
         return self._post_collective(
-            self._group, spec, backend_name, prep, plan, async_op, dispatch_scale
+            self._group, spec, backend_name, call, plan, async_op, prep, dispatch_scale
         )
 
     def _run_phases(
-        self, spec: CollectiveSpec, args: tuple, prep: _Prepared, plan: CommPlan, async_op: bool
+        self, spec: CollectiveSpec, args: tuple, call: tuple, plan: CommPlan, async_op: bool
     ) -> Optional[WorkHandle]:
         """Run a composite's compiled phase list (INTERNALS §13): each
         phase this rank takes part in is one ``_post_collective`` on its
@@ -270,12 +273,14 @@ class MCRCommunicator(DispatchLayer, ExecutionLayer):
         phase posted early could read a buffer the earlier one has not
         produced yet).  The caller's async contract applies to the last."""
         phases = plan.phases
+        virtual = plan.timing_only
         if phases[0].group == "flat":
             # a degenerate composite is the call itself, on this group
             name = phases[0].backend
-            flat = self._plan(spec, name, prep, count=False)
-            return self._post_collective(self._group, spec, name, prep, flat, async_op)
-        rank, virtual = self.ctx.rank, plan.timing_only
+            flat = self._plan(spec, name, call, count=False)
+            prep = None if virtual else spec.build(self, call, *args)
+            return self._post_collective(self._group, spec, name, call, flat, async_op, prep)
+        rank = self.ctx.rank
         mine = [i for i, p in enumerate(phases) if p.members is None or rank in p.members]
         # the communicator split: this rank's node group and every group
         # all ranks use split before the first phase, a leaders-only
@@ -285,7 +290,8 @@ class MCRCommunicator(DispatchLayer, ExecutionLayer):
                 self._phase_group(phases[i])
         # the caller's tensors, then each scratch buffer once this call
         # first names it (fresh per call: in-flight composites never alias)
-        tensors = {"in": prep.tensors[0], "out": prep.tensors[-1]}
+        tensors = spec.build(self, call, *args).tensors
+        tensors = {"in": tensors[0], "out": tensors[-1]}
 
         def buffer(role) -> SimTensor:
             if role not in tensors:
@@ -308,12 +314,14 @@ class MCRCommunicator(DispatchLayer, ExecutionLayer):
             if phase.before is not None and not virtual:
                 shuffle(phase.before)
             row, build = PHASE_OPS[phase.family]
-            phase_prep = row.prepare(
-                group, *build(buffer(phase.out), buffer(phase.src), phase.root, op)
-            )
+            phase_args = build(buffer(phase.out), buffer(phase.src), phase.root, op)
+            phase_call = row.key(group, *phase_args)
             # compiled once per phase group: uneven node groups never share
-            flat = self._plan(row, phase.backend, phase_prep, group, count=False)
-            handle = self._post_collective(group, row, phase.backend, phase_prep, flat, True)
+            flat = self._plan(row, phase.backend, phase_call, group, count=False)
+            phase_prep = None if virtual else row.build(group, phase_call, *phase_args)
+            handle = self._post_collective(
+                group, row, phase.backend, phase_call, flat, True, phase_prep
+            )
             if phase.after is not None and not virtual:
                 # the rendezvous may already have resolved
                 if handle.flag.is_set:
@@ -558,7 +566,7 @@ class MCRCommunicator(DispatchLayer, ExecutionLayer):
         return self.recv(backend, tensor, src, tag, async_op=True)
 
     # ------------------------------------------------------------------
-    # argument validation helpers (used by the prepare builders)
+    # argument validation helpers (used by the op-table keys)
     # ------------------------------------------------------------------
 
     def _check_v_args(

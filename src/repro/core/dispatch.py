@@ -295,14 +295,14 @@ class DispatchLayer:
 
     # -- plan compilation --------------------------------------------------
 
-    def _hier_phases(self, hier, family: OpFamily, prep) -> tuple:
+    def _hier_phases(self, hier, family: OpFamily, call: tuple) -> tuple:
         """Compile one composite call's phase list, reading the facts its
         schedule turns on from the rendezvous meta: ``(row, numel, dtype,
         op)`` for all_reduce, ``(row, numel, dtype, root)`` for bcast."""
         layout = self._hier_layout()
-        meta = prep.meta
+        meta, nbytes, _ = call
         return tuple(hier_phases(
-            layout, hier, family, prep.nbytes,
+            layout, hier, family, nbytes,
             divisible=meta[1] % layout.ppn == 0,
             op=ReduceOp(meta[3]) if family is OpFamily.ALLREDUCE else ReduceOp.SUM,
             root=meta[3] if family is OpFamily.BROADCAST else 0,
@@ -311,19 +311,17 @@ class DispatchLayer:
     def _dispatch_cost(self, backend: Backend) -> float:
         return self.config.dispatch_overhead_us + backend.call_overhead_us()
 
-    def _plan(self, spec, backend_name: str, prep, group=None, count: bool = True) -> CommPlan:
-        """The plan for one prepared call of op-table row ``spec`` on
-        ``group`` (default: the communicator's own): one lookup in the
-        group's plan index, compiled into it on a miss; only live posts
-        ``count`` (not pins, phases, reroutes or trials).  Plan cache off:
-        a throwaway plan, never counted."""
+    def _plan(self, spec, backend_name: str, call: tuple, group=None, count=True) -> CommPlan:
+        """The plan for one call of op-table row ``spec`` on ``group``
+        (default: the communicator's own), by the call's ``(meta, nbytes,
+        timing_only)`` key: one lookup in the group's plan index, compiled
+        into it on a miss; only live posts ``count`` (not pins, phases,
+        reroutes or trials).  Plan cache off: a throwaway plan, never
+        counted."""
         if group is None:
             group = self._group
         # meta[0] names the op-table row, which fixes family and flags
-        key = (
-            self._auto_token if backend_name == "auto" else self._token,
-            backend_name, prep.meta, prep.nbytes, prep.timing_only,
-        )
+        key = (self._auto_token if backend_name == "auto" else self._token, backend_name, call)
         plans = group.state.plans
         plan = plans.get(key)
         if plan is not None:
@@ -333,13 +331,13 @@ class DispatchLayer:
                 self._plan_hits += count
                 return plan
             self._plan_invalidations += 1
-        plan = self._compile_plan(group, spec, backend_name, prep)
+        plan = self._compile_plan(group, spec, backend_name, call)
         if self.config.plan_cache:
             plans[key] = plan
             self._plan_misses += count
         return plan
 
-    def _compile_plan(self, group, spec, backend_name: str, prep) -> CommPlan:
+    def _compile_plan(self, group, spec, backend_name: str, call: tuple) -> CommPlan:
         """Derive one dispatch plan from a call signature on ``group``
         (a composite's phase group: a phase's flat plan), for :meth:`_plan`
         only.  It reads nothing but its inputs, so a reroute or a trial
@@ -350,7 +348,7 @@ class DispatchLayer:
         the clock — so cached, shared and uncached dispatch cannot diverge.
         """
         self._job.compiles += 1
-        family, nbytes, timing_only = spec.family, prep.nbytes, prep.timing_only
+        family, (meta, nbytes, timing_only) = spec.family, call
         table_generation = -1
         if backend_name == "auto" and self._tuning_table is not None:
             table_generation = self._tuning_table.generation
@@ -360,7 +358,7 @@ class DispatchLayer:
         if type(target) is HierSpec:
             return CommPlan(
                 table_generation, timing_only, target,
-                phases=self._hier_phases(target, family, prep),
+                phases=self._hier_phases(target, family, call),
             )
         label, dispatch_reason = self._job.label(family, target.name, group.tag)
         # compression (§V-E): shrink the wire size, model codec kernels,
@@ -384,7 +382,7 @@ class DispatchLayer:
                 host_sync or self.config.op_deadline_us is not None
                 or group.retuner is not None
             ),
-            meta_tagged=(*prep.meta, "virtual" if timing_only else "real"),
+            meta_tagged=(*meta, "virtual" if timing_only else "real"),
         )
 
     # -- persistent collectives (ext.persistent, §V-E) ---------------------

@@ -65,9 +65,7 @@ class CommCore(Protocol):
     group_rank: int
     rank: int
     sync: "SyncManager"
-
-    @property
-    def world_size(self) -> int: ...
+    world_size: int
 
     @property
     def tuning_table(self) -> Optional["TuningTable"]: ...
@@ -105,7 +103,7 @@ class CommCore(Protocol):
     ) -> tuple: ...
 
     def _plan(
-        self, spec: Any, backend_name: str, prep: Any, group: Any = None, count: bool = True
+        self, spec: Any, backend_name: str, call: tuple, group: Any = None, count=True
     ) -> Any: ...
 
     def _post(

@@ -44,17 +44,16 @@ from repro.tensor import SimTensor
 _VIRTUAL_BUF = np.empty(0, dtype=np.float32)
 
 
-def flat_buffer(tensor: SimTensor) -> tuple[np.ndarray, int]:
-    """The flat data-plane view of one tensor argument, and its numel."""
+def flat_buffer(tensor: SimTensor) -> np.ndarray:
+    """The flat data-plane view of one tensor argument."""
     if not isinstance(tensor, SimTensor):
         raise TypeError(f"expected SimTensor, got {type(tensor).__name__}")
     if tensor.virtual_numel is not None:
         # timing-only tensor: the buffer is never read or written (every
         # data-plane touch is guarded by ``not timing_only``), so skip
         # the contiguity/view work and hand back a shared placeholder
-        return _VIRTUAL_BUF, tensor.virtual_numel
-    buf = tensor.contiguous().view_flat()
-    return buf, buf.size
+        return _VIRTUAL_BUF
+    return tensor.contiguous().view_flat()
 
 
 @dataclass(slots=True, eq=False)
@@ -223,8 +222,10 @@ class Group:
 
 @dataclass(slots=True)
 class Arrival:
-    """One rank's registration at a collective rendezvous (the rank is
-    its key in ``Rendezvous.arrivals``)."""
+    """One rank's registration at a collective rendezvous whose resolver
+    reads its buffers or extras: a real-data call, or an alltoallv's
+    counts (the rank is its key in ``Rendezvous.arrivals``).  A
+    timing-only arrival is its host time alone."""
 
     host_time: float
     inputs: Sequence[np.ndarray]
@@ -235,16 +236,20 @@ class Arrival:
 class Rendezvous(CollectiveGroup):
     """One collective, shared by its ranks: it matches their arrivals,
     holds their stream members (none when it completes on the host) and
-    is the flag its resolution fires.  Resolving it drops ``arrivals``;
-    ``duration`` is set from then on."""
+    is the flag its resolution fires.  ``arrivals`` maps each rank that
+    posted to its host time, or to its :class:`Arrival` where the
+    resolver reads buffers or counts; ``ready`` is the latest host time
+    among them.  Resolving it drops ``arrivals``; ``duration`` is set
+    from then on."""
 
-    __slots__ = ("family", "meta", "arrivals", "nonblocking")
+    __slots__ = ("family", "meta", "arrivals", "ready", "nonblocking")
 
     def __init__(self, engine: Engine, expected: int, label: str, family: OpFamily, meta: tuple):
         super().__init__(engine, expected, label)
         self.family = family
         self.meta = meta
-        self.arrivals: dict[int, Arrival] = {}
+        self.arrivals: dict[int, "float | Arrival"] = {}
+        self.ready = 0.0
         #: some member posted non-blocking: the transfer is priced so
         self.nonblocking = False
 
@@ -269,23 +274,25 @@ class ExecutionLayer:
     """
 
     def _post_collective(
-        self, group: Group, spec, backend_name: str, prep, plan, async_op: bool,
-        dispatch_scale: float = 1.0,
+        self, group: Group, spec, backend_name: str, call: tuple, plan, async_op: bool,
+        prep=None, dispatch_scale: float = 1.0,
     ) -> Optional[WorkHandle]:
-        """Post one prepared call of op-table row ``spec`` (family and
-        flags) on ``group`` under its flat ``plan`` (INTERNALS §5): the
-        fault gate, the dispatch cost, the arrival and the stream member,
-        then its log record and handle or wait semantics.  The ws-th
-        arrival resolves the rendezvous."""
+        """Post one call of op-table row ``spec`` (family and flags) on
+        ``group`` under its flat ``plan`` (INTERNALS §5): the fault gate,
+        the dispatch cost, the arrival and the stream member, then its
+        log record and handle or wait semantics.  ``call`` is the call's
+        ``(meta, nbytes, timing_only)`` key, ``prep`` its data plane (None
+        when its arrival is its host time).  The ws-th arrival resolves
+        the rendezvous."""
         ctx = self.ctx
         rerouted = False
         if group.health.gate:
             # the fault gate runs per call even on a plan hit: injector
             # op counters must advance exactly as in the uncached path; a
             # reroute posts the plan indexed for the backend it lands on
-            admitted = group.health.admit(plan.backend, spec.family, prep.nbytes)
+            admitted = group.health.admit(plan.backend, spec.family, call[1])
             if admitted is not plan.backend:
-                plan = self._plan(spec, admitted.name, prep, group, count=False)
+                plan = self._plan(spec, admitted.name, call, group, count=False)
                 rerouted = True
         # host dispatch: thin Python layer + backend call overhead (C3);
         # persistent collectives replay at a discounted scale (§V-E)
@@ -306,7 +313,7 @@ class ExecutionLayer:
             handle = CompletedHandle(ctx, name, label)
             if self.logger is not None:
                 dispatch = attribution(backend_name, rerouted)
-                self._log_on_flag(group, spec, plan, prep.nbytes, handle.flag, async_op, dispatch)
+                self._log_on_flag(group, spec, plan, call[1], handle.flag, async_op, dispatch)
             return handle if async_op else None
         # rendezvous sequence numbers are keyed per backend only:
         # collective calls are communicator-ordered within a library
@@ -331,13 +338,53 @@ class ExecutionLayer:
             rdv = rdvs.get(key)
         else:
             engine.advance(engine.now + dispatch_cost)
-        rdv, member = self._arrive(group, key, rdv, spec.family, prep, plan, async_op)
+        # the arrival: open (first rank) or validate the rendezvous, then
+        # register this rank and enqueue its stream member, with no yield
+        # between.  A timing-only arrival is its host time, and the
+        # rendezvous keeps their running max
+        now, meta, family = engine.now, plan.meta_tagged, spec.family
+        if rdv is None:
+            rdv = rdvs[key] = Rendezvous(engine, ws, label, family, meta)
+        elif rdv.meta != meta or rdv.family is not family:
+            raise ValidationError(
+                f"collective mismatch at {key}: rank {ctx.rank} posted "
+                f"{family}/{meta}, expected {rdv.family}/{rdv.meta}"
+            )
+        elif ctx.rank in rdv.arrivals:
+            raise ValidationError(f"rank {ctx.rank} arrived twice at {key}")
+        rdv.arrivals[ctx.rank] = (
+            now if prep is None else Arrival(now, prep.inputs, prep.outputs, prep.extras)
+        )
+        if now > rdv.ready:
+            rdv.ready = now
+        if async_op:
+            rdv.nonblocking = True
+        # this rank's stream under the plan's placement rule, if any
+        pool, member = plan.pool, None
+        if pool:
+            streams = self.sync.pools[pool]
+            if plan.pinned:
+                stream = streams[0]
+            else:
+                # round-robin over the pool: small messages run
+                # concurrently (§V-C)
+                turns = group.turns
+                stream = streams[turns[pool] % len(streams)]
+                turns[pool] += 1
+        else:
+            stream = ctx.gpu.default_stream if plan.on_default else None
+        if stream is not None:
+            producer = ctx.gpu.default_stream.last
+            member = stream.enqueue_collective_member(
+                rdv, deps=(producer,) if producer is not None else (), label=label,
+                category="comm",
+            )
         if len(rdv.arrivals) == ws:
             del rdvs[key]
-            self._resolve_collective(group, spec, backend_name, prep, plan, rdv)
+            self._resolve_collective(group, spec, backend_name, call[1], prep, plan, rdv)
         if self.logger is not None:
             self._log_on_flag(
-                group, spec, plan, prep.nbytes, rdv, async_op,
+                group, spec, plan, call[1], rdv, async_op,
                 attribution(backend_name, rerouted),
                 "host" if member is None else member.stream.name,
             )
@@ -363,56 +410,8 @@ class ExecutionLayer:
             host_block(ctx, rdv, label, "wait", deadline_us, timeout_info)
         return None
 
-    def _arrive(
-        self, group: Group, key: tuple, rdv: Optional["Rendezvous"], family: OpFamily,
-        prep, plan, async_op: bool,
-    ) -> tuple:
-        """Register this rank's arrival at rendezvous ``key`` on
-        ``group`` (``rdv``: the open one; opened by the first arrival,
-        validated by the others) and enqueue its stream member, if any,
-        on this rank's stream under the plan's placement rule, with no
-        yield between: ``(rendezvous, member)``."""
-        ctx = self.ctx
-        meta, pool = plan.meta_tagged, plan.pool
-        if rdv is None:
-            rdv = group.state.rdv[key] = Rendezvous(
-                ctx.engine, group.world_size, plan.label, family, meta
-            )
-        elif rdv.meta != meta or rdv.family is not family:
-            raise ValidationError(
-                f"collective mismatch at {key}: rank {ctx.rank} posted "
-                f"{family}/{meta}, expected {rdv.family}/{rdv.meta}"
-            )
-        elif ctx.rank in rdv.arrivals:
-            raise ValidationError(f"rank {ctx.rank} arrived twice at {key}")
-        rdv.arrivals[ctx.rank] = Arrival(ctx.engine.now, prep.inputs, prep.outputs, prep.extras)
-        if async_op:
-            rdv.nonblocking = True
-        if pool:
-            streams = self.sync.pools[pool]
-            if plan.pinned:
-                stream = streams[0]
-            else:
-                # round-robin over the pool: small messages run
-                # concurrently (§V-C)
-                turns = group.turns
-                stream = streams[turns[pool] % len(streams)]
-                turns[pool] += 1
-        elif plan.on_default:
-            stream = ctx.gpu.default_stream
-        else:
-            return rdv, None
-        producer = ctx.gpu.default_stream.last
-        member = stream.enqueue_collective_member(
-            rdv,
-            deps=(producer,) if producer is not None else (),
-            label=plan.label,
-            category="comm",
-        )
-        return rdv, member
-
     def _resolve_collective(
-        self, group: Group, spec, backend_name: str, prep, plan, rdv: Rendezvous
+        self, group: Group, spec, backend_name: str, nbytes: int, prep, plan, rdv: Rendezvous
     ) -> None:
         """Resolve ``rdv`` once, on its last arrival: the one place a
         transfer's duration is set (price, link faults, codec, host
@@ -420,7 +419,8 @@ class ExecutionLayer:
         observation attached.  The transfer then goes to its wire lane:
         a host-path one is admitted here and fires ``rdv``, a stream one
         when ``graph.resolve`` finds its members ready.  ``rdv`` lets go
-        of every rank's arrival here."""
+        of every rank's arrival here; only a real-data transfer keeps
+        them, in its mover."""
         ctx = self.ctx
         family, backend = spec.family, plan.backend
         wire_bytes = plan.wire_bytes
@@ -434,9 +434,20 @@ class ExecutionLayer:
             group.record.comm_path, self.config,
             vector=spec.vector, nonblocking=rdv.nonblocking, overheads=False,
         )
-        ordered = [rdv.arrivals[r] for r in group.ranks]
+        ready = rdv.ready
+        on_resolve = None
+        if not plan.timing_only:
+            ordered = [rdv.arrivals[r] for r in group.ranks]
+            move, codec = prep.move, plan.codec
+
+            def on_resolve() -> None:
+                if codec is not None:
+                    for a in ordered:
+                        for buf in a.inputs:
+                            codec.apply_quantization_error(buf)
+                move(ordered)
+
         rdv.arrivals.clear()
-        ready = max(a.host_time for a in ordered)
         links = group.health.links
         if links is not None:
             # degraded/flapping fabric window (repro.sim.faults): decided
@@ -452,21 +463,10 @@ class ExecutionLayer:
             # the group's one observation, fed at the flag's fire instant;
             # the last arrival's retuner knows if the op is an epsilon trial
             rdv.callbacks.append(partial(
-                group.state.adapt.on_complete, family, prep.nbytes, backend.name,
+                group.state.adapt.on_complete, family, nbytes, backend.name,
                 duration, backend_name == "auto", group.retuner.trial is not None,
             ))
         admit = self._job.lanes.admission(backend, family, wire_bytes, duration)
-        move = None if plan.timing_only else prep.move
-        codec = plan.codec
-
-        def on_resolve() -> None:
-            if move is not None:
-                if codec is not None:
-                    for a in ordered:
-                        for buf in a.inputs:
-                            codec.apply_quantization_error(buf)
-                move(ordered)
-
         if rdv.members:
             rdv.on_resolve = on_resolve
             rdv.admit = admit
@@ -474,7 +474,8 @@ class ExecutionLayer:
             return
         start = ready if admit is None else admit(ready)
         end = start + duration
-        on_resolve()
+        if on_resolve is not None:
+            on_resolve()
         tracer = ctx.gpu.tracer
         if tracer is not None:
             for rank in group.ranks:
@@ -495,7 +496,8 @@ class ExecutionLayer:
                 return "all ranks arrived; transfer still in flight"
             arrived = sorted(rdv.arrivals)
             missing = [r for r in ranks if r not in rdv.arrivals]
-            posted = ", ".join(f"rank {r}@{rdv.arrivals[r].host_time:.1f}us" for r in arrived)
+            times = {r: getattr(a, "host_time", a) for r, a in rdv.arrivals.items()}
+            posted = ", ".join(f"rank {r}@{times[r]:.1f}us" for r in arrived)
             return f"ranks {missing} never posted {label} (arrived: {posted})"
 
         return info
@@ -537,7 +539,7 @@ class ExecutionLayer:
 
         chan = group.state.p2p[(backend.name, src, dst, tag)]
         mine, theirs = ("sends", "recvs") if is_send else ("recvs", "sends")
-        buf = flat_buffer(tensor)[0]
+        buf = flat_buffer(tensor)
         deadline_us = self.config.op_deadline_us
         timeout_info = None
 

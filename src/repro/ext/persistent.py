@@ -88,7 +88,7 @@ class PersistentCollective:
         )
         # resolve and pre-compile the plan once, so bad backend names fail
         # here, not at step N, and the first start() is steady-state
-        comm._plan(self._spec, backend, self._prep, count=False)
+        comm._plan(self._spec, backend, self._prep.key, count=False)
 
     @property
     def plan(self) -> "CommPlan":
@@ -96,7 +96,7 @@ class PersistentCollective:
         :meth:`start` posts with (recompiled transparently after an
         invalidation).  Its ``hier`` is set while the name routes to a
         hierarchical composite."""
-        return self.comm._plan(self._spec, self.backend, self._prep, count=False)
+        return self.comm._plan(self._spec, self.backend, self._prep.key, count=False)
 
     def start(self) -> WorkHandle:
         """Post one instance of the operation; returns its handle."""

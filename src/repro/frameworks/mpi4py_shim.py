@@ -26,10 +26,8 @@ class Mpi4pyLike:
 
     def __init__(self, ctx: RankContext, backend: str = "mvapich2-gdr"):
         # interpreter-level wrapper cost per call (pickle-free buffer
-        # path) and the Listing-2 host staging
+        # path), the Listing-2 host staging, and no MCR comm streams
         config = PROFILES["mpi4py"].to_config()
-        # the external wrapper never sees MCR's comm streams
-        config.mpi_stream_mode = "mpi-managed"
         self.backend = backend
         self._comm = create_communicator(ctx, [backend], config=config, comm_id="mpi4py")
 

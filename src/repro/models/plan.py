@@ -90,12 +90,16 @@ class FrameworkProfile:
     supports_mixing: bool
     supports_fusion: bool
     host_staging: bool
+    #: who owns an MPI op's stream: an external wrapper never sees MCR's
+    #: comm streams ("mpi-managed")
+    mpi_stream_mode: str = "mcr-managed"
 
     def to_config(self) -> MCRConfig:
         config = MCRConfig()
         config.dispatch_overhead_us = self.dispatch_overhead_us
         config.dispatch_fraction = self.dispatch_fraction
         config.force_host_staging = self.host_staging
+        config.mpi_stream_mode = self.mpi_stream_mode
         return config
 
 
@@ -131,6 +135,7 @@ PROFILES: dict[str, FrameworkProfile] = {
         supports_mixing=False,
         supports_fusion=False,
         host_staging=True,
+        mpi_stream_mode="mpi-managed",
     ),
 }
 

@@ -108,15 +108,6 @@ class GpuOp:
 
     # -- resolution -------------------------------------------------------
 
-    def _blockers(self) -> list["GpuOp"]:
-        out = []
-        if self.prev is not None and not self.prev.resolved:
-            out.append(self.prev)
-        for d in self.deps:
-            if not d.resolved:
-                out.append(d)
-        return out
-
     def _block(self, waiter: object) -> None:
         """Register ``waiter`` for another resolution attempt when this
         node resolves."""
@@ -124,14 +115,6 @@ class GpuOp:
             self.succs = [waiter]
         elif waiter not in self.succs:
             self.succs.append(waiter)
-
-    def _ready_time(self) -> float:
-        t = self.host_ready
-        if self.prev is not None:
-            t = max(t, self.prev.end)
-        for d in self.deps:
-            t = max(t, d.end)
-        return t
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         state = f"end={self.end:.1f}" if self.resolved else "pending"
@@ -149,13 +132,19 @@ class CollectiveGroup(Flag):
 
     Lifetime: resolution drops ``members``, ``on_resolve`` (and with it
     every rank's buffers) and ``admit``; a resolved group is a fired flag
-    with its ``duration``, and ``complete`` reads False.
+    with its ``duration`` and no members, which ``resolve`` skips.
     """
 
     __slots__ = ("expected", "members", "duration", "on_resolve", "admit")
 
     def __init__(self, engine: Engine, expected: int, label: str):
-        super().__init__(engine, label)
+        # Flag's fields, set here rather than through its ``__init__``:
+        # one call per collective fewer, on the post path
+        self._engine = engine
+        self.ready_time = None
+        self._waiters = []
+        self.label = label
+        self.callbacks = []
         self.expected = expected
         self.members: Sequence[GpuOp] = []
         self.duration: Optional[float] = None
@@ -164,81 +153,90 @@ class CollectiveGroup(Flag):
         #: members' joint ready time to their start (None: start when ready)
         self.admit: Optional[Callable[[float], float]] = None
 
-    @property
-    def complete(self) -> bool:
-        return len(self.members) == self.expected and self.duration is not None
+
+#: below every ready time: the identity of their running max
+_NEVER = float("-inf")
 
 
 def resolve(seed: "GpuOp | CollectiveGroup", engine: Engine) -> None:
     """Resolve ``seed`` and propagate to everything it unblocks.
 
     Iterative worklist; registering on unresolved blockers guarantees a
-    later resolution attempt when those blockers resolve.
+    later resolution attempt when those blockers resolve.  A plain op is
+    resolved as a collective of one member with its own duration: one
+    pass over the members registers the item on each unresolved
+    blocker (each member's stream predecessor, then its dependencies)
+    and takes the joint ready time, and a second one times, traces and
+    retires them (GpuOp "Lifetime").
     """
     work: list[object] = [seed]
     while work:
         item = work.pop()
-        if isinstance(item, GpuOp):
+        if type(item) is GpuOp:
             if item.group is not None:
                 work.append(item.group)
                 continue
-            if item.resolved:
+            if item.end is not None:
                 continue
-            blockers = item._blockers()
-            if blockers:
-                for b in blockers:
-                    b._block(item)
-                continue
-            start = item._ready_time()
             if item.duration is None:  # pragma: no cover - defensive
                 raise SimError(f"plain op {item.label!r} has no duration")
-            item.start = start
-            item.end = start + item.duration
-            _finish_node(item, work)
-        else:  # CollectiveGroup
+            members, group = (item,), None
+        else:  # a CollectiveGroup; a resolved one has no members
             group = item
-            if not group.complete:  # resolved groups have no members
+            members = group.members
+            if len(members) != group.expected or group.duration is None:
                 continue
-            blockers: list[GpuOp] = []
-            for m in group.members:
-                blockers.extend(m._blockers())
-            if blockers:
-                for b in blockers:
-                    b._block(group)
-                continue
-            start = max(m._ready_time() for m in group.members)
+        start, blocked = _NEVER, False
+        for m in members:
+            ready = m.host_ready
+            prev = m.prev
+            if prev is not None:
+                end = prev.end
+                if end is None:
+                    prev._block(item)
+                    blocked = True
+                elif end > ready:
+                    ready = end
+            for d in m.deps:
+                end = d.end
+                if end is None:
+                    d._block(item)
+                    blocked = True
+                elif end > ready:
+                    ready = end
+            if ready > start:
+                start = ready
+        if blocked:
+            continue
+        if group is None:
+            end = start + item.duration
+        else:
             if group.admit is not None:
                 start = group.admit(start)
             end = start + group.duration
-            members, on_resolve = group.members, group.on_resolve
+            on_resolve = group.on_resolve
             group.members = ()
             group.on_resolve = group.admit = None
-            for m in members:
-                m.start = start
-                m.end = end
-                _finish_node(m, work)
+        for m in members:
+            m.start = start
+            m.end = end
+            # trace the interval, fire any host waiters, queue what the
+            # node unblocks and retire its links
+            stream = m.stream
+            tracer = stream.gpu.tracer
+            if tracer is not None:
+                tracer.record(
+                    rank=stream.gpu.index, stream=stream.name, label=m.label,
+                    category=m.category, start=start, end=end,
+                )
+            flag = m._flag
+            if flag is not None and flag.ready_time is None:
+                flag.fire(end)
+            if m.succs is not None:
+                work.extend(m.succs)
+            m.prev = m.group = m.succs = None
+            m.deps = ()
+        if group is not None:
             if on_resolve is not None:
                 on_resolve()
             group.fire(end)
-
-
-def _finish_node(node: GpuOp, work: list) -> None:
-    """Trace the interval, fire any host waiters, queue what the node
-    unblocks onto ``work``, and retire its links (GpuOp "Lifetime")."""
-    stream = node.stream
-    tracer = stream.gpu.tracer
-    if tracer is not None:
-        tracer.record(
-            rank=stream.gpu.index,
-            stream=stream.name,
-            label=node.label,
-            category=node.category,
-            start=node.start,
-            end=node.end,
-        )
-    if node._flag is not None and not node._flag.is_set:
-        node._flag.fire(node.end)
-    if node.succs is not None:
-        work.extend(node.succs)
-    node.prev = node.group = node.succs = None
-    node.deps = ()

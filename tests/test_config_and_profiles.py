@@ -109,6 +109,15 @@ class TestFrameworkProfiles:
         assert PROFILES["mpi4py"].host_staging
         assert not PROFILES["horovod"].host_staging
 
+    def test_only_mpi4py_keeps_mpi_off_mcr_streams(self):
+        # the external wrapper never sees MCR's comm streams: its profile
+        # says so, for Fig. 11's CommDriver and the Mpi4pyLike facade alike
+        modes = {key: profile.to_config().mpi_stream_mode for key, profile in PROFILES.items()}
+        assert modes == {
+            "mcr-dl": "mcr-managed", "torch-distributed": "mcr-managed",
+            "horovod": "mcr-managed", "mpi4py": "mpi-managed",
+        }
+
 
 class TestCompletedHandle:
     def test_trivially_complete(self):

@@ -233,14 +233,14 @@ def test_completed_handles_leave_before_synchronize():
         assert held == {"mvapich2-gdr": 1, "nccl": 1}
 
 
-def _in_flight(count, held: int = 50) -> float:
+def _in_flight(count, held: int = 50, virtual: bool = False) -> float:
     """``count()`` per collective, read on the last rank while a late
     rank holds ``held`` collectives (and the kernels gated on them) in
     flight."""
 
     def main(ctx):
         comm = MCRCommunicator(ctx, ["nccl"])
-        x = ctx.ones(64)
+        x = ctx.virtual_tensor(64) if virtual else ctx.ones(64)
         if ctx.rank == 0:
             ctx.sleep(1e6)  # everyone else runs ahead
         for _ in range(held):
@@ -258,6 +258,17 @@ def test_records_per_collective_in_flight(no_auto_gc):
     flag and its members' stream group (12.04 when those were three)."""
     per_op = _in_flight(lambda: sum(type(obj) in _COUNTED for obj in gc.get_objects()))
     assert per_op < 11
+
+
+def test_records_per_collective_in_flight_virtual(no_auto_gc):
+    """A timing-only arrival is its host time: an open collective on
+    virtual tensors holds no ``Arrival`` (11.64 when each rank's was one;
+    8.64 without: a rendezvous, its stream members and the kernels gated
+    on them)."""
+    per_op = _in_flight(
+        lambda: sum(type(obj) in _COUNTED for obj in gc.get_objects()), virtual=True
+    )
+    assert per_op < 8.7
 
 
 def test_containers_per_collective_in_flight(no_auto_gc):
@@ -516,14 +527,14 @@ class TestRankThreadsLeave:
         self._run(main, raises=CommTimeoutError)
 
 
-def test_timeout_still_names_who_never_posted():
-    # the diagnostic reads rank/host_time off the arrivals of an
-    # *unfinished* rendezvous, after earlier ones have been retired
+def _never_posted_detail(make) -> str:
+    """The CommTimeoutError detail of a program whose rank 2 skips a
+    collective, on tensors ``make(ctx)`` builds."""
     config = MCRConfig(op_deadline_us=400.0)
 
     def main(ctx):
         comm = MCRCommunicator(ctx, ["nccl", "mvapich2-gdr"], config=config)
-        x = ctx.ones(16)
+        x = make(ctx)
         for _ in range(5):
             comm.all_reduce("nccl", x)
             comm.all_reduce("mvapich2-gdr", x)
@@ -535,7 +546,23 @@ def test_timeout_still_names_who_never_posted():
 
     with pytest.raises(CommTimeoutError) as err:
         Simulator(WORLD).run(main)
-    detail = err.value.detail
+    return err.value.detail
+
+
+def test_timeout_still_names_who_never_posted():
+    # the diagnostic reads rank/host_time off the arrivals of an
+    # *unfinished* rendezvous, after earlier ones have been retired
+    detail = _never_posted_detail(lambda ctx: ctx.ones(16))
     assert "ranks [2] never posted" in detail
     for rank in (0, 1, 3):
         assert f"rank {rank}@" in detail
+
+
+def test_timeout_names_who_never_posted_on_virtual_tensors():
+    # a timing-only arrival is its host time alone: the diagnostic
+    # reads that, and says the same as on real tensors
+    detail = _never_posted_detail(lambda ctx: ctx.virtual_tensor(16))
+    assert "ranks [2] never posted" in detail
+    for rank in (0, 1, 3):
+        assert f"rank {rank}@" in detail
+    assert detail == _never_posted_detail(lambda ctx: ctx.ones(16))

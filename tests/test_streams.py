@@ -221,3 +221,18 @@ class TestWireLane:
         lanes = WireLanes(1.0)
         lanes.admit("a", 100.0, 0.0)
         assert lanes.admit("b", 100.0, 0.0) == 100.0
+
+
+def test_collective_group_starts_as_a_fresh_flag():
+    # CollectiveGroup.__init__ sets Flag's fields itself, one call per
+    # collective fewer than through Flag.__init__: every field a Flag
+    # starts with, a collective starts with too
+    from repro.sim.engine import Engine, Flag
+    from repro.sim.graph import CollectiveGroup
+
+    engine = Engine()
+    group, flag = CollectiveGroup(engine, 2, "c"), Flag(engine, "c")
+    assert {s: getattr(group, s) for s in Flag.__slots__} == {
+        s: getattr(flag, s) for s in Flag.__slots__
+    }
+    assert group._waiters is not flag._waiters and group.callbacks is not flag.callbacks
