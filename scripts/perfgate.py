@@ -9,9 +9,11 @@ Tier-1 runs this gate through ``tests/test_perfgate.py``.
 
 * **fingerprints** (``sim_*`` simulated values and ``det_*``
   deterministic counts: engine events and handoffs, and
-  ``tuned_step``'s dispatch-plan compiles): any difference from the
+  ``tuned_step``'s and ``adaptive_degraded_link``'s dispatch-plan
+  compiles): any difference from the
   ledger fails — timing-semantics drift is never expected, and a plan
-  compiled per rank instead of per group shows as a moved count.  A
+  compiled per rank instead of per group (or per table version) shows
+  as a moved count.  A
   scenario with no row in the ledger fails too: record it with
   ``python -m repro perf``.
 * **observability budget** (``obs_overhead``): the simulated step-time

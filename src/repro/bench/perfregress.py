@@ -351,7 +351,10 @@ def adaptive_degraded_link() -> dict:
     recovers.  The loop blocks on each op (``async_op=True`` +
     ``synchronize``) so the host clock tracks completions — a free-run
     post loop would outrun the fault window.  ``scripts/perfgate.py``
-    gates ``adapt_recovery``.
+    gates ``adapt_recovery``.  ``det_plan_compiles`` counts the adaptive
+    run's dispatch-plan compiles: the group's ranks share one table
+    version per retune edit, so each version's ``"auto"`` plan is
+    compiled once, not once per rank (INTERNALS §14).
     """
     from repro.cluster import lassen
     from repro.core import MCRConfig, TuningTable
@@ -396,10 +399,11 @@ def adaptive_degraded_link() -> dict:
         return (
             max(r[0] for r in result.rank_results),
             result.rank_results[0][1],
+            result.shared["mcr_dl"].compiles,
         )
 
-    static_us, _ = tail_us(adaptive=False)
-    adaptive_us, snap = tail_us(adaptive=True)
+    static_us, _, _ = tail_us(adaptive=False)
+    adaptive_us, snap, compiles = tail_us(adaptive=True)
     cell = snap["cells"]["allreduce/%d" % nbytes]
     return {
         "adapt_recovery": (
@@ -410,6 +414,7 @@ def adaptive_degraded_link() -> dict:
         "sim_final_pick": cell["current"],
         "sim_retunes": snap["stats"]["retune"],
         "sim_drifts": snap["stats"]["drift"],
+        "det_plan_compiles": compiles,
     }
 
 

@@ -18,36 +18,36 @@ loop in two parts, one per execution domain:
 * the **post domain** is one :class:`AdaptiveRetuner` per rank.
   :meth:`AdaptiveRetuner.before_op` runs once per posted collective, at
   the same per-communicator op index on every rank (the agree-at-op
-  discipline of fault quarantine).  It moves the book's new edits into
-  the rank's pending heap and applies every entry due at this index to
-  the rank's private table clone with
-  :meth:`~repro.core.tuning.TuningTable.add` — the table's generation
-  counter then recompiles only the affected "auto" dispatch plans (see
-  the plan cache, INTERNALS §12).  Epsilon trials, drawn only for
-  "auto" posts, route that one post to the alternate's indexed plan
-  and never edit the table; the probation path, which
-  periodically re-probes quarantined backends and symmetrically
-  un-quarantines on success, also runs here.
+  discipline of fault quarantine).  It runs the probation probes due
+  at this index, then swaps ``comm.tuning_table`` to the group's next
+  table version for each book edit due (:meth:`CellBook.version`), so
+  ranks at one version share their "auto" dispatch plans (INTERNALS
+  §12).  Epsilon trials, drawn only for "auto" posts, route that one
+  post to the alternate's indexed plan and never edit a table; the
+  probation path, which periodically re-probes quarantined backends
+  and symmetrically un-quarantines on success, also runs here.
 
-Every rank applies the same edits at the same op index, so the tables
-that decide rendezvous keys stay identical.  The book never reads
+Every rank applies the same edits at the same op index, so the table
+that decides rendezvous keys is one object per version.  The installed
+table is never edited: it is shared with the caller until the first
+edit, as it is without adaptive dispatch.  The book never reads
 per-rank post-domain state (op counters, the live table,
 ``health.quarantined``): only ``max_posted`` and its quarantine mirror.
 """
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import zlib
 from dataclasses import dataclass, field
-from functools import partial
 from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.backends.base import is_hier_name, price_us
 from repro.backends.hierarchical import HIER_FAMILIES, hier_cost_phases, parse_hier
 from repro.backends.ops import OpFamily
 from repro.core.exceptions import BackendError
-from repro.core.tuning import message_bucket
+from repro.core.tuning import TuningTable, message_bucket
 from repro.obs.metrics import ObsEvent
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -106,9 +106,9 @@ class _Cell:
 class CellBook:
     """The completion domain of one communicator's adaptive dispatch:
     one per group and ``comm_id`` (``CommState.adapt``), built by the
-    first member rank whose retuner starts.  Its cells and decisions
-    exist once; the member ranks read only :attr:`edits` (through
-    their cursors) and :attr:`quarantined`."""
+    first member rank whose retuner starts.  Its cells, decisions and
+    table versions exist once; the member ranks read only :attr:`edits`
+    (through their cursors), :meth:`version` and :attr:`quarantined`."""
 
     def __init__(self, comm: "CommCore"):
         self.cfg = comm.config.adaptive
@@ -130,8 +130,10 @@ class CellBook:
         self.quarantined: set = set()
         self.cells: dict[tuple[str, int], _Cell] = {}
         #: decided table edits ``(effect index, op, bucket, backend)`` in
-        #: decision order
+        #: effect order, ties in decision order
         self.edits: list[tuple[int, str, int, str]] = []
+        #: ``(id(table), k)`` -> (``table`` plus edit k, ``table``: pins the id)
+        self._versions: dict[tuple[int, int], tuple] = {}
         #: completion-domain action counts
         self.stats = {"drift": 0, "explore": 0, "retune": 0}
 
@@ -169,9 +171,26 @@ class CellBook:
 
     def _edit(self, cell: _Cell, backend_name: str, offset: int = 0) -> None:
         """Decide one table edit, effective at an op index no rank has
-        posted yet, so every rank applies it before resolving that op."""
-        effect = self.max_posted + 1 + offset
-        self.edits.append((effect, cell.family.value, cell.bucket, backend_name))
+        posted yet, so every rank applies it before resolving that op and
+        after every edit a rank has applied (whose edits stay a prefix)."""
+        edit = (self.max_posted + 1 + offset, cell.family.value, cell.bucket, backend_name)
+        bisect.insort(self.edits, edit, key=lambda e: e[0])
+
+    def version(self, table: Optional[TuningTable], k: int) -> TuningTable:
+        """``table`` (None: an empty one) plus edit ``k``, built once for
+        the group by the first rank to reach it, and never edited after.
+        A world-size row the edit creates starts as a copy of the row a
+        lookup served, so the edit moves only its own cell."""
+        built = self._versions.get((id(table), k))
+        if built is None:
+            _, op, bucket, name = self.edits[k]
+            version = TuningTable(system=self.system.name) if table is None else table.clone()
+            scales, ws = version.entries.get(op), self.world_size
+            if scales and ws not in scales:
+                scales[ws] = dict(scales[TuningTable._nearest(sorted(scales), ws)])
+            version.add(op, ws, bucket, name)
+            built = self._versions[(id(table), k)] = (version, table)
+        return built[0]
 
     def _steady_step(
         self, cell: _Cell, cell_key: tuple[str, int], backend_name: str, trial: bool
@@ -380,9 +399,9 @@ class AdaptiveRetuner:
     """The post domain of adaptive dispatch: one per rank per top-level
     communicator (``adaptive.enabled``).
 
-    It edits the table its communicator consults, ``comm.tuning_table``,
-    which the communicator clones per rank whenever one is installed
-    (construction or swap), so the edits stay rank-private.
+    It never edits a table: a due book edit swaps ``comm.tuning_table``
+    to the group's version of it plus that edit, so an edit that falls
+    due after a swap lands in the swapped-in table.
     """
 
     def __init__(self, comm: "CommCore"):
@@ -391,13 +410,12 @@ class AdaptiveRetuner:
         self.cfg = comm.config.adaptive
         state = comm._group.state
         self.book = state.adapt = state.adapt or CellBook(comm)
-        #: the book's edits already moved into the pending heap
-        self._edits_seen = len(self.book.edits)
+        #: the book's edits this rank has passed, a prefix of
+        #: ``book.edits``: its position in the group's table versions
+        self._applied = len(self.book.edits)
         #: posted-collective index on this communicator
         self._op_index = 0
-        #: pending actions: (effect op index, domain, seq, fn) heap;
-        #: domain 0 is scheduled here at matched op indexes, domain 1 is
-        #: the book's edits with ``seq`` their position in ``book.edits``
+        #: pending probation probes: (effect op index, seq, fn) heap
         self._pending: list = []
         self._post_seq = 0
         #: reentrancy guard: a probation canary posts a real collective
@@ -412,39 +430,29 @@ class AdaptiveRetuner:
 
     def before_op(self, family: OpFamily, nbytes: int, auto: bool) -> None:
         """Hook run once per posted collective, before backend
-        resolution, so pending table edits affect the op being posted;
-        an ``auto`` post may draw an epsilon trial."""
+        resolution, so due probes and table edits affect the op being
+        posted; an ``auto`` post may draw an epsilon trial."""
         self._op_index += 1
         idx = self._op_index
         self.trial = None
-        book = self.book
+        book, comm = self.book, self.comm
         if idx > book.max_posted:
             book.max_posted = idx
         pending = self._pending
-        edits = book.edits
-        if self._edits_seen < len(edits):
-            # each was decided for an index no rank had posted yet, so
-            # none is due before this one
-            apply = self._apply_edit
-            for seq in range(self._edits_seen, len(edits)):
-                effect, op, bucket, name = edits[seq]
-                heapq.heappush(pending, (effect, 1, seq, partial(apply, op, bucket, name)))
-            self._edits_seen = len(edits)
         while pending and pending[0][0] <= idx:
             heapq.heappop(pending)[-1]()
+        edits = book.edits
+        while self._applied < len(edits) and edits[self._applied][0] <= idx:
+            comm.tuning_table = book.version(comm.tuning_table, self._applied)
+            self._applied += 1
         if auto and self.cfg.epsilon > 0.0:
             self._maybe_trial(family, nbytes, idx)
-
-    def _apply_edit(self, op: str, bucket: int, name: str) -> None:
-        """Apply a book edit, due at the same op on every rank, to the
-        table installed then (not when this rank queued the edit)."""
-        self.comm.tuning_table.add(op, self.comm.world_size, bucket, name)
 
     def _schedule_post(self, effect: int, fn: Callable[[], None]) -> None:
         """Schedule a probation probe at an op index every rank reaches
         the same way."""
         self._post_seq += 1
-        heapq.heappush(self._pending, (effect, 0, self._post_seq, fn))
+        heapq.heappush(self._pending, (effect, self._post_seq, fn))
 
     def _hash(self, *parts) -> int:
         key = "|".join(
@@ -458,9 +466,9 @@ class AdaptiveRetuner:
         serve this one ``"auto"`` op on a hash-picked alternate backend
         to keep its EMA fresh.  The table is left alone: ``_post`` posts
         the op on the plan its group indexes for :attr:`trial`."""
-        op = family.value
+        op, table = family.value, self.comm.tuning_table
         bucket = message_bucket(nbytes)
-        row = self.comm.tuning_table.entries.get(op, {}).get(self.comm.world_size, {})
+        row = table.entries.get(op, {}).get(self.comm.world_size, {}) if table else {}
         cur = row.get(bucket)
         if cur is None:
             return  # only trial cells the table explicitly serves

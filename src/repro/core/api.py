@@ -146,8 +146,8 @@ def get_rank(backend: Optional[str] = None) -> int:
 def set_tuning_table(table: TuningTable) -> None:
     """Install/replace the tuning table consulted by the "auto" backend.
 
-    Plan-invalidating: every compiled dispatch plan recompiles against
-    the new table on its next use.
+    Every "auto" dispatch plan recompiles against the new table on its
+    next use; explicit-backend plans never read the table and stay.
     """
     _comm().tuning_table = table
 

@@ -101,7 +101,7 @@ class MCRCommunicator(DispatchLayer, ExecutionLayer):
         self.config = config
         self.comm_id = comm_id
         self._plan_hits = self._plan_misses = self._plan_invalidations = self._plan_clears = 0
-        self._tuning_table = self._own_table(tuning_table)
+        self._tuning_table = tuning_table
 
         # process group: the rank subset this communicator spans (like an
         # MPI sub-communicator / torch.distributed process group)

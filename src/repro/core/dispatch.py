@@ -107,29 +107,22 @@ class DispatchLayer:
     def tuning_table(self) -> Optional[TuningTable]:
         """The table consulted by ``"auto"`` dispatch (§V-F).
 
-        Assigning a new table (a per-rank clone under adaptive dispatch)
-        invalidates every compiled plan; in-place mutation of the
-        installed table is caught per-lookup through its generation.
+        Assigning installs the table as given, adaptive or not, and moves
+        only the ``"auto"`` plans to a new context; in-place mutation of
+        the installed table is caught per-lookup through its generation.
         """
         return self._tuning_table
 
     @tuning_table.setter
     def tuning_table(self, table: Optional[TuningTable]) -> None:
-        self._tuning_table = self._own_table(table)
-        self.invalidate_plans("tuning-table install/swap")
-
-    def _own_table(self, table: Optional[TuningTable]) -> Optional[TuningTable]:
-        """What to install for ``table``: under adaptive dispatch each
-        rank retunes a private clone (an empty table for None)."""
-        if not self.config.adaptive.enabled:
-            return table
-        return table.clone() if table is not None else TuningTable(system=self.ctx.system.name)
+        self._tuning_table = table
+        self._snapshot()
 
     def invalidate_plans(self, reason: str = "") -> None:
         """Move to a new plan context: every plan recompiles on next use.
 
-        Called automatically on tuning-table install/swap, backend
-        quarantine, and codec/synchronization changes.  Call it manually
+        Called automatically on backend quarantine and codec/synchronization
+        changes (not on a table swap).  Call it manually
         after mutating state the communicator snapshots at compile time
         — e.g. editing ``comm.config`` in place instead of through
         ``set_compression``/``set_synchronization``.  Rebuilds the plan

@@ -96,11 +96,9 @@ class TuningTable:
     def clone(self) -> "TuningTable":
         """Deep copy of the entries under a fresh generation counter.
 
-        Online adaptive dispatch (:mod:`repro.core.adaptive`) edits its
-        communicator's table in place at rank-local op indexes; ranks of
-        an SPMD job that were handed one shared table object must each
-        retune a private clone, or one rank's edit would leak into
-        another rank's dispatch at a different logical op.
+        Online adaptive dispatch (:mod:`repro.core.adaptive`) never edits
+        an installed table: each book edit builds the group's next table
+        version from one clone, shared by every rank that reaches it.
         """
         return TuningTable(
             system=self.system,

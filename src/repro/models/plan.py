@@ -164,9 +164,9 @@ class CommDriver:
         config = profile.to_config()
         config.enable_logging = enable_logging
         if adaptive is not None:
-            # online adaptive dispatch (repro.core.adaptive); the
-            # communicator clones the plan's table so retuning never
-            # mutates the shared BackendPlan artifact
+            # online adaptive dispatch (repro.core.adaptive); a retune
+            # swaps in a new table version, so the shared BackendPlan
+            # artifact is never mutated
             config.adaptive = adaptive
         backends = plan.backends()
         if not profile.supports_mixing and len(backends) > 1:

@@ -12,7 +12,7 @@ import pytest
 from repro.backends.ops import OpFamily
 from repro.cluster import lassen
 from repro.core import MCRCommunicator, MCRConfig, TuningTable
-from repro.core.adaptive import CellBook
+from repro.core.adaptive import CellBook, _Cell
 from repro.core.config import AdaptiveConfig
 from repro.sim import Simulator
 from repro.sim.faults import BackendFault, FaultSpec
@@ -180,9 +180,9 @@ class TestDriftRetune:
         assert snap["stats"]["retune"] >= 1
         cell = snap["cells"]["allreduce/%d" % NBYTES]
         assert cell["current"] != "nccl"
-        # the committed winner landed in the per-rank table...
+        # the committed winner landed in the group's table version...
         assert entries[0]["allreduce"][16][NBYTES] == cell["current"]
-        # ...while the shared plan table is untouched (per-rank clone)
+        # ...while the installed table is untouched
         assert shared_table.lookup("allreduce", 16, NBYTES) == "nccl"
         assert quarantined[0] == []
 
@@ -197,6 +197,131 @@ class TestDriftRetune:
         cell = snap["cells"]["allreduce/%d" % NBYTES]
         assert cell["current"] == "nccl"
         assert adapt[0][2]["allreduce"][16][NBYTES] == "nccl"
+
+
+class TestTableVersions:
+    """A retune swaps every rank of the group to the group's next table
+    version; the installed table is never edited."""
+
+    def test_one_table_per_group(self, monkeypatch):
+        """After a retune the ranks hold one table object, the installed
+        table is untouched, each book edit cloned a table once (not the
+        construction, not a swap), and the group indexes one ``"auto"``
+        plan per version."""
+        clones = []
+        clone = TuningTable.clone
+
+        def counted(table):
+            clones.append(table)
+            return clone(table)
+
+        monkeypatch.setattr(TuningTable, "clone", counted)
+        table = degraded_table(16)
+        installed = (str(table.entries), table.generation)
+        config = MCRConfig(adaptive=adaptive_config())
+
+        def rank_main(ctx):
+            comm = MCRCommunicator(
+                ctx, ["nccl", "mvapich2-gdr"], config=config, tuning_table=table,
+                comm_id="one-table",
+            )
+            built = len(clones)
+            x = ctx.virtual_tensor(NBYTES // 4)
+            for _ in range(150):
+                comm.all_reduce("auto", x, async_op=True).synchronize()
+            retuned, before_swap = comm.tuning_table, len(clones)
+            comm.tuning_table = table
+            swapped = len(clones) - before_swap
+            comm.tuning_table = retuned
+            book = comm._group.state.adapt
+            auto = sum(key[1] == "auto" for key in comm._group.state.plans)
+            out = built, swapped, retuned, list(book.edits), auto
+            comm.finalize()
+            return out
+
+        faults = FaultSpec.parse("link=20000:inf:4.0:backend=nccl")
+        results = Simulator(16, system=lassen(), faults=faults).run(rank_main).rank_results
+        built, swapped, tables, edits, auto = zip(*results)
+        assert built == swapped == (0,) * 16
+        assert len({id(t) for t in tables}) == 1 and tables[0] is not table
+        assert (str(table.entries), table.generation) == installed
+        effects = [edit[0] for edit in edits[0]]
+        assert len(effects) == len(set(effects)) >= 2
+        assert len(clones) == len(effects)
+        # the installed table and one version per edit, each posted
+        assert auto == (1 + len(effects),) * 16
+
+    def test_edits_apply_in_effect_order(self):
+        """An edit decided later may take effect earlier (a sweep
+        schedules its candidates ahead): the book keeps its edits in
+        effect order, ties in decision order, and every rank applies
+        them in that order."""
+        table = TuningTable()
+        table.add("allreduce", 2, 4096, "mvapich2-gdr")
+        config = MCRConfig(adaptive=AdaptiveConfig(
+            enabled=True, drift_ratio=10.0, probation_interval=0
+        ))
+
+        def rank_main(ctx):
+            comm = MCRCommunicator(
+                ctx, ["nccl", "mvapich2-gdr"], config=config, tuning_table=table,
+                comm_id="order",
+            )
+            x = ctx.virtual_tensor(1024)
+            served = []
+            for i in range(16):
+                handle = comm.all_reduce("auto", x, async_op=True)
+                handle.synchronize()
+                served.append(handle.backend_name)
+                if i == 0 and comm.rank == 0:
+                    book = comm._group.state.adapt
+                    cell = _Cell(family=OpFamily.ALLREDUCE, bucket=4096)
+                    book._edit(cell, "mvapich2-gdr", offset=6)
+                    book._edit(cell, "nccl")
+                    book._edit(cell, "nccl", offset=6)
+            out = served, list(comm._group.state.adapt.edits)
+            comm.finalize()
+            return out
+
+        results = Simulator(2).run(rank_main).rank_results
+        (served, edits), (served1, _) = results
+        first = edits[0][0]
+        assert [(e - first, name) for e, _, _, name in edits] == [
+            (0, "nccl"), (6, "mvapich2-gdr"), (6, "nccl"),
+        ]
+        # ops are 1-based: op ``first`` is served[first - 1]
+        assert served == served1
+        assert set(served[:first - 1]) == {"mvapich2-gdr"}
+        assert set(served[first - 1:]) == {"nccl"}
+
+    def test_retune_at_an_untrained_world_size_moves_only_its_cell(self):
+        """A table trained at ws 4 serves a ws-8 job from its nearest row.
+        The retune of the 1 MiB cell builds a ws-8 row; it starts as a copy
+        of the row the lookup served, so a 4 KiB ``"auto"`` all-reduce,
+        whose cell was never observed, stays on its tuned backend (a row
+        holding only the 1 MiB bucket once served it the 1 MiB winner)."""
+        table = TuningTable(system="lassen")
+        for nbytes in (4096, NBYTES):
+            table.add("allreduce", 4, nbytes, "nccl")
+        config = MCRConfig(adaptive=adaptive_config())
+
+        def rank_main(ctx):
+            comm = MCRCommunicator(
+                ctx, ["nccl", "mvapich2-gdr"], config=config, tuning_table=table,
+                comm_id="untrained-ws",
+            )
+            x = ctx.virtual_tensor(NBYTES // 4)
+            for _ in range(150):
+                comm.all_reduce("auto", x, async_op=True).synchronize()
+            small = comm.all_reduce("auto", ctx.virtual_tensor(1024), async_op=True)
+            small.synchronize()
+            out = small.backend_name, comm.retuner.snapshot()["stats"]["retune"]
+            comm.finalize()
+            return out
+
+        faults = FaultSpec.parse("link=20000:inf:4.0:backend=nccl")
+        results = Simulator(8, system=lassen(), faults=faults).run(rank_main).rank_results
+        assert results == [("nccl", 1)] * 8
 
 
 class TestEpsilonTrials:
@@ -215,11 +340,11 @@ class TestEpsilonTrials:
     def test_trials_keep_ranks_symmetric(self):
         """A long run of epsilon trials leaves every rank with the same
         retuner snapshot and table, with the alternate sampled.  A trial
-        routes its one op and never edits the table, so the table's
-        generation stays 0 and no plan is invalidated; its plan is the
-        one its group indexes for the alternate, so trials compile
-        nothing new.  The comm log records a trial op as ``"auto"``
-        dispatch on the alternate."""
+        routes its one op and never edits the table, so the installed
+        table's generation stays 1 (its one ``add``) and no plan is
+        invalidated; its plan is the one its group indexes for the
+        alternate, so trials compile nothing new.  The comm log records a
+        trial op as ``"auto"`` dispatch on the alternate."""
         table = degraded_table(4)
         adaptive = adaptive_config(epsilon=0.2, drift_ratio=10.0)
         config = MCRConfig(adaptive=adaptive, enable_logging=True)
@@ -251,10 +376,10 @@ class TestEpsilonTrials:
         )
         assert counts[0].get("mvapich2-gdr", 0) > 0
         assert len(set(snaps)) == 1 and len(set(tables)) == 1
-        assert generations == (0,) * 4 and invalidations == (0,) * 4
-        # one compile per indexed plan, none per trial: each rank's "auto"
-        # plan on its own table clone, and the alternate's one plan
-        assert compiles == plans == (5,) * 4
+        assert generations == (1,) * 4 and invalidations == (0,) * 4
+        # one compile per indexed plan, none per trial: the group's one
+        # "auto" plan on the shared table, and the alternate's one plan
+        assert compiles == plans == (2,) * 4
         records = [r for r in run.shared["comm_logger"].records if r.rank == 0]
         assert {r.detail for r in records} == {"auto"}
         trialled = [r for r in records if r.backend == "mvapich2-gdr"]
@@ -287,7 +412,8 @@ class TestEpsilonTrials:
 
         for trials, generation, invalidations in Simulator(2).run(rank_main).rank_results:
             assert len(trials) >= 8  # explicit ops sit at many trial indexes
-            assert (generation, invalidations) == (0, 0)
+            # the installed table's own generation: its one ``add``
+            assert (generation, invalidations) == (1, 0)
 
     def test_trial_alternates_skip_this_ranks_quarantines(self):
         """An epsilon trial picks its alternate from this rank's own
@@ -373,8 +499,8 @@ class TestEpsilonTrials:
 
     def test_trial_leaves_the_table_alone(self):
         """A trial routes its op and edits no table: a ``table.add`` right
-        after the trial stands, and it is the only move of the clone's
-        generation."""
+        after the trial stands.  The ranks share the installed table, so
+        its generation moves once at setup and once per rank's ``add``."""
         backends = ["nccl", "mvapich2-gdr", "ucc"]
         table = TuningTable()
         table.add("allreduce", 2, 4096, "nccl")
@@ -406,12 +532,13 @@ class TestEpsilonTrials:
             assert trials == [1]  # op 1 is a trial, op 2 is not
             assert trialled != "nccl"
             assert served == entry == edit
-            assert generation == 1
+            assert generation == 3
 
     def test_table_swap_reaches_the_retuner(self):
-        """A table installed mid-run is the one the retuner reads: each
-        rank clones it, as at construction, and an epsilon trial right
-        after the swap serves its op on the swapped-in cell's alternate."""
+        """A table installed mid-run is the one the retuner reads: every
+        rank installs it as given, as at construction, and an epsilon
+        trial right after the swap serves its op on the swapped-in cell's
+        alternate."""
         old, new = TuningTable(), TuningTable()
         old.add("allreduce", 2, 4096, "nccl")
         new.add("allreduce", 2, 4096, "mvapich2-gdr")
@@ -436,8 +563,7 @@ class TestEpsilonTrials:
         (served0, trial0, table0), (served1, trial1, table1) = results
         assert trial0 == trial1 == "nccl"
         assert served0 == served1 == "nccl"
-        assert table0 is not table1
-        assert table0 is not new and table1 is not new
+        assert table0 is table1 is new
         assert new.lookup("allreduce", 2, 4096) == "mvapich2-gdr"
 
     def test_edit_pending_across_a_swap_lands_in_the_new_table(self):

@@ -211,6 +211,35 @@ class TestAutoDispatch:
             "plans": 1, "hit_rate": 0.5,
         }
 
+    def test_a_swap_keeps_explicit_plans(self):
+        """A table swap moves only the ``"auto"`` plans: an explicit post
+        after it hits the plan it compiled before, and an ``"auto"`` post
+        compiles against the swapped-in table."""
+        first, second = self._table("nccl"), self._table("mvapich2-gdr")
+
+        def main(ctx):
+            comm = MCRCommunicator(ctx, BACKENDS, tuning_table=first)
+            x = ctx.virtual_tensor(1024)
+            comm.all_reduce("nccl", x)
+            comm.all_reduce("auto", x)
+            before = own_plans(comm)[0]
+            comm.tuning_table = second
+            comm.all_reduce("nccl", x)
+            served = comm.all_reduce("auto", x, async_op=True)
+            served.synchronize()
+            out = (
+                before, own_plans(comm), served.backend_name,
+                comm.plan_stats["invalidations"], comm.plan_compiles,
+            )
+            comm.finalize()
+            return out
+
+        for before, plans, served, invalidations, compiles in _run(main).rank_results:
+            assert plans[0] is before and plans[0].table_generation == -1
+            assert served == "mvapich2-gdr" and len(plans) == 2
+            # the explicit plan and one "auto" plan per table
+            assert (invalidations, compiles) == (0, 3)
+
 
 class TestInvalidation:
     def test_quarantine_mid_run_identical_to_uncached(self):
@@ -588,12 +617,11 @@ class TestPlanSharing:
         assert all(results[r][1] is shared for r in (0, 2, 3))
         assert {compiles for _, _, compiles in results} == {2}
 
-    @pytest.mark.parametrize("adaptive, compiles", [(False, 2), (True, 5)])
+    @pytest.mark.parametrize("adaptive, compiles", [(False, 2), (True, 2)])
     def test_adaptive_ranks_share_only_explicit_plans(self, adaptive, compiles):
-        """Each adaptive rank retunes a private table clone, so its
-        ``"auto"`` plans are its own; its explicit-backend plans never
-        read the table and stay shared: one compile each without
-        adaptive, one per rank plus one with it."""
+        """Adaptive ranks install the table as given and share it until
+        an edit, so their ``"auto"`` plans are shared as their
+        explicit-backend plans are: one compile each, adaptive or not."""
         from repro.core.config import AdaptiveConfig
 
         table = self._table(4)
@@ -623,7 +651,7 @@ class TestPlanSharing:
             }
             for consulted in (True, False)
         )
-        assert len(auto) == (4 if adaptive else 1) and len(nccl) == 1
+        assert len(auto) == 1 and len(nccl) == 1
 
     def test_swapped_and_freed_table_never_serves_a_stale_plan(self):
         import gc
