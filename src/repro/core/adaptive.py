@@ -6,9 +6,10 @@ link quality drifts mid-run, or a quarantined backend recovers, "auto"
 dispatch keeps serving stale choices forever.  This module closes the
 loop in two parts, one per execution domain:
 
-* the **completion domain** is one :class:`CellBook` per group and
-  ``comm_id`` (``CommState.adapt``).  The resolver hands it one
-  observation per completed collective, on the rendezvous flag.  It
+* the **completion domain** is one :class:`CellBook` per group,
+  ``comm_id`` and communicator generation (``CommState.adapt``).  The
+  resolver hands it one observation per completed collective, on the
+  rendezvous flag.  It
   keeps an EMA per ``(op, world size, message bucket, backend)`` cell,
   detects drift against the analytic cost-model expectation, re-tunes
   the cell through bounded exploration, and records each decided table
@@ -105,10 +106,11 @@ class _Cell:
 
 class CellBook:
     """The completion domain of one communicator's adaptive dispatch:
-    one per group and ``comm_id`` (``CommState.adapt``), built by the
-    first member rank whose retuner starts.  Its cells, decisions and
-    table versions exist once; the member ranks read only :attr:`edits`
-    (through their cursors), :meth:`version` and :attr:`quarantined`."""
+    one per group, ``comm_id`` and generation (``CommState.adapt``),
+    built by the first member rank whose retuner starts.  Its cells,
+    decisions and table versions exist once; the member ranks read only
+    :attr:`edits` (through their cursors), :meth:`version` and
+    :attr:`quarantined`."""
 
     def __init__(self, comm: "CommCore"):
         self.cfg = comm.config.adaptive
@@ -123,6 +125,8 @@ class CellBook:
         #: the rank the book's ObsEvents are attributed to
         self.lead = comm.group_ranks[0]
         self.multinode = self.comm_path.spans_nodes
+        #: the member ranks whose retuner holds the book
+        self.joined: set = set()
         #: max op index any rank has posted: the book's only view of
         #: post progress
         self.max_posted = 0
@@ -408,8 +412,16 @@ class AdaptiveRetuner:
         self.comm = comm
         self.ctx = comm.ctx
         self.cfg = comm.config.adaptive
-        state = comm._group.state
-        self.book = state.adapt = state.adapt or CellBook(comm)
+        # a rank's k-th adaptive communicator on one group and comm_id
+        # shares book k: the first in the group's list it has not joined
+        rank, books = comm.ctx.rank, comm._group.state.adapt
+        self.book = next((b for b in books if rank not in b.joined), None)
+        if self.book is None:
+            self.book = CellBook(comm)
+            books.append(self.book)
+        self.book.joined.add(rank)
+        if len(self.book.joined) == comm.world_size:
+            books.remove(self.book)  # every member holds it: none looks again
         #: the book's edits this rank has passed, a prefix of
         #: ``book.edits``: its position in the group's table versions
         self._applied = len(self.book.edits)

@@ -36,6 +36,7 @@ from repro.backends.ops import OpFamily
 from repro.core.config import EAGER_THRESHOLD, LARGE_MESSAGE_THRESHOLD
 from repro.core.exceptions import BackendError, ValidationError
 from repro.core.handles import CompletedHandle, WorkHandle, host_block
+from repro.obs.metrics import UNATTRIBUTED_STEP
 from repro.sim.engine import Engine, Flag, SimError
 from repro.sim.graph import CollectiveGroup, resolve
 from repro.tensor import SimTensor
@@ -61,14 +62,15 @@ class CommState:
     """What the member ranks of one group share under one ``comm_id``:
     its open rendezvous, its plan index (the only plan store, keyed by
     plan-context token and call signature; ``DispatchLayer._plan``), its
-    p2p channels, the adaptive ``CellBook`` and fusion's route table."""
+    p2p channels, the adaptive ``CellBook`` of each communicator
+    generation not yet held by all its ranks and fusion's route table."""
 
     rdv: dict = field(default_factory=dict)
     plans: dict = field(default_factory=dict)
     p2p: defaultdict = field(
         default_factory=lambda: defaultdict(lambda: {"sends": deque(), "recvs": deque()})
     )
-    adapt: Any = None
+    adapt: list = field(default_factory=list)
     fusion_routes: dict = field(default_factory=dict)
 
 
@@ -240,9 +242,9 @@ class Rendezvous(CollectiveGroup):
     posted to its host time, or to its :class:`Arrival` where the
     resolver reads buffers or counts; ``ready`` is the latest host time
     among them.  Resolving it drops ``arrivals``; ``duration`` is set
-    from then on."""
+    from then on.  ``log`` is its comm log's open batch, if any."""
 
-    __slots__ = ("family", "meta", "arrivals", "ready", "nonblocking")
+    __slots__ = ("family", "meta", "arrivals", "ready", "nonblocking", "log")
 
     def __init__(self, engine: Engine, expected: int, label: str, family: OpFamily, meta: tuple):
         super().__init__(engine, expected, label)
@@ -252,12 +254,7 @@ class Rendezvous(CollectiveGroup):
         self.ready = 0.0
         #: some member posted non-blocking: the transfer is priced so
         self.nonblocking = False
-
-
-def attribution(backend_name: str, rerouted: bool) -> str:
-    """How a post came to its backend, for the comm log: "reroute" (the
-    fault gate admitted another), "auto" (named so) or "explicit"."""
-    return "reroute" if rerouted else "auto" if backend_name == "auto" else "explicit"
+        self.log = None
 
 
 class ExecutionLayer:
@@ -285,7 +282,8 @@ class ExecutionLayer:
         when its arrival is its host time).  The ws-th arrival resolves
         the rendezvous."""
         ctx = self.ctx
-        rerouted = False
+        # how the post came to its backend, for the comm log
+        dispatch = "auto" if backend_name == "auto" else "explicit"
         if group.health.gate:
             # the fault gate runs per call even on a plan hit: injector
             # op counters must advance exactly as in the uncached path; a
@@ -293,7 +291,7 @@ class ExecutionLayer:
             admitted = group.health.admit(plan.backend, spec.family, call[1])
             if admitted is not plan.backend:
                 plan = self._plan(spec, admitted.name, call, group, count=False)
-                rerouted = True
+                dispatch = "reroute"
         # host dispatch: thin Python layer + backend call overhead (C3);
         # persistent collectives replay at a discounted scale (§V-E)
         dispatch_cost = plan.dispatch_cost_us
@@ -312,8 +310,9 @@ class ExecutionLayer:
                         a_out[:] = a_in
             handle = CompletedHandle(ctx, name, label)
             if self.logger is not None:
-                dispatch = attribution(backend_name, rerouted)
-                self._log_on_flag(group, spec, plan, call[1], handle.flag, async_op, dispatch)
+                step = self.logger.event_log.step(ctx.rank)
+                entry = (ctx.rank, engine.now, step, call[1], async_op, dispatch, "host")
+                self._log_on_flag(group, spec, plan, handle.flag, entry)
             return handle if async_op else None
         # rendezvous sequence numbers are keyed per backend only:
         # collective calls are communicator-ordered within a library
@@ -382,12 +381,22 @@ class ExecutionLayer:
         if len(rdv.arrivals) == ws:
             del rdvs[key]
             self._resolve_collective(group, spec, backend_name, call[1], prep, plan, rdv)
-        if self.logger is not None:
-            self._log_on_flag(
-                group, spec, plan, call[1], rdv, async_op,
-                attribution(backend_name, rerouted),
-                "host" if member is None else member.stream.name,
+        logger = self.logger
+        if logger is not None:
+            registry = logger.event_log.registry
+            entry = (
+                ctx.rank, engine.now,
+                UNATTRIBUTED_STEP if registry is None else registry.current_step(ctx.rank),
+                call[1], async_op, dispatch, "host" if member is None else member.stream.name,
             )
+            # join the open batch while it is the flag's last callback; one
+            # queued since (the adaptive observation, a fusion copy-back, a
+            # phase shuffle) runs between their rows, in a new batch
+            callbacks = rdv.callbacks
+            if callbacks and callbacks[-1] is rdv.log:
+                rdv.log.append(entry)
+            else:
+                self._log_on_flag(group, spec, plan, rdv, entry)
         deadline_us = self.config.op_deadline_us
         timeout_info = None
         if deadline_us is not None:
@@ -463,7 +472,7 @@ class ExecutionLayer:
             # the group's one observation, fed at the flag's fire instant;
             # the last arrival's retuner knows if the op is an epsilon trial
             rdv.callbacks.append(partial(
-                group.state.adapt.on_complete, family, nbytes, backend.name,
+                group.retuner.book.on_complete, family, nbytes, backend.name,
                 duration, backend_name == "auto", group.retuner.trial is not None,
             ))
         admit = self._job.lanes.admission(backend, family, wire_bytes, duration)
@@ -571,7 +580,10 @@ class ExecutionLayer:
             if self.logger is not None:
                 # one record per endpoint (the queued peer cannot know the
                 # transfer duration, so the matching side logs for both)
-                dispatch = attribution(backend_name, backend is not routed)
+                dispatch = (
+                    "reroute" if backend is not routed
+                    else "auto" if backend_name == "auto" else "explicit"
+                )
                 for endpoint in (ctx.rank, peer):
                     self.logger.log(
                         rank=endpoint,
@@ -618,33 +630,23 @@ class ExecutionLayer:
 
     # -- logging -----------------------------------------------------------
 
-    def _log_on_flag(
-        self, group: Group, spec, plan, nbytes: int, flag: Flag, async_op: bool,
-        dispatch: str, stream: str = "host",
-    ) -> None:
-        """Log once the completion time is known (flag fired).
+    def _log_on_flag(self, group: Group, spec, plan, flag: Flag, entry: tuple) -> None:
+        """Log a collective post ``entry`` (see
+        :class:`~repro.ext.logging_ext.LogBatch`; its step is the one that
+        *issued* the op, read at the post) in a new batch: the collective's
+        first, or one after another callback on ``flag``.  The batch is
+        emitted once the completion time is known: at once when ``flag``
+        fired (the host path's last arrival, a ws-1 post), else when it
+        fires.  A later rank's post joins the open batch in
+        :meth:`_post_collective`, with no call.  Callers check that a
+        logger exists."""
+        from repro.ext.logging_ext import LogBatch  # the extensions build on the core
 
-        Records the *transfer* interval (completion minus duration), not
-        post-to-completion — queueing behind other traffic is not
-        communication time (it would double-count in the breakdowns).
-        The training step is captured at *post* time: a non-blocking op
-        completing during step N+1 still belongs to the step that issued
-        it, and ``dispatch`` is the post's :func:`attribution`.  Callers
-        check that a logger exists."""
-        logger, rank, post_time = self.logger, self.ctx.rank, self.ctx.now
-        step = logger.event_log.step(rank)
-
-        def emit() -> None:
-            end = flag.ready_time
-            duration = getattr(flag, "duration", None)  # a Rendezvous has one
-            start = end - duration if duration else post_time
-            logger.log(
-                rank=rank, family=spec.family.value, backend=plan.backend.name,
-                nbytes=nbytes, start=start, end=end, async_op=async_op, step=step,
-                dispatch=dispatch, stream=stream, phase=group.tag,
-            )
-
-        if flag.is_set:
-            emit()
+        logger, batch = self.logger, LogBatch((entry,))
+        batch.event_log, batch.flag = logger.event_log, flag
+        batch.family, batch.backend, batch.phase = spec.family, plan.backend.name, group.tag
+        if flag.ready_time is not None:
+            batch()
         else:
-            logger.defer(flag, emit)
+            flag.log = batch
+            logger.defer(flag, batch)

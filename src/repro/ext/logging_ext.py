@@ -8,7 +8,8 @@ Each operation is one ``kind="comm"`` :class:`~repro.obs.metrics.ObsEvent`
 row and each fault-handling action one ``kind="fault"`` row (``family``
 is the action, ``start`` its time) in the job's
 :class:`~repro.obs.metrics.EventLog`; the :class:`CommLogger` is a view
-over them.
+over them.  A collective's rows are one :class:`LogBatch`: its ranks'
+posts add entries, and the rendezvous flag's fire builds the rows.
 """
 
 from __future__ import annotations
@@ -21,6 +22,41 @@ from repro.obs.metrics import EventLog, ObsEvent
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Flag
     from repro.sim.process import RankContext
+
+
+class LogBatch(list):
+    """The comm-log entries of one collective's ranks, ``(rank, post
+    time, step, nbytes, async_op, dispatch, stream)`` each in post order,
+    and what the ranks share: the ``event_log``, the ``flag`` they
+    complete on, the op ``family`` (an ``OpFamily``), the ``backend``
+    name and the ``phase`` tag.  Its poster builds it with no Python
+    call (a list of the first entry, then the fields).
+
+    Called once ``flag`` fired, it builds their ``comm`` rows in one pass
+    and hands them to the log.  A row's interval is the *transfer*
+    (completion minus the rendezvous's duration), not post-to-completion:
+    queueing behind other traffic is not communication time.  A transfer
+    with a zero duration, or none (a ws-1 post's flag), starts at its
+    post time."""
+
+    __slots__ = ("event_log", "flag", "family", "backend", "phase")
+
+    def __call__(self) -> None:
+        # the rendezvous keeps its last batch (``Rendezvous.log``), emptied
+        # here: no cycle outlives the fire (INTERNALS §7, *Retention*), and
+        # the entries go with it
+        flag, self.flag = self.flag, None
+        # ``_value_`` is the member's value without the property's two calls
+        family, backend, phase = self.family._value_, self.backend, self.phase
+        end, duration = flag.ready_time, getattr(flag, "duration", None)
+        rows = []
+        for rank, posted, step, nbytes, async_op, dispatch, stream in self:
+            rows.append(ObsEvent(
+                "comm", rank, stream, backend, family, nbytes, step,
+                end - duration if duration else posted, end, dispatch, phase, async_op,
+            ))
+        self.clear()
+        self.event_log.extend(rows)
 
 
 class CommLogger:
@@ -76,7 +112,10 @@ class CommLogger:
         )
 
     def defer(self, flag: "Flag", emit: Callable[[], None]) -> None:
-        """Emit a record when ``flag`` fires (completion time unknown yet)."""
+        """Emit records when ``flag`` fires (completion time unknown yet):
+        one call per collective's open :class:`LogBatch`, which is
+        ``emit``; the flag's callbacks run in order, so the rows land
+        between what was queued on it before and after."""
         flag.callbacks.append(emit)
 
     # -- fault events (retry / failover / quarantine) -----------------------
@@ -105,7 +144,7 @@ class CommLogger:
         for r in self.records:
             if rank is not None and r.rank != rank:
                 continue
-            sums[getattr(r, key)] += r.duration
+            sums[getattr(r, key)] += r.end - r.start
             ranks.add(r.rank)
         if rank is None and ranks:
             # divide by the true world size: ranks that logged nothing

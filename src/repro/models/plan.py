@@ -142,7 +142,10 @@ PROFILES: dict[str, FrameworkProfile] = {
 
 class CommDriver:
     """What a workload model talks to: a plan- and profile-aware wrapper
-    over one MCR communicator, with optional gradient fusion."""
+    over one MCR communicator, with optional gradient fusion.  The
+    backend each op family posts to is resolved once, at construction
+    (``_routes``): a single-backend framework sends every family to
+    the plan's default."""
 
     def __init__(
         self,
@@ -180,7 +183,10 @@ class CommDriver:
             comm_id=comm_id or f"driver:{profile.name}:{plan.label}",
             ranks=ranks,
         )
-        self._single_backend = backends[0] if len(backends) == 1 else None
+        #: op family -> the backend name its ops post to
+        self._routes = {
+            str(f): backends[0] if len(backends) == 1 else plan.backend_for(f) for f in OpFamily
+        }
         self.fusion = (
             TensorFusion(self.comm, fusion) if profile.supports_fusion and fusion else None
         )
@@ -203,47 +209,42 @@ class CommDriver:
             )
         return self._subgroups[key]
 
-    def _backend(self, family: str) -> str:
-        if self._single_backend is not None:
-            return self._single_backend
-        return self.plan.backend_for(family)
-
     # -- operations models use -------------------------------------------------
 
     def grad_all_reduce(self, tensor: SimTensor) -> "WorkHandle":
         """Gradient allreduce: fused when the framework supports it."""
-        backend = self._backend("allreduce")
+        backend = self._routes["allreduce"]
         if self.fusion is not None:
             return self.fusion.all_reduce(backend, tensor, op=ReduceOp.SUM)
         return self.comm.all_reduce(backend, tensor, op=ReduceOp.SUM, async_op=True)
 
     def all_reduce(self, tensor: SimTensor, async_op: bool = False):
-        return self.comm.all_reduce(self._backend("allreduce"), tensor, async_op=async_op)
+        return self.comm.all_reduce(self._routes["allreduce"], tensor, async_op=async_op)
 
     def all_to_all_single(self, output: SimTensor, input: SimTensor, async_op: bool = False):
         return self.comm.all_to_all_single(
-            self._backend("alltoall"), output, input, async_op=async_op
+            self._routes["alltoall"], output, input, async_op=async_op
         )
 
     def all_to_allv(self, output, input, scounts, sdispls, rcounts, rdispls, async_op=False):
         return self.comm.all_to_allv(
-            self._backend("alltoall"), output, input, scounts, sdispls, rcounts, rdispls,
+            self._routes["alltoall"], output, input, scounts, sdispls, rcounts, rdispls,
             async_op=async_op,
         )
 
     def reduce_scatter(self, output: SimTensor, input: SimTensor, async_op: bool = False):
         return self.comm.reduce_scatter(
-            self._backend("reduce_scatter"), output, input, async_op=async_op
+            self._routes["reduce_scatter"], output, input, async_op=async_op
         )
 
     def all_gather(self, output: SimTensor, input: SimTensor, async_op: bool = False):
-        return self.comm.all_gather(self._backend("allgather"), output, input, async_op=async_op)
+        return self.comm.all_gather(self._routes["allgather"], output, input, async_op=async_op)
 
     def bcast(self, tensor: SimTensor, root: int = 0):
-        return self.comm.bcast(self._backend("broadcast"), tensor, root)
+        return self.comm.bcast(self._routes["broadcast"], tensor, root)
 
     def barrier(self) -> None:
-        self.comm.barrier(self._backend("barrier"))
+        self.comm.barrier(self._routes["barrier"])
 
     def step_sync(self) -> None:
         """End-of-step: flush fusion, drain all backends, join the GPU."""

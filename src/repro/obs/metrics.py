@@ -102,9 +102,10 @@ class EventLog:
     """One job's rows, keyed by ``kind``: the store behind the Tracer
     and CommLogger views.
 
-    :meth:`append` is the one place a row reaches the job's
-    :class:`MetricsRegistry`.  :meth:`shared` creates the log on first
-    use, so a run with tracing and logging off never builds one.
+    :meth:`append`, and :meth:`extend` for a batch, are the one place a
+    row reaches the job's :class:`MetricsRegistry`.  :meth:`shared`
+    creates the log on first use, so a run with tracing and logging off
+    never builds one.
     """
 
     __slots__ = ("rows", "registry")
@@ -126,6 +127,14 @@ class EventLog:
         self.rows[row.kind].append(row)
         if self.registry is not None:
             self.registry.observe(row)
+
+    def extend(self, rows: list[ObsEvent]) -> None:
+        """:meth:`append` each of ``rows``, all of one kind, in order."""
+        self.rows[rows[0].kind].extend(rows)
+        registry = self.registry
+        if registry is not None:
+            for row in rows:
+                registry.observe(row)
 
     def step(self, rank: int) -> int:
         """The training step a row ``rank`` posts now belongs to."""

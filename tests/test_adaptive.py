@@ -233,7 +233,7 @@ class TestTableVersions:
             comm.tuning_table = table
             swapped = len(clones) - before_swap
             comm.tuning_table = retuned
-            book = comm._group.state.adapt
+            book = comm.retuner.book
             auto = sum(key[1] == "auto" for key in comm._group.state.plans)
             out = built, swapped, retuned, list(book.edits), auto
             comm.finalize()
@@ -274,12 +274,12 @@ class TestTableVersions:
                 handle.synchronize()
                 served.append(handle.backend_name)
                 if i == 0 and comm.rank == 0:
-                    book = comm._group.state.adapt
+                    book = comm.retuner.book
                     cell = _Cell(family=OpFamily.ALLREDUCE, bucket=4096)
                     book._edit(cell, "mvapich2-gdr", offset=6)
                     book._edit(cell, "nccl")
                     book._edit(cell, "nccl", offset=6)
-            out = served, list(comm._group.state.adapt.edits)
+            out = served, list(comm.retuner.book.edits)
             comm.finalize()
             return out
 
@@ -322,6 +322,43 @@ class TestTableVersions:
         faults = FaultSpec.parse("link=20000:inf:4.0:backend=nccl")
         results = Simulator(8, system=lassen(), faults=faults).run(rank_main).rank_results
         assert results == [("nccl", 1)] * 8
+
+    def test_a_second_communicator_on_one_comm_id_retunes_as_the_first(self):
+        """A rank's k-th adaptive communicator on one group and
+        ``comm_id`` shares book k.  The second communicator counts its
+        ops from 1, so it must not inherit the first's book: its edits
+        would take effect past the first's high-water mark, an op index
+        it never reaches, and it would serve ``nccl`` throughout.  Rank 0
+        builds its second one last."""
+        table = degraded_table(8)
+        config = MCRConfig(adaptive=adaptive_config())
+
+        def rank_main(ctx):
+            served = []
+            for generation in range(2):
+                if generation and ctx.rank == 0:
+                    ctx.sleep(50.0)
+                comm = MCRCommunicator(
+                    ctx, ["nccl", "mvapich2-gdr"], config=config, tuning_table=table,
+                    comm_id="twice",
+                )
+                x = ctx.virtual_tensor(NBYTES // 4)
+                ops = []
+                for _ in range(100):
+                    handle = comm.all_reduce("auto", x, async_op=True)
+                    handle.synchronize()
+                    ops.append(handle.backend_name)
+                served.append((ops, comm.retuner.snapshot()["stats"]["retune"]))
+                comm.finalize()
+            return served
+
+        faults = FaultSpec.parse("link=10000:inf:4.0:backend=nccl")
+        results = Simulator(8, system=lassen(), faults=faults).run(rank_main).rank_results
+        assert all(r == results[0] for r in results)
+        (first, first_retunes), (second, second_retunes) = results[0]
+        assert first[0] == second[0] == "nccl"
+        assert second[-1] == first[-1] != "nccl"
+        assert first_retunes == second_retunes == 1
 
 
 class TestEpsilonTrials:
@@ -591,7 +628,7 @@ class TestEpsilonTrials:
             comm.tuning_table = new
             comm.all_reduce("auto", x)
             first.synchronize()
-            book = comm._group.state.adapt
+            book = comm.retuner.book
             out = (list(book.edits), str(comm.tuning_table.entries))
             comm.finalize()
             return out

@@ -443,16 +443,19 @@ class TestPlanHitPost:
     before the plan fixed its yield test and the tensor metadata became
     plain attributes)."""
 
-    @pytest.mark.parametrize(
-        "backend, async_op, budget",
-        [("auto", True, 12), ("nccl", True, 12), ("mvapich2-gdr", False, 15)],
-    )
-    def test_python_calls_per_post(self, backend, async_op, budget):
+    POSTS = [("auto", True, 12), ("nccl", True, 12), ("mvapich2-gdr", False, 15)]
+    LOOPS = [("nccl", True, 9.71), ("mvapich2-gdr", False, 13.75)]
+
+    @staticmethod
+    def calls_per_post(backend, async_op, logged=False):
+        """The Python calls of rank 0's second post, one by name."""
         table = TuningTable()
         table.add("allreduce", 16, 4096, "nccl")
 
         def main(ctx):
-            comm = MCRCommunicator(ctx, BACKENDS, tuning_table=table)
+            comm = MCRCommunicator(
+                ctx, BACKENDS, tuning_table=table, config=MCRConfig(enable_logging=logged)
+            )
             x = ctx.virtual_tensor(1024)
 
             def post():
@@ -482,19 +485,11 @@ class TestPlanHitPost:
 
         calls, stats = _run(main, world_size=16).rank_results[0]
         assert (stats["hits"], stats["misses"]) == (1, 1)
-        assert len(calls) <= budget, calls
+        return calls
 
-    @pytest.mark.parametrize(
-        "backend, async_op, budget",
-        [("nccl", True, 9.71), ("mvapich2-gdr", False, 13.75)],
-    )
-    def test_python_calls_per_rank_op_of_a_loop(self, backend, async_op, budget):
-        """The whole loop, every rank thread counted: the resolving
-        rank's work (price, wire lane, ``graph.resolve``) and the waits
-        are in it, which one post on rank 0 does not see.  20.09 / 24.13
-        calls per rank-op while a timing-only post built its call's
-        buffers and mover and an ``Arrival``, and ``graph.resolve`` made
-        five calls per member."""
+    @staticmethod
+    def calls_per_rank_op(backend, async_op, logged=False):
+        """Python calls per rank-op of a 100-post loop at ws 16."""
         calls, ops, world = [0], 100, 16
 
         def profile(frame, event, arg):
@@ -502,7 +497,7 @@ class TestPlanHitPost:
                 calls[0] += 1  # rank threads run one at a time
 
         def main(ctx):
-            comm = MCRCommunicator(ctx, BACKENDS)
+            comm = MCRCommunicator(ctx, BACKENDS, config=MCRConfig(enable_logging=logged))
             x = ctx.virtual_tensor(1 << 14)  # 64 KiB
             comm.all_reduce(backend, x, async_op=async_op)  # compiles the plan
             sys.setprofile(profile)  # per thread: installed in the rank body
@@ -515,11 +510,46 @@ class TestPlanHitPost:
 
         gc.disable()  # a collection would run the gc.callbacks others install
         try:
-            _run(main, world_size=world)
+            res = _run(main, world_size=world)
         finally:
             gc.enable()
-        per_op = calls[0] / (ops * world)
+        if logged:
+            assert len(res.shared["comm_logger"].records) == (ops + 1) * world
+        return calls[0] / (ops * world)
+
+    @pytest.mark.parametrize("backend, async_op, budget", POSTS)
+    def test_python_calls_per_post(self, backend, async_op, budget):
+        calls = self.calls_per_post(backend, async_op)
+        assert len(calls) <= budget, calls
+
+    @pytest.mark.parametrize("backend, async_op, budget", POSTS)
+    def test_python_calls_per_logged_post(self, backend, async_op, budget):
+        """Logging adds at most two calls to rank 0's post, which opens
+        the collective's comm-log batch (``_log_on_flag`` and
+        ``CommLogger.defer``); a later rank's post joins it with none.
+        18 / 18 / 21 while each post deferred its own closure."""
+        calls = self.calls_per_post(backend, async_op, logged=True)
+        assert len(calls) <= budget + 2, calls
+
+    @pytest.mark.parametrize("backend, async_op, budget", LOOPS)
+    def test_python_calls_per_rank_op_of_a_loop(self, backend, async_op, budget):
+        """The whole loop, every rank thread counted: the resolving
+        rank's work (price, wire lane, ``graph.resolve``) and the waits
+        are in it, which one post on rank 0 does not see.  20.09 / 24.13
+        calls per rank-op while a timing-only post built its call's
+        buffers and mover and an ``Arrival``, and ``graph.resolve`` made
+        five calls per member."""
+        per_op = self.calls_per_rank_op(backend, async_op)
         assert per_op <= budget, per_op
+
+    @pytest.mark.parametrize("backend, async_op, budget", LOOPS)
+    def test_python_calls_per_logged_rank_op_of_a_loop(self, backend, async_op, budget):
+        """Logging adds at most 1.5 calls per rank-op: a row's
+        ``ObsEvent`` and, per collective, its batch's open, deferral,
+        emit and ``EventLog.extend`` (21.64 / 25.69 while every rank
+        logged through its own closure and ``CommLogger.log``)."""
+        per_op = self.calls_per_rank_op(backend, async_op, logged=True)
+        assert per_op <= budget + 1.5, per_op
 
     def test_hier_routed_auto_post_is_a_hit(self):
         """Routing to the composite is plan state: the second hier-routed

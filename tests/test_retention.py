@@ -47,13 +47,14 @@ def _live() -> dict:
     return counts
 
 
-def mixed_program(n_ops: int, probe=None):
+def mixed_program(n_ops: int, probe=None, logged=False):
     """Kernels, sync/async collectives on a stream-aware and a host
     backend, p2p; handles waited, synchronized and dropped.  Each step
     ends in ``comm.synchronize()`` like a training step does."""
 
     def main(ctx):
-        comm = MCRCommunicator(ctx, ["nccl", "mvapich2-gdr"])
+        config = MCRConfig(enable_logging=logged)
+        comm = MCRCommunicator(ctx, ["nccl", "mvapich2-gdr"], config=config)
         x, y = ctx.ones(256), ctx.ones(256)
         peer = ctx.rank ^ 1
         for _ in range(n_ops // OPS_PER_STEP):
@@ -176,6 +177,17 @@ class TestFinishedOpsAreReleased:
     def test_cyclic_garbage_after_a_run_does_not_grow_with_ops(self, no_auto_gc):
         def garbage(n_ops: int) -> int:
             Simulator(WORLD).run(mixed_program(n_ops))
+            return gc.collect()
+
+        garbage(200)
+        assert garbage(2000) == garbage(200)
+
+    def test_cyclic_garbage_after_a_logged_run_does_not_grow_with_ops(self, no_auto_gc):
+        """A rendezvous keeps its last comm-log batch, which let go of
+        the rendezvous when it fired."""
+
+        def garbage(n_ops: int) -> int:
+            Simulator(WORLD).run(mixed_program(n_ops, logged=True))
             return gc.collect()
 
         garbage(200)
